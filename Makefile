@@ -85,21 +85,27 @@ transport:
 # concurrent HTTP handlers, the predict micro-batcher, the sharded LRU
 # cache, the packed binarized index and atomic hot checkpoint reload —
 # including tests that hammer exact and approx predicts while the live
-# store (and its packed index, as one generation) is swapped.
-## serve: serving + binarized-index suites under the race detector
+# store (and its packed index, as one generation) is swapped. The 1-vs-N
+# block kernels under the exact sweep (internal/model, bit-equal to
+# ScoreRows) and the link-prediction evaluation that fans triples out over
+# GOMAXPROCS workers on the same kernels (internal/eval) ride along.
+## serve: serving, binarized-index, block-scorer and eval suites under -race
 serve:
-	$(GO) test -race -count=1 ./internal/serve/ ./internal/binpack/
+	$(GO) test -race -count=1 ./internal/serve/ ./internal/binpack/ ./internal/model/ ./internal/eval/
 
 # Serving load smoke: kgeload self-hosts a clustered-checkpoint server,
 # measures recall@10 of mode=approx against the exact ranking, then drives
-# paced concurrent traffic through both modes. The floors assert the
-# two-stage pipeline's end-to-end contract (high fidelity, real speedup) at
-# CI scale; the committed BENCH_<date>.json numbers come from the
-# full-scale run (50k entities — see README "Serving").
-## loadbench: kgeload smoke with recall and speedup floors
+# paced concurrent traffic through both modes. The floor asserts the
+# two-stage pipeline's fidelity contract and that both modes answer under
+# load. There is no speed floor: approx-vs-exact p50 is printed, but at
+# smoke scale it is a property of the runner (the exact sweep spreads over
+# every core, the approx query runs on one; at 8000 entities exact is the
+# faster of the two on two cores). End-to-end speed is kgeperf's job
+# (bench/, workloads serve_exact and serve_approx at 50k entities).
+## loadbench: kgeload smoke with a recall floor
 loadbench:
 	$(GO) run ./cmd/kgeload -entities 8000 -dim 32 -clusters 256 \
-		-qps 200 -duration 2s -fidelity 60 -min-recall 0.95 -min-speedup 1.3
+		-qps 200 -duration 2s -fidelity 60 -min-recall 0.95
 
 # Reproducible perf capture: run the kernel micro-benchmarks, parse the
 # output with cmd/benchjson, and write a schema-versioned JSON capture

@@ -46,7 +46,7 @@ func main() {
 		shardRows   = flag.Int("shard-rows", 0, "entity rows per store shard (0 = default)")
 		cacheSize   = flag.Int("cache", 4096, "result cache entries (0 disables caching)")
 		maxBatch    = flag.Int("batch-max", 64, "max predict queries coalesced into one sweep")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "how long the first query of a batch waits for company")
+		batchWindow = flag.Duration("batch-window", time.Millisecond, "accepted and ignored: the batcher no longer waits for company")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	)

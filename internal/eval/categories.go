@@ -102,15 +102,7 @@ type DetailedResult struct {
 // maxTriples > 0 subsamples deterministically.
 func DetailedLinkPrediction(m model.Model, p *model.Params, d *kg.Dataset, f *kg.FilterIndex, maxTriples int, rng *xrand.RNG) DetailedResult {
 	cats := CategorizeRelations(d)
-	test := d.Test
-	if maxTriples > 0 && len(test) > maxTriples {
-		perm := rng.Perm(len(test))
-		sub := make([]kg.Triple, maxTriples)
-		for i := range sub {
-			sub[i] = test[perm[i]]
-		}
-		test = sub
-	}
+	test := subsample(d.Test, maxTriples, rng)
 	res := DetailedResult{ByCategory: map[RelationCategory]SideResult{}}
 	type acc struct {
 		head, tail float64
@@ -118,42 +110,9 @@ func DetailedLinkPrediction(m model.Model, p *model.Params, d *kg.Dataset, f *kg
 	}
 	byCat := map[RelationCategory]*acc{}
 	total := &acc{}
-	scores := make([]float32, d.NumEntities)
-	for _, tr := range test {
-		var rr [2]float64 // head, tail reciprocal ranks
-		for side := 0; side < 2; side++ {
-			cand := tr
-			for e := 0; e < d.NumEntities; e++ {
-				if side == 0 {
-					cand.H = int32(e)
-				} else {
-					cand.T = int32(e)
-				}
-				scores[e] = m.Score(p, cand)
-			}
-			var trueScore float32
-			if side == 0 {
-				trueScore = scores[tr.H]
-			} else {
-				trueScore = scores[tr.T]
-			}
-			rank := 1
-			for e := 0; e < d.NumEntities; e++ {
-				if scores[e] <= trueScore {
-					continue
-				}
-				cand := tr
-				if side == 0 {
-					cand.H = int32(e)
-				} else {
-					cand.T = int32(e)
-				}
-				if !f.Contains(cand) {
-					rank++
-				}
-			}
-			rr[side] = 1 / float64(rank)
-		}
+	for i, r := range rankTriples(m, p, d, f, test) {
+		tr := test[i]
+		rr := [2]float64{1 / float64(r.filt[0]), 1 / float64(r.filt[1])} // head, tail reciprocal ranks
 		cat := cats[tr.R]
 		a, ok := byCat[cat]
 		if !ok {

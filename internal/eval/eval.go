@@ -5,7 +5,10 @@
 package eval
 
 import (
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"kgedist/internal/kg"
 	"kgedist/internal/model"
@@ -30,63 +33,99 @@ type RankResult struct {
 	Triples int `json:"triples"`
 }
 
+// subsample returns the test split, or when maxTriples > 0 caps it a
+// deterministic rng-chosen subset of that size.
+func subsample(test []kg.Triple, maxTriples int, rng *xrand.RNG) []kg.Triple {
+	if maxTriples <= 0 || len(test) <= maxTriples {
+		return test
+	}
+	perm := rng.Perm(len(test))
+	sub := make([]kg.Triple, maxTriples)
+	for i := range sub {
+		sub[i] = test[perm[i]]
+	}
+	return sub
+}
+
+// sideRanks holds one test triple's rank among all head replacements and
+// among all tail replacements, raw and filtered, indexed by model.Side.
+type sideRanks struct{ raw, filt [2]int }
+
+// rankTriples ranks every test triple against all replacements of each side:
+// rank = 1 + the number of candidates scoring strictly higher than the true
+// entity, the filtered rank not counting known facts. Models score each side
+// with one model.BlockScorer sweep over the entity table; a model without
+// one is scored per candidate through Score. Triples are fanned out over
+// GOMAXPROCS workers and each writes only its own slot, so callers reduce
+// in index order and the result does not depend on the worker count.
+func rankTriples(m model.Model, p *model.Params, d *kg.Dataset, f *kg.FilterIndex, test []kg.Triple) []sideRanks {
+	out := make([]sideRanks, len(test))
+	block, _ := m.(model.BlockScorer)
+	var next atomic.Int64
+	work := func() {
+		scores := make([]float32, d.NumEntities)
+		for i := int(next.Add(1)) - 1; i < len(test); i = int(next.Add(1)) - 1 {
+			tr := test[i]
+			for side := model.Head; side <= model.Tail; side++ {
+				cand := tr
+				trueEnt, fixed, slot := tr.H, tr.T, &cand.H
+				if side == model.Tail {
+					trueEnt, fixed, slot = tr.T, tr.H, &cand.T
+				}
+				if block != nil {
+					block.ScoreBlock(side, p.Entity.Row(int(fixed)), p.Relation.Row(int(tr.R)), p.Entity.Data, scores)
+				} else {
+					for e := range scores {
+						*slot = int32(e)
+						scores[e] = m.Score(p, cand)
+					}
+				}
+				trueScore := scores[trueEnt]
+				raw, filt := 1, 1
+				for e, s := range scores {
+					if s <= trueScore {
+						continue
+					}
+					raw++
+					*slot = int32(e)
+					if !f.Contains(cand) {
+						filt++
+					}
+				}
+				out[i].raw[side], out[i].filt[side] = raw, filt
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(test))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return out
+}
+
 // LinkPrediction ranks each test triple against all head and all tail
 // replacements. maxTriples > 0 subsamples the test split deterministically
 // (evaluation is O(|test| * |entities|), the dominant cost at scale); pass 0
 // to evaluate everything.
 func LinkPrediction(m model.Model, p *model.Params, d *kg.Dataset, f *kg.FilterIndex, maxTriples int, rng *xrand.RNG) RankResult {
-	test := d.Test
-	if maxTriples > 0 && len(test) > maxTriples {
-		perm := rng.Perm(len(test))
-		sub := make([]kg.Triple, maxTriples)
-		for i := 0; i < maxTriples; i++ {
-			sub[i] = test[perm[i]]
-		}
-		test = sub
-	}
-	var res RankResult
-	res.Triples = len(test)
+	test := subsample(d.Test, maxTriples, rng)
+	res := RankResult{Triples: len(test)}
 	if len(test) == 0 {
 		return res
 	}
 	var sumRaw, sumFiltered, sumRank float64
 	var h1, h3, h10 int
-	scores := make([]float32, d.NumEntities)
-	for _, tr := range test {
-		for side := 0; side < 2; side++ {
-			// Score every candidate replacement of one side.
-			cand := tr
-			for e := 0; e < d.NumEntities; e++ {
-				if side == 0 {
-					cand.H = int32(e)
-				} else {
-					cand.T = int32(e)
-				}
-				scores[e] = m.Score(p, cand)
-			}
-			var trueScore float32
-			if side == 0 {
-				trueScore = scores[tr.H]
-			} else {
-				trueScore = scores[tr.T]
-			}
-			rawRank, filtRank := 1, 1
-			for e := 0; e < d.NumEntities; e++ {
-				if scores[e] <= trueScore {
-					continue
-				}
-				rawRank++
-				cand := tr
-				if side == 0 {
-					cand.H = int32(e)
-				} else {
-					cand.T = int32(e)
-				}
-				if !f.Contains(cand) {
-					filtRank++
-				}
-			}
-			sumRaw += 1 / float64(rawRank)
+	for _, r := range rankTriples(m, p, d, f, test) {
+		for side := range r.raw {
+			filtRank := r.filt[side]
+			sumRaw += 1 / float64(r.raw[side])
 			sumFiltered += 1 / float64(filtRank)
 			sumRank += float64(filtRank)
 			if filtRank <= 1 {

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -374,3 +375,76 @@ func (s *scoreFuncModel) AccumulateScoreGrad(*model.Params, kg.Triple, float32, 
 func (s *scoreFuncModel) AccumulateScoreGradRows(_, _, _ []float32, _ float32, _, _, _ []float32) {}
 func (s *scoreFuncModel) ScoreFlops() float64                                                     { return 1 }
 func (s *scoreFuncModel) GradFlops() float64                                                      { return 1 }
+
+// serialLinkPrediction is the evaluation loop as it stood before the block
+// scorer: one Model.Score call per candidate on one goroutine. It is the
+// reference LinkPrediction must equal field for field.
+func serialLinkPrediction(m model.Model, p *model.Params, d *kg.Dataset, f *kg.FilterIndex, test []kg.Triple) RankResult {
+	res := RankResult{Triples: len(test)}
+	var sumRaw, sumFiltered, sumRank float64
+	var h1, h3, h10 int
+	for _, tr := range test {
+		for side := 0; side < 2; side++ {
+			replace := func(e int) kg.Triple {
+				if side == 0 {
+					return kg.Triple{H: int32(e), R: tr.R, T: tr.T}
+				}
+				return kg.Triple{H: tr.H, R: tr.R, T: int32(e)}
+			}
+			trueScore := m.Score(p, tr)
+			rawRank, filtRank := 1, 1
+			for e := 0; e < d.NumEntities; e++ {
+				if m.Score(p, replace(e)) <= trueScore {
+					continue
+				}
+				rawRank++
+				if !f.Contains(replace(e)) {
+					filtRank++
+				}
+			}
+			sumRaw += 1 / float64(rawRank)
+			sumFiltered += 1 / float64(filtRank)
+			sumRank += float64(filtRank)
+			if filtRank <= 1 {
+				h1++
+			}
+			if filtRank <= 3 {
+				h3++
+			}
+			if filtRank <= 10 {
+				h10++
+			}
+		}
+	}
+	n := float64(2 * len(test))
+	res.MRR, res.FilteredMRR, res.MR = sumRaw/n, sumFiltered/n, sumRank/n
+	res.Hits1, res.Hits3, res.Hits10 = float64(h1)/n, float64(h3)/n, float64(h10)/n
+	return res
+}
+
+// TestLinkPredictionEqualsSerialReference: the block-scored, fanned-out
+// evaluation returns the very struct the serial per-candidate loop does, for
+// every model and whatever GOMAXPROCS is; DetailedLinkPrediction's overall
+// row agrees with it.
+func TestLinkPredictionEqualsSerialReference(t *testing.T) {
+	d := kg.Generate(kg.GenConfig{Entities: 150, Relations: 6, Triples: 2500, Seed: 41})
+	f := kg.NewFilterIndex(d)
+	for _, name := range []string{"complex", "distmult", "transe", "rotate", "transh", "simple"} {
+		m := model.New(name, 7)
+		p := model.NewParams(m, d.NumEntities, d.NumRelations)
+		p.Init(m, xrand.New(43))
+		want := serialLinkPrediction(m, p, d, f, d.Test)
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := LinkPrediction(m, p, d, f, 0, xrand.New(1))
+			det := DetailedLinkPrediction(m, p, d, f, 0, xrand.New(1))
+			runtime.GOMAXPROCS(prev)
+			if got != want {
+				t.Fatalf("%s GOMAXPROCS %d: LinkPrediction %+v, serial reference %+v", name, procs, got, want)
+			}
+			if mean := (det.Overall.HeadMRR + det.Overall.TailMRR) / 2; math.Abs(mean-want.FilteredMRR) > 1e-12 || det.Overall.Triples != want.Triples {
+				t.Fatalf("%s GOMAXPROCS %d: detailed overall %+v disagrees with filtered MRR %v", name, procs, det.Overall, want.FilteredMRR)
+			}
+		}
+	}
+}

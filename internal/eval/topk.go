@@ -56,6 +56,21 @@ func (a *TopKAccumulator) Offer(e int32, s float32) {
 	a.down(0)
 }
 
+// OfferBlock considers scores[i] for entity base+i, in order. skip, when
+// non-nil, drops candidates and is asked only about those that would be
+// kept: rejecting a candidate that cannot enter the top k needs no lookup.
+func (a *TopKAccumulator) OfferBlock(base int32, scores []float32, skip func(e int32) bool) {
+	for i, s := range scores {
+		c := ScoredEntity{Entity: base + int32(i), Score: s}
+		if len(a.heap) == a.k && !better(c, a.heap[0]) {
+			continue
+		}
+		if skip == nil || !skip(c.Entity) {
+			a.Offer(c.Entity, s)
+		}
+	}
+}
+
 func (a *TopKAccumulator) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -46,3 +46,35 @@ func BenchmarkScoreGradStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScoreBlock times the 1-vs-N kernels under the exact predict sweep
+// and link-prediction eval: one (fixed, relation) pair against the whole
+// 1000-row table, per side. rows is a per-row ScoreRows loop over the same
+// table, the cost the block kernel replaces.
+func BenchmarkScoreBlock(b *testing.B) {
+	const tile = 1000
+	for _, name := range []string{"transe", "complex", "distmult"} {
+		m, p, _ := benchSetup(name)
+		bs := m.(BlockScorer)
+		w := m.Width()
+		slab := p.Entity.Data[:tile*w]
+		fixed, rel := p.Entity.Row(999), p.Relation.Row(3)
+		out := make([]float32, tile)
+		for side, sideName := range []string{Head: "head", Tail: "tail"} {
+			side := Side(side)
+			b.Run(name+"/"+sideName, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bs.ScoreBlock(side, fixed, rel, slab, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tile), "ns/row")
+			})
+		}
+		b.Run(name+"/rows", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				scoreBlockRows(m, Tail, fixed, rel, slab, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tile), "ns/row")
+		})
+	}
+}

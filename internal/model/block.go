@@ -1,0 +1,198 @@
+package model
+
+// Block (1-vs-N) scoring: one (fixed entity, relation) pair against a
+// contiguous slab of candidate rows — the shape of an exact predict sweep
+// and of link-prediction evaluation. Every kernel here is bit-for-bit
+// ScoreRows: each candidate row keeps ScoreRows' own summation order and
+// expression shape, so no ranking, golden or cached answer can move. The
+// speed comes from what float32 rounding leaves free: the (fixed, rel)
+// product or sum is computed once per group of rows where it is the first
+// operation ScoreRows rounds (tail side), and several independent rows share
+// one inner loop so their serial add chains overlap. Lane-reordered (SIMD)
+// summation is deliberately not used; it would change low-order bits.
+
+// Side names the triple slot a block of candidate rows fills.
+type Side uint8
+
+const (
+	// Head candidates replace the head; the fixed row is the tail.
+	Head Side = iota
+	// Tail candidates replace the tail; the fixed row is the head.
+	Tail
+)
+
+// BlockScorer is implemented by every model New constructs.
+type BlockScorer interface {
+	// ScoreBlock writes out[i] = the score of slab row i in the side slot
+	// against the fixed entity row and the relation row; slab holds
+	// len(out) rows of Width() floats. The result is bit-identical to one
+	// ScoreRows call per row.
+	ScoreBlock(side Side, fixed, rel, slab, out []float32)
+}
+
+// scoreBlockRows is ScoreBlock as one ScoreRows call per row: the whole
+// kernel for models without a specialised one, and what the specialised
+// kernels hand the rows their interleaved loop left over.
+//
+//kgelint:hotpath
+func scoreBlockRows(m Model, side Side, fixed, rel, slab, out []float32) {
+	w := m.Width()
+	for i := range out {
+		row := slab[i*w : (i+1)*w]
+		if side == Tail {
+			out[i] = m.ScoreRows(fixed, rel, row)
+		} else {
+			out[i] = m.ScoreRows(row, rel, fixed)
+		}
+	}
+}
+
+// ScoreBlock implements BlockScorer.
+func (m *RotatE) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+	scoreBlockRows(m, side, fixed, rel, slab, out)
+}
+
+// ScoreBlock implements BlockScorer.
+func (m *TransH) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+	scoreBlockRows(m, side, fixed, rel, slab, out)
+}
+
+// ScoreBlock implements BlockScorer.
+func (m *SimplE) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+	scoreBlockRows(m, side, fixed, rel, slab, out)
+}
+
+// ScoreBlock implements BlockScorer: four rows per inner loop; on the tail
+// side q = h + r is the first sum ScoreRows rounds, so it is shared.
+//
+//kgelint:hotpath
+func (m *TransE) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+	d := m.dim
+	fixed, rel = fixed[:d], rel[:d]
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		c := slab[i*d : (i+4)*d]
+		c0, c1, c2, c3 := c[:d], c[d:][:d], c[2*d:][:d], c[3*d:][:d]
+		var s0, s1, s2, s3 float64
+		if side == Tail {
+			for k, hv := range fixed {
+				q := hv + rel[k]
+				d0 := float64(q - c0[k])
+				d1 := float64(q - c1[k])
+				d2 := float64(q - c2[k])
+				d3 := float64(q - c3[k])
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+		} else {
+			for k, tv := range fixed {
+				rv := rel[k]
+				d0 := float64(c0[k] + rv - tv)
+				d1 := float64(c1[k] + rv - tv)
+				d2 := float64(c2[k] + rv - tv)
+				d3 := float64(c3[k] + rv - tv)
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+		}
+		o := out[i : i+4]
+		o[0], o[1], o[2], o[3] = float32(-s0), float32(-s1), float32(-s2), float32(-s3)
+	}
+	scoreBlockRows(m, side, fixed, rel, slab[i*d:], out[i:])
+}
+
+// ScoreBlock implements BlockScorer: four rows per inner loop; on the tail
+// side q = h*r is the first product Dot3 rounds, so it is shared.
+//
+//kgelint:hotpath
+func (m *DistMult) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+	d := m.dim
+	fixed, rel = fixed[:d], rel[:d]
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		c := slab[i*d : (i+4)*d]
+		c0, c1, c2, c3 := c[:d], c[d:][:d], c[2*d:][:d], c[3*d:][:d]
+		var s0, s1, s2, s3 float32
+		if side == Tail {
+			for k, hv := range fixed {
+				q := hv * rel[k]
+				s0 += q * c0[k]
+				s1 += q * c1[k]
+				s2 += q * c2[k]
+				s3 += q * c3[k]
+			}
+		} else {
+			for k, tv := range fixed {
+				rv := rel[k]
+				s0 += c0[k] * rv * tv
+				s1 += c1[k] * rv * tv
+				s2 += c2[k] * rv * tv
+				s3 += c3[k] * rv * tv
+			}
+		}
+		o := out[i : i+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	scoreBlockRows(m, side, fixed, rel, slab[i*d:], out[i:])
+}
+
+// complexHoistFloats sizes ComplEx.ScoreBlock's stack buffer: the four
+// hoisted product vectors of dimensions up to 256.
+const complexHoistFloats = 1024
+
+// ScoreBlock implements BlockScorer: one row per inner loop carrying the four
+// Dot3 accumulators of ScoreRows as independent chains (a second row spills
+// registers and loses). On the tail side the four relation-by-head products
+// are what Dot3 rounds first, so they are computed once per call.
+//
+//kgelint:hotpath
+func (m *ComplEx) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+	d := m.dim
+	w := 2 * d
+	fr, fi := fixed[:d], fixed[d:][:d]
+	rr, ri := rel[:d], rel[d:][:d]
+	if side == Head {
+		for i := range out {
+			c := slab[i*w : (i+1)*w]
+			hr, hi := c[:d], c[d:][:d]
+			var a, b, e, f float32
+			for k, rrk := range rr {
+				rik, trk, tik := ri[k], fr[k], fi[k]
+				a += rrk * hr[k] * trk
+				b += rrk * hi[k] * tik
+				e += rik * hr[k] * tik
+				f += rik * hi[k] * trk
+			}
+			out[i] = a + b + e - f
+		}
+		return
+	}
+	var stack [complexHoistFloats]float32
+	p := stack[:]
+	if len(p) < 4*d {
+		// One allocation per call, amortised over the block.
+		p = make([]float32, 4*d)
+	}
+	pa, pb, pe, pf := p[:d], p[d:][:d], p[2*d:][:d], p[3*d:][:d]
+	for k, rrk := range rr {
+		rik, hrk, hik := ri[k], fr[k], fi[k]
+		pa[k], pb[k], pe[k], pf[k] = rrk*hrk, rrk*hik, rik*hrk, rik*hik
+	}
+	for i := range out {
+		c := slab[i*w : (i+1)*w]
+		tr, ti := c[:d], c[d:][:d]
+		var a, b, e, f float32
+		for k, trk := range tr {
+			tik := ti[k]
+			a += pa[k] * trk
+			b += pb[k] * tik
+			e += pe[k] * tik
+			f += pf[k] * trk
+		}
+		out[i] = a + b + e - f
+	}
+}

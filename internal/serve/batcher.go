@@ -27,21 +27,22 @@ type PredictQuery struct {
 type PredictResult struct {
 	Completions []eval.ScoredEntity
 	Err         error
+	// gen is the generation the batch ran on: the only cache a response
+	// built from Completions may be stored in.
+	gen *state
 }
 
 // ErrBatcherStopped is returned by Submit after Stop.
 var ErrBatcherStopped = errors.New("serve: batcher stopped")
 
 // Batcher coalesces concurrent predict queries into shared entity-table
-// sweeps. The first query of a batch opens a collection window; queries
-// arriving within it (up to maxBatch) join the batch, and the whole batch
-// is executed by one exec call that walks the entity table once for all of
-// them. Under bursty load the window rarely expires: while one batch
-// executes, the next fills, so batch size adapts to pressure.
+// sweeps. The dispatcher takes whatever is queued, up to maxBatch, and runs
+// it as one exec call that walks the entity table once for all of them; it
+// never waits for company. Batches grow because queries arrive while the
+// previous batch executes, so batch size adapts to pressure and a lone
+// query on an idle executor runs at once.
 type Batcher struct {
 	reqs    chan *batchReq
-	window  time.Duration
-	max     int
 	exec    func([]PredictQuery) []PredictResult
 	sizes   *metrics.Histogram
 	quit    chan struct{}
@@ -50,7 +51,8 @@ type Batcher struct {
 	stopped bool
 
 	// Dispatcher-goroutine-only scratch, reused across batches so the
-	// steady-state dispatch path allocates nothing per batch.
+	// dispatch path allocates nothing per batch. batchBuf's capacity is
+	// the maximum batch size.
 	batchBuf []*batchReq
 	qsBuf    []PredictQuery
 }
@@ -63,20 +65,19 @@ type batchReq struct {
 // NewBatcher starts a batcher. exec receives 1..maxBatch queries and must
 // return exactly one result per query, in order. The query slice is
 // batcher-owned scratch, valid only for the duration of the call — exec
-// must not retain it. window <= 0 flushes as soon as the queue drains;
-// maxBatch is clamped to at least 1.
-func NewBatcher(maxBatch int, window time.Duration, sizes *metrics.Histogram, exec func([]PredictQuery) []PredictResult) *Batcher {
+// must not retain it. maxBatch is clamped to at least 1. The duration is a
+// former collection window; it is accepted and ignored.
+func NewBatcher(maxBatch int, _ time.Duration, sizes *metrics.Histogram, exec func([]PredictQuery) []PredictResult) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
 	b := &Batcher{
-		reqs:   make(chan *batchReq, 4*maxBatch),
-		window: window,
-		max:    maxBatch,
-		exec:   exec,
-		sizes:  sizes,
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+		reqs:     make(chan *batchReq, 4*maxBatch),
+		exec:     exec,
+		sizes:    sizes,
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
+		batchBuf: make([]*batchReq, 0, maxBatch),
 	}
 	go b.dispatch()
 	return b
@@ -125,54 +126,31 @@ func (b *Batcher) dispatch() {
 			b.drain()
 			return
 		}
-		batch := append(b.batchBuf[:0], first)
-		if b.window > 0 {
-			timer := time.NewTimer(b.window)
-		collect:
-			for len(batch) < b.max {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-				case <-timer.C:
-					break collect
-				case <-b.quit:
-					break collect
-				}
-			}
-			timer.Stop()
-		} else {
-			for len(batch) < b.max {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-				default:
-					goto run
-				}
-			}
-		}
-	run:
-		b.batchBuf = batch // hand grown capacity back for the next batch
-		b.run(batch)
+		b.run(b.fill(append(b.batchBuf[:0], first)))
 	}
+}
+
+// fill appends what is queued right now to batch, up to its capacity,
+// without blocking.
+func (b *Batcher) fill(batch []*batchReq) []*batchReq {
+	for len(batch) < cap(batch) {
+		select {
+		case r := <-b.reqs:
+			batch = append(batch, r)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // drain executes whatever is left in the queue after Stop, in maxBatch
 // chunks, so no Submit is left blocked.
 func (b *Batcher) drain() {
 	for {
-		batch := b.batchBuf[:0]
-		for len(batch) < b.max {
-			select {
-			case r := <-b.reqs:
-				batch = append(batch, r)
-			default:
-				if len(batch) == 0 {
-					return
-				}
-				b.run(batch)
-				batch = batch[:0]
-				continue
-			}
+		batch := b.fill(b.batchBuf[:0])
+		if len(batch) == 0 {
+			return
 		}
 		b.run(batch)
 	}

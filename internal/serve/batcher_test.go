@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,40 +55,51 @@ func TestBatcherDeliversPerRequestResults(t *testing.T) {
 	}
 }
 
+// TestBatcherCoalesces pins the only way batches form: the first query runs
+// alone at once, and everything that queues up while its exec is blocked
+// leaves together as the next batch.
 func TestBatcherCoalesces(t *testing.T) {
 	var calls, maxSeen atomic.Int64
 	sizes := metrics.NewHistogram(metrics.SizeBuckets(64)...)
-	// A slow exec guarantees queries pile up behind the running batch.
-	slow := echoExec(&calls, &maxSeen)
+	echo := echoExec(&calls, &maxSeen)
+	entered := make(chan int, 8) // batch sizes, in exec order
+	release := make(chan struct{})
 	exec := func(qs []PredictQuery) []PredictResult {
-		time.Sleep(2 * time.Millisecond)
-		return slow(qs)
+		entered <- len(qs)
+		<-release
+		return echo(qs)
 	}
-	b := NewBatcher(16, 5*time.Millisecond, sizes, exec)
+	const queued = 7
+	b := NewBatcher(16, time.Hour, sizes, exec)
 	defer b.Stop()
 	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
+	submit := func(k int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if res := b.Submit(PredictQuery{Side: "tail", K: i + 1}); res.Err != nil {
-				t.Errorf("submit: %v", res.Err)
+			if res := b.Submit(PredictQuery{Side: "tail", K: k}); res.Err != nil || int(res.Completions[0].Entity) != k {
+				t.Errorf("submit %d: %+v", k, res)
 			}
-		}(i)
+		}()
 	}
+	submit(1)
+	if n := <-entered; n != 1 {
+		t.Fatalf("a lone query on an idle executor ran in a batch of %d", n)
+	}
+	for k := 2; k < 2+queued; k++ {
+		submit(k)
+	}
+	for len(b.reqs) < queued { // all seven are queued behind the blocked exec
+		runtime.Gosched()
+	}
+	release <- struct{}{}
+	if n := <-entered; n != queued {
+		t.Fatalf("%d queries queued behind a running batch left as a batch of %d", queued, n)
+	}
+	release <- struct{}{}
 	wg.Wait()
-	if maxSeen.Load() < 2 {
-		t.Fatalf("64 concurrent queries never coalesced (max batch %d)", maxSeen.Load())
-	}
-	if calls.Load() >= 64 {
-		t.Fatalf("no batching: %d exec calls for 64 queries", calls.Load())
-	}
-	s := sizes.Snapshot()
-	if s.Count != calls.Load() {
-		t.Fatalf("batch histogram recorded %d batches, exec ran %d", s.Count, calls.Load())
-	}
-	if s.Sum != 64 {
-		t.Fatalf("batch histogram total %g queries, want 64", s.Sum)
+	if s := sizes.Snapshot(); s.Count != 2 || s.Sum != 1+queued {
+		t.Fatalf("batch histogram: %d batches, %g queries; want 2 and %d", s.Count, s.Sum, 1+queued)
 	}
 }
 

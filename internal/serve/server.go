@@ -13,6 +13,7 @@ import (
 	"kgedist/internal/eval"
 	"kgedist/internal/kg"
 	"kgedist/internal/metrics"
+	"kgedist/internal/model"
 )
 
 // Config parameterizes a Server.
@@ -25,7 +26,8 @@ type Config struct {
 	CacheSize int
 	// MaxBatch caps predict micro-batches (clamped to >= 1).
 	MaxBatch int
-	// BatchWindow is how long the first query of a batch waits for company.
+	// BatchWindow is accepted and ignored: the batcher no longer holds a
+	// query back to wait for company (see Batcher).
 	BatchWindow time.Duration
 	// Filter, when set, enables filtered prediction: candidates that are
 	// known facts are skipped. Built from the training dataset.
@@ -367,12 +369,36 @@ func (s *Server) handlePredict(r *http.Request) (any, error) {
 	for i, c := range res.Completions {
 		resp.Completions[i] = Completion{Entity: c.Entity, Score: c.Score}
 	}
+	// A reload may have landed since gen was loaded; the answer belongs to
+	// the generation the batch ran on and is cached nowhere else.
+	return res.gen.cached(key, resp)
+}
+
+// cached marshals a response computed on this generation's store, stores
+// the bytes in this generation's cache under key, and returns them.
+func (g *state) cached(key string, resp any) (any, error) {
 	buf, err := json.Marshal(resp)
 	if err != nil {
 		return nil, err
 	}
-	gen.cache.Put(key, buf)
+	g.cache.Put(key, buf)
 	return json.RawMessage(buf), nil
+}
+
+// skipKnown returns the filtered-ranking predicate of q — candidate e is
+// skipped when completing q with it gives a known fact — or nil when q is
+// unfiltered.
+func (s *Server) skipKnown(q PredictQuery) func(e int32) bool {
+	if !q.Filtered {
+		return nil
+	}
+	filter, rel := s.cfg.Filter, int32(q.R)
+	if q.Side == "tail" {
+		h := int32(q.H)
+		return func(e int32) bool { return filter.Contains(kg.Triple{H: h, R: rel, T: e}) }
+	}
+	t := int32(q.T)
+	return func(e int32) bool { return filter.Contains(kg.Triple{H: e, R: rel, T: t}) }
 }
 
 // predictApprox answers one mode=approx predict: a packed XOR/popcount
@@ -406,20 +432,9 @@ func (s *Server) predictApprox(q PredictQuery, candidates int) (any, error) {
 	if cached, ok := gen.cache.Get(key); ok {
 		return json.RawMessage(cached), nil
 	}
-	var skip func(e int32) bool
-	if q.Filtered {
-		filter := s.cfg.Filter
-		if q.Side == "tail" {
-			h, rel := int32(q.H), int32(q.R)
-			skip = func(e int32) bool { return filter.Contains(kg.Triple{H: h, R: rel, T: e}) }
-		} else {
-			t, rel := int32(q.T), int32(q.R)
-			skip = func(e int32) bool { return filter.Contains(kg.Triple{H: e, R: rel, T: t}) }
-		}
-	}
 	start := time.Now()
 	sc := s.approxScratch.Get().(*binpack.Scratch)
-	res, cand, rescored, err := ix.Search(st.m, q.Side, st.EntityRow(fixed), st.RelationRow(q.R), st.EntityRow, q.K, candidates, skip, sc)
+	res, cand, rescored, err := ix.Search(st.m, q.Side, st.EntityRow(fixed), st.RelationRow(q.R), st.EntityRow, q.K, candidates, s.skipKnown(q), sc)
 	s.approxScratch.Put(sc)
 	if err != nil {
 		return nil, badRequest("predict: %v", err)
@@ -433,37 +448,37 @@ func (s *Server) predictApprox(q PredictQuery, candidates int) (any, error) {
 	for i, c := range res {
 		resp.Completions[i] = Completion{Entity: c.Entity, Score: c.Score}
 	}
-	buf, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	gen.cache.Put(key, buf)
-	return json.RawMessage(buf), nil
+	return gen.cached(key, resp)
 }
 
-// runPredictBatch executes one micro-batch: a single pass over the entity
-// table feeds every query's accumulator, sharing the per-candidate row
-// fetch across the batch. Shards are swept in parallel with per-(shard,
-// query) accumulators merged afterwards, so the hot loop takes no locks.
+// runPredictBatch executes one micro-batch on one generation: a single pass
+// over the entity table in tiles, each tile block-scored for every query of
+// the batch while it is cache-hot and its scores offered to that query's
+// top-k, the filter consulted only for candidates that would be kept.
+// Accumulators are per (worker, query) and merged afterwards, so the hot
+// loop takes no locks.
 func (s *Server) runPredictBatch(qs []PredictQuery) []PredictResult {
-	st := s.state.Load().store
+	gen := s.state.Load()
+	st := gen.store
 	outs := make([]PredictResult, len(qs))
 	type prepared struct {
-		idx   int
-		q     PredictQuery
-		fixE  []float32 // embedding of the fixed entity
-		relE  []float32
-		k     int
+		idx        int
+		side       model.Side
+		fixE, relE []float32 // embeddings of the fixed entity and the relation
+		k          int
+		skip       func(e int32) bool
 	}
 	var live []prepared
 	for i, q := range qs {
-		if q.Side != "head" && q.Side != "tail" {
+		outs[i].gen = gen
+		side, fixed := model.Tail, q.H
+		switch q.Side {
+		case "tail":
+		case "head":
+			side, fixed = model.Head, q.T
+		default:
 			outs[i].Err = badRequest("predict: side must be head or tail")
 			continue
-		}
-		fixed := q.H
-		if q.Side == "head" {
-			fixed = q.T
 		}
 		if fixed < 0 || fixed >= st.numEntities {
 			outs[i].Err = badRequest("predict: entity id %d out of range [0,%d)", fixed, st.numEntities)
@@ -473,42 +488,28 @@ func (s *Server) runPredictBatch(qs []PredictQuery) []PredictResult {
 			outs[i].Err = badRequest("predict: relation id %d out of range [0,%d)", q.R, st.numRelations)
 			continue
 		}
-		k := q.K
-		if k > st.numEntities {
-			k = st.numEntities
-		}
-		live = append(live, prepared{idx: i, q: q, fixE: st.EntityRow(fixed), relE: st.RelationRow(q.R), k: k})
+		live = append(live, prepared{idx: i, side: side, fixE: st.EntityRow(fixed), relE: st.RelationRow(q.R),
+			k: min(q.K, st.numEntities), skip: s.skipKnown(q)})
 	}
 	if len(live) == 0 {
 		return outs
 	}
-	m := st.Model()
-	filter := s.cfg.Filter
-	accs := make([][]*eval.TopKAccumulator, st.NumShards())
-	st.sweepShards(func(shard, lo, hi int) {
-		local := make([]*eval.TopKAccumulator, len(live))
+	workers := st.sweepWorkers()
+	accs := make([][]*eval.TopKAccumulator, workers)
+	scores := make([][]float32, workers)
+	for w := range accs {
+		scores[w] = make([]float32, tileRows)
+		accs[w] = make([]*eval.TopKAccumulator, len(live))
 		for i, p := range live {
-			local[i] = eval.NewTopK(p.k)
+			accs[w][i] = eval.NewTopK(p.k)
 		}
-		for e := lo; e < hi; e++ {
-			row := st.EntityRow(e)
-			for i, p := range live {
-				var score float32
-				if p.q.Side == "tail" {
-					if p.q.Filtered && filter.Contains(kg.Triple{H: int32(p.q.H), R: int32(p.q.R), T: int32(e)}) {
-						continue
-					}
-					score = m.ScoreRows(p.fixE, p.relE, row)
-				} else {
-					if p.q.Filtered && filter.Contains(kg.Triple{H: int32(e), R: int32(p.q.R), T: int32(p.q.T)}) {
-						continue
-					}
-					score = m.ScoreRows(row, p.relE, p.fixE)
-				}
-				local[i].Offer(int32(e), score)
-			}
+	}
+	st.sweepTiles(workers, func(worker, lo int, slab []float32) {
+		out := scores[worker][:len(slab)/st.width]
+		for i, p := range live {
+			st.block.ScoreBlock(p.side, p.fixE, p.relE, slab, out)
+			accs[worker][i].OfferBlock(int32(lo), out, p.skip)
 		}
-		accs[shard] = local
 	})
 	for i, p := range live {
 		merged := accs[0][i]
@@ -558,12 +559,7 @@ func (s *Server) handleNeighbors(r *http.Request) (any, error) {
 	for i, c := range nb {
 		resp.Neighbors[i] = Completion{Entity: c.Entity, Score: c.Score}
 	}
-	buf, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	gen.cache.Put(key, buf)
-	return json.RawMessage(buf), nil
+	return gen.cached(key, resp)
 }
 
 // ---- /v1/reload ------------------------------------------------------------

@@ -9,11 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"kgedist/internal/eval"
 	"kgedist/internal/kg"
 	"kgedist/internal/model"
 	"kgedist/internal/xrand"
@@ -334,7 +337,9 @@ func TestReloadSwapsCheckpoint(t *testing.T) {
 // reload: a mixed read workload hammers every endpoint while the live
 // checkpoint is swapped back and forth. Every response must be internally
 // consistent (HTTP 200, well-formed, correct cardinality); the race
-// detector guards the memory model.
+// detector guards the memory model. Afterwards every generation's cache is
+// audited: a predict answer cached there was computed on that generation's
+// store, whichever generation the handler that asked for it started on.
 func TestConcurrentQueriesDuringReload(t *testing.T) {
 	s, url, _ := newTestServer(t, 64)
 
@@ -392,14 +397,43 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 	}
 
 	const reloads = 10
+	gens := []*state{s.state.Load()}
 	for i := 0; i < reloads; i++ {
 		if err := s.Reload(paths[i%2]); err != nil {
 			t.Errorf("reload %d: %v", i, err)
 		}
+		gens = append(gens, s.state.Load())
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
+
+	audited := 0
+	for g, gen := range gens {
+		for h := 0; h < 6; h++ {
+			for r := 0; r < 4; r++ {
+				q := PredictQuery{Side: "tail", H: h, R: r, K: 5}
+				raw, ok := gen.cache.Get(fmt.Sprintf("predict|%s|%d|%d|%d|%d|%t", q.Side, q.H, q.R, q.T, q.K, q.Filtered))
+				if !ok {
+					continue
+				}
+				audited++
+				var resp predictResponse
+				if err := json.Unmarshal(raw, &resp); err != nil {
+					t.Fatalf("generation %d cached %q: %v", g, raw, err)
+				}
+				for i, want := range bruteForcePredict(gen.store, nil, q) {
+					if got := resp.Completions[i]; got.Entity != want.Entity || got.Score != want.Score {
+						t.Fatalf("generation %d caches an answer to %+v computed on another store: rank %d is %+v, its own store gives %+v",
+							g, q, i, got, want)
+					}
+				}
+			}
+		}
+	}
+	if audited == 0 {
+		t.Fatal("no cached predict answer to audit")
+	}
 
 	n, lastErr := s.ReloadStatus()
 	if n != reloads || lastErr != "" {
@@ -426,5 +460,97 @@ func TestServerCloseDrains(t *testing.T) {
 	// After close the batcher rejects; the endpoint degrades to a 500, not a hang.
 	if status, _ := postJSON(t, url+"/v1/predict", map[string]any{"head": 0, "relation": 0}, nil); status == http.StatusOK {
 		t.Fatal("predict succeeded after Close")
+	}
+}
+
+// bruteForcePredict ranks every entity for q with one ScoreRows call per
+// row, filter applied before ranking: the reference the tiled sweep must
+// reproduce bit for bit.
+func bruteForcePredict(st *Store, filter *kg.FilterIndex, q PredictQuery) []eval.ScoredEntity {
+	var all []eval.ScoredEntity
+	for e := 0; e < st.NumEntities(); e++ {
+		tr := kg.Triple{H: int32(q.H), R: int32(q.R), T: int32(e)}
+		score := st.Score(q.H, q.R, e)
+		if q.Side == "head" {
+			tr = kg.Triple{H: int32(e), R: int32(q.R), T: int32(q.T)}
+			score = st.Score(e, q.R, q.T)
+		}
+		if q.Filtered && filter.Contains(tr) {
+			continue
+		}
+		all = append(all, eval.ScoredEntity{Entity: int32(e), Score: score})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score { //kgelint:ignore floateq reference ranking uses the accumulator's exact tie-break
+			return all[i].Score > all[j].Score
+		}
+		return all[i].Entity < all[j].Entity
+	})
+	return all[:min(q.K, len(all))]
+}
+
+// TestPredictBatchEqualsBruteForce runs one mixed micro-batch (head and tail,
+// filtered and not, k of 1, 10 and more than the table) straight through
+// runPredictBatch and compares every answer with the brute-force ranking:
+// over tables whose shards are not tile multiples, swept by three workers,
+// and over a table smaller than one tile, swept inline.
+func TestPredictBatchEqualsBruteForce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		model               string
+		entities, shardRows int
+		workers             int
+	}{
+		{"transe", 2500, 1100, 3}, // five tiles: 1024+76, 1024+76, 300 rows
+		{"complex", 2500, 0, 3},   // one shard, three tiles: 1024, 1024, 452
+		{"rotate", 300, 64, 1},    // smaller than a tile; shards smaller still
+	} {
+		const rels = 4
+		d := &kg.Dataset{NumEntities: tc.entities, NumRelations: rels}
+		rng := xrand.New(5)
+		for i := 0; i < 40*tc.entities/100; i++ {
+			// Dense facts around entity 3 so filtering removes top candidates.
+			d.Train = append(d.Train,
+				kg.Triple{H: 3, R: int32(i % rels), T: int32(rng.Intn(tc.entities))},
+				kg.Triple{H: int32(rng.Intn(tc.entities)), R: int32(i % rels), T: 3})
+		}
+		s, err := New(Config{
+			CheckpointPath: writeCheckpoint(t, t.TempDir(), tc.model, 8, tc.entities, rels, 11),
+			ShardRows:      tc.shardRows,
+			MaxBatch:       64,
+			Filter:         kg.NewFilterIndex(d),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got := s.Store().sweepWorkers(); got != tc.workers {
+			t.Fatalf("%s/%d: %d sweep workers, want %d", tc.model, tc.entities, got, tc.workers)
+		}
+		var qs []PredictQuery
+		for _, k := range []int{1, 10, tc.entities + 5} {
+			for _, filtered := range []bool{false, true} {
+				qs = append(qs,
+					PredictQuery{Side: "tail", H: 3, R: len(qs) % rels, K: k, Filtered: filtered},
+					PredictQuery{Side: "head", T: 3, R: len(qs) % rels, K: k, Filtered: filtered})
+			}
+		}
+		qs = append(qs, PredictQuery{Side: "tail", H: tc.entities, R: 0, K: 1}) // out of range: an error, not a panic
+		outs := s.runPredictBatch(qs)
+		if outs[len(qs)-1].Err == nil {
+			t.Fatalf("%s: out-of-range entity accepted", tc.model)
+		}
+		for i, q := range qs[:len(qs)-1] {
+			want := bruteForcePredict(s.Store(), s.cfg.Filter, q)
+			got := outs[i].Completions
+			if outs[i].Err != nil || len(got) != len(want) {
+				t.Fatalf("%s query %+v: %d completions (err %v), want %d", tc.model, q, len(got), outs[i].Err, len(want))
+			}
+			for j := range want {
+				if got[j].Entity != want[j].Entity || math.Float32bits(got[j].Score) != math.Float32bits(want[j].Score) {
+					t.Fatalf("%s query %+v rank %d: got %+v, want %+v", tc.model, q, j, got[j], want[j])
+				}
+			}
+		}
 	}
 }

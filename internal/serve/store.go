@@ -12,6 +12,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kgedist/internal/binpack"
@@ -20,12 +21,13 @@ import (
 )
 
 // Store is a read-only snapshot of one checkpoint's embeddings. Entity rows
-// are partitioned into contiguous shards, each with its own backing slice:
-// shards bound the working set of a parallel sweep (predict and neighbors
-// walk shards on separate goroutines) and keep any single allocation small
-// enough for the allocator to place comfortably at FB250K scale.
+// are partitioned into contiguous shards, each with its own backing slice,
+// which keeps any single allocation small enough for the allocator to place
+// comfortably at FB250K scale; predict and neighbors sweep them in tiles
+// (sweepTiles).
 type Store struct {
 	m     model.Model
+	block model.BlockScorer // m's 1-vs-N kernel, under the predict sweep
 	width int
 
 	numEntities  int
@@ -58,8 +60,7 @@ type StoreInfo struct {
 }
 
 // DefaultShardRows bounds one shard to ~16k rows; at dim 200 ComplEx that
-// is a ~25MB slab, big enough to amortize sweep overhead and small enough
-// to parallelize mini benchmarks.
+// is a ~25MB slab. Sweep parallelism does not depend on it (see tileRows).
 const DefaultShardRows = 16384
 
 // OpenStore loads the KGE2 checkpoint at path into a new Store. shardRows
@@ -78,8 +79,13 @@ func OpenStore(path string, shardRows int) (*Store, error) {
 	if shardRows <= 0 {
 		shardRows = DefaultShardRows
 	}
+	block, ok := m.(model.BlockScorer)
+	if !ok {
+		return nil, fmt.Errorf("serve: model %s has no block scorer", m.Name())
+	}
 	s := &Store{
 		m:            m,
+		block:        block,
 		width:        m.Width(),
 		numEntities:  p.Entity.Rows,
 		numRelations: p.Relation.Rows,
@@ -172,44 +178,51 @@ func (s *Store) Score(h, r, t int) float32 {
 	return s.m.ScoreRows(s.EntityRow(h), s.RelationRow(r), s.EntityRow(t))
 }
 
-// sweepShards runs fn(shardIndex, loEntity, hiEntity) over all entity
-// shards, in parallel when more than one worker is useful. Workers are
-// capped at GOMAXPROCS; fn must be safe to run concurrently with itself on
-// disjoint shards.
-func (s *Store) sweepShards(fn func(shard, lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	if workers <= 1 {
-		for i := range s.shards {
-			lo, hi := s.shardBounds(i)
-			fn(i, lo, hi)
+// tileRows caps the rows one sweep work item covers: at dim 64 a tile is
+// 256KB, small enough to stay cache-hot while every query of a batch scores
+// it and to balance a sweep across workers whatever the shard count.
+const tileRows = 1024
+
+// sweepWorkers is how many workers a sweep of this store uses: GOMAXPROCS,
+// capped at one per tileRows rows, so a table smaller than a tile runs
+// inline however finely it is sharded.
+func (s *Store) sweepWorkers() int {
+	return max(1, min(runtime.GOMAXPROCS(0), (s.numEntities+tileRows-1)/tileRows))
+}
+
+// sweepTiles calls fn(worker, lo, slab) once for every tile of the entity
+// table — slab holds the rows of entities lo, lo+1, ... and never spans
+// shards — handing tiles out from a shared cursor to workers goroutines,
+// the caller's included. fn must be safe to run concurrently with itself
+// under distinct worker indices.
+func (s *Store) sweepTiles(workers int, fn func(worker, lo int, slab []float32)) {
+	// Only the last shard can be short, and its tiles come last.
+	perShard := (s.shardRows + tileRows - 1) / tileRows
+	full, rest := s.numEntities/s.shardRows, s.numEntities%s.shardRows
+	total := full*perShard + (rest+tileRows-1)/tileRows
+	var next atomic.Int64
+	work := func(worker int) {
+		for t := int(next.Add(1)) - 1; t < total; t = int(next.Add(1)) - 1 {
+			shard, off := t/perShard, t%perShard*tileRows
+			slab := s.shards[shard]
+			fn(worker, shard*s.shardRows+off, slab[off*s.width:min((off+tileRows)*s.width, len(slab))])
 		}
-		return
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				lo, hi := s.shardBounds(i)
-				fn(i, lo, hi)
-			}
+			work(w)
 		}()
 	}
-	for i := range s.shards {
-		next <- i
-	}
-	close(next)
+	work(0)
 	wg.Wait()
 }
 
 // Neighbors returns the k entities most similar to entity id under the
 // given metric ("cosine" or "dot"), excluding the query entity itself. The
-// sweep is parallel across shards with per-shard accumulators merged at
+// sweep is parallel across tiles with per-worker accumulators merged at
 // the end — a read-only fan-out with no locks on the hot path.
 func (s *Store) Neighbors(id, k int, metric string) ([]eval.ScoredEntity, error) {
 	if id < 0 || id >= s.numEntities {
@@ -228,18 +241,16 @@ func (s *Store) Neighbors(id, k int, metric string) ([]eval.ScoredEntity, error)
 		return nil, fmt.Errorf("serve: unknown similarity metric %q", metric)
 	}
 	q := s.EntityRow(id)
-	accs := make([]*eval.TopKAccumulator, len(s.shards))
-	s.sweepShards(func(shard, lo, hi int) {
-		acc := eval.NewTopK(k)
-		slab := s.shards[shard]
-		for e := lo; e < hi; e++ {
-			if e == id {
-				continue
+	accs := make([]*eval.TopKAccumulator, s.sweepWorkers())
+	for w := range accs {
+		accs[w] = eval.NewTopK(k)
+	}
+	s.sweepTiles(len(accs), func(worker, lo int, slab []float32) {
+		for e := lo; len(slab) > 0; e, slab = e+1, slab[s.width:] {
+			if e != id {
+				accs[worker].Offer(int32(e), sim(q, slab[:s.width]))
 			}
-			off := (e - lo) * s.width
-			acc.Offer(int32(e), sim(q, slab[off:off+s.width]))
 		}
-		accs[shard] = acc
 	})
 	merged := accs[0]
 	for _, a := range accs[1:] {
