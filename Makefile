@@ -16,7 +16,7 @@ RACE_PKGS = ./internal/hogwild/ ./internal/mpi/ ./internal/simnet/ ./internal/ps
 # the top-level package adds the end-to-end paper-table benchmarks.
 BENCH_PKGS = ./internal/grad/ ./internal/mpi/ ./internal/model/ ./internal/pool/ ./internal/tensor/ ./internal/serve/ ./internal/partition/ ./internal/core/ ./internal/binpack/
 
-.PHONY: all build vet lint test race bench bench-smoke faults partition serve \
+.PHONY: all build vet fmt-check lint test race bench bench-smoke faults partition serve \
 	loadbench transport verify-stats soak coverage coverage-update ci help
 
 all: build
@@ -28,6 +28,10 @@ build:
 ## vet: run go vet over the repo
 vet:
 	$(GO) vet ./...
+
+## fmt-check: fail if any file is not gofmt-clean
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # kgelint is this repo's own analyzer suite (cmd/kgelint, internal/lint):
 # six per-node matchers (seeded randomness, divergent collectives, float
@@ -74,12 +78,16 @@ partition:
 # shrink-and-continue), and the kgeverify -tcp gate proving the TCP fabric
 # is trajectory-identical to simnet at zero tolerance. The re-exec tests
 # are testing.Short()-aware, so `make race` (-short) skips them and this
-# tier is where they run.
+# tier is where they run. The last two lines repeat the shutdown tests whose
+# failure mode is a rare hang (a barrier token dropped behind a clean bye),
+# without -race so the twenty repetitions fit the timeout.
 ## transport: transport conformance + multi-process suite under -race
 transport:
 	$(GO) test -race -count=1 ./internal/transport/...
 	$(GO) test -race -count=1 -run 'TestProcess' ./internal/mpi/ ./internal/core/
 	$(GO) run ./cmd/kgeverify -tcp -no-goldens -no-props
+	$(GO) test -count=20 -timeout 120s -run 'TestCloseAfterBarrierReleasesEveryRank' ./internal/transport/tcptransport/
+	$(GO) test -count=20 -timeout 120s -run 'TestVerifyTCPTrajectoryIdentical' ./internal/testkit/
 
 # Serving suite under the race detector: the kgeserve subsystem mixes
 # concurrent HTTP handlers, the predict micro-batcher, the sharded LRU
@@ -163,8 +171,8 @@ coverage:
 coverage-update: coverage
 	cp coverage.txt COVERAGE_BASELINE.txt
 
-## ci: everything CI runs (build vet lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke)
-ci: build vet lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke
+## ci: everything CI runs (build vet fmt-check lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke)
+ci: build vet fmt-check lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke
 
 ## help: list targets
 help:

@@ -61,21 +61,21 @@ func main() {
 
 		compressHold   = flag.Int("compress-hold", 0, "dyncomp: consecutive below-threshold epochs before each ladder step (0 = default)")
 		compressWarmup = flag.Int("compress-warmup", 0, "dyncomp: initial epochs at fp32 before the ladder may step (0 = default)")
-		rs        = flag.Bool("rs", false, "random selection of gradient vectors")
-		quant     = flag.String("quant", "none", "quantization: none, 1bit-max, 1bit-avg, 2bit")
-		ef        = flag.Bool("ef", false, "error-feedback residuals for quantization")
-		rp        = flag.Bool("rp", false, "relation partition")
-		ss        = flag.Bool("ss", false, "negative sample selection (train hardest of n)")
-		negs      = flag.Int("negs", 1, "negative samples n per positive")
-		strategy  = flag.String("strategy", "sgd", "training architecture: sgd (the paper's data-parallel trainer) or ps (parameter-server baseline)")
-		servers   = flag.Int("servers", 1, "parameter-server count for -strategy ps")
+		rs             = flag.Bool("rs", false, "random selection of gradient vectors")
+		quant          = flag.String("quant", "none", "quantization: none, 1bit-max, 1bit-avg, 2bit")
+		ef             = flag.Bool("ef", false, "error-feedback residuals for quantization")
+		rp             = flag.Bool("rp", false, "relation partition")
+		ss             = flag.Bool("ss", false, "negative sample selection (train hardest of n)")
+		negs           = flag.Int("negs", 1, "negative samples n per positive")
+		strategy       = flag.String("strategy", "sgd", "training architecture: sgd (the paper's data-parallel trainer) or ps (parameter-server baseline)")
+		servers        = flag.Int("servers", 1, "parameter-server count for -strategy ps")
 
 		partitioned    = flag.Bool("partitioned", false, "sharded-table mode: entity+relation rows are partitioned across ranks, batches pull remote rows and push gradients back")
 		partitionBy    = flag.String("partition-by", "mincut", "row partitioner for -partitioned: mincut or hash")
 		partitionSlack = flag.Float64("partition-slack", 0, "per-rank row-count slack for -partitioned (0 = default 0.1)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		save      = flag.String("save", "", "write the trained model to this checkpoint file")
-		traceOut  = flag.String("trace", "", "write a JSONL run trace to this file")
+		seed           = flag.Uint64("seed", 1, "random seed")
+		save           = flag.String("save", "", "write the trained model to this checkpoint file")
+		traceOut       = flag.String("trace", "", "write a JSONL run trace to this file")
 
 		faults    = flag.String("faults", "", "fault plan, e.g. 'crash:2@350,slow:0@100+50x4,delay:0@200+30x8' (kind:RANK@T[+DURxFACTOR], virtual seconds)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "snapshot the merged model every N epochs (recovery point; 0 = off)")

@@ -14,8 +14,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("BenchmarkQuantizeInto/1bit-max-8   1000  1234 ns/op  16 B/op  2 allocs/op\n")
 	f.Add("pkg: kgedist/internal/grad\nBenchmarkSelect-4 5 2.5 ns/op 100 MB/s\n")
 	f.Add("goos: linux\ngoarch: amd64\nPASS\nok  	kgedist	0.5s\n")
-	f.Add("BenchmarkX 1\n")                          // too few fields
-	f.Add("BenchmarkX -1 2 ns/op\n")                 // negative runs
+	f.Add("BenchmarkX 1\n")                         // too few fields
+	f.Add("BenchmarkX -1 2 ns/op\n")                // negative runs
 	f.Add("BenchmarkX 9999999999999999999 2 ns/op") // overflow, no newline
 	f.Add("BenchmarkX 10 NaN ns/op\nBenchmarkX 10 1e309 ns/op\n")
 	f.Add("pkg:\npkg: a\npkg: b\nBenchmarkY 1 1 ns/op extra\n")

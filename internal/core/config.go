@@ -239,31 +239,31 @@ type Config struct {
 // convergence horizon (a few hundred epochs shrink to under a hundred).
 func DefaultConfig() Config {
 	return Config{
-		ModelName:     "complex",
-		Dim:           32,
-		OptimizerName: "adam",
-		LossName:      "logistic",
-		Margin:        1,
-		BatchSize:     2000,
-		BaseLR:        0.01,
-		LRScaleCap:    4,
-		LRFactor:      0.1,
-		MinLR:         1e-5,
-		Tolerance:     15,
-		StopPatience:  25,
-		MaxEpochs:     80,
-		L2:            1e-5,
-		Comm:          CommAllReduce,
-		ProbeEvery:    10,
-		Select:        grad.SelectAll,
-		Quant:         grad.NoQuant,
-		NegSamples:    1,
-		NegSelect:     false,
-		ValSample:     2000,
-		TestSample:    300,
-		MaxRecoveries: 3,
+		ModelName:       "complex",
+		Dim:             32,
+		OptimizerName:   "adam",
+		LossName:        "logistic",
+		Margin:          1,
+		BatchSize:       2000,
+		BaseLR:          0.01,
+		LRScaleCap:      4,
+		LRFactor:        0.1,
+		MinLR:           1e-5,
+		Tolerance:       15,
+		StopPatience:    25,
+		MaxEpochs:       80,
+		L2:              1e-5,
+		Comm:            CommAllReduce,
+		ProbeEvery:      10,
+		Select:          grad.SelectAll,
+		Quant:           grad.NoQuant,
+		NegSamples:      1,
+		NegSelect:       false,
+		ValSample:       2000,
+		TestSample:      300,
+		MaxRecoveries:   3,
 		RecoveryBackoff: 30,
-		Seed:          1,
+		Seed:            1,
 	}
 }
 

@@ -99,8 +99,8 @@ type partExchanger struct {
 	pushG *grad.SparseGrad // gradient rows leaving for their owners
 	agg   *grad.SparseGrad // aggregated gradients for rows this rank owns
 
-	stamp []int32 // batch stamp per unified row id, for unique-touch counting
-	gen   int32
+	stamp  []int32 // batch stamp per unified row id, for unique-touch counting
+	gen    int32
 	local  int // unique owned rows touched this batch
 	remote int // unique remote rows touched (= pulled) this batch
 

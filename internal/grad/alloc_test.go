@@ -79,6 +79,25 @@ func TestSparseGradCycleAllocFree(t *testing.T) {
 	}
 }
 
+// Selection runs on every batch of the RS strategies: norms, threshold and
+// drops must all come out of accumulator-owned scratch.
+func TestSelectCycleAllocFree(t *testing.T) {
+	g := NewSparseGrad(32)
+	rng := xrand.New(7)
+	cycle := func() {
+		fillGrad(g, 256, rng)
+		Select(g, SelectBernoulli, rng)
+		Select(g, SelectAvgThreshold, rng)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("select cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// The full error-feedback step of the compression ladder: consume the bank,
+// bank the rows selection drops whole (SetRow via SelectEF), encode, bank the
+// quantization error.
 func TestResidualCycleAllocFree(t *testing.T) {
 	g := NewSparseGrad(32)
 	rng := xrand.New(5)
@@ -87,6 +106,7 @@ func TestResidualCycleAllocFree(t *testing.T) {
 	step := func() {
 		fillGrad(g, 64, rng)
 		r.AddInto(g)
+		SelectEF(g, SelectBernoulli, rng, r)
 		QuantizeInto(e, g, OneBitMax, rng)
 		r.Update(g, e)
 	}

@@ -53,8 +53,8 @@ func TestBucketMapping(t *testing.T) {
 		{1, 12},               // 2^0: (127-103)/2
 		{-1, 12},              // sign is masked
 		{float32(0x1p+5), 14},
-		{float32(0x1p+6), 15},  // top edge
-		{1e30, 15},             // far above the span clamps to the top
+		{float32(0x1p+6), 15}, // top edge
+		{1e30, 15},            // far above the span clamps to the top
 		{float32(math.Inf(1)), 15},
 	}
 	for _, c := range cases {
@@ -73,8 +73,8 @@ func TestControllerLadderDecision(t *testing.T) {
 	// Three entropy regimes against the bars {2bit: 0.50, 1bit: 0.48,
 	// 1bit+rs: 0.44}: low qualifies for every bar, mid for the quantization
 	// bars only, high for none.
-	low := statsBuf(1, 1, 1)        // log2(3)/4 ~ 0.396
-	mid := statsBuf(3, 3, 3, 1)     // ~ 0.474
+	low := statsBuf(1, 1, 1)    // log2(3)/4 ~ 0.396
+	mid := statsBuf(3, 3, 3, 1) // ~ 0.474
 	high := make([]float32, CtrlStatsLen)
 	for i := 0; i < EntropyBuckets; i++ {
 		high[i] = 1 // uniform: exactly 1.0
@@ -94,16 +94,16 @@ func TestControllerLadderDecision(t *testing.T) {
 		wantNext Level
 		wantStep bool
 	}{
-		{low, LevelFP32, false},  // epoch 1: warmup
-		{low, LevelFP32, false},  // run 1 of hold 2
-		{low, Level2Bit, true},   // run 2: step
-		{high, Level2Bit, false}, // noisy epoch resets the run counter
-		{low, Level2Bit, false},  // run restarts at 1
-		{mid, Level1Bit, true},   // mid still clears the 1bit bar: step
-		{mid, Level1Bit, false},  // mid does not clear the rs bar
-		{mid, Level1Bit, false},  // parks
-		{low, Level1Bit, false},  // run 1
-		{low, Level1BitRS, true}, // top rung
+		{low, LevelFP32, false},   // epoch 1: warmup
+		{low, LevelFP32, false},   // run 1 of hold 2
+		{low, Level2Bit, true},    // run 2: step
+		{high, Level2Bit, false},  // noisy epoch resets the run counter
+		{low, Level2Bit, false},   // run restarts at 1
+		{mid, Level1Bit, true},    // mid still clears the 1bit bar: step
+		{mid, Level1Bit, false},   // mid does not clear the rs bar
+		{mid, Level1Bit, false},   // parks
+		{low, Level1Bit, false},   // run 1
+		{low, Level1BitRS, true},  // top rung
 		{low, Level1BitRS, false}, // already at the top: never steps again
 	}
 	for i, s := range steps {

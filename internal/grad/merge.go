@@ -89,8 +89,8 @@ func (m *Merger) MergeInto(a, b *Encoded, rng *xrand.RNG) *Encoded {
 			for k := range sum {
 				sum[k] = 0
 			}
-			decodeRowAccum(a, i, sum)
-			decodeRowAccum(b, j, sum)
+			decodeRowAccum(a.Scheme, a.Scales[i], a.Bits[i*per:(i+1)*per], sum)
+			decodeRowAccum(b.Scheme, b.Scales[j], b.Bits[j*per:(j+1)*per], sum)
 			out.Indices = append(out.Indices, a.Indices[i])
 			// Extend Bits by one row; encodeRow overwrites every byte.
 			for k := 0; k < per; k++ {

@@ -71,65 +71,83 @@ func (s Scheme) BitsPerValue() int {
 	}
 }
 
+// The codec is defined by float comparisons on gradient values (v >= 0,
+// v > 0, v < 0), and a gradient's sign is a coin flip, so a loop that
+// branches on them mispredicts every other value. The kernels below read
+// the same predicates off the IEEE-754 bit pattern instead; classify is the
+// one place that knows the encoding.
+const (
+	signBit = 1 << 31
+	infBits = 0x7F800000 // |v| bits above this are NaN
+)
+
+// classify splits a float32 bit pattern into three 0/1 words: neg is the
+// sign bit, zero is set for ±0 and nan for any NaN. For the value v they
+// describe, v > 0 is !neg && !zero && !nan, v < 0 is neg && !zero && !nan,
+// and v >= 0 is (!neg || zero) && !nan.
+func classify(b uint32) (neg, zero, nan uint32) {
+	abs := b &^ signBit
+	return b >> 31, (abs - 1) >> 31, (infBits - abs) >> 31
+}
+
+// absBits returns the bit pattern of |v| exactly as `if v < 0 { v = -v }`
+// leaves it: −0 and NaN keep their sign.
+func absBits(b uint32) uint32 {
+	neg, zero, nan := classify(b)
+	return b ^ (neg&^(zero|nan))<<31
+}
+
+// absMax returns max(|v|) over the row. Clearing the sign bit outright is
+// enough here: NaN of either sign never wins a comparison, nor does ±0.
+func absMax(row []float32) float32 {
+	var m float32
+	for _, v := range row {
+		if a := math.Float32frombits(math.Float32bits(v) &^ signBit); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
 // scale computes the per-row quantization scale for the 1-bit family.
 // Sign-restricted statistics fall back to max(|v|) when the row has no
 // values of the required sign.
 func scale(s Scheme, row []float32) float32 {
-	var posMax, posSum, negMax, negSum float32
-	var posN, negN int
-	var absMax float32
-	var absSum float64
-	for _, v := range row {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > absMax {
-			absMax = a
-		}
-		absSum += float64(a)
-		if v > 0 {
-			posN++
-			posSum += v
-			if v > posMax {
-				posMax = v
-			}
-		} else if v < 0 {
-			negN++
-			negSum += -v
-			if -v > negMax {
-				negMax = -v
-			}
-		}
-	}
 	switch s {
 	case OneBitMax:
-		return absMax
+		return absMax(row)
 	case OneBitAvg:
 		if len(row) == 0 {
 			return 0
 		}
-		return float32(absSum / float64(len(row)))
-	case OneBitPosMax:
-		if posN == 0 {
-			return absMax
+		var sum float64
+		for _, v := range row {
+			sum += float64(math.Float32frombits(absBits(math.Float32bits(v))))
 		}
-		return posMax
-	case OneBitNegMax:
-		if negN == 0 {
-			return absMax
+		return float32(sum / float64(len(row)))
+	case OneBitPosMax, OneBitNegMax, OneBitPosAvg, OneBitNegAvg:
+		// The paper's comparison schemes, not on the training hot path:
+		// they keep the plain v > 0 test.
+		flip := s == OneBitNegMax || s == OneBitNegAvg
+		var mx, sum float32
+		n := 0
+		for _, v := range row {
+			if flip {
+				v = -v
+			}
+			if v > 0 {
+				n++
+				sum += v
+				mx = max(mx, v)
+			}
 		}
-		return negMax
-	case OneBitPosAvg:
-		if posN == 0 {
-			return absMax
+		switch {
+		case n == 0:
+			return absMax(row)
+		case s == OneBitPosMax || s == OneBitNegMax:
+			return mx
 		}
-		return posSum / float32(posN)
-	case OneBitNegAvg:
-		if negN == 0 {
-			return absMax
-		}
-		return negSum / float32(negN)
+		return sum / float32(n)
 	}
 	panic("grad: scale called for non-1-bit scheme " + s.String())
 }
@@ -217,51 +235,44 @@ func QuantizeInto(e *Encoded, g *SparseGrad, s Scheme, rng *xrand.RNG) {
 }
 
 // encodeRow packs one row under scheme s into buf (which must be exactly
-// payloadBytesPerRow long) and returns the per-row scale. The rng is consumed
-// only by TwoBitTernary, in value order — QuantizeInto and the compressed-hop
-// merge (Merger) share this helper so a re-encoded row is bit-compatible with
-// a first-encoded one.
+// payloadBytesPerRow long; every byte is overwritten) and returns the per-row
+// scale. The rng is consumed only by TwoBitTernary, in value order —
+// QuantizeInto and the compressed-hop merge (Merger) share this helper so a
+// re-encoded row is bit-compatible with a first-encoded one.
 //
 //kgelint:hotpath
 func encodeRow(s Scheme, row []float32, buf []byte, rng *xrand.RNG) float32 {
 	switch s {
 	case NoQuant:
+		buf = buf[:4*len(row)]
 		for i, v := range row {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(buf[4*i:4*i+4], math.Float32bits(v))
 		}
 		return 0
 	case TwoBitTernary:
-		for i := range buf {
-			buf[i] = 0
-		}
 		mean := scale(OneBitAvg, row)
-		if mean > 0 {
-			for i, v := range row {
-				var code byte // 0 = zero, 1 = +scale, 2 = -scale
-				a := v
-				if a < 0 {
-					a = -a
+		for j := range buf { // 0 = zero, 1 = +scale, 2 = -scale; four codes per byte
+			var packed uint32
+			for k, v := range row[4*j : min(4*j+4, len(row))] {
+				b := math.Float32bits(v)
+				a := math.Float32frombits(absBits(b))
+				if mean > 0 && rng.Bernoulli(float64(a)/float64(mean)) {
+					neg, zero, nan := classify(b)
+					packed |= (1 &^ (zero | nan)) << neg << uint(2*k)
 				}
-				if rng.Bernoulli(float64(a) / float64(mean)) {
-					if v > 0 {
-						code = 1
-					} else if v < 0 {
-						code = 2
-					}
-				}
-				buf[i/4] |= code << uint((i%4)*2)
 			}
+			buf[j] = byte(packed)
 		}
 		return mean
-	default: // 1-bit family
-		for i := range buf {
-			buf[i] = 0
-		}
+	default: // 1-bit family: bit i set iff v_i >= 0 (true for −0, false for NaN)
 		sc := scale(s, row)
-		for i, v := range row {
-			if v >= 0 {
-				buf[i/8] |= 1 << uint(i%8)
+		for j := range buf {
+			var packed uint32
+			for k, v := range row[8*j : min(8*j+8, len(row))] {
+				neg, zero, nan := classify(math.Float32bits(v))
+				packed |= (((neg ^ 1) | zero) &^ nan) << uint(k)
 			}
+			buf[j] = byte(packed)
 		}
 		return sc
 	}
@@ -277,42 +288,62 @@ func Dequantize(e *Encoded, dst *SparseGrad) {
 	if dst.Width() != e.Width {
 		panic("grad: Dequantize width mismatch")
 	}
-	for r := range e.Indices {
-		decodeRowAccum(e, r, dst.Row(e.Indices[r]))
+	per := payloadBytesPerRow(e.Scheme, e.Width)
+	for r, id := range e.Indices {
+		decodeRowAccum(e.Scheme, e.Scales[r], e.Bits[r*per:(r+1)*per], dst.Row(id))
 	}
 }
 
-// decodeRowAccum adds the r-th encoded row of e into row (length e.Width).
-// Shared by Dequantize and the compressed-hop merge's overlap path.
+// decodeRowAccum adds one encoded row — scheme s, scale sc, packed payload
+// buf — into row. Shared by Dequantize and the compressed-hop merge's
+// overlap path.
+//
+// The lossy schemes add ±sc by flipping the scale's sign bit instead of
+// branching to a subtraction: x − s and x + (−s) are the same IEEE-754
+// operation. The one exception is a NaN scale, which an addition or
+// subtraction hands through with its sign intact, so it is never negated.
 //
 //kgelint:hotpath
-func decodeRowAccum(e *Encoded, r int, row []float32) {
-	per := payloadBytesPerRow(e.Scheme, e.Width)
-	buf := e.Bits[r*per : (r+1)*per]
-	switch e.Scheme {
+func decodeRowAccum(s Scheme, sc float32, buf []byte, row []float32) {
+	minus := -sc
+	if _, _, nan := classify(math.Float32bits(sc)); nan != 0 {
+		minus = sc
+	}
+	switch s {
 	case NoQuant:
-		for i := 0; i < e.Width; i++ {
-			row[i] += math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		buf = buf[:4*len(row)]
+		for i := range row {
+			row[i] += math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i : 4*i+4]))
 		}
 	case TwoBitTernary:
-		sc := e.Scales[r]
-		for i := 0; i < e.Width; i++ {
-			code := (buf[i/4] >> uint((i%4)*2)) & 3
-			switch code {
-			case 1:
-				row[i] += sc
-			case 2:
-				row[i] -= sc
-			}
+		// Codes 0 and 3 add −0, the one addend that leaves every sum
+		// unchanged: x + (+0) would turn a −0 already in the row into +0.
+		add := [4]float32{math.Float32frombits(signBit), sc, minus, math.Float32frombits(signBit)}
+		for ; len(row) >= 4; buf, row = buf[1:], row[4:] {
+			b, v := buf[0], row[:4:4]
+			v[0] += add[b&3]
+			v[1] += add[b>>2&3]
+			v[2] += add[b>>4&3]
+			v[3] += add[b>>6]
+		}
+		for k := range row {
+			row[k] += add[buf[0]>>uint(2*k)&3]
 		}
 	default:
-		sc := e.Scales[r]
-		for i := 0; i < e.Width; i++ {
-			if buf[i/8]&(1<<uint(i%8)) != 0 {
-				row[i] += sc
-			} else {
-				row[i] -= sc
-			}
+		add := [2]float32{minus, sc}
+		for ; len(row) >= 8; buf, row = buf[1:], row[8:] {
+			b, v := buf[0], row[:8:8]
+			v[0] += add[b&1]
+			v[1] += add[b>>1&1]
+			v[2] += add[b>>2&1]
+			v[3] += add[b>>3&1]
+			v[4] += add[b>>4&1]
+			v[5] += add[b>>5&1]
+			v[6] += add[b>>6&1]
+			v[7] += add[b>>7]
+		}
+		for k := range row {
+			row[k] += add[buf[0]>>uint(k)&1]
 		}
 	}
 }
@@ -379,6 +410,10 @@ func UnmarshalInto(e *Encoded, buf []byte) error {
 	e.Indices = e.Indices[:n]
 	for i := range e.Indices {
 		e.Indices[i] = int32(binary.LittleEndian.Uint32(buf[off:]))
+		if e.Indices[i] < 0 {
+			//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
+			return fmt.Errorf("grad: encoded buffer names negative row id %d", e.Indices[i])
+		}
 		off += 4
 	}
 	if cap(e.Scales) < n {

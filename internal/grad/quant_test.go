@@ -214,6 +214,10 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated buffer accepted")
 	}
+	buf[12] = 0x80 // top byte of the first row id: row ids index a table, a negative one must not reach it
+	if _, err := Unmarshal(buf); err == nil {
+		t.Fatal("negative row id accepted")
+	}
 }
 
 func TestSchemeStringsAndBits(t *testing.T) {
@@ -283,26 +287,6 @@ func TestQuickOneBitFamily(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkQuantizeOneBit(b *testing.B) {
-	rng := xrand.New(1)
-	g := randGrad(rng, 500, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Quantize(g, OneBitMax, nil)
-	}
-}
-
-func BenchmarkDequantizeOneBit(b *testing.B) {
-	rng := xrand.New(1)
-	g := randGrad(rng, 500, 64)
-	e := Quantize(g, OneBitMax, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := NewSparseGrad(64)
-		Dequantize(e, dst)
 	}
 }
 

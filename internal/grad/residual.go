@@ -10,40 +10,35 @@ import "kgedist/internal/tensor"
 // This is an optional extension: the paper's main pipeline communicates the
 // quantized gradient without feedback. The ablation benches compare both.
 //
-// A Residual recycles its row storage and decode scratch internally, so the
-// per-step AddInto/Update cycle is allocation-free once the row working set
-// is warm. Not safe for concurrent use; each worker owns its own.
+// A Residual banks its rows in a SparseGrad store and recycles it and the
+// decode scratch internally, so the per-step AddInto/Update cycle is
+// allocation-free once the row working set is warm. Not safe for concurrent
+// use; each worker owns its own.
 type Residual struct {
-	width   int
-	rows    map[int32][]float32
-	free    [][]float32 // recycled residual rows: AddInto pushes, Update pops
+	rows    *SparseGrad // banked error, one row per id still owed
 	decoded *SparseGrad // Update's dequantize scratch, reused across steps
 }
 
 // NewResidual returns an empty residual store for rows of the given width.
 func NewResidual(width int) *Residual {
-	if width <= 0 {
-		panic("grad: non-positive residual width")
-	}
-	return &Residual{width: width, rows: make(map[int32][]float32)}
+	return &Residual{rows: NewSparseGrad(width), decoded: NewSparseGrad(width)}
 }
 
 // Len returns the number of rows currently holding residual error.
-func (r *Residual) Len() int { return len(r.rows) }
+func (r *Residual) Len() int { return r.rows.Len() }
 
 // AddInto adds the stored residual into every matching row of g, consuming
 // it. Rows with residual but no gradient this step keep their residual for
 // a later step (they are not communicated now anyway). g's rows are
 // mutated in place.
 func (r *Residual) AddInto(g *SparseGrad) {
-	if g.Width() != r.width {
+	if g.Width() != r.rows.width {
 		panic("grad: residual width mismatch")
 	}
 	g.ForEach(func(id int32, row []float32) {
-		if res, ok := r.rows[id]; ok {
+		if res, ok := r.rows.Get(id); ok {
 			tensor.Add(res, row)
-			delete(r.rows, id)
-			r.free = append(r.free, res)
+			r.rows.Drop(id)
 		}
 	})
 }
@@ -53,31 +48,17 @@ func (r *Residual) AddInto(g *SparseGrad) {
 // decoded is the dequantized representation the other ranks will apply.
 // g and e are only read.
 func (r *Residual) Update(g *SparseGrad, e *Encoded) {
-	if g.Width() != r.width {
+	if g.Width() != r.rows.width {
 		panic("grad: residual width mismatch")
 	}
-	if r.decoded == nil {
-		r.decoded = NewSparseGrad(r.width)
-	} else {
-		r.decoded.Clear()
-	}
+	r.decoded.Clear()
 	Dequantize(e, r.decoded)
 	g.ForEach(func(id int32, row []float32) {
 		dec, ok := r.decoded.Get(id)
 		if !ok {
 			return
 		}
-		res, ok := r.rows[id]
-		if !ok {
-			if n := len(r.free); n > 0 {
-				res = r.free[n-1]
-				r.free[n-1] = nil
-				r.free = r.free[:n-1]
-			} else {
-				res = make([]float32, r.width)
-			}
-			r.rows[id] = res
-		}
+		res := r.rows.Row(id)
 		for i := range res {
 			res[i] = row[i] - dec[i]
 		}
@@ -92,29 +73,16 @@ func (r *Residual) Update(g *SparseGrad, e *Encoded) {
 // consumed by AddInto (dropped rows are a subset of the step's gradient
 // rows), so replacement never discards unconsumed error.
 func (r *Residual) SetRow(id int32, row []float32) {
-	if len(row) != r.width {
+	if len(row) != r.rows.width {
 		panic("grad: residual width mismatch")
 	}
-	res, ok := r.rows[id]
-	if !ok {
-		if n := len(r.free); n > 0 {
-			res = r.free[n-1]
-			r.free[n-1] = nil
-			r.free = r.free[:n-1]
-		} else {
-			res = make([]float32, r.width)
-		}
-		r.rows[id] = res
-	}
-	copy(res, row)
+	copy(r.rows.Row(id), row)
 }
 
-// NormSum returns the sum of 2-norms of the stored residual rows — a
-// diagnostic of accumulated compression error.
+// NormSum returns the sum of 2-norms of the stored residual rows, taken in
+// ascending id order — a diagnostic of accumulated compression error.
 func (r *Residual) NormSum() float64 {
 	var s float64
-	for _, row := range r.rows {
-		s += float64(tensor.Nrm2(row))
-	}
+	r.rows.ForEach(func(_ int32, row []float32) { s += float64(tensor.Nrm2(row)) })
 	return s
 }

@@ -1,7 +1,7 @@
 package grad
 
 import (
-	"sort"
+	"slices"
 
 	"kgedist/internal/xrand"
 )
@@ -84,6 +84,7 @@ func SelectEF(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) Sel
 	return selectRows(g, mode, rng, res)
 }
 
+//kgelint:hotpath
 func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) SelectStats {
 	st := SelectStats{Before: g.Len()}
 	if mode == SelectAll || g.Len() == 0 {
@@ -101,11 +102,10 @@ func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) S
 	if mode == SelectTopQuarter {
 		thresh = quantileNorm(norms, 0.75)
 	}
-	// In-package exception to the Indices aliasing rule: Drop only
-	// invalidates the cached-index flag, never the backing array, so
-	// dropping while ranging over the snapshot is safe here.
-	for _, id := range g.Indices() {
-		n := norms[id]
+	// Indices is a snapshot Drop never touches, so dropping while ranging
+	// over it is safe; norms is parallel to it.
+	for k, id := range g.Indices() {
+		n := norms[k]
 		keep := false
 		scale := float32(1)
 		switch mode {
@@ -147,12 +147,10 @@ func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) S
 }
 
 // quantileNorm returns the q-quantile of the norm values.
-func quantileNorm(norms map[int32]float32, q float64) float32 {
-	vals := make([]float64, 0, len(norms))
-	for _, n := range norms {
-		vals = append(vals, float64(n))
-	}
-	sort.Float64s(vals)
-	idx := int(q * float64(len(vals)-1))
-	return float32(vals[idx])
+//
+//kgelint:coldpath only SelectTopQuarter, a related-work baseline outside the paper's pipeline, sorts a copy
+func quantileNorm(norms []float32, q float64) float32 {
+	vals := slices.Clone(norms)
+	slices.Sort(vals)
+	return vals[int(q*float64(len(vals)-1))]
 }

@@ -212,10 +212,10 @@ func TestPreferredRankMajority(t *testing.T) {
 		t    kg.Triple
 		want int
 	}{
-		{kg.Triple{H: 0, R: 1, T: 3}, 1},  // r and t agree on 1
-		{kg.Triple{H: 2, R: 0, T: 0}, 2},  // h and r agree on 2
-		{kg.Triple{H: 1, R: 1, T: 1}, 1},  // unanimous
-		{kg.Triple{H: 0, R: 1, T: 2}, 0},  // three-way tie: lowest rank
+		{kg.Triple{H: 0, R: 1, T: 3}, 1}, // r and t agree on 1
+		{kg.Triple{H: 2, R: 0, T: 0}, 2}, // h and r agree on 2
+		{kg.Triple{H: 1, R: 1, T: 1}, 1}, // unanimous
+		{kg.Triple{H: 0, R: 1, T: 2}, 0}, // three-way tie: lowest rank
 	}
 	for _, c := range cases {
 		if got := pl.PreferredRank(c.t); got != c.want {

@@ -479,8 +479,9 @@ func (pc *peerConn) fail(cause string) {
 // writeLoop owns the connection's outbound half: it drains the control
 // queue ahead of data (heartbeats and failure notices must not sit behind a
 // bulk gradient frame), pings every HeartbeatInterval, applies a write
-// deadline to every frame, and on shutdown flushes remaining control frames
-// plus a final bye.
+// deadline to every frame, and on shutdown flushes both queues — control
+// frames, then everything already accepted into the data queue — before the
+// final bye.
 func (pc *peerConn) writeLoop() {
 	defer pc.ep.wg.Done()
 	opt := &pc.ep.opt
@@ -541,10 +542,19 @@ func (pc *peerConn) writeLoop() {
 			}
 		case <-pc.ep.done:
 			// Drain pending control frames (a Shrink's regroup broadcast
-			// must reach the wire), then depart cleanly.
+			// must reach the wire) and then the data queue, and only then
+			// depart. A frame in pc.data was accepted by a Send or
+			// Rendezvous that has already returned success: select may pick
+			// done over it, and dropping it — a barrier token above all —
+			// leaves the peer waiting with no failure to wake it, because
+			// the bye that follows reads as a clean departure.
 			for {
 				select {
 				case f := <-pc.ctrl:
+					if !write(f) {
+						return
+					}
+				case f := <-pc.data:
 					if !write(f) {
 						return
 					}

@@ -523,6 +523,40 @@ func TestShrinkSelfDead(t *testing.T) {
 	})
 }
 
+// --- shutdown ---
+
+// TestCloseAfterBarrierReleasesEveryRank: a rank that leaves its last
+// barrier and closes at once must still deliver the token it queued for a
+// slower peer. The shutdown flush used to cover only the control queue, so
+// the token could be dropped behind a clean bye and the peer waited in
+// Rendezvous forever, with no failure verdict to wake it.
+func TestCloseAfterBarrierReleasesEveryRank(t *testing.T) {
+	rounds := 300
+	if testing.Short() {
+		rounds = 40
+	}
+	for round := 0; round < rounds; round++ {
+		eps := dialWorld(t, 3, nil)
+		watchdog(t, "rendezvous then close", 20*time.Second, func() {
+			var wg sync.WaitGroup
+			for _, ep := range eps {
+				wg.Add(1)
+				go func(ep *Endpoint) {
+					defer wg.Done()
+					if err := ep.Rendezvous(nil); err != nil {
+						t.Errorf("round %d rank %d: rendezvous: %v", round, ep.Rank(), err)
+					}
+					_ = ep.Close()
+				}(ep)
+			}
+			wg.Wait()
+		})
+		if t.Failed() {
+			return
+		}
+	}
+}
+
 // --- health metrics ---
 
 // TestMetricsFlow: traffic and heartbeats feed the counters and the RTT
