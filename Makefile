@@ -71,8 +71,10 @@ partition:
 	$(GO) test -race -count=1 -run 'Partitioned' ./internal/core/
 
 # Transport tier under the race detector: the backend-agnostic conformance
-# suite run over both fabrics (in-process channels and real TCP sockets),
-# the TCP endpoint's frame/handshake/fault-injection tests, the
+# suite run twenty times over both fabrics (in-process channels and real
+# TCP sockets — its failure-verdict test asserts that one dead rank stays
+# one dead rank on every endpoint, and the way that broke was a race one
+# pass in ten), the TCP endpoint's frame/handshake/fault-injection tests, the
 # process-world collectives, the multi-process re-exec smoke tests (three
 # real OS processes over localhost; trajectory identity and SIGKILL
 # shrink-and-continue), and the kgeverify -tcp gate proving the TCP fabric
@@ -83,7 +85,8 @@ partition:
 # without -race so the twenty repetitions fit the timeout.
 ## transport: transport conformance + multi-process suite under -race
 transport:
-	$(GO) test -race -count=1 ./internal/transport/...
+	$(GO) test -race -count=20 ./internal/transport/conformance/
+	$(GO) test -race -count=1 ./internal/transport/chantransport/ ./internal/transport/tcptransport/
 	$(GO) test -race -count=1 -run 'TestProcess' ./internal/mpi/ ./internal/core/
 	$(GO) run ./cmd/kgeverify -tcp -no-goldens -no-props
 	$(GO) test -count=20 -timeout 120s -run 'TestCloseAfterBarrierReleasesEveryRank' ./internal/transport/tcptransport/

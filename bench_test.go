@@ -223,20 +223,3 @@ func BenchmarkLossObjectives(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSyncEvery sweeps the local-SGD averaging period.
-func BenchmarkSyncEvery(b *testing.B) {
-	d := ablationDataset()
-	for _, k := range []int{1, 4, 8} {
-		b.Run(map[int]string{1: "every-batch", 4: "every-4", 8: "every-8"}[k], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ablationConfig()
-				cfg.Comm = core.CommAllReduce
-				cfg.SyncEvery = k
-				if _, err := core.Train(cfg, d, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

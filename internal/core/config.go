@@ -126,12 +126,6 @@ type Config struct {
 	// ErrorFeedback enables residual error accumulation for quantization
 	// (extension; off in the paper's main pipeline).
 	ErrorFeedback bool
-	// ValueSparsify in (0, 1] enables the Aji & Heafield value-level top-k
-	// baseline on the all-gather path: only that fraction of individual
-	// gradient values (by magnitude) is communicated, each carrying 8
-	// bytes of index overhead — the §2 related-work method the paper
-	// rejects. Mutually exclusive with Quant.
-	ValueSparsify float64
 	// RelationPartition distributes triples by relation (§4.4) instead of
 	// uniformly, eliminating relation-gradient communication.
 	RelationPartition bool
@@ -147,8 +141,8 @@ type Config struct {
 	// remote rows they touch and push gradient rows back (the DGL-KE
 	// scale-out scheme grafted onto this trainer). Memory per rank then
 	// shrinks with the world size instead of replicating the full table.
-	// Mutually exclusive with RelationPartition, local SGD, quantization,
-	// value sparsification, error feedback, the dynamic comm probe and
+	// Mutually exclusive with RelationPartition, quantization, error
+	// feedback, the dynamic comm probe, adaptive compression and
 	// TrackEpochStats — the row exchange is its own communication mode.
 	Partitioned bool
 	// PartitionBy selects the row partitioner for Partitioned mode: "mincut"
@@ -159,13 +153,6 @@ type Config struct {
 	// owns at most about ceil(total/P)*(1+slack) rows of either table. Zero
 	// means the partition package default (0.1).
 	PartitionSlack float64
-
-	// SyncEvery > 1 enables local-SGD-style training: gradients are applied
-	// locally every batch and the replicas are averaged (dense parameter
-	// all-reduce) only every SyncEvery batches — the periodic-averaging
-	// communication-reduction baseline, orthogonal to the paper's five
-	// strategies. 0 or 1 = synchronize every batch (the paper's setting).
-	SyncEvery int
 
 	// NegSamples is n, the negatives drawn per positive.
 	NegSamples int
@@ -284,17 +271,6 @@ func (c Config) Validate() error {
 	if c.NegSamples < 1 {
 		return fmt.Errorf("core: NegSamples must be >= 1, got %d", c.NegSamples)
 	}
-	if c.ValueSparsify != 0 {
-		if c.ValueSparsify < 0 || c.ValueSparsify > 1 {
-			return fmt.Errorf("core: ValueSparsify %v out of (0,1]", c.ValueSparsify)
-		}
-		if c.Quant != grad.NoQuant {
-			return fmt.Errorf("core: ValueSparsify and Quant are mutually exclusive")
-		}
-	}
-	if c.SyncEvery < 0 {
-		return fmt.Errorf("core: SyncEvery must be >= 0, got %d", c.SyncEvery)
-	}
 	switch c.NegSampling {
 	case "", "uniform", "degree":
 	default:
@@ -371,16 +347,12 @@ func (c Config) validatePartitioned() error {
 	switch {
 	case c.RelationPartition:
 		conflict = "RelationPartition (the joint partition already assigns every relation row an owner)"
-	case c.SyncEvery > 1:
-		conflict = "SyncEvery > 1 (local SGD averages full replicas, which partitioned ranks do not hold)"
 	case c.Comm == CommDynamic:
 		conflict = "dynamic comm (the probe arbitrates all-reduce vs all-gather of replicated gradients)"
 	case c.Comm == CommDynamicCompress:
 		conflict = "adaptive compression (the ladder compresses the replicated gradient collectives)"
 	case c.Quant != grad.NoQuant:
 		conflict = "quantization (pushed rows are re-applied by their owner at full precision)"
-	case c.ValueSparsify != 0:
-		conflict = "ValueSparsify (value-level top-k targets the replicated all-gather payload)"
 	case c.ErrorFeedback:
 		conflict = "ErrorFeedback (residuals exist only for lossy replicated exchanges)"
 	case c.TrackEpochStats:
@@ -395,8 +367,7 @@ func (c Config) validatePartitioned() error {
 // validateDynamicCompress rejects knobs the adaptive compression controller
 // owns itself (DESIGN.md §13): the ladder decides the quantization scheme,
 // the selection mode and the error-feedback residuals per epoch, so the
-// static flags must be left at their defaults; and the compressed pipeline
-// replaces the per-batch collectives, which local SGD does not run.
+// static flags must be left at their defaults.
 func (c Config) validateDynamicCompress() error {
 	conflict := ""
 	switch {
@@ -406,10 +377,6 @@ func (c Config) validateDynamicCompress() error {
 		conflict = "Select (the ladder's RS rung owns row selection)"
 	case c.ErrorFeedback:
 		conflict = "ErrorFeedback (residuals are integral to the ladder; always on at lossy rungs)"
-	case c.ValueSparsify != 0:
-		conflict = "ValueSparsify (value-level top-k targets the plain all-gather payload)"
-	case c.SyncEvery > 1:
-		conflict = "SyncEvery > 1 (local SGD skips the per-batch collectives the ladder compresses)"
 	}
 	if conflict != "" {
 		return fmt.Errorf("core: adaptive compression (dyncomp) cannot be combined with %s", conflict)

@@ -5,6 +5,8 @@ import (
 
 	"kgedist/internal/grad"
 	"kgedist/internal/kg"
+	"kgedist/internal/mpi"
+	"kgedist/internal/simnet"
 )
 
 // testDataset returns a small learnable KG shared by the trainer tests.
@@ -561,81 +563,6 @@ func TestLPTPartitionTrains(t *testing.T) {
 	}
 }
 
-func TestLocalSGDSyncEvery(t *testing.T) {
-	skipIfShort(t)
-	d := testDataset()
-	cfg := testConfig()
-	cfg.MaxEpochs = 15
-	cfg.StopPatience = 15
-	cfg.SyncEvery = 4
-	res, err := Train(cfg, d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CommBytes == 0 {
-		t.Fatal("periodic averaging recorded no communication")
-	}
-	// Syncing every 4 batches must move fewer bytes than per-batch dense
-	// all-reduce of the gradients.
-	base := testConfig()
-	base.MaxEpochs = 15
-	base.StopPatience = 15
-	baseRes, err := Train(base, d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CommBytes >= baseRes.CommBytes {
-		t.Fatalf("local SGD bytes %d not below per-batch sync %d", res.CommBytes, baseRes.CommBytes)
-	}
-	// It must still learn (replicas re-converge at each averaging point).
-	if res.TCA < 60 {
-		t.Fatalf("local SGD TCA = %v", res.TCA)
-	}
-	bad := cfg
-	bad.SyncEvery = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative SyncEvery accepted")
-	}
-}
-
-func TestValueSparsifyTrains(t *testing.T) {
-	skipIfShort(t)
-	d := testDataset()
-	cfg := testConfig()
-	cfg.Comm = CommAllGather
-	cfg.ValueSparsify = 0.25
-	cfg.MaxEpochs = 4
-	res, err := Train(cfg, d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 25% of values survive but each costs 12 bytes vs 4: the total must
-	// land well above 25% of the full-precision volume (the paper's
-	// index-overhead point) yet below it.
-	full := testConfig()
-	full.Comm = CommAllGather
-	full.MaxEpochs = 4
-	fres, err := Train(full, d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(res.CommBytes) / float64(fres.CommBytes)
-	if ratio < 0.3 || ratio > 1.0 {
-		t.Fatalf("value-sparse comm ratio %.2f, expected 0.3-1.0 (index overhead)", ratio)
-	}
-
-	bad := cfg
-	bad.ValueSparsify = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Fatal("fraction > 1 accepted")
-	}
-	bad = cfg
-	bad.Quant = grad.OneBitMax
-	if err := bad.Validate(); err == nil {
-		t.Fatal("ValueSparsify + Quant accepted")
-	}
-}
-
 func TestMaxVirtualHoursBudget(t *testing.T) {
 	d := testDataset()
 	cfg := testConfig()
@@ -739,10 +666,11 @@ func TestReplicasStayInSync(t *testing.T) {
 		cfg.Comm = CommAllGather
 		cfg.Quant = grad.OneBitMax
 		cfg.RelationPartition = rp
-		res, perRank, relOwner, err := trainInternal(cfg, d, 4)
+		res, run, err := train(cfg, d, mpi.NewWorld(simnet.NewCluster(4, simnet.XC40Params())))
 		if err != nil {
 			t.Fatal(err)
 		}
+		perRank, relOwner := run.perRank, run.relOwner
 		for r := 1; r < 4; r++ {
 			for i, v := range perRank[0].Entity.Data {
 				if perRank[r].Entity.Data[i] != v {

@@ -145,23 +145,6 @@ func (x *exchanger) allReduce(g, agg *grad.SparseGrad, rows int, buf *[]float32,
 func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, tag string) (*grad.SparseGrad, float64, error) {
 	agg.Clear()
 	var cost float64
-	if x.cfg.ValueSparsify > 0 {
-		vs := grad.SparsifyValues(g, x.cfg.ValueSparsify)
-		payloads, c, err := x.comm.AllGatherBytes(vs.Marshal(), tag)
-		if err != nil {
-			return nil, 0, err
-		}
-		cost = c
-		for _, p := range payloads {
-			dec, err := grad.UnmarshalValueSparse(p)
-			if err != nil {
-				panic(fmt.Sprintf("core: corrupt value-sparse payload: %v", err))
-			}
-			dec.AddInto(agg)
-		}
-		scaleRows(agg, x.comm.Size())
-		return agg, cost, nil
-	}
 	if x.cfg.Quant == grad.NoQuant {
 		idx, flat := g.Flatten()
 		allIdx, allVals, c, err := x.comm.AllGatherRows(idx, flat, tag)
@@ -274,36 +257,31 @@ func (x *exchanger) advanceCompression() (probe grad.EpochProbe, selBefore, selD
 //
 //kgelint:hotpath
 func (x *exchanger) exchange(entG, relG *grad.SparseGrad, mode string) (entAgg, relAgg *grad.SparseGrad, cost float64, err error) {
-	switch mode {
-	case "allreduce":
-		entAgg, cost, err = x.allReduce(entG, x.entAgg, x.numEnt, &x.entBuf, tagEntity)
-	case "allgather":
-		entAgg, cost, err = x.allGather(entG, x.entAgg, x.entRes, tagEntity)
-	case "dyncomp":
-		entAgg, cost, err = x.compressed(entG, x.entAgg, x.entRes, &x.entMg, x.numEnt, tagEntity)
-	default:
-		panic("core: unknown exchange mode " + mode)
-	}
+	entAgg, cost, err = x.exchangeOne(mode, entG, x.entAgg, x.entRes, &x.entMg, x.numEnt, &x.entBuf, tagEntity)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	if x.cfg.RelationPartition {
-		relAgg = relG // rank-private, never communicated (§4.4)
-		return entAgg, relAgg, cost, nil
+		return entAgg, relG, cost, nil // rank-private, never communicated (§4.4)
 	}
-	var relCost float64
-	switch mode {
-	case "allreduce":
-		relAgg, relCost, err = x.allReduce(relG, x.relAgg, x.numRel, &x.relBuf, tagRelation)
-	case "allgather":
-		relAgg, relCost, err = x.allGather(relG, x.relAgg, x.relRes, tagRelation)
-	case "dyncomp":
-		relAgg, relCost, err = x.compressed(relG, x.relAgg, x.relRes, &x.relMg, x.numRel, tagRelation)
-	}
+	relAgg, relCost, err := x.exchangeOne(mode, relG, x.relAgg, x.relRes, &x.relMg, x.numRel, &x.relBuf, tagRelation)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return entAgg, relAgg, cost + relCost, nil
+}
+
+// exchangeOne runs one matrix through the mode's collective.
+func (x *exchanger) exchangeOne(mode string, g, agg *grad.SparseGrad, res *grad.Residual, mg *grad.Merger, rows int, buf *[]float32, tag string) (*grad.SparseGrad, float64, error) {
+	switch mode {
+	case "allreduce":
+		return x.allReduce(g, agg, rows, buf, tag)
+	case "allgather":
+		return x.allGather(g, agg, res, tag)
+	case "dyncomp":
+		return x.compressed(g, agg, res, mg, rows, tag)
+	}
+	panic("core: unknown exchange mode " + mode)
 }
 
 // probeAllGather performs a throwaway all-gather of the same payloads to

@@ -24,10 +24,8 @@ func TestPartitionedValidateRejectsConflicts(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"relation partition", func(c *Config) { c.RelationPartition = true }},
-		{"local sgd", func(c *Config) { c.SyncEvery = 4 }},
 		{"dynamic comm", func(c *Config) { c.Comm = CommDynamic }},
 		{"quantization", func(c *Config) { c.Quant = grad.OneBitMax }},
-		{"value sparsify", func(c *Config) { c.ValueSparsify = 0.5 }},
 		{"error feedback", func(c *Config) { c.ErrorFeedback = true }},
 		{"track epoch stats", func(c *Config) { c.TrackEpochStats = true }},
 		{"bad partitioner", func(c *Config) { c.PartitionBy = "metis" }},

@@ -51,9 +51,11 @@ type procOutcome struct {
 	MRR             float64
 	TCA             float64
 	Recoveries      int
+	RankFailures    int
 	FinalNodes      int
 	Checkpoints     int
 	SwitchedAtEpoch int
+	Steps           []core.CompressionStep
 	Loss            []float64
 	ValAcc          []float64
 	Seconds         []float64
@@ -70,7 +72,14 @@ func procScenarioConfig(scenario, ckpt string) core.Config {
 	switch scenario {
 	case "traj":
 		cfg.MaxEpochs = 6
-	case "kill":
+	case "kill", "kill-dyncomp":
+		if scenario == "kill-dyncomp" {
+			// The ladder's first step lands before the first checkpoint, so
+			// the crash rolls back past a recorded step.
+			cfg.Comm = core.CommDynamicCompress
+			cfg.CompressHold = 1
+			cfg.CompressWarmup = 1
+		}
 		cfg.MaxEpochs = 40
 		cfg.StopPatience = 40
 		cfg.CheckpointEvery = 2
@@ -99,7 +108,7 @@ func procWorkerMain() {
 	// The victim rank crashes hard the moment the coordinator's first
 	// checkpoint hits disk: SIGKILL, so no byes and no connection teardown
 	// reach the survivors — only EOFs and heartbeat silence.
-	if scenario == "kill" && rank == world-1 {
+	if strings.HasPrefix(scenario, "kill") && rank == world-1 {
 		go func() {
 			for {
 				if _, err := os.Stat(ckpt); err == nil {
@@ -131,9 +140,11 @@ func procWorkerMain() {
 		MRR:             res.MRR,
 		TCA:             res.TCA,
 		Recoveries:      res.Recovery.Recoveries,
+		RankFailures:    res.Recovery.RankFailures,
 		FinalNodes:      res.Recovery.FinalNodes,
 		Checkpoints:     res.Recovery.Checkpoints,
 		SwitchedAtEpoch: res.SwitchedAtEpoch,
+		Steps:           res.CompressionSteps,
 	}
 	for _, e := range res.PerEpoch {
 		o.Loss = append(o.Loss, e.TrainLoss)
@@ -294,24 +305,32 @@ func TestProcessTrajectoryMatchesInProcess(t *testing.T) {
 
 // TestProcessSIGKILLRecovery trains 3 processes with checkpointing; the
 // highest rank SIGKILLs itself as soon as the first checkpoint lands on
-// disk. The survivors must observe the crash as a rank failure, shrink to a
-// 2-process world, warm-start from the checkpoint, finish cleanly, and land
-// within a quality band of the fault-free run.
+// disk. The survivors must observe the crash as a rank failure, agree that
+// the victim is the only rank that died, shrink to a 2-process world,
+// warm-start from the checkpoint, finish cleanly, and land within a quality
+// band of the fault-free run. Under the adaptive ladder the recovered step
+// record must be the new attempt's alone.
 func TestProcessSIGKILLRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process crash test skipped in -short mode")
 	}
+	for _, scenario := range []string{"kill", "kill-dyncomp"} {
+		t.Run(scenario, func(t *testing.T) { sigkillRecovery(t, scenario) })
+	}
+}
+
+func sigkillRecovery(t *testing.T, scenario string) {
 	const p = 3
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "checkpoint.bin")
-	refCfg := procScenarioConfig("kill", "")
+	refCfg := procScenarioConfig(scenario, "")
 	ref, err := core.Train(refCfg, testkit.GoldenDataset(), p)
 	if err != nil {
 		t.Fatalf("fault-free reference run: %v", err)
 	}
 	t.Logf("fault-free reference: MRR %v, TCA %v, epochs %d", ref.MRR, ref.TCA, ref.Epochs)
 
-	cmds, outs := launchWorkers(t, p, "kill", ckpt, reserveAddr(t), dir)
+	cmds, outs := launchWorkers(t, p, scenario, ckpt, reserveAddr(t), dir)
 
 	// The victim must die by signal, not exit cleanly.
 	verr := waitWorker(t, p-1, cmds[p-1], 120*time.Second)
@@ -327,8 +346,10 @@ func TestProcessSIGKILLRecovery(t *testing.T) {
 
 	o0, o1 := readOutcome(t, outs[0]), readOutcome(t, outs[1])
 	for _, o := range []procOutcome{o0, o1} {
-		if o.Recoveries < 1 {
-			t.Fatalf("rank %d recorded %d recoveries, want >= 1", o.Rank, o.Recoveries)
+		// One crash is one dead rank on every survivor: a second conviction
+		// would be the survivors disagreeing on who died.
+		if o.Recoveries != 1 || o.RankFailures != 1 {
+			t.Fatalf("rank %d recorded %d recoveries over %d dead ranks, want 1 over 1", o.Rank, o.Recoveries, o.RankFailures)
 		}
 		if o.FinalNodes != p-1 {
 			t.Fatalf("rank %d finished with %d nodes, want %d", o.Rank, o.FinalNodes, p-1)
@@ -336,6 +357,18 @@ func TestProcessSIGKILLRecovery(t *testing.T) {
 		if o.Checkpoints < 1 {
 			t.Fatalf("rank %d recorded no checkpoints before the crash", o.Rank)
 		}
+		// The ladder restarts with the attempt, so its record must not keep
+		// the dead attempt's steps: epochs strictly ascending, no rung twice.
+		rungs := map[string]bool{}
+		for i, st := range o.Steps {
+			if i > 0 && st.Epoch <= o.Steps[i-1].Epoch || rungs[st.Level] {
+				t.Fatalf("rank %d ladder record %+v keeps steps of the attempt that died", o.Rank, o.Steps)
+			}
+			rungs[st.Level] = true
+		}
+	}
+	if scenario == "kill-dyncomp" && len(o0.Steps) == 0 {
+		t.Fatal("ladder never re-engaged after recovery")
 	}
 	if o0.MRR != o1.MRR || o0.Epochs != o1.Epochs {
 		t.Fatalf("survivors diverged: MRR %v vs %v, epochs %d vs %d", o0.MRR, o1.MRR, o0.Epochs, o1.Epochs)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"kgedist/internal/eval"
 	"kgedist/internal/grad"
@@ -30,7 +31,10 @@ const zeroRowEps = 1e-8
 // into shrink-and-continue recoveries, otherwise Train returns the
 // *mpi.RankFailedError.
 func Train(cfg Config, d *kg.Dataset, nodes int) (*Result, error) {
-	res, _, _, err := trainInternal(cfg, d, nodes)
+	if nodes < 1 {
+		return nil, fmt.Errorf("core: nodes must be >= 1, got %d", nodes)
+	}
+	res, _, err := train(cfg, d, mpi.NewWorld(simnet.NewCluster(nodes, simnet.XC40Params())))
 	return res, err
 }
 
@@ -42,7 +46,6 @@ type partition struct {
 	valShards       [][]kg.Triple
 	relOwner        []int
 	batchesPerEpoch int
-	perRankValCap   int
 	// plan is the joint row-ownership plan of Partitioned mode (nil for the
 	// replicated modes); shards then come from the plan's triple placement.
 	plan *part.Plan
@@ -53,6 +56,9 @@ type partition struct {
 // per cfg).
 func buildPartition(cfg *Config, d *kg.Dataset, nodes int) (partition, error) {
 	var pt partition
+	// valOwner places a validation triple on the rank that can score it;
+	// nil splits the validation set uniformly.
+	var valOwner func(kg.Triple) int
 	if cfg.Partitioned {
 		plan, err := part.Build(d, part.Options{
 			Ranks: nodes,
@@ -67,34 +73,22 @@ func buildPartition(cfg *Config, d *kg.Dataset, nodes int) (partition, error) {
 		pt.shards = plan.Shards
 		// Validation triples score wherever most of their rows live, so the
 		// per-epoch pull stays small.
-		pt.valShards = make([][]kg.Triple, nodes)
-		for _, t := range d.Valid {
-			owner := plan.PreferredRank(t)
-			pt.valShards[owner] = append(pt.valShards[owner], t)
-		}
-		maxShard := 0
-		for _, s := range pt.shards {
-			if len(s) > maxShard {
-				maxShard = len(s)
-			}
-		}
-		pt.batchesPerEpoch = (maxShard + cfg.BatchSize - 1) / cfg.BatchSize
-		if cfg.ValSample > 0 {
-			pt.perRankValCap = cfg.ValSample/nodes + 1
-		}
-		return pt, nil
-	}
-	baseRng := xrand.New(cfg.Seed)
-	shuffled := append([]kg.Triple(nil), d.Train...)
-	baseRng.Split(77).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	if cfg.RelationPartition {
-		if cfg.PartitionAlgo == "lpt" {
+		valOwner = plan.PreferredRank
+	} else {
+		shuffled := append([]kg.Triple(nil), d.Train...)
+		xrand.New(cfg.Seed).Split(77).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		switch {
+		case !cfg.RelationPartition:
+			pt.shards = kg.UniformPartition(shuffled, nodes)
+		case cfg.PartitionAlgo == "lpt":
 			pt.shards = kg.RelationPartitionLPT(shuffled, d.NumRelations, nodes)
-		} else {
+		default:
 			pt.shards = kg.RelationPartition(shuffled, d.NumRelations, nodes)
 		}
+	}
+	if cfg.RelationPartition {
 		pt.relOwner = make([]int, d.NumRelations)
 		for r := range pt.relOwner {
 			pt.relOwner[r] = -1
@@ -104,33 +98,28 @@ func buildPartition(cfg *Config, d *kg.Dataset, nodes int) (partition, error) {
 				pt.relOwner[t.R] = rank
 			}
 		}
+		// Under RP a rank can only score relations it owns (other replicas'
+		// rows are stale by design), so validation splits by owner.
+		valOwner = func(t kg.Triple) int { return max(pt.relOwner[t.R], 0) }
+	}
+	if valOwner == nil {
+		pt.valShards = kg.UniformPartition(d.Valid, nodes)
 	} else {
-		pt.shards = kg.UniformPartition(shuffled, nodes)
+		pt.valShards = make([][]kg.Triple, nodes)
+		for _, t := range d.Valid {
+			owner := valOwner(t)
+			pt.valShards[owner] = append(pt.valShards[owner], t)
+		}
 	}
 	maxShard := 0
 	for _, s := range pt.shards {
-		if len(s) > maxShard {
-			maxShard = len(s)
-		}
+		maxShard = max(maxShard, len(s))
 	}
 	pt.batchesPerEpoch = (maxShard + cfg.BatchSize - 1) / cfg.BatchSize
-
-	// Validation shards: under RP a rank can only score relations it owns
-	// (other replicas' rows are stale by design), so split by owner.
-	pt.valShards = make([][]kg.Triple, nodes)
-	if pt.relOwner != nil {
-		for _, t := range d.Valid {
-			owner := pt.relOwner[t.R]
-			if owner < 0 {
-				owner = 0
-			}
-			pt.valShards[owner] = append(pt.valShards[owner], t)
-		}
-	} else {
-		pt.valShards = kg.UniformPartition(d.Valid, nodes)
-	}
 	if cfg.ValSample > 0 {
-		pt.perRankValCap = cfg.ValSample/nodes + 1
+		for r, v := range pt.valShards {
+			pt.valShards[r] = v[:min(len(v), cfg.ValSample/nodes+1)]
+		}
 	}
 	return pt, nil
 }
@@ -143,51 +132,71 @@ type snapshot struct {
 	params *model.Params
 }
 
-// trainInternal is Train plus white-box access to the per-rank replicas and
-// the relation-owner table, used by the replica-consistency tests.
+// train is the one training driver behind Train and TrainProcess: validate,
+// build the shared initialization, run the attempt loop, evaluate the merged
+// model. It consumes the world: the world (or its post-shrink successor) is
+// closed before returning. The last attempt's trainRun rides along for the
+// replica-consistency tests.
 //
 // The attempt loop implements shrink-and-continue (ULFM-style): a rank
 // failure surfaces as *mpi.RankFailedError from RunErr; the world is shrunk
-// over the survivors, the dead ranks' shards are re-partitioned, replicas
-// warm-start from the last snapshot, and training resumes at the snapshot
-// epoch. After MaxRecoveries the run degrades to a single fault-free node
-// rather than giving up. Every step — fault firing, shrink, re-partition,
-// replay — is a deterministic function of (Config, dataset, nodes).
-func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Params, []int, error) {
+// over the survivors, the dead ranks' shards are re-partitioned, the
+// survivors warm-start from the last snapshot, and training resumes at the
+// snapshot epoch. Every step — fault firing, shrink, re-partition, replay —
+// is a deterministic function of (Config, dataset, world size).
+//
+// The world kind decides only what this address space can observe. A channel
+// world hosts every rank on one shared cluster: it takes the simulated fault
+// plan, and past MaxRecoveries it degrades to a single fault-free node
+// rather than giving up. A process world hosts one rank on a private
+// cluster: faults come from the sockets, a process its peers declared dead
+// cannot rejoin, and past MaxRecoveries the job fails loudly — surviving
+// processes cannot absorb each other, so it is restarted from the checkpoint.
+func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *trainRun, err error) {
+	// A failed close is a failed departure: the bye frame never reached the
+	// peers, so they will diagnose this rank as crashed. Surface that rather
+	// than report a clean finish. (Closing a channel world is a no-op.)
+	defer func() {
+		if cerr := world.Close(); cerr != nil && err == nil {
+			res, run, err = nil, nil, fmt.Errorf("core: closing transport world: %w", cerr)
+		}
+	}()
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	if nodes < 1 {
-		return nil, nil, nil, fmt.Errorf("core: nodes must be >= 1, got %d", nodes)
+	if world.Process() {
+		if cfg.FaultPlan != nil {
+			return nil, nil, fmt.Errorf("core: simulated fault plans drive the in-process world; over a real transport faults come from the sockets themselves")
+		}
+		if cfg.TrackEpochStats {
+			return nil, nil, fmt.Errorf("core: TrackEpochStats needs every replica in one address space; it is not available in process mode")
+		}
 	}
 	if err := d.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if len(d.Train) == 0 {
-		return nil, nil, nil, fmt.Errorf("core: empty training split")
+		return nil, nil, fmt.Errorf("core: empty training split")
 	}
 
-	m := model.New(cfg.ModelName, cfg.Dim)
-	width := m.Width()
-
-	// ---- Cluster, world, replicated parameters ----
-	cluster := simnet.NewCluster(nodes, simnet.XC40Params())
+	cluster := world.Cluster()
 	if cfg.StragglerSlowdown > 1 {
 		cluster.SetComputeSpeed(0, 1/cfg.StragglerSlowdown)
 	}
 	if cfg.FaultPlan != nil {
 		if err := cluster.SetFaultPlan(cfg.FaultPlan); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	world := mpi.NewWorld(cluster)
 
+	m := model.New(cfg.ModelName, cfg.Dim)
+	width := m.Width()
 	var proto *model.Params
 	if cfg.WarmStart != nil {
 		if cfg.WarmStart.Entity.Rows != d.NumEntities ||
 			cfg.WarmStart.Relation.Rows != d.NumRelations ||
 			cfg.WarmStart.Entity.Cols != width {
-			return nil, nil, nil, fmt.Errorf("core: WarmStart shape (%dx%d entities, %d relations) does not match dataset/model (%dx%d, %d)",
+			return nil, nil, fmt.Errorf("core: WarmStart shape (%dx%d entities, %d relations) does not match dataset/model (%dx%d, %d)",
 				cfg.WarmStart.Entity.Rows, cfg.WarmStart.Entity.Cols, cfg.WarmStart.Relation.Rows,
 				d.NumEntities, width, d.NumRelations)
 		}
@@ -197,57 +206,61 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 		proto.Init(m, xrand.New(cfg.Seed).Split(0))
 	}
 
-	res := &Result{Strategy: cfg.StrategyLabel(), Nodes: nodes}
+	res = &Result{Strategy: cfg.StrategyLabel(), Nodes: world.Size()}
 	snap := &snapshot{epoch: 0, params: proto}
 	var rec RecoveryStats
 
-	var perRank []*model.Params
-	var relOwner []int
-	var run *trainRun
-	attempt := 0
-	for {
+	for attempt := 0; ; {
 		pt, perr := buildPartition(&cfg, d, world.Size())
 		if perr != nil {
-			return nil, nil, nil, perr
+			return nil, nil, perr
 		}
-		relOwner = pt.relOwner
-		perRank = make([]*model.Params, world.Size())
+		run = &trainRun{
+			partition:  pt,
+			cfg:        &cfg,
+			d:          d,
+			m:          m,
+			width:      width,
+			cluster:    cluster,
+			perRank:    make([]*model.Params, world.Size()),
+			res:        res,
+			snap:       snap,
+			rec:        &rec,
+			startEpoch: snap.epoch,
+			statsRank:  world.LocalRanks()[0],
+		}
 		if !cfg.Partitioned {
 			// Partitioned ranks never hold replicas — that is the memory
 			// claim; they build shard stores from the snapshot instead.
-			for r := range perRank {
-				perRank[r] = snap.params.Clone()
+			for _, r := range world.LocalRanks() {
+				run.perRank[r] = snap.params.Clone()
 			}
 		}
-		run = &trainRun{
-			cfg:             &cfg,
-			d:               d,
-			m:               m,
-			width:           width,
-			shards:          pt.shards,
-			valShards:       pt.valShards,
-			perRankValCap:   pt.perRankValCap,
-			relOwner:        pt.relOwner,
-			batchesPerEpoch: pt.batchesPerEpoch,
-			plan:            pt.plan,
-			cluster:         cluster,
-			perRank:         perRank,
-			res:             res,
-			snap:            snap,
-			rec:             &rec,
-			startEpoch:      snap.epoch,
-		}
-		err := world.RunErr(run.worker)
-		if err == nil {
+		rerr := world.RunErr(run.worker)
+		if rerr == nil {
 			break
 		}
 		var rf *mpi.RankFailedError
-		if !errors.As(err, &rf) || !cfg.Recover {
-			return nil, nil, nil, err
+		if !errors.As(rerr, &rf) || !cfg.Recover {
+			return nil, nil, rerr
 		}
 
 		// ---- Shrink-and-continue ----
 		attempt++
+		survivors := world.Size() - len(rf.Ranks)
+		degrade := attempt > cfg.MaxRecoveries || survivors == 1
+		if world.Process() {
+			for _, r := range rf.Ranks {
+				if r == run.statsRank {
+					return nil, nil, fmt.Errorf("core: this process (rank %d) was declared dead by its peers; it cannot rejoin the job: %w", r, rerr)
+				}
+			}
+			if degrade && survivors > 1 {
+				return nil, nil, fmt.Errorf("core: %d recoveries exhausted MaxRecoveries=%d; restart the job from the checkpoint: %w",
+					attempt, cfg.MaxRecoveries, rerr)
+			}
+			degrade = false
+		}
 		rec.Recoveries++
 		rec.RankFailures += len(rf.Ranks)
 		rec.EpochsLost += res.Epochs - snap.epoch
@@ -257,35 +270,39 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 		res.Epochs = snap.epoch
 		// The adaptive controller and its residuals are rank-local state lost
 		// with the dead world; the new attempt re-ascends the ladder from
-		// fp32 (DESIGN.md §13), so its step record starts over too.
+		// fp32 (DESIGN.md §13) and the dynamic strategy from all-reduce, so
+		// their records start over too.
 		res.CompressionSteps = nil
+		res.SwitchedAtEpoch = 0
 
-		degrade := attempt > cfg.MaxRecoveries || world.Size()-len(rf.Ranks) == 1
-		shrunk, serr := world.Shrink(rf.Ranks)
-		if serr != nil {
-			return nil, nil, nil, errors.Join(err, serr)
-		}
-		world = shrunk
-		if degrade && world.Size() > 1 {
-			// Graceful degradation: collapse to a single node, which cannot
-			// suffer a collective failure.
-			extra := make([]int, 0, world.Size()-1)
-			for r := 1; r < world.Size(); r++ {
-				extra = append(extra, r)
-			}
-			if shrunk, serr = world.Shrink(extra); serr != nil {
-				return nil, nil, nil, errors.Join(err, serr)
-			}
-			world = shrunk
-		}
+		dead := rf.Ranks
 		if degrade {
+			// Graceful degradation: keep only the lowest survivor — a single
+			// node cannot suffer a collective failure.
+			keep := 0
+			for slices.Contains(rf.Ranks, keep) {
+				keep++
+			}
+			dead = nil
+			for r := 0; r < world.Size(); r++ {
+				if r != keep {
+					dead = append(dead, r)
+				}
+			}
 			cluster.ClearFaultPlan()
 			rec.Degraded = true
 		}
+		shrunk, serr := world.Shrink(dead)
+		if serr != nil {
+			return nil, nil, errors.Join(rerr, serr)
+		}
+		world = shrunk
 
 		// Charge the recovery to the virtual clock: exponential backoff
 		// (failure detection and re-coordination) plus every survivor
-		// reloading the snapshot from stable storage.
+		// reloading the snapshot from stable storage. Every process of a
+		// process world executes this identically against its private
+		// cluster, so clocks stay in lockstep through the failure.
 		bytes := int64(4 * (len(snap.params.Entity.Data) + len(snap.params.Relation.Data)))
 		reload, _, _ := cluster.PointToPointCost(bytes)
 		cost := cfg.RecoveryBackoff*math.Pow(2, float64(attempt-1)) + reload*float64(world.Size())
@@ -298,14 +315,11 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 	res.Recovery = rec
 
 	// ---- Final evaluation on the merged model ----
-	var merged *model.Params
-	if cfg.Partitioned {
-		// The trained rows were gathered collectively at the end of the
-		// worker epoch loop; rank 0 published them through the run.
-		merged = run.partFinal
-		if merged == nil {
-			return nil, nil, nil, fmt.Errorf("core: partitioned run finished without publishing the merged model")
-		}
+	// The stats rank published it from the end of the worker; in a process
+	// world every process is its own stats rank and evaluates the identical
+	// model, so every process reports the same numbers.
+	merged := run.final
+	if run.plan != nil {
 		q := run.plan.Quality()
 		res.Partition = &PartitionStats{
 			Algo:              run.plan.Algo,
@@ -317,8 +331,6 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 			TripleBalance:     q.TripleBalance,
 			MaxEntityShard:    q.MaxEntityShard,
 		}
-	} else {
-		merged = mergeParams(m, perRank, relOwner)
 	}
 	filter := kg.NewFilterIndex(d)
 	evalRng := xrand.New(cfg.Seed + 999)
@@ -336,62 +348,78 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 	res.CommHours = st.CommSeconds / 3600
 	res.RelationCommBytes = cluster.BytesByTag()[tagRelation]
 	res.TotalHours = cluster.MaxTime() / 3600
-	return res, perRank, relOwner, nil
+	return res, run, nil
 }
 
-// trainRun carries the state shared (read-only, or rank-0-written between
-// barriers) across rank goroutines.
+// trainRun carries the state shared (read-only, or stats-rank-written) across
+// the rank goroutines of one attempt.
 type trainRun struct {
-	cfg             *Config
-	d               *kg.Dataset
-	m               model.Model
-	width           int
-	shards          [][]kg.Triple
-	valShards       [][]kg.Triple
-	perRankValCap   int
-	relOwner        []int
-	batchesPerEpoch int
-	cluster         *simnet.Cluster
-	perRank         []*model.Params
-	res             *Result
-	snap            *snapshot
-	rec             *RecoveryStats
-	startEpoch      int   // resume point: epochs before this are already done
-	ckptErr         error // rank-0 checkpoint write error, read between barriers
+	partition
+	cfg        *Config
+	d          *kg.Dataset
+	m          model.Model
+	width      int
+	cluster    *simnet.Cluster
+	res        *Result
+	snap       *snapshot
+	rec        *RecoveryStats
+	startEpoch int // resume point: epochs before this are already done
 
-	// plan is the row-ownership plan of Partitioned mode (nil otherwise);
-	// partFinal is the merged model the stats rank publishes from the
-	// end-of-training collective gather.
-	plan      *part.Plan
-	partFinal *model.Params
+	// perRank holds the replicas hosted in this address space, by rank:
+	// every rank's in a replicated channel world, only this process's in a
+	// process world, none in Partitioned mode.
+	perRank []*model.Params
 
-	// proc marks a process world (one rank in this address space): the
-	// checkpoint merge runs as a collective instead of a shared-memory walk.
-	proc bool
-	// statsRank is the rank whose goroutine records per-epoch stats into
-	// res: rank 0 in a channel world, the process's own (sole) rank in a
-	// process world — every process then records its own identical copy of
-	// the global curves (and its own local loss).
+	// statsRank is the rank whose goroutine records per-epoch stats and the
+	// recovery snapshot: rank 0 in a channel world, the process's own (sole)
+	// rank in a process world — every process then records its own identical
+	// copy of the global curves (and its own local loss). final is the merged
+	// trained model it publishes when the epoch loop ends.
 	statsRank int
+	final     *model.Params
+}
+
+// rankTables is one rank's embedding storage and gradient exchange under the
+// epoch loop: full replicas + gradient collectives (replicaTables), or an
+// owned shard + batch-scoped row exchange (shardTables).
+type rankTables interface {
+	// trainBatch runs one batch of positives: sample, score, exchange,
+	// apply. It is a collective — an empty batch still exchanges.
+	trainBatch(epoch int, batch []kg.Triple, lr float32, ep *epochTally) error
+	// closeEpoch labels the epoch's exchange in ep; for the adaptive ladder
+	// it is the epoch boundary that may step the rung.
+	closeEpoch(epoch int, ep *epochTally) error
+	// validate scores the rank's validation triples: a positive counts as
+	// correct when it outscores a fresh corruption drawn from sampler.
+	validate(val []kg.Triple, sampler *model.NegSampler) (correct int, err error)
+	// ownedRows lists the rows whose trained values only this rank holds, as
+	// unified row ids (entities, then relations) and freshly allocated
+	// values the all-gather may take ownership of.
+	ownedRows() (uids []int32, vals []float32)
+}
+
+// epochTally accumulates one epoch's rank-local observables.
+type epochTally struct {
+	nnzSum, lossSum       float64
+	lossN                 int
+	selBefore, selDropped int
+	localRefs, remoteRefs int // unique owned / pulled rows (shardTables only)
+
+	// stats is the epoch's record; closeEpoch labels the exchange in it
+	// (Mode, Level, GradEntropy), the epoch loop fills in the rest.
+	stats EpochStats
 }
 
 // worker is the per-rank training loop. Collective errors (a peer died) are
-// returned, not handled: the recovery loop in trainInternal owns shrinking
-// the world and re-running.
+// returned, not handled: the attempt loop in train owns shrinking the world
+// and re-running.
 func (t *trainRun) worker(c *mpi.Comm) error {
-	if t.cfg.Partitioned {
-		return t.workerPartitioned(c)
-	}
 	cfg := t.cfg
 	rank := c.Rank()
-	nodes := c.Size()
-	params := t.perRank[rank]
 	shard := t.shards[rank]
 
-	entOpt := opt.NewByName(cfg.OptimizerName, t.d.NumEntities, t.width)
-	relOpt := opt.NewByName(cfg.OptimizerName, t.d.NumRelations, t.width)
 	plateau := opt.NewPlateau(
-		opt.ScaledLR(cfg.BaseLR, nodes, cfg.LRScaleCap),
+		opt.ScaledLR(cfg.BaseLR, c.Size(), cfg.LRScaleCap),
 		cfg.LRFactor, cfg.MinLR, cfg.Tolerance)
 
 	rng := xrand.New(cfg.Seed).Split(uint64(rank + 1))
@@ -401,34 +429,29 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 	} else {
 		sampler = model.NewNegSampler(t.d.NumEntities, rng.Split(2))
 	}
-	selRng := rng.Split(3)
-	x := newExchanger(cfg, c, t.width, t.d.NumEntities, t.d.NumRelations, rng.Split(4))
+	var tables rankTables
+	if cfg.Partitioned {
+		tables = newShardTables(t, c, sampler, rng.Split(3))
+	} else {
+		tables = newReplicaTables(t, c, sampler, rng.Split(3), rng.Split(4))
+	}
 
-	entG := grad.NewSparseGrad(t.width)
-	relG := grad.NewSparseGrad(t.width)
-	negBuf := make([]kg.Triple, 0, cfg.NegSamples)
-	var dropBuf []int32 // dropZeroRows scratch, reused across batches
 	order := make([]int, len(shard))
 	for i := range order {
 		order[i] = i
 	}
-
-	mode := "allreduce"
-	if cfg.Comm == CommAllGather {
-		mode = "allgather"
-	}
-	if cfg.Comm == CommDynamicCompress {
-		mode = "dyncomp" // adaptive ladder pipeline at every rung (DESIGN.md §13)
-	}
-	switched := 0
+	// Small shards (relation partition can be uneven) are not oversampled: a
+	// batch never exceeds the shard size.
+	batch := make([]kg.Triple, min(cfg.BatchSize, len(shard)))
+	val := t.valShards[rank]
 	best := -1.0
 	sinceBest := 0
 	var prevStats simnet.Stats
 	var prevTime float64
 
 	for epoch := t.startEpoch + 1; epoch <= cfg.MaxEpochs; epoch++ {
-		// Epoch-start timestamp (rank 0 reads between barriers so no rank
-		// is mid-charge).
+		// Epoch-start timestamp (the stats rank reads between barriers so
+		// no rank is mid-charge).
 		if err := c.Barrier(); err != nil {
 			return err
 		}
@@ -443,140 +466,32 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 		epochRng := rng.Split(uint64(100 + epoch))
 		epochRng.ShuffleInts(order)
 
-		var nnzSum float64
-		var lossSum float64
-		var lossN int
-		var selBefore, selDropped int
-		probed := false
+		var ep epochTally
 		lr := float32(plateau.LR())
-
 		for b := 0; b < t.batchesPerEpoch; b++ {
-			entG.Clear()
-			relG.Clear()
-			var flops float64
-			if len(shard) > 0 {
-				// Small shards (relation partition can be uneven) are not
-				// oversampled: a batch never exceeds the shard size.
-				nIter := cfg.BatchSize
-				if len(shard) < nIter {
-					nIter = len(shard)
-				}
-				for i := 0; i < nIter; i++ {
-					pos := shard[order[(b*cfg.BatchSize+i)%len(shard)]]
-					f, loss, n := t.trainExample(params, pos, sampler, entG, relG, negBuf)
-					flops += f
-					lossSum += loss
-					lossN += n
-				}
+			for i := range batch {
+				batch[i] = shard[order[(b*cfg.BatchSize+i)%len(shard)]]
 			}
-			// Drop numerically-zero rows (saturated triples contribute
-			// vanishing gradients as training converges — Figure 2).
-			flops += dropZeroRows(entG, &dropBuf)
-			flops += dropZeroRows(relG, &dropBuf)
-			nnzSum += float64(entG.Len())
-
-			// Random selection of gradient vectors (§4.2) applies to the
-			// communicated matrices; relation gradients under RP stay
-			// local and full precision (§4.4).
-			if cfg.Select != grad.SelectAll {
-				st := grad.Select(entG, cfg.Select, selRng)
-				selBefore += st.Before
-				selDropped += st.Dropped
-				flops += float64(st.Before*t.width) * 2
-				if !cfg.RelationPartition {
-					st = grad.Select(relG, cfg.Select, selRng)
-					selBefore += st.Before
-					selDropped += st.Dropped
-					flops += float64(st.Before*t.width) * 2
-				}
-			}
-			// Adaptive compression statistics (DESIGN.md §13): the raw
-			// post-drop entity gradient feeds the controller before the
-			// pipeline's residual/selection touch it.
-			flops += x.observe(entG)
-			t.cluster.AddCompute(rank, flops)
-
-			if cfg.SyncEvery > 1 {
-				// Local-SGD mode: apply the rank-local gradients without
-				// exchange, then periodically average the replicas.
-				applyFlops := t.applyGrads(entOpt, params.Entity, entG, lr)
-				applyFlops += t.applyGrads(relOpt, params.Relation, relG, lr)
-				t.cluster.AddCompute(rank, applyFlops)
-				if (b+1)%cfg.SyncEvery == 0 || b == t.batchesPerEpoch-1 {
-					if _, err := c.AllReduceSum(params.Entity.Data, tagEntity); err != nil {
-						return err
-					}
-					tensor.Scale(1/float32(nodes), params.Entity.Data)
-					if !cfg.RelationPartition {
-						if _, err := c.AllReduceSum(params.Relation.Data, tagRelation); err != nil {
-							return err
-						}
-						tensor.Scale(1/float32(nodes), params.Relation.Data)
-					}
-				}
-				continue
-			}
-
-			entAgg, relAgg, cost, err := x.exchange(entG, relG, mode)
-			if err != nil {
+			if err := tables.trainBatch(epoch, batch, lr, &ep); err != nil {
 				return err
 			}
-
-			// Dynamic strategy probe (§4.1): on every ProbeEvery-th epoch,
-			// while still in all-reduce, time one all-gather of the same
-			// payload and switch permanently if it is cheaper.
-			if cfg.Comm == CommDynamic && mode == "allreduce" && !probed && epoch%cfg.ProbeEvery == 0 {
-				probed = true
-				gCost, err := x.probeAllGather(entG, relG)
-				if err != nil {
-					return err
-				}
-				if gCost < cost {
-					mode = "allgather"
-					if switched == 0 {
-						switched = epoch
-					}
-				}
-			}
-
-			// Apply the aggregated gradients with decoupled L2 decay.
-			applyFlops := t.applyGrads(entOpt, params.Entity, entAgg, lr)
-			applyFlops += t.applyGrads(relOpt, params.Relation, relAgg, lr)
-			t.cluster.AddCompute(rank, applyFlops)
 		}
-
-		// Adaptive-compression epoch boundary: sum the controller statistics
-		// across ranks and evaluate the ladder's decision rule everywhere
-		// (identical inputs, identical verdict — DESIGN.md §13). The rung
-		// recorded below is the one this epoch's exchanges ran at; a step
-		// takes effect from the next epoch.
-		ladderLevel := ""
-		var gradEntropy float64
-		if cfg.Comm == CommDynamicCompress {
-			probe, sb, sd, err := x.advanceCompression()
-			if err != nil {
-				return err
-			}
-			ladderLevel = probe.Level.String()
-			gradEntropy = probe.Entropy
-			selBefore += sb
-			selDropped += sd
-			if probe.Stepped && rank == t.statsRank {
-				t.res.CompressionSteps = append(t.res.CompressionSteps, CompressionStep{
-					Epoch: epoch + 1, Level: probe.Next.String(),
-				})
-			}
+		if err := tables.closeEpoch(epoch, &ep); err != nil {
+			return err
 		}
 
 		// Validation: pairwise ranking accuracy over the rank's validation
 		// shard, reduced globally so all ranks share the decision.
 		valRng := xrand.New(cfg.Seed).Split(uint64(5000 + epoch)).Split(uint64(rank))
-		correct, total := t.localValAccuracy(params, rank, valRng)
+		correct, err := tables.validate(val, model.NewNegSampler(t.d.NumEntities, valRng))
+		if err != nil {
+			return err
+		}
 		gc, err := c.AllReduceScalar(float64(correct), mpi.OpSum)
 		if err != nil {
 			return err
 		}
-		gt, err := c.AllReduceScalar(float64(total), mpi.OpSum)
+		gt, err := c.AllReduceScalar(float64(len(val)), mpi.OpSum)
 		if err != nil {
 			return err
 		}
@@ -592,40 +507,41 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 		if rank == t.statsRank {
 			now := t.cluster.MaxTime()
 			st := t.cluster.Stats()
-			es := EpochStats{
-				Epoch:       epoch,
-				Seconds:     now - prevTime,
-				CommSeconds: st.CommSeconds - prevStats.CommSeconds,
-				CommBytes:   st.BytesMoved - prevStats.BytesMoved,
-				ValAccuracy: valAcc,
-				Mode:        mode,
-				Level:       ladderLevel,
-				GradEntropy: gradEntropy,
-				LR:          plateau.LR(),
-			}
+			es := ep.stats
+			es.Epoch = epoch
+			es.Seconds = now - prevTime
+			es.CommSeconds = st.CommSeconds - prevStats.CommSeconds
+			es.CommBytes = st.BytesMoved - prevStats.BytesMoved
+			es.ValAccuracy = valAcc
+			es.LR = plateau.LR()
 			if t.batchesPerEpoch > 0 {
-				es.NonZeroGradRows = nnzSum / float64(t.batchesPerEpoch)
+				es.NonZeroGradRows = ep.nnzSum / float64(t.batchesPerEpoch)
 			}
-			if lossN > 0 {
-				es.TrainLoss = lossSum / float64(lossN)
+			if ep.lossN > 0 {
+				es.TrainLoss = ep.lossSum / float64(ep.lossN)
 			}
-			if selBefore > 0 {
-				es.Sparsity = float64(selDropped) / float64(selBefore)
+			if ep.selBefore > 0 {
+				es.Sparsity = float64(ep.selDropped) / float64(ep.selBefore)
+			}
+			if refs := ep.localRefs + ep.remoteRefs; refs > 0 {
+				es.RemoteRowFraction = float64(ep.remoteRefs) / float64(refs)
 			}
 			t.res.PerEpoch = append(t.res.PerEpoch, es)
 			t.res.Epochs = epoch
-			t.res.SwitchedAtEpoch = switched
 		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}
 
 		if cfg.TrackEpochStats {
-			// Rank 0 computes the real validation TCA on the merged model
-			// while the others hold at the barrier (evaluation cost is
+			// The stats rank computes the real validation TCA on the merged
+			// model while the others hold at the barrier (evaluation cost is
 			// excluded from the virtual clock; see EXPERIMENTS.md).
-			if rank == 0 {
-				merged := mergeParams(t.m, t.perRank, t.relOwner)
+			merged, err := t.mergedModel(c, tables)
+			if err != nil {
+				return err
+			}
+			if merged != nil {
 				t.res.PerEpoch[len(t.res.PerEpoch)-1].ValTCA =
 					validationTCA(t.m, merged, t.d, cfg.ValSample, cfg.Seed+uint64(epoch))
 			}
@@ -635,7 +551,7 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 		}
 
 		if cfg.CheckpointEvery > 0 && epoch%cfg.CheckpointEvery == 0 {
-			if err := t.checkpointEpoch(c, epoch); err != nil {
+			if err := t.checkpoint(c, tables, epoch); err != nil {
 				return err
 			}
 		}
@@ -656,100 +572,116 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 			break
 		}
 	}
+
+	// Publish the trained model: the stop decisions above are identical on
+	// every rank, so all ranks reach the merge together.
+	merged, err := t.mergedModel(c, tables)
+	if err != nil {
+		return err
+	}
+	if merged != nil {
+		t.final = merged
+	}
 	return nil
 }
 
-// checkpointEpoch takes the coordinated snapshot: rank 0 merges the replicas
-// into the recovery point (and persists it crash-safely when CheckpointPath
-// is set) while the other ranks hold at barriers; the snapshot's virtual
-// cost is charged to the shared clock under the "checkpoint" tag. A disk
-// write error is shared through t.ckptErr so every rank stops after the
-// closing barrier — a lone returning rank would leave its peers blocked at
-// the next collective.
-func (t *trainRun) checkpointEpoch(c *mpi.Comm, epoch int) error {
-	if t.proc {
-		return t.checkpointEpochProc(c, epoch)
+// mergedModel assembles the full model on the stats rank (other ranks return
+// nil): entity rows of a replica are identical everywhere and a relation
+// nobody trains keeps its shared initialization, so the stats rank's own
+// replica is the model up to the relation rows its peers own under RP; a
+// partitioned rank holds no replica and every row comes from its one owner.
+// Peers' owned rows are read straight out of perRank when every replica
+// lives in this address space, and ride one sparse-row all-gather otherwise
+// — then mergedModel is a collective and every rank must call it.
+func (t *trainRun) mergedModel(c *mpi.Comm, tables rankTables) (*model.Params, error) {
+	var merged *model.Params
+	if c.Rank() == t.statsRank {
+		if own := t.perRank[c.Rank()]; own != nil {
+			merged = own.Clone()
+		} else {
+			merged = model.NewParams(t.m, t.d.NumEntities, t.d.NumRelations)
+		}
 	}
-	if err := c.Barrier(); err != nil {
+	// Shards always travel; RP's relation rows travel when some replica lives
+	// in another address space.
+	gather := t.plan != nil
+	for _, p := range t.perRank {
+		gather = gather || (p == nil && t.relOwner != nil)
+	}
+	if !gather {
+		if merged != nil {
+			for rel, owner := range t.relOwner {
+				if owner >= 0 && owner != c.Rank() {
+					copy(merged.Relation.Row(rel), t.perRank[owner].Relation.Row(rel))
+				}
+			}
+		}
+		return merged, nil
+	}
+	uids, vals := tables.ownedRows()
+	allUIDs, allVals, _, err := c.AllGatherRows(uids, vals, tagCheckpoint)
+	if err != nil {
+		return nil, err
+	}
+	if merged == nil {
+		return nil, nil
+	}
+	for src := range allUIDs {
+		for k, uid := range allUIDs[src] {
+			copy(modelRow(merged, uid), allVals[src][k*t.width:(k+1)*t.width])
+		}
+	}
+	return merged, nil
+}
+
+// modelRow resolves a unified row id (entities, then relations) inside full
+// params.
+func modelRow(p *model.Params, uid int32) []float32 {
+	if n := p.Entity.Rows; int(uid) >= n {
+		return p.Relation.Row(int(uid) - n)
+	}
+	return p.Entity.Row(int(uid))
+}
+
+// checkpoint takes the coordinated snapshot, one protocol for every mode and
+// fabric: merged model, stats-rank snapshot bookkeeping, rank-0 crash-safe
+// disk write, and a max-reduced verdict so every rank stops together on a
+// write failure — a lone returning rank would leave its peers blocked at the
+// next collective. The storage-write charge lands once per cluster under the
+// "checkpoint" tag: the stats rank is rank 0 on the shared channel cluster
+// and every process on its own private cluster. The verdict is also what
+// holds the peers still while the stats rank reads their replicas.
+func (t *trainRun) checkpoint(c *mpi.Comm, tables rankTables, epoch int) error {
+	merged, err := t.mergedModel(c, tables)
+	if err != nil {
 		return err
 	}
-	if c.Rank() == 0 {
-		merged := mergeParams(t.m, t.perRank, t.relOwner)
+	if c.Rank() == t.statsRank {
 		t.snap.epoch = epoch
 		t.snap.params = merged
 		t.rec.Checkpoints++
-		t.ckptErr = nil
-		if t.cfg.CheckpointPath != "" {
-			t.ckptErr = model.SaveCheckpoint(t.cfg.CheckpointPath, t.m, merged)
-		}
-		// Charge the snapshot: the merged model ships to stable storage.
 		bytes := int64(4 * (len(merged.Entity.Data) + len(merged.Relation.Data)))
 		cost, _, _ := t.cluster.PointToPointCost(bytes)
 		t.cluster.Collective(cost, bytes, int64(c.Size()), tagCheckpoint)
 	}
-	if err := c.Barrier(); err != nil {
+	var werr error
+	var flag float64
+	if c.Rank() == 0 && t.cfg.CheckpointPath != "" {
+		if werr = model.SaveCheckpoint(t.cfg.CheckpointPath, t.m, merged); werr != nil {
+			flag = 1
+		}
+	}
+	verdict, err := c.AllReduceScalar(flag, mpi.OpMax)
+	if err != nil {
 		return err
 	}
-	if t.ckptErr == nil {
+	if verdict == 0 {
 		return nil
 	}
-	if c.Rank() == 0 {
-		return fmt.Errorf("core: checkpoint at epoch %d: %w", epoch, t.ckptErr)
+	if werr != nil {
+		return fmt.Errorf("core: checkpoint at epoch %d: %w", epoch, werr)
 	}
 	return fmt.Errorf("core: checkpoint at epoch %d failed on rank 0", epoch)
-}
-
-// trainExample processes one positive triple and its negatives under the
-// configured objective and sampling scheme. It returns the flops spent, the
-// summed per-example loss, and the number of loss terms contributing (so the
-// caller can track a mean training loss per epoch).
-func (t *trainRun) trainExample(p *model.Params, pos kg.Triple, sampler model.Corrupter, entG, relG *grad.SparseGrad, negBuf []kg.Triple) (flops, lossSum float64, lossN int) {
-	cfg := t.cfg
-	var negs []kg.Triple
-	if cfg.NegSelect {
-		neg, extra := model.SelectHardest(t.m, p, sampler, pos, cfg.NegSamples, negBuf)
-		flops += float64(extra) * t.m.ScoreFlops()
-		negs = append(negBuf[:0], neg)
-	} else {
-		negs = sampler.CorruptN(pos, cfg.NegSamples, negBuf)
-	}
-	if cfg.LossName == "margin" {
-		// Pairwise margin ranking: L = max(0, gamma - s(pos) + s(neg)).
-		sPos := t.m.Score(p, pos)
-		flops += t.m.ScoreFlops()
-		for _, neg := range negs {
-			sNeg := t.m.Score(p, neg)
-			flops += t.m.ScoreFlops()
-			if hinge := float32(cfg.Margin) - sPos + sNeg; hinge > 0 {
-				lossSum += float64(hinge)
-				t.m.AccumulateScoreGrad(p, pos, -1, entG.Row(pos.H), relG.Row(pos.R), entG.Row(pos.T))
-				t.m.AccumulateScoreGrad(p, neg, 1, entG.Row(neg.H), relG.Row(neg.R), entG.Row(neg.T))
-				flops += 2 * t.m.GradFlops()
-			}
-			lossN++
-		}
-		return flops, lossSum, lossN
-	}
-	f, l := t.accumulateTriple(p, pos, 1, entG, relG)
-	flops += f
-	lossSum += l
-	lossN++
-	for _, neg := range negs {
-		f, l = t.accumulateTriple(p, neg, -1, entG, relG)
-		flops += f
-		lossSum += l
-		lossN++
-	}
-	return flops, lossSum, lossN
-}
-
-// accumulateTriple adds the loss gradient of one labeled triple into the
-// sparse gradients and returns the flops spent plus the triple's loss value.
-func (t *trainRun) accumulateTriple(p *model.Params, tr kg.Triple, y float32, entG, relG *grad.SparseGrad) (float64, float64) {
-	score := t.m.Score(p, tr)
-	coef := model.LogisticLossGrad(score, y)
-	t.m.AccumulateScoreGrad(p, tr, coef, entG.Row(tr.H), relG.Row(tr.R), entG.Row(tr.T))
-	return t.m.ScoreFlops() + t.m.GradFlops(), float64(model.LogisticLoss(score, y))
 }
 
 // dropZeroRows removes rows with negligible norm, returning the flops spent
@@ -768,66 +700,6 @@ func dropZeroRows(g *grad.SparseGrad, scratch *[]int32) float64 {
 	}
 	*scratch = drop
 	return float64(g.Len()+len(drop)) * float64(g.Width()) * 2
-}
-
-// applyGrads feeds aggregated rows to the optimizer with decoupled L2 decay
-// and returns the flops spent.
-func (t *trainRun) applyGrads(o opt.Optimizer, mat *tensor.Matrix, agg *grad.SparseGrad, lr float32) float64 {
-	if agg.Len() == 0 {
-		return 0
-	}
-	o.BeginStep()
-	decay := 1 - 2*float32(t.cfg.L2)*lr
-	clip := float32(t.cfg.ClipNorm)
-	agg.ForEach(func(id int32, row []float32) {
-		if clip > 0 {
-			if n := tensor.Nrm2(row); n > clip {
-				tensor.Scale(clip/n, row)
-			}
-		}
-		pr := mat.Row(int(id))
-		o.ApplyRow(id, pr, row, lr)
-		if t.cfg.L2 > 0 {
-			tensor.Scale(decay, pr)
-		}
-	})
-	return float64(agg.Len()*t.width) * 12
-}
-
-// localValAccuracy scores the rank's validation shard: a positive counts as
-// correct when it outscores a fresh corruption.
-func (t *trainRun) localValAccuracy(p *model.Params, rank int, rng *xrand.RNG) (correct, total int) {
-	shard := t.valShards[rank]
-	n := len(shard)
-	if t.perRankValCap > 0 && n > t.perRankValCap {
-		n = t.perRankValCap
-	}
-	sampler := model.NewNegSampler(t.d.NumEntities, rng)
-	for i := 0; i < n; i++ {
-		tr := shard[i]
-		neg := sampler.Corrupt(tr)
-		if t.m.Score(p, tr) > t.m.Score(p, neg) {
-			correct++
-		}
-		total++
-	}
-	return correct, total
-}
-
-// mergeParams builds a single evaluation model from the replicas: entities
-// are identical everywhere; relation rows under RP are taken from their
-// owning rank (unowned relations keep their shared initialization).
-func mergeParams(m model.Model, perRank []*model.Params, relOwner []int) *model.Params {
-	merged := perRank[0].Clone()
-	if relOwner == nil {
-		return merged
-	}
-	for rel, owner := range relOwner {
-		if owner > 0 {
-			copy(merged.Relation.Row(rel), perRank[owner].Relation.Row(rel))
-		}
-	}
-	return merged
 }
 
 // validationTCA computes triple-classification accuracy on the validation

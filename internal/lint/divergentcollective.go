@@ -31,16 +31,12 @@ var DivergentCollective = &Analyzer{
 // collectiveNames is the full collective surface of internal/mpi. Keep in
 // sync with the Comm methods that end in a rendezvous.
 var collectiveNames = map[string]bool{
-	"Barrier":          true,
-	"Broadcast":        true,
-	"AllReduceSum":     true,
-	"AllReduceSumRD":   true,
-	"AllGatherRows":    true,
-	"AllGatherBytes":   true,
-	"AllReduceScalar":  true,
-	"ReduceScatterSum": true,
-	"Gather":           true,
-	"Scatter":          true,
+	"Barrier":         true,
+	"Broadcast":       true,
+	"AllReduceSum":    true,
+	"AllGatherRows":   true,
+	"AllGatherBytes":  true,
+	"AllReduceScalar": true,
 }
 
 func runDivergentCollective(pass *Pass) error {

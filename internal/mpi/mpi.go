@@ -29,15 +29,14 @@
 //
 // Two disciplines keep the hot path allocation-free without data races
 // (DESIGN.md §10). Point-to-point staging copies inside the dense
-// collectives (AllReduceSum, ReduceScatterSum, Broadcast, AllReduceSumRD)
-// are recycled through internal/pool: the sender gets a buffer, exactly one
-// receiver consumes it and puts it back. All-gather payloads
-// (AllGatherRows, AllGatherBytes, Gather, Scatter) are the opposite: the
-// ring rotation shares one backing array with every rank, so the payload
-// ownership transfers to the world — callers must pass freshly allocated
-// slices and treat the returned ones as immutable. (The TCP backend
-// serializes payloads onto the wire, so received slices there are always
-// fresh; the contract is set by the zero-copy channel backend.)
+// collectives (AllReduceSum, Broadcast) are recycled through internal/pool:
+// the sender gets a buffer, exactly one receiver consumes it and puts it
+// back. All-gather payloads (AllGatherRows, AllGatherBytes) are the
+// opposite: the ring rotation shares one backing array with every rank, so
+// the payload ownership transfers to the world — callers must pass freshly
+// allocated slices and treat the returned ones as immutable. (The TCP
+// backend serializes payloads onto the wire, so received slices there are
+// always fresh; the contract is set by the zero-copy channel backend.)
 package mpi
 
 import (

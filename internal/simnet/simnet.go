@@ -254,51 +254,6 @@ func (c *Cluster) RingAllReduceCost(bytes int64) (cost float64, moved, msgs int6
 	return cost, moved, msgs
 }
 
-// RecursiveDoublingAllReduceCost models log-round all-reduce: ceil(log2 P)
-// exchange rounds each moving the full buffer, plus two folding rounds when
-// P is not a power of two. Latency-optimal, bandwidth-suboptimal — the
-// counterpart to RingAllReduceCost for the DESIGN.md §5 ablation.
-func (c *Cluster) RecursiveDoublingAllReduceCost(bytes int64) (cost float64, moved, msgs int64) {
-	p := int64(c.P())
-	if p == 1 || bytes == 0 {
-		return 0, 0, 0
-	}
-	rounds := int64(math.Ceil(math.Log2(float64(p))))
-	extra := int64(0)
-	if p&(p-1) != 0 {
-		extra = 2 // pre- and post-fold rounds
-	}
-	cost = float64(rounds+extra) * (c.params.Alpha + float64(bytes)*c.params.Beta)
-	moved = (rounds + extra) * p * bytes
-	msgs = (rounds + extra) * p
-	return cost, moved, msgs
-}
-
-// BruckAllGatherCost models Bruck's concatenating all-gather: ceil(log2 P)
-// rounds; every rank still transmits everyone's payloads once (same total
-// volume as the ring) but pays only log-many latencies.
-func (c *Cluster) BruckAllGatherCost(perRank []int64) (cost float64, moved, msgs int64) {
-	p := int64(c.P())
-	if int(p) != len(perRank) {
-		panic(fmt.Sprintf("simnet: BruckAllGatherCost got %d sizes for %d ranks", len(perRank), p))
-	}
-	if p == 1 {
-		return 0, 0, 0
-	}
-	var total int64
-	for _, b := range perRank {
-		total += b
-	}
-	rounds := int64(math.Ceil(math.Log2(float64(p))))
-	if total == 0 {
-		return float64(rounds) * c.params.Alpha, 0, rounds * p
-	}
-	cost = float64(rounds)*c.params.Alpha + float64(total-minInt64(perRank))*c.params.Beta
-	moved = (p - 1) * total
-	msgs = rounds * p
-	return cost, moved, msgs
-}
-
 // AllGatherVCost models a ring all-gather of variable per-rank payloads:
 // P-1 steps; in the worst step a rank forwards the largest single
 // contribution, and in total each rank receives everyone else's bytes.

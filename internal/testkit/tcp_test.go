@@ -2,8 +2,14 @@ package testkit
 
 import (
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"kgedist/internal/core"
+	"kgedist/internal/kg"
 )
 
 // TestVerifyTCPTrajectoryIdentical is the in-suite form of the
@@ -34,5 +40,43 @@ func TestVerifyTCPTrajectoryIdentical(t *testing.T) {
 	}
 	if sc := TCPScenario(); sc.Name != "tcp-drs" || sc.Nodes != 3 {
 		t.Errorf("TCPScenario = %q/%d nodes, want tcp-drs/3", sc.Name, sc.Nodes)
+	}
+}
+
+// TestCheckpointBytesPinned pins the checkpoint file every table layout and
+// fabric writes at GoldenBaseConfig/GoldenDataset with CheckpointEvery=2 (the
+// last write, epoch 8). The constants were recorded before the three
+// checkpoint paths became one protocol over one merge, so a merge that loses
+// or misplaces a row fails here at zero tolerance. The CRC covers the body
+// only: a file that carries its own CRC-32 footer hashes to the same residue
+// whatever it contains.
+func TestCheckpointBytesPinned(t *testing.T) {
+	d := GoldenDataset()
+	for _, tc := range []struct {
+		name   string
+		run    func(Scenario, *kg.Dataset) (*core.Result, error)
+		mutate func(*core.Config)
+		want   uint32
+	}{
+		{"replicated-rp/chan", RunScenario, func(c *core.Config) { c.RelationPartition = true }, 0xf9f8308f},
+		{"partitioned/chan", RunScenario, func(c *core.Config) { c.Partitioned = true }, 0x9185334c},
+		{"replicated-rp/tcp", RunScenarioTCP, func(c *core.Config) { c.RelationPartition = true }, 0xf9f8308f},
+	} {
+		path := filepath.Join(t.TempDir(), "ckpt.bin")
+		sc := Scenario{Name: tc.name, Nodes: 3, Mutate: func(c *core.Config) {
+			tc.mutate(c)
+			c.CheckpointEvery = 2
+			c.CheckpointPath = path
+		}}
+		if _, err := tc.run(sc, d); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != tc.want {
+			t.Errorf("%s: checkpoint body CRC %#08x, want %#08x", tc.name, got, tc.want)
+		}
 	}
 }

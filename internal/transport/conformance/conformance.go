@@ -305,24 +305,32 @@ func testWatchdogExpiry(t *testing.T, factory Factory) {
 	})
 }
 
-// testFailureVerdict: after a failure, Failed/Err report the dead set and
-// new blocked operations fail instead of waiting forever.
+// testFailureVerdict: after a failure, Failed/Err report the dead set, new
+// blocked operations fail instead of waiting forever, and the verdict stays
+// one dead rank on every endpoint — the victim's included: it learns it was
+// convicted and must not convict its accusers in return.
 func testFailureVerdict(t *testing.T, factory Factory) {
 	eps := factory(t, 3)
 	defer closeAll(t, eps)
 	watchdog(t, "failure verdict", func() {
 		eps[0].FailRank(2)
-		if got := eps[0].Failed(); len(got) != 1 || got[0] != 2 {
-			t.Fatalf("Failed() = %v, want [2]", got)
-		}
 		var rfe *transport.RankFailedError
 		if err := eps[0].Err(); !errors.As(err, &rfe) {
 			t.Fatalf("Err() = %v, want *RankFailedError", err)
 		} else if fmt.Sprint(rfe.Ranks) != "[2]" {
 			t.Fatalf("Err() names %v, want [2]", rfe.Ranks)
 		}
-		if _, err := eps[0].Recv(1, 0); !errors.As(err, &rfe) {
-			t.Fatalf("recv after failure returned %v, want *RankFailedError", err)
+		// A blocked receive is how each rank learns the verdict: it returns
+		// once the abort has reached that endpoint.
+		for r, ep := range eps {
+			if _, err := ep.Recv((r+1)%3, 0); !errors.As(err, &rfe) {
+				t.Fatalf("rank %d: recv after failure returned %v, want *RankFailedError", r, err)
+			}
+		}
+		for r, ep := range eps {
+			if got := ep.Failed(); len(got) != 1 || got[0] != 2 {
+				t.Fatalf("rank %d: Failed() = %v, want [2]", r, got)
+			}
 		}
 	})
 }

@@ -29,13 +29,24 @@
 // resynchronized); an ftRegroup frame => the named ranks are failed; an
 // ftBye frame => clean departure, never a failure. All verdicts trip the
 // shared abort so every blocked operation returns the same error.
+//
+// One dead rank must stay one dead rank, so verdicts flow one way only: the
+// accuser sends the victim its own verdict before hanging up; a rank that
+// holds itself dead accuses nobody afterwards (the hang-ups it then reads
+// are the survivors leaving it, not failing); a regroup frame from a rank the
+// receiver already holds dead is ignored; and an error on a connection this
+// endpoint closed itself is no evidence against the peer. Without these a
+// victim that is merely slow convicts its accuser on the EOF, and the world
+// splits over who died.
 package tcptransport
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,6 +71,10 @@ const (
 	// half-closed socket absorbing the peer's in-flight frames (so a full
 	// close cannot RST away an unread regroup or bye on the peer's side).
 	drainTimeout = 2 * time.Second
+	// verdictGrace bounds how long a condemned peer's connection stays open
+	// for the verdict frame to flush when the writer cannot close it itself
+	// (stalled, blocked on a full socket, or already gone).
+	verdictGrace = time.Second
 	// maxWorldSize is bounded by the dead-set bitmask width in the wire
 	// protocol (and is far above anything the simulation targets).
 	maxWorldSize = 64
@@ -142,11 +157,13 @@ func (o Options) logf(format string, args ...any) {
 }
 
 // wireFrame is one queued outbound frame: a data message (typ ftData) or a
-// pre-encoded control/barrier payload.
+// pre-encoded control/barrier payload. last makes the writer close the
+// connection once the frame is on the wire.
 type wireFrame struct {
 	typ     byte
 	m       transport.Message
 	payload []byte
+	last    bool
 }
 
 // Endpoint is one process's handle on the TCP fabric for one membership
@@ -178,8 +195,9 @@ type Endpoint struct {
 	// diverged membership views.
 	deadMask uint64
 
-	pendMu  sync.Mutex
-	pending []pendingConn // next-generation handshakes that arrived early
+	pendMu     sync.Mutex
+	pending    []pendingConn // next-generation handshakes that arrived early
+	handedOver bool          // Shrink took pending: late arrivals are hung up on
 }
 
 // barToken is one dissemination-barrier arrival notice.
@@ -388,31 +406,44 @@ func (e *Endpoint) FailRank(rank int) {
 }
 
 func (e *Endpoint) failDense(rank int, cause string) {
+	if rank != e.rank && e.holdsDead(e.rank) {
+		return // the world excluded this rank; it has no standing to accuse
+	}
 	if !e.fs.Fail(rank) {
 		return
 	}
 	e.met.IncRankFailure()
 	e.opt.logf("tcptransport: rank %d (orig %d) gen %d: peer rank %d (orig %d) failed: %s",
 		e.rank, e.orig, e.gen, rank, e.live[rank], cause)
-	if rank != e.rank {
-		if pc := e.conns[rank]; pc != nil {
-			// Unblock its reader/writer promptly; the conn is useless now.
-			pc.close()
-		}
-	}
 	// Best-effort broadcast; a full control queue or dead writer just means
-	// that peer learns through its own detector (or the Shrink regroup).
+	// that peer learns through its own detector (or the Shrink regroup). The
+	// victim gets its own verdict as the last frame before the hang-up, so it
+	// reads a conviction rather than a bare EOF it would blame on this rank;
+	// its writer closes the connection behind the frame, and the grace timer
+	// closes it regardless, to unblock the reader and writer of a peer that
+	// is truly gone.
 	mask := uint64(1) << uint(e.live[rank])
 	frame := binary.LittleEndian.AppendUint64(nil, mask)
 	for d, pc := range e.conns {
-		if pc == nil || d == rank {
+		if pc == nil {
 			continue
 		}
 		select {
-		case pc.ctrl <- wireFrame{typ: ftRegroup, payload: frame}:
+		case pc.ctrl <- wireFrame{typ: ftRegroup, payload: frame, last: d == rank}:
+			if d == rank {
+				time.AfterFunc(verdictGrace, pc.close)
+			}
 		default:
+			if d == rank {
+				pc.close()
+			}
 		}
 	}
+}
+
+// holdsDead reports whether this endpoint holds the dense rank dead.
+func (e *Endpoint) holdsDead(rank int) bool {
+	return slices.Contains(e.fs.Failed(), rank)
 }
 
 // Failed returns the dense ranks known dead, sorted (nil if none).
@@ -499,11 +530,16 @@ func (pc *peerConn) writeLoop() {
 		_ = pc.c.SetWriteDeadline(time.Now().Add(2 * opt.HeartbeatTimeout))
 		n, err := writeFrame(pc.c, f.typ, payload, corrupt)
 		if err != nil {
-			pc.fail(fmt.Sprintf("write to orig %d: %v", pc.orig, err))
+			if !errors.Is(err, net.ErrClosed) { // our own hang-up is no evidence
+				pc.fail(fmt.Sprintf("write to orig %d: %v", pc.orig, err))
+			}
 			return false
 		}
 		pc.ep.met.AddSent(n)
-		return true
+		if f.last {
+			pc.close()
+		}
+		return !f.last
 	}
 	for {
 		if pc.stalled.Load() {
@@ -608,6 +644,9 @@ func (pc *peerConn) readLoop() {
 		if err != nil {
 			switch {
 			case pc.departed.Load() || e.closed.Load():
+			case errors.Is(err, net.ErrClosed):
+				// This endpoint hung up (a verdict's close, or an injected
+				// sever): no evidence against the peer.
 			case err == errCRC:
 				e.met.IncCRCError()
 				pc.fail("corrupt frame (checksum mismatch)")
@@ -639,7 +678,11 @@ func (pc *peerConn) readLoop() {
 			select {
 			case e.inbox[pc.dense] <- m:
 			case <-e.done:
-				return
+				// Shutting down: nobody will read m, but the socket must
+				// still drain (loop top) — returning here lets teardown
+				// full-close over unread frames, and the RST that answers
+				// them turns this clean departure into a crash on the peer.
+				continue
 			}
 		case ftBarrier:
 			if len(payload) != 9 {
@@ -650,7 +693,7 @@ func (pc *peerConn) readLoop() {
 			select {
 			case e.barCh[pc.dense] <- tok:
 			case <-e.done:
-				return
+				continue // drain, as above
 			}
 		case ftPing:
 			// Echo so the peer can measure RTT; drop if the control queue
@@ -672,7 +715,9 @@ func (pc *peerConn) readLoop() {
 			pc.close()
 			return
 		case ftRegroup:
-			if len(payload) == 8 {
+			// A rank this process already holds dead has no say over who
+			// else is: its accusations are the reflex of a convicted peer.
+			if len(payload) == 8 && !e.holdsDead(pc.dense) {
 				e.applyDeadMask(binary.LittleEndian.Uint64(payload), fmt.Sprintf("regroup from orig %d", pc.orig))
 			}
 		case ftReject:

@@ -315,10 +315,19 @@ func (e *Endpoint) routeFrame(rc rawConn, typ byte, payload []byte, regCh chan r
 	}
 }
 
+// park holds a next-generation handshake for the successor endpoint. Once
+// the pending list has been handed over (takePending), nobody would ever
+// read a late arrival — a routeInbound that was mid-read when Shrink took
+// the list — so it is hung up on instead: the dialer redials whole attempts
+// and reaches the successor's sink.
 func (e *Endpoint) park(p pendingConn) {
 	e.pendMu.Lock()
+	defer e.pendMu.Unlock()
+	if e.handedOver {
+		_ = p.rc.c.Close()
+		return
+	}
 	e.pending = append(e.pending, p)
-	e.pendMu.Unlock()
 }
 
 func (e *Endpoint) takePending() []*pendingConn {
@@ -330,6 +339,7 @@ func (e *Endpoint) takePending() []*pendingConn {
 		out = append(out, &p)
 	}
 	e.pending = nil
+	e.handedOver = true
 	return out
 }
 

@@ -512,6 +512,31 @@ func TestShrinkCoordinatorDeath(t *testing.T) {
 	})
 }
 
+// TestParkAfterHandOverHangsUp: a next-generation handshake that reaches the
+// old endpoint after Shrink took the pending list must be hung up on, not
+// parked where nobody reads it — the dialer redials and finds the successor.
+// Parked forever, it made the survivor wait out the whole connect deadline
+// for a roster (TestProcessWorldShrinkOverTCP under CPU load).
+func TestParkAfterHandOverHangsUp(t *testing.T) {
+	e := newEndpoint(Options{}, nil, transport.NewMetrics(), 0, 0, []int{0, 1})
+	a1, a2 := net.Pipe()
+	defer a2.Close()
+	e.park(pendingConn{rc: newRawConn(a1)})
+	if got := e.takePending(); len(got) != 1 {
+		t.Fatalf("takePending returned %d handshakes, want the 1 parked before hand-over", len(got))
+	}
+	b1, b2 := net.Pipe()
+	defer b2.Close()
+	e.park(pendingConn{rc: newRawConn(b1)})
+	_ = b2.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := b2.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+		t.Fatalf("late handshake read returned %v, want the hang-up's EOF", err)
+	}
+	if got := e.takePending(); len(got) != 0 {
+		t.Fatalf("late handshake was parked (%d pending)", len(got))
+	}
+}
+
 // TestShrinkSelfDead: a rank its peers declared dead must not rejoin.
 func TestShrinkSelfDead(t *testing.T) {
 	eps := dialWorld(t, 2, nil)
