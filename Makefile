@@ -6,11 +6,11 @@ GO ?= go
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
 BENCH_OUT ?= BENCH_$(shell date +%F).json
 
-# Packages with real concurrency (goroutine ranks, lock-free hogwild workers,
-# parameter-server shards, the trainer that drives them) get a dedicated
+# Packages with real concurrency (goroutine ranks, parameter-server shards,
+# the trainer that drives them) get a dedicated
 # race-detector tier. -short keeps the long end-to-end learning runs out of
 # the ~10-20x race slowdown; unit-level coverage stays on.
-RACE_PKGS = ./internal/hogwild/ ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ ./internal/tensor/ ./internal/testkit/
+RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ ./internal/tensor/ ./internal/testkit/
 
 # Packages with kernel micro-benchmarks (ns/op, allocs/op, triples/sec);
 # the top-level package adds the end-to-end paper-table benchmarks.
@@ -34,11 +34,11 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # kgelint is this repo's own analyzer suite (cmd/kgelint, internal/lint):
-# six per-node matchers (seeded randomness, divergent collectives, float
-# equality, dropped errors, collective error handling, non-atomic shared-row
-# access) plus the CFG/dataflow tier (pooluse buffer lifecycle, scratchhold
-# borrow retention, hotpathalloc zero-alloc proof) and the stale
-# //kgelint:ignore audit. Zero unsuppressed findings is the merge bar.
+# five per-node matchers (seeded randomness, divergent collectives, float
+# equality, dropped errors, collective error handling) plus the CFG/dataflow
+# tier (pooluse buffer lifecycle, scratchhold borrow retention, hotpathalloc
+# zero-alloc proof) and the stale //kgelint:ignore audit. Zero unsuppressed
+# findings is the merge bar.
 ## lint: run the kgelint analyzer suite (zero findings = pass)
 lint:
 	$(GO) run ./cmd/kgelint ./...

@@ -71,7 +71,7 @@ func main() {
 		servers        = flag.Int("servers", 1, "parameter-server count for -strategy ps")
 
 		partitioned    = flag.Bool("partitioned", false, "sharded-table mode: entity+relation rows are partitioned across ranks, batches pull remote rows and push gradients back")
-		partitionBy    = flag.String("partition-by", "mincut", "row partitioner for -partitioned: mincut or hash")
+		partitionBy    = flag.String("partition-by", "", "row partitioner for -partitioned: mincut (default) or hash")
 		partitionSlack = flag.Float64("partition-slack", 0, "per-rank row-count slack for -partitioned (0 = default 0.1)")
 		seed           = flag.Uint64("seed", 1, "random seed")
 		save           = flag.String("save", "", "write the trained model to this checkpoint file")
@@ -92,10 +92,77 @@ func main() {
 	flag.Parse()
 
 	// Every contradictory flag combination is rejected here, before any
-	// dataset or network setup, with one actionable error.
+	// dataset or network setup: what only a command line can get wrong in
+	// validateFlagCombos, the training-mode rules in core.Config.Validate.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateFlagCombos(explicit, *strategy, *peers, *comm, *quant, *partitioned); err != nil {
+	if err := validateFlagCombos(explicit, *strategy, *peers); err != nil {
+		fmt.Fprintln(os.Stderr, "kgetrain:", err)
+		os.Exit(2)
+	}
+
+	cfg := core.DefaultConfig()
+	cfg.ModelName = *modelName
+	cfg.Dim = *dim
+	cfg.OptimizerName = *optName
+	cfg.LossName = *lossName
+	cfg.Margin = *margin
+	cfg.BatchSize = *batch
+	cfg.BaseLR = *lr
+	cfg.MaxEpochs = *epochs
+	cfg.ProbeEvery = *probe
+	cfg.ErrorFeedback = *ef
+	cfg.RelationPartition = *rp
+	cfg.NegSelect = *ss
+	cfg.NegSamples = *negs
+	cfg.Seed = *seed
+	switch *comm {
+	case "allreduce":
+		cfg.Comm = core.CommAllReduce
+	case "allgather":
+		cfg.Comm = core.CommAllGather
+	case "dynamic":
+		cfg.Comm = core.CommDynamic
+	case "dyncomp":
+		cfg.Comm = core.CommDynamicCompress
+	default:
+		fmt.Fprintf(os.Stderr, "unknown -comm %q\n", *comm)
+		os.Exit(1)
+	}
+	if *rs {
+		cfg.Select = grad.SelectBernoulli
+	}
+	switch *quant {
+	case "none":
+	case "1bit-max":
+		cfg.Quant = grad.OneBitMax
+	case "1bit-avg":
+		cfg.Quant = grad.OneBitAvg
+	case "2bit":
+		cfg.Quant = grad.TwoBitTernary
+	default:
+		fmt.Fprintf(os.Stderr, "unknown -quant %q\n", *quant)
+		os.Exit(1)
+	}
+	if *faults != "" {
+		plan, err := simnet.ParseFaultPlan(*faults)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		cfg.FaultPlan = plan
+	}
+	cfg.CheckpointEvery = *ckptEvery
+	cfg.CheckpointPath = *ckptPath
+	cfg.Recover = *recoverOn
+	// The tuning knobs are set whether or not their mode is: a knob without
+	// its mode is core's to reject, like every other mode combination.
+	cfg.CompressHold = *compressHold
+	cfg.CompressWarmup = *compressWarmup
+	cfg.Partitioned = *partitioned
+	cfg.PartitionBy = *partitionBy
+	cfg.PartitionSlack = *partitionSlack
+	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "kgetrain:", err)
 		os.Exit(2)
 	}
@@ -138,72 +205,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.ModelName = *modelName
-	cfg.Dim = *dim
-	cfg.OptimizerName = *optName
-	cfg.LossName = *lossName
-	cfg.Margin = *margin
-	cfg.BatchSize = *batch
-	cfg.BaseLR = *lr
-	cfg.MaxEpochs = *epochs
-	cfg.ProbeEvery = *probe
-	cfg.ErrorFeedback = *ef
-	cfg.RelationPartition = *rp
-	cfg.NegSelect = *ss
-	cfg.NegSamples = *negs
-	cfg.Seed = *seed
-	switch *comm {
-	case "allreduce":
-		cfg.Comm = core.CommAllReduce
-	case "allgather":
-		cfg.Comm = core.CommAllGather
-	case "dynamic":
-		cfg.Comm = core.CommDynamic
-	case "dyncomp":
-		cfg.Comm = core.CommDynamicCompress
-		cfg.CompressHold = *compressHold
-		cfg.CompressWarmup = *compressWarmup
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -comm %q\n", *comm)
-		os.Exit(1)
-	}
-	if *rs {
-		cfg.Select = grad.SelectBernoulli
-	}
-	switch *quant {
-	case "none":
-	case "1bit-max":
-		cfg.Quant = grad.OneBitMax
-	case "1bit-avg":
-		cfg.Quant = grad.OneBitAvg
-	case "2bit":
-		cfg.Quant = grad.TwoBitTernary
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -quant %q\n", *quant)
-		os.Exit(1)
-	}
-	if *faults != "" {
-		plan, err := simnet.ParseFaultPlan(*faults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cfg.FaultPlan = plan
-	}
-	cfg.CheckpointEvery = *ckptEvery
-	cfg.CheckpointPath = *ckptPath
-	cfg.Recover = *recoverOn
-	cfg.Partitioned = *partitioned
-	if *partitioned {
-		cfg.PartitionBy = *partitionBy
-		cfg.PartitionSlack = *partitionSlack
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 
 	fmt.Printf("dataset %s: %d entities, %d relations, %d/%d/%d train/valid/test\n",
@@ -272,7 +273,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		meta := trace.Meta{Dataset: d.Name, Strategy: res.Strategy, Nodes: *nodes, Seed: *seed}
+		meta := trace.Meta{Dataset: d.Name, Strategy: res.Strategy, Nodes: res.Nodes, Seed: *seed}
 		if err := trace.WriteRun(f, meta, res); err != nil {
 			_ = f.Close()
 			fmt.Fprintln(os.Stderr, err)
@@ -358,11 +359,12 @@ func trainOverTCP(cfg core.Config, d *kg.Dataset, peerList string, rank int, lis
 	return core.TrainProcess(cfg, d, ep)
 }
 
-// validateFlagCombos rejects every contradictory flag combination up front
-// with one actionable error, instead of letting a bad invocation fail deep
-// inside setup (or, worse, silently ignore a knob). `explicit` holds the
-// flags the user actually set on the command line.
-func validateFlagCombos(explicit map[string]bool, strategy, peers, comm, quant string, partitioned bool) error {
+// validateFlagCombos rejects the contradictions only a command line can
+// express — which process this is, which world it joins, which trainer runs —
+// up front with one actionable error, instead of letting a bad invocation
+// fail deep inside setup (or, worse, silently ignore a knob). `explicit`
+// holds the flags the user actually set on the command line.
+func validateFlagCombos(explicit map[string]bool, strategy, peers string) error {
 	if strategy != "sgd" && strategy != "ps" {
 		return fmt.Errorf("unknown -strategy %q (want sgd or ps)", strategy)
 	}
@@ -400,56 +402,6 @@ func validateFlagCombos(explicit map[string]bool, strategy, peers, comm, quant s
 		}
 	} else if explicit["servers"] {
 		return fmt.Errorf("-servers sizes the parameter-server tier; it needs -strategy ps")
-	}
-	if comm == "dyncomp" {
-		// The adaptive controller owns the whole compression pipeline
-		// (DESIGN.md §13); the static compression knobs would fight it.
-		var bad []string
-		if explicit["quant"] && quant != "none" {
-			bad = append(bad, "-quant (the ladder picks the quantizer per epoch)")
-		}
-		if explicit["rs"] {
-			bad = append(bad, "-rs (the ladder's top rung sparsifies)")
-		}
-		if explicit["ef"] {
-			bad = append(bad, "-ef (the controller always runs error feedback on lossy rungs)")
-		}
-		if len(bad) > 0 {
-			return fmt.Errorf("-comm dyncomp drives compression adaptively and cannot be combined with %s", strings.Join(bad, "; "))
-		}
-	} else {
-		for _, f := range []string{"compress-hold", "compress-warmup"} {
-			if explicit[f] {
-				return fmt.Errorf("-%s tunes the adaptive compression controller; it needs -comm dyncomp", f)
-			}
-		}
-	}
-	if partitioned {
-		var bad []string
-		if comm == "dynamic" {
-			bad = append(bad, "-comm dynamic (the row exchange has no dense all-reduce to switch away from)")
-		}
-		if comm == "dyncomp" {
-			bad = append(bad, "-comm dyncomp (compressed collectives assume replicated dense tables)")
-		}
-		if explicit["quant"] && quant != "none" {
-			bad = append(bad, "-quant (quantization codebooks assume replicated dense tables)")
-		}
-		if explicit["ef"] {
-			bad = append(bad, "-ef (error feedback rides on quantization)")
-		}
-		if explicit["rp"] {
-			bad = append(bad, "-rp (the joint partitioner already shards relation rows)")
-		}
-		if len(bad) > 0 {
-			return fmt.Errorf("-partitioned cannot be combined with %s", strings.Join(bad, "; "))
-		}
-	} else {
-		for _, f := range []string{"partition-by", "partition-slack"} {
-			if explicit[f] {
-				return fmt.Errorf("-%s tunes the row partitioner; it needs -partitioned", f)
-			}
-		}
 	}
 	return nil
 }

@@ -12,9 +12,13 @@
 //  5. Negative Sample Selection (SS): per positive, draw n candidates and
 //     train on the hardest (highest-scoring) one.
 //
-// Every rank runs as a goroutine with a full model replica (the Horovod
-// replication scheme); gradient exchanges are deterministic, so replicas
-// remain bit-identical except for rank-private relation rows under RP.
+// Ranks are goroutines over a simulated fabric (Train) or OS processes over
+// a real transport (TrainProcess) under one epoch loop. By default every rank
+// holds a full model replica (the Horovod replication scheme); gradient
+// exchanges are deterministic, so replicas remain bit-identical except for
+// rank-private relation rows under RP. With Config.Partitioned every row has
+// one owner rank, and batches pull and push the rows they touch; the
+// per-triple arithmetic is the same code over either layout (rankTables).
 package core
 
 import (
@@ -142,8 +146,8 @@ type Config struct {
 	// scale-out scheme grafted onto this trainer). Memory per rank then
 	// shrinks with the world size instead of replicating the full table.
 	// Mutually exclusive with RelationPartition, quantization, error
-	// feedback, the dynamic comm probe, adaptive compression and
-	// TrackEpochStats — the row exchange is its own communication mode.
+	// feedback, the dynamic comm probe and adaptive compression — the row
+	// exchange is its own communication mode.
 	Partitioned bool
 	// PartitionBy selects the row partitioner for Partitioned mode: "mincut"
 	// (greedy min-cut over the triple hypergraph; default) or "hash" (seeded
@@ -212,8 +216,13 @@ type Config struct {
 
 	// Seed drives every random choice of the run.
 	Seed uint64
-	// TrackEpochStats records per-epoch gradient-row counts and sparsity
-	// (needed by the figure experiments; small extra cost).
+	// TrackEpochStats additionally evaluates the merged model's validation
+	// TCA after every epoch (EpochStats.ValTCA, the TCA-vs-epoch figures);
+	// every other per-epoch column is recorded regardless. The evaluation is
+	// off the virtual clock, but where the merge needs rows from another
+	// shard or address space (Partitioned; RelationPartition in a process
+	// world) its gather rides the "checkpoint" tag between epochs: in
+	// Result.TotalHours and CommBytes, in no epoch's Seconds.
 	TrackEpochStats bool
 }
 
@@ -341,7 +350,7 @@ func (c Config) Validate() error {
 // validatePartitioned rejects every mode combination the sharded-table
 // trainer cannot honor, each with the reason: the row exchange replaces the
 // replicated gradient collectives, so knobs that reshape those collectives
-// (or assume full replicas) have nothing to act on.
+// have nothing to act on.
 func (c Config) validatePartitioned() error {
 	conflict := ""
 	switch {
@@ -355,8 +364,6 @@ func (c Config) validatePartitioned() error {
 		conflict = "quantization (pushed rows are re-applied by their owner at full precision)"
 	case c.ErrorFeedback:
 		conflict = "ErrorFeedback (residuals exist only for lossy replicated exchanges)"
-	case c.TrackEpochStats:
-		conflict = "TrackEpochStats (per-epoch merged-model evaluation needs full replicas)"
 	}
 	if conflict != "" {
 		return fmt.Errorf("core: Partitioned cannot be combined with %s", conflict)

@@ -27,7 +27,6 @@ func TestPartitionedValidateRejectsConflicts(t *testing.T) {
 		{"dynamic comm", func(c *Config) { c.Comm = CommDynamic }},
 		{"quantization", func(c *Config) { c.Quant = grad.OneBitMax }},
 		{"error feedback", func(c *Config) { c.ErrorFeedback = true }},
-		{"track epoch stats", func(c *Config) { c.TrackEpochStats = true }},
 		{"bad partitioner", func(c *Config) { c.PartitionBy = "metis" }},
 		{"negative slack", func(c *Config) { c.PartitionSlack = -0.2 }},
 	}
@@ -50,6 +49,7 @@ func TestPartitionedValidateRejectsConflicts(t *testing.T) {
 	ok.NegSelect = true
 	ok.PartitionBy = "hash"
 	ok.PartitionSlack = 0.2
+	ok.TrackEpochStats = true // served by the collective merge; see testkit's TestTrackEpochStatsAcrossLayoutsAndFabrics
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid partitioned config rejected: %v", err)
 	}

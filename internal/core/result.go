@@ -25,8 +25,9 @@ type EpochStats struct {
 	// ValTCA is the validation triple-classification accuracy in percent
 	// (recorded when TrackEpochStats; used by the TCA-vs-epoch figures).
 	ValTCA float64
-	// NonZeroGradRows is the average per-batch count of non-zero entity
-	// gradient rows before selection (Figure 2's quantity).
+	// NonZeroGradRows is the average per-batch count of non-zero gradient
+	// rows before selection: entity rows in the replicated modes (Figure 2's
+	// quantity), entity plus relation rows in partitioned mode.
 	NonZeroGradRows float64
 	// Sparsity is the fraction of gradient rows dropped by selection.
 	Sparsity float64
@@ -155,8 +156,8 @@ type Result struct {
 	// Partition reports the row-partition quality of a partitioned run
 	// (nil for replicated modes).
 	Partition *PartitionStats
-	// PerEpoch holds the per-epoch series when TrackEpochStats was set
-	// (always includes at least Seconds/ValAccuracy/Mode).
+	// PerEpoch holds the per-epoch series, one entry per completed epoch
+	// (only ValTCA waits on TrackEpochStats).
 	PerEpoch []EpochStats
 	// FinalParams is the merged trained model (entity rows from the synced
 	// replicas, relation rows from their owners under relation partition),

@@ -164,13 +164,8 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if world.Process() {
-		if cfg.FaultPlan != nil {
-			return nil, nil, fmt.Errorf("core: simulated fault plans drive the in-process world; over a real transport faults come from the sockets themselves")
-		}
-		if cfg.TrackEpochStats {
-			return nil, nil, fmt.Errorf("core: TrackEpochStats needs every replica in one address space; it is not available in process mode")
-		}
+	if world.Process() && cfg.FaultPlan != nil {
+		return nil, nil, fmt.Errorf("core: simulated fault plans drive the in-process world; over a real transport faults come from the sockets themselves")
 	}
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
@@ -379,19 +374,32 @@ type trainRun struct {
 	final     *model.Params
 }
 
-// rankTables is one rank's embedding storage and gradient exchange under the
-// epoch loop: full replicas + gradient collectives (replicaTables), or an
-// owned shard + batch-scoped row exchange (shardTables).
+// rankTables is the row seam under the epoch loop: where one rank's embedding
+// rows live — a full replica (replicaTables), or an owned shard plus the rows
+// pulled for the staging at hand (shardTables) — and how a batch's gradient
+// rows are exchanged and applied there. The staging, the per-triple math,
+// the optimizer apply and the validator above it are written once, here.
 type rankTables interface {
-	// trainBatch runs one batch of positives: sample, score, exchange,
-	// apply. It is a collective — an empty batch still exchanges.
-	trainBatch(epoch int, batch []kg.Triple, lr float32, ep *epochTally) error
+	// EntityRow and RelationRow resolve a staged triple's parameter rows.
+	model.Rows
+	// begin opens a staging, need announces a triple about to be scored, and
+	// pull makes every announced row resolvable. pull is a collective — a
+	// rank with nothing to score still calls it.
+	begin()
+	need(tr kg.Triple)
+	pull() error
+	// entGrad and relGrad resolve the batch's gradient row for a parameter
+	// row, materializing a zero row on first touch.
+	entGrad(id int32) []float32
+	relGrad(id int32) []float32
+	// closeBatch turns the accumulated gradient rows (scored at the cost of
+	// flops) into updated parameters: drop zero rows, select, charge the
+	// compute, exchange, apply. It is a collective — an empty batch still
+	// exchanges.
+	closeBatch(epoch int, flops float64, lr float32, ep *epochTally) error
 	// closeEpoch labels the epoch's exchange in ep; for the adaptive ladder
 	// it is the epoch boundary that may step the rung.
 	closeEpoch(epoch int, ep *epochTally) error
-	// validate scores the rank's validation triples: a positive counts as
-	// correct when it outscores a fresh corruption drawn from sampler.
-	validate(val []kg.Triple, sampler *model.NegSampler) (correct int, err error)
 	// ownedRows lists the rows whose trained values only this rank holds, as
 	// unified row ids (entities, then relations) and freshly allocated
 	// values the all-gather may take ownership of.
@@ -431,9 +439,9 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 	}
 	var tables rankTables
 	if cfg.Partitioned {
-		tables = newShardTables(t, c, sampler, rng.Split(3))
+		tables = newShardTables(t, c, rng.Split(3))
 	} else {
-		tables = newReplicaTables(t, c, sampler, rng.Split(3), rng.Split(4))
+		tables = newReplicaTables(t, c, rng.Split(3), rng.Split(4))
 	}
 
 	order := make([]int, len(shard))
@@ -444,6 +452,7 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 	// batch never exceeds the shard size.
 	batch := make([]kg.Triple, min(cfg.BatchSize, len(shard)))
 	val := t.valShards[rank]
+	var st staging
 	best := -1.0
 	sinceBest := 0
 	var prevStats simnet.Stats
@@ -472,7 +481,17 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 			for i := range batch {
 				batch[i] = shard[order[(b*cfg.BatchSize+i)%len(shard)]]
 			}
-			if err := tables.trainBatch(epoch, batch, lr, &ep); err != nil {
+			if err := st.stage(tables, sampler, batch, cfg.NegSamples); err != nil {
+				return err
+			}
+			var flops float64
+			for i, pos := range batch {
+				f, loss, n := t.trainExample(tables, pos, st.cands[i*cfg.NegSamples:(i+1)*cfg.NegSamples])
+				flops += f
+				ep.lossSum += loss
+				ep.lossN += n
+			}
+			if err := tables.closeBatch(epoch, flops, lr, &ep); err != nil {
 				return err
 			}
 		}
@@ -480,12 +499,18 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 			return err
 		}
 
-		// Validation: pairwise ranking accuracy over the rank's validation
-		// shard, reduced globally so all ranks share the decision.
+		// Validation: pairwise ranking accuracy (a positive must outscore one
+		// fresh uniform corruption) over the rank's validation shard, reduced
+		// globally so all ranks share the decision.
 		valRng := xrand.New(cfg.Seed).Split(uint64(5000 + epoch)).Split(uint64(rank))
-		correct, err := tables.validate(val, model.NewNegSampler(t.d.NumEntities, valRng))
-		if err != nil {
+		if err := st.stage(tables, model.NewNegSampler(t.d.NumEntities, valRng), val, 1); err != nil {
 			return err
+		}
+		correct := 0
+		for i, tr := range val {
+			if t.score(tables, tr) > t.score(tables, st.cands[i]) {
+				correct++
+			}
 		}
 		gc, err := c.AllReduceScalar(float64(correct), mpi.OpSum)
 		if err != nil {
@@ -583,6 +608,120 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 		t.final = merged
 	}
 	return nil
+}
+
+// staging is a worker's reusable buffer of pre-drawn corruptions.
+type staging struct {
+	cands  []kg.Triple // triple i's n corruptions at [i*n, (i+1)*n)
+	negBuf []kg.Triple // one triple's draw
+}
+
+// stage opens a staging over triples: it draws n corruptions of each into
+// cands, announces every row they touch, and pulls. Scoring draws nothing
+// from the sampler, so drawing up front consumes its stream in the same order
+// as drawing triple by triple.
+func (st *staging) stage(tb rankTables, s model.Corrupter, triples []kg.Triple, n int) error {
+	tb.begin()
+	st.cands = st.cands[:0]
+	for _, tr := range triples {
+		st.negBuf = s.CorruptN(tr, n, st.negBuf)
+		st.cands = append(st.cands, st.negBuf...)
+		tb.need(tr)
+		for _, neg := range st.negBuf {
+			tb.need(neg)
+		}
+	}
+	return tb.pull()
+}
+
+// score is the model's score of a staged triple over the rank's tables.
+func (t *trainRun) score(tb rankTables, tr kg.Triple) float32 {
+	return t.m.ScoreRows(tb.EntityRow(tr.H), tb.RelationRow(tr.R), tb.EntityRow(tr.T))
+}
+
+// accumulate adds coef * dScore/dRow of a staged triple into the batch's
+// gradient rows.
+func (t *trainRun) accumulate(tb rankTables, tr kg.Triple, coef float32) {
+	t.m.AccumulateScoreGradRows(
+		tb.EntityRow(tr.H), tb.RelationRow(tr.R), tb.EntityRow(tr.T), coef,
+		tb.entGrad(tr.H), tb.relGrad(tr.R), tb.entGrad(tr.T))
+}
+
+// trainExample processes one staged positive and its pre-drawn corruptions
+// under the configured objective and sampling scheme. It returns the flops
+// spent, the summed per-example loss, and the number of loss terms
+// contributing (so the caller can track a mean training loss per epoch).
+//
+//kgelint:hotpath
+func (t *trainRun) trainExample(tb rankTables, pos kg.Triple, negs []kg.Triple) (flops, lossSum float64, lossN int) {
+	cfg, m := t.cfg, t.m
+	if cfg.NegSelect && len(negs) > 1 {
+		// §4.5: train on the hardest candidate only.
+		flops += float64(len(negs)) * m.ScoreFlops()
+		hardest := model.Hardest(m, tb, negs)
+		negs = negs[hardest : hardest+1]
+	}
+	if cfg.LossName == "margin" {
+		// Pairwise margin ranking: L = max(0, gamma - s(pos) + s(neg)).
+		sPos := t.score(tb, pos)
+		flops += m.ScoreFlops()
+		for _, neg := range negs {
+			sNeg := t.score(tb, neg)
+			flops += m.ScoreFlops()
+			if hinge := float32(cfg.Margin) - sPos + sNeg; hinge > 0 {
+				lossSum += float64(hinge)
+				t.accumulate(tb, pos, -1)
+				t.accumulate(tb, neg, 1)
+				flops += 2 * m.GradFlops()
+			}
+			lossN++
+		}
+		return flops, lossSum, lossN
+	}
+	// Logistic loss: the positive labeled +1, then each negative labeled -1.
+	for i := -1; i < len(negs); i++ {
+		tr, y := pos, float32(1)
+		if i >= 0 {
+			tr, y = negs[i], -1
+		}
+		s := t.score(tb, tr)
+		t.accumulate(tb, tr, model.LogisticLossGrad(s, y))
+		flops += m.ScoreFlops() + m.GradFlops()
+		lossSum += float64(model.LogisticLoss(s, y))
+		lossN++
+	}
+	return flops, lossSum, lossN
+}
+
+// applyGrads feeds aggregated rows to the optimizer — clip, step, decoupled
+// L2 decay — and returns the flops spent. Optimizer state is laid out like
+// the storage it updates: gradient row id lives in row index[id] of mat and
+// owns that optimizer slot; a nil index is the identity (a full table).
+//
+//kgelint:hotpath
+func (t *trainRun) applyGrads(o opt.Optimizer, mat *tensor.Matrix, index []int32, agg *grad.SparseGrad, lr float32) float64 {
+	if agg.Len() == 0 {
+		return 0
+	}
+	o.BeginStep()
+	decay := 1 - 2*float32(t.cfg.L2)*lr
+	clip := float32(t.cfg.ClipNorm)
+	agg.ForEach(func(id int32, row []float32) {
+		if clip > 0 {
+			if n := tensor.Nrm2(row); n > clip {
+				tensor.Scale(clip/n, row)
+			}
+		}
+		if index != nil {
+			id = index[id]
+		}
+		pr := mat.Row(int(id))
+		o.ApplyRow(id, pr, row, lr)
+		if t.cfg.L2 > 0 {
+			tensor.Scale(decay, pr)
+		}
+	})
+	return float64(agg.Len()*t.width) * 12
 }
 
 // mergedModel assembles the full model on the stats rank (other ranks return

@@ -3,10 +3,10 @@ package lint
 // hotpathalloc proves the zero-alloc property of the training and serving
 // hot paths at review time, complementing the AllocsPerRun==0 runtime pins
 // from the perf harness. Entry points carry a `//kgelint:hotpath` doc
-// directive (hogwild step, the exchanger, gradient quantize/decode, the
-// serve batcher dispatch); the analyzer walks every function in the same
-// package reachable from them through static calls and flags allocating
-// constructs:
+// directive (the trainer's per-triple body and row seam, the exchangers,
+// gradient quantize/decode, the serve batcher dispatch); the analyzer walks
+// every function in the same package reachable from them through static
+// calls and flags allocating constructs:
 //
 //   - make (slice/map/chan)
 //   - append (may grow beyond cap)

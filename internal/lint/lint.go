@@ -1,11 +1,10 @@
 // Package lint implements kgedist's project-specific static analyzers and
 // the minimal go/analysis-style framework they run on.
 //
-// The repo has three hazard zones the Go toolchain cannot police on its own:
-// internal/hogwild races by design (so the race detector needs every shared
-// access to go through atomic accessors), internal/mpi collectives deadlock
-// if any rank diverges, and reproducibility of the paper's experiments
-// depends on every random draw flowing through internal/xrand. The analyzers
+// The repo has hazard zones the Go toolchain cannot police on its own:
+// internal/mpi collectives deadlock if any rank diverges, reproducibility of
+// the paper's experiments depends on every random draw flowing through
+// internal/xrand, and the hot paths must stay allocation-free. The analyzers
 // in this package turn those conventions into build failures; cmd/kgelint is
 // the driver and `make lint` / CI run it over the whole repo.
 //
@@ -285,7 +284,6 @@ func All() []*Analyzer {
 		FloatEq,
 		DroppedErr,
 		CollectiveErr,
-		AtomicRow,
 		PoolUse,
 		ScratchHold,
 		HotPathAlloc,

@@ -53,9 +53,8 @@ type Model interface {
 	// plausible.
 	Score(p *Params, t kg.Triple) float32
 	// ScoreRows scores from explicit embedding rows (head, relation, tail),
-	// each Width() long. Callers that must not touch the shared store
-	// directly — the lock-free hogwild workers score thread-local row
-	// snapshots — go through this entry point.
+	// each Width() long — the entry point for callers whose rows do not sit
+	// in a Params (the trainer's sharded tables, scratch snapshots).
 	ScoreRows(h, r, t []float32) float32
 	// AccumulateScoreGrad adds coef * dScore/dRow into the three gradient
 	// rows (head entity, relation, tail entity), each Width() long.

@@ -144,23 +144,49 @@ func (s *DegreeSampler) CorruptN(pos kg.Triple, n int, dst []kg.Triple) []kg.Tri
 	return dst
 }
 
-// SelectHardest implements the paper's negative sample selection (§4.5):
-// draw n negatives, score each with a forward pass, and return the one the
-// model finds hardest to classify — the negative with the LEAST negative
-// (i.e. highest) score. The second return value is the number of extra
-// forward-pass scores spent, for compute-time accounting.
-func SelectHardest(m Model, p *Params, s Corrupter, pos kg.Triple, n int, scratch []kg.Triple) (kg.Triple, int) {
-	if n <= 1 {
-		return s.Corrupt(pos), 0
-	}
-	cands := s.CorruptN(pos, n, scratch)
-	best := cands[0]
-	bestScore := m.Score(p, best)
-	for _, c := range cands[1:] {
-		if sc := m.Score(p, c); sc > bestScore {
-			bestScore = sc
-			best = c
+// Rows resolves embedding rows by id — the one question the per-triple
+// arithmetic asks of its storage. *Params answers it from full tables; the
+// trainer's sharded tables answer it from an owned shard plus pulled rows.
+type Rows interface {
+	EntityRow(id int32) []float32
+	RelationRow(id int32) []float32
+}
+
+// EntityRow implements Rows.
+//
+//kgelint:hotpath
+func (p *Params) EntityRow(id int32) []float32 { return p.Entity.Row(int(id)) }
+
+// RelationRow implements Rows.
+//
+//kgelint:hotpath
+func (p *Params) RelationRow(id int32) []float32 { return p.Relation.Row(int(id)) }
+
+// Hardest returns the index of the candidate the model finds hardest to
+// classify — the one with the LEAST negative (i.e. highest) score; the first
+// wins a tie. It is the argmax of the paper's negative sample selection
+// (§4.5), shared by SelectHardest and the trainer.
+//
+//kgelint:hotpath
+func Hardest(m Model, rows Rows, cands []kg.Triple) int {
+	best, bestScore := 0, float32(0)
+	for i, c := range cands {
+		sc := m.ScoreRows(rows.EntityRow(c.H), rows.RelationRow(c.R), rows.EntityRow(c.T))
+		if i == 0 || sc > bestScore {
+			best, bestScore = i, sc
 		}
 	}
-	return best, n
+	return best
+}
+
+// SelectHardest implements the paper's negative sample selection (§4.5):
+// draw n negatives, score each with a forward pass, and return the hardest
+// (see Hardest). The second return value is the number of extra forward-pass
+// scores spent, for compute-time accounting.
+func SelectHardest(m Model, p *Params, s Corrupter, pos kg.Triple, n int, scratch []kg.Triple) (kg.Triple, int) {
+	cands := s.CorruptN(pos, max(n, 1), scratch)
+	if len(cands) == 1 {
+		return cands[0], 0
+	}
+	return cands[Hardest(m, p, cands)], n
 }

@@ -5,9 +5,9 @@ import "kgedist/internal/tensor"
 // Scratch is a per-worker bundle of the six Width()-long rows every scoring
 // and gradient sweep needs: thread-local snapshots of the head, relation
 // and tail embeddings (H, R, T) and the matching gradient accumulators
-// (GH, GR, GT). Hot loops — hogwild workers, serve sweeps, evaluation —
-// allocate one Scratch per worker up front and reuse it for every triple,
-// keeping the inner loop allocation-free.
+// (GH, GR, GT). Hot loops — serve sweeps, evaluation — allocate one Scratch
+// per worker up front and reuse it for every triple, keeping the inner loop
+// allocation-free.
 //
 // A Scratch is exclusively owned by one goroutine; nothing in it may be
 // shared or retained by a callee. All six slices are valid for the life of
@@ -48,9 +48,7 @@ func (s *Scratch) ZeroGrads() {
 }
 
 // Score loads the triple's rows from p into the snapshot slices and scores
-// them — the single-threaded convenience path; concurrent readers of a
-// shared store must load snapshots themselves (e.g. with AtomicRowLoad)
-// before calling m.ScoreRows(s.H, s.R, s.T).
+// them.
 func (s *Scratch) Score(m Model, p *Params, h, r, t int32) float32 {
 	copy(s.H, p.Entity.Row(int(h)))
 	copy(s.R, p.Relation.Row(int(r)))

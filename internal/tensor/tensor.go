@@ -9,10 +9,8 @@
 //
 // Ownership and concurrency: the free-function kernels (Dot, Axpy, ...)
 // only read their inputs and write their named outputs; they never retain a
-// slice past the call. None of them are synchronized — a slice shared
-// between goroutines must be accessed through the Atomic* accessors in
-// atomic.go, which is how the hogwild trainer uses a shared Matrix; the
-// plain kernels are for exclusively-owned rows and scratch.
+// slice past the call. None of them are synchronized: they are for
+// exclusively-owned rows and scratch.
 package tensor
 
 import "math"
@@ -161,9 +159,9 @@ func Fill(x []float32, v float32) {
 // vectors. Data is a single backing slice of Rows*Cols elements, so a whole
 // matrix can be communicated or checkpointed as one contiguous buffer.
 //
-// A Matrix has no internal synchronization. Concurrent access to rows that
-// may be written (the hogwild parameter store) must go through AtomicRow*;
-// read-only sharing of a frozen matrix (the serving store) is safe as-is.
+// A Matrix has no internal synchronization: a matrix being written belongs
+// to one goroutine; read-only sharing of a frozen matrix (the serving store)
+// is safe as-is.
 type Matrix struct {
 	Rows, Cols int
 	Data       []float32

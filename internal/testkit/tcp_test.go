@@ -3,12 +3,14 @@ package testkit
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"kgedist/internal/core"
+	"kgedist/internal/grad"
 	"kgedist/internal/kg"
 )
 
@@ -43,24 +45,61 @@ func TestVerifyTCPTrajectoryIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesPinned pins the checkpoint file every table layout and
-// fabric writes at GoldenBaseConfig/GoldenDataset with CheckpointEvery=2 (the
-// last write, epoch 8). The constants were recorded before the three
-// checkpoint paths became one protocol over one merge, so a merge that loses
-// or misplaces a row fails here at zero tolerance. The CRC covers the body
+// TestCheckpointBytesPinned pins, per table layout, fabric and per-triple
+// configuration, the checkpoint file written at GoldenBaseConfig/GoldenDataset
+// with CheckpointEvery=2 (the last write, epoch 8) and the run's virtual
+// ledger (CommBytes, TotalHours bits). The constants were recorded before the
+// three checkpoint paths became one protocol over one merge and before the
+// replicated and sharded per-triple bodies became one, so a merge that loses
+// a row, a sampler stream consumed in another order, or a compute charge
+// rounded differently fails here at zero tolerance. The CRC covers the body
 // only: a file that carries its own CRC-32 footer hashes to the same residue
 // whatever it contains.
 func TestCheckpointBytesPinned(t *testing.T) {
 	d := GoldenDataset()
+	ss := func(c *core.Config) { c.NegSamples, c.NegSelect = 4, true }
+	margin := func(c *core.Config) { c.ModelName, c.LossName, c.NegSamples = "transe", "margin", 3 }
 	for _, tc := range []struct {
-		name   string
-		run    func(Scenario, *kg.Dataset) (*core.Result, error)
-		mutate func(*core.Config)
-		want   uint32
+		name      string
+		run       func(Scenario, *kg.Dataset) (*core.Result, error)
+		mutate    func(*core.Config)
+		crc       uint32
+		commBytes int64
+		hoursBits uint64
 	}{
-		{"replicated-rp/chan", RunScenario, func(c *core.Config) { c.RelationPartition = true }, 0xf9f8308f},
-		{"partitioned/chan", RunScenario, func(c *core.Config) { c.Partitioned = true }, 0x9185334c},
-		{"replicated-rp/tcp", RunScenarioTCP, func(c *core.Config) { c.RelationPartition = true }, 0xf9f8308f},
+		{"replicated-rp/chan", RunScenario, func(c *core.Config) { c.RelationPartition = true },
+			0xf9f8308f, 2542720, 0x3ec50bbe91fc2fa4},
+		{"partitioned/chan", RunScenario, func(c *core.Config) { c.Partitioned = true },
+			0x9185334c, 4794768, 0x3ecb5d84aedcde50},
+		{"replicated-rp/tcp", RunScenarioTCP, func(c *core.Config) { c.RelationPartition = true },
+			0xf9f8308f, 2563120, 0x3ec588866feef8ab},
+		{"ss", RunScenario, ss, 0x957a6fa1, 2112640, 0x3ec85942df667abb},
+		{"ss/partitioned", RunScenario, func(c *core.Config) { ss(c); c.Partitioned = true },
+			0xa3ab2ab6, 4789360, 0x3ece38e343d26a6b},
+		{"transe-margin", RunScenario, margin, 0x54709f89, 1056640, 0x3ec2e323fbc815b8},
+		{"transe-margin/partitioned", RunScenario, func(c *core.Config) { margin(c); c.Partitioned = true },
+			0xf0408b40, 2499280, 0x3ec655d683852a6e},
+		{"degree-ss-rp", RunScenario, func(c *core.Config) {
+			c.NegSampling, c.NegSamples, c.NegSelect, c.RelationPartition = "degree", 3, true, true
+		}, 0x3f48f834, 2542720, 0x3ec72f9d4036dbdf},
+		{"degree-clip/partitioned", RunScenario, func(c *core.Config) {
+			c.NegSampling, c.NegSamples, c.ClipNorm, c.Partitioned = "degree", 2, 0.5, true
+		}, 0x8425af39, 4792272, 0x3ecddda9840aa690},
+		{"allgather-1bit-ef-rs-clip-adagrad", RunScenario, func(c *core.Config) {
+			c.Comm, c.Quant, c.ErrorFeedback = core.CommAllGather, grad.OneBitMax, true
+			c.Select, c.ClipNorm, c.OptimizerName = grad.SelectBernoulli, 0.5, "adagrad"
+		}, 0xb458a07c, 472072, 0x3ec0907d2d8e5a29},
+		{"distmult-sgd-hash-rs/partitioned", RunScenario, func(c *core.Config) {
+			c.ModelName, c.OptimizerName, c.Partitioned, c.PartitionBy = "distmult", "sgd", true, "hash"
+			c.Select, c.NegSamples = grad.SelectBernoulli, 2
+		}, 0x55eb2d19, 2390216, 0x3ec62c4840054060},
+		{"combined", RunScenario, func(c *core.Config) {
+			ss(c)
+			c.Comm, c.ProbeEvery, c.Select = core.CommDynamic, 2, grad.SelectBernoulli
+			c.Quant, c.RelationPartition = grad.OneBitMax, true
+		}, 0x4acbf5fd, 830252, 0x3ec4470efc2a041f},
+		{"dyncomp", RunScenario, func(c *core.Config) { c.Comm = core.CommDynamicCompress },
+			0xc48c2e25, 1402044, 0x3ed01ae2259e6828},
 	} {
 		path := filepath.Join(t.TempDir(), "ckpt.bin")
 		sc := Scenario{Name: tc.name, Nodes: 3, Mutate: func(c *core.Config) {
@@ -68,15 +107,67 @@ func TestCheckpointBytesPinned(t *testing.T) {
 			c.CheckpointEvery = 2
 			c.CheckpointPath = path
 		}}
-		if _, err := tc.run(sc, d); err != nil {
+		res, err := tc.run(sc, d)
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != tc.want {
-			t.Errorf("%s: checkpoint body CRC %#08x, want %#08x", tc.name, got, tc.want)
+		if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != tc.crc {
+			t.Errorf("%s: checkpoint body CRC %#08x, want %#08x", tc.name, got, tc.crc)
+		}
+		if got := math.Float64bits(res.TotalHours); res.CommBytes != tc.commBytes || got != tc.hoursBits {
+			t.Errorf("%s: ledger CommBytes %d / TotalHours bits %#016x, want %d / %#016x",
+				tc.name, res.CommBytes, got, tc.commBytes, tc.hoursBits)
+		}
+	}
+}
+
+// TestTrackEpochStatsAcrossLayoutsAndFabrics: the per-epoch merged-model
+// ValTCA is served by the collective merge, so it needs neither full replicas
+// nor one address space. Sharded tables and RP's rank-private relation rows
+// record it every epoch, identically over the channel world and over TCP,
+// and evaluating it leaves the trained model alone.
+func TestTrackEpochStatsAcrossLayoutsAndFabrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains three full runs per layout")
+	}
+	d := GoldenDataset()
+	for _, tc := range []struct {
+		name   string
+		layout func(*core.Config)
+	}{
+		{"partitioned", func(c *core.Config) { c.Partitioned = true }},
+		{"relation-partition", func(c *core.Config) { c.RelationPartition = true }},
+	} {
+		plain, err := RunScenario(Scenario{Name: tc.name, Nodes: 3, Mutate: tc.layout}, d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		tracked := Scenario{Name: tc.name, Nodes: 3, Mutate: func(c *core.Config) {
+			tc.layout(c)
+			c.TrackEpochStats = true
+		}}
+		ch, err := RunScenario(tracked, d)
+		if err != nil {
+			t.Fatalf("%s/chan: %v", tc.name, err)
+		}
+		tcp, err := RunScenarioTCP(tracked, d)
+		if err != nil {
+			t.Fatalf("%s/tcp: %v", tc.name, err)
+		}
+		if len(ch.PerEpoch) == 0 || len(ch.PerEpoch) != len(tcp.PerEpoch) {
+			t.Fatalf("%s: %d epochs over channels, %d over TCP", tc.name, len(ch.PerEpoch), len(tcp.PerEpoch))
+		}
+		for i, e := range ch.PerEpoch {
+			if got := tcp.PerEpoch[i].ValTCA; e.ValTCA <= 0 || got != e.ValTCA {
+				t.Errorf("%s: epoch %d ValTCA %v over channels, %v over TCP", tc.name, e.Epoch, e.ValTCA, got)
+			}
+		}
+		if ch.MRR != plain.MRR || tcp.MRR != plain.MRR {
+			t.Errorf("%s: MRR %v untracked, %v tracked over channels, %v over TCP", tc.name, plain.MRR, ch.MRR, tcp.MRR)
 		}
 	}
 }
