@@ -3,8 +3,6 @@
 # Run `make help` for a target summary.
 
 GO ?= go
-COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
-BENCH_OUT ?= BENCH_$(shell date +%F).json
 
 # Packages with real concurrency (goroutine ranks, parameter-server shards,
 # the trainer that drives them) get a dedicated
@@ -118,14 +116,12 @@ loadbench:
 	$(GO) run ./cmd/kgeload -entities 8000 -dim 32 -clusters 256 \
 		-qps 200 -duration 2s -fidelity 60 -min-recall 0.95
 
-# Reproducible perf capture: run the kernel micro-benchmarks, parse the
-# output with cmd/benchjson, and write a schema-versioned JSON capture
-# stamped with the current commit. Compare captures across commits as
-# documented in PERFORMANCE.md. Override the file with BENCH_OUT=....
-## bench: run micro-benchmarks and write $(BENCH_OUT)
+# Kernel micro-benchmarks as plain `go test -bench` text (ns/op, allocs/op,
+# custom units). Diagnostic only: performance claims come from paired
+# `kgeperf -compare` runs (bench/README.md).
+## bench: run the kernel micro-benchmarks (go test -bench text)
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchjson -commit "$(COMMIT)" -out $(BENCH_OUT)
+	$(GO) test -bench=. -benchmem -run '^$$' $(BENCH_PKGS)
 
 # One-iteration pass over every benchmark in the repo: proves each still
 # compiles and runs without measuring anything. CI runs this tier.

@@ -1,15 +1,13 @@
 // Command kgeload drives sustained concurrent predict traffic against a
 // kgeserve instance and records what the server actually delivered: p50/p99
 // latency, achieved QPS at a target arrival rate, and — for mode=approx —
-// recall@k against the exact ranking. Results merge into the repo's
-// BENCH_<date>.json capture (kgedist-bench/v1), so serving performance is
-// tracked next to the kernel microbenchmarks.
+// recall@k against the exact ranking.
 //
 // Point it at a live server, or let it self-host one over a generated
 // clustered checkpoint (trained-like geometry; see model.ClusteredInit):
 //
 //	kgeload -addr http://localhost:8080 -qps 400 -duration 10s
-//	kgeload -entities 50000 -dim 64 -qps 400 -json BENCH_$(date +%F).json
+//	kgeload -entities 50000 -dim 64 -qps 400 -min-recall 0.95
 //
 // The load phase is open-loop: arrivals are paced at -qps regardless of
 // completions, so a server that cannot keep up shows queueing in its p99
@@ -31,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"kgedist/internal/benchfmt"
 	"kgedist/internal/model"
 	"kgedist/internal/serve"
 	"kgedist/internal/xrand"
@@ -54,10 +51,7 @@ func main() {
 		k          = flag.Int("k", 10, "top-k per predict")
 		candidates = flag.Int("candidates", serve.DefaultCandidates, "approx stage-1 budget")
 		fidelity   = flag.Int("fidelity", 200, "queries in the recall@k fidelity phase (0 skips)")
-		out        = flag.String("json", "", "BENCH_<date>.json to merge results into (empty = print only)")
-		commit     = flag.String("commit", "", "git commit hash to stamp into a fresh capture")
 		minRecall  = flag.Float64("min-recall", 0, "fail when recall@k falls below this (0 disables)")
-		minSpeedup = flag.Float64("min-speedup", 0, "fail when exact p50 / approx p50 falls below this (0 disables)")
 	)
 	flag.Parse()
 
@@ -84,8 +78,6 @@ func main() {
 	rng := xrand.New(*seed).Split(0x10ad)
 	queries := sampleQueries(rng, 1024, numEntities, numRelations)
 
-	var records []benchfmt.Benchmark
-
 	// Fidelity phase: per-query recall@k of approx against exact.
 	recall := -1.0
 	if *fidelity > 0 {
@@ -94,13 +86,6 @@ func main() {
 			log.Fatalf("kgeload: fidelity: %v", err)
 		}
 		log.Printf("recall@%d (c=%d) = %.4f over %d queries", *k, *candidates, recall, min(*fidelity, len(queries)))
-		records = append(records, benchfmt.Benchmark{
-			Name:    fmt.Sprintf("BenchmarkServeRecall/k=%d/c=%d", *k, *candidates),
-			Package: "kgedist/cmd/kgeload",
-			Runs:    int64(min(*fidelity, len(queries))),
-			NsPerOp: 1, // the measurement is the metric, not the timing
-			Metrics: map[string]float64{"recall_at_k": recall},
-		})
 	}
 
 	// Load phases: exact then approx, same arrival process.
@@ -116,36 +101,11 @@ func main() {
 		achieved := float64(res.ok) / res.elapsed.Seconds()
 		log.Printf("mode=%s: %d ok, %d errors, p50 %.3fms p99 %.3fms, %.1f/%.1f qps",
 			mode, res.ok, res.errs, p50[mode]*1e3, p99*1e3, achieved, *qps)
-		records = append(records, benchfmt.Benchmark{
-			Name:    fmt.Sprintf("BenchmarkServeLoad/mode=%s", mode),
-			Package: "kgedist/cmd/kgeload",
-			Runs:    res.ok,
-			NsPerOp: mean(res.latencies) * 1e9,
-			Metrics: map[string]float64{
-				"p50_ms":       p50[mode] * 1e3,
-				"p99_ms":       p99 * 1e3,
-				"qps_target":   *qps,
-				"qps_achieved": achieved,
-				"errors":       float64(res.errs),
-				"k":            float64(*k),
-				"candidates":   float64(*candidates),
-			},
-		})
 	}
-	speedup := p50["exact"] / p50["approx"]
-	log.Printf("approx p50 speedup over exact: %.2fx", speedup)
+	log.Printf("approx p50 speedup over exact: %.2fx", p50["exact"]/p50["approx"])
 
-	if *out != "" {
-		if err := mergeCapture(*out, *commit, records); err != nil {
-			log.Fatalf("kgeload: %v", err)
-		}
-		log.Printf("merged %d record(s) into %s", len(records), *out)
-	}
 	if *minRecall > 0 && recall >= 0 && recall < *minRecall {
 		log.Fatalf("kgeload: recall@%d %.4f below floor %.4f", *k, recall, *minRecall)
-	}
-	if *minSpeedup > 0 && speedup < *minSpeedup {
-		log.Fatalf("kgeload: p50 speedup %.2fx below floor %.2fx", speedup, *minSpeedup)
 	}
 }
 
@@ -171,7 +131,6 @@ func selfHost(ckpt, name string, dim, entities, relations, clusters int, spread 
 		CheckpointPath: ckpt,
 		CacheSize:      0,
 		MaxBatch:       64,
-		BatchWindow:    time.Millisecond,
 	})
 	if err != nil {
 		return "", nil, err
@@ -359,61 +318,4 @@ func percentile(sorted []float64, p float64) float64 {
 	}
 	idx := int(p * float64(len(sorted)-1))
 	return sorted[idx]
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// mergeCapture folds the load records into the BENCH file at path: an
-// existing capture keeps its microbenchmark entries (prior ServeLoad /
-// ServeRecall records are replaced), a missing one is created fresh.
-func mergeCapture(path, commit string, records []benchfmt.Benchmark) error {
-	f := &benchfmt.File{Schema: benchfmt.Schema, Commit: commit, GoVersion: runtime.Version()}
-	if raw, err := os.Open(path); err == nil {
-		prev, derr := benchfmt.Decode(raw)
-		_ = raw.Close()
-		if derr != nil {
-			return fmt.Errorf("existing %s: %w", path, derr)
-		}
-		f = prev
-		if commit != "" {
-			// An explicit -commit re-stamps the capture: the merged file
-			// describes the tree the load numbers were measured on.
-			f.Commit = commit
-		}
-		kept := f.Benchmarks[:0]
-		for _, b := range f.Benchmarks {
-			if b.Package != "kgedist/cmd/kgeload" {
-				kept = append(kept, b)
-			}
-		}
-		f.Benchmarks = kept
-	}
-	f.Date = time.Now().UTC().Format(time.RFC3339)
-	f.Benchmarks = append(f.Benchmarks, records...)
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".kgeload-*")
-	if err != nil {
-		return err
-	}
-	if err := f.Encode(tmp); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

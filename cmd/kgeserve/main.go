@@ -38,17 +38,16 @@ import (
 
 func main() {
 	var (
-		ckpt        = flag.String("model", "", "KGE2 checkpoint written by kgetrain -save (required)")
-		addr        = flag.String("addr", ":8080", "listen address")
-		dataDir     = flag.String("data", "", "OpenKE-layout dataset directory for filtered ranking")
-		preset      = flag.String("dataset", "", "synthetic preset instead of -data: fb15k-mini, fb250k-mini")
-		seed        = flag.Uint64("seed", 1, "random seed for -dataset generation")
-		shardRows   = flag.Int("shard-rows", 0, "entity rows per store shard (0 = default)")
-		cacheSize   = flag.Int("cache", 4096, "result cache entries (0 disables caching)")
-		maxBatch    = flag.Int("batch-max", 64, "max predict queries coalesced into one sweep")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "accepted and ignored: the batcher no longer waits for company")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
+		ckpt      = flag.String("model", "", "KGE2 checkpoint written by kgetrain -save (required)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		dataDir   = flag.String("data", "", "OpenKE-layout dataset directory for filtered ranking")
+		preset    = flag.String("dataset", "", "synthetic preset instead of -data: fb15k-mini, fb250k-mini")
+		seed      = flag.Uint64("seed", 1, "random seed for -dataset generation")
+		shardRows = flag.Int("shard-rows", 0, "entity rows per store shard (0 = default)")
+		cacheSize = flag.Int("cache", 4096, "result cache entries (0 disables caching)")
+		maxBatch  = flag.Int("batch-max", 64, "max predict queries coalesced into one sweep")
+		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	)
 	flag.Parse()
 	if *ckpt == "" {
@@ -95,7 +94,6 @@ func main() {
 		ShardRows:      *shardRows,
 		CacheSize:      *cacheSize,
 		MaxBatch:       *maxBatch,
-		BatchWindow:    *batchWindow,
 		Filter:         filter,
 	})
 	if err != nil {

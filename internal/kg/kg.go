@@ -292,42 +292,3 @@ func ComputeStats(d *Dataset) Stats {
 	}
 	return s
 }
-
-// AugmentInverses returns a copy of the dataset whose training split also
-// contains the inverse of every training triple: (t, r + NumRelations, h).
-// Inverse-relation augmentation is the standard preprocessing of the
-// SimplE/ComplEx-N3 line of work; NumRelations doubles, validation and test
-// splits are left untouched so evaluation stays comparable.
-func AugmentInverses(d *Dataset) *Dataset {
-	out := &Dataset{
-		Name:         d.Name + "+inv",
-		NumEntities:  d.NumEntities,
-		NumRelations: 2 * d.NumRelations,
-		Train:        make([]Triple, 0, 2*len(d.Train)),
-		Valid:        d.Valid,
-		Test:         d.Test,
-	}
-	out.Train = append(out.Train, d.Train...)
-	for _, t := range d.Train {
-		out.Train = append(out.Train, Triple{
-			H: t.T,
-			R: t.R + int32(d.NumRelations),
-			T: t.H,
-		})
-	}
-	return out
-}
-
-// RelationsOf returns the sorted set of distinct relation ids in triples.
-func RelationsOf(triples []Triple) []int32 {
-	seen := map[int32]struct{}{}
-	for _, t := range triples {
-		seen[t.R] = struct{}{}
-	}
-	out := make([]int32, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -216,20 +216,6 @@ func TestPartitionImbalanceValues(t *testing.T) {
 	}
 }
 
-func TestRelationsOf(t *testing.T) {
-	t.Parallel()
-	rs := RelationsOf([]Triple{{R: 3}, {R: 1}, {R: 3}, {R: 0}})
-	want := []int32{0, 1, 3}
-	if len(rs) != len(want) {
-		t.Fatalf("RelationsOf = %v", rs)
-	}
-	for i := range want {
-		if rs[i] != want[i] {
-			t.Fatalf("RelationsOf = %v", rs)
-		}
-	}
-}
-
 // Property: relation partition never splits a relation and never loses
 // triples, for arbitrary random triple sets and rank counts.
 func TestQuickRelationPartition(t *testing.T) {
@@ -315,39 +301,6 @@ func TestRelationPartitionLPTDeterministic(t *testing.T) {
 				t.Fatal("nondeterministic LPT partition content")
 			}
 		}
-	}
-}
-
-func TestAugmentInverses(t *testing.T) {
-	t.Parallel()
-	d := smallDataset()
-	aug := AugmentInverses(d)
-	if aug.NumRelations != 2*d.NumRelations {
-		t.Fatalf("relations %d, want %d", aug.NumRelations, 2*d.NumRelations)
-	}
-	if len(aug.Train) != 2*len(d.Train) {
-		t.Fatalf("train size %d", len(aug.Train))
-	}
-	if err := aug.Validate(); err != nil {
-		t.Fatalf("augmented dataset invalid: %v", err)
-	}
-	// Each original triple has its inverse present.
-	set := map[Triple]bool{}
-	for _, tr := range aug.Train {
-		set[tr] = true
-	}
-	for _, tr := range d.Train {
-		inv := Triple{H: tr.T, R: tr.R + int32(d.NumRelations), T: tr.H}
-		if !set[inv] {
-			t.Fatalf("missing inverse of %+v", tr)
-		}
-	}
-	// Valid/test untouched; original unmodified.
-	if len(aug.Valid) != len(d.Valid) || len(aug.Test) != len(d.Test) {
-		t.Fatal("eval splits changed")
-	}
-	if len(d.Train) != 5 || d.NumRelations != 4 {
-		t.Fatal("original dataset mutated")
 	}
 }
 

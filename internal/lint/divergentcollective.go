@@ -1,8 +1,8 @@
 package lint
 
 // divergentcollective catches the classic MPI deadlock: a collective call
-// (AllReduceSum, AllGatherRows, Broadcast, ...) that only some ranks reach
-// because control flow branched on rank-local data. internal/mpi's
+// (AllReduceSum, AllGatherRows, ReduceScatterEncoded, ...) that only some
+// ranks reach because control flow branched on rank-local data. internal/mpi's
 // collectives all end in a full-world rendezvous, so a single diverging rank
 // hangs every other rank forever — in CI that used to mean a 10-minute
 // timeout with no diagnostic. The analyzer flags collective calls that are
@@ -26,17 +26,6 @@ var DivergentCollective = &Analyzer{
 	Doc: "flag mpi collective calls inside conditionals or after early exits " +
 		"that depend on rank-local data (divergent-collective deadlock)",
 	Run: runDivergentCollective,
-}
-
-// collectiveNames is the full collective surface of internal/mpi. Keep in
-// sync with the Comm methods that end in a rendezvous.
-var collectiveNames = map[string]bool{
-	"Barrier":         true,
-	"Broadcast":       true,
-	"AllReduceSum":    true,
-	"AllGatherRows":   true,
-	"AllGatherBytes":  true,
-	"AllReduceScalar": true,
 }
 
 func runDivergentCollective(pass *Pass) error {
@@ -230,8 +219,10 @@ func (w *dcWalker) reportIfCollective(call *ast.CallExpr, divergent bool) {
 	if !divergent {
 		return
 	}
+	// A collective is any Comm method with an error result: every one of
+	// them ends in a rendezvous (collectiveerr applies the same rule).
 	f := calleeFunc(w.pass, call)
-	if f == nil || !collectiveNames[f.Name()] || !isMethodOn(f, "internal/mpi", "Comm") {
+	if f == nil || !isMethodOn(f, "internal/mpi", "Comm") || collectiveErrIndex(w.pass, call) < 0 {
 		return
 	}
 	w.pass.Reportf(call.Pos(),

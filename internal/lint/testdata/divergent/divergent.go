@@ -2,7 +2,10 @@
 // only by some ranks must be flagged; uniform call sequences must not.
 package divfix
 
-import "kgedist/internal/mpi"
+import (
+	"kgedist/internal/grad"
+	"kgedist/internal/mpi"
+)
 
 func insideIf(c *mpi.Comm, buf []float32) {
 	if c.Rank() == 0 {
@@ -14,14 +17,20 @@ func insideElse(c *mpi.Comm, buf []float32) {
 	if c.Rank() == 0 {
 		buf[0] = 1
 	} else {
-		c.Broadcast(buf, 0) // want "rank-dependent control flow"
+		c.AllReduceScalar(float64(buf[0]), mpi.OpMax) // want "rank-dependent control flow"
 	}
 }
 
 func viaVariable(c *mpi.Comm, buf []float32) {
 	myID := c.Rank()
 	if myID > 1 {
-		c.Broadcast(buf, 0) // want "rank-dependent control flow"
+		c.AllGatherBytes(nil, "bad") // want "rank-dependent control flow"
+	}
+}
+
+func compressedHop(c *mpi.Comm, enc *grad.Encoded, mg *grad.Merger) {
+	if c.Rank() == 0 {
+		c.ReduceScatterEncoded(enc, 8, mg, nil, "bad") // want "rank-dependent control flow"
 	}
 }
 
@@ -54,7 +63,7 @@ func uniform(c *mpi.Comm, buf []float32) {
 	}
 	c.Barrier()
 	for i := 0; i < 3; i++ {
-		c.Broadcast(buf, 0)
+		c.AllReduceSum(buf, "good")
 	}
 }
 

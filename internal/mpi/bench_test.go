@@ -35,25 +35,6 @@ func BenchmarkAllReduceSum(b *testing.B) {
 	}
 }
 
-func BenchmarkBroadcast(b *testing.B) {
-	const p, n = 4, 4096
-	w := benchWorld(p)
-	bufs := make([][]float32, p)
-	for r := range bufs {
-		bufs[r] = make([]float32, n)
-	}
-	b.ReportAllocs()
-	b.SetBytes(4 * n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Run(func(c *Comm) {
-			if _, err := c.Broadcast(bufs[c.Rank()], 0); err != nil {
-				b.Error(err)
-			}
-		})
-	}
-}
-
 // The sparse exchange: payloads are freshly allocated inside the loop by
 // contract (all-gather transfers ownership to the world), so this tracks
 // the unavoidable wire-garbage floor of the all-gather path.

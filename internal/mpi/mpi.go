@@ -29,7 +29,7 @@
 //
 // Two disciplines keep the hot path allocation-free without data races
 // (DESIGN.md §10). Point-to-point staging copies inside the dense
-// collectives (AllReduceSum, Broadcast) are recycled through internal/pool:
+// collectives (AllReduceSum) are recycled through internal/pool:
 // the sender gets a buffer, exactly one receiver consumes it and puts it
 // back. All-gather payloads (AllGatherRows, AllGatherBytes) are the
 // opposite: the ring rotation shares one backing array with every rank, so
@@ -381,53 +381,6 @@ func (c *Comm) Barrier() error {
 	}
 	cost, moved, msgs := c.w.cluster.BarrierCost()
 	return c.finish(cost, moved, msgs, "barrier")
-}
-
-// Broadcast sends root's buf to every rank's buf via a binomial tree.
-// Returns the virtual cost of the operation. buf is caller-owned and fully
-// overwritten on non-root ranks; staging copies travel through the pool
-// (sender gets, the single receiver consumes and puts), so the steady-state
-// exchange allocates nothing.
-//
-//kgelint:hotpath
-func (c *Comm) Broadcast(buf []float32, root int) (float64, error) {
-	if err := c.enter(); err != nil {
-		return 0, err
-	}
-	p := c.w.p
-	cost, moved, msgs := c.w.cluster.BroadcastCost(int64(4 * len(buf)))
-	if p > 1 {
-		// Rotate ranks so the root is virtual rank 0.
-		vr := (c.rank - root + p) % p
-		// Binomial tree: in round k, ranks with vr < 2^k send to vr + 2^k.
-		received := vr == 0
-		for k := 1; k < 2*p; k <<= 1 {
-			if vr < k && vr+k < p {
-				if !received {
-					panic("mpi: broadcast tree order violated")
-				}
-				dst := (vr + k + root) % p
-				out := pool.GetF32Uninit(len(buf))
-				copy(out, buf)
-				if err := c.send(dst, message{F32: out}); err != nil {
-					return 0, err
-				}
-			} else if vr >= k && vr < 2*k {
-				src := (vr - k + root) % p
-				m, err := c.recv(src)
-				if err != nil {
-					return 0, err
-				}
-				copy(buf, m.F32)
-				pool.PutF32(m.F32)
-				received = true
-			}
-		}
-	}
-	if err := c.finish(cost, moved, msgs, "broadcast"); err != nil {
-		return 0, err
-	}
-	return cost, nil
 }
 
 // AllReduceSum sums buf element-wise across all ranks, leaving the result in

@@ -134,32 +134,6 @@ func TestAllReduceSumCostReturned(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		for root := 0; root < p; root++ {
-			w := newWorld(p)
-			results := make([][]float32, p)
-			w.Run(func(c *Comm) {
-				buf := make([]float32, 16)
-				if c.Rank() == root {
-					for i := range buf {
-						buf[i] = float32(i + 100*root)
-					}
-				}
-				c.Broadcast(buf, root)
-				results[c.Rank()] = buf
-			})
-			for r := 0; r < p; r++ {
-				for i := 0; i < 16; i++ {
-					if results[r][i] != float32(i+100*root) {
-						t.Fatalf("p=%d root=%d rank=%d elem %d = %v", p, root, r, i, results[r][i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestAllGatherRows(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 6} {
 		w := newWorld(p)
@@ -428,7 +402,7 @@ func TestRandomCollectiveSequences(t *testing.T) {
 						case 3:
 							c.AllReduceScalar(float64(c.Rank()), OpMax)
 						case 4:
-							c.Broadcast(buf, op%p)
+							c.AllGatherBytes([]byte{byte(c.Rank())}, "s")
 						}
 					}
 				})

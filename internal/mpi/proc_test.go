@@ -69,9 +69,6 @@ func TestProcessWorldMatchesChannelWorld(t *testing.T) {
 		if _, err := c.AllReduceSum(buf, "test"); err != nil {
 			return nil, 0, err
 		}
-		if _, err := c.Broadcast(buf[:8], 1); err != nil {
-			return nil, 0, err
-		}
 		idx := []int32{int32(c.Rank())}
 		vals := []float32{float32(c.Rank()) * 2.5}
 		allIdx, allVals, _, err := c.AllGatherRows(idx, vals, "test")

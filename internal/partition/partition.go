@@ -99,32 +99,8 @@ type Plan struct {
 	Shards [][]kg.Triple
 }
 
-// UID maps a (isRelation, id) row to the unified id space: entity e is e,
-// relation r is NumEntities + r.
-func (p *Plan) UID(isRelation bool, id int32) int32 {
-	if isRelation {
-		return int32(p.NumEntities) + id
-	}
-	return id
-}
-
-// EntityUID returns the unified id of entity e (the identity, named for
-// symmetry with RelationUID).
-func (p *Plan) EntityUID(e int32) int32 { return e }
-
 // RelationUID returns the unified id of relation r.
 func (p *Plan) RelationUID(r int32) int32 { return int32(p.NumEntities) + r }
-
-// IsRelationUID reports whether a unified id addresses the relation table.
-func (p *Plan) IsRelationUID(uid int32) bool { return int(uid) >= p.NumEntities }
-
-// Owner returns the owner rank of a unified row id.
-func (p *Plan) Owner(uid int32) int {
-	if int(uid) >= p.NumEntities {
-		return int(p.RelationOwner[int(uid)-p.NumEntities])
-	}
-	return int(p.EntityOwner[uid])
-}
 
 // Rows returns the unified row count (entities + relations).
 func (p *Plan) Rows() int { return p.NumEntities + p.NumRelations }
@@ -154,17 +130,6 @@ func (p *Plan) ownedCount(rank int) int {
 		}
 	}
 	for _, o := range p.RelationOwner {
-		if int(o) == rank {
-			n++
-		}
-	}
-	return n
-}
-
-// OwnedEntities returns how many entity rows rank owns.
-func (p *Plan) OwnedEntities(rank int) int {
-	n := 0
-	for _, o := range p.EntityOwner {
 		if int(o) == rank {
 			n++
 		}

@@ -92,7 +92,6 @@ func (p *bucketed[T]) put(s []T) {
 var (
 	f32Pool  bucketed[float32]
 	bytePool bucketed[byte]
-	i32Pool  bucketed[int32]
 )
 
 // GetF32 returns a float32 slice of length n with every element zeroed.
@@ -121,11 +120,3 @@ func GetBytes(n int) []byte { return bytePool.get(n) }
 // PutBytes recycles a slice obtained from GetBytes. The caller must not
 // touch s afterwards.
 func PutBytes(s []byte) { bytePool.put(s) }
-
-// GetI32 returns an int32 slice of length n with arbitrary (recycled)
-// contents. The caller owns it exclusively until PutI32.
-func GetI32(n int) []int32 { return i32Pool.get(n) }
-
-// PutI32 recycles a slice obtained from GetI32. The caller must not touch s
-// afterwards.
-func PutI32(s []int32) { i32Pool.put(s) }

@@ -39,17 +39,17 @@ func TestCapacityClasses(t *testing.T) {
 }
 
 func TestReuseRoundTrip(t *testing.T) {
-	s := GetI32(64)
+	s := GetBytes(64)
 	s[0] = 7
-	PutI32(s)
+	PutBytes(s)
 	// sync.Pool gives no reuse guarantee, but same-goroutine immediate
 	// re-get of the same class overwhelmingly hits the private cache; all we
 	// assert is correctness, not identity.
-	r := GetI32(64)
+	r := GetBytes(64)
 	if len(r) != 64 {
 		t.Fatalf("re-get len %d", len(r))
 	}
-	PutI32(r)
+	PutBytes(r)
 }
 
 func TestOversizeRequestsBypassPool(t *testing.T) {
@@ -77,7 +77,6 @@ func TestZeroCapPutIgnored(t *testing.T) {
 	PutF32(nil)
 	PutF32([]float32{})
 	PutBytes(nil)
-	PutI32(nil)
 }
 
 // Steady-state Get/Put must not allocate (modulo sync.Pool's occasional

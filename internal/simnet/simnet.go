@@ -217,23 +217,6 @@ func (c *Cluster) BytesByTag() map[string]int64 {
 	return out
 }
 
-// ResetStats clears statistics but leaves clocks running.
-func (c *Cluster) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = Stats{}
-	c.byTag = map[string]int64{}
-}
-
-// ResetClocks rewinds all clocks to zero.
-func (c *Cluster) ResetClocks() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.clocks {
-		c.clocks[i] = 0
-	}
-}
-
 // ---- Collective cost formulas -------------------------------------------
 //
 // These are the standard LogP-style costs of the algorithms implemented in

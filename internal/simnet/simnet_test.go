@@ -69,26 +69,6 @@ func TestNegativeChargesPanic(t *testing.T) {
 	}
 }
 
-func TestResetStatsAndClocks(t *testing.T) {
-	c := NewCluster(2, XC40Params())
-	c.AddSeconds(1, 3)
-	c.Collective(1, 10, 2, "x")
-	c.ResetStats()
-	if st := c.Stats(); st.BytesMoved != 0 || st.Collectives != 0 {
-		t.Fatalf("stats not reset: %+v", st)
-	}
-	if len(c.BytesByTag()) != 0 {
-		t.Fatal("tags not reset")
-	}
-	if c.MaxTime() == 0 {
-		t.Fatal("ResetStats must not touch clocks")
-	}
-	c.ResetClocks()
-	if c.MaxTime() != 0 {
-		t.Fatal("clocks not reset")
-	}
-}
-
 func TestRingAllReduceCostSingleRankFree(t *testing.T) {
 	c := NewCluster(1, XC40Params())
 	cost, moved, msgs := c.RingAllReduceCost(1 << 20)

@@ -103,41 +103,6 @@ func Nrm2(x []float32) float32 {
 	return float32(math.Sqrt(s))
 }
 
-// Nrm2Sq returns the squared Euclidean norm of x.
-func Nrm2Sq(x []float32) float32 {
-	var s float64
-	for _, v := range x {
-		s += float64(v) * float64(v)
-	}
-	return float32(s)
-}
-
-// AbsMax returns max_i |x[i]|, or 0 for an empty slice.
-func AbsMax(x []float32) float32 {
-	var m float32
-	for _, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// AbsMean returns mean_i |x[i]|, or 0 for an empty slice.
-func AbsMean(x []float32) float32 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Abs(float64(v))
-	}
-	return float32(s / float64(len(x)))
-}
-
 // IsZero reports whether every element of x is exactly zero.
 func IsZero(x []float32) bool {
 	for _, v := range x {
@@ -184,9 +149,6 @@ func (m *Matrix) Row(i int) []float32 {
 	}
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
-
-// ZeroAll clears the whole matrix.
-func (m *Matrix) ZeroAll() { Zero(m.Data) }
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {

@@ -296,10 +296,6 @@ func (e *Endpoint) Rank() int { return e.rank }
 // Size returns the current world size.
 func (e *Endpoint) Size() int { return e.size }
 
-// OrigRank returns the stable generation-0 rank (metrics and logs are keyed
-// by it).
-func (e *Endpoint) OrigRank() int { return e.orig }
-
 // Generation returns the membership generation (0 at Dial, +1 per Shrink).
 func (e *Endpoint) Generation() uint32 { return e.gen }
 
