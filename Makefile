@@ -15,7 +15,7 @@ RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ .
 BENCH_PKGS = ./internal/grad/ ./internal/mpi/ ./internal/model/ ./internal/pool/ ./internal/tensor/ ./internal/serve/ ./internal/partition/ ./internal/core/ ./internal/binpack/
 
 .PHONY: all build vet fmt-check lint test race bench bench-smoke faults partition serve \
-	loadbench transport verify-stats soak coverage coverage-update ci help
+	loadbench transport verify-stats soak fuzz-smoke coverage coverage-update ci help
 
 all: build
 
@@ -132,7 +132,7 @@ bench-smoke:
 # Statistical verification (internal/testkit via cmd/kgeverify): golden-run
 # convergence regression over every strategy combination, diffed against the
 # committed reference with first-diverging-epoch diagnosis, plus the CLT-
-# bounded property checks (quantizer/selection unbiasedness, RP invariants,
+# bounded property checks (quantizer unbiasedness, selection keep rates, RP invariants,
 # DRS switch permanence, SS ordering). Deterministic: same build, same
 # verdict. See TESTING.md for how to read failures and update goldens.
 ## verify-stats: golden-run regression + statistical property checks
@@ -147,6 +147,19 @@ verify-stats:
 ## soak: chaos soak (train/crash/recover/serve loops) under -race
 soak:
 	$(GO) run -race ./cmd/kgeverify -soak -seed 1 -iters 5 -v
+
+# Ten seconds of coverage-guided fuzzing per Fuzz* target (tier-1 runs only
+# their seed corpora). -fuzz must match exactly one target per run, so each
+# gets its own line. Nightly CI runs this next to the soak; promote any
+# crasher it writes under testdata/fuzz/ into the committed corpus.
+## fuzz-smoke: fuzz every Fuzz* target for 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeIDs$$' -fuzztime=10s ./internal/partition/
+	$(GO) test -run '^$$' -fuzz='^FuzzUnmarshalInto$$' -fuzztime=10s ./internal/grad/
+	$(GO) test -run '^$$' -fuzz='^FuzzSparseGradOracle$$' -fuzztime=10s ./internal/grad/
+	$(GO) test -run '^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=10s ./internal/model/
+	$(GO) test -run '^$$' -fuzz='^FuzzScoreBlock$$' -fuzztime=10s ./internal/model/
+	$(GO) test -run '^$$' -fuzz='^FuzzBinpackRoundTrip$$' -fuzztime=10s ./internal/binpack/
 
 # Per-package coverage, compared against the checked-in baseline
 # (COVERAGE_BASELINE.txt). A package may drop at most COVERAGE_TOL points

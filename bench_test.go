@@ -70,26 +70,6 @@ func ablationConfig() core.Config {
 	return cfg
 }
 
-// BenchmarkQuantVariants compares training cost across the 1-bit scale
-// variants the paper evaluated before choosing max.
-func BenchmarkQuantVariants(b *testing.B) {
-	d := ablationDataset()
-	for _, s := range []grad.Scheme{
-		grad.OneBitMax, grad.OneBitAvg, grad.OneBitPosMax,
-		grad.OneBitNegMax, grad.OneBitPosAvg, grad.OneBitNegAvg,
-	} {
-		b.Run(s.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ablationConfig()
-				cfg.Quant = s
-				if _, err := core.Train(cfg, d, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkErrorFeedback measures the cost of the residual extension.
 func BenchmarkErrorFeedback(b *testing.B) {
 	d := ablationDataset()
@@ -159,46 +139,6 @@ func BenchmarkUniformVsRelationPartitionTraining(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := ablationConfig()
 				cfg.RelationPartition = rp
-				if _, err := core.Train(cfg, d, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSelectionModes compares training cost across all gradient-row
-// selection strategies (the paper's Bernoulli vs the related-work
-// baselines).
-func BenchmarkSelectionModes(b *testing.B) {
-	d := ablationDataset()
-	modes := []grad.SelectMode{
-		grad.SelectAll, grad.SelectAvgThreshold, grad.SelectAvgTenthThreshold,
-		grad.SelectBernoulli, grad.SelectTopQuarter, grad.SelectUnbiased,
-	}
-	for _, mode := range modes {
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ablationConfig()
-				cfg.Select = mode
-				if _, err := core.Train(cfg, d, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPartitionPrefixVsLPT compares the two relation partitioners
-// end to end.
-func BenchmarkPartitionPrefixVsLPT(b *testing.B) {
-	d := ablationDataset()
-	for _, algo := range []string{"prefix", "lpt"} {
-		b.Run(algo, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ablationConfig()
-				cfg.RelationPartition = true
-				cfg.PartitionAlgo = algo
 				if _, err := core.Train(cfg, d, 4); err != nil {
 					b.Fatal(err)
 				}

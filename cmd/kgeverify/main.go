@@ -10,7 +10,7 @@
 // diffs the convergence curves against the committed reference
 // (internal/testkit/testdata/goldens.json), diagnosing any drift down to
 // the first diverging epoch. Property checks test the stochastic contracts
-// (quantizer/selection unbiasedness, partition invariants, switch
+// (quantizer unbiasedness, selection keep rates, partition invariants, switch
 // permanence, hardest-negative ordering) under CLT-derived bounds. The
 // soak runs randomized-but-seeded train->crash->recover->checkpoint->serve
 // cycles and asserts MRR within tolerance plus no lost updates.

@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"kgedist/internal/grad"
-	"kgedist/internal/model"
 	"kgedist/internal/simnet"
 )
 
@@ -67,6 +66,19 @@ func (c CommStrategy) String() string {
 	return "unknown"
 }
 
+// The learning-rate schedule and weight decay every run uses: the paper's
+// values, which no flag, experiment or benchmark varies.
+const (
+	// lrScaleCap caps the linear-scaling factor of BaseLR (paper: 4).
+	lrScaleCap int = 4
+	// lrFactor multiplies the LR on plateau (paper: 0.1).
+	lrFactor float64 = 0.1
+	// minLR floors the schedule.
+	minLR float64 = 1e-5
+	// l2 is the decoupled weight-decay coefficient applied to updated rows.
+	l2 float64 = 1e-5
+)
+
 // Config assembles a training run. The zero value is not runnable; start
 // from DefaultConfig.
 type Config struct {
@@ -87,12 +99,6 @@ type Config struct {
 	BatchSize int
 	// BaseLR is the single-node learning rate (paper: 0.001).
 	BaseLR float64
-	// LRScaleCap caps the linear-scaling factor (paper: 4).
-	LRScaleCap int
-	// LRFactor multiplies the LR on plateau (paper: 0.1).
-	LRFactor float64
-	// MinLR floors the schedule.
-	MinLR float64
 	// Tolerance is the plateau patience in epochs (paper: 15).
 	Tolerance int
 	// StopPatience ends training after this many epochs without
@@ -100,15 +106,6 @@ type Config struct {
 	StopPatience int
 	// MaxEpochs hard-caps training length.
 	MaxEpochs int
-	// L2 is the weight-decay coefficient applied to touched rows.
-	L2 float64
-	// ClipNorm > 0 clips each aggregated gradient row to this 2-norm
-	// before the optimizer applies it.
-	ClipNorm float64
-	// MaxVirtualHours > 0 stops training once the virtual cluster clock
-	// passes the budget (checked at epoch boundaries) — a wall-clock-style
-	// budget in simulated time.
-	MaxVirtualHours float64
 
 	// Comm is the gradient-exchange strategy.
 	Comm CommStrategy
@@ -133,11 +130,6 @@ type Config struct {
 	// RelationPartition distributes triples by relation (§4.4) instead of
 	// uniformly, eliminating relation-gradient communication.
 	RelationPartition bool
-	// PartitionAlgo selects the relation partitioner when RelationPartition
-	// is set: "prefix" (the paper's sort + prefix-sum + binary search;
-	// default) or "lpt" (greedy longest-processing-time, better balance
-	// under skew).
-	PartitionAlgo string
 
 	// Partitioned enables the sharded-table training mode: a joint
 	// entity+relation partition assigns every embedding row to exactly one
@@ -163,27 +155,12 @@ type Config struct {
 	// NegSelect trains on only the hardest of the n candidates (§4.5);
 	// otherwise all n are trained on.
 	NegSelect bool
-	// NegSampling selects the corruption distribution: "uniform" (paper;
-	// default) or "degree" (entities drawn by training-set frequency).
-	NegSampling string
 
 	// ValSample caps the validation triples scored per epoch (0 = all).
 	ValSample int
 	// TestSample caps the test triples used for the final MRR ranking
 	// evaluation (0 = all).
 	TestSample int
-
-	// WarmStart, when non-nil, initializes every replica from these
-	// parameters instead of random initialization — continue-training /
-	// fine-tuning from a checkpoint. Shapes must match the dataset and
-	// model width.
-	WarmStart *model.Params
-
-	// StragglerSlowdown, when > 1, runs rank 0's compute at
-	// 1/StragglerSlowdown speed — a failure-injection knob exposing the
-	// bulk-synchronous loop's sensitivity to a slow node (every collective
-	// waits for the straggler).
-	StragglerSlowdown float64
 
 	// FaultPlan, when non-nil, schedules deterministic faults (rank crashes,
 	// slowdown windows, network-delay spikes) against the virtual clock.
@@ -242,13 +219,9 @@ func DefaultConfig() Config {
 		Margin:          1,
 		BatchSize:       2000,
 		BaseLR:          0.01,
-		LRScaleCap:      4,
-		LRFactor:        0.1,
-		MinLR:           1e-5,
 		Tolerance:       15,
 		StopPatience:    25,
 		MaxEpochs:       80,
-		L2:              1e-5,
 		Comm:            CommAllReduce,
 		ProbeEvery:      10,
 		Select:          grad.SelectAll,
@@ -279,16 +252,6 @@ func (c Config) Validate() error {
 	}
 	if c.NegSamples < 1 {
 		return fmt.Errorf("core: NegSamples must be >= 1, got %d", c.NegSamples)
-	}
-	switch c.NegSampling {
-	case "", "uniform", "degree":
-	default:
-		return fmt.Errorf("core: unknown negative sampling %q", c.NegSampling)
-	}
-	switch c.PartitionAlgo {
-	case "", "prefix", "lpt":
-	default:
-		return fmt.Errorf("core: unknown partition algorithm %q", c.PartitionAlgo)
 	}
 	switch c.PartitionBy {
 	case "", "mincut", "hash":

@@ -232,27 +232,3 @@ func TestPartitionedCheckpointRecovery(t *testing.T) {
 		t.Fatalf("checkpoint shape %dx%d entities, %d relations", ckpt.Entity.Rows, ckpt.Entity.Cols, ckpt.Relation.Rows)
 	}
 }
-
-// TestPartitionedWarmStart: a partitioned run warm-starts from a full
-// checkpoint (the scatter half of the shard-aware protocol).
-func TestPartitionedWarmStart(t *testing.T) {
-	skipIfShort(t)
-	d := testDataset()
-	cfg := partitionedConfig()
-	cfg.MaxEpochs = 3
-	cfg.StopPatience = 3
-	first, err := Train(cfg, d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := cfg
-	cfg2.WarmStart = first.FinalParams
-	second, err := Train(cfg2, d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.PerEpoch[0].TrainLoss >= first.PerEpoch[0].TrainLoss {
-		t.Errorf("warm start did not help: first-epoch loss %.4f vs cold %.4f",
-			second.PerEpoch[0].TrainLoss, first.PerEpoch[0].TrainLoss)
-	}
-}

@@ -79,13 +79,10 @@ func buildPartition(cfg *Config, d *kg.Dataset, nodes int) (partition, error) {
 		xrand.New(cfg.Seed).Split(77).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		switch {
-		case !cfg.RelationPartition:
-			pt.shards = kg.UniformPartition(shuffled, nodes)
-		case cfg.PartitionAlgo == "lpt":
-			pt.shards = kg.RelationPartitionLPT(shuffled, d.NumRelations, nodes)
-		default:
+		if cfg.RelationPartition {
 			pt.shards = kg.RelationPartition(shuffled, d.NumRelations, nodes)
+		} else {
+			pt.shards = kg.UniformPartition(shuffled, nodes)
 		}
 	}
 	if cfg.RelationPartition {
@@ -175,9 +172,6 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 	}
 
 	cluster := world.Cluster()
-	if cfg.StragglerSlowdown > 1 {
-		cluster.SetComputeSpeed(0, 1/cfg.StragglerSlowdown)
-	}
 	if cfg.FaultPlan != nil {
 		if err := cluster.SetFaultPlan(cfg.FaultPlan); err != nil {
 			return nil, nil, err
@@ -186,20 +180,8 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 
 	m := model.New(cfg.ModelName, cfg.Dim)
 	width := m.Width()
-	var proto *model.Params
-	if cfg.WarmStart != nil {
-		if cfg.WarmStart.Entity.Rows != d.NumEntities ||
-			cfg.WarmStart.Relation.Rows != d.NumRelations ||
-			cfg.WarmStart.Entity.Cols != width {
-			return nil, nil, fmt.Errorf("core: WarmStart shape (%dx%d entities, %d relations) does not match dataset/model (%dx%d, %d)",
-				cfg.WarmStart.Entity.Rows, cfg.WarmStart.Entity.Cols, cfg.WarmStart.Relation.Rows,
-				d.NumEntities, width, d.NumRelations)
-		}
-		proto = cfg.WarmStart.Clone()
-	} else {
-		proto = model.NewParams(m, d.NumEntities, d.NumRelations)
-		proto.Init(m, xrand.New(cfg.Seed).Split(0))
-	}
+	proto := model.NewParams(m, d.NumEntities, d.NumRelations)
+	proto.Init(m, xrand.New(cfg.Seed).Split(0))
 
 	res = &Result{Strategy: cfg.StrategyLabel(), Nodes: world.Size()}
 	snap := &snapshot{epoch: 0, params: proto}
@@ -427,16 +409,11 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 	shard := t.shards[rank]
 
 	plateau := opt.NewPlateau(
-		opt.ScaledLR(cfg.BaseLR, c.Size(), cfg.LRScaleCap),
-		cfg.LRFactor, cfg.MinLR, cfg.Tolerance)
+		opt.ScaledLR(cfg.BaseLR, c.Size(), lrScaleCap),
+		lrFactor, minLR, cfg.Tolerance)
 
 	rng := xrand.New(cfg.Seed).Split(uint64(rank + 1))
-	var sampler model.Corrupter
-	if cfg.NegSampling == "degree" {
-		sampler = model.NewDegreeSampler(t.d, rng.Split(2))
-	} else {
-		sampler = model.NewNegSampler(t.d.NumEntities, rng.Split(2))
-	}
+	sampler := model.NewNegSampler(t.d.NumEntities, rng.Split(2))
 	var tables rankTables
 	if cfg.Partitioned {
 		tables = newShardTables(t, c, rng.Split(3))
@@ -591,11 +568,6 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 		if sinceBest >= cfg.StopPatience {
 			break
 		}
-		// Virtual-time budget: clocks are identical after the barrier, so
-		// every rank reaches the same verdict.
-		if cfg.MaxVirtualHours > 0 && t.cluster.MaxTime() > cfg.MaxVirtualHours*3600 {
-			break
-		}
 	}
 
 	// Publish the trained model: the stop decisions above are identical on
@@ -620,7 +592,7 @@ type staging struct {
 // cands, announces every row they touch, and pulls. Scoring draws nothing
 // from the sampler, so drawing up front consumes its stream in the same order
 // as drawing triple by triple.
-func (st *staging) stage(tb rankTables, s model.Corrupter, triples []kg.Triple, n int) error {
+func (st *staging) stage(tb rankTables, s *model.NegSampler, triples []kg.Triple, n int) error {
 	tb.begin()
 	st.cands = st.cands[:0]
 	for _, tr := range triples {
@@ -693,7 +665,7 @@ func (t *trainRun) trainExample(tb rankTables, pos kg.Triple, negs []kg.Triple) 
 	return flops, lossSum, lossN
 }
 
-// applyGrads feeds aggregated rows to the optimizer — clip, step, decoupled
+// applyGrads feeds aggregated rows to the optimizer — step, then decoupled
 // L2 decay — and returns the flops spent. Optimizer state is laid out like
 // the storage it updates: gradient row id lives in row index[id] of mat and
 // owns that optimizer slot; a nil index is the identity (a full table).
@@ -704,22 +676,14 @@ func (t *trainRun) applyGrads(o opt.Optimizer, mat *tensor.Matrix, index []int32
 		return 0
 	}
 	o.BeginStep()
-	decay := 1 - 2*float32(t.cfg.L2)*lr
-	clip := float32(t.cfg.ClipNorm)
+	decay := 1 - 2*float32(l2)*lr
 	agg.ForEach(func(id int32, row []float32) {
-		if clip > 0 {
-			if n := tensor.Nrm2(row); n > clip {
-				tensor.Scale(clip/n, row)
-			}
-		}
 		if index != nil {
 			id = index[id]
 		}
 		pr := mat.Row(int(id))
 		o.ApplyRow(id, pr, row, lr)
-		if t.cfg.L2 > 0 {
-			tensor.Scale(decay, pr)
-		}
+		tensor.Scale(decay, pr)
 	})
 	return float64(agg.Len()*t.width) * 12
 }

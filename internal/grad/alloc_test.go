@@ -141,19 +141,17 @@ func TestQuantizeIntoMatchesQuantize(t *testing.T) {
 	}
 }
 
-func TestUnmarshalIntoMatchesUnmarshal(t *testing.T) {
+// Decoding into dirty storage, too short in one slice and oversized in
+// another, must reproduce the frame exactly.
+func TestUnmarshalIntoReusesDirtyStorage(t *testing.T) {
 	g := NewSparseGrad(16)
 	fillGrad(g, 40, xrand.New(2))
 	buf := Quantize(g, TwoBitTernary, xrand.New(4)).Marshal()
-	want, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e := &Encoded{Indices: make([]int32, 3), Scales: make([]float32, 999)}
 	if err := UnmarshalInto(e, buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(e.Marshal()) != string(want.Marshal()) {
-		t.Error("UnmarshalInto round-trip differs from Unmarshal")
+	if string(e.Marshal()) != string(buf) {
+		t.Error("UnmarshalInto into reused storage does not round-trip")
 	}
 }

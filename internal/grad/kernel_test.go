@@ -12,8 +12,6 @@ import (
 // verbatim as the definition the kernels must reproduce bit for bit.
 
 func refScale(s Scheme, row []float32) float32 {
-	var posMax, posSum, negMax, negSum float32
-	var posN, negN int
 	var absMax float32
 	var absSum float64
 	for _, v := range row {
@@ -25,19 +23,6 @@ func refScale(s Scheme, row []float32) float32 {
 			absMax = a
 		}
 		absSum += float64(a)
-		if v > 0 {
-			posN++
-			posSum += v
-			if v > posMax {
-				posMax = v
-			}
-		} else if v < 0 {
-			negN++
-			negSum += -v
-			if -v > negMax {
-				negMax = -v
-			}
-		}
 	}
 	switch s {
 	case OneBitMax:
@@ -47,26 +32,6 @@ func refScale(s Scheme, row []float32) float32 {
 			return 0
 		}
 		return float32(absSum / float64(len(row)))
-	case OneBitPosMax:
-		if posN == 0 {
-			return absMax
-		}
-		return posMax
-	case OneBitNegMax:
-		if negN == 0 {
-			return absMax
-		}
-		return negMax
-	case OneBitPosAvg:
-		if posN == 0 {
-			return absMax
-		}
-		return posSum / float32(posN)
-	case OneBitNegAvg:
-		if negN == 0 {
-			return absMax
-		}
-		return negSum / float32(negN)
 	}
 	panic("refScale: non-1-bit scheme")
 }
@@ -141,7 +106,7 @@ func refDecodeRowAccum(s Scheme, sc float32, buf []byte, row []float32) {
 	}
 }
 
-var allSchemes = []Scheme{NoQuant, OneBitMax, OneBitAvg, OneBitPosMax, OneBitNegMax, OneBitPosAvg, OneBitNegAvg, TwoBitTernary}
+var allSchemes = []Scheme{NoQuant, OneBitMax, OneBitAvg, TwoBitTernary}
 
 // specials are the values where a bit-pattern predicate and a float
 // comparison could disagree: signed zeros, denormals, infinities, and quiet
@@ -158,8 +123,8 @@ var specials = []uint32{
 func isNaNBits(b uint32) bool { return b&^signBit > infBits }
 
 // kernelRows builds the row shapes of the test: plain gradients, one sign
-// only (the sign-restricted fallbacks), all zero (the ternary mean == 0
-// path), and gradients salted with specials, with and without NaN.
+// only, all zero (the ternary mean == 0 path), and gradients salted with
+// specials, with and without NaN.
 func kernelRows(width int, rng *xrand.RNG) [][]float32 {
 	normal := func() []float32 {
 		r := make([]float32, width)

@@ -11,28 +11,21 @@ import (
 // Scheme identifies a gradient quantization scheme (§4.3).
 type Scheme uint8
 
-// The quantization schemes compared in the paper. OneBitMax (sign of the
+// The quantization schemes the paper's results use. OneBitMax (sign of the
 // value times the maximum absolute value of the row) is the paper's winner
-// and the one used by the combined strategies.
+// and the one used by the combined strategies. The values are the scheme
+// byte of the wire frame (Marshal), so they are fixed.
 const (
 	// NoQuant transmits full-precision float32 values.
-	NoQuant Scheme = iota
+	NoQuant Scheme = 0
 	// OneBitMax: q_i = sign(v_i) * max(|v|).
-	OneBitMax
+	OneBitMax Scheme = 1
 	// OneBitAvg: q_i = sign(v_i) * mean(|v|).
-	OneBitAvg
-	// OneBitPosMax: scale from the positive values only: max(v_i > 0).
-	OneBitPosMax
-	// OneBitNegMax: scale from the negative values only: max(|v_i < 0|).
-	OneBitNegMax
-	// OneBitPosAvg: scale = mean of the positive values.
-	OneBitPosAvg
-	// OneBitNegAvg: scale = mean of |negative values|.
-	OneBitNegAvg
+	OneBitAvg Scheme = 2
 	// TwoBitTernary: TernGrad-style ternary quantization with the paper's
 	// modification of using mean(|v|) instead of max(|v|):
 	// q_i = sign(v_i) * mean(|v|) * B_i, P(B_i=1) = min(1, |v_i|/mean(|v|)).
-	TwoBitTernary
+	TwoBitTernary Scheme = 7
 )
 
 // String returns the scheme's name as used in the paper's plots.
@@ -44,14 +37,6 @@ func (s Scheme) String() string {
 		return "1bit-max"
 	case OneBitAvg:
 		return "1bit-avg"
-	case OneBitPosMax:
-		return "1bit-posmax"
-	case OneBitNegMax:
-		return "1bit-negmax"
-	case OneBitPosAvg:
-		return "1bit-posavg"
-	case OneBitNegAvg:
-		return "1bit-negavg"
 	case TwoBitTernary:
 		return "2bit-ternary"
 	}
@@ -110,8 +95,6 @@ func absMax(row []float32) float32 {
 }
 
 // scale computes the per-row quantization scale for the 1-bit family.
-// Sign-restricted statistics fall back to max(|v|) when the row has no
-// values of the required sign.
 func scale(s Scheme, row []float32) float32 {
 	switch s {
 	case OneBitMax:
@@ -125,29 +108,6 @@ func scale(s Scheme, row []float32) float32 {
 			sum += float64(math.Float32frombits(absBits(math.Float32bits(v))))
 		}
 		return float32(sum / float64(len(row)))
-	case OneBitPosMax, OneBitNegMax, OneBitPosAvg, OneBitNegAvg:
-		// The paper's comparison schemes, not on the training hot path:
-		// they keep the plain v > 0 test.
-		flip := s == OneBitNegMax || s == OneBitNegAvg
-		var mx, sum float32
-		n := 0
-		for _, v := range row {
-			if flip {
-				v = -v
-			}
-			if v > 0 {
-				n++
-				sum += v
-				mx = max(mx, v)
-			}
-		}
-		switch {
-		case n == 0:
-			return absMax(row)
-		case s == OneBitPosMax || s == OneBitNegMax:
-			return mx
-		}
-		return sum / float32(n)
 	}
 	panic("grad: scale called for non-1-bit scheme " + s.String())
 }
@@ -373,21 +333,13 @@ func (e *Encoded) AppendTo(dst []byte) []byte {
 	return append(dst, e.Bits...)
 }
 
-// Unmarshal parses a buffer produced by Marshal into a freshly allocated
-// Encoded. buf is only read. Hot paths should hold one Encoded and call
-// UnmarshalInto instead.
-func Unmarshal(buf []byte) (*Encoded, error) {
-	e := new(Encoded)
-	if err := UnmarshalInto(e, buf); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // UnmarshalInto parses a buffer produced by Marshal into e, reusing e's
 // storage; the decoded contents never alias buf, so buf may be recycled or
-// owned by another rank. On error e is left in an unspecified state. Any
-// slices previously obtained from e are invalidated.
+// owned by another rank. The buffer is untrusted peer input: a header naming
+// an unknown scheme, or a row count and width whose rows (4-byte index,
+// 4-byte scale, payload) do not fill the rest of buf exactly, is rejected
+// before anything is sized from it. On error e is left in an unspecified
+// state. Any slices previously obtained from e are invalidated.
 //
 //kgelint:hotpath
 func UnmarshalInto(e *Encoded, buf []byte) error {
@@ -399,10 +351,14 @@ func UnmarshalInto(e *Encoded, buf []byte) error {
 	e.Width = int(binary.LittleEndian.Uint32(buf[1:]))
 	n := int(binary.LittleEndian.Uint32(buf[5:]))
 	off := 9
-	need := off + 4*n + 4*n + n*payloadBytesPerRow(e.Scheme, e.Width)
-	if e.Width <= 0 || n < 0 || len(buf) != need {
+	// Dividing the body by the row size, instead of multiplying the header's
+	// row count out, cannot overflow whatever the header says.
+	known := e.Scheme == NoQuant || e.Scheme == OneBitMax || e.Scheme == OneBitAvg || e.Scheme == TwoBitTernary
+	body, row := len(buf)-off, 8+payloadBytesPerRow(e.Scheme, e.Width)
+	if !known || e.Width <= 0 || body%row != 0 || body/row != n {
 		//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
-		return fmt.Errorf("grad: encoded buffer size %d does not match header (want %d)", len(buf), need)
+		return fmt.Errorf("grad: encoded buffer of %d bytes does not match its header (scheme %d, width %d, %d rows)",
+			len(buf), e.Scheme, e.Width, n)
 	}
 	if cap(e.Indices) < n {
 		e.Indices = make([]int32, n)

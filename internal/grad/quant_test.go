@@ -1,6 +1,7 @@
 package grad
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -63,20 +64,6 @@ func TestOneBitVariantsScales(t *testing.T) {
 	}
 	check(OneBitMax, 4)
 	check(OneBitAvg, (4+2+1+3)/4.0)
-	check(OneBitPosMax, 3)
-	check(OneBitNegMax, 4)
-	check(OneBitPosAvg, 2)
-	check(OneBitNegAvg, 3)
-}
-
-func TestOneBitSignRestrictedFallback(t *testing.T) {
-	t.Parallel()
-	g := NewSparseGrad(3)
-	copy(g.Row(0), []float32{1, 2, 3}) // no negative values
-	e := Quantize(g, OneBitNegMax, nil)
-	if e.Scales[0] != 3 { // falls back to max(|v|)
-		t.Fatalf("fallback scale = %v", e.Scales[0])
-	}
 }
 
 func TestTwoBitTernaryProperties(t *testing.T) {
@@ -177,9 +164,9 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		g := randGrad(rng, 6, 9) // odd width exercises bit padding
 		e := Quantize(g, s, rng)
 		buf := e.Marshal()
-		got, err := Unmarshal(buf)
-		if err != nil {
-			t.Fatalf("%v: Unmarshal: %v", s, err)
+		got := new(Encoded)
+		if err := UnmarshalInto(got, buf); err != nil {
+			t.Fatalf("%v: UnmarshalInto: %v", s, err)
 		}
 		if got.Scheme != e.Scheme || got.Width != e.Width {
 			t.Fatalf("%v: header mismatch", s)
@@ -202,22 +189,61 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 
 func TestUnmarshalErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := Unmarshal(nil); err == nil {
+	e := new(Encoded)
+	if err := UnmarshalInto(e, nil); err == nil {
 		t.Fatal("nil buffer accepted")
 	}
-	if _, err := Unmarshal(make([]byte, 5)); err == nil {
+	if err := UnmarshalInto(e, make([]byte, 5)); err == nil {
 		t.Fatal("short buffer accepted")
+	}
+	// Scheme 0, width 2^31-2, 2^31 rows: the header's size arithmetic
+	// 9 + 8n + n*4*width wraps to exactly 9, the frame's length, and the row
+	// count would size a 2^31-entry index slice.
+	if err := UnmarshalInto(e, overflowFrame); err == nil {
+		t.Fatal("header whose size arithmetic overflows accepted")
 	}
 	g := NewSparseGrad(4)
 	g.Row(0)[0] = 1
 	buf := Quantize(g, OneBitMax, nil).Marshal()
-	if _, err := Unmarshal(buf[:len(buf)-1]); err == nil {
+	if err := UnmarshalInto(e, buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated buffer accepted")
 	}
+	unknown := append([]byte(nil), buf...)
+	unknown[0] = 3 // a retired 1-bit variant's code; same frame size as OneBitMax
+	if err := UnmarshalInto(e, unknown); err == nil {
+		t.Fatal("unknown scheme byte accepted")
+	}
 	buf[12] = 0x80 // top byte of the first row id: row ids index a table, a negative one must not reach it
-	if _, err := Unmarshal(buf); err == nil {
+	if err := UnmarshalInto(e, buf); err == nil {
 		t.Fatal("negative row id accepted")
 	}
+}
+
+// overflowFrame is a 9-byte header (scheme 0, width 2^31-2, 2^31 rows) whose
+// claimed size, computed by multiplying out, wraps to its own length.
+var overflowFrame = []byte{0, 0xFE, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0x80}
+
+// FuzzUnmarshalInto feeds arbitrary bytes to the peer-frame parser: it never
+// panics, a decoded row count never exceeds what the buffer can hold (8
+// bytes of index and scale per row after the 9-byte header), and an accepted
+// frame re-encodes through AppendTo byte for byte.
+func FuzzUnmarshalInto(f *testing.F) {
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		e := new(Encoded)
+		if err := UnmarshalInto(e, buf); err != nil {
+			return
+		}
+		n := len(e.Indices)
+		if most := (len(buf) - 9) / 8; n > most {
+			t.Fatalf("decoded %d rows from %d bytes (at most %d fit)", n, len(buf), most)
+		}
+		if len(e.Scales) != n || len(e.Bits) != n*payloadBytesPerRow(e.Scheme, e.Width) {
+			t.Fatalf("%d rows decoded with %d scales and %d payload bytes", n, len(e.Scales), len(e.Bits))
+		}
+		if got := e.AppendTo(nil); !bytes.Equal(got, buf) {
+			t.Fatalf("accepted frame re-encodes to %x, input %x", got, buf)
+		}
+	})
 }
 
 func TestSchemeStringsAndBits(t *testing.T) {
@@ -227,8 +253,6 @@ func TestSchemeStringsAndBits(t *testing.T) {
 	}
 	names := map[Scheme]string{
 		NoQuant: "none", OneBitMax: "1bit-max", OneBitAvg: "1bit-avg",
-		OneBitPosMax: "1bit-posmax", OneBitNegMax: "1bit-negmax",
-		OneBitPosAvg: "1bit-posavg", OneBitNegAvg: "1bit-negavg",
 		TwoBitTernary: "2bit-ternary", Scheme(200): "unknown",
 	}
 	for s, want := range names {
@@ -245,27 +269,25 @@ func TestEmptyGradientQuantize(t *testing.T) {
 	if len(e.Indices) != 0 || e.WireBytes() != 0 {
 		t.Fatalf("empty encode: %d rows, %d bytes", len(e.Indices), e.WireBytes())
 	}
-	buf := e.Marshal()
-	got, err := Unmarshal(buf)
-	if err != nil || len(got.Indices) != 0 {
+	got := new(Encoded)
+	if err := UnmarshalInto(got, e.Marshal()); err != nil || len(got.Indices) != 0 {
 		t.Fatalf("empty round trip: %v", err)
 	}
 }
 
 // Property: for the whole 1-bit family, |decoded| is constant per row and
-// signs match the input; Marshal/Unmarshal is the identity.
+// signs match the input; Marshal/UnmarshalInto is the identity.
 func TestQuickOneBitFamily(t *testing.T) {
 	t.Parallel()
-	schemes := []Scheme{OneBitMax, OneBitAvg, OneBitPosMax, OneBitNegMax, OneBitPosAvg, OneBitNegAvg}
+	schemes := []Scheme{OneBitMax, OneBitAvg}
 	f := func(seed uint64, widthRaw uint8, schemeIdx uint8) bool {
 		width := int(widthRaw%31) + 1
 		s := schemes[int(schemeIdx)%len(schemes)]
 		rng := xrand.New(seed)
 		g := randGrad(rng, 5, width)
 		e := Quantize(g, s, nil)
-		buf := e.Marshal()
-		e2, err := Unmarshal(buf)
-		if err != nil {
+		e2 := new(Encoded)
+		if err := UnmarshalInto(e2, e.Marshal()); err != nil {
 			return false
 		}
 		dst := NewSparseGrad(width)

@@ -1,10 +1,6 @@
 package grad
 
-import (
-	"slices"
-
-	"kgedist/internal/xrand"
-)
+import "kgedist/internal/xrand"
 
 // SelectMode chooses how the random-selection strategy (§4.2) filters
 // gradient rows before communication.
@@ -22,15 +18,6 @@ const (
 	// SelectBernoulli keeps row i with probability min(1, ||g_i||/C),
 	// C = mean 2-norm — the paper's chosen method ("random selection").
 	SelectBernoulli
-	// SelectTopQuarter keeps the top 25% of rows by 2-norm — the
-	// threshold-sparsification baseline of Aji & Heafield (2017) discussed
-	// in the paper's related work (§2).
-	SelectTopQuarter
-	// SelectUnbiased keeps rows like SelectBernoulli but rescales each
-	// kept row by 1/p so the sparse gradient is an unbiased estimator of
-	// the dense one — the Wangni et al. (2017) variance-controlled scheme
-	// from the related work.
-	SelectUnbiased
 )
 
 // String returns the paper's name for the mode.
@@ -44,10 +31,6 @@ func (m SelectMode) String() string {
 		return "averagex0.1"
 	case SelectBernoulli:
 		return "random-selection"
-	case SelectTopQuarter:
-		return "top-25%"
-	case SelectUnbiased:
-		return "unbiased-selection"
 	}
 	return "unknown"
 }
@@ -98,16 +81,11 @@ func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) S
 		st.Kept = st.Before
 		return st
 	}
-	var thresh float32
-	if mode == SelectTopQuarter {
-		thresh = quantileNorm(norms, 0.75)
-	}
 	// Indices is a snapshot Drop never touches, so dropping while ranging
 	// over it is safe; norms is parallel to it.
 	for k, id := range g.Indices() {
 		n := norms[k]
 		keep := false
-		scale := float32(1)
 		switch mode {
 		case SelectAvgThreshold:
 			keep = n >= mean
@@ -115,42 +93,19 @@ func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) S
 			keep = n >= 0.1*mean
 		case SelectBernoulli:
 			keep = rng.Bernoulli(float64(n) / float64(mean))
-		case SelectTopQuarter:
-			keep = n >= thresh
-		case SelectUnbiased:
-			p := float64(n) / float64(mean)
-			keep = rng.Bernoulli(p)
-			if keep && p < 1 {
-				scale = float32(1 / p)
-			}
 		default:
 			panic("grad: unknown select mode")
 		}
 		if keep {
 			st.Kept++
-			if scale != 1 { //kgelint:ignore floateq scale is exactly 1 unless a mode set it
-				row, _ := g.Get(id)
-				for i := range row {
-					row[i] *= scale
-				}
-			}
-		} else {
-			if res != nil {
-				row, _ := g.Get(id)
-				res.SetRow(id, row)
-			}
-			g.Drop(id)
-			st.Dropped++
+			continue
 		}
+		if res != nil {
+			row, _ := g.Get(id)
+			res.SetRow(id, row)
+		}
+		g.Drop(id)
+		st.Dropped++
 	}
 	return st
-}
-
-// quantileNorm returns the q-quantile of the norm values.
-//
-//kgelint:coldpath only SelectTopQuarter, a related-work baseline outside the paper's pipeline, sorts a copy
-func quantileNorm(norms []float32, q float64) float32 {
-	vals := slices.Clone(norms)
-	slices.Sort(vals)
-	return vals[int(q*float64(len(vals)-1))]
 }

@@ -151,66 +151,6 @@ func TestSelectSparsityOrdering(t *testing.T) {
 	}
 }
 
-func TestSelectTopQuarter(t *testing.T) {
-	t.Parallel()
-	// 8 rows with norms 1..8: the top quarter (norms 7, 8) survives; the
-	// quantile boundary row itself is kept.
-	norms := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-	g := mkGrad(4, norms)
-	st := Select(g, SelectTopQuarter, nil)
-	if st.Kept < 2 || st.Kept > 3 {
-		t.Fatalf("top-quarter kept %d of 8", st.Kept)
-	}
-	if _, ok := g.Get(7); !ok {
-		t.Fatal("largest row dropped")
-	}
-	if _, ok := g.Get(0); ok {
-		t.Fatal("smallest row kept")
-	}
-}
-
-func TestSelectUnbiasedExpectation(t *testing.T) {
-	t.Parallel()
-	// E[selected row] must equal the original row: keep prob p = n/C and
-	// kept rows scaled 1/p. Row 0 has norm 1, row 1 norm 3 => C = 2,
-	// p0 = 0.5 with scale 2.
-	rng := xrand.New(31)
-	const trials = 20000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		g := mkGrad(2, []float32{1, 3})
-		Select(g, SelectUnbiased, rng)
-		if row, ok := g.Get(0); ok {
-			sum += float64(row[0])
-		}
-	}
-	mean := sum / trials
-	if math.Abs(mean-1.0) > 0.05 {
-		t.Fatalf("unbiased selection E[row0] = %v, want 1.0", mean)
-	}
-}
-
-func TestSelectUnbiasedLargeRowsUnscaled(t *testing.T) {
-	t.Parallel()
-	// Rows with norm >= C have p = 1 and must keep their exact values.
-	g := mkGrad(2, []float32{1, 3})
-	Select(g, SelectUnbiased, xrand.New(7))
-	row, ok := g.Get(1)
-	if !ok {
-		t.Fatal("above-mean row dropped")
-	}
-	if row[0] != 3 {
-		t.Fatalf("above-mean row rescaled: %v", row[0])
-	}
-}
-
-func TestNewModeStrings(t *testing.T) {
-	t.Parallel()
-	if SelectTopQuarter.String() != "top-25%" || SelectUnbiased.String() != "unbiased-selection" {
-		t.Fatal("new mode strings wrong")
-	}
-}
-
 // SelectEF must drop exactly the rows Select drops for the same seed (the
 // rng consumption is identical) and bank each dropped row whole into the
 // residual, so a later AddInto reinjects it (DESIGN.md §13).

@@ -1,10 +1,6 @@
 package grad
 
-import (
-	"testing"
-
-	"kgedist/internal/tensor"
-)
+import "testing"
 
 func TestSparseGradBasics(t *testing.T) {
 	t.Parallel()
@@ -91,7 +87,9 @@ func TestScatterAccumulateDense(t *testing.T) {
 	g.Row(1)[0] = 5
 	g.Row(2)[1] = 7
 	buf := make([]float32, 4*2) // 4 rows
-	tensor.Fill(buf, 99)        // ScatterDense must zero first
+	for i := range buf {
+		buf[i] = 99 // ScatterDense must zero first
+	}
 	g.ScatterDense(buf)
 	if buf[0] != 0 || buf[2] != 5 || buf[5] != 7 {
 		t.Fatalf("ScatterDense wrong: %v", buf)

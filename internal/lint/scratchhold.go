@@ -1,14 +1,14 @@
 package lint
 
 // scratchhold enforces the caller-owned-scratch rule from DESIGN.md §10:
-// a function that receives a *model.Scratch, a *grad.Encoded, or a slice
-// parameter tagged by a `//kgelint:scratch <params...>` doc directive
-// borrows the buffer for the duration of the call only. Retaining it past
-// return — storing it (or anything reachable from it) into package-level
-// state, a struct field, a map or a pointee, sending it over a channel, or
-// handing it to a spawned goroutine — lets two batches race on one scratch
-// buffer, which is precisely the aliasing bug the per-worker scratch
-// discipline exists to prevent.
+// a function that receives a *grad.Encoded, or a slice parameter tagged by
+// a `//kgelint:scratch <params...>` doc directive, borrows the buffer for
+// the duration of the call only. Retaining it past return — storing it (or
+// anything reachable from it) into package-level state, a struct field, a
+// map or a pointee, sending it over a channel, or handing it to a spawned
+// goroutine — lets two batches race on one scratch buffer, which is
+// precisely the aliasing bug the per-worker scratch discipline exists to
+// prevent.
 //
 // The analysis computes the intra-procedural may-alias closure of the
 // scratch parameters (plain copies, field/element projections and reslices
@@ -25,7 +25,7 @@ import (
 // ScratchHold reports borrowed scratch parameters retained past return.
 var ScratchHold = &Analyzer{
 	Name: "scratchhold",
-	Doc: "functions receiving *model.Scratch, *grad.Encoded or //kgelint:scratch-tagged " +
+	Doc: "functions receiving *grad.Encoded or //kgelint:scratch-tagged " +
 		"slice parameters borrow them for the call only; report stores to package/struct " +
 		"state, channel sends and goroutine capture that retain them past return",
 	Run: runScratchHold,
@@ -84,7 +84,7 @@ func scratchParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]string {
 	return roots
 }
 
-// isScratchType reports *model.Scratch or *grad.Encoded.
+// isScratchType reports *grad.Encoded.
 func isScratchType(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
@@ -95,17 +95,7 @@ func isScratchType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	switch obj.Name() {
-	case "Scratch":
-		return strings.HasSuffix(path, "internal/model")
-	case "Encoded":
-		return strings.HasSuffix(path, "internal/grad")
-	}
-	return false
+	return obj.Pkg() != nil && obj.Name() == "Encoded" && strings.HasSuffix(obj.Pkg().Path(), "internal/grad")
 }
 
 func isSliceType(t types.Type) bool {

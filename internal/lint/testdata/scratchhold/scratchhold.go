@@ -1,30 +1,27 @@
 // Package scratchhold exercises the scratchhold analyzer: borrowed
-// *model.Scratch / *grad.Encoded / //kgelint:scratch-tagged parameters may
-// be read, written and passed on, but never retained past return.
+// *grad.Encoded / //kgelint:scratch-tagged parameters may be read, written
+// and passed on, but never retained past return.
 package scratchhold
 
-import (
-	"kgedist/internal/grad"
-	"kgedist/internal/model"
-)
+import "kgedist/internal/grad"
 
 type worker struct {
-	ws  *model.Scratch
+	ws  *grad.Encoded
 	enc *grad.Encoded
 	buf []float32
 }
 
-var lastScratch *model.Scratch
+var lastScratch *grad.Encoded
 
 var registry = map[int]*grad.Encoded{}
 
 // --- violations ---
 
-func retainGlobal(ws *model.Scratch) {
+func retainGlobal(ws *grad.Encoded) {
 	lastScratch = ws // want "package-level variable lastScratch"
 }
 
-func (w *worker) retainField(ws *model.Scratch) {
+func (w *worker) retainField(ws *grad.Encoded) {
 	w.ws = ws // want "stored in field w.ws"
 }
 
@@ -44,17 +41,17 @@ func retainElement(enc *grad.Encoded, id int) {
 	registry[id] = enc // want "stored in element registry"
 }
 
-func publish(ch chan *model.Scratch, ws *model.Scratch) {
+func publish(ch chan *grad.Encoded, ws *grad.Encoded) {
 	ch <- ws // want "sent over a channel"
 }
 
-func spawnArg(ws *model.Scratch) {
+func spawnArg(ws *grad.Encoded) {
 	go consume(ws) // want "handed to a goroutine"
 }
 
-func spawnCapture(ws *model.Scratch) {
+func spawnCapture(ws *grad.Encoded) {
 	go func() {
-		ws.ZeroGrads() // want "captured by a goroutine closure"
+		ws.Width = 0 // want "captured by a goroutine closure"
 	}()
 }
 
@@ -76,11 +73,11 @@ func (w *worker) retainTail(tmp []float32) {
 
 // --- clean code: none of the below may fire ---
 
-func consume(ws *model.Scratch) { ws.ZeroGrads() }
+func consume(ws *grad.Encoded) { ws.Width = 0 }
 
 // passThrough returns the borrow to its owner — legal.
-func passThrough(ws *model.Scratch) *model.Scratch {
-	ws.ZeroGrads()
+func passThrough(ws *grad.Encoded) *grad.Encoded {
+	ws.Width = 0
 	return ws
 }
 
@@ -117,6 +114,6 @@ func encodeInto(e *grad.Encoded, vals []float32) {
 }
 
 // delegate passes the borrow down the call chain — callees borrow too.
-func delegate(ws *model.Scratch) {
+func delegate(ws *grad.Encoded) {
 	consume(ws)
 }

@@ -153,15 +153,22 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 }
 
 // WriteTo renders the snapshot in the Prometheus text exposition style:
-// cumulative `_bucket{le=...}` lines, then `_sum` and `_count`.
-func (s HistogramSnapshot) WriteTo(w io.Writer, name string) {
+// cumulative `_bucket{le=...}` lines, then `_sum` and `_count`. labels, when
+// not empty, is a label list such as `peer="3"` carried by every line ahead
+// of the bucket's `le`.
+func (s HistogramSnapshot) WriteTo(w io.Writer, name, labels string) {
+	set := "" // the label set of _sum and _count
+	if labels != "" {
+		set = "{" + labels + "}"
+		labels += ","
+	}
 	var cum int64
 	for i, b := range s.Bounds {
 		cum += s.Counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, labels, b, cum)
 	}
 	cum += s.Counts[len(s.Counts)-1]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, set, s.Sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, s.Count)
 }

@@ -100,7 +100,7 @@ func TestHistogramWriteTo(t *testing.T) {
 	h.Observe(1.5)
 	h.Observe(9)
 	var b strings.Builder
-	h.Snapshot().WriteTo(&b, "test_latency")
+	h.Snapshot().WriteTo(&b, "test_latency", "")
 	out := b.String()
 	for _, want := range []string{
 		`test_latency_bucket{le="1"} 1`,

@@ -7,24 +7,29 @@ import (
 )
 
 // Per-model kernel benchmarks: one scored triple and one score+grad step
-// through a warm Scratch, the inner loop of training and serving. The
+// over the parameter rows, the inner loop of training and serving. The
 // triples/sec metric is what the paper's throughput plots are built from.
 
-func benchSetup(name string) (Model, *Params, *Scratch) {
+func benchSetup(name string) (Model, *Params) {
 	m := New(name, 64)
 	p := NewParams(m, 1000, 20)
 	p.Init(m, xrand.New(1))
-	return m, p, NewScratch(m.Width())
+	return m, p
+}
+
+// benchRows resolves the i-th benchmark triple's rows.
+func benchRows(p *Params, i int) (h, r, t []float32) {
+	return p.Entity.Row(i % 1000), p.Relation.Row(i % 20), p.Entity.Row((i + 7) % 1000)
 }
 
 func BenchmarkScore(b *testing.B) {
 	for _, name := range []string{"complex", "distmult", "transe"} {
 		b.Run(name, func(b *testing.B) {
-			m, p, s := benchSetup(name)
+			m, p := benchSetup(name)
 			b.ReportAllocs()
 			var sink float32
 			for i := 0; i < b.N; i++ {
-				sink += s.Score(m, p, int32(i%1000), int32(i%20), int32((i+7)%1000))
+				sink += m.ScoreRows(benchRows(p, i))
 			}
 			_ = sink
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "triples/sec")
@@ -35,12 +40,14 @@ func BenchmarkScore(b *testing.B) {
 func BenchmarkScoreGradStep(b *testing.B) {
 	for _, name := range []string{"complex", "distmult", "transe"} {
 		b.Run(name, func(b *testing.B) {
-			m, p, s := benchSetup(name)
+			m, p := benchSetup(name)
+			w := m.Width()
+			gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sc := s.Score(m, p, int32(i%1000), int32(i%20), int32((i+7)%1000))
-				s.ZeroGrads()
-				m.AccumulateScoreGradRows(s.H, s.R, s.T, LogisticLossGrad(sc, 1), s.GH, s.GR, s.GT)
+				h, r, t := benchRows(p, i)
+				sc := m.ScoreRows(h, r, t)
+				m.AccumulateScoreGradRows(h, r, t, LogisticLossGrad(sc, 1), gh, gr, gt)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "triples/sec")
 		})
@@ -54,7 +61,7 @@ func BenchmarkScoreGradStep(b *testing.B) {
 func BenchmarkScoreBlock(b *testing.B) {
 	const tile = 1000
 	for _, name := range []string{"transe", "complex", "distmult"} {
-		m, p, _ := benchSetup(name)
+		m, p := benchSetup(name)
 		bs := m.(BlockScorer)
 		w := m.Width()
 		slab := p.Entity.Data[:tile*w]

@@ -368,54 +368,22 @@ func BenchmarkComplExGrad(b *testing.B) {
 	}
 }
 
-func TestDegreeSamplerBiasedTowardPopular(t *testing.T) {
-	// Entity 0 appears in every triple; entity 1..9 rarely. Corruptions
-	// must hit entity 0 far more often than any single tail entity.
-	d := &kg.Dataset{NumEntities: 10, NumRelations: 1}
-	for i := int32(1); i < 10; i++ {
-		d.Train = append(d.Train, kg.Triple{H: 0, R: 0, T: i})
-	}
-	s := NewDegreeSampler(d, xrand.New(3))
-	counts := make([]int, 10)
-	pos := kg.Triple{H: 5, R: 0, T: 6}
-	for i := 0; i < 5000; i++ {
-		n := s.Corrupt(pos)
-		if n.H != pos.H {
-			counts[n.H]++
-		} else {
-			counts[n.T]++
+// The per-triple score and gradient sweep over plain row slices must not
+// allocate for any model: it is the inner loop of training, evaluation and
+// serving (asserted with testing.AllocsPerRun).
+func TestScoreGradRowsAllocFree(t *testing.T) {
+	for _, name := range []string{"complex", "distmult", "transe", "rotate", "transh", "simple"} {
+		m := New(name, 16)
+		p := testParams(m, 50, 6, 7)
+		h, r, tl := p.Entity.Row(3), p.Relation.Row(1), p.Entity.Row(40)
+		w := m.Width()
+		gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
+		allocs := testing.AllocsPerRun(100, func() {
+			sc := m.ScoreRows(h, r, tl)
+			m.AccumulateScoreGradRows(h, r, tl, LogisticLossGrad(sc, 1), gh, gr, gt)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: score+grad sweep allocates %.1f allocs/op, want 0", name, allocs)
 		}
 	}
-	for e := 1; e < 10; e++ {
-		if e == 5 || e == 6 {
-			continue // the positive's own slots are excluded sometimes
-		}
-		if counts[0] < 3*counts[e] {
-			t.Fatalf("popular entity drawn %d times vs entity %d's %d", counts[0], e, counts[e])
-		}
-	}
-}
-
-func TestDegreeSamplerCorruptN(t *testing.T) {
-	d := kg.Generate(kg.GenConfig{Entities: 50, Relations: 4, Triples: 500, Seed: 5})
-	s := NewDegreeSampler(d, xrand.New(7))
-	pos := d.Train[0]
-	negs := s.CorruptN(pos, 6, nil)
-	if len(negs) != 6 {
-		t.Fatalf("CorruptN returned %d", len(negs))
-	}
-	for _, n := range negs {
-		if n == pos || n.R != pos.R {
-			t.Fatalf("bad corruption %+v", n)
-		}
-	}
-}
-
-func TestDegreeSamplerPanicsTinyUniverse(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDegreeSampler(&kg.Dataset{NumEntities: 1, NumRelations: 1}, xrand.New(1))
 }

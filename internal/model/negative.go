@@ -5,15 +5,6 @@ import (
 	"kgedist/internal/xrand"
 )
 
-// Corrupter produces negative triples from positives; the trainer accepts
-// any implementation (uniform or degree-weighted).
-type Corrupter interface {
-	// Corrupt returns one negative derived from pos.
-	Corrupt(pos kg.Triple) kg.Triple
-	// CorruptN fills dst with n corruptions, reusing its backing array.
-	CorruptN(pos kg.Triple, n int, dst []kg.Triple) []kg.Triple
-}
-
 // NegSampler draws negative triples by corrupting the head or tail of a
 // positive triple with a uniformly random entity (paper §3.1).
 type NegSampler struct {
@@ -64,86 +55,6 @@ func (s *NegSampler) CorruptN(pos kg.Triple, n int, dst []kg.Triple) []kg.Triple
 	return dst
 }
 
-// DegreeSampler corrupts with entities drawn proportionally to their
-// training-set degree (frequency): popular entities make harder, more
-// plausible negatives than uniform draws. Used as an alternative corruption
-// distribution alongside the paper's uniform sampler.
-type DegreeSampler struct {
-	cum []float64 // cumulative normalized degree weights
-	rng *xrand.RNG
-}
-
-// NewDegreeSampler builds a sampler over the dataset's training degrees.
-// Entities with zero degree receive a weight of one so every entity stays
-// reachable.
-func NewDegreeSampler(d *kg.Dataset, rng *xrand.RNG) *DegreeSampler {
-	if d.NumEntities < 2 {
-		panic("model: degree sampling needs at least two entities")
-	}
-	deg := make([]float64, d.NumEntities)
-	for _, t := range d.Train {
-		deg[t.H]++
-		deg[t.T]++
-	}
-	cum := make([]float64, d.NumEntities)
-	total := 0.0
-	for i, w := range deg {
-		if w == 0 {
-			w = 1
-		}
-		total += w
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	cum[len(cum)-1] = 1
-	return &DegreeSampler{cum: cum, rng: rng}
-}
-
-// draw samples an entity from the degree distribution.
-func (s *DegreeSampler) draw() int32 {
-	u := s.rng.Float64()
-	lo, hi := 0, len(s.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
-}
-
-// Corrupt implements Corrupter.
-func (s *DegreeSampler) Corrupt(pos kg.Triple) kg.Triple {
-	neg := pos
-	if s.rng.Bernoulli(0.5) {
-		for {
-			if e := s.draw(); e != pos.H {
-				neg.H = e
-				return neg
-			}
-		}
-	}
-	for {
-		if e := s.draw(); e != pos.T {
-			neg.T = e
-			return neg
-		}
-	}
-}
-
-// CorruptN implements Corrupter.
-func (s *DegreeSampler) CorruptN(pos kg.Triple, n int, dst []kg.Triple) []kg.Triple {
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, s.Corrupt(pos))
-	}
-	return dst
-}
-
 // Rows resolves embedding rows by id — the one question the per-triple
 // arithmetic asks of its storage. *Params answers it from full tables; the
 // trainer's sharded tables answer it from an owned shard plus pulled rows.
@@ -183,7 +94,7 @@ func Hardest(m Model, rows Rows, cands []kg.Triple) int {
 // draw n negatives, score each with a forward pass, and return the hardest
 // (see Hardest). The second return value is the number of extra forward-pass
 // scores spent, for compute-time accounting.
-func SelectHardest(m Model, p *Params, s Corrupter, pos kg.Triple, n int, scratch []kg.Triple) (kg.Triple, int) {
+func SelectHardest(m Model, p *Params, s *NegSampler, pos kg.Triple, n int, scratch []kg.Triple) (kg.Triple, int) {
 	cands := s.CorruptN(pos, max(n, 1), scratch)
 	if len(cands) == 1 {
 		return cands[0], 0

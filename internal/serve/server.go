@@ -630,13 +630,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if uptime > 0 {
 			fmt.Fprintf(w, "kgeserve_qps{endpoint=%q} %.4f\n", name, float64(reqs)/uptime)
 		}
-		em.latency.Snapshot().WriteTo(w, "kgeserve_"+name+"_latency_seconds")
+		em.latency.Snapshot().WriteTo(w, "kgeserve_"+name+"_latency_seconds", "")
 	}
-	s.batchSizes.Snapshot().WriteTo(w, "kgeserve_batch_size")
+	s.batchSizes.Snapshot().WriteTo(w, "kgeserve_batch_size", "")
 	fmt.Fprintf(w, "kgeserve_approx_requests_total %d\n", s.approxRequests.Value())
 	fmt.Fprintf(w, "kgeserve_approx_candidates_total %d\n", s.approxCandidates.Value())
 	fmt.Fprintf(w, "kgeserve_approx_rescored_total %d\n", s.approxRescored.Value())
-	s.approxLatency.Snapshot().WriteTo(w, "kgeserve_approx_latency_seconds")
+	s.approxLatency.Snapshot().WriteTo(w, "kgeserve_approx_latency_seconds", "")
 	gen := s.state.Load()
 	cs := gen.cache.Stats()
 	fmt.Fprintf(w, "kgeserve_cache_hits_total %d\n", cs.Hits)

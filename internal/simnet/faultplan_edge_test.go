@@ -69,9 +69,8 @@ func TestParseFaultPlanEdgeCases(t *testing.T) {
 				c.AddSeconds(0, 20)
 				c.mu.Lock()
 				got := c.effectiveSpeed(0)
-				base := c.speed[0]
 				c.mu.Unlock()
-				if want := base / 6; math.Abs(got-want) > 1e-9*want {
+				if want := 1.0 / 6; math.Abs(got-want) > 1e-9*want {
 					t.Errorf("overlapped speed = %g, want %g (compounded /6)", got, want)
 				}
 			},

@@ -113,13 +113,6 @@ func IsZero(x []float32) bool {
 	return true
 }
 
-// Fill sets every element of x to v.
-func Fill(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Matrix is a dense row-major matrix of float32 whose rows are embedding
 // vectors. Data is a single backing slice of Rows*Cols elements, so a whole
 // matrix can be communicated or checkpointed as one contiguous buffer.

@@ -56,7 +56,7 @@ func TestAxpyMul(t *testing.T) {
 	}
 }
 
-func TestScaleAddCopyZeroFill(t *testing.T) {
+func TestScaleAddCopyZero(t *testing.T) {
 	x := []float32{1, 2}
 	Scale(3, x)
 	if x[0] != 3 || x[1] != 6 {
@@ -75,10 +75,6 @@ func TestScaleAddCopyZeroFill(t *testing.T) {
 	Zero(dst)
 	if !IsZero(dst) {
 		t.Fatalf("Zero left %v", dst)
-	}
-	Fill(dst, 9)
-	if dst[0] != 9 || dst[1] != 9 {
-		t.Fatalf("Fill = %v", dst)
 	}
 }
 

@@ -8,9 +8,9 @@
 //     diagnosed down to the first diverging epoch and whether the exchange
 //     collective differed — so a hot-path refactor that silently changes
 //     training is caught before it merges.
-//   - Statistical property checks: unbiasedness of the 1/2-bit quantizers
-//     and of random selection under CLT-derived confidence bounds over many
-//     seeded trials; relation-partition invariants checked exhaustively over
+//   - Statistical property checks: unbiasedness of the 2-bit quantizer and
+//     random selection's keep probabilities under CLT-derived confidence
+//     bounds over many seeded trials; relation-partition invariants checked exhaustively over
 //     generated KGs; dynamic-strategy switch permanence; hardest-negative
 //     ordering.
 //   - The chaos soak harness: randomized-but-seeded

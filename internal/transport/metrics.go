@@ -154,15 +154,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE %s histogram\n", rttName)
 	}
 	for _, p := range peers {
-		s := snaps[p]
-		var cum int64
-		for i, b := range s.Bounds {
-			cum += s.Counts[i]
-			fmt.Fprintf(w, "%s_bucket{peer=\"%d\",le=\"%g\"} %d\n", rttName, p, b, cum)
-		}
-		cum += s.Counts[len(s.Counts)-1]
-		fmt.Fprintf(w, "%s_bucket{peer=\"%d\",le=\"+Inf\"} %d\n", rttName, p, cum)
-		fmt.Fprintf(w, "%s_sum{peer=\"%d\"} %g\n", rttName, p, s.Sum)
-		fmt.Fprintf(w, "%s_count{peer=\"%d\"} %d\n", rttName, p, s.Count)
+		snaps[p].WriteTo(w, rttName, fmt.Sprintf("peer=\"%d\"", p))
 	}
 }
