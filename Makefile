@@ -154,7 +154,8 @@ soak:
 # crasher it writes under testdata/fuzz/ into the committed corpus.
 ## fuzz-smoke: fuzz every Fuzz* target for 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz='^FuzzDecodeIDs$$' -fuzztime=10s ./internal/partition/
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/transport/tcptransport/
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeHandshake$$' -fuzztime=10s ./internal/transport/tcptransport/
 	$(GO) test -run '^$$' -fuzz='^FuzzUnmarshalInto$$' -fuzztime=10s ./internal/grad/
 	$(GO) test -run '^$$' -fuzz='^FuzzSparseGradOracle$$' -fuzztime=10s ./internal/grad/
 	$(GO) test -run '^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=10s ./internal/model/

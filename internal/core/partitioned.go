@@ -4,14 +4,17 @@ package core
 // full embedding tables on every rank, a partition.Plan assigns each entity
 // row and relation row exactly one owner, each rank materializes only its
 // owned shard (shardStore), and shardTables answers the epoch loop's row seam
-// with a two-phase exchange of plain mpi collectives, so the mode runs
+// with owner-addressed mpi.AllToAllRows exchanges — every row travels only
+// from the rank that has it to the rank that needs it — so the mode runs
 // unchanged on the channel world and the process/TCP world:
 //
-//	pull — all-gather the staging's wanted remote row ids, then all-gather
-//	       the owners' replies; the rank caches the rows for the staging.
-//	push — all-gather the gradient rows of remote-owned rows; each owner
-//	       folds in the contributions addressed to it, averages by 1/P, and
-//	       applies them with its own optimizer state.
+//	pull — one request (each owner gets the ascending ids wanted from it)
+//	       and one reply (each owner answers each requester with values
+//	       only, in that requester's id order); the rank caches the rows
+//	       for the staging.
+//	push — each gradient row of a remote-owned row goes to its owner, which
+//	       folds the contributions in ascending source order, averages by
+//	       1/P, and applies them with its own optimizer state.
 //
 // The plan is a pure function of (Config, dataset, world size), so survivors
 // of a failure re-partition deterministically and warm-start their new shards
@@ -66,13 +69,53 @@ func (s *shardStore) owns(uid int32) bool { return s.local[uid] >= 0 }
 // row returns the owned row's storage.
 func (s *shardStore) row(uid int32) []float32 { return s.rows.Row(int(s.local[uid])) }
 
+// checkPeerID vets a row id that arrived from rank src. Ids come off the
+// wire, so one outside the unified id space or one this rank does not own is
+// an error naming the peer — never an index panic, and never a silently
+// skipped row, which would misalign every row after it in a values-only
+// reply.
+func (s *shardStore) checkPeerID(src int, uid int32) error {
+	if uid >= 0 && int(uid) < len(s.local) && s.local[uid] >= 0 {
+		return nil
+	}
+	return peerRowError(src, uid, len(s.local))
+}
+
+// reply builds the values-only answer to rank src's request ids: the owned
+// rows in request order, written over dst's storage.
+func (s *shardStore) reply(dst []float32, src int, ids []int32) ([]float32, error) {
+	dst = dst[:0]
+	for _, uid := range ids {
+		if err := s.checkPeerID(src, uid); err != nil {
+			return dst, err
+		}
+		dst = append(dst, s.row(uid)...)
+	}
+	return dst, nil
+}
+
+// peerRowError reports a row id rank src sent that this rank cannot serve.
+//
+//kgelint:coldpath error path: a peer sent a malformed block
+func peerRowError(src int, uid int32, rows int) error {
+	return fmt.Errorf("core: rank %d sent row id %d, which is not one of this rank's rows in [0, %d)", src, uid, rows)
+}
+
+// peerBlockError reports a block from rank src whose value count does not
+// match the rows it stands for.
+//
+//kgelint:coldpath error path: a peer sent a malformed block
+func peerBlockError(src, got, want int) error {
+	return fmt.Errorf("core: rank %d sent %d values, want %d", src, got, want)
+}
+
 // shardTables is the partitioned rankTables: a staging announces its triples'
 // rows (need), fetches the remote ones into a cache (pull) and resolves rows
 // against the shard or that cache; closing a batch pushes gradient rows back
-// to their owners, and each owner applies what it owns. All scratch (decode
-// buffer, row cache, response/push/aggregate SparseGrads, touch stamps) is
-// reused across batches; the only fresh allocations are the wire payloads,
-// whose ownership the all-gather contract transfers to the world.
+// to their owners, and each owner applies what it owns. All scratch (row
+// cache, push/aggregate SparseGrads, touch stamps, outgoing blocks) is reused
+// across batches, so the steady-state exchange allocates nothing but the
+// collective's per-call bookkeeping.
 type shardTables struct {
 	t      *trainRun
 	comm   *mpi.Comm
@@ -82,7 +125,6 @@ type shardTables struct {
 
 	uidG  *grad.SparseGrad // the batch's gradient rows, entity and relation, by uid
 	cache *grad.SparseGrad // pulled remote rows, keyed by uid; valid for one staging
-	resp  *grad.SparseGrad // owned rows staged for peers' requests
 	pushG *grad.SparseGrad // gradient rows leaving for their owners
 	agg   *grad.SparseGrad // aggregated gradients for rows this rank owns
 
@@ -90,8 +132,14 @@ type shardTables struct {
 	gen   int32
 	local int // unique owned rows touched this staging (remote ones: cache.Len())
 
-	reqBuf  []int32 // DecodeIDs scratch
-	moveBuf []int32 // owned/remote split scratch in push
+	// Outgoing all-to-all blocks, one per destination rank. A sent block
+	// belongs to its receiver (mpi.AllToAllRows), so after every exchange the
+	// blocks this rank received — read by it alone — become its storage.
+	outIdx  [][]int32
+	outVals [][]float32
+	nwant   []int // rows wanted from each owner this pull, then its reply cursor
+
+	moveBuf []int32 // owned/remote split scratch in closeBatch
 	dropBuf []int32 // dropZeroRows scratch
 }
 
@@ -103,14 +151,16 @@ func newShardTables(t *trainRun, c *mpi.Comm, selRng *xrand.RNG) *shardTables {
 		store: store,
 		// One optimizer over the unified shard, indexed by local row id; Adam
 		// moments per owned row exactly match the replicated per-table split.
-		o:      opt.NewByName(t.cfg.OptimizerName, len(store.uids), t.width),
-		selRng: selRng,
-		uidG:   grad.NewSparseGrad(t.width),
-		cache:  grad.NewSparseGrad(t.width),
-		resp:   grad.NewSparseGrad(t.width),
-		pushG:  grad.NewSparseGrad(t.width),
-		agg:    grad.NewSparseGrad(t.width),
-		stamp:  make([]int32, t.plan.Rows()),
+		o:       opt.NewByName(t.cfg.OptimizerName, len(store.uids), t.width),
+		selRng:  selRng,
+		uidG:    grad.NewSparseGrad(t.width),
+		cache:   grad.NewSparseGrad(t.width),
+		pushG:   grad.NewSparseGrad(t.width),
+		agg:     grad.NewSparseGrad(t.width),
+		stamp:   make([]int32, t.plan.Rows()),
+		outIdx:  make([][]int32, c.Size()),
+		outVals: make([][]float32, c.Size()),
+		nwant:   make([]int, c.Size()),
 	}
 }
 
@@ -158,106 +208,105 @@ func (x *shardTables) row(uid int32) []float32 {
 	return r
 }
 
-// pull executes the batch's remote-row fetch: all ranks broadcast their
-// want lists, owners stage the requested rows, and one sparse-row
-// all-gather delivers them.
+// pull executes the batch's remote-row fetch in two owner-addressed
+// exchanges: each owner receives the ascending ids wanted from it, and
+// answers each requester with the rows' values only, in that requester's
+// order.
 //
 //kgelint:hotpath
 func (x *shardTables) pull() error {
-	payload := part.EncodeIDs(x.cache.Indices())
-	reqs, _, err := x.comm.AllGatherBytes(payload, tagPull)
+	plan, me, w := x.t.plan, x.comm.Rank(), x.t.width
+	for d := range x.outIdx {
+		x.outIdx[d] = x.outIdx[d][:0]
+		x.nwant[d] = 0
+	}
+	for _, uid := range x.cache.Indices() {
+		d := plan.Owner(uid)
+		x.outIdx[d] = append(x.outIdx[d], uid)
+		x.nwant[d]++
+	}
+	reqs, _, _, err := x.comm.AllToAllRows(x.outIdx, nil, tagPull)
 	if err != nil {
 		return err
 	}
-	me := x.comm.Rank()
-	x.resp.Clear()
-	for src := range reqs {
-		if src == me {
-			continue // own wants are by construction not owned here
-		}
-		ids, derr := part.DecodeIDs(x.reqBuf, reqs[src])
-		if derr != nil {
-			panic(fmt.Sprintf("core: corrupt row-request payload: %v", derr))
-		}
-		x.reqBuf = ids
-		for _, uid := range ids {
-			if x.store.owns(uid) {
-				copy(x.resp.Row(uid), x.store.row(uid))
-			}
-		}
-	}
-	idx, flat := x.resp.Flatten()
-	allIdx, allVals, _, err := x.comm.AllGatherRows(idx, flat, tagPull)
-	if err != nil {
-		return err
-	}
-	w := x.t.width
-	for src := range allIdx {
+	for src, ids := range reqs {
 		if src == me {
 			continue
 		}
-		vals := allVals[src]
-		for k, uid := range allIdx[src] {
-			if row, ok := x.cache.Get(uid); ok {
-				copy(row, vals[k*w:(k+1)*w])
-			}
+		if x.outVals[src], err = x.store.reply(x.outVals[src], src, ids); err != nil {
+			return err
 		}
 	}
+	copy(x.outIdx, reqs)
+	_, replies, _, err := x.comm.AllToAllRows(nil, x.outVals, tagPull)
+	if err != nil {
+		return err
+	}
+	for d, vals := range replies {
+		if d != me && len(vals) != x.nwant[d]*w {
+			return peerBlockError(d, len(vals), x.nwant[d]*w)
+		}
+		x.nwant[d] = 0 // from here on, the read cursor into owner d's reply
+	}
+	// The cache walks its ids in ascending order, so each owner's reply is
+	// consumed in the order its request listed them.
+	x.cache.ForEach(func(uid int32, row []float32) {
+		d := plan.Owner(uid)
+		k := x.nwant[d]
+		copy(row, replies[d][k*w:(k+1)*w])
+		x.nwant[d]++
+	})
+	copy(x.outVals, replies)
 	return nil
 }
 
-// push returns the batch's gradient rows to their owners: rows of uidG not
-// owned here move to the wire (after optional random selection — RS applies
-// to communicated rows, §4.2), one all-gather delivers them, and every rank
-// folds the contributions addressed to it into x.agg in ascending source
-// order (own local contribution at its own position), then averages by 1/P.
-// On return uidG holds only the locally-owned rows and x.agg the aggregated
-// owned-row gradients; both are valid until the next push.
+// push returns the staged gradient rows of x.pushG to their owners in one
+// owner-addressed exchange, and every rank folds the contributions it
+// receives into x.agg in ascending source order (own rows of uidG at its
+// own position), then averages by 1/P. On return x.agg holds the aggregated
+// owned-row gradients, valid until the next push.
 //
 //kgelint:hotpath
-func (x *shardTables) push() (st grad.SelectStats, err error) {
-	uidG := x.uidG
-	x.moveBuf = x.moveBuf[:0]
-	uidG.ForEach(func(uid int32, _ []float32) {
-		if !x.store.owns(uid) {
-			x.moveBuf = append(x.moveBuf, uid)
-		}
+func (x *shardTables) push() error {
+	plan, me, w := x.t.plan, x.comm.Rank(), x.t.width
+	for d := range x.outIdx {
+		x.outIdx[d] = x.outIdx[d][:0]
+		x.outVals[d] = x.outVals[d][:0]
+	}
+	x.pushG.ForEach(func(uid int32, row []float32) {
+		d := plan.Owner(uid)
+		x.outIdx[d] = append(x.outIdx[d], uid)
+		x.outVals[d] = append(x.outVals[d], row...)
 	})
-	x.pushG.Clear()
-	for _, uid := range x.moveBuf {
-		row, _ := uidG.Get(uid)
-		copy(x.pushG.Row(uid), row)
-		uidG.Drop(uid)
-	}
-	if sel := x.t.cfg.Select; sel != grad.SelectAll {
-		st = grad.Select(x.pushG, sel, x.selRng)
-	}
-	idx, flat := x.pushG.Flatten()
-	allIdx, allVals, _, err := x.comm.AllGatherRows(idx, flat, tagPush)
+	fromIdx, fromVals, _, err := x.comm.AllToAllRows(x.outIdx, x.outVals, tagPush)
 	if err != nil {
-		return st, err
+		return err
 	}
-	me := x.comm.Rank()
-	w := x.t.width
 	x.agg.Clear()
-	for src := range allIdx {
+	for src, ids := range fromIdx {
 		if src == me {
-			// Own batch's contribution to own rows; own wire payload holds
-			// only remote-owned rows, so nothing is double counted.
-			uidG.ForEach(func(uid int32, row []float32) {
+			// Own batch's contribution to own rows; rows owned elsewhere
+			// left uidG for the wire, so nothing is double counted.
+			x.uidG.ForEach(func(uid int32, row []float32) {
 				tensor.Add(row, x.agg.Row(uid))
 			})
 			continue
 		}
-		vals := allVals[src]
-		for k, uid := range allIdx[src] {
-			if x.store.owns(uid) {
-				tensor.Add(vals[k*w:(k+1)*w], x.agg.Row(uid))
+		vals := fromVals[src]
+		if len(vals) != len(ids)*w {
+			return peerBlockError(src, len(vals), len(ids)*w)
+		}
+		for k, uid := range ids {
+			if err := x.store.checkPeerID(src, uid); err != nil {
+				return err
 			}
+			tensor.Add(vals[k*w:(k+1)*w], x.agg.Row(uid))
 		}
 	}
+	copy(x.outIdx, fromIdx)
+	copy(x.outVals, fromVals)
 	scaleRows(x.agg, x.comm.Size())
-	return st, nil
+	return nil
 }
 
 //kgelint:hotpath
@@ -272,20 +321,40 @@ func (x *shardTables) entGrad(id int32) []float32 { return x.uidG.Row(id) }
 //kgelint:hotpath
 func (x *shardTables) relGrad(id int32) []float32 { return x.uidG.Row(x.t.plan.RelationUID(id)) }
 
+// closeBatch moves the batch's gradient rows of remote-owned rows from uidG
+// to pushG, applies random selection to them (RS applies to communicated
+// rows, §4.2) and charges its norm pass before the push, as the replicated
+// path does; then it pushes and applies the owned-row aggregate.
 func (x *shardTables) closeBatch(_ int, flops float64, lr float32, ep *epochTally) error {
 	t, rank := x.t, x.comm.Rank()
 	ep.localRefs += x.local
 	ep.remoteRefs += x.cache.Len()
 	flops += dropZeroRows(x.uidG, &x.dropBuf)
 	ep.nnzSum += float64(x.uidG.Len())
+
+	x.moveBuf = x.moveBuf[:0]
+	x.uidG.ForEach(func(uid int32, _ []float32) {
+		if !x.store.owns(uid) {
+			x.moveBuf = append(x.moveBuf, uid)
+		}
+	})
+	x.pushG.Clear()
+	for _, uid := range x.moveBuf {
+		row, _ := x.uidG.Get(uid)
+		copy(x.pushG.Row(uid), row)
+		x.uidG.Drop(uid)
+	}
+	if sel := t.cfg.Select; sel != grad.SelectAll {
+		st := grad.Select(x.pushG, sel, x.selRng)
+		ep.selBefore += st.Before
+		ep.selDropped += st.Dropped
+		flops += float64(st.Before*t.width) * 2
+	}
 	t.cluster.AddCompute(rank, flops)
 
-	st, err := x.push()
-	if err != nil {
+	if err := x.push(); err != nil {
 		return err
 	}
-	ep.selBefore += st.Before
-	ep.selDropped += st.Dropped
 	t.cluster.AddCompute(rank, t.applyGrads(x.o, x.store.rows, x.store.local, x.agg, lr))
 	x.uidG.Clear()
 	return nil

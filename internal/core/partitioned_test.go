@@ -3,12 +3,15 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"kgedist/internal/grad"
 	"kgedist/internal/model"
 	part "kgedist/internal/partition"
 	"kgedist/internal/simnet"
+	"kgedist/internal/xrand"
 )
 
 // partitionedConfig is testConfig switched into sharded-table mode.
@@ -65,6 +68,41 @@ func TestPartitionedStrategyLabel(t *testing.T) {
 	cfg.NegSelect = true
 	if got := cfg.StrategyLabel(); got != "partitioned-hash+RS+SS" {
 		t.Fatalf("label = %q", got)
+	}
+}
+
+// TestShardReplyRejectsForeignRowIDs: a peer's request ids come off the wire.
+// The reply builder answers owned ids with their values in request order;
+// an id outside the unified id space, or one another rank owns, is an error
+// naming the peer — never an index panic, never a silently skipped row.
+func TestShardReplyRejectsForeignRowIDs(t *testing.T) {
+	d := testDataset()
+	plan, err := part.Build(d, part.Options{Ranks: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.New("distmult", 4)
+	src := model.NewParams(m, d.NumEntities, d.NumRelations)
+	src.Init(m, xrand.New(1))
+	s := newShardStore(plan, 0, m.Width(), src)
+	mine, theirs := plan.OwnedUIDs(0), plan.OwnedUIDs(1)
+
+	ids := []int32{mine[len(mine)-1], mine[0]}
+	vals, err := s.reply(nil, 1, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.Width()
+	for k, uid := range ids {
+		if !slices.Equal(vals[k*w:(k+1)*w], modelRow(src, uid)) {
+			t.Fatalf("reply row %d (uid %d) is not the owned row", k, uid)
+		}
+	}
+	for _, bad := range []int32{-1, int32(plan.Rows()), theirs[0]} {
+		_, err := s.reply(nil, 1, []int32{mine[0], bad})
+		if err == nil || !strings.Contains(err.Error(), "rank 1") {
+			t.Errorf("request id %d: err = %v, want an error naming rank 1", bad, err)
+		}
 	}
 }
 

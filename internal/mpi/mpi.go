@@ -3,7 +3,8 @@
 //
 // The collectives are the textbook algorithms (ring reduce-scatter +
 // all-gather for AllReduceSum, ring block rotation for the variable-size
-// all-gathers, binomial trees for broadcast and scalar reductions), written
+// all-gathers, pairwise exchange for the all-to-all, binomial trees for
+// broadcast and scalar reductions), written
 // against the transport.Endpoint interface so the same code runs over two
 // fabrics: the in-process channel backend (internal/transport/chantransport
 // — each rank a goroutine, the deterministic simulation substrate) and the
@@ -27,16 +28,19 @@
 //
 // # Buffer ownership
 //
-// Two disciplines keep the hot path allocation-free without data races
+// Three disciplines keep the hot path allocation-free without data races
 // (DESIGN.md §10). Point-to-point staging copies inside the dense
 // collectives (AllReduceSum) are recycled through internal/pool:
 // the sender gets a buffer, exactly one receiver consumes it and puts it
 // back. All-gather payloads (AllGatherRows, AllGatherBytes) are the
 // opposite: the ring rotation shares one backing array with every rank, so
 // the payload ownership transfers to the world — callers must pass freshly
-// allocated slices and treat the returned ones as immutable. (The TCP
-// backend serializes payloads onto the wire, so received slices there are
-// always fresh; the contract is set by the zero-copy channel backend.)
+// allocated slices and treat the returned ones as immutable. All-to-all
+// blocks (AllToAllRows) have exactly one reader: a sent block belongs to its
+// destination, which may overwrite or recycle it, and the sender must not
+// touch it again. (The TCP backend serializes payloads onto the wire, so
+// received slices there are always fresh; the contract is set by the
+// zero-copy channel backend.)
 package mpi
 
 import (
@@ -555,6 +559,70 @@ func (c *Comm) AllGatherBytes(payload []byte, tag string) ([][]byte, float64, er
 		out[i] = b.raw
 	}
 	return out, cost, nil
+}
+
+// AllToAllRows delivers one block of sparse rows from every rank to every
+// other rank: idx[d] and vals[d] are what this rank sends to rank d, and
+// fromIdx[s], fromVals[s] what rank s sent to this one. Either half of a
+// block may be empty (an id-only or a values-only block), and a nil idx or
+// vals sends that half empty to everyone. The own slot is neither sent nor
+// returned. Schedule: pairwise exchange — in round k = 1…P−1 a rank sends to
+// (rank+k) mod P and receives from (rank−k) mod P, so every block travels
+// once, straight to the one rank that reads it. P = 1 returns at once with
+// zero cost.
+//
+// Block sizes are data-dependent, so the ranks agree on the total bytes sent
+// with a scalar sum before the rendezvous (as ReduceScatterEncoded does) and
+// charge (P−1)·α + (total/P)·β.
+//
+// Ownership: each block has exactly one reader. Sending hands idx[d] and
+// vals[d] to rank d, so the caller must not touch them after the call; the
+// returned blocks belong to the caller outright — no other rank retains
+// them — so it may overwrite or recycle them.
+func (c *Comm) AllToAllRows(idx [][]int32, vals [][]float32, tag string) (fromIdx [][]int32, fromVals [][]float32, cost float64, err error) {
+	if err := c.enter(); err != nil {
+		return nil, nil, 0, err
+	}
+	p := c.w.p
+	fromIdx = make([][]int32, p)
+	fromVals = make([][]float32, p)
+	if p == 1 {
+		if err := c.finish(0, 0, 0, tag); err != nil {
+			return nil, nil, 0, err
+		}
+		return fromIdx, fromVals, 0, nil
+	}
+	var sent int64
+	for k := 1; k < p; k++ {
+		dst, src := (c.rank+k)%p, (c.rank-k+p)%p
+		var out block
+		if idx != nil {
+			out.i32 = idx[dst]
+		}
+		if vals != nil {
+			out.f32 = vals[dst]
+		}
+		sent += out.bytes()
+		if err := c.send(dst, message{I32: out.i32, F32: out.f32}); err != nil {
+			return nil, nil, 0, err
+		}
+		m, err := c.recv(src)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		fromIdx[src], fromVals[src] = m.I32, m.F32
+	}
+	total, err := c.AllReduceScalar(float64(sent), OpSum)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	par := c.w.cluster.Params()
+	steps := int64(p - 1)
+	cost = float64(steps)*par.Alpha + (total/float64(p))*par.Beta
+	if err := c.finish(cost, int64(total), steps*int64(p), tag); err != nil {
+		return nil, nil, 0, err
+	}
+	return fromIdx, fromVals, cost, nil
 }
 
 // ReduceOp selects the combining function of AllReduceScalar.

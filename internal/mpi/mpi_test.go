@@ -3,6 +3,7 @@ package mpi
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -227,6 +228,109 @@ func TestAllGatherBytes(t *testing.T) {
 	}
 }
 
+// a2aBlock is what rank src sends rank dst in the all-to-all tests: a row
+// count that differs per pair (zero for some), and per pair an id-only, a
+// values-only or a full block.
+func a2aBlock(src, dst int) (idx []int32, vals []float32) {
+	n := (3*src + dst) % 4
+	kind := (src + 2*dst) % 3
+	if kind != 1 {
+		idx = make([]int32, n)
+		for i := range idx {
+			idx[i] = int32(100*src + 10*dst + i)
+		}
+	}
+	if kind != 0 {
+		vals = make([]float32, 2*n)
+		for i := range vals {
+			vals[i] = float32(src) + float32(dst)/10 + float32(i)/100
+		}
+	}
+	return idx, vals
+}
+
+// a2aSend builds rank r's outgoing blocks, own slot included (it must be
+// ignored).
+func a2aSend(r, p int) ([][]int32, [][]float32) {
+	idx, vals := make([][]int32, p), make([][]float32, p)
+	for d := range idx {
+		idx[d], vals[d] = a2aBlock(r, d)
+	}
+	return idx, vals
+}
+
+func TestAllToAllRows(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5} {
+		w := newWorld(p)
+		gotIdx := make([][][]int32, p)
+		gotVals := make([][][]float32, p)
+		w.Run(func(c *Comm) {
+			idx, vals := a2aSend(c.Rank(), p)
+			var err error
+			gotIdx[c.Rank()], gotVals[c.Rank()], _, err = c.AllToAllRows(idx, vals, "test")
+			if err != nil {
+				t.Errorf("p=%d rank %d: %v", p, c.Rank(), err)
+			}
+		})
+		for r := 0; r < p; r++ {
+			if len(gotIdx[r]) != p || len(gotVals[r]) != p {
+				t.Fatalf("p=%d rank %d got %d/%d blocks", p, r, len(gotIdx[r]), len(gotVals[r]))
+			}
+			for s := 0; s < p; s++ {
+				wantIdx, wantVals := a2aBlock(s, r)
+				if s == r {
+					wantIdx, wantVals = nil, nil // the own slot is not returned
+				}
+				if !slices.Equal(gotIdx[r][s], wantIdx) || !slices.Equal(gotVals[r][s], wantVals) {
+					t.Fatalf("p=%d rank %d from %d: got %v %v, want %v %v",
+						p, r, s, gotIdx[r][s], gotVals[r][s], wantIdx, wantVals)
+				}
+			}
+		}
+	}
+}
+
+// TestAllToAllRowsChargesAgreedTotal: ranks send different volumes (rank 0
+// everything, the rest nothing), yet every rank returns the same cost —
+// (P−1)·α + (total/P)·β over the agreed total — and the ledger moves the
+// total exactly once under the collective's tag.
+func TestAllToAllRowsChargesAgreedTotal(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5} {
+		w := newWorld(p)
+		costs := make([]float64, p)
+		w.Run(func(c *Comm) {
+			idx, vals := make([][]int32, p), make([][]float32, p)
+			if c.Rank() == 0 {
+				for d := range idx {
+					idx[d], vals[d] = make([]int32, d), make([]float32, 3*d)
+				}
+			}
+			var err error
+			_, _, costs[c.Rank()], err = c.AllToAllRows(idx, vals, "a2a")
+			if err != nil {
+				t.Errorf("p=%d rank %d: %v", p, c.Rank(), err)
+			}
+		})
+		var total int64
+		for d := 1; d < p; d++ {
+			total += 4 * int64(d+3*d)
+		}
+		want := 0.0
+		if p > 1 {
+			par := w.Cluster().Params()
+			want = float64(p-1)*par.Alpha + (float64(total)/float64(p))*par.Beta
+		}
+		for r, got := range costs {
+			if got != want {
+				t.Errorf("p=%d rank %d: cost %v, want %v", p, r, got, want)
+			}
+		}
+		if got := w.Cluster().BytesByTag()["a2a"]; got != total {
+			t.Errorf("p=%d: ledger moved %d bytes under the tag, want %d", p, got, total)
+		}
+	}
+}
+
 func TestAllReduceScalar(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 8, 13} {
 		w := newWorld(p)
@@ -384,7 +488,7 @@ func TestRandomCollectiveSequences(t *testing.T) {
 		nOps := rng.Intn(12) + 4
 		ops := make([]int, nOps)
 		for i := range ops {
-			ops[i] = rng.Intn(5)
+			ops[i] = rng.Intn(6)
 		}
 		run := func() (float64, int64) {
 			w := newWorld(p)
@@ -403,6 +507,9 @@ func TestRandomCollectiveSequences(t *testing.T) {
 							c.AllReduceScalar(float64(c.Rank()), OpMax)
 						case 4:
 							c.AllGatherBytes([]byte{byte(c.Rank())}, "s")
+						case 5:
+							idx, vals := a2aSend(c.Rank(), p)
+							c.AllToAllRows(idx, vals, "s")
 						}
 					}
 				})

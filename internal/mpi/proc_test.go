@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -58,50 +59,62 @@ func dialTCPEndpoints(t *testing.T, p int) []*tcptransport.Endpoint {
 }
 
 // TestProcessWorldMatchesChannelWorld runs a mixed collective workload over
-// both fabrics and requires bit-identical numerics and virtual time.
+// both fabrics and requires bit-identical numerics, all-to-all blocks, cost
+// and moved bytes, and virtual time.
 func TestProcessWorldMatchesChannelWorld(t *testing.T) {
 	const p, dim = 3, 64
-	workload := func(c *Comm) ([]float32, float64, error) {
+	type outcome struct {
+		buf      []float32
+		scalar   float64
+		a2aCost  float64
+		fromIdx  [][]int32
+		fromVals [][]float32
+	}
+	workload := func(c *Comm) (o outcome, err error) {
 		buf := make([]float32, dim)
 		for i := range buf {
 			buf[i] = float32(c.Rank()+1) * float32(i%7)
 		}
 		if _, err := c.AllReduceSum(buf, "test"); err != nil {
-			return nil, 0, err
+			return o, err
 		}
 		idx := []int32{int32(c.Rank())}
 		vals := []float32{float32(c.Rank()) * 2.5}
 		allIdx, allVals, _, err := c.AllGatherRows(idx, vals, "test")
 		if err != nil {
-			return nil, 0, err
+			return o, err
 		}
 		for r := range allIdx {
 			buf[0] += float32(allIdx[r][0]) + allVals[r][0]
 		}
-		s, err := c.AllReduceScalar(float64(c.Rank()+1), OpMax)
-		if err != nil {
-			return nil, 0, err
+		sendIdx, sendVals := a2aSend(c.Rank(), p)
+		if o.fromIdx, o.fromVals, o.a2aCost, err = c.AllToAllRows(sendIdx, sendVals, "a2a"); err != nil {
+			return o, err
+		}
+		if o.scalar, err = c.AllReduceScalar(float64(c.Rank()+1), OpMax); err != nil {
+			return o, err
 		}
 		if err := c.Barrier(); err != nil {
-			return nil, 0, err
+			return o, err
 		}
-		return buf, s, nil
+		o.buf = buf
+		return o, nil
 	}
 
 	// Reference: the channel world.
 	refW := newWorld(p)
-	refBufs := make([][]float32, p)
-	refScalar := make([]float64, p)
+	ref := make([]outcome, p)
 	watchdog(t, "channel reference", 30*time.Second, func() {
 		if err := refW.RunErr(func(c *Comm) error {
-			buf, s, err := workload(c)
-			refBufs[c.Rank()], refScalar[c.Rank()] = buf, s
+			var err error
+			ref[c.Rank()], err = workload(c)
 			return err
 		}); err != nil {
 			t.Errorf("channel world: %v", err)
 		}
 	})
 	refTime := refW.Cluster().MaxTime()
+	refMoved := refW.Cluster().BytesByTag()["a2a"]
 
 	// Subject: three process worlds over TCP, each with a private cluster.
 	eps := dialTCPEndpoints(t, p)
@@ -113,8 +126,7 @@ func TestProcessWorldMatchesChannelWorld(t *testing.T) {
 		}
 		worlds[i] = w
 	}
-	gotBufs := make([][]float32, p)
-	gotScalar := make([]float64, p)
+	got := make([]outcome, p)
 	watchdog(t, "tcp worlds", 60*time.Second, func() {
 		var wg sync.WaitGroup
 		for i, w := range worlds {
@@ -122,8 +134,8 @@ func TestProcessWorldMatchesChannelWorld(t *testing.T) {
 			go func(i int, w *World) {
 				defer wg.Done()
 				if err := w.RunErr(func(c *Comm) error {
-					buf, s, err := workload(c)
-					gotBufs[i], gotScalar[i] = buf, s
+					var err error
+					got[i], err = workload(c)
 					return err
 				}); err != nil {
 					t.Errorf("process world %d: %v", i, err)
@@ -133,13 +145,25 @@ func TestProcessWorldMatchesChannelWorld(t *testing.T) {
 		wg.Wait()
 	})
 	for r := 0; r < p; r++ {
-		if gotScalar[r] != refScalar[r] {
-			t.Fatalf("rank %d: scalar %v != reference %v", r, gotScalar[r], refScalar[r])
+		if got[r].scalar != ref[r].scalar {
+			t.Fatalf("rank %d: scalar %v != reference %v", r, got[r].scalar, ref[r].scalar)
 		}
-		for j := range refBufs[r] {
-			if gotBufs[r][j] != refBufs[r][j] {
-				t.Fatalf("rank %d: buf[%d] = %v over TCP, %v over channels", r, j, gotBufs[r][j], refBufs[r][j])
+		for j := range ref[r].buf {
+			if got[r].buf[j] != ref[r].buf[j] {
+				t.Fatalf("rank %d: buf[%d] = %v over TCP, %v over channels", r, j, got[r].buf[j], ref[r].buf[j])
 			}
+		}
+		for s := 0; s < p; s++ {
+			if !slices.Equal(got[r].fromIdx[s], ref[r].fromIdx[s]) || !slices.Equal(got[r].fromVals[s], ref[r].fromVals[s]) {
+				t.Fatalf("rank %d: all-to-all block from %d is %v %v over TCP, %v %v over channels",
+					r, s, got[r].fromIdx[s], got[r].fromVals[s], ref[r].fromIdx[s], ref[r].fromVals[s])
+			}
+		}
+		if got[r].a2aCost != ref[r].a2aCost {
+			t.Fatalf("rank %d: all-to-all cost %v over TCP, %v over channels", r, got[r].a2aCost, ref[r].a2aCost)
+		}
+		if moved := worlds[r].Cluster().BytesByTag()["a2a"]; moved != refMoved {
+			t.Fatalf("rank %d: all-to-all moved %d bytes over TCP, %d over channels", r, moved, refMoved)
 		}
 		if gt := worlds[r].Cluster().MaxTime(); math.Abs(gt-refTime) > 1e-12 {
 			t.Fatalf("rank %d: virtual time %v over TCP, %v over channels", r, gt, refTime)

@@ -45,21 +45,3 @@ func BenchmarkQuality(b *testing.B) {
 		_ = pl.Quality()
 	}
 }
-
-func BenchmarkEncodeDecodeIDs(b *testing.B) {
-	ids := make([]int32, 2048)
-	for i := range ids {
-		ids[i] = int32(i * 5)
-	}
-	var dst []int32
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		payload := EncodeIDs(ids)
-		var err error
-		dst, err = DecodeIDs(dst, payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = dst
-}

@@ -105,6 +105,15 @@ func (p *Plan) RelationUID(r int32) int32 { return int32(p.NumEntities) + r }
 // Rows returns the unified row count (entities + relations).
 func (p *Plan) Rows() int { return p.NumEntities + p.NumRelations }
 
+// Owner returns the rank owning unified row uid, which must lie in
+// [0, Rows()).
+func (p *Plan) Owner(uid int32) int {
+	if int(uid) < p.NumEntities {
+		return int(p.EntityOwner[uid])
+	}
+	return int(p.RelationOwner[int(uid)-p.NumEntities])
+}
+
 // OwnedUIDs returns the ascending unified ids owned by rank: entity rows
 // first, then relation rows. The slice is freshly allocated.
 func (p *Plan) OwnedUIDs(rank int) []int32 {

@@ -169,13 +169,17 @@ func TestUnifiedIDSpace(t *testing.T) {
 	if uid := pl.RelationUID(3); int(uid) != d.NumEntities+3 {
 		t.Fatalf("RelationUID(3) = %d", uid)
 	}
-	// OwnedUIDs covers the unified space exactly once across ranks.
+	// OwnedUIDs covers the unified space exactly once across ranks, and
+	// Owner names the rank listing each row.
 	covered := make([]int, pl.Rows())
 	for rank := 0; rank < pl.Ranks; rank++ {
 		prev := int32(-1)
 		for _, uid := range pl.OwnedUIDs(rank) {
 			if uid <= prev {
 				t.Fatalf("rank %d: OwnedUIDs not ascending", rank)
+			}
+			if o := pl.Owner(uid); o != rank {
+				t.Fatalf("Owner(%d) = %d, but rank %d lists it", uid, o, rank)
 			}
 			prev = uid
 			covered[uid]++
@@ -210,45 +214,6 @@ func TestPreferredRankMajority(t *testing.T) {
 	}
 	if n := pl.RemoteRows(kg.Triple{H: 0, R: 1, T: 2}, 1); n != 2 {
 		t.Errorf("RemoteRows = %d, want 2", n)
-	}
-}
-
-func TestIDWireRoundTrip(t *testing.T) {
-	cases := [][]int32{nil, {0}, {1, 5, 9, 1 << 20}, make([]int32, 1000)}
-	for i := range cases[3] {
-		cases[3][i] = int32(i * 3)
-	}
-	var scratch []int32
-	for _, ids := range cases {
-		payload := EncodeIDs(ids)
-		var err error
-		scratch, err = DecodeIDs(scratch, payload)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if len(scratch) != len(ids) {
-			t.Fatalf("round trip lost ids: %d -> %d", len(ids), len(scratch))
-		}
-		for i := range ids {
-			if scratch[i] != ids[i] {
-				t.Fatalf("id %d mangled: %d -> %d", i, ids[i], scratch[i])
-			}
-		}
-	}
-}
-
-func TestIDWireRejectsCorrupt(t *testing.T) {
-	good := EncodeIDs([]int32{1, 2, 3})
-	bad := [][]byte{
-		nil,
-		good[:4],
-		append(append([]byte(nil), good...), 0),
-		func() []byte { b := append([]byte(nil), good...); b[0] ^= 0xff; return b }(),
-	}
-	for i, p := range bad {
-		if _, err := DecodeIDs(nil, p); err == nil {
-			t.Errorf("corrupt payload %d accepted", i)
-		}
 	}
 }
 

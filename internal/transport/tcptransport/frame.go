@@ -153,7 +153,7 @@ func appendMessage(buf []byte, m transport.Message) []byte {
 	if m.Raw != nil {
 		flags |= flagRaw
 	}
-	if m.F64 != 0 {
+	if math.Float64bits(m.F64) != 0 { // -0 must travel: channels deliver it
 		flags |= flagF64
 	}
 	buf = append(buf, flags)
