@@ -7,8 +7,9 @@ GO ?= go
 # Packages with real concurrency (goroutine ranks, parameter-server shards,
 # the trainer that drives them) get a dedicated
 # race-detector tier. -short keeps the long end-to-end learning runs out of
-# the ~10-20x race slowdown; unit-level coverage stays on.
-RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ ./internal/tensor/ ./internal/testkit/
+# the ~10-20x race slowdown; unit-level coverage stays on. internal/grad
+# rides along so its bit-exact codec tests also hold under race codegen.
+RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ ./internal/tensor/ ./internal/testkit/ ./internal/grad/
 
 # Packages with kernel micro-benchmarks (ns/op, allocs/op, triples/sec);
 # the top-level package adds the end-to-end paper-table benchmarks.

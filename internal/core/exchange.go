@@ -142,7 +142,7 @@ func (x *exchanger) allReduce(g, agg *grad.SparseGrad, rows int, buf *[]float32,
 // scale per row) before hitting the wire. Encode and decode go through the
 // exchanger's Encoded scratch; only the marshaled wire payload is freshly
 // allocated, as the all-gather contract requires.
-func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, tag string) (*grad.SparseGrad, float64, error) {
+func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, rows int, tag string) (*grad.SparseGrad, float64, error) {
 	agg.Clear()
 	var cost float64
 	if x.cfg.Quant == grad.NoQuant {
@@ -168,11 +168,8 @@ func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, tag s
 			return nil, 0, err
 		}
 		cost = c
-		for _, p := range payloads {
-			if err := grad.UnmarshalInto(&x.dec, p); err != nil {
-				panic(fmt.Sprintf("core: corrupt quantized payload: %v", err))
-			}
-			grad.Dequantize(&x.dec, agg)
+		if err := x.decodeAll(payloads, agg, x.cfg.Quant, rows, false); err != nil {
+			return nil, 0, err
 		}
 	}
 	scaleRows(agg, x.comm.Size())
@@ -209,14 +206,44 @@ func (x *exchanger) compressed(g, agg *grad.SparseGrad, res *grad.Residual, mg *
 		return nil, 0, err
 	}
 	agg.Clear()
-	for _, p := range payloads {
-		if err := grad.UnmarshalInto(&x.dec, p); err != nil {
-			panic(fmt.Sprintf("core: corrupt compressed chunk payload: %v", err))
-		}
-		grad.Dequantize(&x.dec, agg)
+	if err := x.decodeAll(payloads, agg, lvl.Scheme(), rows, true); err != nil {
+		return nil, 0, err
 	}
 	scaleRows(agg, x.comm.Size())
 	return agg, hopCost + gatherCost, nil
+}
+
+// decodeAll dequantizes every rank's gathered frame into agg. The frames are
+// peer bytes, so each is checked before use against what this rank expects:
+// scheme s, the exchanged width, and row ids in [0, rows) — or, for the
+// reduced chunks of the compressed pipeline (chunked), inside the chunk the
+// sender reduced (mpi.ReducedChunk). A bad frame is an error naming its
+// sender, never a panic.
+func (x *exchanger) decodeAll(payloads [][]byte, agg *grad.SparseGrad, s grad.Scheme, rows int, chunked bool) error {
+	for src, p := range payloads {
+		lo, hi, what := int32(0), int32(rows), "quantized payload"
+		if chunked {
+			lo, hi = mpi.ReducedChunk(src, rows, len(payloads))
+			what = "compressed chunk payload"
+		}
+		err := grad.UnmarshalInto(&x.dec, p)
+		if err == nil {
+			err = x.dec.Check(s, x.width, lo, hi)
+		}
+		if err != nil {
+			return peerFrameError(what, src, err)
+		}
+		grad.Dequantize(&x.dec, agg)
+	}
+	return nil
+}
+
+// peerFrameError reports a gathered frame from rank src that failed to
+// decode or does not fit what this rank expects.
+//
+//kgelint:coldpath error path: a peer sent a malformed frame
+func peerFrameError(what string, src int, err error) error {
+	return fmt.Errorf("core: corrupt %s from rank %d: %w", what, src, err)
 }
 
 // observe feeds one batch's entity gradient into the adaptive controller
@@ -277,7 +304,7 @@ func (x *exchanger) exchangeOne(mode string, g, agg *grad.SparseGrad, res *grad.
 	case "allreduce":
 		return x.allReduce(g, agg, rows, buf, tag)
 	case "allgather":
-		return x.allGather(g, agg, res, tag)
+		return x.allGather(g, agg, res, rows, tag)
 	case "dyncomp":
 		return x.compressed(g, agg, res, mg, rows, tag)
 	}

@@ -192,8 +192,12 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 				rngW, rngG := xrand.New(99), xrand.New(99)
 				scW := refEncodeRow(s, row, want, rngW)
 				scG := encodeRow(s, row, got, rngG)
-				if math.Float32bits(scW) != math.Float32bits(scG) {
-					t.Errorf("%v w=%d row %d: scale %08x, reference %08x", s, w, ri, math.Float32bits(scG), math.Float32bits(scW))
+				// NaN scales compare as a class: which payload a NaN sum
+				// carries is the compiler's choice (race codegen differs),
+				// and NaN payload bits are not part of the codec's contract.
+				bw, bg := math.Float32bits(scW), math.Float32bits(scG)
+				if bw != bg && !(isNaNBits(bw) && isNaNBits(bg)) {
+					t.Errorf("%v w=%d row %d: scale %08x, reference %08x", s, w, ri, bg, bw)
 				}
 				if string(want) != string(got) {
 					t.Errorf("%v w=%d row %d: bits %x, reference %x", s, w, ri, got, want)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"kgedist/internal/xrand"
 )
@@ -120,11 +121,14 @@ func scale(s Scheme, row []float32) float32 {
 // sides of every exchange allocation-free after warm-up; the contents are
 // valid until the next *Into call on the same value. Not safe for
 // concurrent use.
+//
+// In memory every row has a scale, NoQuant's being zero; on the wire (see
+// Marshal) ids travel as delta-varints and NoQuant rows carry no scale.
 type Encoded struct {
 	Scheme  Scheme
 	Width   int       // floats per row
-	Indices []int32   // ascending row ids, one per encoded row
-	Scales  []float32 // per-row scale (unused by NoQuant)
+	Indices []int32   // strictly ascending row ids, one per encoded row
+	Scales  []float32 // per-row scale (zero and not sent under NoQuant)
 	Bits    []byte    // packed payload, payloadBytesPerRow bytes per row
 }
 
@@ -140,15 +144,37 @@ func payloadBytesPerRow(s Scheme, width int) int {
 	}
 }
 
-// WireBytes returns the total on-wire size of the encoding in bytes,
-// including indices and scales.
-func (e *Encoded) WireBytes() int {
-	per := payloadBytesPerRow(e.Scheme, e.Width)
-	scales := 4 * len(e.Scales)
-	if e.Scheme == NoQuant {
-		scales = 0
+// frameHeader is the fixed head of a wire frame: scheme(1) width(4) nrows(4).
+const frameHeader = 9
+
+// scaleBytesPerRow returns the wire size of one row's scale: NoQuant's
+// scale is always zero, so it is not sent.
+func scaleBytesPerRow(s Scheme) int {
+	if s == NoQuant {
+		return 0
 	}
-	return 4*len(e.Indices) + scales + per*len(e.Indices)
+	return 4
+}
+
+// uvarintLen returns the length of x's minimal uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// idGap returns the delta-varint value that encodes id after prev: the
+// number of ids skipped between them (prev = -1 before the first row).
+func idGap(prev, id int32) uint64 { return uint64(int64(id) - int64(prev) - 1) }
+
+// WireBytes returns the size of the Marshal frame in bytes — header, ids,
+// scales and payload — computed without marshalling.
+func (e *Encoded) WireBytes() int {
+	n := frameHeader + len(e.Indices) + scaleBytesPerRow(e.Scheme)*len(e.Scales) + len(e.Bits)
+	prev := int32(-1)
+	for _, id := range e.Indices {
+		if g := idGap(prev, id); g >= 0x80 {
+			n += uvarintLen(g) - 1
+		}
+		prev = id
+	}
+	return n
 }
 
 // Quantize encodes the sparse gradient under the scheme into a freshly
@@ -309,53 +335,69 @@ func decodeRowAccum(s Scheme, sc float32, buf []byte, row []float32) {
 }
 
 // Marshal serializes the encoding into one freshly allocated byte slice for
-// AllGatherBytes. Layout: scheme(1) width(4) nrows(4) | indices | scales |
-// bits. The result is safe to hand to a collective: every rank may retain
-// it, which is exactly why this path does not reuse buffers (DESIGN.md §10
-// — wire payloads are never recycled).
+// AllGatherBytes. The frame loses nothing the decoder needs:
+//
+//	scheme(1) width(4) nrows(4)   little-endian header
+//	uvarint(id - prev - 1)        per row, prev = -1 before the first row
+//	scale(4)                      per row, except under NoQuant
+//	payload                       the packed bits, as in Bits
+//
+// Ids are strictly ascending, so every gap is >= 0, and dense ids cost one
+// byte each. The result is safe to hand to a collective: every rank may
+// retain it, which is exactly why this path does not reuse buffers
+// (DESIGN.md §10 — wire payloads are never recycled).
 func (e *Encoded) Marshal() []byte {
-	return e.AppendTo(make([]byte, 0, 9+4*len(e.Indices)+4*len(e.Scales)+len(e.Bits)))
+	return e.AppendTo(make([]byte, 0, e.WireBytes()))
 }
 
 // AppendTo appends the Marshal encoding to dst and returns the extended
 // slice. Only use a recycled dst for process-local serialization; a buffer
 // that will cross a collective must come from a fresh Marshal call.
 func (e *Encoded) AppendTo(dst []byte) []byte {
-	dst = append(dst, byte(e.Scheme))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Width))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Indices)))
-	for _, id := range e.Indices {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	return appendFrame(dst, e.Scheme, e.Width, e.Indices, e.Scales, e.Bits)
+}
+
+// appendFrame appends one Marshal-layout frame over the given rows to dst.
+func appendFrame(dst []byte, s Scheme, width int, ids []int32, scales []float32, payload []byte) []byte {
+	dst = append(dst, byte(s))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(width))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ids)))
+	prev := int32(-1)
+	for _, id := range ids {
+		dst = binary.AppendUvarint(dst, idGap(prev, id))
+		prev = id
 	}
-	for _, s := range e.Scales {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(s))
+	if s != NoQuant {
+		for _, sc := range scales {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(sc))
+		}
 	}
-	return append(dst, e.Bits...)
+	return append(dst, payload...)
 }
 
 // UnmarshalInto parses a buffer produced by Marshal into e, reusing e's
 // storage; the decoded contents never alias buf, so buf may be recycled or
-// owned by another rank. The buffer is untrusted peer input: a header naming
-// an unknown scheme, or a row count and width whose rows (4-byte index,
-// 4-byte scale, payload) do not fill the rest of buf exactly, is rejected
-// before anything is sized from it. On error e is left in an unspecified
-// state. Any slices previously obtained from e are invalidated.
+// owned by another rank. The buffer is untrusted peer input and is rejected
+// when its header names an unknown scheme or a width <= 0, when its row
+// count exceeds the body (every id takes at least one byte) — checked before
+// anything is sized from it — when an id gap is truncated, overlong
+// (non-minimal) or takes an id past math.MaxInt32, or when the scales and
+// payload do not fill the rest of buf exactly. A NoQuant frame decodes with
+// one zero scale per row, as QuantizeInto leaves it. On error e is left in
+// an unspecified state. Any slices previously obtained from e are
+// invalidated.
 //
 //kgelint:hotpath
 func UnmarshalInto(e *Encoded, buf []byte) error {
-	if len(buf) < 9 {
+	if len(buf) < frameHeader {
 		//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
 		return fmt.Errorf("grad: encoded buffer too short: %d bytes", len(buf))
 	}
 	e.Scheme = Scheme(buf[0])
 	e.Width = int(binary.LittleEndian.Uint32(buf[1:]))
 	n := int(binary.LittleEndian.Uint32(buf[5:]))
-	off := 9
-	// Dividing the body by the row size, instead of multiplying the header's
-	// row count out, cannot overflow whatever the header says.
 	known := e.Scheme == NoQuant || e.Scheme == OneBitMax || e.Scheme == OneBitAvg || e.Scheme == TwoBitTernary
-	body, row := len(buf)-off, 8+payloadBytesPerRow(e.Scheme, e.Width)
-	if !known || e.Width <= 0 || body%row != 0 || body/row != n {
+	if !known || e.Width <= 0 || n > len(buf)-frameHeader {
 		//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
 		return fmt.Errorf("grad: encoded buffer of %d bytes does not match its header (scheme %d, width %d, %d rows)",
 			len(buf), e.Scheme, e.Width, n)
@@ -364,24 +406,75 @@ func UnmarshalInto(e *Encoded, buf []byte) error {
 		e.Indices = make([]int32, n)
 	}
 	e.Indices = e.Indices[:n]
+	off, prev := frameHeader, int64(-1)
 	for i := range e.Indices {
-		e.Indices[i] = int32(binary.LittleEndian.Uint32(buf[off:]))
-		if e.Indices[i] < 0 {
-			//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
-			return fmt.Errorf("grad: encoded buffer names negative row id %d", e.Indices[i])
+		// One-byte gaps (dense ids) are the common case; a longer varint
+		// is truncated (k == 0), overflows 64 bits (k < 0) or is overlong
+		// when its last byte is zero.
+		gap, k := uint64(0), 1
+		if off < len(buf) && buf[off] < 0x80 {
+			gap = uint64(buf[off])
+		} else if gap, k = binary.Uvarint(buf[off:]); k <= 0 || buf[off+k-1] == 0 {
+			k = 0
 		}
-		off += 4
+		if k == 0 || gap > math.MaxInt32 || prev+1+int64(gap) > math.MaxInt32 {
+			//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
+			return fmt.Errorf("grad: encoded buffer has a truncated, overlong or out-of-range id gap at row %d", i)
+		}
+		prev += 1 + int64(gap)
+		e.Indices[i] = int32(prev)
+		off += k
+	}
+	// Dividing the rest by the row size, instead of multiplying the header's
+	// row count out, cannot overflow whatever the header says.
+	sb := scaleBytesPerRow(e.Scheme)
+	body, row := len(buf)-off, sb+payloadBytesPerRow(e.Scheme, e.Width)
+	if body%row != 0 || body/row != n {
+		//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
+		return fmt.Errorf("grad: encoded buffer of %d bytes does not match its header (scheme %d, width %d, %d rows)",
+			len(buf), e.Scheme, e.Width, n)
 	}
 	if cap(e.Scales) < n {
 		e.Scales = make([]float32, n)
 	}
 	e.Scales = e.Scales[:n]
-	for i := range e.Scales {
-		e.Scales[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
+	if sb == 0 {
+		clear(e.Scales)
+	} else {
+		for i := range e.Scales {
+			e.Scales[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
+			off += 4
+		}
 	}
 	e.Bits = append(e.Bits[:0], buf[off:]...)
 	return nil
+}
+
+// Check reports whether e, decoded from a peer's frame, is one the receiver
+// can use: scheme s, width w and every row id in [lo, hi). A frame can
+// decode cleanly and still be inconsistent — a wrong width would panic
+// Dequantize and an out-of-range id would index past the receiver's table —
+// so every decode of peer bytes checks before use. Ids are ascending, so the
+// first and last bound them all.
+//
+//kgelint:hotpath
+func (e *Encoded) Check(s Scheme, w int, lo, hi int32) error {
+	n := len(e.Indices)
+	if e.Scheme == s && e.Width == w && (n == 0 || e.Indices[0] >= lo && e.Indices[n-1] < hi) {
+		return nil
+	}
+	return mismatchError(e, s, w, lo, hi)
+}
+
+// mismatchError describes how e differs from the frame Check expected.
+//
+//kgelint:coldpath error path: a peer sent an inconsistent frame
+func mismatchError(e *Encoded, s Scheme, w int, lo, hi int32) error {
+	if e.Scheme != s || e.Width != w {
+		return fmt.Errorf("grad: frame is %v width %d, want %v width %d", e.Scheme, e.Width, s, w)
+	}
+	return fmt.Errorf("grad: frame rows [%d, %d] leave the id window [%d, %d)",
+		e.Indices[0], e.Indices[len(e.Indices)-1], lo, hi)
 }
 
 // RowRange returns the half-open position range [i0, i1) of the encoded rows
@@ -432,14 +525,5 @@ func (e *Encoded) Range(i0, i1 int, view *Encoded) {
 // capacity.
 func (e *Encoded) AppendRangeTo(dst []byte, i0, i1 int) []byte {
 	per := payloadBytesPerRow(e.Scheme, e.Width)
-	dst = append(dst, byte(e.Scheme))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Width))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(i1-i0))
-	for _, id := range e.Indices[i0:i1] {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-	}
-	for _, s := range e.Scales[i0:i1] {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(s))
-	}
-	return append(dst, e.Bits[i0*per:i1*per]...)
+	return appendFrame(dst, e.Scheme, e.Width, e.Indices[i0:i1], e.Scales[i0:i1], e.Bits[i0*per:i1*per])
 }

@@ -2,7 +2,9 @@ package grad
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,46 +189,79 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// frame assembles a wire frame by hand: the 9-byte header, then body.
+func frame(s Scheme, width, nrows uint32, body ...byte) []byte {
+	buf := []byte{byte(s)}
+	buf = binary.LittleEndian.AppendUint32(buf, width)
+	buf = binary.LittleEndian.AppendUint32(buf, nrows)
+	return append(buf, body...)
+}
+
+// oneBitRow is the scale and payload of one 1-bit width-8 row.
+var oneBitRow = []byte{0, 0, 0x80, 0x3f, 0xa5}
+
 func TestUnmarshalErrors(t *testing.T) {
 	t.Parallel()
-	e := new(Encoded)
-	if err := UnmarshalInto(e, nil); err == nil {
-		t.Fatal("nil buffer accepted")
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	if err := UnmarshalInto(new(Encoded), frame(OneBitMax, 8, 1, cat([]byte{7}, oneBitRow)...)); err != nil {
+		t.Fatalf("well-formed hand frame rejected: %v", err)
 	}
-	if err := UnmarshalInto(e, make([]byte, 5)); err == nil {
-		t.Fatal("short buffer accepted")
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+	}{
+		{"nil buffer", nil},
+		{"short header", make([]byte, 5)},
+		// Scheme 0, width 2^31-2, 2^31 rows: the row count would size a
+		// 2^31-entry index slice, and the old layout's size arithmetic
+		// 9 + 8n + n*4*width wrapped to exactly 9, the frame's length.
+		{"overflowing header", overflowFrame},
+		{"unknown scheme", frame(3, 8, 1, cat([]byte{7}, oneBitRow)...)}, // a retired 1-bit variant's code
+		{"zero width", frame(OneBitMax, 0, 1, cat([]byte{7}, oneBitRow)...)},
+		{"rows past the body", frame(OneBitMax, 8, 7, cat([]byte{7}, oneBitRow)...)},
+		{"truncated varint", frame(OneBitMax, 8, 1, 0x80)},
+		{"overlong varint", frame(OneBitMax, 8, 1, cat([]byte{0x87, 0x00}, oneBitRow)...)},
+		{"varint overflows 64 bits", frame(OneBitMax, 8, 1, cat(bytes.Repeat([]byte{0xff}, 9), []byte{0x02}, oneBitRow)...)},
+		// Gap 2^31 - 1 is id MaxInt32 itself; one more row passes it.
+		{"id past MaxInt32", frame(OneBitMax, 8, 2, cat([]byte{0xff, 0xff, 0xff, 0xff, 0x07, 0x00}, oneBitRow, oneBitRow)...)},
+		{"truncated payload", frame(OneBitMax, 8, 1, cat([]byte{7}, oneBitRow[:4])...)},
+		{"trailing byte", frame(OneBitMax, 8, 1, cat([]byte{7}, oneBitRow, []byte{0})...)},
+		{"NoQuant frame carrying a scale", frame(NoQuant, 1, 1, 7, 0, 0, 0, 0, 0, 0, 0x80, 0x3f)},
+	} {
+		if err := UnmarshalInto(new(Encoded), tc.buf); err == nil {
+			t.Errorf("%s: frame %x accepted", tc.name, tc.buf)
+		}
 	}
-	// Scheme 0, width 2^31-2, 2^31 rows: the header's size arithmetic
-	// 9 + 8n + n*4*width wraps to exactly 9, the frame's length, and the row
-	// count would size a 2^31-entry index slice.
-	if err := UnmarshalInto(e, overflowFrame); err == nil {
-		t.Fatal("header whose size arithmetic overflows accepted")
-	}
-	g := NewSparseGrad(4)
-	g.Row(0)[0] = 1
-	buf := Quantize(g, OneBitMax, nil).Marshal()
-	if err := UnmarshalInto(e, buf[:len(buf)-1]); err == nil {
-		t.Fatal("truncated buffer accepted")
-	}
-	unknown := append([]byte(nil), buf...)
-	unknown[0] = 3 // a retired 1-bit variant's code; same frame size as OneBitMax
-	if err := UnmarshalInto(e, unknown); err == nil {
-		t.Fatal("unknown scheme byte accepted")
-	}
-	buf[12] = 0x80 // top byte of the first row id: row ids index a table, a negative one must not reach it
-	if err := UnmarshalInto(e, buf); err == nil {
-		t.Fatal("negative row id accepted")
+	if err := UnmarshalInto(new(Encoded), frame(OneBitMax, 8, 1, cat([]byte{0xff, 0xff, 0xff, 0xff, 0x07}, oneBitRow)...)); err != nil {
+		t.Errorf("id MaxInt32 rejected: %v", err)
 	}
 }
 
 // overflowFrame is a 9-byte header (scheme 0, width 2^31-2, 2^31 rows) whose
-// claimed size, computed by multiplying out, wraps to its own length.
+// claimed row count far exceeds its zero-byte body.
 var overflowFrame = []byte{0, 0xFE, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0x80}
 
+// A 1-bit width-64 frame over n dense ids is the header plus, per row, a
+// one-byte id gap, a 4-byte scale and 8 bytes of signs.
+func TestWireBytesDenseOneBitExact(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{0, 1, 127, 128, 3246} {
+		g := NewSparseGrad(64)
+		for id := 0; id < n; id++ {
+			g.Row(int32(id))[0] = 1
+		}
+		e := Quantize(g, OneBitMax, nil)
+		if want := 9 + n + 4*n + 8*n; e.WireBytes() != want || len(e.Marshal()) != want {
+			t.Errorf("n=%d: WireBytes %d, Marshal %d bytes, want %d", n, e.WireBytes(), len(e.Marshal()), want)
+		}
+	}
+}
+
 // FuzzUnmarshalInto feeds arbitrary bytes to the peer-frame parser: it never
-// panics, a decoded row count never exceeds what the buffer can hold (8
-// bytes of index and scale per row after the 9-byte header), and an accepted
-// frame re-encodes through AppendTo byte for byte.
+// panics, a decoded row count never exceeds what the buffer can hold (at
+// least one id byte, the scale and the payload per row after the 9-byte
+// header), NoQuant rows decode with zero scales, and an accepted frame
+// re-encodes through AppendTo byte for byte.
 func FuzzUnmarshalInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		e := new(Encoded)
@@ -234,14 +269,23 @@ func FuzzUnmarshalInto(f *testing.F) {
 			return
 		}
 		n := len(e.Indices)
-		if most := (len(buf) - 9) / 8; n > most {
-			t.Fatalf("decoded %d rows from %d bytes (at most %d fit)", n, len(buf), most)
+		per := payloadBytesPerRow(e.Scheme, e.Width)
+		if n*(1+scaleBytesPerRow(e.Scheme)+per) > len(buf)-9 {
+			t.Fatalf("decoded %d rows of %d payload bytes from %d bytes", n, per, len(buf))
 		}
-		if len(e.Scales) != n || len(e.Bits) != n*payloadBytesPerRow(e.Scheme, e.Width) {
+		if len(e.Scales) != n || len(e.Bits) != n*per {
 			t.Fatalf("%d rows decoded with %d scales and %d payload bytes", n, len(e.Scales), len(e.Bits))
+		}
+		for _, sc := range e.Scales {
+			if e.Scheme == NoQuant && math.Float32bits(sc) != 0 {
+				t.Fatalf("NoQuant row decoded with scale %v", sc)
+			}
 		}
 		if got := e.AppendTo(nil); !bytes.Equal(got, buf) {
 			t.Fatalf("accepted frame re-encodes to %x, input %x", got, buf)
+		}
+		if e.WireBytes() != len(buf) {
+			t.Fatalf("WireBytes %d for a %d-byte frame", e.WireBytes(), len(buf))
 		}
 	})
 }
@@ -266,7 +310,7 @@ func TestEmptyGradientQuantize(t *testing.T) {
 	t.Parallel()
 	g := NewSparseGrad(8)
 	e := Quantize(g, OneBitMax, nil)
-	if len(e.Indices) != 0 || e.WireBytes() != 0 {
+	if len(e.Indices) != 0 || e.WireBytes() != 9 {
 		t.Fatalf("empty encode: %d rows, %d bytes", len(e.Indices), e.WireBytes())
 	}
 	got := new(Encoded)
@@ -312,38 +356,49 @@ func TestQuickOneBitFamily(t *testing.T) {
 	}
 }
 
-// Property: the encoded wire size follows the documented formula for every
-// scheme — 4 bytes index + 4 bytes scale per row plus the packed payload.
+// spreadIDs re-spaces e's row ids with gaps drawn below maxGap, so id
+// deltas of every varint length appear without materializing the rows.
+func spreadIDs(e *Encoded, rng *xrand.RNG, maxGap int) *Encoded {
+	id := int32(-1)
+	for i := range e.Indices {
+		id += 1 + int32(rng.Intn(maxGap))
+		e.Indices[i] = id
+	}
+	return e
+}
+
+// Property: WireBytes is exactly the length of the Marshal frame for every
+// scheme, whatever the ids and including widths that are not multiples of 8,
+// and the frame decodes back to the same ids.
 func TestQuickWireBytesFormula(t *testing.T) {
 	t.Parallel()
 	schemes := []Scheme{NoQuant, OneBitMax, OneBitAvg, TwoBitTernary}
-	f := func(seed uint64, rowsRaw, widthRaw, si uint8) bool {
-		rows := int(rowsRaw % 20)
-		width := int(widthRaw%33) + 1
-		s := schemes[int(si)%len(schemes)]
+	f := func(seed uint64, rowsRaw, widthRaw, si, gapRaw uint8) bool {
 		rng := xrand.New(seed)
-		g := NewSparseGrad(width)
-		for i := 0; i < rows; i++ {
-			row := g.Row(int32(i))
-			row[rng.Intn(width)] = rng.Float32() + 0.1
-		}
-		e := Quantize(g, s, rng)
-		var per int
-		switch s {
-		case NoQuant:
-			per = 4 * width
-		case TwoBitTernary:
-			per = (2*width + 7) / 8
-		default:
-			per = (width + 7) / 8
-		}
-		want := rows*4 + rows*per
-		if s != NoQuant {
-			want += rows * 4 // scales travel only for quantized schemes
-		}
-		return e.WireBytes() == want
+		s := schemes[int(si)%len(schemes)]
+		maxGap := 1 << (gapRaw % 22)
+		e := spreadIDs(Quantize(randGrad(rng, int(rowsRaw%40), int(widthRaw%33)+1), s, rng), rng, maxGap)
+		buf, back := e.Marshal(), new(Encoded)
+		return e.WireBytes() == len(buf) && UnmarshalInto(back, buf) == nil && slices.Equal(back.Indices, e.Indices)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: for ids below 2^28 a frame is never larger than the fixed
+// layout it replaced, which sent a 4-byte id and a 4-byte scale per row.
+func TestQuickFrameNoLargerThanFixedLayout(t *testing.T) {
+	t.Parallel()
+	schemes := []Scheme{NoQuant, OneBitMax, OneBitAvg, TwoBitTernary}
+	f := func(seed uint64, rowsRaw, widthRaw, si, gapRaw uint8) bool {
+		rng := xrand.New(seed)
+		rows := int(rowsRaw % 16)
+		maxGap := (1 << 28) / 16 >> (gapRaw % 24)
+		e := spreadIDs(Quantize(randGrad(rng, rows, int(widthRaw%33)+1), schemes[int(si)%len(schemes)], rng), rng, maxGap)
+		return len(e.Marshal()) <= 9+8*rows+len(e.Bits)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

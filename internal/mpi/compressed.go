@@ -9,8 +9,9 @@ import (
 )
 
 // Compressed-hop collective (DESIGN.md §13): the ring reduce-scatter carries
-// grad.Encoded frames natively — indices, per-row scales and packed payloads
-// ride the wire hop to hop, and each hop merges in the compressed domain
+// grad.Encoded frames natively — delta-varint row ids, per-row scales (none
+// under NoQuant) and packed payloads ride the wire hop to hop
+// (grad.Encoded.Marshal), and each hop merges in the compressed domain
 // (grad.Merger), decoding only overlapping rows. This is the DynamiQ idea
 // (PAPERS.md) grafted onto the paper's exchange: compression applies per hop
 // inside the collective instead of end-to-end around it, so the wire never
@@ -19,16 +20,39 @@ import (
 // The companion all-gather phase needs no new collective: the reduced chunks
 // are disjoint Encoded frames, and AllGatherBytes already moves opaque
 // frames unchanged — still compressed.
+//
+// Every hop frame is peer bytes: it is decoded and checked (scheme, width,
+// ids inside the chunk it stands for) before it reaches the merge, so a bad
+// frame is an error naming the sender, never a panic.
 
 // chunkEdge returns the first row id of chunk i when rows ids are split into
 // p contiguous chunks (chunk i covers ids [edge(i), edge(i+1))), matching
 // the dense ring's arithmetic chunking.
 func chunkEdge(i, rows, p int) int32 { return int32(i * rows / p) }
 
+// ReducedChunk returns the row-id window [lo, hi) of the chunk
+// ReduceScatterEncoded leaves fully reduced on rank r of p: chunk
+// (r+1) mod p, as in the dense ring. A receiver of that chunk checks the
+// sender's frame against it.
+func ReducedChunk(r, rows, p int) (lo, hi int32) {
+	own := (r + 1) % p
+	return chunkEdge(own, rows, p), chunkEdge(own+1, rows, p)
+}
+
+// hopFrameError reports a hop frame from rank src that failed to decode or
+// does not fit the chunk it stands for.
+//
+//kgelint:coldpath error path: a peer sent a malformed frame
+func hopFrameError(src int, err error) error {
+	return fmt.Errorf("mpi: corrupt compressed hop frame from rank %d: %w", src, err)
+}
+
 // ReduceScatterEncoded sums the ranks' encoded sparse gradients and returns
 // this rank's fully reduced chunk: the merged frame over row ids
 // [own*rows/p, (own+1)*rows/p), own = (rank+1) mod p as in the dense ring.
-// All ranks must pass frames with the same scheme, width and rows. Frames
+// All ranks must pass frames with the same scheme, width and rows; a hop
+// frame that does not match own's scheme and width, or names an id outside
+// its chunk, is returned as an error naming the sending rank. Frames
 // stay compressed on the wire and through every pass-through merge; only
 // row overlaps decode (see grad.Merger). rng is consumed by TwoBitTernary
 // re-encoding only and must be a stream dedicated to this pipeline.
@@ -80,11 +104,16 @@ func (c *Comm) ReduceScatterEncoded(own *grad.Encoded, rows int, mg *grad.Merger
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := grad.UnmarshalInto(&mg.In, m.Raw); err != nil {
-			panic(fmt.Sprintf("mpi: corrupt compressed hop frame from rank %d: %v", left, err))
-		}
+		err = grad.UnmarshalInto(&mg.In, m.Raw)
 		pool.PutBytes(m.Raw)
-		i0, i1 := own.RowRange(chunkEdge(recvIdx, rows, p), chunkEdge(recvIdx+1, rows, p))
+		lo, hi := chunkEdge(recvIdx, rows, p), chunkEdge(recvIdx+1, rows, p)
+		if err == nil {
+			err = mg.In.Check(own.Scheme, own.Width, lo, hi)
+		}
+		if err != nil {
+			return nil, 0, hopFrameError(left, err)
+		}
+		i0, i1 := own.RowRange(lo, hi)
 		own.Range(i0, i1, &mg.View)
 		cur = mg.MergeInto(&mg.In, &mg.View, rng)
 	}

@@ -2,9 +2,11 @@ package mpi
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"kgedist/internal/grad"
+	"kgedist/internal/pool"
 	"kgedist/internal/xrand"
 )
 
@@ -172,6 +174,49 @@ func TestReduceScatterEncodedCostAgreement(t *testing.T) {
 	for r := 1; r < p; r++ {
 		if costs[r] != costs[0] {
 			t.Fatalf("rank %d charged %v, rank 0 charged %v", r, costs[r], costs[0])
+		}
+	}
+}
+
+// A hop frame is peer bytes: one that does not decode, or decodes to the
+// wrong scheme, the wrong width or a row outside the chunk it stands for, is
+// an error naming the sender — never a panic in the merge. Rank 1 hand-sends
+// the frame; rank 0 runs the collective and expects chunk 1, ids [5, 10).
+func TestReduceScatterEncodedRejectsBadHopFrames(t *testing.T) {
+	const rows, width = 10, 4
+	own, _ := encGrad(0, rows, width, grad.OneBitMax, 400)
+	frame := func(s grad.Scheme, width int, ids ...int32) []byte {
+		g := grad.NewSparseGrad(width)
+		for _, id := range ids {
+			g.Row(id)[0] = 1
+		}
+		return grad.Quantize(g, s, xrand.New(1)).Marshal()
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"undecodable", []byte{1, 2, 3}},
+		{"wrong scheme", frame(grad.TwoBitTernary, width, 6)},
+		{"wrong width", frame(grad.OneBitMax, width+1, 6)},
+		{"id below the chunk", frame(grad.OneBitMax, width, 4, 6)},
+		{"id past the chunk", frame(grad.OneBitMax, width, 6, rows)},
+	} {
+		err := newWorld(2).RunErr(func(c *Comm) error {
+			if c.Rank() == 1 {
+				if err := c.send(0, message{Raw: tc.frame}); err != nil {
+					return err
+				}
+				m, err := c.recv(0)
+				pool.PutBytes(m.Raw)
+				return err
+			}
+			var mg grad.Merger
+			_, _, err := c.ReduceScatterEncoded(own, rows, &mg, nil, "rse")
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "corrupt compressed hop frame from rank 1") {
+			t.Errorf("%s: err = %v, want a corrupt hop frame naming rank 1", tc.name, err)
 		}
 	}
 }

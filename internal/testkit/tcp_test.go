@@ -56,7 +56,9 @@ func TestVerifyTCPTrajectoryIdentical(t *testing.T) {
 // a row, a sampler stream consumed in another order, or a compute charge
 // rounded differently fails here at zero tolerance. The partitioned rows'
 // ledger columns were re-pinned when the row exchange became
-// owner-addressed and partitioned RS began billing its norm pass; their
+// owner-addressed and partitioned RS began billing its norm pass, and the
+// quantized rows' (allgather-1bit-ef-rs-adagrad, combined, dyncomp) when
+// encoded frames began sending delta-varint ids and no NoQuant scales; their
 // body CRCs were not, because the trained parameters did not move. The CRC
 // covers the body only: a file that carries its own CRC-32 footer hashes to
 // the same residue whatever it contains.
@@ -92,7 +94,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		{"allgather-1bit-ef-rs-adagrad", RunScenario, func(c *core.Config) {
 			c.Comm, c.Quant, c.ErrorFeedback = core.CommAllGather, grad.OneBitMax, true
 			c.Select, c.OptimizerName = grad.SelectBernoulli, "adagrad"
-		}, 0xc5e054fd, 471212, 0x3ec08ff4598f1817},
+		}, 0xc5e054fd, 356162, 0x3ec078c87c0f4272},
 		{"distmult-sgd-hash-rs/partitioned", RunScenario, func(c *core.Config) {
 			c.ModelName, c.OptimizerName, c.Partitioned, c.PartitionBy = "distmult", "sgd", true, "hash"
 			c.Select, c.NegSamples = grad.SelectBernoulli, 2
@@ -101,9 +103,9 @@ func TestCheckpointBytesPinned(t *testing.T) {
 			ss(c)
 			c.Comm, c.ProbeEvery, c.Select = core.CommDynamic, 2, grad.SelectBernoulli
 			c.Quant, c.RelationPartition = grad.OneBitMax, true
-		}, 0x4acbf5fd, 830252, 0x3ec4470efc2a041f},
+		}, 0x4acbf5fd, 722366, 0x3ec4310348909e72},
 		{"dyncomp", RunScenario, func(c *core.Config) { c.Comm = core.CommDynamicCompress },
-			0xc48c2e25, 1402044, 0x3ed01ae2259e6828},
+			0xc48c2e25, 1244550, 0x3ed00b3a463c23b7},
 	} {
 		path := filepath.Join(t.TempDir(), "ckpt.bin")
 		sc := Scenario{Name: tc.name, Nodes: 3, Mutate: func(c *core.Config) {
