@@ -36,6 +36,16 @@ import (
 	"kgedist/internal/serve"
 )
 
+// Server timeouts, so a slow or stalled client cannot hold a connection and
+// its goroutine forever. WriteTimeout bounds a whole handler, so it sits far
+// above the slowest full predict sweep.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	var (
 		ckpt      = flag.String("model", "", "KGE2 checkpoint written by kgetrain -save (required)")
@@ -103,7 +113,14 @@ func main() {
 	log.Printf("store ready: %d entities x %d floats in %d shards, %d relations",
 		st.NumEntities(), st.Model().Width(), st.NumShards(), st.NumRelations())
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("serving on %s", *addr)

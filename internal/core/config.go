@@ -79,6 +79,18 @@ const (
 	l2 float64 = 1e-5
 )
 
+// The shrink-and-continue recovery budget (DESIGN.md §8), which no flag,
+// experiment or benchmark varies.
+const (
+	// maxRecoveries caps recovery attempts; one more failure degrades a
+	// channel world to a single fault-free node (a process world fails).
+	maxRecoveries = 3
+	// recoveryBackoff is the virtual seconds charged for the first recovery
+	// (failure detection, re-partitioning, checkpoint reload); each further
+	// recovery doubles it — exponential backoff in simulated time.
+	recoveryBackoff = 30.0
+)
+
 // Config assembles a training run. The zero value is not runnable; start
 // from DefaultConfig.
 type Config struct {
@@ -180,16 +192,9 @@ type Config struct {
 	// Recover enables shrink-and-continue: when ranks die mid-training the
 	// world is shrunk over the survivors, the dead ranks' shards are
 	// re-partitioned, and training resumes from the last snapshot. Without
-	// it a rank failure aborts the run with *mpi.RankFailedError.
+	// it a rank failure aborts the run with *mpi.RankFailedError. The
+	// recovery budget is maxRecoveries with recoveryBackoff.
 	Recover bool
-	// MaxRecoveries caps shrink-and-continue attempts; one more failure
-	// degrades the run to a single fault-free node (graceful degradation)
-	// instead of giving up. Ignored unless Recover is set.
-	MaxRecoveries int
-	// RecoveryBackoff is the virtual seconds charged for the first recovery
-	// (failure detection, re-partitioning, checkpoint reload); each further
-	// recovery doubles it — exponential backoff in simulated time.
-	RecoveryBackoff float64
 
 	// Seed drives every random choice of the run.
 	Seed uint64
@@ -212,27 +217,25 @@ type Config struct {
 // convergence horizon (a few hundred epochs shrink to under a hundred).
 func DefaultConfig() Config {
 	return Config{
-		ModelName:       "complex",
-		Dim:             32,
-		OptimizerName:   "adam",
-		LossName:        "logistic",
-		Margin:          1,
-		BatchSize:       2000,
-		BaseLR:          0.01,
-		Tolerance:       15,
-		StopPatience:    25,
-		MaxEpochs:       80,
-		Comm:            CommAllReduce,
-		ProbeEvery:      10,
-		Select:          grad.SelectAll,
-		Quant:           grad.NoQuant,
-		NegSamples:      1,
-		NegSelect:       false,
-		ValSample:       2000,
-		TestSample:      300,
-		MaxRecoveries:   3,
-		RecoveryBackoff: 30,
-		Seed:            1,
+		ModelName:     "complex",
+		Dim:           32,
+		OptimizerName: "adam",
+		LossName:      "logistic",
+		Margin:        1,
+		BatchSize:     2000,
+		BaseLR:        0.01,
+		Tolerance:     15,
+		StopPatience:  25,
+		MaxEpochs:     80,
+		Comm:          CommAllReduce,
+		ProbeEvery:    10,
+		Select:        grad.SelectAll,
+		Quant:         grad.NoQuant,
+		NegSamples:    1,
+		NegSelect:     false,
+		ValSample:     2000,
+		TestSample:    300,
+		Seed:          1,
 	}
 }
 
@@ -300,12 +303,6 @@ func (c Config) Validate() error {
 	}
 	if c.CheckpointPath != "" && c.CheckpointEvery <= 0 {
 		return fmt.Errorf("core: CheckpointPath needs CheckpointEvery > 0")
-	}
-	if c.MaxRecoveries < 0 {
-		return fmt.Errorf("core: MaxRecoveries must be >= 0, got %d", c.MaxRecoveries)
-	}
-	if c.RecoveryBackoff < 0 {
-		return fmt.Errorf("core: RecoveryBackoff must be >= 0, got %v", c.RecoveryBackoff)
 	}
 	return nil
 }

@@ -140,11 +140,12 @@ func TestTrainRecoveryReachesFaultFreeQuality(t *testing.T) {
 	}
 }
 
+// A two-node run that loses a rank is left with one survivor, which the
+// channel world runs on as a single fault-free node.
 func TestTrainFaultDegradesToSingleNode(t *testing.T) {
 	d := testDataset()
-	cfg := faultConfig(2)
-	cfg.MaxRecoveries = 0 // first failure already exceeds the budget
-	res, err := Train(cfg, d, 4)
+	cfg := faultConfig(1)
+	res, err := Train(cfg, d, 2)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -160,11 +161,11 @@ func TestTrainFaultDegradesToSingleNode(t *testing.T) {
 func TestTrainFaultRepeatedCrashesShrinkTwice(t *testing.T) {
 	d := testDataset()
 	cfg := faultConfig(1)
-	// Second crash targets post-shrink rank 1 (old rank 2) after recovery
-	// replays past the backoff charge on the shared clock.
-	cfg.RecoveryBackoff = 0.001
+	// Second crash targets post-shrink rank 1 (old rank 2) a few
+	// milliseconds into the replay, past the first recovery's 30 s backoff
+	// on the shared clock.
 	cfg.FaultPlan.Faults = append(cfg.FaultPlan.Faults,
-		simnet.Fault{Kind: simnet.FaultCrash, Rank: 2, At: 0.010})
+		simnet.Fault{Kind: simnet.FaultCrash, Rank: 2, At: 30.010})
 	res, err := Train(cfg, d, 4)
 	if err != nil {
 		t.Fatalf("Train: %v", err)

@@ -85,7 +85,6 @@ func procScenarioConfig(scenario, ckpt string) core.Config {
 		cfg.CheckpointEvery = 2
 		cfg.CheckpointPath = ckpt
 		cfg.Recover = true
-		cfg.MaxRecoveries = 3
 	default:
 		panic("unknown scenario " + scenario)
 	}

@@ -87,7 +87,7 @@ type RecoveryStats struct {
 	// Nodes after shrink-and-continue).
 	FinalNodes int
 	// Degraded reports that the run fell back to a single fault-free node
-	// after exhausting MaxRecoveries.
+	// after exhausting its recovery budget or shrinking to one survivor.
 	Degraded bool
 }
 

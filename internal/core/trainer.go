@@ -144,10 +144,10 @@ type snapshot struct {
 //
 // The world kind decides only what this address space can observe. A channel
 // world hosts every rank on one shared cluster: it takes the simulated fault
-// plan, and past MaxRecoveries it degrades to a single fault-free node
+// plan, and past maxRecoveries it degrades to a single fault-free node
 // rather than giving up. A process world hosts one rank on a private
 // cluster: faults come from the sockets, a process its peers declared dead
-// cannot rejoin, and past MaxRecoveries the job fails loudly — surviving
+// cannot rejoin, and past maxRecoveries the job fails loudly — surviving
 // processes cannot absorb each other, so it is restarted from the checkpoint.
 func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *trainRun, err error) {
 	// A failed close is a failed departure: the bye frame never reached the
@@ -225,7 +225,7 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 		// ---- Shrink-and-continue ----
 		attempt++
 		survivors := world.Size() - len(rf.Ranks)
-		degrade := attempt > cfg.MaxRecoveries || survivors == 1
+		degrade := attempt > maxRecoveries || survivors == 1
 		if world.Process() {
 			for _, r := range rf.Ranks {
 				if r == run.statsRank {
@@ -233,8 +233,8 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 				}
 			}
 			if degrade && survivors > 1 {
-				return nil, nil, fmt.Errorf("core: %d recoveries exhausted MaxRecoveries=%d; restart the job from the checkpoint: %w",
-					attempt, cfg.MaxRecoveries, rerr)
+				return nil, nil, fmt.Errorf("core: %d recoveries exhausted the budget of %d; restart the job from the checkpoint: %w",
+					attempt, maxRecoveries, rerr)
 			}
 			degrade = false
 		}
@@ -282,7 +282,7 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 		// cluster, so clocks stay in lockstep through the failure.
 		bytes := int64(4 * (len(snap.params.Entity.Data) + len(snap.params.Relation.Data)))
 		reload, _, _ := cluster.PointToPointCost(bytes)
-		cost := cfg.RecoveryBackoff*math.Pow(2, float64(attempt-1)) + reload*float64(world.Size())
+		cost := recoveryBackoff*math.Pow(2, float64(attempt-1)) + reload*float64(world.Size())
 		cluster.Collective(cost, bytes*int64(world.Size()), int64(world.Size()), tagRecovery)
 		rec.RecoverySeconds += cost
 	}

@@ -2,107 +2,148 @@ package grad
 
 import "kgedist/internal/xrand"
 
-// Compressed-domain reduction for the multi-hop collectives (DESIGN.md §13,
-// after DynamiQ; PAPERS.md): the ring reduce-scatter carries grad.Encoded
-// frames hop to hop instead of dense float32 chunks, and each hop merges the
-// incoming frame with the local chunk while staying compressed wherever the
-// scheme permits:
+// Compressed-domain reduction for the compressed reduce-scatter (DESIGN.md
+// §13.5): each rank sends its slice of a row-range chunk straight to that
+// chunk's owner, and the owner folds the P slices into one frame once,
+// staying compressed wherever the scheme permits:
 //
-//   - A row present in only one frame passes through verbatim — index, scale
+//   - A row present in only one slice passes through verbatim — index, scale
 //     and packed payload are copied, never decoded. In the sparse
 //     gradient-row regime most rows are unique to one rank, so most of every
-//     hop is a pure compressed-domain copy.
-//   - A row present in both frames cannot be summed bit-wise under a lossy
-//     scheme (two sign rows with different scales have no packed sum), so
-//     exactly these rows fall back to decode-reduce: both payloads are
-//     dequantized, summed in float32, and re-encoded with the frame's
-//     scheme. Under NoQuant the fallback is exact; under the lossy schemes
-//     it re-quantizes the sum, the per-hop error DynamiQ accepts (and the
-//     sender-side error feedback cannot see — DESIGN.md §13 lists this as
-//     the scheme's known deviation).
+//     chunk is a pure compressed-domain copy. A lossy re-encode is not
+//     idempotent (the ternary scale is mean|x|, so a row holding zeros
+//     shrinks), which is why a single-source row is never re-encoded.
+//   - A row present in two or more slices cannot be summed bit-wise under a
+//     lossy scheme (two sign rows with different scales have no packed sum),
+//     so exactly these rows are decoded, summed in float32 from zero in the
+//     order the slices are given, and re-encoded once with the frame's
+//     scheme. Under NoQuant this is exact; under the lossy schemes it is the
+//     one re-quantization DynamiQ's owner reduction accepts (PAPERS.md).
 //
-// The merge is deterministic: rows are walked in ascending id order and the
-// rng (consumed only by TwoBitTernary re-encoding) is a dedicated stream, so
-// a rank's hop sequence replays identically on the channel and TCP fabrics.
+// The merge is deterministic: rows are walked in ascending id order, slices
+// are folded in the caller's order, and the rng (consumed only by
+// TwoBitTernary re-encoding) is a dedicated stream, so a rank's merges
+// replay identically on the channel and TCP fabrics.
 
 // Merger merges sorted Encoded frames and owns every piece of scratch the
-// compressed ring pipeline needs, so the steady-state hop loop is
-// allocation-free once warm. One per exchanged matrix per rank; not safe for
-// concurrent use.
+// compressed reduce-scatter needs, so its steady state is allocation-free
+// once warm. One per exchanged matrix per rank; not safe for concurrent use.
 type Merger struct {
-	// In is the decode scratch the collective unmarshals incoming hop
-	// frames into. Owned by the collective between calls.
-	In Encoded
-	// Wire is the marshal scratch outgoing hop frames are staged through
-	// before being copied into a pooled wire buffer. Owned by the
-	// collective between calls.
+	// In is the decode scratch the collective unmarshals incoming frames
+	// into, one per fold position (see Reserve). Owned by the collective
+	// between calls.
+	In []Encoded
+	// Src is the fold order of the collective's Merge call: pointers into
+	// In, or to View. Owned by the collective between calls.
+	Src []*Encoded
+	// Wire is the marshal scratch outgoing frames are staged through before
+	// being copied into a pooled wire buffer. Owned by the collective
+	// between calls.
 	Wire []byte
 	// View is the zero-copy alias of the local chunk the collective merges
-	// against (see Encoded.Range).
+	// (see Encoded.Range).
 	View Encoded
 
-	out Encoded   // merged frame, reused across MergeInto calls
+	out Encoded   // merged frame, reused across Merge calls
 	sum []float32 // overlap decode-reduce scratch, one row wide
+	pos []int     // per-frame row cursor of Merge
 }
 
-// Out returns the frame the last MergeInto produced. It aliases
-// Merger-owned storage: valid until the next MergeInto call.
+// Reserve sizes In and Src to n fold positions, growing them only when n
+// exceeds every earlier call's.
+func (m *Merger) Reserve(n int) {
+	if cap(m.In) < n {
+		m.In = make([]Encoded, n)
+		m.Src = make([]*Encoded, n)
+	}
+	m.In, m.Src = m.In[:n], m.Src[:n]
+}
+
+// Out returns the frame the last merge produced. It aliases Merger-owned
+// storage: valid until the next Merge or MergeInto call.
 func (m *Merger) Out() *Encoded { return &m.out }
 
-// MergeInto reduces frames a and b (same scheme and width, ascending
-// indices) into the Merger's output frame and returns it. Rows unique to
-// one input are copied still-compressed; overlapping rows are
-// decoded, summed and re-encoded (consuming rng for TwoBitTernary only).
-// Neither input may alias the Merger's output — in the ring pipeline a is
-// the freshly decoded In frame and b the local chunk View, so this holds by
-// construction.
+// MergeInto reduces frames a and b: Merge over the fold order a, b.
 //
 //kgelint:hotpath
 func (m *Merger) MergeInto(a, b *Encoded, rng *xrand.RNG) *Encoded {
-	if a.Scheme != b.Scheme || a.Width != b.Width {
-		panic("grad: merge of incompatible encoded frames")
+	two := [2]*Encoded{a, b}
+	return m.Merge(two[:], rng)
+}
+
+// Merge reduces frames (at least one; same scheme and width, ascending
+// indices) into the Merger's output frame and returns it. A row held by one
+// frame is copied still-compressed; a row held by several is decoded from
+// each in frames order into a zeroed float32 sum and re-encoded once
+// (consuming rng for TwoBitTernary only). No frame may alias the Merger's
+// output.
+//
+//kgelint:hotpath
+func (m *Merger) Merge(frames []*Encoded, rng *xrand.RNG) *Encoded {
+	s, w := frames[0].Scheme, frames[0].Width
+	for _, f := range frames[1:] {
+		if f.Scheme != s || f.Width != w {
+			panic("grad: merge of incompatible encoded frames")
+		}
 	}
-	w := a.Width
-	per := payloadBytesPerRow(a.Scheme, w)
+	per := payloadBytesPerRow(s, w)
 	if cap(m.sum) < w {
 		m.sum = make([]float32, w)
 	}
+	if cap(m.pos) < len(frames) {
+		m.pos = make([]int, len(frames))
+	}
+	pos := m.pos[:len(frames)]
+	clear(pos)
 
 	out := &m.out
-	out.Scheme = a.Scheme
+	out.Scheme = s
 	out.Width = w
 	out.Indices = out.Indices[:0]
 	out.Scales = out.Scales[:0]
 	out.Bits = out.Bits[:0]
 
-	i, j := 0, 0
-	for i < len(a.Indices) || j < len(b.Indices) {
-		switch {
-		case j >= len(b.Indices) || (i < len(a.Indices) && a.Indices[i] < b.Indices[j]):
-			appendRow(out, a, i, per)
-			i++
-		case i >= len(a.Indices) || b.Indices[j] < a.Indices[i]:
-			appendRow(out, b, j, per)
-			j++
-		default: // same row id in both: decode-reduce fallback
-			sum := m.sum[:w]
-			for k := range sum {
-				sum[k] = 0
+	for {
+		// The smallest id at any cursor, the first frame holding it, and how
+		// many frames hold it.
+		var id int32
+		first, n := -1, 0
+		for k, f := range frames {
+			if pos[k] == len(f.Indices) {
+				continue
 			}
-			decodeRowAccum(a.Scheme, a.Scales[i], a.Bits[i*per:(i+1)*per], sum)
-			decodeRowAccum(b.Scheme, b.Scales[j], b.Bits[j*per:(j+1)*per], sum)
-			out.Indices = append(out.Indices, a.Indices[i])
-			// Extend Bits by one row; encodeRow overwrites every byte.
-			for k := 0; k < per; k++ {
-				out.Bits = append(out.Bits, 0)
+			switch h := f.Indices[pos[k]]; {
+			case n == 0 || h < id:
+				id, first, n = h, k, 1
+			case h == id:
+				n++
 			}
-			buf := out.Bits[len(out.Bits)-per:]
-			out.Scales = append(out.Scales, encodeRow(a.Scheme, sum, buf, rng))
-			i++
-			j++
 		}
+		if n == 0 {
+			return out
+		}
+		if n == 1 {
+			appendRow(out, frames[first], pos[first], per)
+			pos[first]++
+			continue
+		}
+		sum := m.sum[:w]
+		clear(sum)
+		for k := first; k < len(frames); k++ {
+			f, i := frames[k], pos[k]
+			if i < len(f.Indices) && f.Indices[i] == id {
+				decodeRowAccum(s, f.Scales[i], f.Bits[i*per:(i+1)*per], sum)
+				pos[k]++
+			}
+		}
+		out.Indices = append(out.Indices, id)
+		// Extend Bits by one row; encodeRow overwrites every byte.
+		for k := 0; k < per; k++ {
+			out.Bits = append(out.Bits, 0)
+		}
+		buf := out.Bits[len(out.Bits)-per:]
+		out.Scales = append(out.Scales, encodeRow(s, sum, buf, rng))
 	}
-	return out
 }
 
 // appendRow copies row r of src onto the end of out verbatim — the

@@ -212,6 +212,22 @@ func TestEncodedRangeRoundTrip(t *testing.T) {
 	}
 }
 
+// The k-way merge the compressed reduce-scatter's owner runs is
+// allocation-free once warm.
+func TestMergeKWayAllocFree(t *testing.T) {
+	rng := xrand.New(29)
+	frames := make([]*Encoded, 4)
+	for k := range frames {
+		frames[k] = Quantize(gradWithIDs(16, rng, int32(k), 4, 5+int32(k), 9), TwoBitTernary, rng)
+	}
+	var m Merger
+	mrng := xrand.New(31)
+	m.Merge(frames, mrng)
+	if allocs := testing.AllocsPerRun(50, func() { m.Merge(frames, mrng) }); allocs != 0 {
+		t.Errorf("Merge allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // The merge loop is //kgelint:hotpath and must be allocation-free once the
 // Merger's scratch is warm.
 func TestMergeAllocFree(t *testing.T) {

@@ -54,7 +54,7 @@ func BenchmarkAllGatherBytes(b *testing.B) {
 	}
 }
 
-// The compressed ring reduce-scatter (DESIGN.md §13) at the golden scenario's
+// The compressed owner-merge reduce-scatter (DESIGN.md §13) at the golden scenario's
 // world size, batch-shaped encoded frames with partial row overlap.
 func BenchmarkReduceScatterEncoded(b *testing.B) {
 	const p, rows, width = 3, 256, 32

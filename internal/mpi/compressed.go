@@ -8,21 +8,21 @@ import (
 	"kgedist/internal/xrand"
 )
 
-// Compressed-hop collective (DESIGN.md §13): the ring reduce-scatter carries
-// grad.Encoded frames natively — delta-varint row ids, per-row scales (none
-// under NoQuant) and packed payloads ride the wire hop to hop
-// (grad.Encoded.Marshal), and each hop merges in the compressed domain
-// (grad.Merger), decoding only overlapping rows. This is the DynamiQ idea
-// (PAPERS.md) grafted onto the paper's exchange: compression applies per hop
-// inside the collective instead of end-to-end around it, so the wire never
-// sees a dense float32 chunk at any rung of the compression ladder.
+// Compressed reduce-scatter (DESIGN.md §13.5): grad.Encoded frames —
+// delta-varint row ids, per-row scales (none under NoQuant) and packed
+// payloads (grad.Encoded.Marshal) — go from each rank straight to the owner
+// of each chunk over the all-to-all's pairwise schedule, and the owner merges
+// the P slices once in the compressed domain (grad.Merger.Merge), decoding
+// only rows several ranks hold. Every row is sent once and re-quantized at
+// most once — DynamiQ's owner reduction (PAPERS.md) on the paper's exchange
+// — and the wire never sees a dense float32 chunk at any rung of the ladder.
 //
 // The companion all-gather phase needs no new collective: the reduced chunks
 // are disjoint Encoded frames, and AllGatherBytes already moves opaque
 // frames unchanged — still compressed.
 //
-// Every hop frame is peer bytes: it is decoded and checked (scheme, width,
-// ids inside the chunk it stands for) before it reaches the merge, so a bad
+// Every received slice is peer bytes: it is decoded and checked (scheme,
+// width, ids inside the owner's chunk) before it reaches the merge, so a bad
 // frame is an error naming the sender, never a panic.
 
 // chunkEdge returns the first row id of chunk i when rows ids are split into
@@ -49,19 +49,19 @@ func hopFrameError(src int, err error) error {
 
 // ReduceScatterEncoded sums the ranks' encoded sparse gradients and returns
 // this rank's fully reduced chunk: the merged frame over row ids
-// [own*rows/p, (own+1)*rows/p), own = (rank+1) mod p as in the dense ring.
-// All ranks must pass frames with the same scheme, width and rows; a hop
-// frame that does not match own's scheme and width, or names an id outside
-// its chunk, is returned as an error naming the sending rank. Frames
-// stay compressed on the wire and through every pass-through merge; only
-// row overlaps decode (see grad.Merger). rng is consumed by TwoBitTernary
-// re-encoding only and must be a stream dedicated to this pipeline.
+// [c*rows/p, (c+1)*rows/p), c = (rank+1) mod p as in the dense ring. Each
+// rank sends its slice of chunk d straight to d's owner, rank (d−1) mod p,
+// and the owner folds the p slices with mg.Merge in ring source order
+// c, c+1, …, c+p−1 (its own slice last). All ranks must pass frames with the
+// same scheme, width and rows; a slice that does not match own's scheme and
+// width, or names an id outside the chunk, is returned as an error naming
+// the sending rank. rng is consumed by TwoBitTernary re-encoding only and
+// must be a stream dedicated to this pipeline.
 //
 // own is only read. The returned frame aliases mg-owned storage (or own
-// itself when p = 1) and is valid until the next call using mg. Wire frame
-// sizes are data-dependent, so the ranks agree on the charged cost by
-// summing their sent bytes with a composed scalar reduction before the
-// rendezvous — the Gather/Scatter pattern. Returns the virtual cost.
+// itself when p = 1) and is valid until the next call using mg. The charged
+// volume is the sum of the slices' frame sizes (see pairwise). Returns the
+// virtual cost.
 //
 //kgelint:hotpath
 func (c *Comm) ReduceScatterEncoded(own *grad.Encoded, rows int, mg *grad.Merger, rng *xrand.RNG, tag string) (*grad.Encoded, float64, error) {
@@ -75,59 +75,37 @@ func (c *Comm) ReduceScatterEncoded(own *grad.Encoded, rows int, mg *grad.Merger
 		}
 		return own, 0, nil
 	}
-	r := c.rank
-	right := (r + 1) % p
-	left := (r - 1 + p) % p
-	var sentBytes float64
-	cur := own
-	for s := 0; s < p-1; s++ {
-		sendIdx := ((r-s)%p + p) % p
-		recvIdx := ((r-s-1)%p + p) % p
-		// Stage the outgoing frame: at step 0 this rank's slice of chunk
-		// sendIdx; afterwards the previous step's merge result, which is by
-		// construction the partial reduction of exactly that chunk. The
-		// staging copy rides the pool (single receiver consumes and puts,
-		// DESIGN.md §10).
-		if s == 0 {
-			i0, i1 := own.RowRange(chunkEdge(sendIdx, rows, p), chunkEdge(sendIdx+1, rows, p))
-			mg.Wire = own.AppendRangeTo(mg.Wire[:0], i0, i1)
-		} else {
-			mg.Wire = cur.AppendTo(mg.Wire[:0])
-		}
+	first := (c.rank + 1) % p // this rank's chunk, and the first source it folds
+	lo, hi := ReducedChunk(c.rank, rows, p)
+	mg.Reserve(p)
+	i0, i1 := own.RowRange(lo, hi)
+	own.Range(i0, i1, &mg.View)
+	mg.Src[p-1] = &mg.View
+	cost, err := c.pairwise(func(dst int) (int, error) {
+		// dst owns chunk dst+1. The staging copy rides the pool: the single
+		// receiver consumes and puts it (DESIGN.md §10).
+		d0, d1 := ReducedChunk(dst, rows, p)
+		i0, i1 := own.RowRange(d0, d1)
+		mg.Wire = own.AppendRangeTo(mg.Wire[:0], i0, i1)
 		out := pool.GetBytes(len(mg.Wire))
 		copy(out, mg.Wire)
-		sentBytes += float64(len(out))
-		if err := c.send(right, message{Raw: out}); err != nil {
-			return nil, 0, err
-		}
-		m, err := c.recv(left)
-		if err != nil {
-			return nil, 0, err
-		}
-		err = grad.UnmarshalInto(&mg.In, m.Raw)
+		return len(mg.Wire), c.send(dst, message{Raw: out})
+	}, func(src int, m message) error {
+		j := (src - first + p) % p
+		f := &mg.In[j]
+		err := grad.UnmarshalInto(f, m.Raw)
 		pool.PutBytes(m.Raw)
-		lo, hi := chunkEdge(recvIdx, rows, p), chunkEdge(recvIdx+1, rows, p)
 		if err == nil {
-			err = mg.In.Check(own.Scheme, own.Width, lo, hi)
+			err = f.Check(own.Scheme, own.Width, lo, hi)
 		}
 		if err != nil {
-			return nil, 0, hopFrameError(left, err)
+			return hopFrameError(src, err)
 		}
-		i0, i1 := own.RowRange(lo, hi)
-		own.Range(i0, i1, &mg.View)
-		cur = mg.MergeInto(&mg.In, &mg.View, rng)
-	}
-	// Frame sizes differ per rank and hop; agree on the volume (and thus the
-	// charged cost) with a scalar sum before the rendezvous.
-	total, err := c.AllReduceScalar(sentBytes, OpSum)
+		mg.Src[j] = f
+		return nil
+	}, tag)
 	if err != nil {
 		return nil, 0, err
 	}
-	par := c.w.cluster.Params()
-	steps := int64(p - 1)
-	cost := float64(steps)*par.Alpha + (total/float64(p))*par.Beta
-	if err := c.finish(cost, int64(total), steps*int64(p), tag); err != nil {
-		return nil, 0, err
-	}
-	return cur, cost, nil
+	return mg.Merge(mg.Src, rng), cost, nil
 }

@@ -136,6 +136,56 @@ func TestReduceScatterEncodedLossyDeterministic(t *testing.T) {
 	}
 }
 
+// The owner-merge contract: every rank's reduced chunk equals, byte for
+// byte, a k-way merge of the p slices of that chunk in source order
+// c, c+1, …, c+p−1 with the same rng stream, and the ledger moves exactly the
+// direct slices' frame sizes.
+func TestReduceScatterEncodedMatchesOwnerMerge(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4, 8} {
+		for _, s := range []grad.Scheme{grad.NoQuant, grad.OneBitMax, grad.OneBitAvg, grad.TwoBitTernary} {
+			const rows, width = 37, 6
+			encs := make([]*grad.Encoded, p)
+			for r := range encs {
+				encs[r], _ = encGrad(r, rows, width, s, 500)
+			}
+			w := newWorld(p)
+			got := make([]string, p)
+			w.Run(func(c *Comm) {
+				var mg grad.Merger
+				chunk, _, err := c.ReduceScatterEncoded(encs[c.Rank()], rows, &mg, xrand.New(uint64(900+c.Rank())), "rse")
+				if err != nil {
+					t.Errorf("rank %d: %v", c.Rank(), err)
+					return
+				}
+				got[c.Rank()] = string(chunk.Marshal())
+			})
+			var direct int64
+			for r := 0; r < p; r++ {
+				first := (r + 1) % p
+				lo, hi := ReducedChunk(r, rows, p)
+				views := make([]grad.Encoded, p)
+				frames := make([]*grad.Encoded, p)
+				for j := range frames {
+					src := encs[(first+j)%p]
+					i0, i1 := src.RowRange(lo, hi)
+					src.Range(i0, i1, &views[j])
+					frames[j] = &views[j]
+					if j < p-1 {
+						direct += int64(len(src.AppendRangeTo(nil, i0, i1)))
+					}
+				}
+				var ref grad.Merger
+				if want := ref.Merge(frames, xrand.New(uint64(900+r))); got[r] != string(want.Marshal()) {
+					t.Errorf("p=%d %v rank %d: reduced chunk differs from the owner merge", p, s, r)
+				}
+			}
+			if moved := w.Cluster().BytesByTag()["rse"]; moved != direct {
+				t.Errorf("p=%d %v: ledger moved %d bytes, direct slices total %d", p, s, moved, direct)
+			}
+		}
+	}
+}
+
 // p=1 short-circuits: the input frame comes back untouched at zero cost.
 func TestReduceScatterEncodedSingleRank(t *testing.T) {
 	w := newWorld(1)

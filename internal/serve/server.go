@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -187,6 +188,7 @@ func (s *Server) instrument(name string, fn func(r *http.Request) (any, error)) 
 	return func(w http.ResponseWriter, r *http.Request) {
 		em.requests.Inc()
 		start := time.Now()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		v, err := fn(r)
 		em.latency.Observe(time.Since(start).Seconds())
 		if err != nil {
@@ -224,10 +226,19 @@ func errAs(err error, target **apiError) bool {
 	return false
 }
 
+// maxBodyBytes caps every request body (instrument wraps it in
+// http.MaxBytesReader); decodeJSON answers a larger one with 413.
+const maxBodyBytes = 1 << 20
+
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &apiError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+		}
 		return badRequest("invalid request body: %v", err)
 	}
 	return nil

@@ -206,6 +206,25 @@ func TestPredictEndpoint(t *testing.T) {
 	}
 }
 
+// A body past the 1 MiB cap is answered 413 before it is decoded, and the
+// server keeps serving: the next request succeeds.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, url, _ := newTestServer(t, 0)
+	body := append(bytes.Repeat([]byte(" "), 2<<20), `{"head":0,"relation":0,"k":3}`...)
+	resp, err := http.Post(url+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close() //kgelint:ignore droppederr read-only close
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	var ok predictResponse
+	if status, raw := postJSON(t, url+"/v1/predict", map[string]any{"head": 0, "relation": 0, "k": 3}, &ok); status != http.StatusOK || len(ok.Completions) != 3 {
+		t.Fatalf("request after the 413: status %d %s", status, raw)
+	}
+}
+
 func TestNeighborsEndpoint(t *testing.T) {
 	s, url, _ := newTestServer(t, 0)
 	var resp neighborsResponse
