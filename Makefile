@@ -159,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeHandshake$$' -fuzztime=10s ./internal/transport/tcptransport/
 	$(GO) test -run '^$$' -fuzz='^FuzzUnmarshalInto$$' -fuzztime=10s ./internal/grad/
 	$(GO) test -run '^$$' -fuzz='^FuzzSparseGradOracle$$' -fuzztime=10s ./internal/grad/
+	$(GO) test -run '^$$' -fuzz='^FuzzMergeFrames$$' -fuzztime=10s ./internal/grad/
 	$(GO) test -run '^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz='^FuzzScoreBlock$$' -fuzztime=10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz='^FuzzBinpackRoundTrip$$' -fuzztime=10s ./internal/binpack/

@@ -35,13 +35,15 @@ const (
 // propagates the error out of the worker so the recovery loop can shrink the
 // world and resume.
 //
-// All scratch (dense staging, codec state, aggregate accumulators) is
-// reused across batches, so the steady-state exchange allocates only its
-// wire payloads — which must stay fresh because the all-gather ring shares
-// them across ranks (see mpi.AllGatherRows). The aggregates returned by
-// exchange alias exchanger-owned storage and are valid only until the next
-// exchange call (probes leave them untouched); the trainer applies them
-// before exchanging again.
+// All scratch (dense staging, codec state, aggregate accumulators, the
+// compressed all-reduce's mergers) is reused across batches, so the
+// steady-state exchange allocates only the all-gather paths' wire payloads —
+// which must stay fresh because the all-gather ring shares them across ranks
+// (see mpi.AllGatherRows). The dyncomp path allocates no payload: its frames
+// ride pooled single-receiver buffers (mpi.AllReduceEncoded). The aggregates
+// returned by exchange alias exchanger-owned storage and are valid only
+// until the next exchange call (probes leave them untouched); the trainer
+// applies them before exchanging again.
 type exchanger struct {
 	cfg    *Config
 	comm   *mpi.Comm
@@ -60,10 +62,11 @@ type exchanger struct {
 
 	// Adaptive-compression state (CommDynamicCompress only; DESIGN.md §13).
 	// The controller accumulates per-batch gradient statistics and walks the
-	// ladder at epoch boundaries; the mergers own the compressed-hop scratch
-	// of the two matrices; sRng and mRng are dedicated streams for the RS
-	// rung's selection and the hop merges' ternary re-encoding, split off the
-	// exchanger rng so the rungs below them leave existing streams untouched.
+	// ladder at epoch boundaries; the mergers own the compressed all-reduce
+	// scratch of the two matrices; sRng and mRng are dedicated streams for
+	// the RS rung's selection and the owner merges' ternary re-encoding,
+	// split off the exchanger rng so the rungs below them leave existing
+	// streams untouched.
 	ctrl       *grad.Controller
 	entMg      grad.Merger
 	relMg      grad.Merger
@@ -168,7 +171,7 @@ func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, rows 
 			return nil, 0, err
 		}
 		cost = c
-		if err := x.decodeAll(payloads, agg, x.cfg.Quant, rows, false); err != nil {
+		if err := x.decodeAll(payloads, agg, x.cfg.Quant, rows); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -179,10 +182,11 @@ func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, rows 
 // compressed runs one matrix through the adaptive pipeline at the ladder's
 // current rung (DESIGN.md §13): error-feedback residual in, RS selection
 // (top rung only, dropped rows banked whole), quantization to the rung's
-// scheme, the compressed-hop reduce-scatter, then an all-gather of the
-// disjoint reduced chunks — still encoded — and a local decode into agg.
-// At fp32 the same pipeline runs with NoQuant frames and no residual: the
-// reduction is exact, only the framing differs from the dense baseline.
+// scheme, the compressed all-reduce — owner merge, then the echo-free
+// return of the reduced chunks, still encoded — and a local decode of the
+// chunks into agg in source-rank order. At fp32 the same pipeline runs with
+// NoQuant frames and no residual: the reduction is exact, only the framing
+// differs from the dense baseline.
 func (x *exchanger) compressed(g, agg *grad.SparseGrad, res *grad.Residual, mg *grad.Merger, rows int, tag string) (*grad.SparseGrad, float64, error) {
 	lvl := x.ctrl.Level()
 	if lvl.Lossy() {
@@ -197,41 +201,30 @@ func (x *exchanger) compressed(g, agg *grad.SparseGrad, res *grad.Residual, mg *
 	if lvl.Lossy() {
 		res.Update(g, &x.enc)
 	}
-	chunk, hopCost, err := x.comm.ReduceScatterEncoded(&x.enc, rows, mg, x.mRng, tag)
-	if err != nil {
-		return nil, 0, err
-	}
-	payloads, gatherCost, err := x.comm.AllGatherBytes(chunk.Marshal(), tag)
+	chunks, cost, err := x.comm.AllReduceEncoded(&x.enc, rows, mg, x.mRng, tag)
 	if err != nil {
 		return nil, 0, err
 	}
 	agg.Clear()
-	if err := x.decodeAll(payloads, agg, lvl.Scheme(), rows, true); err != nil {
-		return nil, 0, err
+	for _, f := range chunks {
+		grad.Dequantize(f, agg)
 	}
 	scaleRows(agg, x.comm.Size())
-	return agg, hopCost + gatherCost, nil
+	return agg, cost, nil
 }
 
 // decodeAll dequantizes every rank's gathered frame into agg. The frames are
 // peer bytes, so each is checked before use against what this rank expects:
-// scheme s, the exchanged width, and row ids in [0, rows) — or, for the
-// reduced chunks of the compressed pipeline (chunked), inside the chunk the
-// sender reduced (mpi.ReducedChunk). A bad frame is an error naming its
-// sender, never a panic.
-func (x *exchanger) decodeAll(payloads [][]byte, agg *grad.SparseGrad, s grad.Scheme, rows int, chunked bool) error {
+// scheme s, the exchanged width, and row ids in [0, rows). A bad frame is an
+// error naming its sender, never a panic.
+func (x *exchanger) decodeAll(payloads [][]byte, agg *grad.SparseGrad, s grad.Scheme, rows int) error {
 	for src, p := range payloads {
-		lo, hi, what := int32(0), int32(rows), "quantized payload"
-		if chunked {
-			lo, hi = mpi.ReducedChunk(src, rows, len(payloads))
-			what = "compressed chunk payload"
-		}
 		err := grad.UnmarshalInto(&x.dec, p)
 		if err == nil {
-			err = x.dec.Check(s, x.width, lo, hi)
+			err = x.dec.Check(s, x.width, 0, int32(rows))
 		}
 		if err != nil {
-			return peerFrameError(what, src, err)
+			return peerFrameError(src, err)
 		}
 		grad.Dequantize(&x.dec, agg)
 	}
@@ -242,8 +235,8 @@ func (x *exchanger) decodeAll(payloads [][]byte, agg *grad.SparseGrad, s grad.Sc
 // decode or does not fit what this rank expects.
 //
 //kgelint:coldpath error path: a peer sent a malformed frame
-func peerFrameError(what string, src int, err error) error {
-	return fmt.Errorf("core: corrupt %s from rank %d: %w", what, src, err)
+func peerFrameError(src int, err error) error {
+	return fmt.Errorf("core: corrupt quantized payload from rank %d: %w", src, err)
 }
 
 // observe feeds one batch's entity gradient into the adaptive controller

@@ -1,6 +1,9 @@
 package grad
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"kgedist/internal/xrand"
@@ -212,8 +215,8 @@ func TestEncodedRangeRoundTrip(t *testing.T) {
 	}
 }
 
-// The k-way merge the compressed reduce-scatter's owner runs is
-// allocation-free once warm.
+// The k-way merge the compressed all-reduce's owner runs, the trimmed frame
+// it sends back and the receiver's rebuild are allocation-free once warm.
 func TestMergeKWayAllocFree(t *testing.T) {
 	rng := xrand.New(29)
 	frames := make([]*Encoded, 4)
@@ -226,6 +229,132 @@ func TestMergeKWayAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { m.Merge(frames, mrng) }); allocs != 0 {
 		t.Errorf("Merge allocates %.1f allocs/op, want 0", allocs)
 	}
+	wire := m.AppendTrimmedTo(nil, 1)
+	if allocs := testing.AllocsPerRun(50, func() { wire = m.AppendTrimmedTo(wire[:0], 1) }); allocs != 0 {
+		t.Errorf("AppendTrimmedTo allocates %.1f allocs/op, want 0", allocs)
+	}
+	var trim, re Encoded
+	if err := UnmarshalInto(&trim, wire); err != nil {
+		t.Fatal(err)
+	}
+	RebuildInto(&re, &trim, frames[1])
+	if allocs := testing.AllocsPerRun(50, func() { RebuildInto(&re, &trim, frames[1]) }); allocs != 0 {
+		t.Errorf("RebuildInto allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// mergeInput decodes a fuzz input into 1–8 frames of one scheme and width
+// over ids [0, 24): byte 0 picks the scheme, byte 1 the width (1–9), byte 2
+// the frame count, then three bytes per frame are its id bitmask. The rest
+// is a pool of little-endian float32 bit patterns the row values cycle
+// through (so NaN, ±Inf and −0 reach the codec), or small integers when the
+// pool holds no whole word.
+func mergeInput(data []byte) []*Encoded {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	s := []Scheme{NoQuant, OneBitMax, OneBitAvg, TwoBitTernary}[at(0)%4]
+	width := 1 + int(at(1)%9)
+	k := 1 + int(at(2)%8)
+	pool := data[min(len(data), 3+3*k):]
+	v := 0
+	value := func() float32 {
+		defer func() { v++ }()
+		if len(pool) < 4 {
+			return float32(v%7 - 3)
+		}
+		i := 4 * v % (len(pool) - len(pool)%4)
+		return math.Float32frombits(binary.LittleEndian.Uint32(pool[i:]))
+	}
+	rng := xrand.New(3)
+	frames := make([]*Encoded, k)
+	for f := range frames {
+		mask := uint32(at(3+3*f)) | uint32(at(4+3*f))<<8 | uint32(at(5+3*f))<<16
+		g := NewSparseGrad(width)
+		for id := int32(0); id < 24; id++ {
+			if mask>>id&1 != 0 {
+				row := g.Row(id)
+				for j := range row {
+					row[j] = value()
+				}
+			}
+		}
+		frames[f] = Quantize(g, s, rng)
+	}
+	return frames
+}
+
+// FuzzMergeFrames checks the k-way merge differentially: against an oracle
+// that walks the id union, copies single-source rows verbatim and decodes,
+// sums (from zero, in frame order) and encodes every other row once; against
+// the recorded only-source of every row; and, for every source d, that the
+// frame trimmed of d's only-source rows rebuilds from d's own frame to the
+// merged frame byte for byte.
+func FuzzMergeFrames(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames := mergeInput(data)
+		s, w := frames[0].Scheme, frames[0].Width
+		per := payloadBytesPerRow(s, w)
+		var m Merger
+		got := m.Merge(frames, xrand.New(11)).Marshal()
+
+		want := &Encoded{Scheme: s, Width: w}
+		var only []int32
+		orng := xrand.New(11)
+		for id := int32(0); id < 24; id++ {
+			var holders []int
+			rows := make([]int, len(frames))
+			for k, fr := range frames {
+				for r, x := range fr.Indices {
+					if x == id {
+						holders, rows[k] = append(holders, k), r
+					}
+				}
+			}
+			switch len(holders) {
+			case 0:
+				continue
+			case 1:
+				appendRow(want, frames[holders[0]], rows[holders[0]], per)
+				only = append(only, int32(holders[0]))
+				continue
+			}
+			sum := make([]float32, w)
+			for _, k := range holders {
+				r := rows[k]
+				decodeRowAccum(s, frames[k].Scales[r], frames[k].Bits[r*per:(r+1)*per], sum)
+			}
+			buf := make([]byte, per)
+			want.Indices = append(want.Indices, id)
+			want.Scales = append(want.Scales, encodeRow(s, sum, buf, orng))
+			want.Bits = append(want.Bits, buf...)
+			only = append(only, -1)
+		}
+		if !bytes.Equal(got, want.Marshal()) {
+			t.Fatalf("merge %x, oracle %x", got, want.Marshal())
+		}
+		if len(m.only) != len(only) {
+			t.Fatalf("%d only-sources recorded for %d rows", len(m.only), len(only))
+		}
+		for i := range only {
+			if m.only[i] != only[i] {
+				t.Fatalf("row %d: only-source %d, want %d", m.out.Indices[i], m.only[i], only[i])
+			}
+		}
+		var trim, re Encoded
+		for d := range frames {
+			if err := UnmarshalInto(&trim, m.AppendTrimmedTo(nil, d)); err != nil {
+				t.Fatalf("trimmed frame for %d does not decode: %v", d, err)
+			}
+			RebuildInto(&re, &trim, frames[d])
+			if !bytes.Equal(re.Marshal(), got) {
+				t.Fatalf("rebuild from %d: %x, merged %x", d, re.Marshal(), got)
+			}
+		}
+	})
 }
 
 // The merge loop is //kgelint:hotpath and must be allocation-free once the

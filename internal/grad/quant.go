@@ -359,9 +359,7 @@ func (e *Encoded) AppendTo(dst []byte) []byte {
 
 // appendFrame appends one Marshal-layout frame over the given rows to dst.
 func appendFrame(dst []byte, s Scheme, width int, ids []int32, scales []float32, payload []byte) []byte {
-	dst = append(dst, byte(s))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(width))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ids)))
+	dst = appendHeader(dst, s, width, len(ids))
 	prev := int32(-1)
 	for _, id := range ids {
 		dst = binary.AppendUvarint(dst, idGap(prev, id))
@@ -373,6 +371,13 @@ func appendFrame(dst []byte, s Scheme, width int, ids []int32, scales []float32,
 		}
 	}
 	return append(dst, payload...)
+}
+
+// appendHeader appends the fixed frame head: scheme, width, row count.
+func appendHeader(dst []byte, s Scheme, width, n int) []byte {
+	dst = append(dst, byte(s))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(width))
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
 // UnmarshalInto parses a buffer produced by Marshal into e, reusing e's

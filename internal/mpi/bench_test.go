@@ -74,3 +74,24 @@ func BenchmarkReduceScatterEncoded(b *testing.B) {
 		})
 	}
 }
+
+// The whole compressed all-reduce dyncomp runs — owner merge plus the
+// echo-free return and rebuild — on BenchmarkReduceScatterEncoded's frames.
+func BenchmarkAllReduceEncoded(b *testing.B) {
+	const p, rows, width = 3, 256, 32
+	encs := make([]*grad.Encoded, p)
+	for r := 0; r < p; r++ {
+		encs[r], _ = encGrad(r, rows, width, grad.OneBitMax, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := newWorld(p)
+		w.Run(func(c *Comm) {
+			var mg grad.Merger
+			if _, _, err := c.AllReduceEncoded(encs[c.Rank()], rows, &mg, nil, "are"); err != nil {
+				b.Error(err)
+			}
+		})
+	}
+}

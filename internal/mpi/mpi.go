@@ -572,8 +572,8 @@ func (c *Comm) AllGatherBytes(payload []byte, tag string) ([][]byte, float64, er
 // zero cost.
 //
 // Block sizes are data-dependent, so the ranks agree on the total bytes sent
-// with a scalar sum before the rendezvous (as ReduceScatterEncoded does) and
-// charge (P−1)·α + (total/P)·β.
+// with a scalar sum before the rendezvous (chargeRounds) and charge
+// (P−1)·α + (total/P)·β.
 //
 // Ownership: each block has exactly one reader. Sending hands idx[d] and
 // vals[d] to rank d, so the caller must not touch them after the call; the
@@ -592,7 +592,7 @@ func (c *Comm) AllToAllRows(idx [][]int32, vals [][]float32, tag string) (fromId
 		}
 		return fromIdx, fromVals, 0, nil
 	}
-	cost, err = c.pairwise(func(dst int) (int, error) {
+	sent, err := c.rounds(func(dst int) (int, error) {
 		var b block
 		if idx != nil {
 			b.i32 = idx[dst]
@@ -604,28 +604,27 @@ func (c *Comm) AllToAllRows(idx [][]int32, vals [][]float32, tag string) (fromId
 	}, func(src int, m message) error {
 		fromIdx[src], fromVals[src] = m.I32, m.F32
 		return nil
-	}, tag)
+	})
 	if err != nil {
+		return nil, nil, 0, err
+	}
+	if cost, err = c.chargeRounds(1, sent, tag); err != nil {
 		return nil, nil, 0, err
 	}
 	return fromIdx, fromVals, cost, nil
 }
 
-// pairwise runs one all-to-all over the pairwise schedule and closes the
-// collective: in round k = 1…P−1 this rank calls out(dst) for
-// dst = (rank+k) mod P, which sends one message and returns its size in
-// bytes, then hands what src = (rank−k) mod P sent to in(src, m); an error
-// from either ends the exchange. Message sizes are data-dependent, so the
-// ranks agree on the total bytes sent with a scalar sum before the
-// rendezvous and charge (P−1)·α + (total/P)·β for P(P−1) messages. P = 1
-// sends nothing and charges nothing. Returns the virtual cost.
+// rounds runs one exchange over the pairwise schedule: in round
+// k = 1…P−1 this rank calls out(dst) for dst = (rank+k) mod P, which sends
+// one message and returns its size in bytes, then hands what
+// src = (rank−k) mod P sent to in(src, m); an error from either ends the
+// exchange. Every ordered pair carries exactly one message, so a collective
+// may run several exchanges back to back under one sequence number. Returns
+// the bytes this rank sent; charging is left to chargeRounds.
 //
 //kgelint:hotpath
-func (c *Comm) pairwise(out func(dst int) (int, error), in func(src int, m message) error, tag string) (float64, error) {
+func (c *Comm) rounds(out func(dst int) (int, error), in func(src int, m message) error) (int64, error) {
 	p := c.w.p
-	if p == 1 {
-		return 0, c.finish(0, 0, 0, tag)
-	}
 	var sent int64
 	for k := 1; k < p; k++ {
 		dst, src := (c.rank+k)%p, (c.rank-k+p)%p
@@ -642,12 +641,22 @@ func (c *Comm) pairwise(out func(dst int) (int, error), in func(src int, m messa
 			return 0, err
 		}
 	}
+	return sent, nil
+}
+
+// chargeRounds closes a collective made of n pairwise exchanges (rounds)
+// in which this rank sent sent bytes. Message sizes are data-dependent, so
+// the ranks agree on the total bytes sent with one scalar sum before the
+// rendezvous and charge n(P−1)·α + (total/P)·β for nP(P−1) messages. The
+// callers close P = 1 themselves, at zero cost. Returns the virtual cost.
+func (c *Comm) chargeRounds(n int, sent int64, tag string) (float64, error) {
+	p := c.w.p
 	total, err := c.AllReduceScalar(float64(sent), OpSum)
 	if err != nil {
 		return 0, err
 	}
 	par := c.w.cluster.Params()
-	steps := int64(p - 1)
+	steps := int64(n * (p - 1))
 	cost := float64(steps)*par.Alpha + (total/float64(p))*par.Beta
 	if err := c.finish(cost, int64(total), steps*int64(p), tag); err != nil {
 		return 0, err
