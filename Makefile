@@ -13,9 +13,9 @@ RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ .
 
 # Packages with kernel micro-benchmarks (ns/op, allocs/op, triples/sec);
 # the top-level package adds the end-to-end paper-table benchmarks.
-BENCH_PKGS = ./internal/grad/ ./internal/mpi/ ./internal/model/ ./internal/pool/ ./internal/tensor/ ./internal/serve/ ./internal/partition/ ./internal/core/ ./internal/binpack/
+BENCH_PKGS = ./internal/grad/ ./internal/mpi/ ./internal/model/ ./internal/opt/ ./internal/pool/ ./internal/tensor/ ./internal/serve/ ./internal/partition/ ./internal/core/ ./internal/binpack/
 
-.PHONY: all build vet fmt-check lint test race bench bench-smoke faults partition serve \
+.PHONY: all build vet fmt-check lint test race purego bench bench-smoke faults partition serve \
 	loadbench transport verify-stats soak fuzz-smoke coverage coverage-update ci help
 
 all: build
@@ -49,6 +49,21 @@ test:
 ## race: race-detector pass over the concurrent packages
 race:
 	$(GO) test -race -short -count=1 $(RACE_PKGS)
+
+# Portable-path tier. On amd64 the element-wise kernels of internal/tensor
+# (optimizer row updates, the ComplEx gradient, Add/Scale/Axpy/AxpyMul) run
+# in AVX2 assembly; the purego build tag selects the Go loops everywhere, so
+# this target runs the whole suite, every golden, the checkpoint CRC pins
+# and the chan-vs-TCP identity on the loops the assembly must match. The
+# last line builds the Go oracle at GOAMD64=v3, where the compiler may use
+# any AVX2-era instruction, and reruns the differential tests against the
+# assembly: it proves the oracle stays FMA-free at every amd64 level.
+## purego: full tests + kgeverify on the portable Go loops (no assembly)
+purego:
+	$(GO) vet -tags purego ./internal/tensor/
+	$(GO) test -tags purego -count=1 ./...
+	$(GO) run -tags purego ./cmd/kgeverify
+	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor/ ./internal/opt/ ./internal/model/
 
 # Fault-injection suite under the race detector: scheduled rank crashes,
 # recv-watchdog timeouts, shrink-and-continue recovery, checkpoint
@@ -163,6 +178,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz='^FuzzScoreBlock$$' -fuzztime=10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz='^FuzzBinpackRoundTrip$$' -fuzztime=10s ./internal/binpack/
+	$(GO) test -run '^$$' -fuzz='^FuzzElementwise$$' -fuzztime=10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz='^FuzzOptimizerRows$$' -fuzztime=10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz='^FuzzComplExGrad$$' -fuzztime=10s ./internal/tensor/
 
 # Per-package coverage, compared against the checked-in baseline
 # (COVERAGE_BASELINE.txt). A package may drop at most COVERAGE_TOL points
@@ -186,8 +204,8 @@ coverage:
 coverage-update: coverage
 	cp coverage.txt COVERAGE_BASELINE.txt
 
-## ci: everything CI runs (build vet fmt-check lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke)
-ci: build vet fmt-check lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke
+## ci: everything CI runs (build vet fmt-check lint test race purego faults partition serve loadbench transport verify-stats coverage bench-smoke)
+ci: build vet fmt-check lint test race purego faults partition serve loadbench transport verify-stats coverage bench-smoke
 
 ## help: list targets
 help:

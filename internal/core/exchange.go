@@ -5,6 +5,7 @@ import (
 
 	"kgedist/internal/grad"
 	"kgedist/internal/mpi"
+	"kgedist/internal/tensor"
 	"kgedist/internal/xrand"
 )
 
@@ -113,11 +114,7 @@ func scaleRows(g *grad.SparseGrad, p int) {
 		return
 	}
 	inv := 1 / float32(p)
-	g.ForEach(func(_ int32, row []float32) {
-		for i := range row {
-			row[i] *= inv
-		}
-	})
+	g.ForEach(func(_ int32, row []float32) { tensor.Scale(inv, row) })
 }
 
 // allReduce densifies the sparse gradient, ring-all-reduces it, and returns

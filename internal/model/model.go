@@ -183,27 +183,8 @@ func (m *ComplEx) AccumulateScoreGrad(p *Params, t kg.Triple, coef float32, gh, 
 //
 //kgelint:hotpath
 func (m *ComplEx) AccumulateScoreGradRows(h, r, tt []float32, coef float32, gh, gr, gt []float32) {
-	d := m.dim
-	hr, hi := h[:d], h[d:]
-	rr, ri := r[:d], r[d:]
-	tr, ti := tt[:d], tt[d:]
-	ghr, ghi := gh[:d], gh[d:]
-	grr, gri := gr[:d], gr[d:]
-	gtr, gti := gt[:d], gt[d:]
-	for i := 0; i < d; i++ {
-		// d/d Re(h) = Re(r)Re(t) + Im(r)Im(t)
-		ghr[i] += coef * (rr[i]*tr[i] + ri[i]*ti[i])
-		// d/d Im(h) = Re(r)Im(t) - Im(r)Re(t)
-		ghi[i] += coef * (rr[i]*ti[i] - ri[i]*tr[i])
-		// d/d Re(r) = Re(h)Re(t) + Im(h)Im(t)
-		grr[i] += coef * (hr[i]*tr[i] + hi[i]*ti[i])
-		// d/d Im(r) = Re(h)Im(t) - Im(h)Re(t)
-		gri[i] += coef * (hr[i]*ti[i] - hi[i]*tr[i])
-		// d/d Re(t) = Re(h)Re(r) - Im(h)Im(r)
-		gtr[i] += coef * (hr[i]*rr[i] - hi[i]*ri[i])
-		// d/d Im(t) = Im(h)Re(r) + Re(h)Im(r)
-		gti[i] += coef * (hi[i]*rr[i] + hr[i]*ri[i])
-	}
+	w := 2 * m.dim
+	tensor.ComplExGrad(h[:w], r[:w], tt[:w], coef, gh[:w], gr[:w], gt[:w])
 }
 
 // ScoreFlops implements Model.

@@ -140,6 +140,60 @@ func TestGradientsMatchNumerical(t *testing.T) {
 	}
 }
 
+// ComplEx's gradient runs through tensor.ComplExGrad; this pins it to the
+// closed-form scalar loop bit for bit, including a self-loop triple whose
+// head and tail share one embedding row and one gradient row.
+func TestComplExGradBitEqualScalarLoop(t *testing.T) {
+	for _, dim := range []int{1, 7, 8, 19, 32} {
+		m := NewComplEx(dim)
+		p := testParams(m, 3, 2, uint64(dim))
+		w := m.Width()
+		for _, tr := range []kg.Triple{{H: 0, R: 1, T: 2}, {H: 1, R: 0, T: 1}} {
+			gh, gr := make([]float32, w), make([]float32, w)
+			gt := make([]float32, w)
+			if tr.H == tr.T {
+				gt = gh
+			}
+			m.AccumulateScoreGrad(p, tr, 0.37, gh, gr, gt)
+
+			want := make([]float32, 3*w)
+			wh, wr, wt := want[:w], want[w:2*w], want[2*w:]
+			if tr.H == tr.T {
+				wt = wh
+			}
+			h, r, tt := p.Entity.Row(int(tr.H)), p.Relation.Row(int(tr.R)), p.Entity.Row(int(tr.T))
+			d, coef := dim, float32(0.37)
+			for i := 0; i < d; i++ {
+				wh[i] += coef * (r[i]*tt[i] + r[d+i]*tt[d+i])
+				wh[d+i] += coef * (r[i]*tt[d+i] - r[d+i]*tt[i])
+				wr[i] += coef * (h[i]*tt[i] + h[d+i]*tt[d+i])
+				wr[d+i] += coef * (h[i]*tt[d+i] - h[d+i]*tt[i])
+				wt[i] += coef * (h[i]*r[i] - h[d+i]*r[d+i])
+				wt[d+i] += coef * (h[d+i]*r[i] + h[i]*r[d+i])
+			}
+			for i := 0; i < w; i++ {
+				if math.Float32bits(gh[i]) != math.Float32bits(wh[i]) ||
+					math.Float32bits(gr[i]) != math.Float32bits(wr[i]) ||
+					math.Float32bits(gt[i]) != math.Float32bits(wt[i]) {
+					t.Fatalf("dim %d triple %v [%d]: got %v %v %v, want %v %v %v", dim, tr, i,
+						gh[i], gr[i], gt[i], wh[i], wr[i], wt[i])
+				}
+			}
+		}
+	}
+}
+
+func TestComplExGradRowsAllocFree(t *testing.T) {
+	m := NewComplEx(32)
+	p := testParams(m, 2, 1, 3)
+	w := m.Width()
+	gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
+	h, r, tt := p.Entity.Row(0), p.Relation.Row(0), p.Entity.Row(1)
+	if allocs := testing.AllocsPerRun(100, func() { m.AccumulateScoreGradRows(h, r, tt, 0.1, gh, gr, gt) }); allocs != 0 {
+		t.Errorf("ComplEx.AccumulateScoreGradRows allocates %.1f times per call", allocs)
+	}
+}
+
 func TestGradCoefScalesLinearly(t *testing.T) {
 	m := NewComplEx(4)
 	p := testParams(m, 3, 2, 7)

@@ -53,6 +53,7 @@ import (
 
 	"kgedist/internal/pool"
 	"kgedist/internal/simnet"
+	"kgedist/internal/tensor"
 	"kgedist/internal/transport"
 	"kgedist/internal/transport/chantransport"
 )
@@ -428,10 +429,7 @@ func (c *Comm) AllReduceSum(buf []float32, tag string) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			dst := chunk(recvIdx)
-			for i, v := range m.F32 {
-				dst[i] += v
-			}
+			tensor.Add(m.F32, chunk(recvIdx))
 			pool.PutF32(m.F32)
 		}
 		// Phase 2: all-gather the reduced chunks.

@@ -78,11 +78,7 @@ func (a *Adagrad) BeginStep() {}
 
 // ApplyRow implements Optimizer.
 func (a *Adagrad) ApplyRow(rowID int32, row, grad []float32, lr float32) {
-	acc := a.accum.Row(int(rowID))
-	for i, g := range grad {
-		acc[i] += g * g
-		row[i] -= lr * g / (float32(math.Sqrt(float64(acc[i]))) + a.eps)
-	}
+	tensor.AdagradRow(row, grad, a.accum.Row(int(rowID)), lr, a.eps)
 }
 
 // ---- Adam ------------------------------------------------------------------
@@ -132,15 +128,12 @@ func (a *Adam) ApplyRow(rowID int32, row, grad []float32, lr float32) {
 	if a.step == 0 {
 		panic("opt: Adam.ApplyRow before BeginStep")
 	}
-	mr := a.m.Row(int(rowID))
-	vr := a.v.Row(int(rowID))
-	for i, g := range grad {
-		mr[i] = a.beta1*mr[i] + (1-a.beta1)*g
-		vr[i] = a.beta2*vr[i] + (1-a.beta2)*g*g
-		mHat := mr[i] / a.corr1
-		vHat := vr[i] / a.corr2
-		row[i] -= lr * mHat / (float32(math.Sqrt(float64(vHat))) + a.eps)
+	c := tensor.AdamStep{
+		Beta1: a.beta1, Beta2: a.beta2,
+		Corr1: a.corr1, Corr2: a.corr2,
+		LR: lr, Eps: a.eps,
 	}
+	tensor.AdamRow(row, grad, a.m.Row(int(rowID)), a.v.Row(int(rowID)), &c)
 }
 
 // ---- Learning-rate schedule -------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -349,6 +350,75 @@ func TestReloadSwapsCheckpoint(t *testing.T) {
 	}
 	if health.Reloads != 1 || health.LastReloadErr == "" {
 		t.Fatalf("healthz after failed reload: %+v", health)
+	}
+}
+
+// TestReloadRejectsCorruptCheckpoint drives /v1/reload with two damaged
+// copies of the live checkpoint: one with a flipped body byte (the CRC
+// check fails) and one cut in half. Each must be refused with 409 and
+// reported on /healthz, and the old generation must keep serving: same
+// checkpoint CRC, same /v1/predict answers, no reload counted.
+func TestReloadRejectsCorruptCheckpoint(t *testing.T) {
+	s, url, _ := newTestServer(t, 0)
+	live := s.Store().Info()
+	raw, err := os.ReadFile(live.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []map[string]any{
+		{"head": 0, "relation": 0, "k": 5},
+		{"tail": 6, "relation": 1, "k": 7},
+		{"head": 9, "relation": 3, "k": 30, "filtered": true},
+	}
+	predictAll := func() []string {
+		var out []string
+		for _, q := range queries {
+			status, body := postJSON(t, url+"/v1/predict", q, nil)
+			if status != http.StatusOK {
+				t.Fatalf("predict %v: %d %s", q, status, body)
+			}
+			out = append(out, body)
+		}
+		return out
+	}
+	before := predictAll()
+
+	dir := t.TempDir()
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)/2] ^= 0x10
+	for _, bad := range []struct {
+		name, data, reason string
+	}{
+		{"flipped.kge", string(flipped), "checksum mismatch"},
+		{"truncated.kge", string(raw[:len(raw)/2]), "corrupt checkpoint"},
+	} {
+		path := filepath.Join(dir, bad.name)
+		if err := os.WriteFile(path, []byte(bad.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		status, body := postJSON(t, url+"/v1/reload", map[string]any{"path": path}, nil)
+		if status != http.StatusConflict {
+			t.Fatalf("%s: reload status %d: %s", bad.name, status, body)
+		}
+		var health healthResponse
+		if err := json.Unmarshal([]byte(getBody(t, url+"/healthz")), &health); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(health.LastReloadErr, bad.reason) || health.Reloads != 0 {
+			t.Fatalf("%s: healthz after failed reload: %+v", bad.name, health)
+		}
+		if health.Checkpoint.CRC != live.CRC || health.Checkpoint.Path != live.Path {
+			t.Fatalf("%s: healthz serves %s (crc %s), want %s (crc %s)", bad.name,
+				health.Checkpoint.Path, health.Checkpoint.CRC, live.Path, live.CRC)
+		}
+		if got := s.Store().Info(); got.CRC != live.CRC || got.Path != live.Path {
+			t.Fatalf("%s: live store is %s (crc %s), want %s (crc %s)", bad.name, got.Path, got.CRC, live.Path, live.CRC)
+		}
+		for i, body := range predictAll() {
+			if body != before[i] {
+				t.Fatalf("%s: predict %v changed after the failed reload:\n%s\nwas\n%s", bad.name, queries[i], body, before[i])
+			}
+		}
 	}
 }
 

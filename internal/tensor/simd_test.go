@@ -1,0 +1,425 @@
+package tensor
+
+import (
+	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math"
+	"math/rand"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The tests here hold the dispatching kernels to their Go loops bit for
+// bit. On a build with the AVX2 kernels the blocks run in assembly, so the
+// comparison is assembly against the Go oracle; on purego, -race and
+// non-amd64 builds both sides are the Go loop and the tests pin only the
+// dispatch arithmetic (block split and tail).
+
+// sameBits reports whether a and b are the same float32, treating every NaN
+// as one class: NaN payloads are not part of the contract (DESIGN.md §10).
+func sameBits(a, b float32) bool {
+	if a != a && b != b {
+		return true
+	}
+	return math.Float32bits(a) == math.Float32bits(b)
+}
+
+func assertSameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s[%d] (of %d): got %v (%#08x), want %v (%#08x)", what, i, len(got),
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// specials are the float32 values whose handling differs between careless
+// vector code and the scalar loop: NaN, both infinities, negative zero,
+// subnormals, the smallest normal, and values at the edge of overflow.
+var specials = []float32{
+	float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.Copysign(0, -1)), 0,
+	math.Float32frombits(1), math.Float32frombits(0x007fffff), -math.Float32frombits(3),
+	math.Float32frombits(0x00800000), math.MaxFloat32, -math.MaxFloat32, 1, -1,
+}
+
+// randVec returns n values: mostly normal variates at mixed scales, with
+// specials sprinkled in at rate specialRate.
+func randVec(rng *rand.Rand, n int, specialRate float64) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		if rng.Float64() < specialRate {
+			v[i] = specials[rng.Intn(len(specials))]
+			continue
+		}
+		v[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+	}
+	return v
+}
+
+func clone(x []float32) []float32 { return append([]float32(nil), x...) }
+
+// adamStepAt returns the AdamStep opt.Adam uses at the given step with the
+// standard hyper-parameters.
+func adamStepAt(step int, lr float32) AdamStep {
+	const beta1, beta2 = float32(0.9), float32(0.999)
+	return AdamStep{
+		Beta1: beta1, Beta2: beta2,
+		Corr1: 1 - float32(math.Pow(float64(beta1), float64(step))),
+		Corr2: 1 - float32(math.Pow(float64(beta2), float64(step))),
+		LR:    lr, Eps: 1e-8,
+	}
+}
+
+// checkElementwise runs Add, Scale, Axpy and AxpyMul against their Go
+// loops on copies of y.
+func checkElementwise(t *testing.T, alpha float32, x, a, y []float32) {
+	t.Helper()
+	got, want := clone(y), clone(y)
+	Add(x, got)
+	addGo(x, want)
+	assertSameBits(t, "Add", got, want)
+
+	got, want = clone(y), clone(y)
+	Scale(alpha, got)
+	scaleGo(alpha, want)
+	assertSameBits(t, "Scale", got, want)
+
+	got, want = clone(y), clone(y)
+	Axpy(alpha, x, got)
+	axpyGo(alpha, x, want)
+	assertSameBits(t, "Axpy", got, want)
+
+	got, want = clone(y), clone(y)
+	AxpyMul(alpha, x, a, got)
+	axpyMulGo(alpha, x, a, want)
+	assertSameBits(t, "AxpyMul", got, want)
+}
+
+// checkOptimizerRows runs the Adam (at the given step, with opt.Adam's
+// hyper-parameters), Adagrad (v as the accumulator) and SGD (opt.SGD's
+// Axpy(-lr, grad, row)) row updates against their Go loops on copies.
+func checkOptimizerRows(t *testing.T, lr float32, step int, row, g, m, v []float32) {
+	t.Helper()
+	c := adamStepAt(step, lr)
+	gotRow, gotM, gotV := clone(row), clone(m), clone(v)
+	wantRow, wantM, wantV := clone(row), clone(m), clone(v)
+	AdamRow(gotRow, g, gotM, gotV, &c)
+	adamRowGo(wantRow, g, wantM, wantV, &c)
+	assertSameBits(t, "AdamRow m", gotM, wantM)
+	assertSameBits(t, "AdamRow v", gotV, wantV)
+	assertSameBits(t, "AdamRow row", gotRow, wantRow)
+
+	gotRow, gotAcc := clone(row), clone(v)
+	wantRow, wantAcc := clone(row), clone(v)
+	AdagradRow(gotRow, g, gotAcc, lr, 1e-8)
+	adagradRowGo(wantRow, g, wantAcc, lr, 1e-8)
+	assertSameBits(t, "AdagradRow acc", gotAcc, wantAcc)
+	assertSameBits(t, "AdagradRow row", gotRow, wantRow)
+
+	gotRow, wantRow = clone(row), clone(row)
+	Axpy(-lr, g, gotRow)
+	axpyGo(-lr, g, wantRow)
+	assertSameBits(t, "SGD row", gotRow, wantRow)
+}
+
+func TestElementwiseKernelsMatchGoLoops(t *testing.T) {
+	t.Logf("AVX2 kernels active: %v", useAVX2)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(81)
+		rate := []float64{0, 0.05, 0.5}[trial%3]
+		alpha := randVec(rng, 1, rate)[0]
+		checkElementwise(t, alpha, randVec(rng, n, rate), randVec(rng, n, rate), randVec(rng, n, rate))
+	}
+}
+
+func TestOptimizerRowKernelsMatchGoLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(81)
+		rate := []float64{0, 0.05, 0.5}[trial%3]
+		row, g := randVec(rng, n, rate), randVec(rng, n, rate)
+		m, v := randVec(rng, n, rate), randVec(rng, n, rate)
+		for i := range v {
+			v[i] = float32(math.Abs(float64(v[i])))
+		}
+		lr := float32(rng.ExpFloat64() * 1e-2)
+		checkOptimizerRows(t, lr, 1+rng.Intn(20000), row, g, m, v)
+	}
+}
+
+// complExCase runs ComplExGrad and its Go loop on the same inputs with the
+// aliasing named by alias (bit 0: t is h; bit 1: gt is gh) and compares the
+// three gradient rows.
+func complExCase(t *testing.T, h, r, tt []float32, coef float32, gh, gr, gt []float32, alias uint8) {
+	t.Helper()
+	if alias&1 != 0 {
+		tt = h
+	}
+	run := func(f func(h, r, t []float32, coef float32, gh, gr, gt []float32)) (a, b, c []float32) {
+		a, b, c = clone(gh), clone(gr), clone(gt)
+		if alias&2 != 0 {
+			c = a
+		}
+		f(h, r, tt, coef, a, b, c)
+		return a, b, c
+	}
+	gotH, gotR, gotT := run(ComplExGrad)
+	wantH, wantR, wantT := run(func(h, r, t []float32, coef float32, gh, gr, gt []float32) {
+		complExGradGo(h, r, t, coef, gh, gr, gt, 0)
+	})
+	assertSameBits(t, "ComplExGrad gh", gotH, wantH)
+	assertSameBits(t, "ComplExGrad gr", gotR, wantR)
+	assertSameBits(t, "ComplExGrad gt", gotT, wantT)
+}
+
+func TestComplExGradMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 4000; trial++ {
+		w := 2 * rng.Intn(81)
+		rate := []float64{0, 0.05, 0.5}[trial%3]
+		vec := func() []float32 { return randVec(rng, w, rate) }
+		coef := randVec(rng, 1, rate)[0]
+		complExCase(t, vec(), vec(), vec(), coef, vec(), vec(), vec(), uint8(trial%4))
+	}
+}
+
+// A self-loop triple hands ComplExGrad gh == gt: gh's real half is written
+// once by the d/dRe(h) term and again by the d/dRe(t) term. The second
+// update must see the first, exactly as the scalar loop does.
+func TestComplExGradSelfLoopAlias(t *testing.T) {
+	const d = 19 // two whole blocks and a tail
+	rng := rand.New(rand.NewSource(4))
+	h, r := randVec(rng, 2*d, 0), randVec(rng, 2*d, 0)
+	g, gr := make([]float32, 2*d), make([]float32, 2*d)
+	ComplExGrad(h, r, h, 0.75, g, gr, g)
+
+	want := make([]float32, 2*d)
+	for i := 0; i < d; i++ {
+		hr, hi, rr, ri := h[i], h[d+i], r[i], r[d+i]
+		want[i] += 0.75 * (rr*hr + ri*hi)
+		want[d+i] += 0.75 * (rr*hi - ri*hr)
+		want[i] += 0.75 * (hr*rr - hi*ri)
+		want[d+i] += 0.75 * (hi*rr + hr*ri)
+	}
+	assertSameBits(t, "self-loop gh", g, want)
+}
+
+// Adam's second moment is ((1-beta2)*g)*g, as Go parses it. This g makes
+// the other association, (1-beta2)*(g*g), round differently, so a kernel
+// that reassociated would fail here even without the random sweep.
+func TestAdamRowKeepsParseOrder(t *testing.T) {
+	c := adamStepAt(1, 0.01)
+	var g float32
+	for bits := uint32(0x3f800001); ; bits++ {
+		g = math.Float32frombits(bits)
+		oneMinus := 1 - c.Beta2
+		if (oneMinus*g)*g != oneMinus*(g*g) {
+			break
+		}
+	}
+	grad := make([]float32, 16)
+	for i := range grad {
+		grad[i] = g
+	}
+	row, m, v := make([]float32, 16), make([]float32, 16), make([]float32, 16)
+	AdamRow(row, grad, m, v, &c)
+	oneMinus := 1 - c.Beta2
+	want := c.Beta2*0 + (oneMinus*g)*g
+	for i := range v {
+		if !sameBits(v[i], want) {
+			t.Fatalf("v[%d] = %#08x, want ((1-beta2)*g)*g = %#08x", i, math.Float32bits(v[i]), math.Float32bits(want))
+		}
+	}
+}
+
+func TestKernelsPanicOnLengthMismatch(t *testing.T) {
+	c := adamStepAt(1, 0.1)
+	a, b := make([]float32, 8), make([]float32, 9)
+	for name, f := range map[string]func(){
+		"AdamRow":         func() { AdamRow(a, a, a, b, &c) },
+		"AdagradRow":      func() { AdagradRow(a, a, b, 0.1, 1e-8) },
+		"ComplExGrad":     func() { ComplExGrad(a, a, a, 1, a, a, b) },
+		"ComplExGrad odd": func() { ComplExGrad(b, b, b, 1, b, b, b) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on mismatched lengths", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestKernelsAllocFree(t *testing.T) {
+	const w = 64
+	x, y, z := make([]float32, w), make([]float32, w), make([]float32, w)
+	row, m, v := make([]float32, w), make([]float32, w), make([]float32, w)
+	gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
+	for name, f := range map[string]func(){
+		"Add":     func() { Add(x, y) },
+		"Scale":   func() { Scale(0.5, y) },
+		"Axpy":    func() { Axpy(0.5, x, y) },
+		"AxpyMul": func() { AxpyMul(0.5, x, z, y) },
+		"AdamRow": func() {
+			c := AdamStep{Beta1: 0.9, Beta2: 0.999, Corr1: 0.1, Corr2: 0.001, LR: 0.01, Eps: 1e-8}
+			AdamRow(row, x, m, v, &c)
+		},
+		"AdagradRow":  func() { AdagradRow(row, x, v, 0.01, 1e-8) },
+		"ComplExGrad": func() { ComplExGrad(x, y, z, 0.5, gh, gr, gt) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call", name, allocs)
+		}
+	}
+}
+
+// The exactness rules of simd_amd64.s, checked on its text: arithmetic only
+// through the five correctly rounded packed operations, and no FMA,
+// horizontal or reciprocal-estimate instruction anywhere. No legacy SSE
+// instruction may touch an X register either: between VEX code that leaves
+// the upper YMM halves dirty, each one pays a state-transition penalty that
+// can exceed the kernel's whole saving.
+func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
+	f, err := os.Open("simd_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	allowed := map[string]bool{
+		// arithmetic
+		"VMULPS": true, "VADDPS": true, "VSUBPS": true, "VDIVPS": true, "VSQRTPS": true,
+		// data movement and housekeeping
+		"VMOVUPS": true, "VBROADCASTSS": true, "VZEROUPPER": true,
+		"MOVQ": true, "MOVL": true, "XORQ": true, "ADDQ": true, "CMPQ": true, "JB": true,
+		"SHLQ": true, "SHRQ": true, "LEAQ": true, "RET": true, "CPUID": true, "XGETBV": true,
+		"TEXT": true, "DATA": true, "GLOBL": true,
+	}
+	xreg := regexp.MustCompile(`\bX([0-9]|1[0-5])\b`)
+	sc := bufio.NewScanner(f)
+	seen := map[string]bool{}
+	for line := 1; sc.Scan(); line++ {
+		text := strings.TrimSpace(sc.Text())
+		if i := strings.Index(text, "//"); i >= 0 {
+			text = strings.TrimSpace(text[:i])
+		}
+		if text == "" || strings.HasPrefix(text, "#") || strings.HasSuffix(text, ":") {
+			continue
+		}
+		op := strings.Fields(text)[0]
+		if !allowed[op] {
+			t.Errorf("simd_amd64.s:%d: instruction %s is outside the exact set", line, op)
+		}
+		if !strings.HasPrefix(op, "V") && xreg.MatchString(text) {
+			t.Errorf("simd_amd64.s:%d: legacy SSE %s on an X register; use the VEX form", line, op)
+		}
+		seen[op] = true
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"VMULPS", "VADDPS", "VSUBPS", "VDIVPS", "VSQRTPS", "VZEROUPPER"} {
+		if !seen[op] {
+			t.Errorf("simd_amd64.s no longer uses %s; is the scan reading the right file?", op)
+		}
+	}
+}
+
+// Every assembly declaration must carry //go:noescape: without it the
+// AdamStep that ApplyRow builds on its stack would escape to the heap on
+// every row.
+func TestAssemblyDeclarationsAreNoEscape(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "simd_amd64.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyless := 0
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body != nil {
+			continue
+		}
+		bodyless++
+		noescape := false
+		if fd.Doc != nil {
+			for _, c := range fd.Doc.List {
+				noescape = noescape || c.Text == "//go:noescape"
+			}
+		}
+		if !noescape {
+			t.Errorf("%s: assembly declaration %s lacks //go:noescape", fset.Position(fd.Pos()), fd.Name.Name)
+		}
+	}
+	if bodyless < 9 {
+		t.Errorf("found %d bodyless declarations in simd_amd64.go, want at least 9", bodyless)
+	}
+}
+
+// benchKernel runs f as sub-benchmarks "go" (the portable loop) and "avx2"
+// (the dispatching kernel; skipped on builds without the assembly).
+func benchKernel(b *testing.B, generic, dispatch func()) {
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			generic()
+		}
+	})
+	b.Run("avx2", func(b *testing.B) {
+		if !useAVX2 {
+			b.Skip("AVX2 kernels not in this build or not supported by this CPU")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dispatch()
+		}
+	})
+}
+
+func BenchmarkAdamApplyRow(b *testing.B) {
+	const w = 64
+	rng := rand.New(rand.NewSource(5))
+	row, g := randVec(rng, w, 0), randVec(rng, w, 0)
+	m, v := make([]float32, w), make([]float32, w)
+	c := adamStepAt(100, 1e-3)
+	benchKernel(b,
+		func() { adamRowGo(row, g, m, v, &c) },
+		func() { AdamRow(row, g, m, v, &c) })
+}
+
+func BenchmarkComplExGradRows(b *testing.B) {
+	const w = 64
+	rng := rand.New(rand.NewSource(6))
+	h, r, tt := randVec(rng, w, 0), randVec(rng, w, 0), randVec(rng, w, 0)
+	gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
+	benchKernel(b,
+		func() { complExGradGo(h, r, tt, 1e-3, gh, gr, gt, 0) },
+		func() { ComplExGrad(h, r, tt, 1e-3, gh, gr, gt) })
+}
+
+func BenchmarkAdagradRow(b *testing.B) {
+	const w = 64
+	rng := rand.New(rand.NewSource(7))
+	row, g, acc := randVec(rng, w, 0), randVec(rng, w, 0), make([]float32, w)
+	benchKernel(b,
+		func() { adagradRowGo(row, g, acc, 1e-3, 1e-8) },
+		func() { AdagradRow(row, g, acc, 1e-3, 1e-8) })
+}
+
+func BenchmarkAdd64(b *testing.B) {
+	const w = 64
+	rng := rand.New(rand.NewSource(8))
+	x, y := randVec(rng, w, 0), make([]float32, w)
+	benchKernel(b, func() { addGo(x, y) }, func() { Add(x, y) })
+}

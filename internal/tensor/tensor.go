@@ -11,6 +11,13 @@
 // only read their inputs and write their named outputs; they never retain a
 // slice past the call. None of them are synchronized: they are for
 // exclusively-owned rows and scratch.
+//
+// The element-wise kernels (Add, Scale, Axpy, AxpyMul and the row updates in
+// rows.go) run whole 8-lane blocks through AVX2 assembly on amd64 CPUs that
+// support it and the remainder through the Go loop, which is also the whole
+// computation on every other build (the purego tag, -race, other
+// architectures). Both paths produce the same bits; DESIGN.md "SIMD kernels"
+// gives the rules that make that hold.
 package tensor
 
 import "math"
@@ -46,6 +53,15 @@ func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
 	}
+	n := 0
+	if useAVX2 && len(y) >= lanes {
+		n = len(y) &^ (lanes - 1)
+		axpyAVX2(alpha, x[:n], y[:n])
+	}
+	axpyGo(alpha, x[n:], y[n:])
+}
+
+func axpyGo(alpha float32, x, y []float32) {
 	for i, xv := range x {
 		y[i] += alpha * xv
 	}
@@ -57,6 +73,15 @@ func AxpyMul(alpha float32, a, b, y []float32) {
 	if len(a) != len(b) || len(b) != len(y) {
 		panic("tensor: AxpyMul length mismatch")
 	}
+	n := 0
+	if useAVX2 && len(y) >= lanes {
+		n = len(y) &^ (lanes - 1)
+		axpyMulAVX2(alpha, a[:n], b[:n], y[:n])
+	}
+	axpyMulGo(alpha, a[n:], b[n:], y[n:])
+}
+
+func axpyMulGo(alpha float32, a, b, y []float32) {
 	for i := range y {
 		y[i] += alpha * a[i] * b[i]
 	}
@@ -64,6 +89,15 @@ func AxpyMul(alpha float32, a, b, y []float32) {
 
 // Scale multiplies x by alpha in place.
 func Scale(alpha float32, x []float32) {
+	n := 0
+	if useAVX2 && len(x) >= lanes {
+		n = len(x) &^ (lanes - 1)
+		scaleAVX2(alpha, x[:n])
+	}
+	scaleGo(alpha, x[n:])
+}
+
+func scaleGo(alpha float32, x []float32) {
 	for i := range x {
 		x[i] *= alpha
 	}
@@ -74,6 +108,15 @@ func Add(x, y []float32) {
 	if len(x) != len(y) {
 		panic("tensor: Add length mismatch")
 	}
+	n := 0
+	if useAVX2 && len(y) >= lanes {
+		n = len(y) &^ (lanes - 1)
+		addAVX2(x[:n], y[:n])
+	}
+	addGo(x[n:], y[n:])
+}
+
+func addGo(x, y []float32) {
 	for i, xv := range x {
 		y[i] += xv
 	}
