@@ -50,14 +50,15 @@ test:
 race:
 	$(GO) test -race -short -count=1 $(RACE_PKGS)
 
-# Portable-path tier. On amd64 the element-wise kernels of internal/tensor
-# (optimizer row updates, the ComplEx gradient, Add/Scale/Axpy/AxpyMul) run
-# in AVX2 assembly; the purego build tag selects the Go loops everywhere, so
-# this target runs the whole suite, every golden, the checkpoint CRC pins
-# and the chan-vs-TCP identity on the loops the assembly must match. The
-# last line builds the Go oracle at GOAMD64=v3, where the compiler may use
-# any AVX2-era instruction, and reruns the differential tests against the
-# assembly: it proves the oracle stays FMA-free at every amd64 level.
+# Portable-path tier. On amd64 the kernels of internal/tensor (optimizer row
+# updates, the ComplEx gradient, Add/Scale/Axpy/AxpyMul, the TransE 1-vs-N
+# block) run in AVX2 assembly; the purego build tag selects the Go loops
+# everywhere, so this target runs the whole suite, every golden, the
+# checkpoint CRC pins and the chan-vs-TCP identity on the loops the
+# assembly must match. The last line builds the Go oracle at GOAMD64=v3,
+# where the compiler may use any AVX2-era instruction, and reruns the
+# differential tests against the assembly: it proves the oracle stays
+# FMA-free at every amd64 level.
 ## purego: full tests + kgeverify on the portable Go loops (no assembly)
 purego:
 	$(GO) vet -tags purego ./internal/tensor/
@@ -181,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzElementwise$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz='^FuzzOptimizerRows$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz='^FuzzComplExGrad$$' -fuzztime=10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz='^FuzzTransEBlock$$' -fuzztime=10s ./internal/tensor/
 
 # Per-package coverage, compared against the checked-in baseline
 # (COVERAGE_BASELINE.txt). A package may drop at most COVERAGE_TOL points

@@ -8,8 +8,13 @@ package model
 // speed comes from what float32 rounding leaves free: the (fixed, rel)
 // product or sum is computed once per group of rows where it is the first
 // operation ScoreRows rounds (tail side), and several independent rows share
-// one inner loop so their serial add chains overlap. Lane-reordered (SIMD)
-// summation is deliberately not used; it would change low-order bits.
+// one inner loop so their serial add chains overlap. A sum never crosses
+// SIMD lanes: TransE's AVX2 kernel (internal/tensor) gives each candidate row
+// its own lane and adds its terms in k order, which is the same sum; a
+// lane-per-k dot product would reorder it and change low-order bits, so the
+// other models stay scalar.
+
+import "kgedist/internal/tensor"
 
 // Side names the triple slot a block of candidate rows fills.
 type Side uint8
@@ -62,47 +67,20 @@ func (m *SimplE) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
 	scoreBlockRows(m, side, fixed, rel, slab, out)
 }
 
-// ScoreBlock implements BlockScorer: four rows per inner loop; on the tail
-// side q = h + r is the first sum ScoreRows rounds, so it is shared.
+// ScoreBlock implements BlockScorer through tensor.TransEScoreTails and
+// tensor.TransEScoreHeads: AVX2 with one candidate row per lane where the
+// build and CPU have it, else four rows per inner loop in Go. Every row keeps
+// ScoreRows' float64 sum in k order; on the tail side q = h + r is the first
+// sum ScoreRows rounds, so it is shared by the whole block.
 //
 //kgelint:hotpath
 func (m *TransE) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
 	d := m.dim
-	fixed, rel = fixed[:d], rel[:d]
-	i := 0
-	for ; i+4 <= len(out); i += 4 {
-		c := slab[i*d : (i+4)*d]
-		c0, c1, c2, c3 := c[:d], c[d:][:d], c[2*d:][:d], c[3*d:][:d]
-		var s0, s1, s2, s3 float64
-		if side == Tail {
-			for k, hv := range fixed {
-				q := hv + rel[k]
-				d0 := float64(q - c0[k])
-				d1 := float64(q - c1[k])
-				d2 := float64(q - c2[k])
-				d3 := float64(q - c3[k])
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
-			}
-		} else {
-			for k, tv := range fixed {
-				rv := rel[k]
-				d0 := float64(c0[k] + rv - tv)
-				d1 := float64(c1[k] + rv - tv)
-				d2 := float64(c2[k] + rv - tv)
-				d3 := float64(c3[k] + rv - tv)
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
-			}
-		}
-		o := out[i : i+4]
-		o[0], o[1], o[2], o[3] = float32(-s0), float32(-s1), float32(-s2), float32(-s3)
+	if side == Tail {
+		tensor.TransEScoreTails(fixed[:d], rel[:d], slab, out)
+	} else {
+		tensor.TransEScoreHeads(rel[:d], fixed[:d], slab, out)
 	}
-	scoreBlockRows(m, side, fixed, rel, slab[i*d:], out[i:])
 }
 
 // ScoreBlock implements BlockScorer: four rows per inner loop; on the tail

@@ -441,3 +441,19 @@ func TestScoreGradRowsAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TransE's block scorer is the exact predict sweep's whole inner loop: one
+// call per 1024-row tile, so it must not allocate on either side, on a
+// width the AVX2 kernel takes and with a Go-loop tail.
+func TestTransEScoreBlockAllocFree(t *testing.T) {
+	m := NewTransE(64)
+	p := testParams(m, 50, 2, 7)
+	fixed, rel := p.Entity.Row(3), p.Relation.Row(1)
+	out := make([]float32, 37)
+	slab := p.Entity.Data[:len(out)*m.Width()]
+	for _, side := range []Side{Head, Tail} {
+		if allocs := testing.AllocsPerRun(100, func() { m.ScoreBlock(side, fixed, rel, slab, out) }); allocs != 0 {
+			t.Errorf("TransE.ScoreBlock side %d allocates %.1f times per call", side, allocs)
+		}
+	}
+}

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -80,6 +82,77 @@ func TestPredictApproxFullBudget(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPredictApproxFullBudgetAcrossReload holds the full-budget approx
+// answer (binpack's per-row ScoreRows rescore) to the exact sweep (TransE's
+// block kernel, AVX2 where the build has it) at the serving width: 2 500
+// entities in shards of 1 100 rows, so every shard is swept as a 1024-row
+// tile plus a short one and the kernel's 16-row blocks leave Go-loop tails
+// of 12 rows. Every rank on both sides must carry the same entity and the
+// same score bits, before and after a /v1/reload to a second checkpoint.
+func TestPredictApproxFullBudgetAcrossReload(t *testing.T) {
+	const entities, rels = 2500, 4
+	s, err := New(Config{
+		CheckpointPath: writeCheckpoint(t, t.TempDir(), "transe", 64, entities, rels, 21),
+		ShardRows:      1100,
+		MaxBatch:       8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+	queries := []map[string]any{
+		{"head": 0, "relation": 0}, {"head": 1799, "relation": 3},
+		{"tail": 7, "relation": 1}, {"tail": 2499, "relation": 2},
+	}
+	// rank answers every query in both modes, checks they agree bit for bit
+	// and returns the exact answers.
+	rank := func(gen string) [][]Completion {
+		var all [][]Completion
+		for _, q := range queries {
+			var exact, approx predictResponse
+			body := map[string]any{"k": entities}
+			for k, v := range q {
+				body[k] = v
+			}
+			if status, raw := postJSON(t, ts.URL+"/v1/predict", body, &exact); status != http.StatusOK {
+				t.Fatalf("%s exact %v: %d %s", gen, q, status, raw)
+			}
+			body["candidates"] = entities
+			if status, raw := postJSON(t, ts.URL+"/v1/predict?mode=approx", body, &approx); status != http.StatusOK {
+				t.Fatalf("%s approx %v: %d %s", gen, q, status, raw)
+			}
+			if approx.Rescored != entities || len(exact.Completions) != entities || len(approx.Completions) != entities {
+				t.Fatalf("%s %v: rescored %d, %d exact and %d approx completions, want %d",
+					gen, q, approx.Rescored, len(exact.Completions), len(approx.Completions), entities)
+			}
+			for i, e := range exact.Completions {
+				a := approx.Completions[i]
+				if a.Entity != e.Entity || math.Float32bits(a.Score) != math.Float32bits(e.Score) {
+					t.Fatalf("%s %v rank %d: approx %+v (%#08x), exact %+v (%#08x)",
+						gen, q, i, a, math.Float32bits(a.Score), e, math.Float32bits(e.Score))
+				}
+			}
+			all = append(all, exact.Completions)
+		}
+		return all
+	}
+	before := rank("first checkpoint")
+
+	next := writeCheckpoint(t, t.TempDir(), "transe", 64, entities, rels, 22)
+	var resp reloadResponse
+	if status, raw := postJSON(t, ts.URL+"/v1/reload", map[string]any{"path": next}, &resp); status != http.StatusOK || resp.Reloads != 1 {
+		t.Fatalf("reload: %d %s", status, raw)
+	}
+	after := rank("after reload")
+	if before[0][0] == after[0][0] {
+		t.Fatalf("reload did not change the answers: top completion %+v both times", after[0][0])
 	}
 }
 

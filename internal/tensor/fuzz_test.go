@@ -11,7 +11,8 @@ import (
 // kernel and its Go loop on copies, and requires the same bits (NaN as a
 // class). The committed corpus under testdata/fuzz/ seeds the specials at
 // lengths 0, 1, 7, 8, 9, 16, 17, 63, 64 and 65: no block, a tail only, one
-// block with and without a tail, several blocks.
+// block with and without a tail, several blocks. FuzzTransEBlock's corpus
+// seeds the same specials at every width of transEWidths.
 
 // fuzzFloats decodes data as little-endian float32 bits; a trailing partial
 // word is ignored.
@@ -62,5 +63,22 @@ func FuzzComplExGrad(f *testing.F) {
 			}
 		}
 		complExCase(t, p[0], p[1], p[2], coef, p[3], p[4], p[5], alias)
+	})
+}
+
+// FuzzTransEBlock scores 0-70 rows at one of transEWidths as tails and as
+// heads. The decoded floats are repeated to fill h, r, t and the slab in
+// that order, so a short input still reaches every row.
+func FuzzTransEBlock(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, width, rows uint8) {
+		d, n := transEWidths[int(width)%len(transEWidths)], int(rows)%71
+		vals := fuzzFloats(data)
+		buf := make([]float32, (3+n)*d)
+		for i := range buf {
+			if len(vals) > 0 {
+				buf[i] = vals[i%len(vals)]
+			}
+		}
+		checkTransEBlock(t, buf[:d], buf[d:2*d], buf[2*d:3*d], buf[3*d:], n)
 	})
 }

@@ -2,7 +2,7 @@
 
 package tensor
 
-// useAVX2 selects the assembly kernels in simd_amd64.s. It is fixed at
+// useAVX2 selects the assembly kernels in the *_amd64.s files. It is fixed at
 // package init from CPUID and XGETBV: the CPU must report AVX2 and the
 // operating system must save the YMM state across context switches.
 var useAVX2 = hasAVX2()

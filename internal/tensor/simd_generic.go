@@ -19,3 +19,5 @@ func adagradRowAVX2(row, grad, acc []float32, lr, eps float32) { panic("tensor: 
 func complExGradAVX2(h, r, t []float32, coef float32, gh, gr, gt []float32, n int) {
 	panic("tensor: no AVX2 kernels")
 }
+func transETailAVX2(h, r, slab, out []float32) { panic("tensor: no AVX2 kernels") }
+func transEHeadAVX2(r, t, slab, out []float32) { panic("tensor: no AVX2 kernels") }

@@ -2,12 +2,14 @@ package tensor
 
 import (
 	"bufio"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -214,6 +216,66 @@ func TestComplExGradSelfLoopAlias(t *testing.T) {
 	assertSameBits(t, "self-loop gh", g, want)
 }
 
+// transEWidths are the row widths the TransE block tests sweep: no k, k
+// counts the kernel refuses (d % 4 != 0), one and several 4-wide k steps,
+// the serving width 64 and 64 + 4.
+var transEWidths = []int{0, 1, 3, 4, 8, 12, 64, 68}
+
+// checkTransEBlock scores the n-row slab against (h, r) as tails and against
+// (r, t) as heads through the dispatching kernels and through their Go loops.
+func checkTransEBlock(t *testing.T, h, r, tt, slab []float32, n int) {
+	t.Helper()
+	got, want := make([]float32, n), make([]float32, n)
+	TransEScoreTails(h, r, slab, got)
+	transETailGo(h, r, slab, want)
+	assertSameBits(t, "TransEScoreTails", got, want)
+	TransEScoreHeads(r, tt, slab, got)
+	transEHeadGo(r, tt, slab, want)
+	assertSameBits(t, "TransEScoreHeads", got, want)
+}
+
+func TestTransEBlockMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 3000; trial++ {
+		d := transEWidths[trial%len(transEWidths)]
+		n := rng.Intn(71)
+		rate := []float64{0, 0.05, 0.5}[trial%3]
+		checkTransEBlock(t, randVec(rng, d, rate), randVec(rng, d, rate), randVec(rng, d, rate),
+			randVec(rng, n*d, rate), n)
+	}
+}
+
+// Each term of a TransE row sum is a float32 difference squared, exact in
+// float64, so a random row's sum rarely rounds where float32(-s) can see it
+// and a kernel that reordered the adds would pass the random sweep. These
+// rows cannot be reordered unseen: with squares 100, 100, 2^60 and 2^36,
+// adding both 100s before 2^60 carries the sum one float64 ulp (256) past
+// 2^60 + 2^36, a float32 tie, so float32(-s) rounds away from -2^60 instead
+// of to it. Each row places the four at random positions among zeros.
+func TestTransEBlockKeepsSumOrder(t *testing.T) {
+	const d, n = 8, 64
+	rng := rand.New(rand.NewSource(12))
+	terms := []float32{10, 10, 1 << 30, 1 << 18} // squares 100, 100, 2^60, 2^36
+	slab := make([]float32, n*d)
+	for i := 0; i < n; i++ {
+		for j, k := range rng.Perm(d)[:len(terms)] {
+			slab[i*d+k] = terms[j]
+		}
+	}
+	zero := make([]float32, d)
+	checkTransEBlock(t, zero, zero, zero, slab, n)
+
+	out := make([]float32, n)
+	transETailGo(zero, zero, slab, out)
+	seen := map[float32]bool{}
+	for _, v := range out {
+		seen[v] = true
+	}
+	if !seen[-(1<<60)] || !seen[-(1<<60+1<<37)] {
+		t.Fatalf("the rows no longer tell the sum orders apart: scores %v", seen)
+	}
+}
+
 // Adam's second moment is ((1-beta2)*g)*g, as Go parses it. This g makes
 // the other association, (1-beta2)*(g*g), round differently, so a kernel
 // that reassociated would fail here even without the random sweep.
@@ -246,10 +308,12 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 	c := adamStepAt(1, 0.1)
 	a, b := make([]float32, 8), make([]float32, 9)
 	for name, f := range map[string]func(){
-		"AdamRow":         func() { AdamRow(a, a, a, b, &c) },
-		"AdagradRow":      func() { AdagradRow(a, a, b, 0.1, 1e-8) },
-		"ComplExGrad":     func() { ComplExGrad(a, a, a, 1, a, a, b) },
-		"ComplExGrad odd": func() { ComplExGrad(b, b, b, 1, b, b, b) },
+		"AdamRow":          func() { AdamRow(a, a, a, b, &c) },
+		"AdagradRow":       func() { AdagradRow(a, a, b, 0.1, 1e-8) },
+		"ComplExGrad":      func() { ComplExGrad(a, a, a, 1, a, a, b) },
+		"ComplExGrad odd":  func() { ComplExGrad(b, b, b, 1, b, b, b) },
+		"TransEScoreTails": func() { TransEScoreTails(a, b, a, b) },
+		"TransEScoreHeads": func() { TransEScoreHeads(a, a, make([]float32, 8*16-1), make([]float32, 16)) },
 	} {
 		func() {
 			defer func() {
@@ -267,6 +331,7 @@ func TestKernelsAllocFree(t *testing.T) {
 	x, y, z := make([]float32, w), make([]float32, w), make([]float32, w)
 	row, m, v := make([]float32, w), make([]float32, w), make([]float32, w)
 	gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
+	slab, out := make([]float32, 35*w), make([]float32, 35)
 	for name, f := range map[string]func(){
 		"Add":     func() { Add(x, y) },
 		"Scale":   func() { Scale(0.5, y) },
@@ -276,8 +341,10 @@ func TestKernelsAllocFree(t *testing.T) {
 			c := AdamStep{Beta1: 0.9, Beta2: 0.999, Corr1: 0.1, Corr2: 0.001, LR: 0.01, Eps: 1e-8}
 			AdamRow(row, x, m, v, &c)
 		},
-		"AdagradRow":  func() { AdagradRow(row, x, v, 0.01, 1e-8) },
-		"ComplExGrad": func() { ComplExGrad(x, y, z, 0.5, gh, gr, gt) },
+		"AdagradRow":       func() { AdagradRow(row, x, v, 0.01, 1e-8) },
+		"ComplExGrad":      func() { ComplExGrad(x, y, z, 0.5, gh, gr, gt) },
+		"TransEScoreTails": func() { TransEScoreTails(x, y, slab, out) },
+		"TransEScoreHeads": func() { TransEScoreHeads(y, z, slab, out) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per call", name, allocs)
@@ -285,53 +352,129 @@ func TestKernelsAllocFree(t *testing.T) {
 	}
 }
 
-// The exactness rules of simd_amd64.s, checked on its text: arithmetic only
-// through the five correctly rounded packed operations, and no FMA,
-// horizontal or reciprocal-estimate instruction anywhere. No legacy SSE
-// instruction may touch an X register either: between VEX code that leaves
-// the upper YMM halves dirty, each one pays a state-transition penalty that
-// can exceed the kernel's whole saving.
-func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
-	f, err := os.Open("simd_amd64.s")
+// amd64Files lists the package's files named *_amd64 plus ext, so a kernel
+// added in a new file is checked like the existing ones.
+func amd64Files(t *testing.T, ext string) []string {
+	t.Helper()
+	names, err := filepath.Glob("*_amd64" + ext)
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no *_amd64%s files found (%v)", ext, err)
+	}
+	return names
+}
+
+// asmLine is one statement of an assembly file; a line may hold several,
+// separated by semicolons.
+type asmLine struct {
+	pos  string // file:line
+	text string
+}
+
+// asmStatements splits an assembly file into statements, comments and
+// labels dropped. A #define's body is split like code, line by line, so a
+// macro's instructions are checked where it is defined; the macro names,
+// whose invocations are not instructions, are returned too.
+func asmStatements(t *testing.T, name string) (stmts []asmLine, macros map[string]bool) {
+	t.Helper()
+	f, err := os.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	allowed := map[string]bool{
-		// arithmetic
-		"VMULPS": true, "VADDPS": true, "VSUBPS": true, "VDIVPS": true, "VSQRTPS": true,
-		// data movement and housekeeping
-		"VMOVUPS": true, "VBROADCASTSS": true, "VZEROUPPER": true,
-		"MOVQ": true, "MOVL": true, "XORQ": true, "ADDQ": true, "CMPQ": true, "JB": true,
-		"SHLQ": true, "SHRQ": true, "LEAQ": true, "RET": true, "CPUID": true, "XGETBV": true,
-		"TEXT": true, "DATA": true, "GLOBL": true,
-	}
-	xreg := regexp.MustCompile(`\bX([0-9]|1[0-5])\b`)
+	macros = map[string]bool{}
 	sc := bufio.NewScanner(f)
-	seen := map[string]bool{}
 	for line := 1; sc.Scan(); line++ {
-		text := strings.TrimSpace(sc.Text())
+		text := sc.Text()
 		if i := strings.Index(text, "//"); i >= 0 {
-			text = strings.TrimSpace(text[:i])
+			text = text[:i]
 		}
-		if text == "" || strings.HasPrefix(text, "#") || strings.HasSuffix(text, ":") {
+		text = strings.TrimSuffix(strings.TrimSpace(text), "\\")
+		if rest, ok := strings.CutPrefix(text, "#define"); ok {
+			// Record the name; what follows it (and its parameter list) on
+			// this line is already body.
+			rest = strings.TrimSpace(rest)
+			end := strings.IndexAny(rest, "( \t")
+			if end < 0 {
+				end = len(rest)
+			}
+			macros[rest[:end]] = true
+			text = rest[end:]
+			if strings.HasPrefix(text, "(") {
+				text = text[strings.Index(text, ")")+1:]
+			}
+		} else if strings.HasPrefix(text, "#") {
 			continue
 		}
-		op := strings.Fields(text)[0]
-		if !allowed[op] {
-			t.Errorf("simd_amd64.s:%d: instruction %s is outside the exact set", line, op)
+		for _, stmt := range strings.Split(text, ";") {
+			stmt = strings.TrimSpace(stmt)
+			if stmt != "" && !strings.HasSuffix(stmt, ":") {
+				stmts = append(stmts, asmLine{fmt.Sprintf("%s:%d", name, line), stmt})
+			}
 		}
-		if !strings.HasPrefix(op, "V") && xreg.MatchString(text) {
-			t.Errorf("simd_amd64.s:%d: legacy SSE %s on an X register; use the VEX form", line, op)
-		}
-		seen[op] = true
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []string{"VMULPS", "VADDPS", "VSUBPS", "VDIVPS", "VSQRTPS", "VZEROUPPER"} {
+	return stmts, macros
+}
+
+// The exactness rules of the assembly, checked on the text of every
+// *_amd64.s file: arithmetic only through correctly rounded operations, each
+// the packed form of the scalar instruction the Go loop compiles to, and no
+// FMA, horizontal or reciprocal-estimate instruction anywhere. No legacy SSE
+// instruction may touch an X register either: between VEX code that leaves
+// the upper YMM halves dirty, each one pays a state-transition penalty that
+// can exceed the kernel's whole saving.
+func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
+	allowed := map[string]string{
+		"VMULPS":       "MULSS per lane",
+		"VADDPS":       "ADDSS per lane",
+		"VSUBPS":       "SUBSS per lane",
+		"VDIVPS":       "DIVSS per lane",
+		"VSQRTPS":      "SQRTSS per lane, which is float32(math.Sqrt(float64(x)))",
+		"VCVTPS2PD":    "CVTSS2SD per lane: float32 to float64 is exact",
+		"VCVTPD2PSY":   "CVTSD2SS per lane: the single rounding of float32(s)",
+		"VMULPD":       "MULSD per lane",
+		"VADDPD":       "ADDSD per lane",
+		"VUNPCKLPD":    "moves whole float64 lanes, computes nothing",
+		"VUNPCKHPD":    "moves whole float64 lanes, computes nothing",
+		"VPERM2F128":   "moves whole 128-bit halves, computes nothing",
+		"VXORPD":       "sign flip of Go's unary minus, or a zeroed accumulator",
+		"VMOVUPS":      "load or store",
+		"VBROADCASTSS": "load of one scalar into every lane",
+		"VZEROUPPER":   "clears the upper YMM halves before returning to Go",
+		"PREFETCHT0":   "cache hint: loads no value, so it cannot change one",
+		"MOVQ":         "integer housekeeping", "MOVL": "integer housekeeping",
+		"XORQ": "integer housekeeping", "ADDQ": "integer housekeeping",
+		"CMPQ": "integer housekeeping", "SHLQ": "integer housekeeping",
+		"SHRQ": "integer housekeeping", "LEAQ": "integer housekeeping",
+		"JB":    "the loops' only branch form",
+		"RET":   "return",
+		"CPUID": "feature detection", "XGETBV": "feature detection",
+		"TEXT": "directive", "DATA": "directive", "GLOBL": "directive",
+	}
+	xreg := regexp.MustCompile(`\bX([0-9]|1[0-5])\b`)
+	seen := map[string]bool{}
+	for _, name := range amd64Files(t, ".s") {
+		stmts, macros := asmStatements(t, name)
+		for _, s := range stmts {
+			op := strings.Fields(s.text)[0]
+			if i := strings.Index(op, "("); i >= 0 && macros[op[:i]] || macros[op] {
+				continue
+			}
+			if allowed[op] == "" {
+				t.Errorf("%s: instruction %s is outside the exact set", s.pos, op)
+			}
+			if !strings.HasPrefix(op, "V") && xreg.MatchString(s.text) {
+				t.Errorf("%s: legacy SSE %s on an X register; use the VEX form", s.pos, op)
+			}
+			seen[op] = true
+		}
+	}
+	for _, op := range []string{"VMULPS", "VADDPS", "VSUBPS", "VDIVPS", "VSQRTPS", "VCVTPS2PD", "VMULPD",
+		"VADDPD", "VPERM2F128", "VCVTPD2PSY", "VZEROUPPER"} {
 		if !seen[op] {
-			t.Errorf("simd_amd64.s no longer uses %s; is the scan reading the right file?", op)
+			t.Errorf("no assembly file uses %s any more; is the scan reading the right files?", op)
 		}
 	}
 }
@@ -341,39 +484,45 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 // every row.
 func TestAssemblyDeclarationsAreNoEscape(t *testing.T) {
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "simd_amd64.go", nil, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bodyless := 0
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body != nil {
-			continue
+	for _, name := range amd64Files(t, ".go") {
+		file, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
 		}
-		bodyless++
-		noescape := false
-		if fd.Doc != nil {
-			for _, c := range fd.Doc.List {
-				noescape = noescape || c.Text == "//go:noescape"
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body != nil {
+				continue
+			}
+			bodyless++
+			noescape := false
+			if fd.Doc != nil {
+				for _, c := range fd.Doc.List {
+					noescape = noescape || c.Text == "//go:noescape"
+				}
+			}
+			if !noescape {
+				t.Errorf("%s: assembly declaration %s lacks //go:noescape", fset.Position(fd.Pos()), fd.Name.Name)
 			}
 		}
-		if !noescape {
-			t.Errorf("%s: assembly declaration %s lacks //go:noescape", fset.Position(fd.Pos()), fd.Name.Name)
-		}
 	}
-	if bodyless < 9 {
-		t.Errorf("found %d bodyless declarations in simd_amd64.go, want at least 9", bodyless)
+	if bodyless < 11 {
+		t.Errorf("found %d bodyless declarations in *_amd64.go, want at least 11", bodyless)
 	}
 }
 
 // benchKernel runs f as sub-benchmarks "go" (the portable loop) and "avx2"
-// (the dispatching kernel; skipped on builds without the assembly).
-func benchKernel(b *testing.B, generic, dispatch func()) {
+// (the dispatching kernel; skipped on builds without the assembly). Each
+// report function runs after its sub-benchmark's loop, to add metrics.
+func benchKernel(b *testing.B, generic, dispatch func(), report ...func(*testing.B)) {
 	b.Run("go", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			generic()
+		}
+		for _, r := range report {
+			r(b)
 		}
 	})
 	b.Run("avx2", func(b *testing.B) {
@@ -383,6 +532,9 @@ func benchKernel(b *testing.B, generic, dispatch func()) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			dispatch()
+		}
+		for _, r := range report {
+			r(b)
 		}
 	})
 }
@@ -422,4 +574,28 @@ func BenchmarkAdd64(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	x, y := randVec(rng, w, 0), make([]float32, w)
 	benchKernel(b, func() { addGo(x, y) }, func() { Add(x, y) })
+}
+
+// BenchmarkScoreBlock times the TransE 1-vs-N kernels at the exact predict
+// sweep's serving shape: one (fixed, relation) pair against 50 000 rows of
+// width 64, a 12.8 MB slab that streams from L3 or memory rather than
+// sitting in L1/L2 (model's BenchmarkScoreBlock times a 1000-row table).
+func BenchmarkScoreBlock(b *testing.B) {
+	const rows, d = 50000, 64
+	rng := rand.New(rand.NewSource(11))
+	fixed, rel, slab := randVec(rng, d, 0), randVec(rng, d, 0), randVec(rng, rows*d, 0)
+	out := make([]float32, rows)
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	}
+	b.Run("transe-64/50k/tail", func(b *testing.B) {
+		benchKernel(b,
+			func() { transETailGo(fixed, rel, slab, out) },
+			func() { TransEScoreTails(fixed, rel, slab, out) }, perRow)
+	})
+	b.Run("transe-64/50k/head", func(b *testing.B) {
+		benchKernel(b,
+			func() { transEHeadGo(rel, fixed, slab, out) },
+			func() { TransEScoreHeads(rel, fixed, slab, out) }, perRow)
+	})
 }

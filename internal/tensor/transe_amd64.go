@@ -1,0 +1,14 @@
+//go:build amd64 && !purego && !race
+
+package tensor
+
+// The TransE block kernels in transe_amd64.s take a slab of len(out) rows of
+// d = len(h) (len(t)) floats, where d is a positive multiple of 4 and
+// len(out) a positive multiple of 16, and compute exactly what
+// transETailGo (transEHeadGo) computes.
+
+//go:noescape
+func transETailAVX2(h, r, slab, out []float32)
+
+//go:noescape
+func transEHeadAVX2(r, t, slab, out []float32)
