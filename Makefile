@@ -52,7 +52,8 @@ race:
 
 # Portable-path tier. On amd64 the kernels of internal/tensor (optimizer row
 # updates, the ComplEx gradient, Add/Scale/Axpy/AxpyMul, the TransE 1-vs-N
-# block) run in AVX2 assembly; the purego build tag selects the Go loops
+# block, gathered ComplEx triple scoring) run in AVX2 assembly; the purego
+# build tag selects the Go loops
 # everywhere, so this target runs the whole suite, every golden, the
 # checkpoint CRC pins and the chan-vs-TCP identity on the loops the
 # assembly must match. The last line builds the Go oracle at GOAMD64=v3,
@@ -166,23 +167,24 @@ soak:
 	$(GO) run -race ./cmd/kgeverify -soak -seed 1 -iters 5 -v
 
 # Ten seconds of coverage-guided fuzzing per Fuzz* target (tier-1 runs only
-# their seed corpora). -fuzz must match exactly one target per run, so each
-# gets its own line. Nightly CI runs this next to the soak; promote any
-# crasher it writes under testdata/fuzz/ into the committed corpus.
+# their seed corpora). The targets are listed per package by `go test -list`,
+# so a new fuzzer is fuzzed without being added here; -fuzz must match
+# exactly one target per run, so each gets its own run. Nightly CI runs this
+# next to the soak; promote any crasher it writes under testdata/fuzz/ into
+# the committed corpus.
 ## fuzz-smoke: fuzz every Fuzz* target for 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/transport/tcptransport/
-	$(GO) test -run '^$$' -fuzz='^FuzzDecodeHandshake$$' -fuzztime=10s ./internal/transport/tcptransport/
-	$(GO) test -run '^$$' -fuzz='^FuzzUnmarshalInto$$' -fuzztime=10s ./internal/grad/
-	$(GO) test -run '^$$' -fuzz='^FuzzSparseGradOracle$$' -fuzztime=10s ./internal/grad/
-	$(GO) test -run '^$$' -fuzz='^FuzzMergeFrames$$' -fuzztime=10s ./internal/grad/
-	$(GO) test -run '^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=10s ./internal/model/
-	$(GO) test -run '^$$' -fuzz='^FuzzScoreBlock$$' -fuzztime=10s ./internal/model/
-	$(GO) test -run '^$$' -fuzz='^FuzzBinpackRoundTrip$$' -fuzztime=10s ./internal/binpack/
-	$(GO) test -run '^$$' -fuzz='^FuzzElementwise$$' -fuzztime=10s ./internal/tensor/
-	$(GO) test -run '^$$' -fuzz='^FuzzOptimizerRows$$' -fuzztime=10s ./internal/tensor/
-	$(GO) test -run '^$$' -fuzz='^FuzzComplExGrad$$' -fuzztime=10s ./internal/tensor/
-	$(GO) test -run '^$$' -fuzz='^FuzzTransEBlock$$' -fuzztime=10s ./internal/tensor/
+	@set -e; n=0; \
+	for pkg in $$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for fz in $$(echo "$$list" | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$fz $$pkg"; \
+			$(GO) test -run '^$$' -fuzz="^$$fz"'$$' -fuzztime=10s $$pkg; \
+			n=$$((n+1)); \
+		done; \
+	done; \
+	if [ $$n -eq 0 ]; then echo "fuzz-smoke: no Fuzz* targets found"; exit 1; fi; \
+	echo "fuzz-smoke: $$n targets fuzzed"
 
 # Per-package coverage, compared against the checked-in baseline
 # (COVERAGE_BASELINE.txt). A package may drop at most COVERAGE_TOL points

@@ -458,12 +458,13 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 			for i := range batch {
 				batch[i] = shard[order[(b*cfg.BatchSize+i)%len(shard)]]
 			}
-			if err := st.stage(tables, sampler, batch, cfg.NegSamples); err != nil {
+			if err := st.stage(t.m, tables, sampler, batch, cfg.NegSamples); err != nil {
 				return err
 			}
 			var flops float64
+			negs := cfg.NegSamples
 			for i, pos := range batch {
-				f, loss, n := t.trainExample(tables, pos, st.cands[i*cfg.NegSamples:(i+1)*cfg.NegSamples])
+				f, loss, n := t.trainExample(tables, pos, st.cands[i*negs:(i+1)*negs], st.scores[i*(negs+1):(i+1)*(negs+1)])
 				flops += f
 				ep.lossSum += loss
 				ep.lossN += n
@@ -480,12 +481,12 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 		// fresh uniform corruption) over the rank's validation shard, reduced
 		// globally so all ranks share the decision.
 		valRng := xrand.New(cfg.Seed).Split(uint64(5000 + epoch)).Split(uint64(rank))
-		if err := st.stage(tables, model.NewNegSampler(t.d.NumEntities, valRng), val, 1); err != nil {
+		if err := st.stage(t.m, tables, model.NewNegSampler(t.d.NumEntities, valRng), val, 1); err != nil {
 			return err
 		}
 		correct := 0
-		for i, tr := range val {
-			if t.score(tables, tr) > t.score(tables, st.cands[i]) {
+		for i := range val {
+			if st.scores[2*i] > st.scores[2*i+1] {
 				correct++
 			}
 		}
@@ -582,17 +583,22 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 	return nil
 }
 
-// staging is a worker's reusable buffer of pre-drawn corruptions.
+// staging is a worker's reusable buffer of pre-drawn corruptions and the
+// scores of a staged batch.
 type staging struct {
 	cands  []kg.Triple // triple i's n corruptions at [i*n, (i+1)*n)
 	negBuf []kg.Triple // one triple's draw
+	batch  model.Batch
+	scores []float32 // triple i's score, then its corruptions', at [i*(n+1), (i+1)*(n+1))
 }
 
 // stage opens a staging over triples: it draws n corruptions of each into
-// cands, announces every row they touch, and pulls. Scoring draws nothing
-// from the sampler, so drawing up front consumes its stream in the same order
-// as drawing triple by triple.
-func (st *staging) stage(tb rankTables, s *model.NegSampler, triples []kg.Triple, n int) error {
+// cands, announces every row they touch, pulls, and scores every triple and
+// corruption in one batch. Scoring draws nothing from the sampler, so drawing
+// up front consumes its stream in the same order as drawing triple by triple;
+// nothing writes a parameter row before the batch closes, so the scores are
+// those of scoring each triple when it is trained.
+func (st *staging) stage(m model.Model, tb rankTables, s *model.NegSampler, triples []kg.Triple, n int) error {
 	tb.begin()
 	st.cands = st.cands[:0]
 	for _, tr := range triples {
@@ -603,12 +609,18 @@ func (st *staging) stage(tb rankTables, s *model.NegSampler, triples []kg.Triple
 			tb.need(neg)
 		}
 	}
-	return tb.pull()
-}
-
-// score is the model's score of a staged triple over the rank's tables.
-func (t *trainRun) score(tb rankTables, tr kg.Triple) float32 {
-	return t.m.ScoreRows(tb.EntityRow(tr.H), tb.RelationRow(tr.R), tb.EntityRow(tr.T))
+	if err := tb.pull(); err != nil {
+		return err
+	}
+	st.batch.Reset()
+	for i, tr := range triples {
+		st.batch.Add(tb, tr)
+		for _, neg := range st.cands[i*n : (i+1)*n] {
+			st.batch.Add(tb, neg)
+		}
+	}
+	st.scores = st.batch.Score(m)
+	return nil
 }
 
 // accumulate adds coef * dScore/dRow of a staged triple into the batch's
@@ -620,25 +632,29 @@ func (t *trainRun) accumulate(tb rankTables, tr kg.Triple, coef float32) {
 }
 
 // trainExample processes one staged positive and its pre-drawn corruptions
-// under the configured objective and sampling scheme. It returns the flops
-// spent, the summed per-example loss, and the number of loss terms
+// under the configured objective and sampling scheme; scores holds the
+// staged scores of the positive, then of each corruption. It returns the
+// flops spent, the summed per-example loss, and the number of loss terms
 // contributing (so the caller can track a mean training loss per epoch).
+// The flops charge the selection scan's n scores and then each score the
+// objective reads, as if each were taken here, so the virtual clock does not
+// see the batching.
 //
 //kgelint:hotpath
-func (t *trainRun) trainExample(tb rankTables, pos kg.Triple, negs []kg.Triple) (flops, lossSum float64, lossN int) {
+func (t *trainRun) trainExample(tb rankTables, pos kg.Triple, negs []kg.Triple, scores []float32) (flops, lossSum float64, lossN int) {
 	cfg, m := t.cfg, t.m
+	sPos, negScores := scores[0], scores[1:]
 	if cfg.NegSelect && len(negs) > 1 {
 		// §4.5: train on the hardest candidate only.
 		flops += float64(len(negs)) * m.ScoreFlops()
-		hardest := model.Hardest(m, tb, negs)
-		negs = negs[hardest : hardest+1]
+		hardest := model.Hardest(negScores)
+		negs, negScores = negs[hardest:hardest+1], negScores[hardest:hardest+1]
 	}
 	if cfg.LossName == "margin" {
 		// Pairwise margin ranking: L = max(0, gamma - s(pos) + s(neg)).
-		sPos := t.score(tb, pos)
 		flops += m.ScoreFlops()
-		for _, neg := range negs {
-			sNeg := t.score(tb, neg)
+		for i, neg := range negs {
+			sNeg := negScores[i]
 			flops += m.ScoreFlops()
 			if hinge := float32(cfg.Margin) - sPos + sNeg; hinge > 0 {
 				lossSum += float64(hinge)
@@ -652,11 +668,10 @@ func (t *trainRun) trainExample(tb rankTables, pos kg.Triple, negs []kg.Triple) 
 	}
 	// Logistic loss: the positive labeled +1, then each negative labeled -1.
 	for i := -1; i < len(negs); i++ {
-		tr, y := pos, float32(1)
+		tr, s, y := pos, sPos, float32(1)
 		if i >= 0 {
-			tr, y = negs[i], -1
+			tr, s, y = negs[i], negScores[i], -1
 		}
-		s := t.score(tb, tr)
 		t.accumulate(tb, tr, model.LogisticLossGrad(s, y))
 		flops += m.ScoreFlops() + m.GradFlops()
 		lossSum += float64(model.LogisticLoss(s, y))

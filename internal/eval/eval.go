@@ -53,7 +53,8 @@ type sideRanks struct{ raw, filt [2]int }
 
 // rankTriples ranks every test triple against all replacements of each side:
 // rank = 1 + the number of candidates scoring strictly higher than the true
-// entity, the filtered rank not counting known facts. Models score each side
+// entity. The filtered rank is the raw rank minus the known facts among
+// them, found by walking the query's known answers in f. Models score each side
 // with one model.BlockScorer sweep over the entity table; a model without
 // one is scored per candidate through Score. Triples are fanned out over
 // GOMAXPROCS workers and each writes only its own slot, so callers reduce
@@ -80,16 +81,23 @@ func rankTriples(m model.Model, p *model.Params, d *kg.Dataset, f *kg.FilterInde
 						scores[e] = m.Score(p, cand)
 					}
 				}
+				// A candidate outscores the true entity unless it scores at
+				// most as high: a NaN on either side counts as outscoring.
 				trueScore := scores[trueEnt]
-				raw, filt := 1, 1
-				for e, s := range scores {
-					if s <= trueScore {
-						continue
+				raw := 1
+				for _, s := range scores {
+					if !(s <= trueScore) {
+						raw++
 					}
-					raw++
-					*slot = int32(e)
-					if !f.Contains(cand) {
-						filt++
+				}
+				known := f.Tails(tr.H, tr.R)
+				if side == model.Head {
+					known = f.Heads(tr.R, tr.T)
+				}
+				filt := raw
+				for _, e := range known {
+					if !(scores[e] <= trueScore) {
+						filt--
 					}
 				}
 				out[i].raw[side], out[i].filt[side] = raw, filt
@@ -173,6 +181,42 @@ func corrupt(tr kg.Triple, numEntities int, f *kg.FilterIndex, rng *xrand.RNG) k
 	}
 }
 
+// scorePairs draws one corruption per triple of the splits, in order, and
+// returns the scores of every (triple, corruption) pair: triple i's at 2i,
+// its corruption's at 2i+1. Scoring consumes nothing from rng, so the draws
+// are those of scoring pair by pair. The pairs are scored through one
+// model.Batch, scoreChunk triples per call so its gathered rows stay small;
+// as in rankTriples, a model that is not a BlockScorer is scored per triple
+// through Score.
+func scorePairs(m model.Model, p *model.Params, d *kg.Dataset, f *kg.FilterIndex, rng *xrand.RNG, splits ...[]kg.Triple) []float32 {
+	n := 0
+	for _, split := range splits {
+		n += len(split)
+	}
+	pairs := make([]kg.Triple, 0, 2*n)
+	for _, split := range splits {
+		for _, tr := range split {
+			pairs = append(pairs, tr, corrupt(tr, d.NumEntities, f, rng))
+		}
+	}
+	scores := make([]float32, len(pairs))
+	if _, ok := m.(model.BlockScorer); !ok {
+		for i, tr := range pairs {
+			scores[i] = m.Score(p, tr)
+		}
+		return scores
+	}
+	var b model.Batch
+	for lo := 0; lo < len(pairs); lo += scoreChunk {
+		hi := min(lo+scoreChunk, len(pairs))
+		copy(scores[lo:hi], b.ScoreTriples(m, p, pairs[lo:hi]))
+	}
+	return scores
+}
+
+// scoreChunk is how many triples scorePairs scores per Batch call.
+const scoreChunk = 1024
+
 // scored pairs a score with its label for threshold fitting.
 type scored struct {
 	s   float32
@@ -227,10 +271,10 @@ func AUC(m model.Model, p *model.Params, d *kg.Dataset, f *kg.FilterIndex, rng *
 		s   float32
 		pos bool
 	}
-	all := make([]labeled, 0, 2*len(d.Test))
-	for _, tr := range d.Test {
-		neg := corrupt(tr, d.NumEntities, f, rng)
-		all = append(all, labeled{m.Score(p, tr), true}, labeled{m.Score(p, neg), false})
+	scores := scorePairs(m, p, d, f, rng, d.Test)
+	all := make([]labeled, len(scores))
+	for i, s := range scores {
+		all[i] = labeled{s, i%2 == 0}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].s < all[j].s })
 	// Rank sum with midranks for ties.
@@ -270,16 +314,17 @@ func TripleClassification(m model.Model, p *model.Params, d *kg.Dataset, f *kg.F
 	if len(d.Test) == 0 {
 		return TCAResult{}
 	}
+	scores := scorePairs(m, p, d, f, rng, d.Valid, d.Test)
 	// Collect validation scores per relation.
 	perRel := map[int32][]scored{}
 	var global []scored
-	for _, tr := range d.Valid {
-		neg := corrupt(tr, d.NumEntities, f, rng)
-		sPos := scored{s: m.Score(p, tr), pos: true}
-		sNeg := scored{s: m.Score(p, neg), pos: false}
+	for i, tr := range d.Valid {
+		sPos := scored{s: scores[2*i], pos: true}
+		sNeg := scored{s: scores[2*i+1], pos: false}
 		perRel[tr.R] = append(perRel[tr.R], sPos, sNeg)
 		global = append(global, sPos, sNeg)
 	}
+	scores = scores[2*len(d.Valid):]
 	globalThr := bestThreshold(global)
 	thr := make(map[int32]float32, len(perRel))
 	for r, samples := range perRel {
@@ -291,16 +336,15 @@ func TripleClassification(m model.Model, p *model.Params, d *kg.Dataset, f *kg.F
 	}
 	// Classify test positives and their negatives.
 	correct, total := 0, 0
-	for _, tr := range d.Test {
+	for i, tr := range d.Test {
 		th, ok := thr[tr.R]
 		if !ok {
 			th = globalThr
 		}
-		if m.Score(p, tr) >= th {
+		if scores[2*i] >= th {
 			correct++
 		}
-		neg := corrupt(tr, d.NumEntities, f, rng)
-		if m.Score(p, neg) < th {
+		if scores[2*i+1] < th {
 			correct++
 		}
 		total += 2

@@ -6,6 +6,7 @@ package kg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,30 +64,120 @@ func (d *Dataset) RelationHistogram() []int {
 
 // FilterIndex is the set of all triples known across every split; filtered
 // link-prediction ranking skips candidates found here (ComplEx evaluation
-// protocol, paper §3.2).
+// protocol, paper §3.2). It holds two sorted adjacency lists: the known
+// tails of every (head, relation) and the known heads of every (relation,
+// tail), so a ranking walks the few known answers of its query instead of
+// probing every candidate.
 type FilterIndex struct {
-	set map[Triple]struct{}
+	tails, heads adjacency
 }
 
-// NewFilterIndex indexes every triple of the dataset.
+// NewFilterIndex indexes every triple of the dataset. Ids must be
+// non-negative, as Dataset.Validate checks.
 func NewFilterIndex(d *Dataset) *FilterIndex {
-	f := &FilterIndex{set: make(map[Triple]struct{}, d.Size())}
-	for _, split := range [][]Triple{d.Train, d.Valid, d.Test} {
-		for _, t := range split {
-			f.set[t] = struct{}{}
-		}
+	splits := [][]Triple{d.Train, d.Valid, d.Test}
+	return &FilterIndex{
+		tails: newAdjacency(splits, func(t Triple) (key, other int32) { return t.H, t.T }),
+		heads: newAdjacency(splits, func(t Triple) (key, other int32) { return t.T, t.H }),
 	}
-	return f
 }
 
 // Contains reports whether the triple is a known fact.
 func (f *FilterIndex) Contains(t Triple) bool {
-	_, ok := f.set[t]
+	_, ok := slices.BinarySearch(f.Tails(t.H, t.R), t.T)
 	return ok
 }
 
+// Tails returns the known tails of (h, r, ?) in ascending order. The slice
+// is the index's own and must not be modified.
+func (f *FilterIndex) Tails(h, r int32) []int32 { return f.tails.list(h, r) }
+
+// Heads returns the known heads of (?, r, t) in ascending order. The slice
+// is the index's own and must not be modified.
+func (f *FilterIndex) Heads(r, t int32) []int32 { return f.heads.list(t, r) }
+
 // Len returns the number of distinct indexed triples.
-func (f *FilterIndex) Len() int { return len(f.set) }
+func (f *FilterIndex) Len() int { return len(f.tails.other) }
+
+// adjacency lists, for every key entity, its distinct (relation, other
+// entity) pairs sorted by relation, then entity: key k's pairs are
+// rel[i], other[i] for off[k] <= i < off[k+1].
+type adjacency struct {
+	off        []int32
+	rel, other []int32
+}
+
+// newAdjacency builds the adjacency of the triples' (key, other) ends: a
+// counting sort by key into the final arrays, then each key's pairs sorted
+// and de-duplicated through a scratch buffer the size of one key's pairs,
+// so the build holds little beyond the index itself.
+func newAdjacency(splits [][]Triple, ends func(Triple) (key, other int32)) adjacency {
+	keys, n := 0, 0
+	for _, split := range splits {
+		for _, t := range split {
+			k, o := ends(t)
+			if k < 0 || o < 0 || t.R < 0 {
+				panic(fmt.Sprintf("kg: NewFilterIndex: negative id in %+v", t))
+			}
+			keys = max(keys, int(k)+1)
+			n++
+		}
+	}
+	// next[k] is where key k's next pair goes; after the fill it is where
+	// key k's pairs end.
+	next := make([]int32, keys+1)
+	for _, split := range splits {
+		for _, t := range split {
+			k, _ := ends(t)
+			next[k+1]++
+		}
+	}
+	for k := 1; k <= keys; k++ {
+		next[k] += next[k-1]
+	}
+	a := adjacency{off: make([]int32, keys+1), rel: make([]int32, n), other: make([]int32, n)}
+	for _, split := range splits {
+		for _, t := range split {
+			k, o := ends(t)
+			a.rel[next[k]], a.other[next[k]] = t.R, o
+			next[k]++
+		}
+	}
+	// Compaction writes at w, never past the start of the key being read.
+	var pairs []uint64 // relation in the high word, entity in the low
+	start, w := int32(0), int32(0)
+	for k := range keys {
+		pairs = pairs[:0]
+		for i := start; i < next[k]; i++ {
+			pairs = append(pairs, uint64(a.rel[i])<<32|uint64(a.other[i]))
+		}
+		start = next[k]
+		slices.Sort(pairs)
+		a.off[k] = w
+		for _, p := range slices.Compact(pairs) {
+			a.rel[w], a.other[w] = int32(p>>32), int32(uint32(p))
+			w++
+		}
+	}
+	a.off[keys] = w
+	a.rel, a.other = a.rel[:w:w], a.other[:w:w]
+	return a
+}
+
+// list returns key's entities under relation r.
+func (a *adjacency) list(key, r int32) []int32 {
+	if key < 0 || int(key) >= len(a.off)-1 {
+		return nil
+	}
+	lo, hi := a.off[key], a.off[key+1]
+	rels := a.rel[lo:hi]
+	i, _ := slices.BinarySearch(rels, r)
+	j := i
+	for j < len(rels) && rels[j] == r {
+		j++
+	}
+	return a.other[lo+int32(i) : lo+int32(j)]
+}
 
 // ---- Partitioners ---------------------------------------------------------
 

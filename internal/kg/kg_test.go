@@ -1,6 +1,7 @@
 package kg
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,60 @@ func TestFilterIndex(t *testing.T) {
 	}
 	if f.Contains(Triple{H: 1, R: 1, T: 3}) {
 		t.Fatal("unknown triple reported present")
+	}
+}
+
+// The sorted adjacency lists hold exactly the set a map of the splits
+// holds: Contains agrees on every probe (out-of-range ids included), Len
+// counts distinct triples, and Tails/Heads list each query's known answers
+// once, ascending.
+func TestFilterIndexMatchesSetOracle(t *testing.T) {
+	t.Parallel()
+	rng := xrand.New(36)
+	const ents, rels = 40, 5
+	draw := func(n int) []Triple {
+		out := make([]Triple, n)
+		for i := range out {
+			// A small id range so triples repeat within and across splits.
+			out[i] = Triple{H: int32(rng.Intn(ents)), R: int32(rng.Intn(rels)), T: int32(rng.Intn(ents))}
+		}
+		return out
+	}
+	d := &Dataset{NumEntities: ents, NumRelations: rels, Train: draw(900), Valid: draw(100), Test: draw(100)}
+	set := map[Triple]bool{}
+	for _, split := range [][]Triple{d.Train, d.Valid, d.Test} {
+		for _, tr := range split {
+			set[tr] = true
+		}
+	}
+	f := NewFilterIndex(d)
+	if f.Len() != len(set) {
+		t.Fatalf("Len = %d, want %d distinct triples", f.Len(), len(set))
+	}
+	for h := int32(-1); h <= ents; h++ {
+		for r := int32(-1); r <= rels; r++ {
+			for e := int32(-1); e <= ents; e++ {
+				tr := Triple{H: h, R: r, T: e}
+				if f.Contains(tr) != set[tr] {
+					t.Fatalf("Contains(%+v) = %v, want %v", tr, !set[tr], set[tr])
+				}
+			}
+			var wantTails, wantHeads []int32
+			for e := int32(0); e < ents; e++ {
+				if set[Triple{H: h, R: r, T: e}] {
+					wantTails = append(wantTails, e)
+				}
+				if set[Triple{H: e, R: r, T: h}] {
+					wantHeads = append(wantHeads, e)
+				}
+			}
+			if got := f.Tails(h, r); !slices.Equal(got, wantTails) {
+				t.Fatalf("Tails(%d, %d) = %v, want %v", h, r, got, wantTails)
+			}
+			if got := f.Heads(r, h); !slices.Equal(got, wantHeads) {
+				t.Fatalf("Heads(%d, %d) = %v, want %v", r, h, got, wantHeads)
+			}
+		}
 	}
 }
 

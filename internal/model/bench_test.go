@@ -85,3 +85,34 @@ func BenchmarkScoreBlock(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBatchScore times the trainer's scoring shape for ComplEx at
+// d = 32: 1024 random triples over a 12 000-entity table, scored one Score
+// call each (rows) or gathered into one Batch (batch, the gather included).
+func BenchmarkBatchScore(b *testing.B) {
+	m := NewComplEx(32)
+	p := NewParams(m, 12000, 1200)
+	p.Init(m, xrand.New(1))
+	triples := randomTriples(p, 1024, xrand.New(2))
+	perTriple := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(triples)), "ns/triple")
+	}
+	b.Run("rows", func(b *testing.B) {
+		var sink float32
+		for i := 0; i < b.N; i++ {
+			for _, tr := range triples {
+				sink += m.Score(p, tr)
+			}
+		}
+		_ = sink
+		perTriple(b)
+	})
+	b.Run("batch", func(b *testing.B) {
+		var batch Batch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			batch.ScoreTriples(m, p, triples)
+		}
+		perTriple(b)
+	})
+}

@@ -5,14 +5,14 @@ package model
 // and of link-prediction evaluation. Every kernel here is bit-for-bit
 // ScoreRows: each candidate row keeps ScoreRows' own summation order and
 // expression shape, so no ranking, golden or cached answer can move. The
-// speed comes from what float32 rounding leaves free: the (fixed, rel)
-// product or sum is computed once per group of rows where it is the first
-// operation ScoreRows rounds (tail side), and several independent rows share
-// one inner loop so their serial add chains overlap. A sum never crosses
-// SIMD lanes: TransE's AVX2 kernel (internal/tensor) gives each candidate row
-// its own lane and adds its terms in k order, which is the same sum; a
-// lane-per-k dot product would reorder it and change low-order bits, so the
-// other models stay scalar.
+// speed comes from what float32 rounding leaves free: a sum never crosses
+// SIMD lanes. TransE's and ComplEx's AVX2 kernels (internal/tensor) give
+// each candidate row its own lane and add its terms in k order, which is the
+// same sum; a lane-per-k dot product would reorder it and change low-order
+// bits. DistMult stays scalar: on the tail side q = h*r, the first product
+// Dot3 rounds, is computed once per group of rows, and four independent rows
+// share one inner loop so their serial add chains overlap. RotatE, TransH
+// and SimplE score one ScoreRows call per row.
 
 import "kgedist/internal/tensor"
 
@@ -118,59 +118,31 @@ func (m *DistMult) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
 	scoreBlockRows(m, side, fixed, rel, slab[i*d:], out[i:])
 }
 
-// complexHoistFloats sizes ComplEx.ScoreBlock's stack buffer: the four
-// hoisted product vectors of dimensions up to 256.
-const complexHoistFloats = 1024
+// complexBlockChunk is how many candidate rows ComplEx.ScoreBlock hands
+// tensor.ComplExScoreTriples per call: the gathered views live on the stack.
+const complexBlockChunk = 32
 
-// ScoreBlock implements BlockScorer: one row per inner loop carrying the four
-// Dot3 accumulators of ScoreRows as independent chains (a second row spills
-// registers and loses). On the tail side the four relation-by-head products
-// are what Dot3 rounds first, so they are computed once per call.
+// ScoreBlock implements BlockScorer through tensor.ComplExScoreTriples, the
+// kernel the trainer's gathered batches use: each chunk of candidate rows
+// becomes a chunk of triples whose fixed entity row and relation row repeat
+// in every lane.
 //
 //kgelint:hotpath
 func (m *ComplEx) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
-	d := m.dim
-	w := 2 * d
-	fr, fi := fixed[:d], fixed[d:][:d]
-	rr, ri := rel[:d], rel[d:][:d]
+	w := 2 * m.dim
+	var fix, rels, cands [complexBlockChunk][]float32
+	for j := range fix {
+		fix[j], rels[j] = fixed[:w], rel[:w]
+	}
+	h, t := fix[:], cands[:]
 	if side == Head {
-		for i := range out {
-			c := slab[i*w : (i+1)*w]
-			hr, hi := c[:d], c[d:][:d]
-			var a, b, e, f float32
-			for k, rrk := range rr {
-				rik, trk, tik := ri[k], fr[k], fi[k]
-				a += rrk * hr[k] * trk
-				b += rrk * hi[k] * tik
-				e += rik * hr[k] * tik
-				f += rik * hi[k] * trk
-			}
-			out[i] = a + b + e - f
+		h, t = t, h
+	}
+	for lo := 0; lo < len(out); lo += complexBlockChunk {
+		n := min(complexBlockChunk, len(out)-lo)
+		for j := range n {
+			cands[j] = slab[(lo+j)*w:][:w]
 		}
-		return
-	}
-	var stack [complexHoistFloats]float32
-	p := stack[:]
-	if len(p) < 4*d {
-		// One allocation per call, amortised over the block.
-		p = make([]float32, 4*d)
-	}
-	pa, pb, pe, pf := p[:d], p[d:][:d], p[2*d:][:d], p[3*d:][:d]
-	for k, rrk := range rr {
-		rik, hrk, hik := ri[k], fr[k], fi[k]
-		pa[k], pb[k], pe[k], pf[k] = rrk*hrk, rrk*hik, rik*hrk, rik*hik
-	}
-	for i := range out {
-		c := slab[i*w : (i+1)*w]
-		tr, ti := c[:d], c[d:][:d]
-		var a, b, e, f float32
-		for k, trk := range tr {
-			tik := ti[k]
-			a += pa[k] * trk
-			b += pb[k] * tik
-			e += pe[k] * tik
-			f += pf[k] * trk
-		}
-		out[i] = a + b + e - f
+		tensor.ComplExScoreTriples(m.dim, h[:n], rels[:n], t[:n], out[lo:lo+n])
 	}
 }

@@ -60,13 +60,15 @@ func checkBlockEqualsRows(t *testing.T, m Model, side Side, fixed, rel, slab []f
 
 func TestScoreBlockBitEqualsScoreRows(t *testing.T) {
 	for _, name := range allModels {
-		// 300 is past ComplEx's stack buffer for the hoisted tail products;
 		// 4, 64 and 68 are widths TransE's AVX2 kernel takes, and n around
 		// and past its 16-row blocks leaves it a tail of 0, 1 and 15 rows.
-		for _, dim := range []int{1, 4, 7, 8, 32, 33, 64, 68, 300} {
+		// ComplEx's kernel takes d = 8, 32 and 64, and n around its 8-triple
+		// groups and 32-row chunks leaves it every kind of tail; 300 is a
+		// wide row (600 floats) that used to take a heap buffer.
+		for _, dim := range []int{1, 4, 7, 8, 32, 33, 36, 64, 68, 300} {
 			m := New(name, dim)
 			w := m.Width()
-			for _, n := range []int{0, 1, 2, 3, 4, 5, 15, 16, 17, 31, 33, 1023} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 127, 128, 129, 1023} {
 				for _, specialEvery := range []int{0, 5} {
 					rng := xrand.New(uint64(dim*4096 + n*2 + specialEvery))
 					fixed, rel, slab := make([]float32, w), make([]float32, w), make([]float32, n*w)

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"sync"
+
 	"kgedist/internal/kg"
 	"kgedist/internal/xrand"
 )
@@ -74,21 +76,24 @@ func (p *Params) EntityRow(id int32) []float32 { return p.Entity.Row(int(id)) }
 func (p *Params) RelationRow(id int32) []float32 { return p.Relation.Row(int(id)) }
 
 // Hardest returns the index of the candidate the model finds hardest to
-// classify — the one with the LEAST negative (i.e. highest) score; the first
-// wins a tie. It is the argmax of the paper's negative sample selection
-// (§4.5), shared by SelectHardest and the trainer.
+// classify, given the candidates' scores — the one with the LEAST negative
+// (i.e. highest) score; the first wins a tie. It is the argmax of the
+// paper's negative sample selection (§4.5), shared by SelectHardest and the
+// trainer.
 //
 //kgelint:hotpath
-func Hardest(m Model, rows Rows, cands []kg.Triple) int {
-	best, bestScore := 0, float32(0)
-	for i, c := range cands {
-		sc := m.ScoreRows(rows.EntityRow(c.H), rows.RelationRow(c.R), rows.EntityRow(c.T))
-		if i == 0 || sc > bestScore {
-			best, bestScore = i, sc
+func Hardest(scores []float32) int {
+	best := 0
+	for i, sc := range scores {
+		if sc > scores[best] {
+			best = i
 		}
 	}
 	return best
 }
+
+// hardestBatches recycles SelectHardest's scoring buffers.
+var hardestBatches = sync.Pool{New: func() any { return new(Batch) }}
 
 // SelectHardest implements the paper's negative sample selection (§4.5):
 // draw n negatives, score each with a forward pass, and return the hardest
@@ -99,5 +104,7 @@ func SelectHardest(m Model, p *Params, s *NegSampler, pos kg.Triple, n int, scra
 	if len(cands) == 1 {
 		return cands[0], 0
 	}
-	return cands[Hardest(m, p, cands)], n
+	b := hardestBatches.Get().(*Batch)
+	defer hardestBatches.Put(b)
+	return cands[Hardest(b.ScoreTriples(m, p, cands))], n
 }

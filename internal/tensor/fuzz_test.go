@@ -12,7 +12,9 @@ import (
 // class). The committed corpus under testdata/fuzz/ seeds the specials at
 // lengths 0, 1, 7, 8, 9, 16, 17, 63, 64 and 65: no block, a tail only, one
 // block with and without a tail, several blocks. FuzzTransEBlock's corpus
-// seeds the same specials at every width of transEWidths.
+// seeds the same specials at every width of transEWidths, and
+// FuzzComplExTriples' corpus at every dimension of complExDims with each
+// aliasing mode.
 
 // fuzzFloats decodes data as little-endian float32 bits; a trailing partial
 // word is ignored.
@@ -80,5 +82,23 @@ func FuzzTransEBlock(f *testing.F) {
 			}
 		}
 		checkTransEBlock(t, buf[:d], buf[d:2*d], buf[2*d:3*d], buf[3*d:], n)
+	})
+}
+
+// FuzzComplExTriples scores 0-40 triples at one of complExDims. The decoded
+// floats are repeated to fill the row table; alias picks the aliasing of
+// complExTable (the same rows in every lane, h == t).
+func FuzzComplExTriples(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, dim, rows, alias uint8) {
+		d, n := complExDims[int(dim)%len(complExDims)], int(rows)%41
+		vals := fuzzFloats(data)
+		buf := make([]float32, 3*n*2*d)
+		for i := range buf {
+			if len(vals) > 0 {
+				buf[i] = vals[i%len(vals)]
+			}
+		}
+		h, r, tt := complExTable(d, buf, n, alias)
+		checkComplExTriples(t, d, h, r, tt, n)
 	})
 }

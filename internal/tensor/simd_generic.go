@@ -21,3 +21,6 @@ func complExGradAVX2(h, r, t []float32, coef float32, gh, gr, gt []float32, n in
 }
 func transETailAVX2(h, r, slab, out []float32) { panic("tensor: no AVX2 kernels") }
 func transEHeadAVX2(r, t, slab, out []float32) { panic("tensor: no AVX2 kernels") }
+func complExTriplesAVX2(d int, h, r, t [][]float32, out []float32) {
+	panic("tensor: no AVX2 kernels")
+}

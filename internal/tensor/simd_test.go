@@ -276,6 +276,92 @@ func TestTransEBlockKeepsSumOrder(t *testing.T) {
 	}
 }
 
+// complExDims are the complex dimensions the ComplEx triple tests sweep: no
+// k, dimensions the kernel refuses (d % 8 != 0), one and several 8-wide k
+// steps, and the training width 32.
+var complExDims = []int{0, 1, 4, 7, 8, 9, 16, 32, 40}
+
+// complExTable lays out the triples of a ComplEx test over a table of rows of
+// width 2d: triple j is (rows[3j], rows[3j+1], rows[3j+2]) unless alias says
+// otherwise (bit 0: every triple shares the first triple's rows, the same row
+// in many lanes; bit 1: t is h, a self-loop).
+func complExTable(d int, vals []float32, n int, alias uint8) (h, r, tt [][]float32) {
+	w := 2 * d
+	h, r, tt = make([][]float32, n), make([][]float32, n), make([][]float32, n)
+	for j := range n {
+		row := func(i int) []float32 {
+			if alias&1 != 0 {
+				i %= 3
+			}
+			return vals[i*w : (i+1)*w]
+		}
+		h[j], r[j], tt[j] = row(3*j), row(3*j+1), row(3*j+2)
+		if alias&2 != 0 {
+			tt[j] = h[j]
+		}
+	}
+	return h, r, tt
+}
+
+// checkComplExTriples scores n triples through the dispatching kernel and
+// through its Go loop.
+func checkComplExTriples(t *testing.T, d int, h, r, tt [][]float32, n int) {
+	t.Helper()
+	got, want := make([]float32, n), make([]float32, n)
+	ComplExScoreTriples(d, h, r, tt, got)
+	complExTriplesGo(d, h, r, tt, want)
+	assertSameBits(t, fmt.Sprintf("ComplExScoreTriples d=%d", d), got, want)
+}
+
+func TestComplExTriplesMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 3000; trial++ {
+		d := complExDims[trial%len(complExDims)]
+		n := rng.Intn(41)
+		rate := []float64{0, 0.05, 0.5}[trial%3]
+		h, r, tt := complExTable(d, randVec(rng, 3*n*2*d, rate), n, uint8(rng.Intn(4)))
+		checkComplExTriples(t, d, h, r, tt, n)
+	}
+}
+
+// Go's ScoreRows adds each chain's products in k order from +0; 2^24, 1, 1
+// sum to 2^24 + 2 when both 1s come first and to 2^24 when one follows
+// 2^24 (it rounds back to even), so these rows pin the order of every
+// chain. Triple j puts the three terms at random k among zeros in chain
+// j % 4 (a, b, e or f) and zeroes the other chains' factors.
+func TestComplExTriplesKeepsSumOrder(t *testing.T) {
+	const d, n = 16, 512
+	rng := rand.New(rand.NewSource(14))
+	terms := []float32{1 << 24, 1, 1}
+	vals := make([]float32, 3*n*2*d)
+	h, r, tt := complExTable(d, vals, n, 0)
+	for j := range n {
+		// The chain's three factors: relation half, head half, tail half
+		// (0 real, 1 imaginary), as in a, b, e, f = rr·hr·tr, rr·hi·ti,
+		// ri·hr·ti, ri·hi·tr.
+		halves := [4][3]int{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}}[j%4]
+		rel := r[j][halves[0]*d:][:d]
+		for i, k := range rng.Perm(d)[:len(terms)] {
+			rel[k] = terms[i]
+		}
+		for k := range d {
+			h[j][halves[1]*d+k] = 1
+			tt[j][halves[2]*d+k] = 1
+		}
+	}
+	checkComplExTriples(t, d, h, r, tt, n)
+
+	out := make([]float32, n)
+	complExTriplesGo(d, h, r, tt, out)
+	seen := map[float32]bool{}
+	for _, v := range out {
+		seen[float32(math.Abs(float64(v)))] = true
+	}
+	if !seen[1<<24] || !seen[1<<24+2] {
+		t.Fatalf("the rows no longer tell the sum orders apart: scores %v", seen)
+	}
+}
+
 // Adam's second moment is ((1-beta2)*g)*g, as Go parses it. This g makes
 // the other association, (1-beta2)*(g*g), round differently, so a kernel
 // that reassociated would fail here even without the random sweep.
@@ -314,6 +400,13 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 		"ComplExGrad odd":  func() { ComplExGrad(b, b, b, 1, b, b, b) },
 		"TransEScoreTails": func() { TransEScoreTails(a, b, a, b) },
 		"TransEScoreHeads": func() { TransEScoreHeads(a, a, make([]float32, 8*16-1), make([]float32, 16)) },
+		"ComplExScoreTriples": func() {
+			ComplExScoreTriples(4, [][]float32{a}, [][]float32{a}, nil, make([]float32, 1))
+		},
+		"ComplExScoreTriples short row": func() {
+			rows := [][]float32{a, a, a, a, a, a, a, a}
+			ComplExScoreTriples(8, rows, rows, rows, make([]float32, 8))
+		},
 	} {
 		func() {
 			defer func() {
@@ -332,6 +425,10 @@ func TestKernelsAllocFree(t *testing.T) {
 	row, m, v := make([]float32, w), make([]float32, w), make([]float32, w)
 	gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
 	slab, out := make([]float32, 35*w), make([]float32, 35)
+	var triples [19][]float32
+	for j := range triples {
+		triples[j] = slab[j*w : (j+1)*w]
+	}
 	for name, f := range map[string]func(){
 		"Add":     func() { Add(x, y) },
 		"Scale":   func() { Scale(0.5, y) },
@@ -345,6 +442,9 @@ func TestKernelsAllocFree(t *testing.T) {
 		"ComplExGrad":      func() { ComplExGrad(x, y, z, 0.5, gh, gr, gt) },
 		"TransEScoreTails": func() { TransEScoreTails(x, y, slab, out) },
 		"TransEScoreHeads": func() { TransEScoreHeads(y, z, slab, out) },
+		"ComplExScoreTriples": func() {
+			ComplExScoreTriples(w/2, triples[:], triples[:], triples[:], out[:len(triples)])
+		},
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per call", name, allocs)
@@ -438,6 +538,9 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		"VADDPD":       "ADDSD per lane",
 		"VUNPCKLPD":    "moves whole float64 lanes, computes nothing",
 		"VUNPCKHPD":    "moves whole float64 lanes, computes nothing",
+		"VUNPCKLPS":    "lane move only: interleaves float32 lanes, computes nothing",
+		"VUNPCKHPS":    "lane move only: interleaves float32 lanes, computes nothing",
+		"VSHUFPS":      "lane move only: selects float32 lanes, computes nothing",
 		"VPERM2F128":   "moves whole 128-bit halves, computes nothing",
 		"VXORPD":       "sign flip of Go's unary minus, or a zeroed accumulator",
 		"VMOVUPS":      "load or store",
@@ -472,7 +575,7 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		}
 	}
 	for _, op := range []string{"VMULPS", "VADDPS", "VSUBPS", "VDIVPS", "VSQRTPS", "VCVTPS2PD", "VMULPD",
-		"VADDPD", "VPERM2F128", "VCVTPD2PSY", "VZEROUPPER"} {
+		"VADDPD", "VPERM2F128", "VCVTPD2PSY", "VZEROUPPER", "VUNPCKLPS", "VUNPCKHPS", "VSHUFPS"} {
 		if !seen[op] {
 			t.Errorf("no assembly file uses %s any more; is the scan reading the right files?", op)
 		}
@@ -507,8 +610,8 @@ func TestAssemblyDeclarationsAreNoEscape(t *testing.T) {
 			}
 		}
 	}
-	if bodyless < 11 {
-		t.Errorf("found %d bodyless declarations in *_amd64.go, want at least 11", bodyless)
+	if bodyless < 12 {
+		t.Errorf("found %d bodyless declarations in *_amd64.go, want at least 12", bodyless)
 	}
 }
 
@@ -598,4 +701,36 @@ func BenchmarkScoreBlock(b *testing.B) {
 			func() { transEHeadGo(rel, fixed, slab, out) },
 			func() { TransEScoreHeads(rel, fixed, slab, out) }, perRow)
 	})
+}
+
+// BenchmarkComplExTriples times gathered ComplEx scoring at the training
+// shape: d = 32, 1024 triples whose rows are drawn at random from a
+// 12 000-row table (3 MB), so most rows come from L2 or L3. dot3 is
+// ComplEx.ScoreRows' expression, four Dot3 calls, per triple: the cost the
+// kernel replaces.
+func BenchmarkComplExTriples(b *testing.B) {
+	const rows, d, n = 12000, 32, 1024
+	rng := rand.New(rand.NewSource(15))
+	table := randVec(rng, rows*2*d, 0)
+	h, r, tt := make([][]float32, n), make([][]float32, n), make([][]float32, n)
+	for j := range n {
+		pick := func() []float32 { i := rng.Intn(rows); return table[i*2*d : (i+1)*2*d] }
+		h[j], r[j], tt[j] = pick(), pick(), pick()
+	}
+	out := make([]float32, n)
+	perTriple := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/triple")
+	}
+	b.Run("dot3", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := range out {
+				out[j] = Dot3(r[j][:d], h[j][:d], tt[j][:d]) + Dot3(r[j][:d], h[j][d:], tt[j][d:]) +
+					Dot3(r[j][d:], h[j][:d], tt[j][d:]) - Dot3(r[j][d:], h[j][d:], tt[j][:d])
+			}
+		}
+		perTriple(b)
+	})
+	benchKernel(b,
+		func() { complExTriplesGo(d, h, r, tt, out) },
+		func() { ComplExScoreTriples(d, h, r, tt, out) }, perTriple)
 }
