@@ -52,20 +52,22 @@ race:
 
 # Portable-path tier. On amd64 the kernels of internal/tensor (optimizer row
 # updates, the ComplEx gradient, Add/Scale/Axpy/AxpyMul, the TransE 1-vs-N
-# block, gathered ComplEx triple scoring) run in AVX2 assembly; the purego
-# build tag selects the Go loops
+# block, gathered ComplEx triple scoring, gathered row norms Nrm2Rows, and
+# the 1-bit codec's SignMaskAbsMax and AddSigned) run in AVX2 assembly; the
+# purego build tag selects the Go loops
 # everywhere, so this target runs the whole suite, every golden, the
 # checkpoint CRC pins and the chan-vs-TCP identity on the loops the
 # assembly must match. The last line builds the Go oracle at GOAMD64=v3,
 # where the compiler may use any AVX2-era instruction, and reruns the
 # differential tests against the assembly: it proves the oracle stays
-# FMA-free at every amd64 level.
+# FMA-free at every amd64 level. internal/grad rides along because its
+# reference codec is the oracle of the codec kernels.
 ## purego: full tests + kgeverify on the portable Go loops (no assembly)
 purego:
 	$(GO) vet -tags purego ./internal/tensor/
 	$(GO) test -tags purego -count=1 ./...
 	$(GO) run -tags purego ./cmd/kgeverify
-	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor/ ./internal/opt/ ./internal/model/
+	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor/ ./internal/opt/ ./internal/model/ ./internal/grad/
 
 # Fault-injection suite under the race detector: scheduled rank crashes,
 # recv-watchdog timeouts, shrink-and-continue recovery, checkpoint

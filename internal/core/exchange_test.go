@@ -50,3 +50,39 @@ func TestDecodeAllRejectsInconsistentFrames(t *testing.T) {
 		t.Errorf("consistent frames rejected: %v", err)
 	}
 }
+
+// dropZeroRows drops exactly the rows whose norm is at most zeroRowEps,
+// charges the scan of every row it saw, and allocates nothing once the
+// accumulator is warm.
+func TestDropZeroRows(t *testing.T) {
+	const width = 8
+	g := grad.NewSparseGrad(width)
+	fill := func() {
+		g.Clear()
+		for id := int32(0); id < 150; id++ {
+			row := g.Row(id)
+			switch id % 3 {
+			case 0: // all zero
+			case 1:
+				row[id%width] = zeroRowEps / 2
+			default:
+				row[id%width] = 1
+			}
+		}
+	}
+	fill()
+	if flops := dropZeroRows(g); flops != 150*width*2 {
+		t.Fatalf("dropZeroRows charged %v flops, want %v", flops, 150*width*2)
+	}
+	for _, id := range g.Indices() {
+		if id%3 != 2 {
+			t.Fatalf("row %d survived with norm at most zeroRowEps", id)
+		}
+	}
+	if g.Len() != 50 {
+		t.Fatalf("%d rows survived, want 50", g.Len())
+	}
+	if allocs := testing.AllocsPerRun(50, func() { fill(); dropZeroRows(g) }); allocs != 0 {
+		t.Errorf("dropZeroRows allocates %.1f times per call", allocs)
+	}
+}

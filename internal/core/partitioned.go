@@ -140,7 +140,6 @@ type shardTables struct {
 	nwant   []int // rows wanted from each owner this pull, then its reply cursor
 
 	moveBuf []int32 // owned/remote split scratch in closeBatch
-	dropBuf []int32 // dropZeroRows scratch
 }
 
 func newShardTables(t *trainRun, c *mpi.Comm, selRng *xrand.RNG) *shardTables {
@@ -329,7 +328,7 @@ func (x *shardTables) closeBatch(_ int, flops float64, lr float32, ep *epochTall
 	t, rank := x.t, x.comm.Rank()
 	ep.localRefs += x.local
 	ep.remoteRefs += x.cache.Len()
-	flops += dropZeroRows(x.uidG, &x.dropBuf)
+	flops += dropZeroRows(x.uidG)
 	ep.nnzSum += float64(x.uidG.Len())
 
 	x.moveBuf = x.moveBuf[:0]

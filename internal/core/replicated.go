@@ -25,9 +25,8 @@ type replicaTables struct {
 	entOpt opt.Optimizer
 	relOpt opt.Optimizer
 
-	entG    *grad.SparseGrad
-	relG    *grad.SparseGrad
-	dropBuf []int32 // dropZeroRows scratch, reused across batches
+	entG *grad.SparseGrad
+	relG *grad.SparseGrad
 
 	mode   string // exchange in effect: "allreduce", "allgather" or "dyncomp"
 	probed int    // last epoch the dynamic probe ran in (one probe per epoch)
@@ -69,8 +68,8 @@ func (r *replicaTables) closeBatch(epoch int, flops float64, lr float32, ep *epo
 	rank := r.c.Rank()
 	// Drop numerically-zero rows (saturated triples contribute vanishing
 	// gradients as training converges — Figure 2).
-	flops += dropZeroRows(entG, &r.dropBuf)
-	flops += dropZeroRows(relG, &r.dropBuf)
+	flops += dropZeroRows(entG)
+	flops += dropZeroRows(relG)
 	ep.nnzSum += float64(entG.Len())
 
 	// Random selection of gradient vectors (§4.2) applies to the

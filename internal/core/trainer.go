@@ -803,21 +803,17 @@ func (t *trainRun) checkpoint(c *mpi.Comm, tables rankTables, epoch int) error {
 }
 
 // dropZeroRows removes rows with negligible norm, returning the flops spent
-// scanning. scratch is the calling worker's reusable id buffer (rows cannot
-// be dropped while iterating, so candidates are collected first); its grown
-// capacity is handed back through the pointer.
-func dropZeroRows(g *grad.SparseGrad, scratch *[]int32) float64 {
-	drop := (*scratch)[:0]
-	g.ForEach(func(id int32, row []float32) {
-		if tensor.Nrm2(row) <= zeroRowEps {
-			drop = append(drop, id)
+// scanning. The norms are NormStats', the one row-norm path of the trainer.
+func dropZeroRows(g *grad.SparseGrad) float64 {
+	flops := float64(g.Len()) * float64(g.Width()) * 2
+	_, norms := g.NormStats()
+	// Indices is a snapshot Drop never touches, parallel to norms.
+	for k, id := range g.Indices() {
+		if norms[k] <= zeroRowEps {
+			g.Drop(id)
 		}
-	})
-	for _, id := range drop {
-		g.Drop(id)
 	}
-	*scratch = drop
-	return float64(g.Len()+len(drop)) * float64(g.Width()) * 2
+	return flops
 }
 
 // validationTCA computes triple-classification accuracy on the validation

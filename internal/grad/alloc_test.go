@@ -22,7 +22,7 @@ func fillGrad(g *SparseGrad, rows int, rng *xrand.RNG) {
 // the per-exchange work every rank does for every batch (ISSUE 4 acceptance
 // criterion, asserted with testing.AllocsPerRun).
 func TestQuantizeDequantizeAllocFree(t *testing.T) {
-	for _, s := range []Scheme{OneBitMax, TwoBitTernary, NoQuant} {
+	for _, s := range allSchemes {
 		g := NewSparseGrad(32)
 		rng := xrand.New(11)
 		e := new(Encoded)
@@ -153,5 +153,16 @@ func TestUnmarshalIntoReusesDirtyStorage(t *testing.T) {
 	}
 	if string(e.Marshal()) != string(buf) {
 		t.Error("UnmarshalInto into reused storage does not round-trip")
+	}
+}
+
+// NormStats gathers its rows on the stack; warm, it allocates nothing.
+func TestNormStatsAllocFree(t *testing.T) {
+	g := NewSparseGrad(64)
+	fillGrad(g, 300, xrand.New(4))
+	g.NormStats()
+	allocs := testing.AllocsPerRun(50, func() { g.NormStats() })
+	if allocs != 0 {
+		t.Errorf("NormStats allocates %.1f allocs/op, want 0", allocs)
 	}
 }

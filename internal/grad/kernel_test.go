@@ -2,6 +2,7 @@ package grad
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -176,6 +177,33 @@ func sameBits(a, b []float32) bool {
 	return true
 }
 
+// checkEncode encodes row under s through encodeRow and through the
+// reference, and requires the same scale, payload and rng state.
+func checkEncode(t *testing.T, what string, s Scheme, row []float32) {
+	t.Helper()
+	per := payloadBytesPerRow(s, len(row))
+	want, got := make([]byte, per), make([]byte, per)
+	for i := range got {
+		got[i] = 0xA5 // encodeRow must overwrite every byte
+	}
+	rngW, rngG := xrand.New(99), xrand.New(99)
+	scW := refEncodeRow(s, row, want, rngW)
+	scG := encodeRow(s, row, got, rngG)
+	// NaN scales compare as a class: which payload a NaN sum carries is the
+	// compiler's choice (race codegen differs), and NaN payload bits are not
+	// part of the codec's contract.
+	bw, bg := math.Float32bits(scW), math.Float32bits(scG)
+	if bw != bg && !(isNaNBits(bw) && isNaNBits(bg)) {
+		t.Errorf("%s: scale %08x, reference %08x", what, bg, bw)
+	}
+	if string(want) != string(got) {
+		t.Errorf("%s: bits %x, reference %x", what, got, want)
+	}
+	if *rngW != *rngG {
+		t.Errorf("%s: rng state diverged from the reference", what)
+	}
+}
+
 // The kernels must produce the reference's Bits, Scales and rng state for
 // every scheme, on widths either side of the 4- and 8-value packing
 // boundaries, with every special value in the rows.
@@ -183,30 +211,38 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 	t.Parallel()
 	for _, s := range allSchemes {
 		for _, w := range []int{1, 7, 8, 9, 63, 64, 65} {
-			per := payloadBytesPerRow(s, w)
 			for ri, row := range kernelRows(w, xrand.New(uint64(w)*31+uint64(s))) {
-				want, got := make([]byte, per), make([]byte, per)
-				for i := range got {
-					got[i] = 0xA5 // encodeRow must overwrite every byte
-				}
-				rngW, rngG := xrand.New(99), xrand.New(99)
-				scW := refEncodeRow(s, row, want, rngW)
-				scG := encodeRow(s, row, got, rngG)
-				// NaN scales compare as a class: which payload a NaN sum
-				// carries is the compiler's choice (race codegen differs),
-				// and NaN payload bits are not part of the codec's contract.
-				bw, bg := math.Float32bits(scW), math.Float32bits(scG)
-				if bw != bg && !(isNaNBits(bw) && isNaNBits(bg)) {
-					t.Errorf("%v w=%d row %d: scale %08x, reference %08x", s, w, ri, bg, bw)
-				}
-				if string(want) != string(got) {
-					t.Errorf("%v w=%d row %d: bits %x, reference %x", s, w, ri, got, want)
-				}
-				if *rngW != *rngG {
-					t.Errorf("%v w=%d row %d: rng state diverged from the reference", s, w, ri)
-				}
+				checkEncode(t, fmt.Sprintf("%v w=%d row %d", s, w, ri), s, row)
 			}
 		}
+	}
+}
+
+// checkDecode adds the frame (s, sc, buf) into a copy of dst through
+// decodeRowAccum and through the reference, and requires the same bits. It
+// skips the two cases TestDecodeKernelsMatchReference describes, and
+// quiets signalling NaNs in dst before a ternary decode.
+func checkDecode(t *testing.T, what string, s Scheme, sc float32, buf []byte, dst []float32) {
+	t.Helper()
+	if isNaNBits(math.Float32bits(sc)) && hasNaN(dst) {
+		return
+	}
+	if s == NoQuant && hasNaN(dst) && hasNaN(wireFloats(buf)) {
+		return
+	}
+	want := append([]float32(nil), dst...)
+	if s == TwoBitTernary {
+		for i, v := range want {
+			if b := math.Float32bits(v); isNaNBits(b) {
+				want[i] = math.Float32frombits(b | 1<<22) // quiet bit
+			}
+		}
+	}
+	got := append([]float32(nil), want...)
+	refDecodeRowAccum(s, sc, buf, want)
+	decodeRowAccum(s, sc, buf, got)
+	if !sameBits(want, got) {
+		t.Fatalf("%s: decoded %x, reference %x", what, floatBits(got), floatBits(want))
 	}
 }
 
@@ -215,7 +251,8 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 // encoder and for arbitrary wire bytes (ternary code 3 included) under
 // arbitrary scales. Two cases are left out. A NaN scale meeting a NaN already
 // in the row: which payload survives NaN+NaN depends on operand order, which
-// the compiler is free to choose for the reference's `+=` as well. And a
+// the compiler is free to choose for the reference's `+=` as well
+// (TestOneBitDecodeKeepsRowNaN pins what decodeRowAccum does). And a
 // signalling NaN in a row under the ternary decode, whose −0 addend for code
 // 0 would quiet it where the reference's skip does not: the rows the decoder
 // adds into hold zeros and sums, and arithmetic never yields one.
@@ -249,26 +286,7 @@ func TestDecodeKernelsMatchReference(t *testing.T) {
 			dsts = append(dsts, negZero)
 			for fi, f := range frames {
 				for di, dst := range dsts {
-					if isNaNBits(math.Float32bits(f.sc)) && hasNaN(dst) {
-						continue
-					}
-					if s == NoQuant && hasNaN(dst) && hasNaN(wireFloats(f.buf)) {
-						continue
-					}
-					want := append([]float32(nil), dst...)
-					if s == TwoBitTernary {
-						for i, v := range want {
-							if b := math.Float32bits(v); isNaNBits(b) {
-								want[i] = math.Float32frombits(b | 1<<22) // quiet bit
-							}
-						}
-					}
-					got := append([]float32(nil), want...)
-					refDecodeRowAccum(s, f.sc, f.buf, want)
-					decodeRowAccum(s, f.sc, f.buf, got)
-					if !sameBits(want, got) {
-						t.Fatalf("%v w=%d frame %d dst %d: decoded %x, reference %x", s, w, fi, di, floatBits(got), floatBits(want))
-					}
+					checkDecode(t, fmt.Sprintf("%v w=%d frame %d dst %d", s, w, fi, di), s, f.sc, f.buf, dst)
 				}
 			}
 		}
@@ -336,4 +354,61 @@ func TestClassifyMatchesComparisons(t *testing.T) {
 	for b := uint64(0); b < 1<<32; b += 65521 {
 		check(uint32(b))
 	}
+}
+
+// A NaN scale meeting a NaN row: the 1-bit decode keeps the row's payload,
+// quieted, on every build, whether the value falls in an 8-lane block or in
+// the tail.
+func TestOneBitDecodeKeepsRowNaN(t *testing.T) {
+	t.Parallel()
+	const rowNaN = 0xFFA00321 // signalling, negative
+	for _, s := range []Scheme{OneBitMax, OneBitAvg} {
+		for _, sc := range []uint32{0x7FC00000, 0xFFC00077, 0x7F800001} {
+			for _, w := range []int{1, 7, 8, 9, 33, 64} {
+				row := make([]float32, w)
+				for i := range row {
+					row[i] = math.Float32frombits(rowNaN)
+				}
+				buf := make([]byte, payloadBytesPerRow(s, w))
+				for i := range buf {
+					buf[i] = 0x96
+				}
+				decodeRowAccum(s, math.Float32frombits(sc), buf, row)
+				for i, v := range row {
+					if got := math.Float32bits(v); got != rowNaN|1<<22 {
+						t.Fatalf("%v scale %#08x w=%d: row[%d] = %#08x, want the row's NaN quieted, %#08x",
+							s, sc, w, i, got, uint32(rowNaN|1<<22))
+					}
+				}
+			}
+		}
+	}
+}
+
+// fuzzWidths are FuzzOneBitRows' row widths: either side of the 8-value
+// payload byte and of the 8-lane kernel block, and the training row of
+// dimension 32 (64 floats).
+var fuzzWidths = []int{1, 7, 8, 9, 31, 32, 33, 64, 100}
+
+// FuzzOneBitRows holds the codec to the reference for every scheme. The
+// decoded floats are repeated to fill two rows of one of fuzzWidths: the
+// first is encoded, and the payload it encodes to is decoded under the
+// fuzzed scale into the second.
+func FuzzOneBitRows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, width, scheme uint8, scale uint32) {
+		w, s := fuzzWidths[int(width)%len(fuzzWidths)], allSchemes[int(scheme)%len(allSchemes)]
+		vals := wireFloats(data)
+		rows := make([]float32, 2*w)
+		for i := range rows {
+			if len(vals) > 0 {
+				rows[i] = vals[i%len(vals)]
+			}
+		}
+		row, dst := rows[:w], rows[w:]
+		what := fmt.Sprintf("%v w=%d", s, w)
+		checkEncode(t, what, s, row)
+		buf := make([]byte, payloadBytesPerRow(s, w))
+		refEncodeRow(s, row, buf, xrand.New(99))
+		checkDecode(t, what, s, math.Float32frombits(scale), buf, dst)
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"kgedist/internal/tensor"
 	"kgedist/internal/xrand"
 )
 
@@ -59,9 +60,10 @@ func (s Scheme) BitsPerValue() int {
 
 // The codec is defined by float comparisons on gradient values (v >= 0,
 // v > 0, v < 0), and a gradient's sign is a coin flip, so a loop that
-// branches on them mispredicts every other value. The kernels below read
-// the same predicates off the IEEE-754 bit pattern instead; classify is the
-// one place that knows the encoding.
+// branches on them mispredicts every other value. The ternary kernels below
+// read the same predicates off the IEEE-754 bit pattern instead, through
+// classify; the 1-bit family's sign mask and ±scale add are
+// tensor.SignMaskAbsMax and tensor.AddSigned.
 const (
 	signBit = 1 << 31
 	infBits = 0x7F800000 // |v| bits above this are NaN
@@ -83,34 +85,17 @@ func absBits(b uint32) uint32 {
 	return b ^ (neg&^(zero|nan))<<31
 }
 
-// absMax returns max(|v|) over the row. Clearing the sign bit outright is
-// enough here: NaN of either sign never wins a comparison, nor does ±0.
-func absMax(row []float32) float32 {
-	var m float32
+// absMean returns mean(|v|) over the row, summed in float64 in row order:
+// the scale of OneBitAvg and TwoBitTernary.
+func absMean(row []float32) float32 {
+	if len(row) == 0 {
+		return 0
+	}
+	var sum float64
 	for _, v := range row {
-		if a := math.Float32frombits(math.Float32bits(v) &^ signBit); a > m {
-			m = a
-		}
+		sum += float64(math.Float32frombits(absBits(math.Float32bits(v))))
 	}
-	return m
-}
-
-// scale computes the per-row quantization scale for the 1-bit family.
-func scale(s Scheme, row []float32) float32 {
-	switch s {
-	case OneBitMax:
-		return absMax(row)
-	case OneBitAvg:
-		if len(row) == 0 {
-			return 0
-		}
-		var sum float64
-		for _, v := range row {
-			sum += float64(math.Float32frombits(absBits(math.Float32bits(v))))
-		}
-		return float32(sum / float64(len(row)))
-	}
-	panic("grad: scale called for non-1-bit scheme " + s.String())
+	return float32(sum / float64(len(row)))
 }
 
 // Encoded is a quantized sparse gradient ready for the wire: row indices,
@@ -236,7 +221,7 @@ func encodeRow(s Scheme, row []float32, buf []byte, rng *xrand.RNG) float32 {
 		}
 		return 0
 	case TwoBitTernary:
-		mean := scale(OneBitAvg, row)
+		mean := absMean(row)
 		for j := range buf { // 0 = zero, 1 = +scale, 2 = -scale; four codes per byte
 			var packed uint32
 			for k, v := range row[4*j : min(4*j+4, len(row))] {
@@ -251,16 +236,11 @@ func encodeRow(s Scheme, row []float32, buf []byte, rng *xrand.RNG) float32 {
 		}
 		return mean
 	default: // 1-bit family: bit i set iff v_i >= 0 (true for −0, false for NaN)
-		sc := scale(s, row)
-		for j := range buf {
-			var packed uint32
-			for k, v := range row[8*j : min(8*j+8, len(row))] {
-				neg, zero, nan := classify(math.Float32bits(v))
-				packed |= (((neg ^ 1) | zero) &^ nan) << uint(k)
-			}
-			buf[j] = byte(packed)
+		m := tensor.SignMaskAbsMax(row, buf)
+		if s == OneBitMax {
+			return m
 		}
-		return sc
+		return absMean(row)
 	}
 }
 
@@ -316,21 +296,7 @@ func decodeRowAccum(s Scheme, sc float32, buf []byte, row []float32) {
 			row[k] += add[buf[0]>>uint(2*k)&3]
 		}
 	default:
-		add := [2]float32{minus, sc}
-		for ; len(row) >= 8; buf, row = buf[1:], row[8:] {
-			b, v := buf[0], row[:8:8]
-			v[0] += add[b&1]
-			v[1] += add[b>>1&1]
-			v[2] += add[b>>2&1]
-			v[3] += add[b>>3&1]
-			v[4] += add[b>>4&1]
-			v[5] += add[b>>5&1]
-			v[6] += add[b>>6&1]
-			v[7] += add[b>>7]
-		}
-		for k := range row {
-			row[k] += add[buf[0]>>uint(k)&1]
-		}
+		tensor.AddSigned(buf, sc, minus, row)
 	}
 }
 

@@ -78,11 +78,3 @@ func (r *Residual) SetRow(id int32, row []float32) {
 	}
 	copy(r.rows.Row(id), row)
 }
-
-// NormSum returns the sum of 2-norms of the stored residual rows, taken in
-// ascending id order — a diagnostic of accumulated compression error.
-func (r *Residual) NormSum() float64 {
-	var s float64
-	r.rows.ForEach(func(_ int32, row []float32) { s += float64(tensor.Nrm2(row)) })
-	return s
-}

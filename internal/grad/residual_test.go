@@ -7,6 +7,17 @@ import (
 	"kgedist/internal/xrand"
 )
 
+// residualNormSum returns the sum of the 2-norms of r's banked rows, a
+// measure of the compression error it still owes.
+func residualNormSum(r *Residual) float64 {
+	_, norms := r.rows.NormStats()
+	var s float64
+	for _, n := range norms {
+		s += float64(n)
+	}
+	return s
+}
+
 func TestResidualLifecycle(t *testing.T) {
 	t.Parallel()
 	r := NewResidual(4)
@@ -20,7 +31,7 @@ func TestResidualLifecycle(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("residual rows = %d", r.Len())
 	}
-	if r.NormSum() <= 0 {
+	if residualNormSum(r) <= 0 {
 		t.Fatal("quantization of a non-uniform row must leave error")
 	}
 
@@ -131,7 +142,7 @@ func TestResidualStableUnderRandomGradients(t *testing.T) {
 		r.AddInto(g)
 		e := Quantize(g, OneBitMax, nil)
 		r.Update(g, e)
-		last = r.NormSum()
+		last = residualNormSum(r)
 	}
 	if last > 100 {
 		t.Fatalf("residual norm diverged: %v", last)

@@ -228,10 +228,12 @@ func (g *SparseGrad) AccumulateDense(buf []float32) {
 }
 
 // NormStats computes the 2-norm of every row: norms[k] belongs to row
-// Indices()[k]. The mean norm — the threshold constant C of the paper's
-// random-selection strategy — is summed in that ascending-id order, so it is
-// a pure function of the gradient. norms is accumulator-owned scratch,
-// overwritten by the next NormStats call.
+// Indices()[k] and is tensor.Nrm2 of that row. The mean norm — the
+// threshold constant C of the paper's random-selection strategy — is summed
+// in that ascending-id order, so it is a pure function of the gradient.
+// norms is accumulator-owned scratch, overwritten by the next NormStats
+// call. The rows go to tensor.Nrm2Rows chunkRows at a time, gathered on the
+// stack.
 func (g *SparseGrad) NormStats() (mean float32, norms []float32) {
 	ids := g.Indices()
 	if cap(g.norms) < len(ids) {
@@ -241,10 +243,17 @@ func (g *SparseGrad) NormStats() (mean float32, norms []float32) {
 	if len(ids) == 0 {
 		return 0, norms
 	}
+	var rows [chunkRows][]float32
+	for lo := 0; lo < len(ids); lo += chunkRows {
+		chunk := ids[lo:min(lo+chunkRows, len(ids))]
+		for k, id := range chunk {
+			rows[k] = g.at(g.slot[id] - 1)
+		}
+		tensor.Nrm2Rows(rows[:len(chunk)], norms[lo:lo+len(chunk)])
+	}
 	var sum float64
-	for k, id := range ids {
-		norms[k] = tensor.Nrm2(g.at(g.slot[id] - 1))
-		sum += float64(norms[k])
+	for _, n := range norms {
+		sum += float64(n)
 	}
 	return float32(sum / float64(len(ids))), norms
 }

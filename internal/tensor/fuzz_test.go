@@ -14,7 +14,8 @@ import (
 // block with and without a tail, several blocks. FuzzTransEBlock's corpus
 // seeds the same specials at every width of transEWidths, and
 // FuzzComplExTriples' corpus at every dimension of complExDims with each
-// aliasing mode.
+// aliasing mode, and FuzzNrm2Rows' corpus at every width of nrm2Widths with
+// and without aliasing.
 
 // fuzzFloats decodes data as little-endian float32 bits; a trailing partial
 // word is ignored.
@@ -100,5 +101,22 @@ func FuzzComplExTriples(f *testing.F) {
 		}
 		h, r, tt := complExTable(d, buf, n, alias)
 		checkComplExTriples(t, d, h, r, tt, n)
+	})
+}
+
+// FuzzNrm2Rows takes the norms of 0-40 rows at one of nrm2Widths. The decoded
+// floats are repeated to fill the rows; an odd alias puts the first row in
+// every lane.
+func FuzzNrm2Rows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, width, rows, alias uint8) {
+		d, n := nrm2Widths[int(width)%len(nrm2Widths)], int(rows)%41
+		vals := fuzzFloats(data)
+		buf := make([]float32, n*d)
+		for i := range buf {
+			if len(vals) > 0 {
+				buf[i] = vals[i%len(vals)]
+			}
+		}
+		checkNrm2Rows(t, nrm2Table(d, buf, n, alias%2 == 1))
 	})
 }

@@ -24,3 +24,6 @@ func transEHeadAVX2(r, t, slab, out []float32) { panic("tensor: no AVX2 kernels"
 func complExTriplesAVX2(d int, h, r, t [][]float32, out []float32) {
 	panic("tensor: no AVX2 kernels")
 }
+func nrm2RowsAVX2(d int, rows [][]float32, out []float32)      { panic("tensor: no AVX2 kernels") }
+func signMaskAbsMaxAVX2(x []float32, bits []byte) float32      { panic("tensor: no AVX2 kernels") }
+func addSignedAVX2(bits []byte, pos, neg float32, x []float32) { panic("tensor: no AVX2 kernels") }

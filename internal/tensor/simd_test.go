@@ -362,6 +362,80 @@ func TestComplExTriplesKeepsSumOrder(t *testing.T) {
 	}
 }
 
+// nrm2Widths are the row lengths the Nrm2Rows tests sweep: no k, lengths the
+// kernel refuses (d % 4 != 0), one and several 4-wide k steps, the ComplEx
+// gradient row of dimension 32 (64 floats) and 64 + 4.
+var nrm2Widths = []int{0, 1, 3, 4, 8, 12, 64, 68}
+
+// nrm2Table cuts n rows of width d from vals; alias puts the first row in
+// every lane.
+func nrm2Table(d int, vals []float32, n int, alias bool) [][]float32 {
+	rows := make([][]float32, n)
+	for j := range rows {
+		i := j
+		if alias {
+			i = 0
+		}
+		rows[j] = vals[i*d : (i+1)*d]
+	}
+	return rows
+}
+
+// checkNrm2Rows computes the rows' norms through the dispatching kernel and
+// through Nrm2.
+func checkNrm2Rows(t *testing.T, rows [][]float32) {
+	t.Helper()
+	got, want := make([]float32, len(rows)), make([]float32, len(rows))
+	Nrm2Rows(rows, got)
+	for j, r := range rows {
+		want[j] = Nrm2(r)
+	}
+	assertSameBits(t, "Nrm2Rows", got, want)
+}
+
+func TestNrm2RowsMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 3000; trial++ {
+		d := nrm2Widths[trial%len(nrm2Widths)]
+		n := rng.Intn(41)
+		rate := []float64{0, 0.05, 0.5}[trial%3]
+		checkNrm2Rows(t, nrm2Table(d, randVec(rng, n*d, rate), n, rng.Intn(4) == 0))
+	}
+}
+
+// A row's squares are exact in float64, so a random row rarely shows a
+// reordered sum. These rows cannot hide one. Squares 2^24, 1, 1 and 2^-24
+// sum to y², y = 2^12 + 2^-12, the float32 tie between 2^12 and 2^12 +
+// 2^-11, so the norm rounds to even, 2^12. Sixteen squares of 2^-30 each
+// vanish when added to a sum near 2^24 (half its ulp is 2^-29), but
+// added first they make 2^-26, which lifts the square root above the tie
+// and the norm to 2^12 + 2^-11. Each row places the twenty values at
+// random positions among zeros.
+func TestNrm2RowsKeepsSumOrder(t *testing.T) {
+	const d, n = 32, 64
+	rng := rand.New(rand.NewSource(20))
+	terms := []float32{1 << 12, 1, 1, 1.0 / (1 << 12)}
+	for range 16 {
+		terms = append(terms, 1.0/(1<<15))
+	}
+	vals := make([]float32, n*d)
+	for i := 0; i < n; i++ {
+		for j, k := range rng.Perm(d)[:len(terms)] {
+			vals[i*d+k] = terms[j]
+		}
+	}
+	rows := nrm2Table(d, vals, n, false)
+	checkNrm2Rows(t, rows)
+
+	seen := map[float32]bool{}
+	for _, r := range rows {
+		seen[Nrm2(r)] = true
+	}
+	if !seen[1<<12] || !seen[1<<12+1.0/(1<<11)] {
+		t.Fatalf("the rows no longer tell the sum orders apart: norms %v", seen)
+	}
+}
+
 // Adam's second moment is ((1-beta2)*g)*g, as Go parses it. This g makes
 // the other association, (1-beta2)*(g*g), round differently, so a kernel
 // that reassociated would fail here even without the random sweep.
@@ -407,6 +481,10 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 			rows := [][]float32{a, a, a, a, a, a, a, a}
 			ComplExScoreTriples(8, rows, rows, rows, make([]float32, 8))
 		},
+		"Nrm2Rows":        func() { Nrm2Rows([][]float32{a, a}, make([]float32, 1)) },
+		"Nrm2Rows ragged": func() { Nrm2Rows([][]float32{a, a, a, b}, make([]float32, 4)) },
+		"SignMaskAbsMax":  func() { SignMaskAbsMax(b, make([]byte, 1)) },
+		"AddSigned":       func() { AddSigned(make([]byte, 2), 1, -1, b[:7]) },
 	} {
 		func() {
 			defer func() {
@@ -426,6 +504,7 @@ func TestKernelsAllocFree(t *testing.T) {
 	gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
 	slab, out := make([]float32, 35*w), make([]float32, 35)
 	var triples [19][]float32
+	bits := make([]byte, w/8)
 	for j := range triples {
 		triples[j] = slab[j*w : (j+1)*w]
 	}
@@ -445,6 +524,9 @@ func TestKernelsAllocFree(t *testing.T) {
 		"ComplExScoreTriples": func() {
 			ComplExScoreTriples(w/2, triples[:], triples[:], triples[:], out[:len(triples)])
 		},
+		"Nrm2Rows":       func() { Nrm2Rows(triples[:], out[:len(triples)]) },
+		"SignMaskAbsMax": func() { SignMaskAbsMax(x, bits) },
+		"AddSigned":      func() { AddSigned(bits, 0.5, -0.5, y) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per call", name, allocs)
@@ -532,6 +614,7 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		"VSUBPS":       "SUBSS per lane",
 		"VDIVPS":       "DIVSS per lane",
 		"VSQRTPS":      "SQRTSS per lane, which is float32(math.Sqrt(float64(x)))",
+		"VSQRTPD":      "SQRTSD per lane, which is math.Sqrt",
 		"VCVTPS2PD":    "CVTSS2SD per lane: float32 to float64 is exact",
 		"VCVTPD2PSY":   "CVTSD2SS per lane: the single rounding of float32(s)",
 		"VMULPD":       "MULSD per lane",
@@ -543,6 +626,16 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		"VSHUFPS":      "lane move only: selects float32 lanes, computes nothing",
 		"VPERM2F128":   "moves whole 128-bit halves, computes nothing",
 		"VXORPD":       "sign flip of Go's unary minus, or a zeroed accumulator",
+		"VCMPPS":       "x >= +0 per lane (predicate 0x1D, GE_OQ, checked below): Go's v >= 0, computes no value",
+		"VMOVMSKPS":    "packs the eight comparison results into one byte, computes no value",
+		"VANDPS":       "clears the sign bit, the bit pattern of |x| for every non-NaN x",
+		"VMAXPS":       "Go's if a > m { m = a } per lane, with a the first source: equality and NaN keep m",
+		"VMOVSS":       "store of one float32 result",
+		"VPBROADCASTB": "load of one payload byte into every byte lane",
+		"VPAND":        "selects one payload bit per lane, computes no value",
+		"VPCMPEQD":     "turns the selected bit into a lane mask, computes no value",
+		"VBLENDVPS":    "picks one of two addends per lane by the mask, computes no value",
+		"MOVB":         "store of one payload byte",
 		"VMOVUPS":      "load or store",
 		"VBROADCASTSS": "load of one scalar into every lane",
 		"VZEROUPPER":   "clears the upper YMM halves before returning to Go",
@@ -568,6 +661,9 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 			if allowed[op] == "" {
 				t.Errorf("%s: instruction %s is outside the exact set", s.pos, op)
 			}
+			if op == "VCMPPS" && !strings.HasPrefix(strings.Fields(s.text)[1], "$0x1D,") {
+				t.Errorf("%s: VCMPPS with a predicate other than $0x1D (GE_OQ)", s.pos)
+			}
 			if !strings.HasPrefix(op, "V") && xreg.MatchString(s.text) {
 				t.Errorf("%s: legacy SSE %s on an X register; use the VEX form", s.pos, op)
 			}
@@ -575,7 +671,9 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		}
 	}
 	for _, op := range []string{"VMULPS", "VADDPS", "VSUBPS", "VDIVPS", "VSQRTPS", "VCVTPS2PD", "VMULPD",
-		"VADDPD", "VPERM2F128", "VCVTPD2PSY", "VZEROUPPER", "VUNPCKLPS", "VUNPCKHPS", "VSHUFPS"} {
+		"VADDPD", "VPERM2F128", "VCVTPD2PSY", "VZEROUPPER", "VUNPCKLPS", "VUNPCKHPS", "VSHUFPS", "VSQRTPD",
+		"VCMPPS", "VMOVMSKPS", "VANDPS", "VMAXPS", "VMOVSS", "VPBROADCASTB", "VPAND", "VPCMPEQD", "VBLENDVPS",
+		"MOVB"} {
 		if !seen[op] {
 			t.Errorf("no assembly file uses %s any more; is the scan reading the right files?", op)
 		}
@@ -610,8 +708,8 @@ func TestAssemblyDeclarationsAreNoEscape(t *testing.T) {
 			}
 		}
 	}
-	if bodyless < 12 {
-		t.Errorf("found %d bodyless declarations in *_amd64.go, want at least 12", bodyless)
+	if bodyless < 15 {
+		t.Errorf("found %d bodyless declarations in *_amd64.go, want at least 15", bodyless)
 	}
 }
 
@@ -733,4 +831,29 @@ func BenchmarkComplExTriples(b *testing.B) {
 	benchKernel(b,
 		func() { complExTriplesGo(d, h, r, tt, out) },
 		func() { ComplExScoreTriples(d, h, r, tt, out) }, perTriple)
+}
+
+// BenchmarkNrm2Rows times the gradient row norms at the training shape: one
+// NormStats chunk of 64 rows of 64 floats (ComplEx at dimension 32), drawn
+// at random from a 4096-row table.
+func BenchmarkNrm2Rows(b *testing.B) {
+	const rows, d, n = 4096, 64, 64
+	rng := rand.New(rand.NewSource(21))
+	table := randVec(rng, rows*d, 0)
+	gathered := make([][]float32, n)
+	for j := range gathered {
+		i := rng.Intn(rows)
+		gathered[j] = table[i*d : (i+1)*d]
+	}
+	out := make([]float32, n)
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+	}
+	benchKernel(b,
+		func() {
+			for j, r := range gathered {
+				out[j] = Nrm2(r)
+			}
+		},
+		func() { Nrm2Rows(gathered, out) }, perRow)
 }

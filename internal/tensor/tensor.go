@@ -146,6 +146,36 @@ func Nrm2(x []float32) float32 {
 	return float32(math.Sqrt(s))
 }
 
+// Nrm2Rows writes out[j] = Nrm2(rows[j]) for every row. len(out) must equal
+// len(rows), and every row must have the same length. Whole 4-row groups go
+// through the AVX2 kernel when that length is a positive multiple of 4:
+// lane j is row j's float64 sum, fed its squares in k order, so every norm
+// is Nrm2's bits. Rows may alias: the same row may fill many lanes.
+func Nrm2Rows(rows [][]float32, out []float32) {
+	if len(out) != len(rows) {
+		panic("tensor: Nrm2Rows length mismatch")
+	}
+	if len(rows) == 0 {
+		return
+	}
+	d := len(rows[0])
+	for _, r := range rows {
+		if len(r) != d {
+			panic("tensor: Nrm2Rows rows of different lengths")
+		}
+	}
+	k := 0
+	if useAVX2 && d > 0 && d%4 == 0 {
+		k = len(rows) &^ 3
+	}
+	if k > 0 {
+		nrm2RowsAVX2(d, rows[:k], out[:k])
+	}
+	for j := k; j < len(rows); j++ {
+		out[j] = Nrm2(rows[j])
+	}
+}
+
 // IsZero reports whether every element of x is exactly zero.
 func IsZero(x []float32) bool {
 	for _, v := range x {

@@ -12,3 +12,10 @@ func transETailAVX2(h, r, slab, out []float32)
 
 //go:noescape
 func transEHeadAVX2(r, t, slab, out []float32)
+
+// nrm2RowsAVX2 shares transe_amd64.s and its square-sum with the TransE
+// kernels. It takes len(out) rows of d floats, where d and len(out) are
+// positive multiples of 4, and computes exactly what Nrm2 computes for each.
+//
+//go:noescape
+func nrm2RowsAVX2(d int, rows [][]float32, out []float32)

@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for TransE 1-vs-N block scoring (transe.go). Lanes are rows,
-// never k: lane j of an accumulator is one candidate row's float64 sum, and
-// it receives that row's squares in k order, so no sum is reordered and
-// every output is exactly the bits of the Go loop:
+// AVX2 kernels for TransE 1-vs-N block scoring (transe.go) and for gathered
+// row norms (Nrm2Rows, tensor.go). Lanes are rows, never k: lane j of an
+// accumulator is one row's float64 sum, and it receives that row's squares
+// in k order, so no sum is reordered and every output is exactly the bits
+// of the Go loop:
 //
 //   - per row, four consecutive k are combined in float32 (VSUBPS, or
 //     VADDPS then VSUBPS on the head side), the same single roundings as
@@ -201,5 +202,100 @@ headk:
 	BLOCK_END
 	CMPQ DI, R13
 	JB   headblock
+	VZEROUPPER
+	RET
+
+// Row norms: the same square-sum over gathered rows, with the rows' own
+// values in place of the TransE differences. The epilogue is Nrm2's
+// float32(math.Sqrt(s)): VSQRTPD, the correctly rounded square root that
+// math.Sqrt is, then one rounding (VCVTPD2PSY). Eight rows go through two
+// accumulators (Y0, Y1), so two add chains are in flight; a last group of
+// four goes through Y0 alone. Register use:
+//
+//	AX      slice header of the group's first row (24 bytes each)
+//	CX      d*4, the end of the k loop
+//	BX      k in bytes
+//	R8..R11, R12, R13, SI, DI  the group's rows
+//	DX      next output
+//
+// d is a positive multiple of 4, len(out) a positive multiple of 4 and
+// every row holds d floats.
+
+// ROW_PTRS loads the data pointers of the four rows whose slice headers
+// start at off(AX).
+#define ROW_PTRS(off, r0, r1, r2, r3) \
+	MOVQ off(AX), r0; \
+	MOVQ off+24(AX), r1; \
+	MOVQ off+48(AX), r2; \
+	MOVQ off+72(AX), r3
+
+// ROW_LOAD leaves k..k+3 of four rows in X5..X8, where SQUARE_SUM reads them.
+#define ROW_LOAD(r0, r1, r2, r3) \
+	VMOVUPS (r0)(BX*1), X5; \
+	VMOVUPS (r1)(BX*1), X6; \
+	VMOVUPS (r2)(BX*1), X7; \
+	VMOVUPS (r3)(BX*1), X8
+
+// NORM_STORE stores float32(math.Sqrt(s)) of the four sums in acc at off(DX).
+#define NORM_STORE(acc, xacc, off) \
+	VSQRTPD    acc, acc; \
+	VCVTPD2PSY acc, xacc; \
+	VMOVUPS    xacc, off(DX)
+
+// func nrm2RowsAVX2(d int, rows [][]float32, out []float32)
+// out[j] = float32(math.Sqrt(Σ_k float64(rows[j][k])²))
+TEXT ·nrm2RowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ d+0(FP), CX
+	MOVQ rows_base+8(FP), AX
+	MOVQ out_base+32(FP), DX
+	MOVQ out_len+40(FP), R8
+	SHLQ $2, CX
+	CMPQ R8, $8
+	JB   normfour
+
+normeight:
+	ROW_PTRS(0, R8, R9, R10, R11)
+	ROW_PTRS(96, R12, R13, SI, DI)
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ   BX, BX
+
+normeightk:
+	ROW_LOAD(R8, R9, R10, R11)
+	SQUARE_SUM(Y0)
+	ROW_LOAD(R12, R13, SI, DI)
+	SQUARE_SUM(Y1)
+	ADDQ $16, BX
+	CMPQ BX, CX
+	JB   normeightk
+
+	NORM_STORE(Y0, X0, 0)
+	NORM_STORE(Y1, X1, 16)
+	ADDQ $192, AX
+	ADDQ $32, DX
+	MOVQ out_base+32(FP), R8
+	MOVQ out_len+40(FP), R9
+	LEAQ (R8)(R9*4), R8 // end of out
+	LEAQ 28(DX), R9
+	CMPQ R9, R8
+	JB   normeight      // eight or more rows left
+	CMPQ DX, R8
+	JB   normfour       // four rows left
+	VZEROUPPER
+	RET
+
+normfour:
+	ROW_PTRS(0, R8, R9, R10, R11)
+	VXORPD Y0, Y0, Y0
+	XORQ   BX, BX
+
+normfourk:
+	ROW_LOAD(R8, R9, R10, R11)
+	SQUARE_SUM(Y0)
+	ADDQ $16, BX
+	CMPQ BX, CX
+	JB   normfourk
+
+	NORM_STORE(Y0, X0, 0)
 	VZEROUPPER
 	RET
