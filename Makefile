@@ -61,13 +61,14 @@ race:
 # where the compiler may use any AVX2-era instruction, and reruns the
 # differential tests against the assembly: it proves the oracle stays
 # FMA-free at every amd64 level. internal/grad rides along because its
-# reference codec is the oracle of the codec kernels.
+# reference codec is the oracle of the codec kernels, and internal/xrand
+# because BernoulliMask's branch-free bit tests must hold under BMI codegen.
 ## purego: full tests + kgeverify on the portable Go loops (no assembly)
 purego:
 	$(GO) vet -tags purego ./internal/tensor/
 	$(GO) test -tags purego -count=1 ./...
 	$(GO) run -tags purego ./cmd/kgeverify
-	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor/ ./internal/opt/ ./internal/model/ ./internal/grad/
+	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor/ ./internal/opt/ ./internal/model/ ./internal/grad/ ./internal/xrand/
 
 # Fault-injection suite under the race detector: scheduled rank crashes,
 # recv-watchdog timeouts, shrink-and-continue recovery, checkpoint

@@ -252,7 +252,8 @@ func checkDecode(t *testing.T, what string, s Scheme, sc float32, buf []byte, ds
 // arbitrary scales. Two cases are left out. A NaN scale meeting a NaN already
 // in the row: which payload survives NaN+NaN depends on operand order, which
 // the compiler is free to choose for the reference's `+=` as well
-// (TestOneBitDecodeKeepsRowNaN pins what decodeRowAccum does). And a
+// (TestOneBitDecodeKeepsRowNaN and TestTernaryDecodeKeepsRowNaN pin what
+// decodeRowAccum does). And a
 // signalling NaN in a row under the ternary decode, whose −0 addend for code
 // 0 would quiet it where the reference's skip does not: the rows the decoder
 // adds into hold zeros and sums, and arithmetic never yields one.
@@ -379,6 +380,32 @@ func TestOneBitDecodeKeepsRowNaN(t *testing.T) {
 						t.Fatalf("%v scale %#08x w=%d: row[%d] = %#08x, want the row's NaN quieted, %#08x",
 							s, sc, w, i, got, uint32(rowNaN|1<<22))
 					}
+				}
+			}
+		}
+	}
+}
+
+// The same for the ternary decode: codes 1 and 2 add the NaN scale and
+// codes 0 and 3 add −0, and every one keeps the row's payload, quieted, in
+// the 4-value body and in the tail alike.
+func TestTernaryDecodeKeepsRowNaN(t *testing.T) {
+	t.Parallel()
+	const rowNaN = 0x7FC00001
+	for _, sc := range []uint32{0x7FC00002, 0xFFC00077, 0x7F800001} {
+		for _, w := range []int{3, 4, 8, 9, 64} {
+			row := make([]float32, w)
+			for i := range row {
+				row[i] = math.Float32frombits(rowNaN)
+			}
+			buf := make([]byte, payloadBytesPerRow(TwoBitTernary, w))
+			for i := range buf {
+				buf[i] = 0xE4 // codes 0, 1, 2, 3
+			}
+			decodeRowAccum(TwoBitTernary, math.Float32frombits(sc), buf, row)
+			for i, v := range row {
+				if got := math.Float32bits(v); got != rowNaN {
+					t.Fatalf("scale %#08x w=%d: row[%d] = %#08x, want the row's NaN, %#08x", sc, w, i, got, uint32(rowNaN))
 				}
 			}
 		}

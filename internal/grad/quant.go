@@ -78,6 +78,16 @@ func classify(b uint32) (neg, zero, nan uint32) {
 	return b >> 31, (abs - 1) >> 31, (infBits - abs) >> 31
 }
 
+// spread moves bit k of x to bit 2k, leaving the odd bits clear.
+func spread(x uint32) uint64 {
+	v := uint64(x)
+	v = (v | v<<16) & 0x0000FFFF0000FFFF
+	v = (v | v<<8) & 0x00FF00FF00FF00FF
+	v = (v | v<<4) & 0x0F0F0F0F0F0F0F0F
+	v = (v | v<<2) & 0x3333333333333333
+	return (v | v<<1) & 0x5555555555555555
+}
+
 // absBits returns the bit pattern of |v| exactly as `if v < 0 { v = -v }`
 // leaves it: −0 and NaN keep their sign.
 func absBits(b uint32) uint32 {
@@ -222,17 +232,32 @@ func encodeRow(s Scheme, row []float32, buf []byte, rng *xrand.RNG) float32 {
 		return 0
 	case TwoBitTernary:
 		mean := absMean(row)
-		for j := range buf { // 0 = zero, 1 = +scale, 2 = -scale; four codes per byte
-			var packed uint32
-			for k, v := range row[4*j : min(4*j+4, len(row))] {
+		if !(mean > 0) { // all zero, or a NaN in the row: no value is kept and no coin drawn
+			clear(buf)
+			return mean
+		}
+		// Value k keeps its code with probability |v_k|/mean, drawn in
+		// chunks of 64 by BernoulliMask. Its p is the division of |v_k| with
+		// the sign cleared, which differs from absBits only for −0 and NaN,
+		// where either sign is drawn (or not) the same and never hits. A hit
+		// is therefore a nonzero, non-NaN value, whose code is 1 << sign:
+		// 0 = zero, 1 = +scale, 2 = −scale, value k at bits 2k..2k+1.
+		var p [64]float64
+		for len(row) > 0 {
+			c := min(len(row), 64)
+			var neg uint64
+			for k, v := range row[:c] {
 				b := math.Float32bits(v)
-				a := math.Float32frombits(absBits(b))
-				if mean > 0 && rng.Bernoulli(float64(a)/float64(mean)) {
-					neg, zero, nan := classify(b)
-					packed |= (1 &^ (zero | nan)) << neg << uint(2*k)
-				}
+				p[k] = float64(math.Float32frombits(b&^signBit)) / float64(mean)
+				neg |= uint64(b>>31) << k
 			}
-			buf[j] = byte(packed)
+			hits := rng.BernoulliMask(p[:c])
+			plus, minus := hits&^neg, hits&neg
+			var codes [16]byte
+			binary.LittleEndian.PutUint64(codes[:8], spread(uint32(plus))|spread(uint32(minus))<<1)
+			binary.LittleEndian.PutUint64(codes[8:], spread(uint32(plus>>32))|spread(uint32(minus>>32))<<1)
+			buf = buf[copy(buf, codes[:]):] // all 16 bytes but in a row's last chunk
+			row = row[c:]
 		}
 		return mean
 	default: // 1-bit family: bit i set iff v_i >= 0 (true for −0, false for NaN)
@@ -272,7 +297,8 @@ func Dequantize(e *Encoded, dst *SparseGrad) {
 //kgelint:hotpath
 func decodeRowAccum(s Scheme, sc float32, buf []byte, row []float32) {
 	minus := -sc
-	if _, _, nan := classify(math.Float32bits(sc)); nan != 0 {
+	_, _, scNaN := classify(math.Float32bits(sc))
+	if scNaN != 0 {
 		minus = sc
 	}
 	switch s {
@@ -285,6 +311,20 @@ func decodeRowAccum(s Scheme, sc float32, buf []byte, row []float32) {
 		// Codes 0 and 3 add −0, the one addend that leaves every sum
 		// unchanged: x + (+0) would turn a −0 already in the row into +0.
 		add := [4]float32{math.Float32frombits(signBit), sc, minus, math.Float32frombits(signBit)}
+		if scNaN != 0 {
+			// Where the row holds a NaN too, keep its payload, as the 1-bit
+			// decode does: the compiler may put either operand of a Go
+			// addition first, so such a value is doubled instead, which is
+			// the row's NaN quieted whatever the order.
+			for k, v := range row {
+				a := add[buf[k/4]>>uint(2*(k%4))&3]
+				if _, _, nan := classify(math.Float32bits(v)); nan != 0 {
+					a = v
+				}
+				row[k] = v + a
+			}
+			return
+		}
 		for ; len(row) >= 4; buf, row = buf[1:], row[4:] {
 			b, v := buf[0], row[:4:4]
 			v[0] += add[b&3]

@@ -82,30 +82,46 @@ func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) S
 		return st
 	}
 	// Indices is a snapshot Drop never touches, so dropping while ranging
-	// over it is safe; norms is parallel to it.
-	for k, id := range g.Indices() {
-		n := norms[k]
-		keep := false
-		switch mode {
-		case SelectAvgThreshold:
-			keep = n >= mean
-		case SelectAvgTenthThreshold:
-			keep = n >= 0.1*mean
-		case SelectBernoulli:
-			keep = rng.Bernoulli(float64(n) / float64(mean))
-		default:
-			panic("grad: unknown select mode")
+	// over it is safe; norms is parallel to it. Rows are decided 64 at a
+	// time into a keep mask, SelectBernoulli's coins in one BernoulliMask
+	// call — the draws Bernoulli would make row by row.
+	var p [64]float64
+	ids := g.Indices()
+	for k0 := 0; k0 < len(ids); k0 += 64 {
+		chunk := ids[k0:min(k0+64, len(ids))]
+		var keep uint64
+		for j := range chunk {
+			n := norms[k0+j]
+			switch mode {
+			case SelectAvgThreshold:
+				if n >= mean {
+					keep |= 1 << j
+				}
+			case SelectAvgTenthThreshold:
+				if n >= 0.1*mean {
+					keep |= 1 << j
+				}
+			case SelectBernoulli:
+				p[j] = float64(n) / float64(mean)
+			default:
+				panic("grad: unknown select mode")
+			}
 		}
-		if keep {
-			st.Kept++
-			continue
+		if mode == SelectBernoulli {
+			keep = rng.BernoulliMask(p[:len(chunk)])
 		}
-		if res != nil {
-			row, _ := g.Get(id)
-			res.SetRow(id, row)
+		for j, id := range chunk {
+			if keep>>j&1 != 0 {
+				st.Kept++
+				continue
+			}
+			if res != nil {
+				row, _ := g.Get(id)
+				res.SetRow(id, row)
+			}
+			g.Drop(id)
+			st.Dropped++
 		}
-		g.Drop(id)
-		st.Dropped++
 	}
 	return st
 }

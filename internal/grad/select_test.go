@@ -92,6 +92,44 @@ func TestSelectBernoulliEmpiricalRate(t *testing.T) {
 	}
 }
 
+// SelectBernoulli's coins are drawn 64 rows at a time; the kept rows and
+// the rng state must be those of one Bernoulli call per row, in row order,
+// on either side of the 64-row chunk.
+func TestSelectBernoulliMatchesRowByRow(t *testing.T) {
+	t.Parallel()
+	rng := xrand.New(3)
+	for trial := 0; trial < 50; trial++ {
+		rows := []int{1, 63, 64, 65, 200}[trial%5]
+		norms := make([]float32, rows)
+		for i := range norms {
+			if rng.Intn(5) != 0 { // every fifth row or so all zero
+				u := rng.Float32()
+				norms[i] = u * u
+			}
+		}
+		g := mkGrad(4, norms)
+		mean, ns := g.NormStats()
+		if mean == 0 {
+			continue // all zero: kept whole, no draw (TestSelectZeroGradientKeepsAll)
+		}
+		want := map[int32]bool{}
+		ref, got := *rng, *rng
+		for k, id := range g.Indices() {
+			want[id] = ref.Bernoulli(float64(ns[k]) / float64(mean))
+		}
+		Select(g, SelectBernoulli, &got)
+		for id, keep := range want {
+			if _, ok := g.Get(id); ok != keep {
+				t.Fatalf("%d rows: row %d kept %v, row-by-row draws %v", rows, id, ok, keep)
+			}
+		}
+		if got != ref {
+			t.Fatalf("%d rows: rng state diverged from the row-by-row draws", rows)
+		}
+		*rng = got
+	}
+}
+
 func TestSelectZeroGradientKeepsAll(t *testing.T) {
 	t.Parallel()
 	g := mkGrad(4, []float32{0, 0})

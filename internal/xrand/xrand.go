@@ -9,7 +9,10 @@
 // child generators.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** generator. The zero value is not usable; construct
 // with New or Split.
@@ -125,6 +128,66 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// Bit patterns BernoulliMask reads its predicates off: 1.0, +Inf, and the
+// sign bit of a float64.
+const (
+	oneBits  = 0x3FF0000000000000
+	infBits  = 0x7FF0000000000000
+	signBits = 1 << 63
+)
+
+// BernoulliMask makes len(p) Bernoulli draws at once: bit k of the result is
+// what the k-th of the sequential calls Bernoulli(p[0]), ..., Bernoulli(p[n-1])
+// would return, and the generator is left exactly where those calls leave
+// it. It panics if len(p) > 64.
+//
+// Every p is classified without a branch on its value, so coin flips cost
+// no mispredictions: Bernoulli draws iff 0 < p < 1 or p is NaN, and a NaN
+// never hits. The drawing positions are compacted first; the xoshiro chain
+// then runs over them in registers. A uniform in [0, 1) and a p in (0, 1)
+// are both non-negative, so u < p is the unsigned comparison of their bits,
+// against a threshold of 0 for a NaN.
+//
+//kgelint:hotpath
+func (r *RNG) BernoulliMask(p []float64) uint64 {
+	if len(p) > 64 {
+		panic("xrand: BernoulliMask over more than 64 probabilities")
+	}
+	var (
+		pos  [64]uint8 // positions that draw, in order
+		mask uint64
+		n    int
+	)
+	for k, x := range p {
+		b := math.Float64bits(x)
+		_, inUnit := bits.Sub64(b-1, oneBits-1, 0)             // 0 < p < 1
+		_, nan := bits.Sub64(infBits, b&^signBits, 0)          // p is NaN
+		_, sure := bits.Sub64(b-oneBits, infBits-oneBits+1, 0) // 1 <= p <= +Inf
+		mask |= sure << uint(k)
+		pos[n&63] = uint8(k)
+		n += int(inUnit | nan)
+	}
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for _, k := range pos[:n] {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		// Float64's uniform; result>>11 < 2⁵³ converts exactly as signed.
+		u := math.Float64bits(float64(int64(result>>11)) * (1.0 / (1 << 53)))
+		b := math.Float64bits(p[k])
+		_, inUnit := bits.Sub64(b-1, oneBits-1, 0)
+		_, hit := bits.Sub64(u, b&-inUnit, 0)
+		mask |= hit << (k & 63)
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	return mask
 }
 
 // NormFloat64 returns a standard normal variate using the polar

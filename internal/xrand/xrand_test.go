@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -339,4 +340,134 @@ func TestShuffleSwapFunc(t *testing.T) {
 			t.Fatalf("shuffle lost element %q", v)
 		}
 	}
+}
+
+// maskSpecials are the probabilities where BernoulliMask's bit-pattern
+// classification could part from Bernoulli's comparisons: both zeros, the
+// smallest subnormal, either side of 1, the infinities, negatives and NaNs
+// of both signs with several payloads.
+var maskSpecials = []uint64{
+	0x0000000000000000, 0x8000000000000000, // ±0
+	0x0000000000000001,                                         // smallest subnormal
+	0x3FEFFFFFFFFFFFFF, 0x3FF0000000000000, 0x3FF0000000000001, // 1−ulp, 1, 1+ulp
+	0x7FF0000000000000, 0xFFF0000000000000, // ±Inf
+	0xBFE0000000000000, 0x8000000000000001, 0xBFF0000000000000, // −0.5, −min subnormal, −1
+	0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000123, 0x7FFFFFFFFFFFFFFF, // NaNs
+}
+
+// checkMask requires BernoulliMask(p) to return the sequential Bernoulli
+// calls' results as bits and to leave the generator where they leave it.
+func checkMask(t *testing.T, seed uint64, p []float64) {
+	t.Helper()
+	seq, got := New(seed), New(seed)
+	var want uint64
+	for k, x := range p {
+		if seq.Bernoulli(x) {
+			want |= 1 << k
+		}
+	}
+	if m := got.BernoulliMask(p); m != want {
+		t.Fatalf("seed %d, %d probabilities: mask %#x, sequential draws %#x", seed, len(p), m, want)
+	}
+	if *got != *seq {
+		t.Fatalf("seed %d, %d probabilities: generator state diverged from the sequential draws", seed, len(p))
+	}
+}
+
+// At every length, over probabilities that mix the specials with values
+// inside (0, 1) and either side of it.
+func TestBernoulliMaskMatchesSequential(t *testing.T) {
+	t.Parallel()
+	r := New(29)
+	p := make([]float64, 64)
+	for n := 0; n <= 64; n++ {
+		for rep := 0; rep < 20; rep++ {
+			for k := range p[:n] {
+				switch r.Intn(4) {
+				case 0:
+					p[k] = math.Float64frombits(maskSpecials[r.Intn(len(maskSpecials))])
+				case 1:
+					p[k] = 1.5*r.Float64() - 0.25
+				default:
+					p[k] = r.Float64()
+				}
+			}
+			checkMask(t, uint64(n*100+rep), p[:n])
+		}
+	}
+}
+
+func TestBernoulliMaskAllocs(t *testing.T) {
+	r := New(31)
+	p := make([]float64, 64)
+	for k := range p {
+		p[k] = r.Float64()
+	}
+	if a := testing.AllocsPerRun(100, func() { r.BernoulliMask(p) }); a != 0 {
+		t.Fatalf("BernoulliMask allocates %v times per call", a)
+	}
+}
+
+func TestBernoulliMaskPanicsOver64(t *testing.T) {
+	t.Parallel()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for 65 probabilities")
+		}
+	}()
+	New(1).BernoulliMask(make([]float64, 65))
+}
+
+// FuzzBernoulliMask holds BernoulliMask to sequential Bernoulli calls. The
+// raw bytes are read as float64 bit patterns, repeated to fill n%65
+// probabilities.
+func FuzzBernoulliMask(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, raw []byte) {
+		p := make([]float64, int(n)%65)
+		if len(raw) >= 8 {
+			for k := range p {
+				i := 8 * (k % (len(raw) / 8))
+				p[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
+			}
+		}
+		checkMask(t, seed, p)
+	})
+}
+
+// BenchmarkBernoulliMask draws 64 coins at a time through BernoulliMask
+// and, for comparison, through 64 Bernoulli calls. The probabilities are
+// |z|/E|z| for a standard normal z, as in a ternary-coded gradient row
+// (about 4 in 10 at or above 1), cycled over 256 rows so the branch
+// predictor cannot learn them.
+func BenchmarkBernoulliMask(b *testing.B) {
+	r := New(1)
+	rows := make([][]float64, 256)
+	for i := range rows {
+		rows[i] = make([]float64, 64)
+		for k := range rows[i] {
+			rows[i][k] = math.Abs(r.NormFloat64()) / math.Sqrt(2/math.Pi)
+		}
+	}
+	b.Run("mask", func(b *testing.B) {
+		var sink uint64
+		i := 0
+		for b.Loop() {
+			sink ^= r.BernoulliMask(rows[i%len(rows)])
+			i++
+		}
+		_ = sink
+	})
+	b.Run("sequential", func(b *testing.B) {
+		var sink uint64
+		i := 0
+		for b.Loop() {
+			for k, x := range rows[i%len(rows)] {
+				if r.Bernoulli(x) {
+					sink ^= 1 << k
+				}
+			}
+			i++
+		}
+		_ = sink
+	})
 }
