@@ -15,7 +15,7 @@ RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ .
 # the top-level package adds the end-to-end paper-table benchmarks.
 BENCH_PKGS = ./internal/grad/ ./internal/mpi/ ./internal/model/ ./internal/opt/ ./internal/pool/ ./internal/tensor/ ./internal/serve/ ./internal/partition/ ./internal/core/ ./internal/binpack/
 
-.PHONY: all build vet fmt-check lint test race purego bench bench-smoke faults partition serve \
+.PHONY: all build vet fmt-check lint test race purego wire32 bench bench-smoke faults partition serve \
 	loadbench transport verify-stats soak fuzz-smoke coverage coverage-update ci help
 
 all: build
@@ -69,6 +69,19 @@ purego:
 	$(GO) test -tags purego -count=1 ./...
 	$(GO) run -tags purego ./cmd/kgeverify
 	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor/ ./internal/opt/ ./internal/model/ ./internal/grad/ ./internal/xrand/
+
+# Wire-decoder tier off the build host's word size and byte order. The
+# parsers of peer bytes (grad's gradient frames, the TCP data and handshake
+# frames) size allocations from counts a peer sent, and an int that is 32
+# bits wide overflows where a 64-bit one does not, so their tests and
+# committed fuzz corpora run again as 386. The TCP codec moves F32 and I32
+# sections as byte views only on a little-endian host; vetting the packages
+# for s390x, a big-endian target, keeps the portable per-element path
+# compiling. Both need only the local toolchain.
+## wire32: grad + transport tests as GOARCH=386, vet as big-endian s390x
+wire32:
+	GOARCH=386 $(GO) test -short -count=1 ./internal/grad/ ./internal/transport/...
+	GOARCH=s390x $(GO) vet ./internal/grad/ ./internal/transport/...
 
 # Fault-injection suite under the race detector: scheduled rank crashes,
 # recv-watchdog timeouts, shrink-and-continue recovery, checkpoint
@@ -211,8 +224,8 @@ coverage:
 coverage-update: coverage
 	cp coverage.txt COVERAGE_BASELINE.txt
 
-## ci: everything CI runs (build vet fmt-check lint test race purego faults partition serve loadbench transport verify-stats coverage bench-smoke)
-ci: build vet fmt-check lint test race purego faults partition serve loadbench transport verify-stats coverage bench-smoke
+## ci: everything CI runs (build vet fmt-check lint test race purego wire32 faults partition serve loadbench transport verify-stats coverage bench-smoke)
+ci: build vet fmt-check lint test race purego wire32 faults partition serve loadbench transport verify-stats coverage bench-smoke
 
 ## help: list targets
 help:

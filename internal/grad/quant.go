@@ -142,6 +142,10 @@ func payloadBytesPerRow(s Scheme, width int) int {
 // frameHeader is the fixed head of a wire frame: scheme(1) width(4) nrows(4).
 const frameHeader = 9
 
+// maxFrameWidth bounds a decoded frame's width so that one row's bytes,
+// scale included, fit in an int32 on every host.
+const maxFrameWidth = (math.MaxInt32 - 4) / 4
+
 // scaleBytesPerRow returns the wire size of one row's scale: NoQuant's
 // scale is always zero, so it is not sent.
 func scaleBytesPerRow(s Scheme) int {
@@ -389,14 +393,14 @@ func appendHeader(dst []byte, s Scheme, width, n int) []byte {
 // UnmarshalInto parses a buffer produced by Marshal into e, reusing e's
 // storage; the decoded contents never alias buf, so buf may be recycled or
 // owned by another rank. The buffer is untrusted peer input and is rejected
-// when its header names an unknown scheme or a width <= 0, when its row
-// count exceeds the body (every id takes at least one byte) — checked before
-// anything is sized from it — when an id gap is truncated, overlong
-// (non-minimal) or takes an id past math.MaxInt32, or when the scales and
-// payload do not fill the rest of buf exactly. A NoQuant frame decodes with
-// one zero scale per row, as QuantizeInto leaves it. On error e is left in
-// an unspecified state. Any slices previously obtained from e are
-// invalidated.
+// when its header names an unknown scheme, a zero width or one past
+// maxFrameWidth, when its row count exceeds the body (every id takes at
+// least one byte) — checked before anything is sized from it — when an id
+// gap is truncated, overlong (non-minimal) or takes an id past
+// math.MaxInt32, or when the scales and payload do not fill the rest of buf
+// exactly. A NoQuant frame decodes with one zero scale per row, as
+// QuantizeInto leaves it. On error e is left in an unspecified state. Any
+// slices previously obtained from e are invalidated.
 //
 //kgelint:hotpath
 func UnmarshalInto(e *Encoded, buf []byte) error {
@@ -405,14 +409,19 @@ func UnmarshalInto(e *Encoded, buf []byte) error {
 		return fmt.Errorf("grad: encoded buffer too short: %d bytes", len(buf))
 	}
 	e.Scheme = Scheme(buf[0])
-	e.Width = int(binary.LittleEndian.Uint32(buf[1:]))
-	n := int(binary.LittleEndian.Uint32(buf[5:]))
+	// Both counts are bounded as unsigned values before either becomes an
+	// int, so on a 32-bit host neither turns negative nor overflows a row
+	// size.
+	width := binary.LittleEndian.Uint32(buf[1:])
+	rows := binary.LittleEndian.Uint32(buf[5:])
 	known := e.Scheme == NoQuant || e.Scheme == OneBitMax || e.Scheme == OneBitAvg || e.Scheme == TwoBitTernary
-	if !known || e.Width <= 0 || n > len(buf)-frameHeader {
+	if !known || width == 0 || width > maxFrameWidth || uint64(rows) > uint64(len(buf)-frameHeader) {
 		//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
 		return fmt.Errorf("grad: encoded buffer of %d bytes does not match its header (scheme %d, width %d, %d rows)",
-			len(buf), e.Scheme, e.Width, n)
+			len(buf), e.Scheme, width, rows)
 	}
+	e.Width = int(width)
+	n := int(rows)
 	if cap(e.Indices) < n {
 		e.Indices = make([]int32, n)
 	}

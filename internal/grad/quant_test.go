@@ -218,6 +218,9 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"overflowing header", overflowFrame},
 		{"unknown scheme", frame(3, 8, 1, cat([]byte{7}, oneBitRow)...)}, // a retired 1-bit variant's code
 		{"zero width", frame(OneBitMax, 0, 1, cat([]byte{7}, oneBitRow)...)},
+		// A NoQuant row of width 2^30 is 2^32 bytes, which wraps to 0 in a
+		// 32-bit int and would divide by zero there.
+		{"row size past int32", frame(NoQuant, 1<<30, 0)},
 		{"rows past the body", frame(OneBitMax, 8, 7, cat([]byte{7}, oneBitRow)...)},
 		{"truncated varint", frame(OneBitMax, 8, 1, 0x80)},
 		{"overlong varint", frame(OneBitMax, 8, 1, cat([]byte{0x87, 0x00}, oneBitRow)...)},

@@ -514,24 +514,31 @@ func (pc *peerConn) writeLoop() {
 	opt := &pc.ep.opt
 	hb := time.NewTicker(opt.HeartbeatInterval)
 	defer hb.Stop()
+	// Every frame is sealed in scratch (header, payload, trailer) and goes
+	// out in one Write; scratch grows to the largest frame and is reused.
 	var scratch []byte
 	write := func(f wireFrame) bool {
-		payload := f.payload
+		scratch = openFrame(scratch)
 		corrupt := false
 		if f.typ == ftData {
-			scratch = appendMessage(scratch[:0], f.m)
-			payload = scratch
+			scratch = appendMessage(scratch, f.m)
 			corrupt = pc.corrupt.CompareAndSwap(true, false)
+		} else {
+			scratch = append(scratch, f.payload...)
 		}
-		_ = pc.c.SetWriteDeadline(time.Now().Add(2 * opt.HeartbeatTimeout))
-		n, err := writeFrame(pc.c, f.typ, payload, corrupt)
+		frame, err := sealFrame(scratch, f.typ, corrupt)
+		if err == nil {
+			scratch = frame
+			_ = pc.c.SetWriteDeadline(time.Now().Add(2 * opt.HeartbeatTimeout))
+			_, err = pc.c.Write(frame)
+		}
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) { // our own hang-up is no evidence
 				pc.fail(fmt.Sprintf("write to orig %d: %v", pc.orig, err))
 			}
 			return false
 		}
-		pc.ep.met.AddSent(n)
+		pc.ep.met.AddSent(int64(len(frame)))
 		if f.last {
 			pc.close()
 		}
@@ -616,10 +623,13 @@ func (pc *peerConn) writeLoop() {
 // readLoop owns the inbound half: a rolling read deadline of
 // HeartbeatTimeout is the silent-peer detector (any frame, ping included,
 // resets it), CRC failures condemn the peer, and frames demux to the data
-// inbox, the barrier channel, or the heartbeat plumbing.
+// inbox, the barrier channel, or the heartbeat plumbing. Every frame is read
+// into the connection's one reused buffer, so whatever outlives an
+// iteration is copied out of it first.
 func (pc *peerConn) readLoop() {
 	defer pc.ep.wg.Done()
 	e := pc.ep
+	fr := frameReader{r: pc.br}
 	draining := false
 	for {
 		if e.closed.Load() {
@@ -636,7 +646,7 @@ func (pc *peerConn) readLoop() {
 		} else {
 			_ = pc.c.SetReadDeadline(time.Now().Add(e.opt.HeartbeatTimeout))
 		}
-		typ, payload, wire, err := readFrame(pc.br)
+		typ, payload, wire, err := fr.next()
 		if err != nil {
 			switch {
 			case pc.departed.Load() || e.closed.Load():
@@ -693,9 +703,10 @@ func (pc *peerConn) readLoop() {
 			}
 		case ftPing:
 			// Echo so the peer can measure RTT; drop if the control queue
-			// is momentarily full — the next ping will get through.
+			// is momentarily full — the next ping will get through. The
+			// echo waits in the queue, so it must not alias the read buffer.
 			select {
-			case pc.ctrl <- wireFrame{typ: ftPong, payload: payload}:
+			case pc.ctrl <- wireFrame{typ: ftPong, payload: slices.Clone(payload)}:
 			default:
 			}
 		case ftPong:

@@ -24,7 +24,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 
+	"kgedist/internal/pool"
 	"kgedist/internal/transport"
 )
 
@@ -61,48 +64,73 @@ const (
 // reader can count it as corruption rather than a generic stream error.
 var errCRC = errors.New("tcptransport: frame checksum mismatch")
 
-// writeFrame writes one frame and returns the wire bytes moved. corrupt
-// flips one payload bit after the checksum is computed (the fault-injection
-// seam behind Endpoint.Inject(FaultCorrupt, ...)); the caller's payload is
-// copied first so only the wire image is damaged.
-func writeFrame(w io.Writer, typ byte, payload []byte, corrupt bool) (int64, error) {
-	if len(payload) > maxPayload {
-		return 0, fmt.Errorf("tcptransport: frame payload %d exceeds %d-byte bound", len(payload), maxPayload)
+// openFrame resets buf to an empty frame: headerLen bytes reserved for the
+// header, which sealFrame fills in once the payload has been appended.
+func openFrame(buf []byte) []byte {
+	return slices.Grow(buf[:0], headerLen)[:headerLen]
+}
+
+// sealFrame completes the frame opened in buf (header reserved, payload
+// appended): it fills in the header, appends the CRC trailer and returns the
+// whole frame, ready for one Write. corrupt flips one payload bit after the
+// checksum is computed (the fault-injection seam behind
+// Endpoint.Inject(FaultCorrupt, ...)); the payload is already a copy in buf,
+// so only the wire image is damaged. An empty payload has no bit to flip, so
+// its checksum is inverted instead.
+func sealFrame(buf []byte, typ byte, corrupt bool) ([]byte, error) {
+	n := len(buf) - headerLen
+	if n > maxPayload {
+		return nil, fmt.Errorf("tcptransport: frame payload %d exceeds %d-byte bound", n, maxPayload)
 	}
-	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], frameMagic)
-	hdr[2] = ProtocolVersion
-	hdr[3] = typ
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint16(buf[0:2], frameMagic)
+	buf[2] = ProtocolVersion
+	buf[3] = typ
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(n))
+	crc := crc32.ChecksumIEEE(buf)
 	if corrupt {
-		if len(payload) > 0 {
-			damaged := append([]byte(nil), payload...)
-			damaged[len(damaged)/2] ^= 0x80
-			payload = damaged
+		if n > 0 {
+			buf[headerLen+n/2] ^= 0x80
 		} else {
 			crc = ^crc
 		}
 	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	var tr [trailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	if _, err := w.Write(tr[:]); err != nil {
-		return 0, err
-	}
-	return int64(headerLen + len(payload) + trailerLen), nil
+	return binary.LittleEndian.AppendUint32(buf, crc), nil
 }
 
-// readFrame reads and validates one frame.
-func readFrame(r io.Reader) (typ byte, payload []byte, wire int64, err error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// writeFrame writes one frame with payload in a single Write and returns the
+// wire bytes moved. It copies the payload into a fresh buffer; the write
+// loop seals frames in its own scratch instead.
+func writeFrame(w io.Writer, typ byte, payload []byte, corrupt bool) (int64, error) {
+	if len(payload) > maxPayload {
+		return 0, fmt.Errorf("tcptransport: frame payload %d exceeds %d-byte bound", len(payload), maxPayload)
+	}
+	frame, err := sealFrame(append(openFrame(make([]byte, 0, headerLen+len(payload)+trailerLen)), payload...), typ, corrupt)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(frame); err != nil {
+		return 0, err
+	}
+	return int64(len(frame)), nil
+}
+
+// frameReader reads frames into one buffer it owns: header, payload and
+// trailer land in it together, and it grows to the largest frame seen
+// (bounded by maxPayload). A payload it returns is valid only until the next
+// call; a reader that keeps one longer copies it first.
+type frameReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// next reads and validates one frame. The checksum is verified before the
+// payload is returned, so nothing decodes an unchecked byte.
+func (fr *frameReader) next() (typ byte, payload []byte, wire int64, err error) {
+	if fr.buf == nil {
+		fr.buf = make([]byte, headerLen+trailerLen)
+	}
+	hdr := fr.buf[:headerLen]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		return 0, nil, 0, err
 	}
 	if got := binary.LittleEndian.Uint16(hdr[0:2]); got != frameMagic {
@@ -115,20 +143,28 @@ func readFrame(r io.Reader) (typ byte, payload []byte, wire int64, err error) {
 	if n > maxPayload {
 		return 0, nil, 0, fmt.Errorf("tcptransport: frame payload %d exceeds %d-byte bound", n, maxPayload)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	size := headerLen + int(n) + trailerLen
+	if cap(fr.buf) < size {
+		grown := make([]byte, size)
+		copy(grown, hdr)
+		fr.buf = grown
+	}
+	frame := fr.buf[:size]
+	if _, err := io.ReadFull(fr.r, frame[headerLen:]); err != nil {
 		return 0, nil, 0, err
 	}
-	var tr [trailerLen]byte
-	if _, err := io.ReadFull(r, tr[:]); err != nil {
-		return 0, nil, 0, err
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if binary.LittleEndian.Uint32(tr[:]) != crc {
+	body := frame[:size-trailerLen]
+	if binary.LittleEndian.Uint32(frame[size-trailerLen:]) != crc32.ChecksumIEEE(body) {
 		return 0, nil, 0, errCRC
 	}
-	return hdr[3], payload, int64(headerLen) + int64(n) + trailerLen, nil
+	return frame[3], body[headerLen:], int64(size), nil
+}
+
+// readFrame reads and validates one frame into a freshly allocated buffer,
+// so the payload may be kept (the handshake's reads).
+func readFrame(r io.Reader) (typ byte, payload []byte, wire int64, err error) {
+	fr := frameReader{r: r}
+	return fr.next()
 }
 
 // Message payload presence flags.
@@ -139,10 +175,24 @@ const (
 	flagF64
 )
 
+// hostLittleEndian reports whether this host stores a float32 or int32 in
+// memory exactly as the wire does (little-endian). Only then may a section
+// be moved as one byte-view copy of the slice; any other host takes the
+// per-element loops. Both paths produce the same bytes and values.
+var hostLittleEndian = binary.NativeEndian.Uint32([]byte{1, 2, 3, 4}) == binary.LittleEndian.Uint32([]byte{1, 2, 3, 4})
+
 // appendMessage serializes m onto buf (reused writer scratch) and returns
 // the extended slice. Layout: flags(1) seq(8), then each present payload as
 // count(4) + little-endian elements (F64 is a bare 8-byte value).
 func appendMessage(buf []byte, m transport.Message) []byte {
+	return encodeMessage(buf, m, hostLittleEndian)
+}
+
+// encodeMessage is appendMessage with the section copy chosen: bulk moves
+// each F32 and I32 section with one copy of its memory (little-endian hosts
+// only); otherwise one element at a time, the portable path and the tests'
+// oracle.
+func encodeMessage(buf []byte, m transport.Message, bulk bool) []byte {
 	var flags byte
 	if m.F32 != nil {
 		flags |= flagF32
@@ -160,14 +210,22 @@ func appendMessage(buf []byte, m transport.Message) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 	if m.F32 != nil {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.F32)))
-		for _, v := range m.F32 {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		if bulk {
+			buf = append(buf, wordBytes(m.F32)...)
+		} else {
+			for _, v := range m.F32 {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+			}
 		}
 	}
 	if m.I32 != nil {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.I32)))
-		for _, v := range m.I32 {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		if bulk {
+			buf = append(buf, wordBytes(m.I32)...)
+		} else {
+			for _, v := range m.I32 {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+			}
 		}
 	}
 	if m.Raw != nil {
@@ -180,47 +238,83 @@ func appendMessage(buf []byte, m transport.Message) []byte {
 	return buf
 }
 
-// decodeMessage parses a data payload into freshly allocated slices (the
-// receiver owns them outright, satisfying mpi's all-gather freshness
-// contract by construction).
+// decodeMessage parses a data payload. p is the read loop's reused buffer,
+// so every section is copied out: F32 into a pooled slice, Raw into a pooled
+// byte slice, I32 into a fresh one. The receiver owns all three exclusively
+// (DESIGN §10): a collective that consumes a block may Put it, one that
+// keeps it (all-gather) simply never does.
 func decodeMessage(p []byte) (transport.Message, error) {
+	return parseMessage(p, hostLittleEndian)
+}
+
+// parseMessage is decodeMessage with the section copy chosen, as in
+// encodeMessage. An empty F32 or I32 section decodes to an empty non-nil
+// slice, an empty Raw section to nil.
+func parseMessage(p []byte, bulk bool) (transport.Message, error) {
 	c := cursor{p: p}
-	var m transport.Message
 	flags := c.u8()
-	m.Seq = c.u64()
+	seq := c.u64()
+	var (
+		f32 []float32
+		i32 []int32
+		raw []byte
+		f64 float64
+	)
 	if flags&flagF32 != 0 {
-		n := int(c.u32())
-		if c.err == nil && n >= 0 && 4*n <= c.remaining() {
-			m.F32 = make([]float32, n)
-			for i := range m.F32 {
-				m.F32[i] = math.Float32frombits(c.u32())
+		if n, ok := c.count(4); ok {
+			f32 = pool.GetF32Uninit(n)
+			src := c.bytes(4 * n)
+			if bulk {
+				copy(wordBytes(f32), src)
+			} else {
+				for i := range f32 {
+					f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+				}
 			}
-		} else {
-			c.fail()
 		}
 	}
 	if flags&flagI32 != 0 {
-		n := int(c.u32())
-		if c.err == nil && n >= 0 && 4*n <= c.remaining() {
-			m.I32 = make([]int32, n)
-			for i := range m.I32 {
-				m.I32[i] = int32(c.u32())
+		if n, ok := c.count(4); ok {
+			i32 = make([]int32, n)
+			src := c.bytes(4 * n)
+			if bulk {
+				copy(wordBytes(i32), src)
+			} else {
+				for i := range i32 {
+					i32[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+				}
 			}
-		} else {
-			c.fail()
 		}
 	}
 	if flags&flagRaw != 0 {
-		n := int(c.u32())
-		m.Raw = append([]byte(nil), c.bytes(n)...)
+		if n, ok := c.count(1); ok && n > 0 {
+			raw = pool.GetBytes(n)
+			copy(raw, c.bytes(n))
+		}
 	}
 	if flags&flagF64 != 0 {
-		m.F64 = math.Float64frombits(c.u64())
+		f64 = math.Float64frombits(c.u64())
 	}
 	if c.err != nil {
+		pool.PutF32(f32)
+		pool.PutBytes(raw)
 		return transport.Message{}, c.err
 	}
-	return m, nil
+	return received(seq, f32, i32, raw, f64), nil
+}
+
+// received assembles a decoded message. Ownership of its pooled sections
+// passes with it to the receiver, which may Put them (DESIGN §10).
+//
+//kgelint:transfer
+func received(seq uint64, f32 []float32, i32 []int32, raw []byte, f64 float64) transport.Message {
+	return transport.Message{Seq: seq, F32: f32, I32: i32, Raw: raw, F64: f64}
+}
+
+// wordBytes views a float32 or int32 slice's memory as bytes, nil for nil.
+// The view aliases s; it is the wire image of s only on a little-endian host.
+func wordBytes[T float32 | int32](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
 }
 
 // cursor is a bounds-checked payload reader: any out-of-range access sets
@@ -250,6 +344,19 @@ func (c *cursor) bytes(n int) []byte {
 	b := c.p[c.off : c.off+n]
 	c.off += n
 	return b
+}
+
+// count reads a section's element count and checks that count elements of
+// size bytes fit in what is left of the payload. Dividing the remainder
+// instead of multiplying the count cannot overflow int, so a hostile count
+// is refused before it sizes any allocation on 32-bit hosts too.
+func (c *cursor) count(size int) (int, bool) {
+	n := c.u32()
+	if c.err != nil || uint64(n) > uint64(c.remaining()/size) {
+		c.fail()
+		return 0, false
+	}
+	return int(n), true
 }
 
 func (c *cursor) u8() byte {

@@ -11,13 +11,19 @@ import (
 
 // FuzzDecodeMessage throws arbitrary bytes at the decoder of the data frames
 // every collective's point-to-point traffic rides — all-to-all row blocks
-// included. The contract: no input panics; an accepted message allocates no
-// more payload than the input can carry, so a hostile count cannot drive
-// allocation; and it survives an appendMessage → decodeMessage round trip
-// bit for bit, nil-ness of each payload included.
+// included. The contract: no input panics; the host's decoder (byte-view
+// copies on a little-endian host) accepts exactly what the per-element
+// reference decoder accepts, with bit-identical results; an accepted message
+// allocates no more payload than the input can carry, so a hostile count
+// cannot drive allocation; and it survives an appendMessage → decodeMessage
+// round trip bit for bit, nil-ness of each payload included.
 func FuzzDecodeMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		m, err := decodeMessage(p)
+		ref, rerr := parseMessage(p, false)
+		if (err == nil) != (rerr == nil) || !sameMessage(m, ref) {
+			t.Fatalf("decoder and reference disagree: %+v (%v) vs %+v (%v)", m, err, ref, rerr)
+		}
 		if err != nil {
 			return
 		}

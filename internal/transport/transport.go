@@ -35,7 +35,9 @@ import (
 // Ownership: a sent Message and its slices belong to the transport until the
 // peer consumes them. Callers must not mutate payloads after Send. The
 // channel backend moves the slices by reference (zero copy); the TCP backend
-// serializes them, so received slices are always freshly allocated there.
+// serializes them and decodes into slices the receiver owns exclusively,
+// which may come from internal/pool (DESIGN.md §10): the receiver may Put
+// them, or keep them and never Put them.
 type Message struct {
 	Seq uint64
 	F32 []float32
