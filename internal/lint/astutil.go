@@ -75,13 +75,19 @@ func blockTerminates(b *ast.BlockStmt) bool {
 	case *ast.ReturnStmt, *ast.BranchStmt:
 		return true
 	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
+		return isPanicCall(last.X)
 	}
 	return false
+}
+
+// isPanicCall reports whether expr is a direct call to the panic builtin.
+func isPanicCall(expr ast.Expr) bool {
+	call, ok := ast.Unparen(expr).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && id.Name == "panic"
 }
 
 // enclosingFuncNames returns the names of all declared functions and methods

@@ -87,7 +87,6 @@ func TestDivergentCollectiveFixture(t *testing.T) { runFixture(t, DivergentColle
 func TestFloatEqFixture(t *testing.T)             { runFixture(t, FloatEq, "floateq") }
 func TestDroppedErrFixture(t *testing.T)          { runFixture(t, DroppedErr, "droppederr") }
 func TestCollectiveErrFixture(t *testing.T)       { runFixture(t, CollectiveErr, "collectiveerr") }
-func TestPoolUseFixture(t *testing.T)             { runFixture(t, PoolUse, "pooluse") }
 func TestScratchHoldFixture(t *testing.T)         { runFixture(t, ScratchHold, "scratchhold") }
 func TestHotPathAllocFixture(t *testing.T)        { runFixture(t, HotPathAlloc, "hotpathalloc") }
 
@@ -124,7 +123,7 @@ func TestAllRegistryComplete(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"seedrand", "divergentcollective", "floateq", "droppederr", "collectiveerr", "pooluse", "scratchhold", "hotpathalloc"} {
+	for _, want := range []string{"seedrand", "divergentcollective", "floateq", "droppederr", "collectiveerr", "scratchhold", "hotpathalloc"} {
 		if !names[want] {
 			t.Fatalf("analyzer %q missing from All()", want)
 		}

@@ -284,7 +284,6 @@ func All() []*Analyzer {
 		FloatEq,
 		DroppedErr,
 		CollectiveErr,
-		PoolUse,
 		ScratchHold,
 		HotPathAlloc,
 	}

@@ -260,8 +260,6 @@ func (c *Comm) enter() error {
 // send transfers ownership of any pooled buffers inside m to the receiving
 // rank: the single receiver consumes the payload and Puts it (DESIGN §10's
 // single-receiver protocol). The sender must not touch or Put them after.
-//
-//kgelint:transfer
 func (c *Comm) send(dst int, m message) error {
 	m.Seq = c.w.seq[c.rank]
 	return c.ep.Send(dst, m)

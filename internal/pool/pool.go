@@ -17,13 +17,17 @@
 // twice. Buffers that cross a collective and are retained by multiple ranks
 // (all-gather payloads) must NOT be pooled — they stay ordinary garbage.
 //
-// The contract is machine-checked: the pooluse dataflow analyzer in
-// internal/lint tracks every Get through assignments, reslices, and
-// branches, and reports use-after-Put, double Put, Put of a derived
-// subslice, and any escape of a live buffer without a //kgelint:transfer
-// ownership handoff (DESIGN.md §7). The companion scratchhold and
-// hotpathalloc analyzers police the borrow and zero-alloc sides of the
-// same discipline.
+// The contract is held by tests, not by a static analyzer. A sender that
+// recycles a staging buffer still in flight, or a collective that reads a
+// block after Put, changes trained bits: the goldens (kgeverify), the
+// checkpoint pins and the chan-vs-TCP trajectory identity gate (kgeverify
+// -tcp) fail, and the race tier (`make race`) reports the receiver's
+// reads as data races. tcptransport's codec tests pin the decoder's side:
+// TestDataFrameCodecMatchesReference requires its error path to Put the F32
+// section exactly once, and TestDataFrameSteadyStateAllocs requires pooled
+// F32 and Raw sections to decode without allocating. The scratchhold and
+// hotpathalloc analyzers (DESIGN.md §7) police the borrow and zero-alloc
+// sides of the same discipline.
 package pool
 
 import (
@@ -94,22 +98,13 @@ var (
 	bytePool bucketed[byte]
 )
 
-// GetF32 returns a float32 slice of length n with every element zeroed.
-// The caller owns it exclusively until PutF32.
-func GetF32(n int) []float32 {
-	s := f32Pool.get(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // GetF32Uninit returns a float32 slice of length n whose contents are
 // arbitrary (recycled). Use it when every element is about to be
-// overwritten, e.g. staging buffers filled by copy.
+// overwritten, e.g. staging buffers filled by copy. The caller owns it
+// exclusively until PutF32.
 func GetF32Uninit(n int) []float32 { return f32Pool.get(n) }
 
-// PutF32 recycles a slice obtained from GetF32/GetF32Uninit (or any
+// PutF32 recycles a slice obtained from GetF32Uninit (or any
 // exclusively-owned []float32). The caller must not touch s afterwards.
 func PutF32(s []float32) { f32Pool.put(s) }
 

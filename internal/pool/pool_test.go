@@ -4,20 +4,11 @@ import (
 	"testing"
 )
 
-func TestGetLengthAndZeroing(t *testing.T) {
+func TestGetLength(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 1000, 1 << 16} {
-		s := GetF32(n)
+		s := GetF32Uninit(n)
 		if len(s) != n {
-			t.Fatalf("GetF32(%d) returned len %d", n, len(s))
-		}
-		for i, v := range s {
-			if v != 0 {
-				t.Fatalf("GetF32(%d)[%d] = %v, want 0", n, i, v)
-			}
-		}
-		// Dirty it so a recycled return would be caught above.
-		for i := range s {
-			s[i] = 42
+			t.Fatalf("GetF32Uninit(%d) returned len %d", n, len(s))
 		}
 		PutF32(s)
 	}
@@ -83,10 +74,10 @@ func TestZeroCapPutIgnored(t *testing.T) {
 // victim-cache refill, absorbed by the warm-up and run count).
 func TestAllocFreeSteadyState(t *testing.T) {
 	for i := 0; i < 16; i++ { // warm the per-P private caches
-		PutF32(GetF32(1024))
+		PutF32(GetF32Uninit(1024))
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		s := GetF32(1024)
+		s := GetF32Uninit(1024)
 		PutF32(s)
 	})
 	if allocs > 0.1 {
@@ -97,7 +88,7 @@ func TestAllocFreeSteadyState(t *testing.T) {
 func BenchmarkGetPutF32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := GetF32(4096)
+		s := GetF32Uninit(4096)
 		PutF32(s)
 	}
 }

@@ -87,6 +87,30 @@ func TestDataFrameCodecMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// A frame truncated inside its I32 section fails after its F32 section
+	// came from the pool, and the error path hands that block back exactly
+	// once. Had it been Put twice, the next two Gets would both return it:
+	// two good frames decoded and held would share one backing array.
+	if raceBuild {
+		return // sync.Pool drops Puts at random under -race
+	}
+	f32, i32, _ := codecSections(1000)
+	full := appendMessage(nil, transport.Message{Seq: 1, F32: f32, I32: i32})
+	if _, err := decodeMessage(full[:len(full)-4]); err == nil {
+		t.Fatal("a frame truncated inside its I32 section decoded")
+	}
+	good := appendMessage(nil, transport.Message{Seq: 2, F32: f32})
+	a, errA := decodeMessage(good)
+	b, errB := decodeMessage(good)
+	if errA != nil || errB != nil {
+		t.Fatalf("decode: %v, %v", errA, errB)
+	}
+	if &a.F32[0] == &b.F32[0] {
+		t.Fatal("two held decodes share one F32 block: the error path Put it twice")
+	}
+	pool.PutF32(a.F32)
+	pool.PutF32(b.F32)
 }
 
 // oldFrame is the frame as header, payload and trailer were once written by
@@ -255,7 +279,8 @@ func dataFrameMessage(n int) transport.Message {
 // TestDataFrameSteadyStateAllocs: once the write scratch and the read
 // buffer have grown, encoding and writing a data frame allocates nothing,
 // and neither does reading and decoding one whose F32 goes back to the
-// pool.
+// pool, nor one whose 4096-byte Raw section (an encoded all-reduce block)
+// does.
 func TestDataFrameSteadyStateAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -278,23 +303,34 @@ func TestDataFrameSteadyStateAllocs(t *testing.T) {
 		t.Errorf("encode + write: %.1f allocs per frame, want 0", allocs)
 	}
 
+	_, _, raw := codecSections(4096)
+	rawFrame, err := sealFrame(appendMessage(openFrame(nil), transport.Message{Seq: 2, Raw: raw}), ftData, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var r bytes.Reader
 	fr := frameReader{r: &r}
-	read := func() {
-		r.Reset(scratch)
-		_, p, _, err := fr.next()
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{{"F32", scratch}, {"Raw", rawFrame}} {
+		read := func() {
+			r.Reset(c.frame)
+			_, p, _, err := fr.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := decodeMessage(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.PutF32(got.F32)
+			pool.PutBytes(got.Raw)
 		}
-		got, err := decodeMessage(p)
-		if err != nil {
-			t.Fatal(err)
+		read()
+		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+			t.Errorf("read + decode of a %s frame: %.1f allocs per frame, want 0", c.name, allocs)
 		}
-		pool.PutF32(got.F32)
-	}
-	read()
-	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
-		t.Errorf("read + decode: %.1f allocs per frame, want 0", allocs)
 	}
 }
 

@@ -300,15 +300,7 @@ func parseMessage(p []byte, bulk bool) (transport.Message, error) {
 		pool.PutBytes(raw)
 		return transport.Message{}, c.err
 	}
-	return received(seq, f32, i32, raw, f64), nil
-}
-
-// received assembles a decoded message. Ownership of its pooled sections
-// passes with it to the receiver, which may Put them (DESIGN §10).
-//
-//kgelint:transfer
-func received(seq uint64, f32 []float32, i32 []int32, raw []byte, f64 float64) transport.Message {
-	return transport.Message{Seq: seq, F32: f32, I32: i32, Raw: raw, F64: f64}
+	return transport.Message{Seq: seq, F32: f32, I32: i32, Raw: raw, F64: f64}, nil
 }
 
 // wordBytes views a float32 or int32 slice's memory as bytes, nil for nil.
