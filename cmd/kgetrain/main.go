@@ -231,10 +231,10 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\nconverged after %d epochs\n", res.Epochs)
-	fmt.Printf("total training time   %.3f virtual hours (%.1f s/epoch avg)\n",
-		res.TotalHours, res.AvgEpochSeconds())
-	fmt.Printf("communication         %.3f virtual hours, %.1f MB moved (%.1f MB relation)\n",
-		res.CommHours, float64(res.CommBytes)/1e6, float64(res.RelationCommBytes)/1e6)
+	fmt.Printf("total training time   %s virtual (%s/epoch avg)\n",
+		virtualTime(3600*res.TotalHours), virtualTime(res.AvgEpochSeconds()))
+	fmt.Printf("communication         %s virtual, %.1f MB moved (%.1f MB relation)\n",
+		virtualTime(3600*res.CommHours), float64(res.CommBytes)/1e6, float64(res.RelationCommBytes)/1e6)
 	if res.SwitchedAtEpoch > 0 {
 		fmt.Printf("dynamic switch        all-gather from epoch %d\n", res.SwitchedAtEpoch)
 	}
@@ -425,9 +425,9 @@ func runPS(d *kg.Dataset, modelName string, dim int, optName string, batch int, 
 		return err
 	}
 	fmt.Printf("\nfinished after %d epochs\n", res.Epochs)
-	fmt.Printf("total training time   %.3f virtual hours\n", res.TotalHours)
-	fmt.Printf("communication         %.3f virtual hours, %.1f MB moved (%.1f MB pull, %.1f MB push)\n",
-		res.CommHours, float64(res.CommBytes)/1e6, float64(res.PullBytes)/1e6, float64(res.PushBytes)/1e6)
+	fmt.Printf("total training time   %s virtual\n", virtualTime(3600*res.TotalHours))
+	fmt.Printf("communication         %s virtual, %.1f MB moved (%.1f MB pull, %.1f MB push)\n",
+		virtualTime(3600*res.CommHours), float64(res.CommBytes)/1e6, float64(res.PullBytes)/1e6, float64(res.PushBytes)/1e6)
 	fmt.Printf("test TCA              %.1f%%\n", res.TCA)
 	fmt.Printf("test filtered MRR     %.3f\n", res.MRR)
 	return nil
@@ -470,4 +470,17 @@ func loadDataset(preset, dir, namedDir string, seed uint64) (*kg.Dataset, error)
 		return kg.Generate(kg.FB250KFull(seed)), nil
 	}
 	return nil, fmt.Errorf("unknown dataset preset %q", preset)
+}
+
+// virtualTime renders a virtual duration in seconds in the largest unit that
+// keeps it at or above one (s, min or h), so a mini preset's second-scale
+// run does not print as 0.000 hours.
+func virtualTime(sec float64) string {
+	switch {
+	case sec < 60:
+		return fmt.Sprintf("%.3g s", sec)
+	case sec < 3600:
+		return fmt.Sprintf("%.2f min", sec/60)
+	}
+	return fmt.Sprintf("%.3f h", sec/3600)
 }

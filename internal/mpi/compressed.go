@@ -137,7 +137,7 @@ func (c *Comm) AllReduceEncoded(own *grad.Encoded, rows int, mg *grad.Merger, rn
 		mg.Wire = mg.AppendTrimmedTo(mg.Wire[:0], (dst-first+p)%p)
 		out := pool.GetBytes(len(mg.Wire))
 		copy(out, mg.Wire)
-		return len(mg.Wire), c.send(dst, message{Raw: out})
+		return len(mg.Wire), c.send(dst, message{Raw: out, Pooled: true})
 	}, func(src int, m message) error {
 		lo, hi := reducedChunk(src, rows, p)
 		err := grad.UnmarshalInto(&mg.Trim, m.Raw)
@@ -180,14 +180,14 @@ func (c *Comm) reduceOwned(own *grad.Encoded, rows int, mg *grad.Merger, rng *xr
 	own.Range(i0, i1, &mg.View)
 	mg.Src[p-1] = &mg.View
 	sent, err := c.rounds(func(dst int) (int, error) {
-		// dst owns chunk dst+1. The staging copy rides the pool: the single
-		// receiver consumes and puts it (DESIGN.md §10).
+		// dst owns chunk dst+1. The staging copy rides the pool, marked
+		// Pooled: its last reader puts it (DESIGN.md §10).
 		d0, d1 := reducedChunk(dst, rows, p)
 		i0, i1 := own.RowRange(d0, d1)
 		mg.Wire = own.AppendRangeTo(mg.Wire[:0], i0, i1)
 		out := pool.GetBytes(len(mg.Wire))
 		copy(out, mg.Wire)
-		return len(mg.Wire), c.send(dst, message{Raw: out})
+		return len(mg.Wire), c.send(dst, message{Raw: out, Pooled: true})
 	}, func(src int, m message) error {
 		j := (src - first + p) % p
 		f := &mg.In[j]

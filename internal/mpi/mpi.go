@@ -30,9 +30,11 @@
 //
 // Three disciplines keep the hot path allocation-free without data races
 // (DESIGN.md §10). Point-to-point staging copies inside the dense
-// collectives (AllReduceSum) are recycled through internal/pool:
-// the sender gets a buffer, exactly one receiver consumes it and puts it
-// back. All-gather payloads (AllGatherRows, AllGatherBytes) are the
+// collectives (AllReduceSum, and the compressed hops in compressed.go) are
+// recycled through internal/pool: the sender gets a buffer and sends it
+// marked Pooled, and whichever side reads it last puts it back — the one
+// receiver on the channel backend, the write loop once the frame is sealed
+// on TCP. All-gather payloads (AllGatherRows, AllGatherBytes) are the
 // opposite: the ring rotation shares one backing array with every rank, so
 // the payload ownership transfers to the world — callers must pass freshly
 // allocated slices and treat the returned ones as immutable. All-to-all
@@ -257,9 +259,10 @@ func (c *Comm) enter() error {
 	return c.w.err()
 }
 
-// send transfers ownership of any pooled buffers inside m to the receiving
-// rank: the single receiver consumes the payload and Puts it (DESIGN §10's
-// single-receiver protocol). The sender must not touch or Put them after.
+// send transfers ownership of m's payload to the transport. A message marked
+// Pooled is recycled by whichever side reads it last (DESIGN §10): the single
+// receiver on the channel backend, the TCP write loop after sealing the
+// frame. The sender must not touch or Put its sections after.
 func (c *Comm) send(dst int, m message) error {
 	m.Seq = c.w.seq[c.rank]
 	return c.ep.Send(dst, m)
@@ -393,9 +396,10 @@ func (c *Comm) Barrier() error {
 // failure, buf is left in an unspecified partially-reduced state.
 //
 // buf is caller-owned and never retained. Ring staging copies are recycled
-// through the pool: the sender stages into a pooled buffer, the single
-// receiving rank folds it into its chunk and releases it, so the per-round
-// exchange is allocation-free after warm-up.
+// through the pool: the sender stages into a pooled buffer marked Pooled,
+// the transport or the single receiving rank releases it (the receiver also
+// releases what it decoded on TCP), so the per-round exchange is
+// allocation-free after warm-up on either fabric.
 //
 //kgelint:hotpath
 func (c *Comm) AllReduceSum(buf []float32, tag string) (float64, error) {
@@ -420,7 +424,7 @@ func (c *Comm) AllReduceSum(buf []float32, tag string) (float64, error) {
 			src := chunk(sendIdx)
 			out := pool.GetF32Uninit(len(src))
 			copy(out, src)
-			if err := c.send(right, message{F32: out}); err != nil {
+			if err := c.send(right, message{F32: out, Pooled: true}); err != nil {
 				return 0, err
 			}
 			m, err := c.recv(left)
@@ -437,7 +441,7 @@ func (c *Comm) AllReduceSum(buf []float32, tag string) (float64, error) {
 			src := chunk(sendIdx)
 			out := pool.GetF32Uninit(len(src))
 			copy(out, src)
-			if err := c.send(right, message{F32: out}); err != nil {
+			if err := c.send(right, message{F32: out, Pooled: true}); err != nil {
 				return 0, err
 			}
 			m, err := c.recv(left)

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"math"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -173,6 +175,69 @@ func TestProcessWorldMatchesChannelWorld(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
+	}
+}
+
+// TestProcessAllReduceSteadyStateAllocs: over TCP each ring step's staging
+// copy goes back to the pool once its frame is sealed, and the receiver
+// returns what it decoded, so after warm-up an AllReduceSum allocates far
+// less than its own buffer.
+func TestProcessAllReduceSteadyStateAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	const p, n, warm, iters = 2, 256 << 10, 16, 64
+	// A collection empties the pool; that is a GC-timing artefact, not the
+	// steady state this test pins.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	eps := dialTCPEndpoints(t, p)
+	worlds := make([]*World, p)
+	bufs := make([][]float32, p)
+	for i, ep := range eps {
+		w, err := NewProcessWorld(simnet.NewCluster(p, simnet.XC40Params()), ep)
+		if err != nil {
+			t.Fatalf("process world %d: %v", i, err)
+		}
+		worlds[i] = w
+		bufs[i] = make([]float32, n)
+	}
+	defer func() {
+		for _, w := range worlds {
+			_ = w.Close()
+		}
+	}()
+	run := func(calls int) {
+		watchdog(t, "tcp all-reduce", 60*time.Second, func() {
+			var wg sync.WaitGroup
+			for i, w := range worlds {
+				wg.Add(1)
+				go func(i int, w *World) {
+					defer wg.Done()
+					if err := w.RunErr(func(c *Comm) error {
+						for range calls {
+							if _, err := c.AllReduceSum(bufs[i], "allocs"); err != nil {
+								return err
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Errorf("process world %d: %v", i, err)
+					}
+				}(i, w)
+			}
+			wg.Wait()
+		})
+	}
+	run(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(iters)
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / iters
+	t.Logf("%.0f bytes allocated per call across both ranks", perCall)
+	if limit := float64(4*n) / 16; perCall >= limit {
+		t.Errorf("steady-state AllReduceSum of %d floats over TCP allocates %.0f bytes per call across both ranks, want < %.0f (1/16 of the buffer)",
+			n, perCall, limit)
 	}
 }
 

@@ -8,8 +8,10 @@
 // capacity, so a Get never returns a slice with less capacity than asked and
 // never wastes more than 2x. All functions are safe for concurrent use —
 // sync.Pool does the sharding — which matters because ownership of a pooled
-// buffer may legally transfer between goroutines (an mpi sender allocates a
-// staging buffer, the receiving rank consumes and releases it).
+// buffer may legally transfer between goroutines: an mpi sender gets a
+// staging buffer and sends it marked transport.Message.Pooled, and its last
+// reader releases it — the receiving rank on the channel fabric, the TCP
+// write loop once the frame holding its copy is sealed.
 //
 // Ownership contract (see DESIGN.md §10): a Get hands the caller exclusive
 // ownership; a Put surrenders it. Never Put a slice that another goroutine

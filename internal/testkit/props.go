@@ -3,6 +3,7 @@ package testkit
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kgedist/internal/core"
 	"kgedist/internal/grad"
@@ -21,6 +22,9 @@ import (
 //     mean-scale modification).
 //   - The 1-bit family is sign-exact: decode yields sign(v_i) * scale with
 //     the scheme's documented per-row scale.
+//   - Error feedback may pair only with a contractive scheme,
+//     ||C(x) - x||^2 < ||x||^2: none, 1bit-avg and 2bit-ternary (in
+//     expectation) are; 1bit-max is not (Karimireddy et al. 2019).
 //   - Random selection keeps row i with probability min(1, ||g_i||/C),
 //     C = mean row norm (§4.2).
 //   - Relation partition never shares a relation across ranks, loses no
@@ -146,6 +150,147 @@ func CheckOneBitSignExact(seed uint64) PropResult {
 	}
 	return PropResult{Name: name, OK: true, Detail: fmt.Sprintf(
 		"%d schemes sign-exact with documented scales over %d coords", len(schemes), width)}
+}
+
+// efRows is how many seeded random rows of each width CheckEFContraction
+// measures; efTrials is how many TwoBitTernary draws estimate each row's
+// expected error.
+const (
+	efRows   = 64
+	efTrials = 1000
+)
+
+// efSpike is the committed counterexample for OneBitMax: one large
+// coordinate among small ones, so sign(x)*max|x| overshoots every small
+// coordinate by about 1.
+var efSpike = []float32{1, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01}
+
+// CheckEFContraction pins which schemes error feedback may pair with. EF's
+// guarantee needs a contractive compressor, ||C(x) - x||^2 <= (1 - delta)
+// ||x||^2 with delta > 0, so the check measures each scheme's worst ratio
+// ||C(x) - x||^2 / ||x||^2 through the real codec (Quantize, Dequantize),
+// over seeded Gaussian and heavy-tailed rows of widths 8, 16 and 64 and the
+// one-spike row efSpike. TwoBitTernary is stochastic: its ratio is the mean
+// over efTrials seeded draws per row plus CheckZ standard errors. The
+// contract: none is exact; 1bit-avg stays within its closed-form bound
+// 1 - ||x||_1^2 / (d ||x||^2) <= 1 - 1/d; 2bit-ternary stays below 1; and
+// 1bit-max is not contractive — on efSpike its ratio is exactly
+// 1 + (d m^2 - 2 m ||x||_1) / ||x||^2 ~ 6.86, m = max|x|.
+func CheckEFContraction(seed uint64) PropResult {
+	const name = "ef-contraction"
+	rng := xrand.New(seed)
+	// rows[k] are the rows of width widths[k]; efSpike is rows[0][0].
+	widths := []int{len(efSpike), 16, 64}
+	rows := make([][][]float32, len(widths))
+	grads := make([]*grad.SparseGrad, len(widths))
+	for k, width := range widths {
+		if k == 0 {
+			rows[k] = append(rows[k], efSpike)
+		}
+		for i := 0; i < efRows; i++ {
+			row := make([]float32, width)
+			for j := range row {
+				v := rng.NormFloat64()
+				if i%2 == 1 {
+					v = v * v * v // heavy-tailed: a few coordinates dominate
+				}
+				row[j] = float32(v)
+			}
+			rows[k] = append(rows[k], row)
+		}
+		grads[k] = grad.NewSparseGrad(width)
+		for i, row := range rows[k] {
+			copy(grads[k].Row(int32(i)), row)
+		}
+	}
+	// ratio returns ||C(x) - x||^2 / ||x||^2 per row under s: for
+	// TwoBitTernary the mean over efTrials draws plus CheckZ standard
+	// errors, else the one deterministic value.
+	qrng := rng.Split(1)
+	ratio := func(s grad.Scheme) [][]float64 {
+		trials := 1
+		if s == grad.TwoBitTernary {
+			trials = efTrials
+		}
+		out := make([][]float64, len(widths))
+		for k, g := range grads {
+			acc := make([]RunningMean, len(rows[k]))
+			dst := grad.NewSparseGrad(g.Width())
+			for t := 0; t < trials; t++ {
+				dst.Clear()
+				grad.Dequantize(grad.Quantize(g, s, qrng), dst)
+				for i, x := range rows[k] {
+					c, _ := dst.Get(int32(i))
+					acc[i].Add(efRatio(x, c))
+				}
+			}
+			for i := range acc {
+				out[k] = append(out[k], acc[i].Mean()+CheckZ*acc[i].SD()/math.Sqrt(float64(trials)))
+			}
+		}
+		return out
+	}
+	worst := func(r [][]float64) float64 {
+		w := 0.0
+		for _, rk := range r {
+			w = math.Max(w, slices.Max(rk))
+		}
+		return w
+	}
+
+	if w := worst(ratio(grad.NoQuant)); w != 0 {
+		return PropResult{Name: name, Detail: fmt.Sprintf("%s is lossy: worst ratio %.6g, want 0", grad.NoQuant, w)}
+	}
+	avg := ratio(grad.OneBitAvg)
+	for k, rk := range avg {
+		for i, r := range rk {
+			l1, l2 := efNorms(rows[k][i])
+			if bound := 1 - l1*l1/(float64(widths[k])*l2); math.Abs(r-bound) > 1e-5 {
+				return PropResult{Name: name, Detail: fmt.Sprintf(
+					"%s width %d row %d: ratio %.6g, closed form %.6g", grad.OneBitAvg, widths[k], i, r, bound)}
+			}
+		}
+	}
+	tern := ratio(grad.TwoBitTernary)
+	for _, c := range []struct {
+		s grad.Scheme
+		w float64
+	}{{grad.OneBitAvg, worst(avg)}, {grad.TwoBitTernary, worst(tern)}} {
+		if c.w >= 1 {
+			return PropResult{Name: name, Detail: fmt.Sprintf("%s not contractive: worst ratio %.6g >= 1", c.s, c.w)}
+		}
+	}
+	maxr := ratio(grad.OneBitMax)
+	l1, l2 := efNorms(efSpike)
+	want := 1 + (float64(len(efSpike))-2*l1)/l2 // m = max|x| = 1
+	if spike := maxr[0][0]; math.Abs(spike-want) > 1e-9 || spike < 1 {
+		return PropResult{Name: name, Detail: fmt.Sprintf(
+			"%s on the spike row: ratio %.9g, want the non-contractive %.9g", grad.OneBitMax, spike, want)}
+	}
+	return PropResult{Name: name, OK: true, Detail: fmt.Sprintf(
+		"worst ||C(x)-x||^2/||x||^2 over %d rows: none 0, %s %.3g, %s %.3g; %s %.3g on the spike row (worst %.3g): not EF-safe",
+		len(widths)*efRows+1, grad.OneBitAvg, worst(avg), grad.TwoBitTernary, worst(tern),
+		grad.OneBitMax, maxr[0][0], worst(maxr))}
+}
+
+// efRatio returns ||c - x||^2 / ||x||^2 in float64.
+func efRatio(x, c []float32) float64 {
+	var num, den float64
+	for i, v := range x {
+		d := float64(c[i]) - float64(v)
+		num += d * d
+		den += float64(v) * float64(v)
+	}
+	return num / den
+}
+
+// efNorms returns ||x||_1 and ||x||^2 in float64.
+func efNorms(x []float32) (l1, l2 float64) {
+	for _, v := range x {
+		l1 += math.Abs(float64(v))
+		l2 += float64(v) * float64(v)
+	}
+	return l1, l2
 }
 
 // selectTestGrad builds a gradient with rows of controlled norms: row i is
@@ -638,6 +783,7 @@ func AllPropertyChecks(seed uint64) []PropResult {
 	return []PropResult{
 		CheckTernaryUnbiased(seed),
 		CheckOneBitSignExact(seed),
+		CheckEFContraction(seed),
 		CheckRSKeepProbability(seed),
 		CheckRPInvariants(),
 		CheckJointPartitionInvariants(),

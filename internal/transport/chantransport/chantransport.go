@@ -51,13 +51,14 @@ func (h *Hub) Endpoint(rank int) transport.Endpoint {
 	if rank < 0 || rank >= h.p {
 		panic("chantransport: rank out of range")
 	}
-	return &endpoint{h: h, rank: rank}
+	return &endpoint{h: h, rank: rank, timers: make([]*time.Timer, h.p)}
 }
 
 // endpoint implements transport.Endpoint over the hub's channels.
 type endpoint struct {
-	h    *Hub
-	rank int
+	h      *Hub
+	rank   int
+	timers []*time.Timer // Recv watchdogs, by source rank (transport.ArmTimer)
 }
 
 func (e *endpoint) Rank() int { return e.rank }
@@ -78,7 +79,7 @@ func (e *endpoint) Send(dst int, m transport.Message) error {
 func (e *endpoint) Recv(src int, timeout time.Duration) (transport.Message, error) {
 	var deadline <-chan time.Time
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
+		t := transport.ArmTimer(&e.timers[src], timeout)
 		defer t.Stop()
 		deadline = t.C
 	}

@@ -9,9 +9,12 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kgedist/internal/pool"
 	"kgedist/internal/transport"
@@ -331,6 +334,54 @@ func TestDataFrameSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 			t.Errorf("read + decode of a %s frame: %.1f allocs per frame, want 0", c.name, allocs)
 		}
+	}
+}
+
+// TestPooledSectionReturnsAfterSeal: the write loop Puts a Pooled message's
+// F32 section as soon as its frame is sealed, so the peer's decode of a
+// section that size draws that very buffer from the pool; an unmarked
+// section stays the sender's and never enters the pool.
+func TestPooledSectionReturnsAfterSeal(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	// One P and no collections: a Put is then the next Get of its size
+	// class on every goroutine, and nothing empties the pool in between.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC() // two cycles drop whatever earlier tests left pooled
+	runtime.GC()
+	eps := dialWorld(t, 2, nil)
+	const n = 3 << 16 // a size class no other traffic of this test uses
+	exchange := func(sent []float32, pooled bool) []float32 {
+		t.Helper()
+		for i := range sent {
+			sent[i] = float32(i)
+		}
+		if err := eps[0].Send(1, transport.Message{Seq: 1, F32: sent, Pooled: pooled}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := eps[1].Recv(0, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.F32) != n || m.F32[n-1] != n-1 {
+			t.Fatalf("received %d floats ending in %v, want %d ending in %d", len(m.F32), m.F32[len(m.F32)-1], n, n-1)
+		}
+		return m.F32
+	}
+	same := func(a, b []float32) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
+
+	marked := pool.GetF32Uninit(n)
+	if got := exchange(marked, true); !same(got, marked) {
+		t.Error("a Pooled F32 section was not back in the pool when the peer decoded its frame")
+	}
+	unmarked := make([]float32, n, cap(marked))
+	if got := exchange(unmarked, false); same(got, unmarked) {
+		t.Error("an unmarked F32 section was decoded into: the write loop put it in the pool")
+	}
+	if same(pool.GetF32Uninit(n), unmarked) {
+		t.Error("an unmarked F32 section came back from the pool")
 	}
 }
 

@@ -156,12 +156,14 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// wireFrame is one queued outbound frame: a data message (typ ftData) or a
-// pre-encoded control/barrier payload. last makes the writer close the
-// connection once the frame is on the wire.
+// wireFrame is one queued outbound frame: a data message (typ ftData), a
+// barrier token (typ ftBarrier, encoded by the writer so a rendezvous round
+// allocates nothing) or a pre-encoded control payload. last makes the writer
+// close the connection once the frame is on the wire.
 type wireFrame struct {
 	typ     byte
 	m       transport.Message
+	tok     barToken
 	payload []byte
 	last    bool
 }
@@ -184,6 +186,7 @@ type Endpoint struct {
 
 	conns   []*peerConn              // by dense rank; nil at self
 	inbox   []chan transport.Message // by dense source rank
+	timers  []*time.Timer            // Recv watchdogs, by dense source rank (transport.ArmTimer)
 	barCh   []chan barToken          // by dense source rank
 	barrier uint64                   // local barrier epoch (collective loop only)
 	done    chan struct{}            // closed by teardown
@@ -280,6 +283,7 @@ func newEndpoint(opt Options, host *listenHost, met *transport.Metrics, gen uint
 		host:      host,
 		hostOwner: true,
 		met:       met,
+		timers:    make([]*time.Timer, len(live)),
 		done:      make(chan struct{}),
 	}
 	e.fs = transport.NewFailureState(nil)
@@ -327,7 +331,7 @@ func (e *Endpoint) Recv(src int, timeout time.Duration) (transport.Message, erro
 	}
 	var deadline <-chan time.Time
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
+		t := transport.ArmTimer(&e.timers[src], timeout)
 		defer t.Stop()
 		deadline = t.C
 	}
@@ -360,11 +364,8 @@ func (e *Endpoint) Rendezvous(onLast func()) error {
 	for k := 1; k < e.size; k <<= 1 {
 		dst := (e.rank + k) % e.size
 		src := (e.rank - k + e.size) % e.size
-		tok := make([]byte, 0, 9)
-		tok = binary.LittleEndian.AppendUint64(tok, epoch)
-		tok = append(tok, round)
 		select {
-		case e.conns[dst].data <- wireFrame{typ: ftBarrier, payload: tok}:
+		case e.conns[dst].data <- wireFrame{typ: ftBarrier, tok: barToken{epoch: epoch, round: round}}:
 		case <-e.fs.Abort():
 			return e.abortErr()
 		case <-e.done:
@@ -520,10 +521,15 @@ func (pc *peerConn) writeLoop() {
 	write := func(f wireFrame) bool {
 		scratch = openFrame(scratch)
 		corrupt := false
-		if f.typ == ftData {
+		switch f.typ {
+		case ftData:
 			scratch = appendMessage(scratch, f.m)
+			releasePooled(f.m)
 			corrupt = pc.corrupt.CompareAndSwap(true, false)
-		} else {
+		case ftBarrier:
+			scratch = binary.LittleEndian.AppendUint64(scratch, f.tok.epoch)
+			scratch = append(scratch, f.tok.round)
+		default:
 			scratch = append(scratch, f.payload...)
 		}
 		frame, err := sealFrame(scratch, f.typ, corrupt)

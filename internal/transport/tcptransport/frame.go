@@ -188,6 +188,17 @@ func appendMessage(buf []byte, m transport.Message) []byte {
 	return encodeMessage(buf, m, hostLittleEndian)
 }
 
+// releasePooled recycles a Pooled message's F32 and Raw sections. The write
+// loop calls it once per data frame, right after appendMessage has copied
+// them into the frame: from then on only the copy is read, so the sender's
+// staging buffers refill the pool the receiver's decode draws from.
+func releasePooled(m transport.Message) {
+	if m.Pooled {
+		pool.PutF32(m.F32)
+		pool.PutBytes(m.Raw)
+	}
+}
+
 // encodeMessage is appendMessage with the section copy chosen: bulk moves
 // each F32 and I32 section with one copy of its memory (little-endian hosts
 // only); otherwise one element at a time, the portable path and the tests'

@@ -38,12 +38,20 @@ import (
 // serializes them and decodes into slices the receiver owns exclusively,
 // which may come from internal/pool (DESIGN.md §10): the receiver may Put
 // them, or keep them and never Put them.
+//
+// Pooled marks F32 and Raw as internal/pool buffers whose only reader is the
+// transport and the one receiving rank, so whichever side consumes the bytes
+// last recycles them: the TCP backend Puts them once the frame holding their
+// copy is sealed, and the channel backend hands them to the receiver, which
+// Puts them. A sender that keeps reading a section, or hands the same slice
+// to several ranks, leaves Pooled false. Pooled never travels on the wire.
 type Message struct {
-	Seq uint64
-	F32 []float32
-	I32 []int32
-	Raw []byte
-	F64 float64
+	Seq    uint64
+	F32    []float32
+	I32    []int32
+	Raw    []byte
+	F64    float64
+	Pooled bool
 }
 
 // ErrRecvTimeout reports that a receive watchdog deadline expired with no
@@ -106,6 +114,22 @@ type Endpoint interface {
 	// Close releases the endpoint's resources (connections, goroutines).
 	// After Close, operations fail. Close is idempotent.
 	Close() error
+}
+
+// ArmTimer starts *t to fire after d, creating it on first use, and returns
+// it: the reusable receive watchdog both backends keep per source rank, so a
+// Recv with a timeout allocates nothing after its first call. The caller
+// Stops the timer when the receive ends. One goroutine at a time may use a
+// given *t, as Recv for one source is called from one goroutine at a time;
+// since Go 1.23 Stop and Reset leave no stale tick in the channel, so a
+// reset timer fires only for its new deadline.
+func ArmTimer(t **time.Timer, d time.Duration) *time.Timer {
+	if *t == nil {
+		*t = time.NewTimer(d)
+	} else {
+		(*t).Reset(d)
+	}
+	return *t
 }
 
 // Shrinker is implemented by endpoints that can rebuild themselves over the
