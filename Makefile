@@ -177,15 +177,12 @@ verify-stats:
 # (about 3 min on two cores) and diff it against the committed
 # results_full.txt, ignoring only the "(<id> regenerated in <t>s wall time)"
 # lines. It pins every table end to end, where the goldens pin 8-epoch runs.
-# The committed file ends with the exit status of the run that wrote it
-# (EXIT=0), so the gate appends the same line after a successful run.
 # amd64 only: Go fuses multiply-adds on arm64, so bits may differ there.
 # Nightly CI runs it next to the soak, not per push.
 ## reproduce: regenerate results_full.txt, fail on any diff but wall-time lines
 reproduce:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/kgebench -exp all > "$$tmp/got.txt"; \
-	echo "EXIT=0" >> "$$tmp/got.txt"; \
 	grep -v 'regenerated in .*s wall time)$$' results_full.txt > "$$tmp/want.trim"; \
 	grep -v 'regenerated in .*s wall time)$$' "$$tmp/got.txt" > "$$tmp/got.trim"; \
 	diff -u "$$tmp/want.trim" "$$tmp/got.trim"; \

@@ -146,20 +146,3 @@ func BenchmarkUniformVsRelationPartitionTraining(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkLossObjectives compares the logistic and margin objectives.
-func BenchmarkLossObjectives(b *testing.B) {
-	d := ablationDataset()
-	for _, loss := range []string{"logistic", "margin"} {
-		b.Run(loss, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ablationConfig()
-				cfg.LossName = loss
-				cfg.Margin = 1
-				if _, err := core.Train(cfg, d, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -38,7 +38,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", "", "base URL of a live kgeserve (e.g. http://localhost:8080); empty self-hosts one")
 		ckpt       = flag.String("model", "", "checkpoint to self-host (empty = generate a clustered one)")
-		genModel   = flag.String("gen-model", "transe", "model of the generated checkpoint")
+		genModel   = flag.String("gen-model", "transe", "model of the generated checkpoint: complex, distmult, transe")
 		entities   = flag.Int("entities", 50000, "entities in the generated checkpoint")
 		relations  = flag.Int("relations", 16, "relations in the generated checkpoint")
 		dim        = flag.Int("dim", 64, "dimension of the generated checkpoint")
@@ -114,6 +114,9 @@ func main() {
 // scoring work, not cache hits.
 func selfHost(ckpt, name string, dim, entities, relations, clusters int, spread float64, seed uint64) (string, func(), error) {
 	if ckpt == "" {
+		if !model.IsKnownModel(name) {
+			return "", nil, fmt.Errorf("unknown -gen-model %q (want complex, distmult or transe)", name)
+		}
 		dir, err := os.MkdirTemp("", "kgeload")
 		if err != nil {
 			return "", nil, err

@@ -48,11 +48,9 @@ func main() {
 		dataDir   = flag.String("data", "", "load an OpenKE-layout dataset directory instead of a preset")
 		namedDir  = flag.String("nameddata", "", "load a Freebase-text-layout directory (train.txt/valid.txt/test.txt of name triples, as FB15K is distributed)")
 		nodes     = flag.Int("nodes", 1, "simulated cluster size")
-		modelName = flag.String("model", "complex", "model: complex, distmult, transe, rotate, transh, simple")
-		lossName  = flag.String("loss", "logistic", "objective: logistic, margin")
-		margin    = flag.Float64("margin", 1.0, "ranking margin for -loss margin")
+		modelName = flag.String("model", "complex", "model: complex, distmult, transe")
 		dim       = flag.Int("dim", 32, "embedding dimension")
-		optName   = flag.String("opt", "adam", "optimizer: adam, adagrad, sgd")
+		optName   = flag.String("opt", "adam", "optimizer: adam, sgd")
 		batch     = flag.Int("batch", 2000, "per-worker batch size")
 		lr        = flag.Float64("lr", 0.01, "base learning rate (scaled by min(4, nodes))")
 		epochs    = flag.Int("epochs", 80, "maximum epochs")
@@ -105,8 +103,6 @@ func main() {
 	cfg.ModelName = *modelName
 	cfg.Dim = *dim
 	cfg.OptimizerName = *optName
-	cfg.LossName = *lossName
-	cfg.Margin = *margin
 	cfg.BatchSize = *batch
 	cfg.BaseLR = *lr
 	cfg.MaxEpochs = *epochs
@@ -389,7 +385,7 @@ func validateFlagCombos(explicit map[string]bool, strategy, peers string) error 
 		for _, f := range []string{
 			"partitioned", "partition-by", "partition-slack", "comm", "probe",
 			"compress-hold", "compress-warmup",
-			"rs", "quant", "ef", "rp", "ss", "loss", "margin",
+			"rs", "quant", "ef", "rp", "ss",
 			"peers", "rank", "listen", "metrics-addr",
 			"faults", "checkpoint-every", "checkpoint", "recover", "save", "trace",
 		} {

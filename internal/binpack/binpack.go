@@ -12,11 +12,7 @@
 // readers; serving swaps it together with its Store as one generation.
 package binpack
 
-import (
-	"fmt"
-
-	"kgedist/internal/model"
-)
+import "kgedist/internal/model"
 
 // WordBits is the packing grain: one uint64 word holds 64 dimension bits.
 const WordBits = 64
@@ -25,13 +21,13 @@ const WordBits = 64
 //
 // Packed layout: entity e's code occupies words [e*Words, (e+1)*Words) of
 // codes. Bit j of word w is dimension w*64+j (little-endian bit order
-// within a word). Dimensions beyond the active width — the tail of the
+// within a word). Dimensions beyond the width — the tail of the
 // last word when width % 64 != 0 — are always zero in every code,
 // including query codes, so they can never contribute to a XOR/popcount
 // and need no masking on the scoring path.
 type Index struct {
 	rows  int
-	width int // active float dimensions binarized per row
+	width int // float dimensions binarized per row: the model's Width
 	words int // uint64 words per row: ceil(width/64)
 
 	codes []uint64  // rows * words, row-major
@@ -42,7 +38,7 @@ type Index struct {
 }
 
 // Build binarizes an entity table into a packed index. row(e) must return
-// entity e's embedding row (at least comp.activeWidth floats wide) and be
+// entity e's embedding row (at least m.Width() floats wide) and be
 // safe to call repeatedly; Build reads every row twice (threshold pass,
 // pack pass) and copies nothing out of them.
 //
@@ -55,10 +51,7 @@ func Build(m model.Model, rows int, row func(e int) []float32) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	width := comp.activeWidth(m)
-	if width <= 0 {
-		return nil, fmt.Errorf("binpack: model %s has non-positive active width %d", m.Name(), width)
-	}
+	width := m.Width()
 	words := (width + WordBits - 1) / WordBits
 	ix := &Index{
 		rows:  rows,

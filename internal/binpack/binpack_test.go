@@ -102,20 +102,13 @@ func TestBuildThresholdsAreDimensionMeans(t *testing.T) {
 	}
 }
 
-func TestTransHActiveWidthIsDim(t *testing.T) {
-	_, _, ix := buildRandom(t, "transh", 16, 20, 3, 5)
-	if ix.Width() != 16 {
-		t.Fatalf("transh active width %d, want dim 16", ix.Width())
-	}
-}
-
 // TestSearchFullBudgetMatchesExact is the correctness anchor: with the
 // candidate budget covering every entity, stage 2 rescores the whole
 // table, so the approx result must equal the exact sweep bit for bit —
 // for every model, on both sides. Any divergence would mean the rescore
 // stage itself (not the prefilter) distorts scores or ordering.
 func TestSearchFullBudgetMatchesExact(t *testing.T) {
-	for _, name := range []string{"complex", "distmult", "transe", "rotate", "transh", "simple"} {
+	for _, name := range []string{"complex", "distmult", "transe"} {
 		const entities, relations, k = 60, 4, 7
 		m, p, ix := buildRandom(t, name, 8, entities, relations, 31)
 		sc := NewScratch()

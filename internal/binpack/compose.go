@@ -12,20 +12,14 @@ import (
 // embedding space. Each model family gets its own fold, derived from its
 // ScoreRows form as a function of the candidate row:
 //
-//   - Dot family (complex, distmult, simple): the score is linear in the
+//   - Dot family (complex, distmult): the score is linear in the
 //     candidate row, score = <q, cand>. High score wants sign(q[d]) to
 //     agree with the candidate's bit, so the query is binarized at zero
 //     while candidates are binarized at the per-dimension mean (the mean
 //     offset contributes a candidate-independent constant to the score).
-//   - Distance family (transe, rotate, transh): the score is a negated
-//     distance to a target point q; close candidates share q's side of
-//     each threshold, so the query is binarized at the index thresholds.
-//
-// The folds for rotate's head side (division by the unnormalized rotor
-// magnitude) and for transh (hyperplane projection dropped) are
-// approximate: the prefilter only has to put the true top ranks inside
-// the candidate slice, and the exact rescore restores true scores —
-// fidelity is what testkit.CheckBinarizedRecall measures.
+//   - Distance family (transe): the score is a negated distance to a
+//     target point q; close candidates share q's side of each threshold,
+//     so the query is binarized at the index thresholds.
 
 // queryKind selects the query-side binarization rule.
 type queryKind int
@@ -38,17 +32,11 @@ const (
 // composer folds a fixed (entity, relation) pair into a query row.
 type composer struct {
 	kind queryKind
-	// activeWidth is how many leading floats of an entity row the model's
-	// score actually reads (TransH pads entity rows to 2*dim but scores
-	// only the first dim).
-	activeWidth func(m model.Model) int
 	// tail folds fixed head h and relation r into q, for ranking tails.
 	tail func(m model.Model, h, r, q []float32)
 	// head folds fixed tail t and relation r into q, for ranking heads.
 	head func(m model.Model, t, r, q []float32)
 }
-
-func fullWidth(m model.Model) int { return m.Width() }
 
 // composerFor returns the query composer for m, or an error for a model
 // binpack has no fold for (a new model must add one here before it can be
@@ -56,17 +44,11 @@ func fullWidth(m model.Model) int { return m.Width() }
 func composerFor(m model.Model) (composer, error) {
 	switch m.Name() {
 	case "complex":
-		return composer{kind: kindDot, activeWidth: fullWidth, tail: complexTail, head: complexHead}, nil
+		return composer{kind: kindDot, tail: complexTail, head: complexHead}, nil
 	case "distmult":
-		return composer{kind: kindDot, activeWidth: fullWidth, tail: distmultTail, head: distmultHead}, nil
-	case "simple":
-		return composer{kind: kindDot, activeWidth: fullWidth, tail: simpleTail, head: simpleHead}, nil
+		return composer{kind: kindDot, tail: distmultTail, head: distmultHead}, nil
 	case "transe":
-		return composer{kind: kindDist, activeWidth: fullWidth, tail: transeTail, head: transeHead}, nil
-	case "rotate":
-		return composer{kind: kindDist, activeWidth: fullWidth, tail: rotateTail, head: rotateHead}, nil
-	case "transh":
-		return composer{kind: kindDist, activeWidth: func(m model.Model) int { return m.Dim() }, tail: transhTail, head: transhHead}, nil
+		return composer{kind: kindDist, tail: transeTail, head: transeHead}, nil
 	}
 	return composer{}, fmt.Errorf("binpack: no query composition for model %q", m.Name())
 }
@@ -109,29 +91,6 @@ func distmultHead(m model.Model, t, r, q []float32) {
 	}
 }
 
-// simple: score = (<h_H, r_f, t_T> + <t_H, r_i, h_T>)/2 over [head-role |
-// tail-role] entity rows. For a tail candidate [tH|tT] the pairing is
-// q = [r_i*h_T | h_H*r_f]/2; for a head candidate, q = [r_f*t_T | t_H*r_i]/2.
-func simpleTail(m model.Model, h, r, q []float32) {
-	d := m.Dim()
-	hH, hT := h[:d], h[d:]
-	rf, ri := r[:d], r[d:]
-	for i := 0; i < d; i++ {
-		q[i] = ri[i] * hT[i] / 2
-		q[d+i] = hH[i] * rf[i] / 2
-	}
-}
-
-func simpleHead(m model.Model, t, r, q []float32) {
-	d := m.Dim()
-	tH, tT := t[:d], t[d:]
-	rf, ri := r[:d], r[d:]
-	for i := 0; i < d; i++ {
-		q[i] = rf[i] * tT[i] / 2
-		q[d+i] = tH[i] * ri[i] / 2
-	}
-}
-
 // ---- distance family -------------------------------------------------------
 
 // transe: score = -||h + r - t||^2, so tails cluster around q = h + r and
@@ -145,53 +104,5 @@ func transeTail(m model.Model, h, r, q []float32) {
 func transeHead(m model.Model, t, r, q []float32) {
 	for i := range q {
 		q[i] = t[i] - r[i]
-	}
-}
-
-// rotate: score = -||h o r - t||^2 (o = complex elementwise product). The
-// tail target is exactly q = h o r. The head fold inverts the rotation:
-// the per-coordinate minimizer is h_j = t_j * conj(r_j) / |r_j|^2, with a
-// small epsilon guarding the unconstrained rotor's magnitude.
-func rotateTail(m model.Model, h, r, q []float32) {
-	d := m.Dim()
-	hr, hi := h[:d], h[d:]
-	rr, ri := r[:d], r[d:]
-	for i := 0; i < d; i++ {
-		q[i] = hr[i]*rr[i] - hi[i]*ri[i]
-		q[d+i] = hr[i]*ri[i] + hi[i]*rr[i]
-	}
-}
-
-func rotateHead(m model.Model, t, r, q []float32) {
-	d := m.Dim()
-	tr, ti := t[:d], t[d:]
-	rr, ri := r[:d], r[d:]
-	const eps = 1e-12
-	for i := 0; i < d; i++ {
-		n := rr[i]*rr[i] + ri[i]*ri[i] + eps
-		q[i] = (tr[i]*rr[i] + ti[i]*ri[i]) / n
-		q[d+i] = (ti[i]*rr[i] - tr[i]*ri[i]) / n
-	}
-}
-
-// transh: score = -||proj(h) + d - proj(t)||^2 with proj(e) = e - (w.e)w.
-// The projection is relation-specific, so candidate codes (packed once,
-// relation-free) cannot carry it; the fold drops it and targets the plain
-// translation q = h + d (resp. t - d), which shares the hyperplane
-// component with the true target. Entity rows only use their first dim
-// floats, hence the reduced active width.
-func transhTail(m model.Model, h, r, q []float32) {
-	d := m.Dim()
-	dvec := r[d : 2*d]
-	for i := 0; i < d; i++ {
-		q[i] = h[i] + dvec[i]
-	}
-}
-
-func transhHead(m model.Model, t, r, q []float32) {
-	d := m.Dim()
-	dvec := r[d : 2*d]
-	for i := 0; i < d; i++ {
-		q[i] = t[i] - dvec[i]
 	}
 }

@@ -25,6 +25,8 @@ import (
 	"fmt"
 
 	"kgedist/internal/grad"
+	"kgedist/internal/model"
+	"kgedist/internal/opt"
 	"kgedist/internal/simnet"
 )
 
@@ -94,18 +96,15 @@ const (
 // Config assembles a training run. The zero value is not runnable; start
 // from DefaultConfig.
 type Config struct {
-	// ModelName is "complex" (the paper's model), "distmult" or "transe".
+	// ModelName is "complex" (the paper's model), "distmult" or "transe":
+	// the names model.IsKnownModel accepts. Every model trains under the
+	// paper's logistic loss.
 	ModelName string
 	// Dim is the embedding dimension (complex dimension for ComplEx).
 	Dim int
-	// OptimizerName is "adam" (paper), "adagrad" or "sgd".
+	// OptimizerName is "adam" (paper) or "sgd": the names
+	// opt.IsKnownOptimizer accepts.
 	OptimizerName string
-	// LossName selects the objective: "logistic" (the paper's ComplEx
-	// loss) or "margin" (the pairwise margin-ranking loss of the TransE
-	// line of work, kept as a baseline objective).
-	LossName string
-	// Margin is the ranking margin gamma for LossName "margin".
-	Margin float64
 
 	// BatchSize is the per-worker batch size (paper: 10000).
 	BatchSize int
@@ -220,8 +219,6 @@ func DefaultConfig() Config {
 		ModelName:     "complex",
 		Dim:           32,
 		OptimizerName: "adam",
-		LossName:      "logistic",
-		Margin:        1,
 		BatchSize:     2000,
 		BaseLR:        0.01,
 		Tolerance:     15,
@@ -241,6 +238,12 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	if !model.IsKnownModel(c.ModelName) {
+		return fmt.Errorf("core: unknown model %q (want complex, distmult or transe)", c.ModelName)
+	}
+	if !opt.IsKnownOptimizer(c.OptimizerName) {
+		return fmt.Errorf("core: unknown optimizer %q (want adam or sgd)", c.OptimizerName)
+	}
 	if c.Dim <= 0 {
 		return fmt.Errorf("core: Dim must be positive, got %d", c.Dim)
 	}
@@ -271,15 +274,6 @@ func (c Config) Validate() error {
 		if err := c.validatePartitioned(); err != nil {
 			return err
 		}
-	}
-	switch c.LossName {
-	case "", "logistic":
-	case "margin":
-		if c.Margin <= 0 {
-			return fmt.Errorf("core: margin loss needs Margin > 0, got %v", c.Margin)
-		}
-	default:
-		return fmt.Errorf("core: unknown loss %q", c.LossName)
 	}
 	if c.Comm == CommDynamic && c.ProbeEvery < 1 {
 		return fmt.Errorf("core: ProbeEvery must be >= 1 for dynamic comm, got %d", c.ProbeEvery)

@@ -54,6 +54,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.NegSamples = 0 },
 		func(c *Config) { c.Comm = CommDynamic; c.ProbeEvery = 0 },
 		func(c *Config) { c.Tolerance = 0 },
+		func(c *Config) { c.ModelName = "rotate" },
+		func(c *Config) { c.ModelName = "" },
+		func(c *Config) { c.OptimizerName = "adagrad" },
+		func(c *Config) { c.OptimizerName = "" },
 	}
 	for i, mutate := range cases {
 		c := DefaultConfig()
@@ -446,12 +450,11 @@ func TestMoreNodesLowerEpochTime(t *testing.T) {
 	}
 }
 
-func TestMarginLossLearns(t *testing.T) {
+// TransE, the served distance model, learns under the paper's logistic loss.
+func TestTransELearns(t *testing.T) {
 	d := testDataset()
 	cfg := testConfig()
-	cfg.ModelName = "transe" // the classic margin-loss model
-	cfg.LossName = "margin"
-	cfg.Margin = 2
+	cfg.ModelName = "transe"
 	cfg.NegSamples = 2
 	cfg.MaxEpochs = 30
 	cfg.StopPatience = 30
@@ -460,20 +463,7 @@ func TestMarginLossLearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.TCA < 70 {
-		t.Fatalf("margin-loss TransE TCA = %v, expected learning", res.TCA)
-	}
-}
-
-func TestMarginLossValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LossName = "margin"
-	cfg.Margin = 0
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("margin 0 accepted")
-	}
-	cfg.LossName = "nope"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown loss accepted")
+		t.Fatalf("TransE TCA = %v, expected learning", res.TCA)
 	}
 }
 
@@ -481,7 +471,7 @@ func TestAlternativeModelsTrain(t *testing.T) {
 	// The strategies are model-agnostic: every registered model must train
 	// end to end under the combined configuration.
 	d := testDataset()
-	for _, name := range []string{"distmult", "rotate", "simple"} {
+	for _, name := range []string{"distmult", "transe"} {
 		cfg := testConfig()
 		cfg.ModelName = name
 		cfg.MaxEpochs = 6

@@ -632,12 +632,12 @@ func (t *trainRun) accumulate(tb rankTables, tr kg.Triple, coef float32) {
 }
 
 // trainExample processes one staged positive and its pre-drawn corruptions
-// under the configured objective and sampling scheme; scores holds the
+// under the logistic loss and the configured sampling scheme; scores holds the
 // staged scores of the positive, then of each corruption. It returns the
 // flops spent, the summed per-example loss, and the number of loss terms
 // contributing (so the caller can track a mean training loss per epoch).
 // The flops charge the selection scan's n scores and then each score the
-// objective reads, as if each were taken here, so the virtual clock does not
+// loss reads, as if each were taken here, so the virtual clock does not
 // see the batching.
 //
 //kgelint:hotpath
@@ -649,22 +649,6 @@ func (t *trainRun) trainExample(tb rankTables, pos kg.Triple, negs []kg.Triple, 
 		flops += float64(len(negs)) * m.ScoreFlops()
 		hardest := model.Hardest(negScores)
 		negs, negScores = negs[hardest:hardest+1], negScores[hardest:hardest+1]
-	}
-	if cfg.LossName == "margin" {
-		// Pairwise margin ranking: L = max(0, gamma - s(pos) + s(neg)).
-		flops += m.ScoreFlops()
-		for i, neg := range negs {
-			sNeg := negScores[i]
-			flops += m.ScoreFlops()
-			if hinge := float32(cfg.Margin) - sPos + sNeg; hinge > 0 {
-				lossSum += float64(hinge)
-				t.accumulate(tb, pos, -1)
-				t.accumulate(tb, neg, 1)
-				flops += 2 * m.GradFlops()
-			}
-			lossN++
-		}
-		return flops, lossSum, lossN
 	}
 	// Logistic loss: the positive labeled +1, then each negative labeled -1.
 	for i := -1; i < len(negs); i++ {

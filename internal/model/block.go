@@ -11,8 +11,7 @@ package model
 // same sum; a lane-per-k dot product would reorder it and change low-order
 // bits. DistMult stays scalar: on the tail side q = h*r, the first product
 // Dot3 rounds, is computed once per group of rows, and four independent rows
-// share one inner loop so their serial add chains overlap. RotatE, TransH
-// and SimplE score one ScoreRows call per row.
+// share one inner loop so their serial add chains overlap.
 
 import "kgedist/internal/tensor"
 
@@ -35,9 +34,8 @@ type BlockScorer interface {
 	ScoreBlock(side Side, fixed, rel, slab, out []float32)
 }
 
-// scoreBlockRows is ScoreBlock as one ScoreRows call per row: the whole
-// kernel for models without a specialised one, and what the specialised
-// kernels hand the rows their interleaved loop left over.
+// scoreBlockRows is ScoreBlock as one ScoreRows call per row: what
+// DistMult's kernel hands the rows its interleaved loop left over.
 //
 //kgelint:hotpath
 func scoreBlockRows(m Model, side Side, fixed, rel, slab, out []float32) {
@@ -50,21 +48,6 @@ func scoreBlockRows(m Model, side Side, fixed, rel, slab, out []float32) {
 			out[i] = m.ScoreRows(row, rel, fixed)
 		}
 	}
-}
-
-// ScoreBlock implements BlockScorer.
-func (m *RotatE) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
-	scoreBlockRows(m, side, fixed, rel, slab, out)
-}
-
-// ScoreBlock implements BlockScorer.
-func (m *TransH) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
-	scoreBlockRows(m, side, fixed, rel, slab, out)
-}
-
-// ScoreBlock implements BlockScorer.
-func (m *SimplE) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
-	scoreBlockRows(m, side, fixed, rel, slab, out)
 }
 
 // ScoreBlock implements BlockScorer through tensor.TransEScoreTails and

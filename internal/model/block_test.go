@@ -7,7 +7,7 @@ import (
 	"kgedist/internal/xrand"
 )
 
-var allModels = []string{"complex", "distmult", "transe", "rotate", "transh", "simple"}
+var allModels = []string{"complex", "distmult", "transe"}
 
 // specialFloats are the values a block kernel could plausibly treat
 // differently from ScoreRows: signed zeros, denormals, infinities (whose

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,6 +130,31 @@ func TestLoadCheckpointDetectsCorruption(t *testing.T) {
 	// The pristine file still loads.
 	if _, _, err := LoadCheckpoint(path); err != nil {
 		t.Fatalf("pristine checkpoint rejected: %v", err)
+	}
+}
+
+// A well-formed KGE2 file of a model this build no longer has (RotatE was
+// deleted) fails both readers as corrupt, naming the model, instead of
+// reaching New's panic.
+func TestLoadCheckpointRejectsDeletedModel(t *testing.T) {
+	const name, dim, width, entities, relations = "rotate", 4, 8, 3, 2
+	body := []byte(checkpointMagic)
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(name)))
+	body = append(body, name...)
+	for _, v := range []uint32{dim, entities, relations, width} {
+		body = binary.LittleEndian.AppendUint32(body, v)
+	}
+	body = append(body, make([]byte, 4*width*(entities+relations))...)
+	path := filepath.Join(t.TempDir(), "rotate.kge")
+	if err := os.WriteFile(path, binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, loadErr := LoadCheckpoint(path)
+	_, infoErr := ReadCheckpointInfo(path)
+	for reader, err := range map[string]error{"LoadCheckpoint": loadErr, "ReadCheckpointInfo": infoErr} {
+		if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), `"rotate"`) {
+			t.Errorf("%s: error %v, want ErrCorruptCheckpoint naming \"rotate\"", reader, err)
+		}
 	}
 }
 

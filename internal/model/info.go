@@ -102,6 +102,9 @@ func ReadCheckpointInfo(path string) (CheckpointInfo, error) {
 		return ci, truncated("dims", err)
 	}
 	ci.Model = string(nameBuf)
+	if !IsKnownModel(ci.Model) {
+		return ci, fmt.Errorf("%w: %s names unknown model %q", ErrCorruptCheckpoint, path, ci.Model)
+	}
 	ci.Dim = int(dims[0])
 	ci.Entities = int(dims[1])
 	ci.Relations = int(dims[2])

@@ -90,12 +90,6 @@ func New(name string, dim int) Model {
 		return NewDistMult(dim)
 	case "transe":
 		return NewTransE(dim)
-	case "rotate":
-		return NewRotatE(dim)
-	case "transh":
-		return NewTransH(dim)
-	case "simple":
-		return NewSimplE(dim)
 	}
 	panic("model: unknown model " + name)
 }
@@ -105,7 +99,7 @@ func New(name string, dim int) Model {
 // must check it here instead of letting New panic.
 func IsKnownModel(name string) bool {
 	switch name {
-	case "complex", "distmult", "transe", "rotate", "transh", "simple":
+	case "complex", "distmult", "transe":
 		return true
 	}
 	return false

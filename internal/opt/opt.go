@@ -1,8 +1,9 @@
 // Package opt provides the optimizers and learning-rate schedule used by the
 // paper's training loop: Adam with sparse row updates (the paper trains with
-// Adam, batch size 10000), plain SGD and Adagrad as references, and the
-// reduce-on-plateau schedule with the capped linear scaling rule of §3.4
-// (lr = lr0 * min(4, nodes); tolerance 15 epochs; factor 0.1).
+// Adam, batch size 10000), plain SGD (the PBG baseline's relation
+// optimizer), and the reduce-on-plateau schedule with the capped linear
+// scaling rule of §3.4 (lr = lr0 * min(4, nodes); tolerance 15 epochs;
+// factor 0.1).
 package opt
 
 import (
@@ -12,9 +13,9 @@ import (
 )
 
 // Optimizer applies gradients to individual embedding rows. One instance
-// serves one parameter matrix; per-row state (Adam moments, Adagrad
-// accumulators) lives inside. BeginStep must be called once per optimizer
-// step before the ApplyRow calls of that step.
+// serves one parameter matrix; per-row state (Adam moments) lives inside.
+// BeginStep must be called once per optimizer step before the ApplyRow
+// calls of that step.
 type Optimizer interface {
 	// Name identifies the optimizer.
 	Name() string
@@ -25,17 +26,25 @@ type Optimizer interface {
 }
 
 // NewByName constructs an optimizer for a matrix with the given shape.
-// Names: "sgd", "adagrad", "adam". Panics on an unknown name.
+// Names: those IsKnownOptimizer accepts. Panics on an unknown name.
 func NewByName(name string, rows, width int) Optimizer {
 	switch name {
 	case "sgd":
 		return NewSGD()
-	case "adagrad":
-		return NewAdagrad(rows, width)
 	case "adam":
 		return NewAdam(rows, width)
 	}
 	panic("opt: unknown optimizer " + name)
+}
+
+// IsKnownOptimizer reports whether NewByName accepts the name, so a caller
+// can reject a configured name with an error instead of a panic.
+func IsKnownOptimizer(name string) bool {
+	switch name {
+	case "sgd", "adam":
+		return true
+	}
+	return false
 }
 
 // ---- SGD -------------------------------------------------------------------
@@ -55,30 +64,6 @@ func (s *SGD) BeginStep() {}
 // ApplyRow implements Optimizer.
 func (s *SGD) ApplyRow(_ int32, row, grad []float32, lr float32) {
 	tensor.Axpy(-lr, grad, row)
-}
-
-// ---- Adagrad ---------------------------------------------------------------
-
-// Adagrad keeps a per-coordinate sum of squared gradients.
-type Adagrad struct {
-	accum *tensor.Matrix
-	eps   float32
-}
-
-// NewAdagrad returns an Adagrad optimizer for a rows x width matrix.
-func NewAdagrad(rows, width int) *Adagrad {
-	return &Adagrad{accum: tensor.NewMatrix(rows, width), eps: 1e-8}
-}
-
-// Name implements Optimizer.
-func (a *Adagrad) Name() string { return "adagrad" }
-
-// BeginStep implements Optimizer (no-op).
-func (a *Adagrad) BeginStep() {}
-
-// ApplyRow implements Optimizer.
-func (a *Adagrad) ApplyRow(rowID int32, row, grad []float32, lr float32) {
-	tensor.AdagradRow(row, grad, a.accum.Row(int(rowID)), lr, a.eps)
 }
 
 // ---- Adam ------------------------------------------------------------------

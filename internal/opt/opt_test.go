@@ -9,10 +9,15 @@ import (
 )
 
 func TestNewByName(t *testing.T) {
-	for _, name := range []string{"sgd", "adagrad", "adam"} {
+	for _, name := range []string{"sgd", "adam"} {
 		o := NewByName(name, 4, 8)
-		if o.Name() != name {
-			t.Fatalf("NewByName(%q).Name() = %q", name, o.Name())
+		if o.Name() != name || !IsKnownOptimizer(name) {
+			t.Fatalf("NewByName(%q).Name() = %q, known %v", name, o.Name(), IsKnownOptimizer(name))
+		}
+	}
+	for _, name := range []string{"adagrad", "nope", ""} {
+		if IsKnownOptimizer(name) {
+			t.Fatalf("IsKnownOptimizer(%q) = true", name)
 		}
 	}
 	defer func() {
@@ -30,20 +35,6 @@ func TestSGDApplyRow(t *testing.T) {
 	s.ApplyRow(0, row, []float32{10, -10}, 0.1)
 	if row[0] != 0 || row[1] != 3 {
 		t.Fatalf("row = %v", row)
-	}
-}
-
-func TestAdagradShrinksEffectiveStep(t *testing.T) {
-	a := NewAdagrad(1, 1)
-	row := []float32{0}
-	grad := []float32{1}
-	a.ApplyRow(0, row, grad, 0.1)
-	first := float64(-row[0])
-	prev := row[0]
-	a.ApplyRow(0, row, grad, 0.1)
-	second := float64(prev - row[0])
-	if !(second < first) {
-		t.Fatalf("Adagrad step did not shrink: %v then %v", first, second)
 	}
 }
 
@@ -100,11 +91,9 @@ func TestAdamMatchesReference(t *testing.T) {
 func TestApplyRowBitEqualScalarLoops(t *testing.T) {
 	const rows = 3
 	for _, width := range []int{1, 7, 8, 17, 64} {
-		adam, adagrad := NewAdam(rows, width), NewAdagrad(rows, width)
+		adam := NewAdam(rows, width)
 		m, v := make([]float32, rows*width), make([]float32, rows*width)
-		acc := make([]float32, rows*width)
 		adamRow, wantAdam := make([]float32, width), make([]float32, width)
-		adagradRow, wantAdagrad := make([]float32, width), make([]float32, width)
 		sgdRow, wantSGD := make([]float32, width), make([]float32, width)
 		grad := make([]float32, width)
 		rng := xrand.New(uint64(width))
@@ -117,13 +106,11 @@ func TestApplyRowBitEqualScalarLoops(t *testing.T) {
 			id := int32(step % rows)
 			adam.BeginStep()
 			adam.ApplyRow(id, adamRow, grad, lr)
-			adagrad.ApplyRow(id, adagradRow, grad, lr)
 			NewSGD().ApplyRow(id, sgdRow, grad, lr)
 
 			corr1 := 1 - float32(math.Pow(float64(beta1), float64(step)))
 			corr2 := 1 - float32(math.Pow(float64(beta2), float64(step)))
 			mr, vr := m[int(id)*width:][:width], v[int(id)*width:][:width]
-			ar := acc[int(id)*width:][:width]
 			for i, g := range grad {
 				mr[i] = beta1*mr[i] + (1-beta1)*g
 				vr[i] = beta2*vr[i] + (1-beta2)*g*g
@@ -131,17 +118,13 @@ func TestApplyRowBitEqualScalarLoops(t *testing.T) {
 				vHat := vr[i] / corr2
 				wantAdam[i] -= lr * mHat / (float32(math.Sqrt(float64(vHat))) + eps)
 
-				ar[i] += g * g
-				wantAdagrad[i] -= lr * g / (float32(math.Sqrt(float64(ar[i]))) + eps)
-
 				wantSGD[i] += -lr * g
 			}
 			for i := range grad {
 				if math.Float32bits(adamRow[i]) != math.Float32bits(wantAdam[i]) ||
-					math.Float32bits(adagradRow[i]) != math.Float32bits(wantAdagrad[i]) ||
 					math.Float32bits(sgdRow[i]) != math.Float32bits(wantSGD[i]) {
-					t.Fatalf("width %d step %d [%d]: adam %v/%v adagrad %v/%v sgd %v/%v", width, step, i,
-						adamRow[i], wantAdam[i], adagradRow[i], wantAdagrad[i], sgdRow[i], wantSGD[i])
+					t.Fatalf("width %d step %d [%d]: adam %v/%v sgd %v/%v", width, step, i,
+						adamRow[i], wantAdam[i], sgdRow[i], wantSGD[i])
 				}
 			}
 		}
@@ -151,7 +134,7 @@ func TestApplyRowBitEqualScalarLoops(t *testing.T) {
 func TestApplyRowAllocFree(t *testing.T) {
 	const width = 64
 	row, grad := make([]float32, width), make([]float32, width)
-	for _, o := range []Optimizer{NewSGD(), NewAdagrad(1, width), NewAdam(1, width)} {
+	for _, o := range []Optimizer{NewSGD(), NewAdam(1, width)} {
 		o.BeginStep()
 		if allocs := testing.AllocsPerRun(100, func() { o.ApplyRow(0, row, grad, 0.01) }); allocs != 0 {
 			t.Errorf("%s.ApplyRow allocates %.1f times per call", o.Name(), allocs)

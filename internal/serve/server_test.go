@@ -592,7 +592,7 @@ func TestPredictBatchEqualsBruteForce(t *testing.T) {
 	}{
 		{"transe", 2500, 1100, 3}, // five tiles: 1024+76, 1024+76, 300 rows
 		{"complex", 2500, 0, 3},   // one shard, three tiles: 1024, 1024, 452
-		{"rotate", 300, 64, 1},    // smaller than a tile; shards smaller still
+		{"distmult", 300, 64, 1},  // smaller than a tile; shards smaller still
 	} {
 		const rels = 4
 		d := &kg.Dataset{NumEntities: tc.entities, NumRelations: rels}

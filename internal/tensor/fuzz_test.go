@@ -49,7 +49,7 @@ func FuzzElementwise(f *testing.F) {
 	})
 }
 
-// FuzzOptimizerRows covers Adam at steps 1..20000, Adagrad and SGD.
+// FuzzOptimizerRows covers Adam at steps 1..20000 and SGD.
 func FuzzOptimizerRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, step uint16) {
 		lr, p, _ := splitFloats(fuzzFloats(data), 4)

@@ -47,32 +47,6 @@ func adamRowGo(row, grad, m, v []float32, c *AdamStep) {
 	}
 }
 
-// AdagradRow applies one Adagrad update to row given its gradient and its
-// running sum of squared gradients acc, all of equal length:
-//
-//	acc += g*g
-//	row -= lr * g / (sqrt(acc) + eps)
-//
-// row, grad and acc must not overlap.
-func AdagradRow(row, grad, acc []float32, lr, eps float32) {
-	if len(row) != len(grad) || len(acc) != len(grad) {
-		panic("tensor: AdagradRow length mismatch")
-	}
-	n := 0
-	if useAVX2 && len(grad) >= lanes {
-		n = len(grad) &^ (lanes - 1)
-		adagradRowAVX2(row[:n], grad[:n], acc[:n], lr, eps)
-	}
-	adagradRowGo(row[n:], grad[n:], acc[n:], lr, eps)
-}
-
-func adagradRowGo(row, grad, acc []float32, lr, eps float32) {
-	for i, g := range grad {
-		acc[i] += g * g
-		row[i] -= lr * g / (float32(math.Sqrt(float64(acc[i]))) + eps)
-	}
-}
-
 // ComplExGrad adds coef * dScore/dRow of the ComplEx score into gh, gr and
 // gt, given the head, relation and tail rows h, r and t. Every slice holds
 // a real half followed by an imaginary half of equal length d, so all six

@@ -51,7 +51,4 @@ func axpyMulAVX2(alpha float32, a, b, y []float32)
 func adamRowAVX2(row, grad, m, v []float32, c *AdamStep)
 
 //go:noescape
-func adagradRowAVX2(row, grad, acc []float32, lr, eps float32)
-
-//go:noescape
 func complExGradAVX2(h, r, t []float32, coef float32, gh, gr, gt []float32, n int)

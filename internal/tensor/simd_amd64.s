@@ -170,38 +170,6 @@ adamloop:
 	VZEROUPPER
 	RET
 
-// func adagradRowAVX2(row, grad, acc []float32, lr, eps float32)
-//
-//	acc += g*g
-//	row -= (lr*g) / (sqrt(acc) + eps)
-TEXT ·adagradRowAVX2(SB), NOSPLIT, $0-80
-	MOVQ         row_base+0(FP), DI
-	MOVQ         grad_base+24(FP), SI
-	MOVQ         grad_len+32(FP), CX
-	MOVQ         acc_base+48(FP), R8
-	VBROADCASTSS lr+72(FP), Y8
-	VBROADCASTSS eps+76(FP), Y9
-	XORQ         BX, BX
-
-adagradloop:
-	VMOVUPS (SI)(BX*4), Y0 // g
-	VMULPS  Y0, Y0, Y1     // g*g
-	VMOVUPS (R8)(BX*4), Y2
-	VADDPS  Y1, Y2, Y2     // acc + g*g
-	VMOVUPS Y2, (R8)(BX*4)
-	VSQRTPS Y2, Y2         // sqrt(acc)
-	VADDPS  Y9, Y2, Y2     // sqrt(acc) + eps
-	VMULPS  Y0, Y8, Y1     // lr*g
-	VDIVPS  Y2, Y1, Y1     // (lr*g) / (sqrt(acc)+eps)
-	VMOVUPS (DI)(BX*4), Y3
-	VSUBPS  Y1, Y3, Y3     // row - ...
-	VMOVUPS Y3, (DI)(BX*4)
-	ADDQ    $8, BX
-	CMPQ    BX, CX
-	JB      adagradloop
-	VZEROUPPER
-	RET
-
 // func complExGradAVX2(h, r, t []float32, coef float32, gh, gr, gt []float32, n int)
 //
 // Covers elements 0..n-1 of the real half (byte offset BX) and of the

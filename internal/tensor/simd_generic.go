@@ -10,12 +10,11 @@ const useAVX2 = false
 // The stubs below are never called; they let the dispatching kernels
 // compile unchanged on every build.
 
-func addAVX2(x, y []float32)                                   { panic("tensor: no AVX2 kernels") }
-func scaleAVX2(alpha float32, x []float32)                     { panic("tensor: no AVX2 kernels") }
-func axpyAVX2(alpha float32, x, y []float32)                   { panic("tensor: no AVX2 kernels") }
-func axpyMulAVX2(alpha float32, a, b, y []float32)             { panic("tensor: no AVX2 kernels") }
-func adamRowAVX2(row, grad, m, v []float32, c *AdamStep)       { panic("tensor: no AVX2 kernels") }
-func adagradRowAVX2(row, grad, acc []float32, lr, eps float32) { panic("tensor: no AVX2 kernels") }
+func addAVX2(x, y []float32)                             { panic("tensor: no AVX2 kernels") }
+func scaleAVX2(alpha float32, x []float32)               { panic("tensor: no AVX2 kernels") }
+func axpyAVX2(alpha float32, x, y []float32)             { panic("tensor: no AVX2 kernels") }
+func axpyMulAVX2(alpha float32, a, b, y []float32)       { panic("tensor: no AVX2 kernels") }
+func adamRowAVX2(row, grad, m, v []float32, c *AdamStep) { panic("tensor: no AVX2 kernels") }
 func complExGradAVX2(h, r, t []float32, coef float32, gh, gr, gt []float32, n int) {
 	panic("tensor: no AVX2 kernels")
 }

@@ -107,8 +107,8 @@ func checkElementwise(t *testing.T, alpha float32, x, a, y []float32) {
 }
 
 // checkOptimizerRows runs the Adam (at the given step, with opt.Adam's
-// hyper-parameters), Adagrad (v as the accumulator) and SGD (opt.SGD's
-// Axpy(-lr, grad, row)) row updates against their Go loops on copies.
+// hyper-parameters) and SGD (opt.SGD's Axpy(-lr, grad, row)) row updates
+// against their Go loops on copies.
 func checkOptimizerRows(t *testing.T, lr float32, step int, row, g, m, v []float32) {
 	t.Helper()
 	c := adamStepAt(step, lr)
@@ -119,13 +119,6 @@ func checkOptimizerRows(t *testing.T, lr float32, step int, row, g, m, v []float
 	assertSameBits(t, "AdamRow m", gotM, wantM)
 	assertSameBits(t, "AdamRow v", gotV, wantV)
 	assertSameBits(t, "AdamRow row", gotRow, wantRow)
-
-	gotRow, gotAcc := clone(row), clone(v)
-	wantRow, wantAcc := clone(row), clone(v)
-	AdagradRow(gotRow, g, gotAcc, lr, 1e-8)
-	adagradRowGo(wantRow, g, wantAcc, lr, 1e-8)
-	assertSameBits(t, "AdagradRow acc", gotAcc, wantAcc)
-	assertSameBits(t, "AdagradRow row", gotRow, wantRow)
 
 	gotRow, wantRow = clone(row), clone(row)
 	Axpy(-lr, g, gotRow)
@@ -469,7 +462,6 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 	a, b := make([]float32, 8), make([]float32, 9)
 	for name, f := range map[string]func(){
 		"AdamRow":          func() { AdamRow(a, a, a, b, &c) },
-		"AdagradRow":       func() { AdagradRow(a, a, b, 0.1, 1e-8) },
 		"ComplExGrad":      func() { ComplExGrad(a, a, a, 1, a, a, b) },
 		"ComplExGrad odd":  func() { ComplExGrad(b, b, b, 1, b, b, b) },
 		"TransEScoreTails": func() { TransEScoreTails(a, b, a, b) },
@@ -517,7 +509,6 @@ func TestKernelsAllocFree(t *testing.T) {
 			c := AdamStep{Beta1: 0.9, Beta2: 0.999, Corr1: 0.1, Corr2: 0.001, LR: 0.01, Eps: 1e-8}
 			AdamRow(row, x, m, v, &c)
 		},
-		"AdagradRow":       func() { AdagradRow(row, x, v, 0.01, 1e-8) },
 		"ComplExGrad":      func() { ComplExGrad(x, y, z, 0.5, gh, gr, gt) },
 		"TransEScoreTails": func() { TransEScoreTails(x, y, slab, out) },
 		"TransEScoreHeads": func() { TransEScoreHeads(y, z, slab, out) },
@@ -708,8 +699,8 @@ func TestAssemblyDeclarationsAreNoEscape(t *testing.T) {
 			}
 		}
 	}
-	if bodyless < 15 {
-		t.Errorf("found %d bodyless declarations in *_amd64.go, want at least 15", bodyless)
+	if bodyless < 14 {
+		t.Errorf("found %d bodyless declarations in *_amd64.go, want at least 14", bodyless)
 	}
 }
 
@@ -759,15 +750,6 @@ func BenchmarkComplExGradRows(b *testing.B) {
 	benchKernel(b,
 		func() { complExGradGo(h, r, tt, 1e-3, gh, gr, gt, 0) },
 		func() { ComplExGrad(h, r, tt, 1e-3, gh, gr, gt) })
-}
-
-func BenchmarkAdagradRow(b *testing.B) {
-	const w = 64
-	rng := rand.New(rand.NewSource(7))
-	row, g, acc := randVec(rng, w, 0), randVec(rng, w, 0), make([]float32, w)
-	benchKernel(b,
-		func() { adagradRowGo(row, g, acc, 1e-3, 1e-8) },
-		func() { AdagradRow(row, g, acc, 1e-3, 1e-8) })
 }
 
 func BenchmarkAdd64(b *testing.B) {

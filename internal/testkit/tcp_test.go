@@ -50,26 +50,30 @@ func TestVerifyTCPTrajectoryIdentical(t *testing.T) {
 // with CheckpointEvery=2 (the last write, epoch 8) and the run's virtual
 // ledger (CommBytes, TotalHours bits). The constants were recorded before the
 // three checkpoint paths became one protocol over one merge and before the
-// replicated and sharded per-triple bodies became one (the ss-rp,
-// ss2/partitioned and allgather-1bit-ef-rs-adagrad rows before the
-// training options nothing published were deleted), so a merge that loses
+// replicated and sharded per-triple bodies became one (the ss-rp and
+// ss2/partitioned rows before the training options nothing published were
+// deleted), so a merge that loses
 // a row, a sampler stream consumed in another order, or a compute charge
 // rounded differently fails here at zero tolerance. The partitioned rows'
 // ledger columns were re-pinned when the row exchange became
 // owner-addressed and partitioned RS began billing its norm pass, and the
-// quantized rows' (allgather-1bit-ef-rs-adagrad, combined, dyncomp) when
+// quantized rows' (allgather-1bit-ef-rs, combined, dyncomp) when
 // encoded frames began sending delta-varint ids and no NoQuant scales; their
 // body CRCs were not, because the trained parameters did not move. The dyncomp
 // row's CRC and ledger were re-pinned when the compressed reduce-scatter
 // became an owner merge, which changes its trajectory after the first lossy
 // rung; its ledger alone was re-pinned again when the reduced chunks' return
-// stopped echoing each rank's only-source rows back to it. The CRC
+// stopped echoing each rank's only-source rows back to it. The
+// allgather-1bit-ef-rs, transe and transe/partitioned rows were re-pinned
+// whole when Adagrad and the margin-ranking loss were deleted: they ran
+// those, and now run Adam and the logistic loss with every other knob as
+// before. The CRC
 // covers the body only: a file that carries its own CRC-32 footer hashes to
 // the same residue whatever it contains.
 func TestCheckpointBytesPinned(t *testing.T) {
 	d := GoldenDataset()
 	ss := func(c *core.Config) { c.NegSamples, c.NegSelect = 4, true }
-	margin := func(c *core.Config) { c.ModelName, c.LossName, c.NegSamples = "transe", "margin", 3 }
+	transe := func(c *core.Config) { c.ModelName, c.NegSamples = "transe", 3 }
 	for _, tc := range []struct {
 		name      string
 		run       func(Scenario, *kg.Dataset) (*core.Result, error)
@@ -87,18 +91,18 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		{"ss", RunScenario, ss, 0x957a6fa1, 2112640, 0x3ec85942df667abb},
 		{"ss/partitioned", RunScenario, func(c *core.Config) { ss(c); c.Partitioned = true },
 			0xa3ab2ab6, 3174952, 0x3ed8d646b428f089},
-		{"transe-margin", RunScenario, margin, 0x54709f89, 1056640, 0x3ec2e323fbc815b8},
-		{"transe-margin/partitioned", RunScenario, func(c *core.Config) { margin(c); c.Partitioned = true },
-			0xf0408b40, 1618872, 0x3ed5377cca6f76d2},
+		{"transe", RunScenario, transe, 0x0fffedf2, 1056640, 0x3ec34b18901e2dc8},
+		{"transe/partitioned", RunScenario, func(c *core.Config) { transe(c); c.Partitioned = true },
+			0xa4246db1, 1726548, 0x3ed59bc57894413c},
 		{"ss-rp", RunScenario, func(c *core.Config) {
 			c.NegSamples, c.NegSelect, c.RelationPartition = 3, true, true
 		}, 0xf5e32744, 2542720, 0x3ec731689a345e38},
 		{"ss2/partitioned", RunScenario, func(c *core.Config) { c.NegSamples, c.Partitioned = 2, true },
 			0xb920f36e, 3232684, 0x3ed8ae89f609b36e},
-		{"allgather-1bit-ef-rs-adagrad", RunScenario, func(c *core.Config) {
+		{"allgather-1bit-ef-rs", RunScenario, func(c *core.Config) {
 			c.Comm, c.Quant, c.ErrorFeedback = core.CommAllGather, grad.OneBitMax, true
-			c.Select, c.OptimizerName = grad.SelectBernoulli, "adagrad"
-		}, 0xc5e054fd, 356162, 0x3ec078c87c0f4272},
+			c.Select = grad.SelectBernoulli
+		}, 0x57881765, 355602, 0x3ec078875e7c69a2},
 		{"distmult-sgd-hash-rs/partitioned", RunScenario, func(c *core.Config) {
 			c.ModelName, c.OptimizerName, c.Partitioned, c.PartitionBy = "distmult", "sgd", true, "hash"
 			c.Select, c.NegSamples = grad.SelectBernoulli, 2
