@@ -14,7 +14,7 @@ func BenchmarkHammingBlock(b *testing.B) {
 	kern := Kernel()
 	for _, words := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
-			const n = prefilterBlock
+			const n = 512
 			codes := make([]uint64, n*words)
 			q := make([]uint64, words)
 			rng := xrand.New(1)

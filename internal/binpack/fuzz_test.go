@@ -3,6 +3,7 @@ package binpack
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -82,6 +83,48 @@ func FuzzBinpackRoundTrip(f *testing.F) {
 			if got != (rowA[d] > thr[d]) {
 				t.Fatalf("width %d: bit %d = %v for value %g threshold %g", width, d, got, rowA[d], thr[d])
 			}
+		}
+	})
+}
+
+// FuzzPrefilterSelect drives stage 1's counting select over arbitrary
+// widths, table sizes, budgets and code payloads (the byte stream is
+// cycled into the query and entity words, so short inputs make heavy
+// distance ties): the kept ids must be exactly the brute-force
+// (distance asc, id asc) top-c, in ascending id order.
+func FuzzPrefilterSelect(f *testing.F) {
+	f.Add(uint16(16), uint16(40), uint16(10), []byte{0x0f, 0xf0, 0x3c})
+	f.Add(uint16(64), uint16(300), uint16(299), []byte("binarized knowledge graph embeddings"))
+	f.Add(uint16(130), uint16(97), uint16(96), []byte{0xff, 0x00, 0xaa, 0x55, 0x01})
+	f.Add(uint16(517), uint16(33), uint16(5), []byte{})
+	f.Fuzz(func(t *testing.T, w, n, c uint16, data []byte) {
+		width := int(w)%517 + 1
+		words := (width + WordBits - 1) / WordBits
+		rows := int(n)%300 + 1
+		budget := int(c)%rows + 1
+		word := func(i int) uint64 {
+			if len(data) == 0 {
+				return 0
+			}
+			var b [8]byte
+			for j := range b {
+				b[j] = data[(8*i+j)%len(data)]
+			}
+			return binary.LittleEndian.Uint64(b[:])
+		}
+		q := make([]uint64, words)
+		codes := make([]uint64, rows*words)
+		for i := range q {
+			q[i] = word(i)
+		}
+		for i := range codes {
+			codes[i] = word(words + i)
+		}
+		ix := &Index{rows: rows, width: width, words: words, codes: codes}
+		cand := make([]int32, budget)
+		ix.prefilterInto(q, make([]int32, rows), make([]int, words*WordBits+1), cand)
+		if want := bruteTopC(q, codes, words, budget); !slices.Equal(cand, want) {
+			t.Fatalf("width %d rows %d c %d: stage 1 kept %v, brute force %v", width, rows, budget, cand, want)
 		}
 	})
 }

@@ -22,15 +22,25 @@ type ScorePacked interface {
 func Kernel() ScorePacked { return portableKernel{} }
 
 // portableKernel is the pure-Go popcount kernel: XOR + OnesCount64,
-// 8-word unrolled. OnesCount64 compiles to the POPCNT instruction on
-// amd64 and CNT on arm64, so "portable" costs one instruction per word,
-// not a bit loop.
+// 8-word unrolled, with a loop of its own for one-word codes. OnesCount64
+// compiles to the POPCNT instruction on amd64 and CNT on arm64, so
+// "portable" costs one instruction per word, not a bit loop.
 type portableKernel struct{}
 
 // HammingBlock implements ScorePacked.
 //
 //kgelint:hotpath
 func (portableKernel) HammingBlock(q, codes []uint64, words int, out []int32) {
+	if words == 1 {
+		// One code per word (dim <= 64): no per-row reslice, and the
+		// bounds checks hoist out of the loop.
+		q0 := q[0]
+		codes = codes[:len(out)]
+		for i, c := range codes {
+			out[i] = int32(bits.OnesCount64(c ^ q0))
+		}
+		return
+	}
 	for i := range out {
 		row := codes[i*words : i*words+words]
 		var acc int

@@ -7,27 +7,22 @@ import (
 	"kgedist/internal/model"
 )
 
-// prefilterBlock is how many candidate codes one kernel call scores: big
-// enough to amortize the call, small enough that the distance scratch
-// stays in L1.
-const prefilterBlock = 512
-
 // Scratch holds the per-query working set of a two-stage search, reused
 // across queries so the steady-state approx path allocates only its
 // response. Not safe for concurrent use; each searching goroutine owns one.
 type Scratch struct {
 	q     []float32
 	code  []uint64
-	dists []int32
-	accC  *eval.TopKAccumulator
+	dists []int32 // one Hamming distance per entity
+	hist  []int   // entity count per distance, [0, 64·words]
+	cand  []int32 // stage-1 candidate ids, ascending
 	accK  *eval.TopKAccumulator
-	cand  []eval.ScoredEntity
 }
 
 // NewScratch returns an empty scratch; Search grows it on demand.
 func NewScratch() *Scratch { return &Scratch{} }
 
-func (sc *Scratch) ensure(width, words, c, k int) {
+func (sc *Scratch) ensure(width, words, rows, c, k int) {
 	if cap(sc.q) < width {
 		sc.q = make([]float32, width)
 	}
@@ -36,15 +31,18 @@ func (sc *Scratch) ensure(width, words, c, k int) {
 		sc.code = make([]uint64, words)
 	}
 	sc.code = sc.code[:words]
-	if cap(sc.dists) < prefilterBlock {
-		sc.dists = make([]int32, prefilterBlock)
+	if cap(sc.dists) < rows {
+		sc.dists = make([]int32, rows)
 	}
-	sc.dists = sc.dists[:prefilterBlock]
-	if sc.accC == nil {
-		sc.accC = eval.NewTopK(c)
-	} else {
-		sc.accC.Reset(c)
+	sc.dists = sc.dists[:rows]
+	if cap(sc.hist) < words*WordBits+1 {
+		sc.hist = make([]int, words*WordBits+1)
 	}
+	sc.hist = sc.hist[:words*WordBits+1]
+	if cap(sc.cand) < c {
+		sc.cand = make([]int32, c)
+	}
+	sc.cand = sc.cand[:c]
 	if sc.accK == nil {
 		sc.accK = eval.NewTopK(k)
 	} else {
@@ -95,7 +93,7 @@ func (ix *Index) Search(m model.Model, side string, fixRow, relRow []float32, en
 	if k > ix.rows {
 		k = ix.rows
 	}
-	sc.ensure(ix.width, ix.words, c, k)
+	sc.ensure(ix.width, ix.words, ix.rows, c, k)
 
 	// Stage 1: compose and binarize the query, sweep the packed codes.
 	if side == "tail" {
@@ -104,23 +102,22 @@ func (ix *Index) Search(m model.Model, side string, fixRow, relRow []float32, en
 		ix.comp.head(m, fixRow, relRow, sc.q)
 	}
 	ix.packQueryInto(sc.q, sc.code)
-	ix.prefilterInto(sc.code, sc.accC, sc.dists)
-	candidates = sc.accC.Len()
-	sc.cand = sc.accC.AppendTo(sc.cand[:0])
+	ix.prefilterInto(sc.code, sc.dists, sc.hist, sc.cand)
+	candidates = c
 
 	// Stage 2: exact rescore of the candidate slice.
-	for _, cd := range sc.cand {
-		if skip != nil && skip(cd.Entity) {
+	for _, e := range sc.cand {
+		if skip != nil && skip(e) {
 			continue
 		}
-		row := entityRow(int(cd.Entity))
+		row := entityRow(int(e))
 		var score float32
 		if side == "tail" {
 			score = m.ScoreRows(fixRow, relRow, row)
 		} else {
 			score = m.ScoreRows(row, relRow, fixRow)
 		}
-		sc.accK.Offer(cd.Entity, score)
+		sc.accK.Offer(e, score)
 		rescored++
 	}
 	return sc.accK.Results(), candidates, rescored, nil
@@ -147,22 +144,34 @@ func (ix *Index) packQueryInto(q []float32, dst []uint64) {
 }
 
 // prefilterInto is the stage-1 hot loop: Hamming-score every entity code
-// against the query in blocks and keep the c best (smallest distance,
-// ties toward the lower id — offered as -distance so the accumulator's
-// deterministic ordering applies unchanged).
+// against the query, then fill cand with the len(cand) smallest
+// (distance, id) pairs' ids, ascending, by a counting select. A histogram
+// of the distances gives the threshold t, the smallest distance whose
+// cumulative count reaches len(cand); one ascending-id pass then keeps
+// every entity nearer than t and the lowest-id entities at t until cand is
+// full — the set a (distance asc, id asc) top-len(cand) heap would keep.
 //
 //kgelint:hotpath
-func (ix *Index) prefilterInto(qcode []uint64, acc *eval.TopKAccumulator, dists []int32) {
-	kern := Kernel()
-	words := ix.words
-	for lo := 0; lo < ix.rows; lo += prefilterBlock {
-		n := ix.rows - lo
-		if n > prefilterBlock {
-			n = prefilterBlock
+func (ix *Index) prefilterInto(qcode []uint64, dists []int32, hist []int, cand []int32) {
+	Kernel().HammingBlock(qcode, ix.codes, ix.words, dists)
+	clear(hist)
+	for _, d := range dists {
+		hist[d]++
+	}
+	t, below := int32(0), 0
+	for below+hist[t] < len(cand) {
+		below += hist[t]
+		t++
+	}
+	ties, n := len(cand)-below, 0
+	for e, d := range dists {
+		if d > t || (d == t && ties == 0) {
+			continue
 		}
-		kern.HammingBlock(qcode, ix.codes[lo*words:(lo+n)*words], words, dists[:n])
-		for i := 0; i < n; i++ {
-			acc.Offer(int32(lo+i), -float32(dists[i]))
+		if d == t {
+			ties--
 		}
+		cand[n] = int32(e)
+		n++
 	}
 }

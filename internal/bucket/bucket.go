@@ -66,6 +66,9 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	if !model.IsKnownModel(c.ModelName) {
+		return fmt.Errorf("bucket: unknown model %q (want complex, distmult or transe)", c.ModelName)
+	}
 	if c.Dim <= 0 || c.LR <= 0 || c.Epochs <= 0 || c.NegSamples < 1 {
 		return fmt.Errorf("bucket: invalid config %+v", c)
 	}

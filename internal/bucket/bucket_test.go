@@ -60,10 +60,19 @@ func TestValidateAndBadInputs(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default invalid: %v", err)
 	}
-	bad := DefaultConfig()
-	bad.Epochs = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("bad config accepted")
+	for name, mutate := range map[string]func(*Config){
+		"epochs 0":     func(c *Config) { c.Epochs = 0 },
+		"model rotate": func(c *Config) { c.ModelName = "rotate" },
+		"model empty":  func(c *Config) { c.ModelName = "" },
+	} {
+		bad := DefaultConfig()
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: bad config accepted", name)
+		}
+		if _, err := Train(bad, bDataset(), 2); err == nil {
+			t.Errorf("%s: Train accepted a bad config", name)
+		}
 	}
 	if _, err := Train(DefaultConfig(), bDataset(), 0); err == nil {
 		t.Fatal("0 workers accepted")

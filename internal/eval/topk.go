@@ -102,12 +102,9 @@ func (a *TopKAccumulator) down(i int) {
 	}
 }
 
-// Len returns the number of entries currently kept.
-func (a *TopKAccumulator) Len() int { return len(a.heap) }
-
 // Reset empties the accumulator and re-arms it for k entries, reusing the
 // heap backing when it is large enough. Callers that run many queries
-// through one accumulator (the binarized prefilter) reset instead of
+// through one accumulator (the binarized search's rescore) reset instead of
 // reallocating.
 func (a *TopKAccumulator) Reset(k int) {
 	if k <= 0 {
@@ -118,14 +115,6 @@ func (a *TopKAccumulator) Reset(k int) {
 		a.heap = make([]ScoredEntity, 0, k)
 	}
 	a.heap = a.heap[:0]
-}
-
-// AppendTo appends the kept entries to dst in unspecified order and
-// returns the extended slice. The allocation-conscious sibling of
-// Results for callers that re-rank the entries anyway and only need the
-// set.
-func (a *TopKAccumulator) AppendTo(dst []ScoredEntity) []ScoredEntity {
-	return append(dst, a.heap...)
 }
 
 // Results returns the kept entries best-first. The accumulator may be

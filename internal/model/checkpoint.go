@@ -113,98 +113,20 @@ func LoadCheckpoint(path string) (Model, *Params, error) {
 		return nil, nil, fmt.Errorf("model: opening checkpoint: %w", err)
 	}
 	defer f.Close() //kgelint:ignore droppederr read-only close
-	fi, err := f.Stat()
+	cr, err := readHeader(f, path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("model: stat checkpoint: %w", err)
+		return nil, nil, err
 	}
-	if fi.Size() < int64(len(checkpointMagic))+4 {
-		return nil, nil, fmt.Errorf("%w: %s truncated to %d bytes", ErrCorruptCheckpoint, path, fi.Size())
+	m := New(cr.info.Model, cr.info.Dim)
+	p := NewParams(m, cr.info.Entities, cr.info.Relations)
+	if err := readF32(cr.r, p.Entity.Data); err != nil {
+		return nil, nil, cr.truncated("entity matrix", err)
 	}
-	// Hash exactly the body region [0, size-4): the reader below cannot
-	// consume past it, and whatever the parser leaves behind is drained
-	// through the hash before the footer check, so trailing garbage inside
-	// the region flips the checksum rather than being ignored.
-	bodyLen := fi.Size() - 4
-	crc := crc32.NewIEEE()
-	r := bufio.NewReader(io.TeeReader(io.LimitReader(f, bodyLen), crc))
-
-	truncated := func(what string, err error) error {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: %s truncated in %s", ErrCorruptCheckpoint, path, what)
-		}
-		return fmt.Errorf("model: reading checkpoint %s: %w", what, err)
+	if err := readF32(cr.r, p.Relation.Data); err != nil {
+		return nil, nil, cr.truncated("relation matrix", err)
 	}
-
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, nil, truncated("magic", err)
-	}
-	switch string(magic) {
-	case checkpointMagic:
-	case checkpointMagicLegacy:
-		return nil, nil, fmt.Errorf("model: %s is a legacy KGE1 checkpoint (no checksum); re-save it with this version", path)
-	default:
-		return nil, nil, fmt.Errorf("model: %s is not a KGE checkpoint", path)
-	}
-	var nameLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-		return nil, nil, truncated("header", err)
-	}
-	if nameLen > 64 {
-		return nil, nil, fmt.Errorf("%w: implausible model name length %d", ErrCorruptCheckpoint, nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return nil, nil, truncated("name", err)
-	}
-	var dims [4]uint32
-	if err := binary.Read(r, binary.LittleEndian, &dims); err != nil {
-		return nil, nil, truncated("dims", err)
-	}
-	dim, entities, relations, width := int(dims[0]), int(dims[1]), int(dims[2]), int(dims[3])
-	// A corrupt header must never reach New or NewParams: New panics on an
-	// unknown name or a non-positive dimension, and unvalidated row counts
-	// would size an arbitrarily large allocation from four attacker-chosen
-	// bytes. Validate the name, require positive geometry, and cross-check
-	// the declared payload length against the actual body size before
-	// constructing anything.
-	name := string(nameBuf)
-	if !IsKnownModel(name) {
-		return nil, nil, fmt.Errorf("%w: %s names unknown model %q", ErrCorruptCheckpoint, path, name)
-	}
-	if dim <= 0 || width <= 0 || entities < 0 || relations < 0 {
-		return nil, nil, fmt.Errorf("%w: %s declares impossible geometry dim=%d width=%d entities=%d relations=%d",
-			ErrCorruptCheckpoint, path, dim, width, entities, relations)
-	}
-	headerLen := int64(len(checkpointMagic)) + 4 + int64(nameLen) + 16
-	payload := 4 * int64(width) * (int64(entities) + int64(relations))
-	if headerLen+payload != bodyLen {
-		return nil, nil, fmt.Errorf("%w: %s declares %d payload bytes but body holds %d",
-			ErrCorruptCheckpoint, path, payload, bodyLen-headerLen)
-	}
-	m := New(name, dim)
-	if m.Width() != width {
-		return nil, nil, fmt.Errorf("%w: %s checkpoint width %d does not match %s dim %d",
-			ErrCorruptCheckpoint, path, width, m.Name(), dim)
-	}
-	p := NewParams(m, entities, relations)
-	if err := readF32(r, p.Entity.Data); err != nil {
-		return nil, nil, truncated("entity matrix", err)
-	}
-	if err := readF32(r, p.Relation.Data); err != nil {
-		return nil, nil, truncated("relation matrix", err)
-	}
-	// Drain whatever of the body region the parser did not consume, then
-	// verify the footer.
-	if _, err := io.Copy(io.Discard, r); err != nil {
-		return nil, nil, fmt.Errorf("model: reading checkpoint tail: %w", err)
-	}
-	var footer [4]byte
-	if _, err := io.ReadFull(f, footer[:]); err != nil {
-		return nil, nil, truncated("checksum footer", err)
-	}
-	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(footer[:]); got != want {
-		return nil, nil, fmt.Errorf("%w: %s checksum mismatch (have %08x, footer says %08x)", ErrCorruptCheckpoint, path, got, want)
+	if _, err := cr.verify(); err != nil {
+		return nil, nil, err
 	}
 	return m, p, nil
 }

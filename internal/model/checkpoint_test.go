@@ -133,29 +133,51 @@ func TestLoadCheckpointDetectsCorruption(t *testing.T) {
 	}
 }
 
-// A well-formed KGE2 file of a model this build no longer has (RotatE was
-// deleted) fails both readers as corrupt, naming the model, instead of
-// reaching New's panic.
-func TestLoadCheckpointRejectsDeletedModel(t *testing.T) {
-	const name, dim, width, entities, relations = "rotate", 4, 8, 3, 2
+// rawCheckpointBytes builds a KGE2 file from a hand-written header, a
+// zero payload of the declared size and a valid CRC footer, so the
+// readers' header checks are what rejects it.
+func rawCheckpointBytes(name string, dim, width, entities, relations uint32) []byte {
 	body := []byte(checkpointMagic)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(name)))
 	body = append(body, name...)
 	for _, v := range []uint32{dim, entities, relations, width} {
 		body = binary.LittleEndian.AppendUint32(body, v)
 	}
-	body = append(body, make([]byte, 4*width*(entities+relations))...)
-	path := filepath.Join(t.TempDir(), "rotate.kge")
-	if err := os.WriteFile(path, binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)), 0o644); err != nil {
+	body = append(body, make([]byte, 4*int(width)*int(entities+relations))...)
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// bothReadersReject writes data and requires LoadCheckpoint and
+// ReadCheckpointInfo to fail it with ErrCorruptCheckpoint, naming want.
+func bothReadersReject(t *testing.T, data []byte, want string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bad.kge")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, loadErr := LoadCheckpoint(path)
 	_, infoErr := ReadCheckpointInfo(path)
 	for reader, err := range map[string]error{"LoadCheckpoint": loadErr, "ReadCheckpointInfo": infoErr} {
-		if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), `"rotate"`) {
-			t.Errorf("%s: error %v, want ErrCorruptCheckpoint naming \"rotate\"", reader, err)
+		if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want ErrCorruptCheckpoint naming %s", reader, err, want)
 		}
 	}
+}
+
+// A well-formed KGE2 file of a model this build no longer has (RotatE was
+// deleted) fails both readers as corrupt, naming the model, instead of
+// reaching New's panic.
+func TestLoadCheckpointRejectsDeletedModel(t *testing.T) {
+	bothReadersReject(t, rawCheckpointBytes("rotate", 4, 8, 3, 2), `"rotate"`)
+}
+
+// TestCheckpointReadersRejectImpossibleShape covers headers whose name is
+// known but whose geometry New cannot have written: ReadCheckpointInfo,
+// which kgeserve and kgeeval use to fail fast, must refuse them as the
+// loader does.
+func TestCheckpointReadersRejectImpossibleShape(t *testing.T) {
+	bothReadersReject(t, rawCheckpointBytes("transe", 4, 8, 3, 2), "width 8 does not match transe dim 4")
+	bothReadersReject(t, rawCheckpointBytes("complex", 0, 0, 3, 2), "impossible geometry")
 }
 
 func TestLoadCheckpointRejectsLegacyFormat(t *testing.T) {

@@ -71,6 +71,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	unk = append(unk, bytes.Repeat([]byte{0}, 4*4*4+4)...)
 	f.Add(unk)
+	// A known model whose declared width is not New's (transe dim 4 is
+	// width 4, not 8), with a valid CRC.
+	f.Add(rawCheckpointBytes("transe", 4, 8, 3, 2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.kge2")

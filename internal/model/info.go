@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -34,7 +35,7 @@ type CheckpointInfo struct {
 
 // PayloadBytes returns the expected byte length of the two weight matrices.
 func (ci CheckpointInfo) PayloadBytes() int64 {
-	return 4 * int64(ci.Width) * int64(ci.Entities+ci.Relations)
+	return 4 * int64(ci.Width) * (int64(ci.Entities) + int64(ci.Relations))
 }
 
 // String renders the header compactly for logs and error messages.
@@ -50,86 +51,126 @@ func (ci CheckpointInfo) String() string {
 // reject it, and the declared shape is cross-checked against the file size.
 // Corruption is reported wrapping ErrCorruptCheckpoint.
 func ReadCheckpointInfo(path string) (CheckpointInfo, error) {
-	var ci CheckpointInfo
 	f, err := os.Open(path)
 	if err != nil {
-		return ci, fmt.Errorf("model: opening checkpoint: %w", err)
+		return CheckpointInfo{}, fmt.Errorf("model: opening checkpoint: %w", err)
 	}
 	defer f.Close() //kgelint:ignore droppederr read-only close
+	cr, err := readHeader(f, path)
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	// Stream the weight matrices through the hash without storing them.
+	if cr.info.CRC, err = cr.verify(); err != nil {
+		return CheckpointInfo{}, err
+	}
+	return cr.info, nil
+}
+
+// checkpointReader is a KGE2 file whose header has been read and
+// validated: r stands at the first payload byte and hashes every body byte
+// it yields into crc. LoadCheckpoint and ReadCheckpointInfo both parse
+// through readHeader, so the two readers accept exactly the same headers.
+type checkpointReader struct {
+	f    *os.File
+	r    *bufio.Reader
+	crc  hash.Hash32
+	path string
+	info CheckpointInfo // everything but CRC, which verify reads
+}
+
+// readHeader reads and validates the header of the open checkpoint f.
+func readHeader(f *os.File, path string) (*checkpointReader, error) {
 	fi, err := f.Stat()
 	if err != nil {
-		return ci, fmt.Errorf("model: stat checkpoint: %w", err)
+		return nil, fmt.Errorf("model: stat checkpoint: %w", err)
 	}
-	ci.Size = fi.Size()
 	if fi.Size() < int64(len(checkpointMagic))+4 {
-		return ci, fmt.Errorf("%w: %s truncated to %d bytes", ErrCorruptCheckpoint, path, fi.Size())
+		return nil, fmt.Errorf("%w: %s truncated to %d bytes", ErrCorruptCheckpoint, path, fi.Size())
 	}
+	// Hash exactly the body region [0, size-4): the reader cannot consume
+	// past it, and verify drains whatever the caller leaves behind through
+	// the hash before the footer check, so trailing garbage inside the
+	// region flips the checksum rather than being ignored.
 	bodyLen := fi.Size() - 4
-	crc := crc32.NewIEEE()
-	r := bufio.NewReader(io.TeeReader(io.LimitReader(f, bodyLen), crc))
-
-	truncated := func(what string, err error) error {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: %s truncated in %s", ErrCorruptCheckpoint, path, what)
-		}
-		return fmt.Errorf("model: reading checkpoint %s: %w", what, err)
-	}
+	cr := &checkpointReader{f: f, crc: crc32.NewIEEE(), path: path, info: CheckpointInfo{Size: fi.Size()}}
+	cr.r = bufio.NewReader(io.TeeReader(io.LimitReader(f, bodyLen), cr.crc))
 
 	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return ci, truncated("magic", err)
+	if _, err := io.ReadFull(cr.r, magic); err != nil {
+		return nil, cr.truncated("magic", err)
 	}
 	switch string(magic) {
 	case checkpointMagic:
 	case checkpointMagicLegacy:
-		return ci, fmt.Errorf("model: %s is a legacy KGE1 checkpoint (no checksum); re-save it with this version", path)
+		return nil, fmt.Errorf("model: %s is a legacy KGE1 checkpoint (no checksum); re-save it with this version", path)
 	default:
-		return ci, fmt.Errorf("model: %s is not a KGE checkpoint", path)
+		return nil, fmt.Errorf("model: %s is not a KGE checkpoint", path)
 	}
 	var nameLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-		return ci, truncated("header", err)
+	if err := binary.Read(cr.r, binary.LittleEndian, &nameLen); err != nil {
+		return nil, cr.truncated("header", err)
 	}
 	if nameLen > 64 {
-		return ci, fmt.Errorf("%w: implausible model name length %d", ErrCorruptCheckpoint, nameLen)
+		return nil, fmt.Errorf("%w: implausible model name length %d", ErrCorruptCheckpoint, nameLen)
 	}
 	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return ci, truncated("name", err)
+	if _, err := io.ReadFull(cr.r, nameBuf); err != nil {
+		return nil, cr.truncated("name", err)
 	}
 	var dims [4]uint32
-	if err := binary.Read(r, binary.LittleEndian, &dims); err != nil {
-		return ci, truncated("dims", err)
+	if err := binary.Read(cr.r, binary.LittleEndian, &dims); err != nil {
+		return nil, cr.truncated("dims", err)
 	}
-	ci.Model = string(nameBuf)
+	ci := &cr.info
+	ci.Model, ci.Dim, ci.Entities, ci.Relations, ci.Width = string(nameBuf), int(dims[0]), int(dims[1]), int(dims[2]), int(dims[3])
+	// A corrupt header must never reach New or NewParams: New panics on an
+	// unknown name or a non-positive dimension, and unvalidated row counts
+	// would size an arbitrarily large allocation from four attacker-chosen
+	// bytes. Validate the name, require positive geometry, and cross-check
+	// the declared payload length against the actual body size before
+	// constructing anything.
 	if !IsKnownModel(ci.Model) {
-		return ci, fmt.Errorf("%w: %s names unknown model %q", ErrCorruptCheckpoint, path, ci.Model)
+		return nil, fmt.Errorf("%w: %s names unknown model %q", ErrCorruptCheckpoint, path, ci.Model)
 	}
-	ci.Dim = int(dims[0])
-	ci.Entities = int(dims[1])
-	ci.Relations = int(dims[2])
-	ci.Width = int(dims[3])
-
-	// The header fully determines the payload length; a mismatch means the
-	// file was truncated or grew garbage, so fail before the (cheap but
-	// linear) CRC sweep with a precise message.
+	if ci.Dim <= 0 || ci.Width <= 0 || ci.Entities < 0 || ci.Relations < 0 {
+		return nil, fmt.Errorf("%w: %s declares impossible geometry dim=%d width=%d entities=%d relations=%d",
+			ErrCorruptCheckpoint, path, ci.Dim, ci.Width, ci.Entities, ci.Relations)
+	}
 	headerLen := int64(len(checkpointMagic)) + 4 + int64(nameLen) + 16
-	if want := headerLen + ci.PayloadBytes(); want != bodyLen {
-		return ci, fmt.Errorf("%w: %s declares %d payload bytes but body holds %d",
+	if headerLen+ci.PayloadBytes() != bodyLen {
+		return nil, fmt.Errorf("%w: %s declares %d payload bytes but body holds %d",
 			ErrCorruptCheckpoint, path, ci.PayloadBytes(), bodyLen-headerLen)
 	}
-	// Stream the weight matrices through the hash without storing them.
-	if _, err := io.Copy(io.Discard, r); err != nil {
-		return ci, fmt.Errorf("model: reading checkpoint payload: %w", err)
+	if w := New(ci.Model, ci.Dim).Width(); w != ci.Width {
+		return nil, fmt.Errorf("%w: %s checkpoint width %d does not match %s dim %d",
+			ErrCorruptCheckpoint, path, ci.Width, ci.Model, ci.Dim)
+	}
+	return cr, nil
+}
+
+// truncated classifies a read error: running out of bytes is corruption,
+// anything else an I/O failure.
+func (cr *checkpointReader) truncated(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: %s truncated in %s", ErrCorruptCheckpoint, cr.path, what)
+	}
+	return fmt.Errorf("model: reading checkpoint %s: %w", what, err)
+}
+
+// verify drains the rest of the body through the hash and checks it
+// against the footer, returning the footer's CRC.
+func (cr *checkpointReader) verify() (uint32, error) {
+	if _, err := io.Copy(io.Discard, cr.r); err != nil {
+		return 0, fmt.Errorf("model: reading checkpoint payload: %w", err)
 	}
 	var footer [4]byte
-	if _, err := io.ReadFull(f, footer[:]); err != nil {
-		return ci, truncated("checksum footer", err)
+	if _, err := io.ReadFull(cr.f, footer[:]); err != nil {
+		return 0, cr.truncated("checksum footer", err)
 	}
-	ci.CRC = binary.LittleEndian.Uint32(footer[:])
-	if got := crc.Sum32(); got != ci.CRC {
-		return ci, fmt.Errorf("%w: %s checksum mismatch (have %08x, footer says %08x)",
-			ErrCorruptCheckpoint, path, got, ci.CRC)
+	want := binary.LittleEndian.Uint32(footer[:])
+	if got := cr.crc.Sum32(); got != want {
+		return 0, fmt.Errorf("%w: %s checksum mismatch (have %08x, footer says %08x)", ErrCorruptCheckpoint, cr.path, got, want)
 	}
-	return ci, nil
+	return want, nil
 }

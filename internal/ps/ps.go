@@ -66,6 +66,12 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	if !model.IsKnownModel(c.ModelName) {
+		return fmt.Errorf("ps: unknown model %q (want complex, distmult or transe)", c.ModelName)
+	}
+	if !opt.IsKnownOptimizer(c.OptimizerName) {
+		return fmt.Errorf("ps: unknown optimizer %q (want adam or sgd)", c.OptimizerName)
+	}
 	if c.Dim <= 0 || c.BatchSize <= 0 || c.MaxEpochs <= 0 || c.NegSamples < 1 {
 		return fmt.Errorf("ps: invalid config %+v", c)
 	}

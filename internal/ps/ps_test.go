@@ -28,10 +28,21 @@ func TestValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := DefaultConfig()
-	bad.Dim = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("invalid config accepted")
+	for name, mutate := range map[string]func(*Config){
+		"dim 0":             func(c *Config) { c.Dim = 0 },
+		"model rotate":      func(c *Config) { c.ModelName = "rotate" },
+		"model empty":       func(c *Config) { c.ModelName = "" },
+		"optimizer adagrad": func(c *Config) { c.OptimizerName = "adagrad" },
+		"optimizer empty":   func(c *Config) { c.OptimizerName = "" },
+	} {
+		bad := DefaultConfig()
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: invalid config accepted", name)
+		}
+		if _, err := Train(bad, psDataset(), 1, 1); err == nil {
+			t.Errorf("%s: Train accepted an invalid config", name)
+		}
 	}
 }
 
