@@ -5,6 +5,7 @@
 package eval
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -74,7 +75,9 @@ func rankTriples(m model.Model, p *model.Params, d *kg.Dataset, f *kg.FilterInde
 					trueEnt, fixed, slot = tr.T, tr.H, &cand.T
 				}
 				if block != nil {
-					block.ScoreBlock(side, p.Entity.Row(int(fixed)), p.Relation.Row(int(tr.R)), p.Entity.Data, scores)
+					// A rank counts every score above the true one, so
+					// none may stop early: no floor.
+					block.ScoreBlock(side, p.Entity.Row(int(fixed)), p.Relation.Row(int(tr.R)), p.Entity.Data, scores, float32(math.Inf(-1)))
 				} else {
 					for e := range scores {
 						*slot = int32(e)

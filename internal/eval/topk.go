@@ -1,6 +1,9 @@
 package eval
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // ScoredEntity pairs an entity id with its score; the unit of top-K
 // completion and nearest-neighbor results.
@@ -69,6 +72,18 @@ func (a *TopKAccumulator) OfferBlock(base int32, scores []float32, skip func(e i
 			a.Offer(c.Entity, s)
 		}
 	}
+}
+
+// Floor returns the score a candidate must reach to enter the top k: the
+// worst kept score once k entries are kept, -Inf before that. A candidate
+// scoring below it (or NaN) is rejected by Offer and OfferBlock, so a
+// scorer may hand them any value below it instead of the exact score (see
+// model.BlockScorer). The floor only rises as candidates are offered.
+func (a *TopKAccumulator) Floor() float32 {
+	if len(a.heap) < a.k {
+		return float32(math.Inf(-1))
+	}
+	return a.heap[0].Score
 }
 
 func (a *TopKAccumulator) up(i int) {

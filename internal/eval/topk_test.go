@@ -80,6 +80,45 @@ func TestTopKAccumulatorMerge(t *testing.T) {
 	}
 }
 
+// Floor is -Inf until k entries are kept, then the worst kept score, and
+// it only rises. The property a floored scorer relies on: a candidate below
+// the floor, or NaN, leaves the accumulator as it was, so replacing its score
+// by any other value below the floor changes no result.
+func TestTopKAccumulatorFloor(t *testing.T) {
+	t.Parallel()
+	inf := float32(math.Inf(-1))
+	a := NewTopK(3)
+	for i, s := range []float32{4, 2} {
+		a.Offer(int32(10+i), s)
+		if f := a.Floor(); f != inf {
+			t.Fatalf("floor %v with %d of 3 kept, want -Inf", f, i+1)
+		}
+	}
+	a.Offer(12, 7)
+	if f := a.Floor(); f != 2 {
+		t.Fatalf("floor %v with {4, 2, 7} kept, want 2", f)
+	}
+	a.Offer(13, 5)
+	if f := a.Floor(); f != 4 {
+		t.Fatalf("floor %v after 5 displaced 2, want 4", f)
+	}
+	before := a.Results()
+	a.OfferBlock(0, []float32{3.9, float32(math.NaN()), inf, -1e30}, nil)
+	a.Offer(8, float32(math.NaN()))
+	if after := a.Results(); len(after) != len(before) || after[0] != before[0] || after[1] != before[1] || after[2] != before[2] {
+		t.Fatalf("candidates below the floor changed the top k: %v, was %v", after, before)
+	}
+	// A tie at the floor is not below it: the lower id enters.
+	a.Offer(9, 4)
+	if got := a.Results(); got[2] != (ScoredEntity{9, 4}) || a.Floor() != 4 {
+		t.Fatalf("a tie at the floor with a lower id: %v, floor %v", got, a.Floor())
+	}
+	a.Reset(2)
+	if f := a.Floor(); f != inf {
+		t.Fatalf("floor %v after Reset, want -Inf", f)
+	}
+}
+
 func TestTopKSmallerThanK(t *testing.T) {
 	t.Parallel()
 	got := TopK(2, 10, func(e int32) float32 { return float32(e) }, nil)

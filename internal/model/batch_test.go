@@ -95,7 +95,7 @@ func TestBatchAndComplExScoreBlockAllocFree(t *testing.T) {
 		out := make([]float32, 133)
 		slab := p.Entity.Data[:len(out)*m.Width()]
 		for _, side := range []Side{Head, Tail} {
-			if allocs := testing.AllocsPerRun(100, func() { m.ScoreBlock(side, fixed, rel, slab, out) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { m.ScoreBlock(side, fixed, rel, slab, out, noFloor) }); allocs != 0 {
 				t.Errorf("d=%d: ComplEx.ScoreBlock side %d allocates %.1f times per call", dim, side, allocs)
 			}
 		}

@@ -72,7 +72,7 @@ func BenchmarkScoreBlock(b *testing.B) {
 			b.Run(name+"/"+sideName, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					bs.ScoreBlock(side, fixed, rel, slab, out)
+					bs.ScoreBlock(side, fixed, rel, slab, out, noFloor)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tile), "ns/row")
 			})

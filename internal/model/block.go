@@ -30,8 +30,12 @@ type BlockScorer interface {
 	// ScoreBlock writes out[i] = the score of slab row i in the side slot
 	// against the fixed entity row and the relation row; slab holds
 	// len(out) rows of Width() floats. The result is bit-identical to one
-	// ScoreRows call per row.
-	ScoreBlock(side Side, fixed, rel, slab, out []float32)
+	// ScoreRows call per row, except that a row whose score is below floor
+	// (or NaN) may get any value below floor: a top-k sweep passes its
+	// current k-th best score and keeps exactly the entries it would keep
+	// without it. A floor of -Inf (or NaN) keeps every score exact; a
+	// kernel may always ignore the floor.
+	ScoreBlock(side Side, fixed, rel, slab, out []float32, floor float32)
 }
 
 // scoreBlockRows is ScoreBlock as one ScoreRows call per row: what
@@ -54,23 +58,26 @@ func scoreBlockRows(m Model, side Side, fixed, rel, slab, out []float32) {
 // tensor.TransEScoreHeads: AVX2 with one candidate row per lane where the
 // build and CPU have it, else four rows per inner loop in Go. Every row keeps
 // ScoreRows' float64 sum in k order; on the tail side q = h + r is the first
-// sum ScoreRows rounds, so it is shared by the whole block.
+// sum ScoreRows rounds, so it is shared by the whole block. The floor goes to
+// the kernels, which stop a group of rows a quarter of the way along k when
+// all of its partial scores are already below it.
 //
 //kgelint:hotpath
-func (m *TransE) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+func (m *TransE) ScoreBlock(side Side, fixed, rel, slab, out []float32, floor float32) {
 	d := m.dim
 	if side == Tail {
-		tensor.TransEScoreTails(fixed[:d], rel[:d], slab, out)
+		tensor.TransEScoreTails(fixed[:d], rel[:d], slab, out, floor)
 	} else {
-		tensor.TransEScoreHeads(rel[:d], fixed[:d], slab, out)
+		tensor.TransEScoreHeads(rel[:d], fixed[:d], slab, out, floor)
 	}
 }
 
 // ScoreBlock implements BlockScorer: four rows per inner loop; on the tail
-// side q = h*r is the first product Dot3 rounds, so it is shared.
+// side q = h*r is the first product Dot3 rounds, so it is shared. Every
+// score is exact, whatever the floor.
 //
 //kgelint:hotpath
-func (m *DistMult) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+func (m *DistMult) ScoreBlock(side Side, fixed, rel, slab, out []float32, _ float32) {
 	d := m.dim
 	fixed, rel = fixed[:d], rel[:d]
 	i := 0
@@ -108,10 +115,10 @@ const complexBlockChunk = 32
 // ScoreBlock implements BlockScorer through tensor.ComplExScoreTriples, the
 // kernel the trainer's gathered batches use: each chunk of candidate rows
 // becomes a chunk of triples whose fixed entity row and relation row repeat
-// in every lane.
+// in every lane. Every score is exact, whatever the floor.
 //
 //kgelint:hotpath
-func (m *ComplEx) ScoreBlock(side Side, fixed, rel, slab, out []float32) {
+func (m *ComplEx) ScoreBlock(side Side, fixed, rel, slab, out []float32, _ float32) {
 	w := 2 * m.dim
 	var fix, rels, cands [complexBlockChunk][]float32
 	for j := range fix {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"kgedist/internal/xrand"
@@ -41,7 +42,7 @@ func checkBlockEqualsRows(t *testing.T, m Model, side Side, fixed, rel, slab []f
 	t.Helper()
 	w := m.Width()
 	out := make([]float32, n)
-	m.(BlockScorer).ScoreBlock(side, fixed, rel, slab, out)
+	m.(BlockScorer).ScoreBlock(side, fixed, rel, slab, out, noFloor)
 	for i := 0; i < n; i++ {
 		row := slab[i*w : (i+1)*w]
 		want := m.ScoreRows(row, rel, fixed)
@@ -103,4 +104,67 @@ func FuzzScoreBlock(f *testing.F) {
 		checkBlockEqualsRows(t, m, Head, fixed, rel, slab, n, true)
 		checkBlockEqualsRows(t, m, Tail, fixed, rel, slab, n, true)
 	})
+}
+
+// noFloor is the floor that keeps every ScoreBlock output exact.
+var noFloor = float32(math.Inf(-1))
+
+// TestScoreBlockFloorKeepsContract holds every model's ScoreBlock at a
+// finite floor to the BlockScorer contract against ScoreRows: each output
+// is the exact score, or it and the exact score are both below the floor.
+// Ten rows sit close to the TransE answer of the side's query and the rest
+// far from it, as a trained table's rows do, so at a top-10 floor TransE's
+// kernels (which honour the floor) really stop rows at dim 64 and 68;
+// DistMult and ComplEx ignore it.
+func TestScoreBlockFloorKeepsContract(t *testing.T) {
+	for _, name := range allModels {
+		for _, dim := range []int{8, 64, 68} {
+			m := New(name, dim)
+			w, n := m.Width(), 200
+			rng := xrand.New(uint64(dim))
+			fixed, rel, noise := make([]float32, w), make([]float32, w), make([]float32, n*w)
+			fillRows(fixed, rng, 0)
+			fillRows(rel, rng, 0)
+			fillRows(noise, rng, 0)
+			near := map[int]bool{}
+			for len(near) < 10 {
+				near[rng.Intn(n)] = true
+			}
+			for _, side := range []Side{Head, Tail} {
+				slab := make([]float32, n*w)
+				for i := range n {
+					scale := float32(1 + 99*rng.Float64())
+					if near[i] {
+						scale = 0.01
+					}
+					for k := range w {
+						center := fixed[k] + rel[k] // h + r ≈ t
+						if side == Head {
+							center = fixed[k] - rel[k] // h ≈ t - r
+						}
+						slab[i*w+k] = center + scale*noise[i*w+k]
+					}
+				}
+				exact, got := make([]float32, n), make([]float32, n)
+				m.(BlockScorer).ScoreBlock(side, fixed, rel, slab, exact, noFloor)
+				sorted := append([]float32(nil), exact...)
+				sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+				floor := sorted[9]
+				m.(BlockScorer).ScoreBlock(side, fixed, rel, slab, got, floor)
+				stopped := 0
+				for i := range got {
+					if math.Float32bits(got[i]) == math.Float32bits(exact[i]) {
+						continue
+					}
+					stopped++
+					if !(got[i] < floor && exact[i] < floor) {
+						t.Fatalf("%s dim %d side %d row %d: got %v, exact %v, floor %v", name, dim, side, i, got[i], exact[i], floor)
+					}
+				}
+				if name == "transe" && dim >= 64 && stopped == 0 {
+					t.Errorf("transe dim %d side %d: no row stopped at the top-10 floor %v", dim, side, floor)
+				}
+			}
+		}
+	}
 }

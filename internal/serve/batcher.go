@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"time"
@@ -21,6 +22,10 @@ type PredictQuery struct {
 	K int
 	// Filtered skips candidates that are known facts in the filter index.
 	Filtered bool
+	// Ctx is the request's context: once it is done, the sweep stops
+	// scoring tiles for the query and answers it with Ctx.Err(). A nil Ctx
+	// is never cancelled.
+	Ctx context.Context
 }
 
 // PredictResult is the outcome of one batched query.

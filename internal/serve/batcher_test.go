@@ -144,3 +144,17 @@ func TestBatcherStopDrainsAndRejects(t *testing.T) {
 	}
 	b.Stop() // idempotent
 }
+
+// TestBatcherSubmitAllocs pins what one Submit costs the heap, the
+// dispatcher's share included: the request, its reply channel and that
+// channel's buffer. The batch and query slices are the dispatcher's
+// recycled scratch; making either per dispatch fails this test.
+func TestBatcherSubmitAllocs(t *testing.T) {
+	results := make([]PredictResult, 8)
+	b := NewBatcher(8, 0, nil, func(qs []PredictQuery) []PredictResult { return results[:len(qs)] })
+	defer b.Stop()
+	q := PredictQuery{Side: "tail", K: 1}
+	if allocs := testing.AllocsPerRun(200, func() { b.Submit(q) }); allocs > 3 {
+		t.Fatalf("Submit allocates %.1f times, want at most 3", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -347,7 +348,7 @@ func (s *Server) handlePredict(r *http.Request) (any, error) {
 	if req.K <= 0 {
 		req.K = 10
 	}
-	q := PredictQuery{R: *req.Relation, K: req.K, Filtered: req.Filtered}
+	q := PredictQuery{R: *req.Relation, K: req.K, Filtered: req.Filtered, Ctx: r.Context()}
 	if req.Tail == nil {
 		q.Side = "tail"
 		q.H = *req.Head
@@ -443,6 +444,9 @@ func (s *Server) predictApprox(q PredictQuery, candidates int) (any, error) {
 	if cached, ok := gen.cache.Get(key); ok {
 		return json.RawMessage(cached), nil
 	}
+	if err := ctxErr(q.Ctx); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	sc := s.approxScratch.Get().(*binpack.Scratch)
 	res, cand, rescored, err := ix.Search(st.m, q.Side, st.EntityRow(fixed), st.RelationRow(q.R), st.EntityRow, q.K, candidates, s.skipKnown(q), sc)
@@ -462,12 +466,22 @@ func (s *Server) predictApprox(q PredictQuery, candidates int) (any, error) {
 	return gen.cached(key, resp)
 }
 
+// ctxErr is ctx.Err(), with a nil ctx never done.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
 // runPredictBatch executes one micro-batch on one generation: a single pass
 // over the entity table in tiles, each tile block-scored for every query of
 // the batch while it is cache-hot and its scores offered to that query's
-// top-k, the filter consulted only for candidates that would be kept.
-// Accumulators are per (worker, query) and merged afterwards, so the hot
-// loop takes no locks.
+// top-k, the filter consulted only for candidates that would be kept. Each
+// tile is scored with the query's current k-th best score as the floor
+// (model.BlockScorer), so TransE stops rows that cannot enter early, and not
+// at all for a query whose context is done. Accumulators are per (worker,
+// query) and merged afterwards, so the hot loop takes no locks.
 func (s *Server) runPredictBatch(qs []PredictQuery) []PredictResult {
 	gen := s.state.Load()
 	st := gen.store
@@ -478,6 +492,7 @@ func (s *Server) runPredictBatch(qs []PredictQuery) []PredictResult {
 		fixE, relE []float32 // embeddings of the fixed entity and the relation
 		k          int
 		skip       func(e int32) bool
+		ctx        context.Context
 	}
 	var live []prepared
 	for i, q := range qs {
@@ -500,7 +515,7 @@ func (s *Server) runPredictBatch(qs []PredictQuery) []PredictResult {
 			continue
 		}
 		live = append(live, prepared{idx: i, side: side, fixE: st.EntityRow(fixed), relE: st.RelationRow(q.R),
-			k: min(q.K, st.numEntities), skip: s.skipKnown(q)})
+			k: min(q.K, st.numEntities), skip: s.skipKnown(q), ctx: q.Ctx})
 	}
 	if len(live) == 0 {
 		return outs
@@ -518,11 +533,19 @@ func (s *Server) runPredictBatch(qs []PredictQuery) []PredictResult {
 	st.sweepTiles(workers, func(worker, lo int, slab []float32) {
 		out := scores[worker][:len(slab)/st.width]
 		for i, p := range live {
-			st.block.ScoreBlock(p.side, p.fixE, p.relE, slab, out)
-			accs[worker][i].OfferBlock(int32(lo), out, p.skip)
+			if ctxErr(p.ctx) != nil {
+				continue
+			}
+			acc := accs[worker][i]
+			st.block.ScoreBlock(p.side, p.fixE, p.relE, slab, out, acc.Floor())
+			acc.OfferBlock(int32(lo), out, p.skip)
 		}
 	})
 	for i, p := range live {
+		if err := ctxErr(p.ctx); err != nil {
+			outs[p.idx].Err = err
+			continue
+		}
 		merged := accs[0][i]
 		for _, local := range accs[1:] {
 			merged.Merge(local[i])

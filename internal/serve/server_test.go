@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -247,6 +249,15 @@ func TestNeighborsEndpoint(t *testing.T) {
 	}
 	if status, _ := postJSON(t, url+"/v1/neighbors", map[string]any{"entity": -1}, nil); status != http.StatusBadRequest {
 		t.Fatalf("oob entity status %d", status)
+	}
+	// A k far past the table is every other entity, not a k-sized heap per
+	// sweep worker (1<<50 makes that allocation fail outright).
+	var all neighborsResponse
+	if status, raw := postJSON(t, url+"/v1/neighbors", map[string]any{"entity": 3, "k": 1 << 50}, &all); status != http.StatusOK {
+		t.Fatalf("k = 1<<50: status %d: %s", status, raw)
+	}
+	if len(all.Neighbors) != s.Store().NumEntities()-1 {
+		t.Fatalf("k = 1<<50: %d neighbors, want %d", len(all.Neighbors), s.Store().NumEntities()-1)
 	}
 }
 
@@ -586,13 +597,17 @@ func bruteForcePredict(st *Store, filter *kg.FilterIndex, q PredictQuery) []eval
 func TestPredictBatchEqualsBruteForce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, tc := range []struct {
-		model               string
-		entities, shardRows int
-		workers             int
+		model                    string
+		dim, entities, shardRows int
+		workers                  int
+		clustered                bool
 	}{
-		{"transe", 2500, 1100, 3}, // five tiles: 1024+76, 1024+76, 300 rows
-		{"complex", 2500, 0, 3},   // one shard, three tiles: 1024, 1024, 452
-		{"distmult", 300, 64, 1},  // smaller than a tile; shards smaller still
+		{"transe", 8, 2500, 1100, 3, false}, // five tiles: 1024+76, 1024+76, 300 rows
+		{"complex", 8, 2500, 0, 3, false},   // one shard, three tiles: 1024, 1024, 452
+		{"distmult", 8, 300, 64, 1, false},  // smaller than a tile; shards smaller still
+		// Trained-like geometry at the serving width, past TransE's floor
+		// check: most 16-row blocks stop at k = 16 for every query.
+		{"transe", 64, 6000, 0, 4, true},
 	} {
 		const rels = 4
 		d := &kg.Dataset{NumEntities: tc.entities, NumRelations: rels}
@@ -603,8 +618,12 @@ func TestPredictBatchEqualsBruteForce(t *testing.T) {
 				kg.Triple{H: 3, R: int32(i % rels), T: int32(rng.Intn(tc.entities))},
 				kg.Triple{H: int32(rng.Intn(tc.entities)), R: int32(i % rels), T: 3})
 		}
+		path := writeCheckpoint(t, t.TempDir(), tc.model, tc.dim, tc.entities, rels, 11)
+		if tc.clustered {
+			path = writeClusteredCheckpoint(t, t.TempDir(), tc.model, tc.dim, tc.entities, rels, 11)
+		}
 		s, err := New(Config{
-			CheckpointPath: writeCheckpoint(t, t.TempDir(), tc.model, 8, tc.entities, rels, 11),
+			CheckpointPath: path,
 			ShardRows:      tc.shardRows,
 			MaxBatch:       64,
 			Filter:         kg.NewFilterIndex(d),
@@ -641,5 +660,73 @@ func TestPredictBatchEqualsBruteForce(t *testing.T) {
 				}
 			}
 		}
+		if tc.clustered {
+			// The case is only worth its time if the floor check fires: at
+			// the final top-10 floor of its first query, rows must stop.
+			st, q := s.Store(), qs[4] // tail, k = 10, unfiltered
+			floor := bruteForcePredict(st, s.cfg.Filter, q)[q.K-1].Score
+			exact, got := make([]float32, st.NumEntities()), make([]float32, st.NumEntities())
+			slab := st.shards[0][:len(exact)*st.width]
+			st.block.ScoreBlock(model.Tail, st.EntityRow(q.H), st.RelationRow(q.R), slab, exact, float32(math.Inf(-1)))
+			st.block.ScoreBlock(model.Tail, st.EntityRow(q.H), st.RelationRow(q.R), slab, got, floor)
+			stopped := 0
+			for i := range got {
+				if got[i] != exact[i] {
+					stopped++
+				}
+			}
+			if stopped < len(got)/4 {
+				t.Fatalf("%s dim %d: %d of %d rows stopped at floor %v; the case no longer reaches the check",
+					tc.model, tc.dim, stopped, len(got), floor)
+			}
+		}
+	}
+}
+
+// TestPredictBatchCancelledQuery: a query whose context is done when its
+// batch runs scores no tile and is answered with the context's error, while
+// its batch-mates still equal the brute-force ranking; over HTTP such a
+// request is answered with an error and leaves nothing in the cache.
+func TestPredictBatchCancelledQuery(t *testing.T) {
+	s, err := New(Config{
+		CheckpointPath: writeClusteredCheckpoint(t, t.TempDir(), "transe", 64, 3000, 4, 12),
+		CacheSize:      64,
+		MaxBatch:       8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	qs := []PredictQuery{
+		{Side: "tail", H: 3, R: 0, K: 10},
+		{Side: "head", T: 5, R: 1, K: 10, Ctx: cancelled},
+		{Side: "head", T: 3, R: 2, K: 10, Ctx: context.Background()},
+	}
+	outs := s.runPredictBatch(qs)
+	if !errors.Is(outs[1].Err, context.Canceled) || outs[1].Completions != nil {
+		t.Fatalf("cancelled query: err %v, %d completions; want context.Canceled and none", outs[1].Err, len(outs[1].Completions))
+	}
+	for _, i := range []int{0, 2} {
+		want, got := bruteForcePredict(s.Store(), nil, qs[i]), outs[i].Completions
+		if outs[i].Err != nil || len(got) != len(want) {
+			t.Fatalf("query %d: %d completions (err %v), want %d", i, len(got), outs[i].Err, len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("query %d rank %d: got %+v, want %+v", i, j, got[j], want[j])
+			}
+		}
+	}
+
+	req := httptest.NewRequest("POST", "/v1/predict", strings.NewReader(`{"head": 3, "relation": 0, "k": 10}`)).WithContext(cancelled)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code == http.StatusOK {
+		t.Fatalf("cancelled request answered 200: %s", rec.Body)
+	}
+	if n := s.state.Load().cache.Stats().Entries; n != 0 {
+		t.Fatalf("cancelled request left %d cache entries", n)
 	}
 }

@@ -231,6 +231,9 @@ func (s *Store) Neighbors(id, k int, metric string) ([]eval.ScoredEntity, error)
 	if k <= 0 {
 		return nil, fmt.Errorf("serve: non-positive k %d", k)
 	}
+	// Every sweep worker keeps a k-entry heap: an unclamped k from a request
+	// would size them, however few entities there are to rank.
+	k = min(k, s.numEntities)
 	var sim func(q, c []float32) float32
 	switch metric {
 	case "", "cosine":

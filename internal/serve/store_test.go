@@ -24,6 +24,21 @@ func writeCheckpoint(t *testing.T, dir, name string, dim, entities, relations in
 	return path
 }
 
+// writeClusteredCheckpoint is writeCheckpoint over ClusteredInit rows (one
+// cluster per 50 entities): the geometry a trained table and the serving
+// benchmark have, where most rows lie far from a query's answers.
+func writeClusteredCheckpoint(t *testing.T, dir, name string, dim, entities, relations int, seed uint64) string {
+	t.Helper()
+	m := model.New(name, dim)
+	p := model.NewParams(m, entities, relations)
+	p.ClusteredInit(m, max(1, entities/50), 0.25, xrand.New(seed))
+	path := filepath.Join(dir, "ck.kge")
+	if err := model.SaveCheckpoint(path, m, p); err != nil {
+		t.Fatalf("save checkpoint: %v", err)
+	}
+	return path
+}
+
 func TestOpenStoreMatchesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCheckpoint(t, dir, "complex", 4, 37, 5, 3)

@@ -3,6 +3,8 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,7 +14,10 @@ import (
 // class). The committed corpus under testdata/fuzz/ seeds the specials at
 // lengths 0, 1, 7, 8, 9, 16, 17, 63, 64 and 65: no block, a tail only, one
 // block with and without a tail, several blocks. FuzzTransEBlock's corpus
-// seeds the same specials at every width of transEWidths, and
+// seeds the same specials at every width of transEWidths,
+// FuzzTransEBlockFloor's corpus seeds every kind of floor at widths 64 and
+// 68 (and the unchecked 8), a floor on a group's best partial score, NaN
+// rows and rows whose exact score turns NaN or -Inf past transESplit, and
 // FuzzComplExTriples' corpus at every dimension of complExDims with each
 // aliasing mode, and FuzzNrm2Rows' corpus at every width of nrm2Widths with
 // and without aliasing.
@@ -84,6 +89,65 @@ func FuzzTransEBlock(f *testing.F) {
 		}
 		checkTransEBlock(t, buf[:d], buf[d:2*d], buf[2*d:3*d], buf[3*d:], n)
 	})
+}
+
+// FuzzTransEBlockFloor scores 0-70 rows at one of transEWidths as tails and
+// as heads at a floor, through the dispatching kernels and the Go loops, and
+// holds every output to the floor contract (checkTransEBlockFloor). The rows
+// are transEFloorCase's layout from seed, a few rows near the tail query and
+// the rest far from it, so floors really stop blocks, patched by data
+// (patchFloats) with any bits anywhere; floor names the floor (fuzzFloor).
+func FuzzTransEBlockFloor(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, width, rows, floor uint8, seed int64) {
+		d, n := transEWidths[int(width)%len(transEWidths)], int(rows)%71
+		h, r, tt, slab := transEFloorCase(rand.New(rand.NewSource(seed)), d, n, 0)
+		buf := slices.Concat(h, r, tt, slab)
+		first := patchFloats(buf, data)
+		h, r, tt, slab = buf[:d], buf[d:2*d], buf[2*d:3*d], buf[3*d:]
+		checkTransEBlockFloor(t, h, r, tt, slab, n, fuzzFloor(floor, first, h, r, slab, n))
+	})
+}
+
+// patchFloats applies data to buf, six bytes at a time: a little-endian
+// uint16 index, taken modulo len(buf), and the raw bits of the float32 to
+// put there. It returns the first value put, or 0.
+func patchFloats(buf []float32, data []byte) (first float32) {
+	for i := 0; i+6 <= len(data) && len(buf) > 0; i += 6 {
+		v := math.Float32frombits(binary.LittleEndian.Uint32(data[i+2:]))
+		buf[int(binary.LittleEndian.Uint16(data[i:]))%len(buf)] = v
+		if i == 0 {
+			first = v
+		}
+	}
+	return first
+}
+
+// fuzzFloor returns the floor sel names, over the exact tail scores of the
+// n-row slab: by sel%8, -Inf, NaN, +Inf, first (the first patched value,
+// any bits), row j's exact score, row j's partial score at transESplit, the
+// float32 just above that partial score, or the best exact score that is not
+// NaN; j is sel/8 modulo n. Row j's partial score is the edge a kernel must
+// not stop at: a group whose best row sits exactly on the floor has to be
+// finished.
+func fuzzFloor(sel uint8, first float32, h, r, slab []float32, n int) float32 {
+	d := len(h)
+	exact := make([]float32, n)
+	transETailGo(h, r, slab, exact, noFloor, d)
+	var rowExact, rowPartial float32
+	if n > 0 {
+		j := int(sel/8) % n
+		rowExact = exact[j]
+		rowPartial = transEPartial(true, h, r, slab[j*d:(j+1)*d], min(transESplit, d))
+	}
+	best := noFloor
+	for _, v := range exact {
+		if v > best {
+			best = v
+		}
+	}
+	inf := float32(math.Inf(1))
+	return []float32{noFloor, float32(math.NaN()), inf, first, rowExact, rowPartial,
+		math.Nextafter32(rowPartial, inf), best}[sel%8]
 }
 
 // FuzzComplExTriples scores 0-40 triples at one of complExDims. The decoded

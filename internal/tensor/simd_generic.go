@@ -18,8 +18,12 @@ func adamRowAVX2(row, grad, m, v []float32, c *AdamStep) { panic("tensor: no AVX
 func complExGradAVX2(h, r, t []float32, coef float32, gh, gr, gt []float32, n int) {
 	panic("tensor: no AVX2 kernels")
 }
-func transETailAVX2(h, r, slab, out []float32) { panic("tensor: no AVX2 kernels") }
-func transEHeadAVX2(r, t, slab, out []float32) { panic("tensor: no AVX2 kernels") }
+func transETailAVX2(h, r, slab, out []float32, below float32, split int) {
+	panic("tensor: no AVX2 kernels")
+}
+func transEHeadAVX2(r, t, slab, out []float32, below float32, split int) {
+	panic("tensor: no AVX2 kernels")
+}
 func complExTriplesAVX2(d int, h, r, t [][]float32, out []float32) {
 	panic("tensor: no AVX2 kernels")
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -211,20 +212,81 @@ func TestComplExGradSelfLoopAlias(t *testing.T) {
 
 // transEWidths are the row widths the TransE block tests sweep: no k, k
 // counts the kernel refuses (d % 4 != 0), one and several 4-wide k steps,
-// the serving width 64 and 64 + 4.
+// the serving width 64 and 64 + 4. Only 64 and 68 are past transESplit, so
+// only they reach the floor check.
 var transEWidths = []int{0, 1, 3, 4, 8, 12, 64, 68}
+
+// noFloor is the floor that keeps every TransE score exact.
+var noFloor = float32(math.Inf(-1))
 
 // checkTransEBlock scores the n-row slab against (h, r) as tails and against
 // (r, t) as heads through the dispatching kernels and through their Go loops.
 func checkTransEBlock(t *testing.T, h, r, tt, slab []float32, n int) {
 	t.Helper()
 	got, want := make([]float32, n), make([]float32, n)
-	TransEScoreTails(h, r, slab, got)
-	transETailGo(h, r, slab, want)
+	TransEScoreTails(h, r, slab, got, noFloor)
+	transETailGo(h, r, slab, want, noFloor, len(h))
 	assertSameBits(t, "TransEScoreTails", got, want)
-	TransEScoreHeads(r, tt, slab, got)
-	transEHeadGo(r, tt, slab, want)
+	TransEScoreHeads(r, tt, slab, got, noFloor)
+	transEHeadGo(r, tt, slab, want, noFloor, len(tt))
 	assertSameBits(t, "TransEScoreHeads", got, want)
+}
+
+// transEPartial is the score of candidate row c summed over k < upto only:
+// float32(-Σ_{k<upto} float64(diff_k)²) with the tail-side or head-side
+// difference, the value a kernel stores for a row it stops at upto.
+func transEPartial(tail bool, a, b, c []float32, upto int) float32 {
+	var s float64
+	for k := range upto {
+		var e float64
+		if tail {
+			e = float64(a[k] + b[k] - c[k]) // a = h, b = r
+		} else {
+			e = float64(c[k] + a[k] - b[k]) // a = r, b = t
+		}
+		s += e * e
+	}
+	return float32(-s)
+}
+
+// checkTransEFloor holds got, the output of a kernel given floor, to the
+// floor contract against exact, the output at noFloor: each value is the
+// exact score, or it and the exact score are both below floor (or the exact
+// score is NaN, which no top k admits over a full heap) and it is the
+// partial score at transESplit, the one place the kernels stop.
+func checkTransEFloor(t *testing.T, what string, tail bool, a, b, slab []float32, floor float32, got, exact []float32) {
+	t.Helper()
+	d := len(a)
+	for i := range got {
+		if sameBits(got[i], exact[i]) {
+			continue
+		}
+		part := transEPartial(tail, a, b, slab[i*d:(i+1)*d], min(transESplit, d))
+		if !(got[i] < floor) || !(exact[i] < floor || exact[i] != exact[i]) || !sameBits(got[i], part) {
+			t.Fatalf("%s[%d] (of %d, d=%d) at floor %v (%#08x): got %v (%#08x), exact %v (%#08x), partial at k=%d %v",
+				what, i, len(got), d, floor, math.Float32bits(floor), got[i], math.Float32bits(got[i]),
+				exact[i], math.Float32bits(exact[i]), transESplit, part)
+		}
+	}
+}
+
+// checkTransEBlockFloor scores the n-row slab as tails and as heads at floor,
+// through the dispatching kernels and through the Go loops alone, and holds
+// all four outputs to the floor contract against the Go loops at noFloor.
+func checkTransEBlockFloor(t *testing.T, h, r, tt, slab []float32, n int, floor float32) {
+	t.Helper()
+	d := len(h)
+	got, exact := make([]float32, n), make([]float32, n)
+	transETailGo(h, r, slab, exact, noFloor, d)
+	TransEScoreTails(h, r, slab, got, floor)
+	checkTransEFloor(t, "TransEScoreTails", true, h, r, slab, floor, got, exact)
+	transETailGo(h, r, slab, got, floor, transESplitAt(d, floor))
+	checkTransEFloor(t, "transETailGo", true, h, r, slab, floor, got, exact)
+	transEHeadGo(r, tt, slab, exact, noFloor, d)
+	TransEScoreHeads(r, tt, slab, got, floor)
+	checkTransEFloor(t, "TransEScoreHeads", false, r, tt, slab, floor, got, exact)
+	transEHeadGo(r, tt, slab, got, floor, transESplitAt(d, floor))
+	checkTransEFloor(t, "transEHeadGo", false, r, tt, slab, floor, got, exact)
 }
 
 func TestTransEBlockMatchesGoLoop(t *testing.T) {
@@ -259,7 +321,7 @@ func TestTransEBlockKeepsSumOrder(t *testing.T) {
 	checkTransEBlock(t, zero, zero, zero, slab, n)
 
 	out := make([]float32, n)
-	transETailGo(zero, zero, slab, out)
+	transETailGo(zero, zero, slab, out, noFloor, d)
 	seen := map[float32]bool{}
 	for _, v := range out {
 		seen[v] = true
@@ -267,6 +329,102 @@ func TestTransEBlockKeepsSumOrder(t *testing.T) {
 	if !seen[-(1<<60)] || !seen[-(1<<60+1<<37)] {
 		t.Fatalf("the rows no longer tell the sum orders apart: scores %v", seen)
 	}
+}
+
+// transEFloorCase returns h, r, t and n rows of width d laid out as a
+// trained table is around a query: row i is h + r plus unit normal noise
+// times a scale drawn per row, 0.01 for about one row in 32 and from 1 to
+// 100 for the rest, so the near rows set a top-k floor that most 16-row
+// blocks' partial scores already fall below. specialRate then sprinkles
+// specials into every vector, as randVec does.
+func transEFloorCase(rng *rand.Rand, d, n int, specialRate float64) (h, r, tt, slab []float32) {
+	h, r, tt = randVec(rng, d, 0), randVec(rng, d, 0), randVec(rng, d, 0)
+	slab = make([]float32, n*d)
+	for i := range n {
+		scale := math.Pow(10, 2*rng.Float64())
+		if rng.Intn(32) == 0 {
+			scale = 0.01
+		}
+		for k := range d {
+			slab[i*d+k] = h[k] + r[k] + float32(scale*rng.NormFloat64())
+		}
+	}
+	for _, v := range [][]float32{h, r, tt, slab} {
+		for i := range v {
+			if rng.Float64() < specialRate {
+				v[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	return h, r, tt, slab
+}
+
+// transEFloors returns the floors worth trying over a slab whose exact tail
+// scores are exact: the two that turn the check off (-Inf, NaN), one above
+// every score (+Inf), one below every number (-MaxFloat32), the best and
+// the 10th best score (a top-1 and a top-10 floor), and a row's own partial
+// score at transESplit, where below and at-or-above must part exactly.
+func transEFloors(exact []float32, partial float32) []float32 {
+	floors := []float32{noFloor, float32(math.NaN()), float32(math.Inf(1)), -math.MaxFloat32, partial}
+	sorted := append([]float32(nil), exact...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+	for _, k := range []int{0, 9} {
+		if k < len(sorted) {
+			floors = append(floors, sorted[k])
+		}
+	}
+	return floors
+}
+
+func TestTransEBlockFloorKeepsContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 600; trial++ {
+		d := transEWidths[trial%len(transEWidths)]
+		n := rng.Intn(71)
+		rate := []float64{0, 0.002, 0.05}[trial%3]
+		h, r, tt, slab := transEFloorCase(rng, d, n, rate)
+		exact := make([]float32, n)
+		transETailGo(h, r, slab, exact, noFloor, d)
+		partial := float32(0)
+		if n > 0 {
+			j := rng.Intn(n)
+			partial = transEPartial(true, h, r, slab[j*d:(j+1)*d], min(transESplit, d))
+		}
+		for _, floor := range transEFloors(exact, partial) {
+			checkTransEBlockFloor(t, h, r, tt, slab, n, floor)
+		}
+	}
+}
+
+// A floor above every score must stop every row at transESplit, on the
+// AVX2 kernel (64 rows: four whole blocks) and on the Go loops alike: an
+// optimization that silently stopped pruning would keep every answer right
+// and lose the whole saving, so this test fails it.
+func TestTransEBlockFloorPrunes(t *testing.T) {
+	const d, n = 64, 64
+	rng := rand.New(rand.NewSource(46))
+	h, r, tt, slab := transEFloorCase(rng, d, n, 0)
+	exact, got := make([]float32, n), make([]float32, n)
+	check := func(what string, tail bool, a, b []float32) {
+		t.Helper()
+		for i := range got {
+			part := transEPartial(tail, a, b, slab[i*d:(i+1)*d], transESplit)
+			if got[i] == exact[i] || !sameBits(got[i], part) {
+				t.Fatalf("%s row %d at floor 0: got %v, want the partial score %v (exact %v)", what, i, got[i], part, exact[i])
+			}
+		}
+	}
+	split := transESplitAt(d, 0)
+	transETailGo(h, r, slab, exact, noFloor, d)
+	TransEScoreTails(h, r, slab, got, 0)
+	check("TransEScoreTails", true, h, r)
+	transETailGo(h, r, slab, got, 0, split)
+	check("transETailGo", true, h, r)
+	transEHeadGo(r, tt, slab, exact, noFloor, d)
+	TransEScoreHeads(r, tt, slab, got, 0)
+	check("TransEScoreHeads", false, r, tt)
+	transEHeadGo(r, tt, slab, got, 0, split)
+	check("transEHeadGo", false, r, tt)
 }
 
 // complExDims are the complex dimensions the ComplEx triple tests sweep: no
@@ -464,8 +622,8 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 		"AdamRow":          func() { AdamRow(a, a, a, b, &c) },
 		"ComplExGrad":      func() { ComplExGrad(a, a, a, 1, a, a, b) },
 		"ComplExGrad odd":  func() { ComplExGrad(b, b, b, 1, b, b, b) },
-		"TransEScoreTails": func() { TransEScoreTails(a, b, a, b) },
-		"TransEScoreHeads": func() { TransEScoreHeads(a, a, make([]float32, 8*16-1), make([]float32, 16)) },
+		"TransEScoreTails": func() { TransEScoreTails(a, b, a, b, noFloor) },
+		"TransEScoreHeads": func() { TransEScoreHeads(a, a, make([]float32, 8*16-1), make([]float32, 16), noFloor) },
 		"ComplExScoreTriples": func() {
 			ComplExScoreTriples(4, [][]float32{a}, [][]float32{a}, nil, make([]float32, 1))
 		},
@@ -510,8 +668,8 @@ func TestKernelsAllocFree(t *testing.T) {
 			AdamRow(row, x, m, v, &c)
 		},
 		"ComplExGrad":      func() { ComplExGrad(x, y, z, 0.5, gh, gr, gt) },
-		"TransEScoreTails": func() { TransEScoreTails(x, y, slab, out) },
-		"TransEScoreHeads": func() { TransEScoreHeads(y, z, slab, out) },
+		"TransEScoreTails": func() { TransEScoreTails(x, y, slab, out, 0) },
+		"TransEScoreHeads": func() { TransEScoreHeads(y, z, slab, out, 0) },
 		"ComplExScoreTriples": func() {
 			ComplExScoreTriples(w/2, triples[:], triples[:], triples[:], out[:len(triples)])
 		},
@@ -617,9 +775,9 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		"VSHUFPS":      "lane move only: selects float32 lanes, computes nothing",
 		"VPERM2F128":   "moves whole 128-bit halves, computes nothing",
 		"VXORPD":       "sign flip of Go's unary minus, or a zeroed accumulator",
-		"VCMPPS":       "x >= +0 per lane (predicate 0x1D, GE_OQ, checked below): Go's v >= 0, computes no value",
-		"VMOVMSKPS":    "packs the eight comparison results into one byte, computes no value",
-		"VANDPS":       "clears the sign bit, the bit pattern of |x| for every non-NaN x",
+		"VCMPPS":       "a >= b per lane (predicate 0x1D, GE_OQ, checked below): Go's v >= 0, or the TransE floor check's below >= x, false for NaN; computes no value",
+		"VMOVMSKPS":    "packs the comparison results of the lanes into one integer, computes no value",
+		"VANDPS":       "clears the sign bit, the bit pattern of |x| for every non-NaN x, or ANDs comparison masks",
 		"VMAXPS":       "Go's if a > m { m = a } per lane, with a the first source: equality and NaN keep m",
 		"VMOVSS":       "store of one float32 result",
 		"VPBROADCASTB": "load of one payload byte into every byte lane",
@@ -635,7 +793,7 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		"XORQ": "integer housekeeping", "ADDQ": "integer housekeeping",
 		"CMPQ": "integer housekeeping", "SHLQ": "integer housekeeping",
 		"SHRQ": "integer housekeeping", "LEAQ": "integer housekeeping",
-		"JB":    "the loops' only branch form",
+		"JB":    "the loops' and the floor check's only branch form",
 		"RET":   "return",
 		"CPUID": "feature detection", "XGETBV": "feature detection",
 		"TEXT": "directive", "DATA": "directive", "GLOBL": "directive",
@@ -763,6 +921,9 @@ func BenchmarkAdd64(b *testing.B) {
 // sweep's serving shape: one (fixed, relation) pair against 50 000 rows of
 // width 64, a 12.8 MB slab that streams from L3 or memory rather than
 // sitting in L1/L2 (model's BenchmarkScoreBlock times a 1000-row table).
+// The floors are the extremes of the check: none (every row exact), one
+// above every score (every block stops at transESplit) and one below every
+// score (every block is checked and finished).
 func BenchmarkScoreBlock(b *testing.B) {
 	const rows, d = 50000, 64
 	rng := rand.New(rand.NewSource(11))
@@ -771,16 +932,22 @@ func BenchmarkScoreBlock(b *testing.B) {
 	perRow := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 	}
-	b.Run("transe-64/50k/tail", func(b *testing.B) {
-		benchKernel(b,
-			func() { transETailGo(fixed, rel, slab, out) },
-			func() { TransEScoreTails(fixed, rel, slab, out) }, perRow)
-	})
-	b.Run("transe-64/50k/head", func(b *testing.B) {
-		benchKernel(b,
-			func() { transEHeadGo(rel, fixed, slab, out) },
-			func() { TransEScoreHeads(rel, fixed, slab, out) }, perRow)
-	})
+	for _, f := range []struct {
+		name  string
+		floor float32
+	}{{"exact", noFloor}, {"all-pruned", 0}, {"none-pruned", -math.MaxFloat32}} {
+		split := transESplitAt(d, f.floor)
+		b.Run("transe-64/50k/tail/"+f.name, func(b *testing.B) {
+			benchKernel(b,
+				func() { transETailGo(fixed, rel, slab, out, f.floor, split) },
+				func() { TransEScoreTails(fixed, rel, slab, out, f.floor) }, perRow)
+		})
+		b.Run("transe-64/50k/head/"+f.name, func(b *testing.B) {
+			benchKernel(b,
+				func() { transEHeadGo(rel, fixed, slab, out, f.floor, split) },
+				func() { TransEScoreHeads(rel, fixed, slab, out, f.floor) }, perRow)
+		})
+	}
 }
 
 // BenchmarkComplExTriples times gathered ComplEx scoring at the training

@@ -19,18 +19,32 @@
 //     rounding (VCVTPD2PSY).
 //
 // One iteration scores 16 rows as four groups of four, each group on its
-// own accumulator (Y0..Y3), so four add chains are in flight. Register use:
+// own accumulator (Y0..Y3), so four add chains are in flight.
+//
+// The floor check (transe.go): the k loop first runs to split bytes. When
+// split is short of the row (it is then 64, 4*transESplit), FLOOR_CHECK
+// forms the block's 16 partial scores float32(-s) exactly as the epilogue
+// would and tests below >= x per lane (VCMPPS GE_OQ, false for NaN), with
+// below the largest float32 under the floor. Three VANDPS and a VMOVMSKPS
+// leave 15 in BX only when all 16 rows are below the floor: the block then
+// stores its partial scores and ends. Otherwise k runs on from split to
+// the end of the row, adding the same squares in the same order. Register
+// use:
 //
 //	AX, DX  the two fixed rows (h, r on the tail side; r, t on the head)
 //	CX      row stride in bytes (d*4), also the end of the k loop
 //	R9      three row strides
-//	SI      first row of the current 16-row block
+//	SI      first row of the current 16-row block, then, along k, the
+//	        prefetch pointer into the block two ahead
 //	R10, R11, R12, R8  rows 0, 4, 8, 12 of the block, advanced along k
-//	BX      k in bytes
+//	BX      k in bytes; briefly the floor-check mask
+//	R14     where the k loop stops next: split, then CX
+//	X14     below, in every lane
 //	DI, R13 next output, end of out
 //
 // d is a positive multiple of 4 and len(out) a positive multiple of 16;
-// the caller runs everything else through the Go loop.
+// the caller runs everything else through the Go loop. R15 is left alone:
+// -dynlink builds clobber it on the access to signbits.
 
 // signbits is float64 -0.0 in each of four lanes.
 DATA signbits<>+0(SB)/8, $0x8000000000000000
@@ -92,6 +106,7 @@ GLOBL signbits<>(SB), RODATA|NOPTR, $32
 	SHLQ $2, CX; \
 	LEAQ (CX)(CX*2), R9; \
 	LEAQ (DI)(R13*4), R13; \
+	VBROADCASTSS below+96(FP), X14; \
 	VMOVUPS signbits<>(SB), Y15
 
 // BLOCK_START zeroes the four accumulators (Go's var s float64 is +0) and
@@ -108,6 +123,7 @@ GLOBL signbits<>(SB), RODATA|NOPTR, $32
 	LEAQ (R12)(CX*8), SI; \
 	LEAQ (SI)(CX*8), SI; \
 	LEAQ (SI)(CX*8), SI; \
+	MOVQ split+104(FP), R14; \
 	XORQ BX, BX
 
 // NEXT_K steps the k loop by four floats.
@@ -141,9 +157,43 @@ GLOBL signbits<>(SB), RODATA|NOPTR, $32
 	ADDQ $64, DI; \
 	LEAQ (R8)(R9*1), SI
 
-// func transETailAVX2(h, r, slab, out []float32)
-// out[i] = float32(-Σ_k float64((h[k]+r[k]) - row_i[k])²)
-TEXT ·transETailAVX2(SB), NOSPLIT, $0-96
+// FLOOR_CHECK leaves the block's 16 partial scores float32(-s) in X5..X8,
+// rows 0-3 to 12-15, and in BX a mask whose bit j is set when rows j, 4+j,
+// 8+j and 12+j are all below the floor: 15 when every row is. Y0..Y3 are
+// kept, so k can run on.
+#define FLOOR_CHECK \
+	VXORPD Y15, Y0, Y5; \
+	VXORPD Y15, Y1, Y6; \
+	VXORPD Y15, Y2, Y7; \
+	VXORPD Y15, Y3, Y8; \
+	VCVTPD2PSY Y5, X5; \
+	VCVTPD2PSY Y6, X6; \
+	VCVTPD2PSY Y7, X7; \
+	VCVTPD2PSY Y8, X8; \
+	VCMPPS $0x1D, X5, X14, X9; \
+	VCMPPS $0x1D, X6, X14, X10; \
+	VCMPPS $0x1D, X7, X14, X11; \
+	VANDPS X10, X9, X9; \
+	VCMPPS $0x1D, X8, X14, X10; \
+	VANDPS X11, X9, X9; \
+	VANDPS X10, X9, X9; \
+	VMOVMSKPS X9, BX
+
+// PRUNED_END stores the partial scores FLOOR_CHECK formed and moves SI to
+// the next block: R12 is split = 64 bytes past row 8, eight strides short of
+// it.
+#define PRUNED_END \
+	VMOVUPS X5, 0(DI); \
+	VMOVUPS X6, 16(DI); \
+	VMOVUPS X7, 32(DI); \
+	VMOVUPS X8, 48(DI); \
+	ADDQ $64, DI; \
+	LEAQ -64(R12)(CX*8), SI
+
+// func transETailAVX2(h, r, slab, out []float32, below float32, split int)
+// out[i] = float32(-Σ_k float64((h[k]+r[k]) - row_i[k])²), or its partial
+// sum to split when the block is below the floor
+TEXT ·transETailAVX2(SB), NOSPLIT, $0-112
 	MOVQ h_base+0(FP), AX
 	MOVQ h_len+8(FP), CX
 	MOVQ r_base+24(FP), DX
@@ -164,8 +214,10 @@ tailk:
 	TAIL_DIFF(R8)
 	SQUARE_SUM(Y3)
 	NEXT_K
-	CMPQ    BX, CX
+	CMPQ    BX, R14
 	JB      tailk
+	CMPQ    BX, CX
+	JB      tailcheck
 
 	BLOCK_END
 	CMPQ DI, R13
@@ -173,9 +225,22 @@ tailk:
 	VZEROUPPER
 	RET
 
-// func transEHeadAVX2(r, t, slab, out []float32)
-// out[i] = float32(-Σ_k float64((row_i[k]+r[k]) - t[k])²)
-TEXT ·transEHeadAVX2(SB), NOSPLIT, $0-96
+tailcheck:
+	FLOOR_CHECK
+	MOVQ CX, R14
+	CMPQ BX, $15
+	MOVQ split+104(FP), BX // k = split again; MOVQ leaves the flags alone
+	JB   tailk           // a row is at or above the floor: finish the block
+	PRUNED_END
+	CMPQ DI, R13
+	JB   tailblock
+	VZEROUPPER
+	RET
+
+// func transEHeadAVX2(r, t, slab, out []float32, below float32, split int)
+// out[i] = float32(-Σ_k float64((row_i[k]+r[k]) - t[k])²), or its partial
+// sum to split when the block is below the floor
+TEXT ·transEHeadAVX2(SB), NOSPLIT, $0-112
 	MOVQ r_base+0(FP), AX
 	MOVQ t_base+24(FP), DX
 	MOVQ t_len+32(FP), CX
@@ -196,10 +261,24 @@ headk:
 	HEAD_DIFF(R8)
 	SQUARE_SUM(Y3)
 	NEXT_K
-	CMPQ    BX, CX
+	CMPQ    BX, R14
 	JB      headk
+	CMPQ    BX, CX
+	JB      headcheck
 
 	BLOCK_END
+	CMPQ DI, R13
+	JB   headblock
+	VZEROUPPER
+	RET
+
+headcheck:
+	FLOOR_CHECK
+	MOVQ CX, R14
+	CMPQ BX, $15
+	MOVQ split+104(FP), BX // k = split again; MOVQ leaves the flags alone
+	JB   headk           // a row is at or above the floor: finish the block
+	PRUNED_END
 	CMPQ DI, R13
 	JB   headblock
 	VZEROUPPER
