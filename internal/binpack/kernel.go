@@ -28,8 +28,6 @@ func Kernel() ScorePacked { return portableKernel{} }
 type portableKernel struct{}
 
 // HammingBlock implements ScorePacked.
-//
-//kgelint:hotpath
 func (portableKernel) HammingBlock(q, codes []uint64, words int, out []int32) {
 	if words == 1 {
 		// One code per word (dim <= 64): no per-row reslice, and the

@@ -150,8 +150,6 @@ func (ix *Index) packQueryInto(q []float32, dst []uint64) {
 // cumulative count reaches len(cand); one ascending-id pass then keeps
 // every entity nearer than t and the lowest-id entities at t until cand is
 // full — the set a (distance asc, id asc) top-len(cand) heap would keep.
-//
-//kgelint:hotpath
 func (ix *Index) prefilterInto(qcode []uint64, dists []int32, hist []int, cand []int32) {
 	Kernel().HammingBlock(qcode, ix.codes, ix.words, dists)
 	clear(hist)

@@ -230,8 +230,6 @@ func (x *exchanger) decodeAll(payloads [][]byte, agg *grad.SparseGrad, s grad.Sc
 
 // peerFrameError reports a gathered frame from rank src that failed to
 // decode or does not fit what this rank expects.
-//
-//kgelint:coldpath error path: a peer sent a malformed frame
 func peerFrameError(src int, err error) error {
 	return fmt.Errorf("core: corrupt quantized payload from rank %d: %w", src, err)
 }
@@ -241,8 +239,6 @@ func peerFrameError(src int, err error) error {
 // statistics pass costs. The entity matrix alone drives the signal: it
 // dominates both the row count and the communicated volume, and one matrix
 // keeps the decision rule single-sourced (DESIGN.md §13).
-//
-//kgelint:hotpath
 func (x *exchanger) observe(entG *grad.SparseGrad) float64 {
 	if x.ctrl == nil {
 		return 0
@@ -271,8 +267,6 @@ func (x *exchanger) advanceCompression() (probe grad.EpochProbe, selBefore, selD
 // relation gradient is returned as-is: rank-local, full precision, zero
 // cost. The returned aggregates alias exchanger-owned scratch (or relG
 // itself) and are valid only until the next exchange call.
-//
-//kgelint:hotpath
 func (x *exchanger) exchange(entG, relG *grad.SparseGrad, mode string) (entAgg, relAgg *grad.SparseGrad, cost float64, err error) {
 	entAgg, cost, err = x.exchangeOne(mode, entG, x.entAgg, x.entRes, &x.entMg, x.numEnt, &x.entBuf, tagEntity)
 	if err != nil {
@@ -304,8 +298,6 @@ func (x *exchanger) exchangeOne(mode string, g, agg *grad.SparseGrad, res *grad.
 // probeAllGather performs a throwaway all-gather of the same payloads to
 // measure its cost for the dynamic strategy's §4.1 probe. The results are
 // discarded; error-feedback residuals are left untouched.
-//
-//kgelint:hotpath
 func (x *exchanger) probeAllGather(entG, relG *grad.SparseGrad) (float64, error) {
 	probe := func(g *grad.SparseGrad) (float64, error) {
 		if x.cfg.Quant == grad.NoQuant {

@@ -95,16 +95,12 @@ func (s *shardStore) reply(dst []float32, src int, ids []int32) ([]float32, erro
 }
 
 // peerRowError reports a row id rank src sent that this rank cannot serve.
-//
-//kgelint:coldpath error path: a peer sent a malformed block
 func peerRowError(src int, uid int32, rows int) error {
 	return fmt.Errorf("core: rank %d sent row id %d, which is not one of this rank's rows in [0, %d)", src, uid, rows)
 }
 
 // peerBlockError reports a block from rank src whose value count does not
 // match the rows it stands for.
-//
-//kgelint:coldpath error path: a peer sent a malformed block
 func peerBlockError(src, got, want int) error {
 	return fmt.Errorf("core: rank %d sent %d values, want %d", src, got, want)
 }
@@ -172,8 +168,6 @@ func (x *shardTables) begin() {
 
 // need marks the three rows a triple touches, materializing want-list
 // entries for the remote ones.
-//
-//kgelint:hotpath
 func (x *shardTables) need(t kg.Triple) {
 	x.needRow(t.H)
 	x.needRow(x.t.plan.RelationUID(t.R))
@@ -194,8 +188,6 @@ func (x *shardTables) needRow(uid int32) {
 
 // row resolves a unified row id against the shard or the staging's cache.
 // Every uid reaching here was announced via need before the pull.
-//
-//kgelint:hotpath
 func (x *shardTables) row(uid int32) []float32 {
 	if x.store.owns(uid) {
 		return x.store.row(uid)
@@ -211,8 +203,6 @@ func (x *shardTables) row(uid int32) []float32 {
 // exchanges: each owner receives the ascending ids wanted from it, and
 // answers each requester with the rows' values only, in that requester's
 // order.
-//
-//kgelint:hotpath
 func (x *shardTables) pull() error {
 	plan, me, w := x.t.plan, x.comm.Rank(), x.t.width
 	for d := range x.outIdx {
@@ -264,8 +254,6 @@ func (x *shardTables) pull() error {
 // receives into x.agg in ascending source order (own rows of uidG at its
 // own position), then averages by 1/P. On return x.agg holds the aggregated
 // owned-row gradients, valid until the next push.
-//
-//kgelint:hotpath
 func (x *shardTables) push() error {
 	plan, me, w := x.t.plan, x.comm.Rank(), x.t.width
 	for d := range x.outIdx {
@@ -308,16 +296,12 @@ func (x *shardTables) push() error {
 	return nil
 }
 
-//kgelint:hotpath
 func (x *shardTables) EntityRow(id int32) []float32 { return x.row(id) }
 
-//kgelint:hotpath
 func (x *shardTables) RelationRow(id int32) []float32 { return x.row(x.t.plan.RelationUID(id)) }
 
-//kgelint:hotpath
 func (x *shardTables) entGrad(id int32) []float32 { return x.uidG.Row(id) }
 
-//kgelint:hotpath
 func (x *shardTables) relGrad(id int32) []float32 { return x.uidG.Row(x.t.plan.RelationUID(id)) }
 
 // closeBatch moves the batch's gradient rows of remote-owned rows from uidG

@@ -56,10 +56,8 @@ func (r *replicaTables) begin()         {}
 func (r *replicaTables) need(kg.Triple) {}
 func (r *replicaTables) pull() error    { return nil }
 
-//kgelint:hotpath
 func (r *replicaTables) entGrad(id int32) []float32 { return r.entG.Row(id) }
 
-//kgelint:hotpath
 func (r *replicaTables) relGrad(id int32) []float32 { return r.relG.Row(id) }
 
 func (r *replicaTables) closeBatch(epoch int, flops float64, lr float32, ep *epochTally) error {

@@ -639,8 +639,6 @@ func (t *trainRun) accumulate(tb rankTables, tr kg.Triple, coef float32) {
 // The flops charge the selection scan's n scores and then each score the
 // loss reads, as if each were taken here, so the virtual clock does not
 // see the batching.
-//
-//kgelint:hotpath
 func (t *trainRun) trainExample(tb rankTables, pos kg.Triple, negs []kg.Triple, scores []float32) (flops, lossSum float64, lossN int) {
 	cfg, m := t.cfg, t.m
 	sPos, negScores := scores[0], scores[1:]
@@ -668,8 +666,6 @@ func (t *trainRun) trainExample(tb rankTables, pos kg.Triple, negs []kg.Triple, 
 // L2 decay — and returns the flops spent. Optimizer state is laid out like
 // the storage it updates: gradient row id lives in row index[id] of mat and
 // owns that optimizer slot; a nil index is the identity (a full table).
-//
-//kgelint:hotpath
 func (t *trainRun) applyGrads(o opt.Optimizer, mat *tensor.Matrix, index []int32, agg *grad.SparseGrad, lr float32) float64 {
 	if agg.Len() == 0 {
 		return 0

@@ -265,8 +265,8 @@ func TestLevelAccessors(t *testing.T) {
 	}
 }
 
-// The per-batch observe and per-epoch decide paths are //kgelint:hotpath and
-// must be allocation-free after warm-up.
+// The per-batch observe and per-epoch decide paths must be allocation-free
+// after warm-up.
 func TestControllerAllocFree(t *testing.T) {
 	g := NewSparseGrad(32)
 	rng := xrand.New(41)

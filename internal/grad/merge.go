@@ -80,8 +80,6 @@ func (m *Merger) Reserve(n int) {
 func (m *Merger) Out() *Encoded { return &m.out }
 
 // MergeInto reduces frames a and b: Merge over the fold order a, b.
-//
-//kgelint:hotpath
 func (m *Merger) MergeInto(a, b *Encoded, rng *xrand.RNG) *Encoded {
 	two := [2]*Encoded{a, b}
 	return m.Merge(two[:], rng)
@@ -93,8 +91,6 @@ func (m *Merger) MergeInto(a, b *Encoded, rng *xrand.RNG) *Encoded {
 // by several is decoded from each in frames order into a zeroed float32 sum
 // and re-encoded once (consuming rng for TwoBitTernary only). No frame may
 // alias the Merger's output.
-//
-//kgelint:hotpath
 func (m *Merger) Merge(frames []*Encoded, rng *xrand.RNG) *Encoded {
 	s, w := frames[0].Scheme, frames[0].Width
 	for _, f := range frames[1:] {
@@ -219,8 +215,6 @@ func (m *Merger) AppendTrimmedTo(dst []byte, j int) []byte {
 // verbatim. A row in both is taken from trimmed. trimmed and own must share
 // scheme and width and have ascending ids; dst must alias neither. dst's
 // storage is reused, so a warm rebuild is allocation-free.
-//
-//kgelint:hotpath
 func RebuildInto(dst, trimmed, own *Encoded) {
 	per := payloadBytesPerRow(trimmed.Scheme, trimmed.Width)
 	dst.Scheme = trimmed.Scheme

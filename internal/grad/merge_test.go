@@ -357,8 +357,7 @@ func FuzzMergeFrames(f *testing.F) {
 	})
 }
 
-// The merge loop is //kgelint:hotpath and must be allocation-free once the
-// Merger's scratch is warm.
+// The merge loop must be allocation-free once the Merger's scratch is warm.
 func TestMergeAllocFree(t *testing.T) {
 	rng := xrand.New(23)
 	a := Quantize(gradWithIDs(16, rng, 0, 2, 4, 6, 8), OneBitMax, nil)

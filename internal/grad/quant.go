@@ -192,8 +192,6 @@ func Quantize(g *SparseGrad, s Scheme, rng *xrand.RNG) *Encoded {
 // slices previously obtained from e are invalidated. g is only read; the
 // rng is consumed exactly as by Quantize, so for a fixed seed the two
 // produce bit-identical encodings.
-//
-//kgelint:hotpath
 func QuantizeInto(e *Encoded, g *SparseGrad, s Scheme, rng *xrand.RNG) {
 	idx := g.Indices()
 	w := g.Width()
@@ -224,8 +222,6 @@ func QuantizeInto(e *Encoded, g *SparseGrad, s Scheme, rng *xrand.RNG) {
 // scale. The rng is consumed only by TwoBitTernary, in value order —
 // QuantizeInto and the compressed-hop merge (Merger) share this helper so a
 // re-encoded row is bit-compatible with a first-encoded one.
-//
-//kgelint:hotpath
 func encodeRow(s Scheme, row []float32, buf []byte, rng *xrand.RNG) float32 {
 	switch s {
 	case NoQuant:
@@ -277,8 +273,6 @@ func encodeRow(s Scheme, row []float32, buf []byte, rng *xrand.RNG) float32 {
 // (which must share the encoded width). e is only read; dst provides the
 // storage, so a caller holding dst across batches decodes without
 // allocating once dst's row working set is warm.
-//
-//kgelint:hotpath
 func Dequantize(e *Encoded, dst *SparseGrad) {
 	if dst.Width() != e.Width {
 		panic("grad: Dequantize width mismatch")
@@ -297,8 +291,6 @@ func Dequantize(e *Encoded, dst *SparseGrad) {
 // branching to a subtraction: x − s and x + (−s) are the same IEEE-754
 // operation. The one exception is a NaN scale, which an addition or
 // subtraction hands through with its sign intact, so it is never negated.
-//
-//kgelint:hotpath
 func decodeRowAccum(s Scheme, sc float32, buf []byte, row []float32) {
 	minus := -sc
 	_, _, scNaN := classify(math.Float32bits(sc))
@@ -401,11 +393,8 @@ func appendHeader(dst []byte, s Scheme, width, n int) []byte {
 // exactly. A NoQuant frame decodes with one zero scale per row, as
 // QuantizeInto leaves it. On error e is left in an unspecified state. Any
 // slices previously obtained from e are invalidated.
-//
-//kgelint:hotpath
 func UnmarshalInto(e *Encoded, buf []byte) error {
 	if len(buf) < frameHeader {
-		//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
 		return fmt.Errorf("grad: encoded buffer too short: %d bytes", len(buf))
 	}
 	e.Scheme = Scheme(buf[0])
@@ -416,7 +405,6 @@ func UnmarshalInto(e *Encoded, buf []byte) error {
 	rows := binary.LittleEndian.Uint32(buf[5:])
 	known := e.Scheme == NoQuant || e.Scheme == OneBitMax || e.Scheme == OneBitAvg || e.Scheme == TwoBitTernary
 	if !known || width == 0 || width > maxFrameWidth || uint64(rows) > uint64(len(buf)-frameHeader) {
-		//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
 		return fmt.Errorf("grad: encoded buffer of %d bytes does not match its header (scheme %d, width %d, %d rows)",
 			len(buf), e.Scheme, width, rows)
 	}
@@ -438,7 +426,6 @@ func UnmarshalInto(e *Encoded, buf []byte) error {
 			k = 0
 		}
 		if k == 0 || gap > math.MaxInt32 || prev+1+int64(gap) > math.MaxInt32 {
-			//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
 			return fmt.Errorf("grad: encoded buffer has a truncated, overlong or out-of-range id gap at row %d", i)
 		}
 		prev += 1 + int64(gap)
@@ -450,7 +437,6 @@ func UnmarshalInto(e *Encoded, buf []byte) error {
 	sb := scaleBytesPerRow(e.Scheme)
 	body, row := len(buf)-off, sb+payloadBytesPerRow(e.Scheme, e.Width)
 	if body%row != 0 || body/row != n {
-		//kgelint:ignore hotpathalloc corrupt-payload error path, never taken per batch
 		return fmt.Errorf("grad: encoded buffer of %d bytes does not match its header (scheme %d, width %d, %d rows)",
 			len(buf), e.Scheme, e.Width, n)
 	}
@@ -476,8 +462,6 @@ func UnmarshalInto(e *Encoded, buf []byte) error {
 // Dequantize and an out-of-range id would index past the receiver's table —
 // so every decode of peer bytes checks before use. Ids are ascending, so the
 // first and last bound them all.
-//
-//kgelint:hotpath
 func (e *Encoded) Check(s Scheme, w int, lo, hi int32) error {
 	n := len(e.Indices)
 	if e.Scheme == s && e.Width == w && (n == 0 || e.Indices[0] >= lo && e.Indices[n-1] < hi) {
@@ -487,8 +471,6 @@ func (e *Encoded) Check(s Scheme, w int, lo, hi int32) error {
 }
 
 // mismatchError describes how e differs from the frame Check expected.
-//
-//kgelint:coldpath error path: a peer sent an inconsistent frame
 func mismatchError(e *Encoded, s Scheme, w int, lo, hi int32) error {
 	if e.Scheme != s || e.Width != w {
 		return fmt.Errorf("grad: frame is %v width %d, want %v width %d", e.Scheme, e.Width, s, w)
@@ -502,8 +484,6 @@ func mismatchError(e *Encoded, s Scheme, w int, lo, hi int32) error {
 // is a contiguous run of encoded rows — the property that lets the
 // compressed-hop collectives slice an Encoded into per-rank chunks without
 // re-sorting (DESIGN.md §13). Binary search; allocation-free.
-//
-//kgelint:hotpath
 func (e *Encoded) RowRange(lo, hi int32) (i0, i1 int) {
 	i0 = searchIdx(e.Indices, lo)
 	i1 = searchIdx(e.Indices, hi)

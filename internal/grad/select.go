@@ -67,7 +67,6 @@ func SelectEF(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) Sel
 	return selectRows(g, mode, rng, res)
 }
 
-//kgelint:hotpath
 func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) SelectStats {
 	st := SelectStats{Before: g.Len()}
 	if mode == SelectAll || g.Len() == 0 {

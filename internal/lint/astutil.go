@@ -75,19 +75,14 @@ func blockTerminates(b *ast.BlockStmt) bool {
 	case *ast.ReturnStmt, *ast.BranchStmt:
 		return true
 	case *ast.ExprStmt:
-		return isPanicCall(last.X)
+		call, ok := ast.Unparen(last.X).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		return ok && id.Name == "panic"
 	}
 	return false
-}
-
-// isPanicCall reports whether expr is a direct call to the panic builtin.
-func isPanicCall(expr ast.Expr) bool {
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "panic"
 }
 
 // enclosingFuncNames returns the names of all declared functions and methods

@@ -87,8 +87,6 @@ func TestDivergentCollectiveFixture(t *testing.T) { runFixture(t, DivergentColle
 func TestFloatEqFixture(t *testing.T)             { runFixture(t, FloatEq, "floateq") }
 func TestDroppedErrFixture(t *testing.T)          { runFixture(t, DroppedErr, "droppederr") }
 func TestCollectiveErrFixture(t *testing.T)       { runFixture(t, CollectiveErr, "collectiveerr") }
-func TestScratchHoldFixture(t *testing.T)         { runFixture(t, ScratchHold, "scratchhold") }
-func TestHotPathAllocFixture(t *testing.T)        { runFixture(t, HotPathAlloc, "hotpathalloc") }
 
 // TestLoadRepoPackage smoke-tests the module loader against a real package.
 func TestLoadRepoPackage(t *testing.T) {
@@ -123,9 +121,13 @@ func TestAllRegistryComplete(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"seedrand", "divergentcollective", "floateq", "droppederr", "collectiveerr", "scratchhold", "hotpathalloc"} {
-		if !names[want] {
-			t.Fatalf("analyzer %q missing from All()", want)
+	want := []string{"seedrand", "divergentcollective", "floateq", "droppederr", "collectiveerr"}
+	for _, name := range want {
+		if !names[name] {
+			t.Fatalf("analyzer %q missing from All()", name)
 		}
+	}
+	if len(names) != len(want) {
+		t.Fatalf("All() lists %d analyzers, want exactly %v", len(names), want)
 	}
 }

@@ -15,9 +15,9 @@ import (
 // incidentally.
 func TestJSONSchema(t *testing.T) {
 	diags := []Diagnostic{{
-		Analyzer: "hotpathalloc",
+		Analyzer: "floateq",
 		Pos:      token.Position{Filename: "internal/mpi/algos.go", Line: 42, Column: 7},
-		Message:  "calls make",
+		Message:  "exact float comparison",
 	}}
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, diags); err != nil {
@@ -28,8 +28,8 @@ func TestJSONSchema(t *testing.T) {
     "file": "internal/mpi/algos.go",
     "line": 42,
     "col": 7,
-    "analyzer": "hotpathalloc",
-    "message": "calls make"
+    "analyzer": "floateq",
+    "message": "exact float comparison"
   }
 ]
 `
@@ -60,9 +60,9 @@ func TestSuppressionDiffs(t *testing.T) {
 	}
 	diags := []Diagnostic{
 		{
-			Analyzer: "hotpathalloc",
+			Analyzer: "floateq",
 			Pos:      token.Position{Filename: file, Line: 3, Column: 1},
-			Message:  "calls make",
+			Message:  "exact float comparison",
 		},
 		{
 			Analyzer: UnusedIgnoreName,
@@ -75,7 +75,7 @@ func TestSuppressionDiffs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "//kgelint:ignore hotpathalloc TODO: rationale") {
+	if !strings.Contains(out, "//kgelint:ignore floateq TODO: rationale") {
 		t.Errorf("missing suppression suggestion:\n%s", out)
 	}
 	if !strings.Contains(out, "+var a = b\n") {

@@ -4,9 +4,9 @@
 // The repo has hazard zones the Go toolchain cannot police on its own:
 // internal/mpi collectives deadlock if any rank diverges, reproducibility of
 // the paper's experiments depends on every random draw flowing through
-// internal/xrand, and the hot paths must stay allocation-free. The analyzers
-// in this package turn those conventions into build failures; cmd/kgelint is
-// the driver and `make lint` / CI run it over the whole repo.
+// internal/xrand, and a dropped error desynchronizes ranks silently. The
+// analyzers in this package turn those conventions into build failures;
+// cmd/kgelint is the driver and `make lint` / CI run it over the whole repo.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library only: the container this
@@ -284,7 +284,5 @@ func All() []*Analyzer {
 		FloatEq,
 		DroppedErr,
 		CollectiveErr,
-		ScratchHold,
-		HotPathAlloc,
 	}
 }

@@ -21,8 +21,6 @@ func (b *Batch) Reset() { b.h, b.r, b.t = b.h[:0], b.r[:0], b.t[:0] }
 
 // Add appends tr, its rows resolved through rows. The rows are read when
 // Score runs, so they must not change in between.
-//
-//kgelint:hotpath
 func (b *Batch) Add(rows Rows, tr kg.Triple) {
 	b.h = append(b.h, rows.EntityRow(tr.H))
 	b.r = append(b.r, rows.RelationRow(tr.R))
@@ -32,8 +30,6 @@ func (b *Batch) Add(rows Rows, tr kg.Triple) {
 // Score returns m's score of every triple added since the last Reset, in
 // the order added. The slice is the batch's own and is overwritten by the
 // next Score.
-//
-//kgelint:hotpath
 func (b *Batch) Score(m Model) []float32 {
 	n := len(b.h)
 	if cap(b.out) < n {

@@ -40,8 +40,6 @@ type BlockScorer interface {
 
 // scoreBlockRows is ScoreBlock as one ScoreRows call per row: what
 // DistMult's kernel hands the rows its interleaved loop left over.
-//
-//kgelint:hotpath
 func scoreBlockRows(m Model, side Side, fixed, rel, slab, out []float32) {
 	w := m.Width()
 	for i := range out {
@@ -61,8 +59,6 @@ func scoreBlockRows(m Model, side Side, fixed, rel, slab, out []float32) {
 // sum ScoreRows rounds, so it is shared by the whole block. The floor goes to
 // the kernels, which stop a group of rows a quarter of the way along k when
 // all of its partial scores are already below it.
-//
-//kgelint:hotpath
 func (m *TransE) ScoreBlock(side Side, fixed, rel, slab, out []float32, floor float32) {
 	d := m.dim
 	if side == Tail {
@@ -75,8 +71,6 @@ func (m *TransE) ScoreBlock(side Side, fixed, rel, slab, out []float32, floor fl
 // ScoreBlock implements BlockScorer: four rows per inner loop; on the tail
 // side q = h*r is the first product Dot3 rounds, so it is shared. Every
 // score is exact, whatever the floor.
-//
-//kgelint:hotpath
 func (m *DistMult) ScoreBlock(side Side, fixed, rel, slab, out []float32, _ float32) {
 	d := m.dim
 	fixed, rel = fixed[:d], rel[:d]
@@ -116,8 +110,6 @@ const complexBlockChunk = 32
 // kernel the trainer's gathered batches use: each chunk of candidate rows
 // becomes a chunk of triples whose fixed entity row and relation row repeat
 // in every lane. Every score is exact, whatever the floor.
-//
-//kgelint:hotpath
 func (m *ComplEx) ScoreBlock(side Side, fixed, rel, slab, out []float32, _ float32) {
 	w := 2 * m.dim
 	var fix, rels, cands [complexBlockChunk][]float32

@@ -156,8 +156,6 @@ func (m *ComplEx) Width() int { return 2 * m.dim }
 func (m *ComplEx) Score(p *Params, t kg.Triple) float32 { return scoreVia(m, p, t) }
 
 // ScoreRows implements Model over explicit rows.
-//
-//kgelint:hotpath
 func (m *ComplEx) ScoreRows(h, r, tt []float32) float32 {
 	d := m.dim
 	hr, hi := h[:d], h[d:]
@@ -174,8 +172,6 @@ func (m *ComplEx) AccumulateScoreGrad(p *Params, t kg.Triple, coef float32, gh, 
 }
 
 // AccumulateScoreGradRows implements Model over explicit rows.
-//
-//kgelint:hotpath
 func (m *ComplEx) AccumulateScoreGradRows(h, r, tt []float32, coef float32, gh, gr, gt []float32) {
 	w := 2 * m.dim
 	tensor.ComplExGrad(h[:w], r[:w], tt[:w], coef, gh[:w], gr[:w], gt[:w])
@@ -214,8 +210,6 @@ func (m *DistMult) Width() int { return m.dim }
 func (m *DistMult) Score(p *Params, t kg.Triple) float32 { return scoreVia(m, p, t) }
 
 // ScoreRows implements Model over explicit rows.
-//
-//kgelint:hotpath
 func (m *DistMult) ScoreRows(h, r, t []float32) float32 {
 	return tensor.Dot3(h, r, t)
 }
@@ -226,8 +220,6 @@ func (m *DistMult) AccumulateScoreGrad(p *Params, t kg.Triple, coef float32, gh,
 }
 
 // AccumulateScoreGradRows implements Model over explicit rows.
-//
-//kgelint:hotpath
 func (m *DistMult) AccumulateScoreGradRows(h, r, tt []float32, coef float32, gh, gr, gt []float32) {
 	tensor.AxpyMul(coef, r, tt, gh)
 	tensor.AxpyMul(coef, h, tt, gr)
@@ -268,8 +260,6 @@ func (m *TransE) Width() int { return m.dim }
 func (m *TransE) Score(p *Params, t kg.Triple) float32 { return scoreVia(m, p, t) }
 
 // ScoreRows implements Model over explicit rows.
-//
-//kgelint:hotpath
 func (m *TransE) ScoreRows(h, r, tt []float32) float32 {
 	var s float64
 	for i := range h {
@@ -285,8 +275,6 @@ func (m *TransE) AccumulateScoreGrad(p *Params, t kg.Triple, coef float32, gh, g
 }
 
 // AccumulateScoreGradRows implements Model over explicit rows.
-//
-//kgelint:hotpath
 func (m *TransE) AccumulateScoreGradRows(h, r, tt []float32, coef float32, gh, gr, gt []float32) {
 	for i := range h {
 		diff := h[i] + r[i] - tt[i]

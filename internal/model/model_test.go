@@ -422,9 +422,10 @@ func BenchmarkComplExGrad(b *testing.B) {
 	}
 }
 
-// The per-triple score and gradient sweep over plain row slices must not
-// allocate for any model: it is the inner loop of training, evaluation and
-// serving (asserted with testing.AllocsPerRun).
+// The per-triple score and gradient sweep over plain row slices, and the
+// hardest-candidate pick of negative selection, must not allocate for any
+// model: it is the inner loop of training, evaluation and serving (asserted
+// with testing.AllocsPerRun).
 func TestScoreGradRowsAllocFree(t *testing.T) {
 	for _, name := range []string{"complex", "distmult", "transe"} {
 		m := New(name, 16)
@@ -432,12 +433,29 @@ func TestScoreGradRowsAllocFree(t *testing.T) {
 		h, r, tl := p.Entity.Row(3), p.Relation.Row(1), p.Entity.Row(40)
 		w := m.Width()
 		gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
+		scores := []float32{0.5, 2, -1}
 		allocs := testing.AllocsPerRun(100, func() {
 			sc := m.ScoreRows(h, r, tl)
 			m.AccumulateScoreGradRows(h, r, tl, LogisticLossGrad(sc, 1), gh, gr, gt)
+			scores[Hardest(scores)] = sc
 		})
 		if allocs != 0 {
 			t.Errorf("%s: score+grad sweep allocates %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// DistMult's block scorer, its four-row loop and the per-row tail it hands
+// scoreBlockRows, must not allocate on either side.
+func TestDistMultScoreBlockAllocFree(t *testing.T) {
+	m := NewDistMult(16)
+	p := testParams(m, 50, 2, 7)
+	fixed, rel := p.Entity.Row(3), p.Relation.Row(1)
+	out := make([]float32, 37)
+	slab := p.Entity.Data[:len(out)*m.Width()]
+	for _, side := range []Side{Head, Tail} {
+		if allocs := testing.AllocsPerRun(100, func() { m.ScoreBlock(side, fixed, rel, slab, out, noFloor) }); allocs != 0 {
+			t.Errorf("DistMult.ScoreBlock side %d allocates %.1f times per call", side, allocs)
 		}
 	}
 }

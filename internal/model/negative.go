@@ -66,13 +66,9 @@ type Rows interface {
 }
 
 // EntityRow implements Rows.
-//
-//kgelint:hotpath
 func (p *Params) EntityRow(id int32) []float32 { return p.Entity.Row(int(id)) }
 
 // RelationRow implements Rows.
-//
-//kgelint:hotpath
 func (p *Params) RelationRow(id int32) []float32 { return p.Relation.Row(int(id)) }
 
 // Hardest returns the index of the candidate the model finds hardest to
@@ -80,8 +76,6 @@ func (p *Params) RelationRow(id int32) []float32 { return p.Relation.Row(int(id)
 // (i.e. highest) score; the first wins a tie. It is the argmax of the
 // paper's negative sample selection (§4.5), shared by SelectHardest and the
 // trainer.
-//
-//kgelint:hotpath
 func Hardest(scores []float32) int {
 	best := 0
 	for i, sc := range scores {

@@ -42,16 +42,12 @@ func reducedChunk(r, rows, p int) (lo, hi int32) {
 
 // hopFrameError reports a hop frame from rank src that failed to decode or
 // does not fit the chunk it stands for.
-//
-//kgelint:coldpath error path: a peer sent a malformed frame
 func hopFrameError(src int, err error) error {
 	return fmt.Errorf("mpi: corrupt compressed hop frame from rank %d: %w", src, err)
 }
 
 // chunkFrameError reports a trimmed reduced-chunk frame from rank src that
 // failed to decode or does not fit the chunk src reduced.
-//
-//kgelint:coldpath error path: a peer sent a malformed frame
 func chunkFrameError(src int, err error) error {
 	return fmt.Errorf("mpi: corrupt reduced chunk frame from rank %d: %w", src, err)
 }
@@ -70,8 +66,6 @@ func chunkFrameError(src int, err error) error {
 // itself when p = 1) and is valid until the next call using mg. The charged
 // volume is the sum of the slices' frame sizes (see chargeRounds). Returns
 // the virtual cost.
-//
-//kgelint:hotpath
 func (c *Comm) ReduceScatterEncoded(own *grad.Encoded, rows int, mg *grad.Merger, rng *xrand.RNG, tag string) (*grad.Encoded, float64, error) {
 	if err := c.enter(); err != nil {
 		return nil, 0, err
@@ -108,8 +102,6 @@ func (c *Comm) ReduceScatterEncoded(own *grad.Encoded, rows int, mg *grad.Merger
 // when p = 1) and are valid until the next call using mg. One agreement
 // covers both phases: the charged volume is the phase-1 slices plus the
 // trimmed frames, at 2(P−1)·α + (total/P)·β. Returns the virtual cost.
-//
-//kgelint:hotpath
 func (c *Comm) AllReduceEncoded(own *grad.Encoded, rows int, mg *grad.Merger, rng *xrand.RNG, tag string) ([]*grad.Encoded, float64, error) {
 	if err := c.enter(); err != nil {
 		return nil, 0, err
@@ -169,8 +161,6 @@ func (c *Comm) AllReduceEncoded(own *grad.Encoded, rows int, mg *grad.Merger, rn
 // its own chunk with mg.Merge in ring source order c, c+1, …, c+p−1 (its own
 // slice last). Returns the merged chunk and the bytes this rank sent; the
 // caller charges.
-//
-//kgelint:hotpath
 func (c *Comm) reduceOwned(own *grad.Encoded, rows int, mg *grad.Merger, rng *xrand.RNG) (*grad.Encoded, int64, error) {
 	p := c.w.p
 	first := (c.rank + 1) % p // this rank's chunk, and the first source it folds

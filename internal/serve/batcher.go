@@ -88,15 +88,26 @@ func NewBatcher(maxBatch int, _ time.Duration, sizes *metrics.Histogram, exec fu
 	return b
 }
 
-// Submit enqueues one query and blocks until its batch executes.
+// Submit enqueues one query and blocks until its batch executes. While the
+// queue is full it also watches q.Ctx: once that is done, the query is
+// answered with Ctx.Err() without being queued. A nil Ctx waits for room.
 func (b *Batcher) Submit(q PredictQuery) PredictResult {
 	r := &batchReq{q: q, out: make(chan PredictResult, 1)}
+	var cancel <-chan struct{}
+	if q.Ctx != nil {
+		cancel = q.Ctx.Done()
+	}
 	b.mu.RLock()
 	if b.stopped {
 		b.mu.RUnlock()
 		return PredictResult{Err: ErrBatcherStopped}
 	}
-	b.reqs <- r
+	select {
+	case b.reqs <- r:
+	case <-cancel:
+		b.mu.RUnlock()
+		return PredictResult{Err: q.Ctx.Err()}
+	}
 	b.mu.RUnlock()
 	return <-r.out
 }
@@ -116,9 +127,8 @@ func (b *Batcher) Stop() {
 
 // dispatch is the batcher's single consumer goroutine: it coalesces queued
 // queries into batches and executes them, recycling the request and query
-// buffers across iterations so the steady-state serve path does not allocate.
-//
-//kgelint:hotpath
+// buffers across iterations so the steady-state serve path does not allocate
+// (TestBatcherSubmitAllocs).
 func (b *Batcher) dispatch() {
 	defer close(b.done)
 	for {

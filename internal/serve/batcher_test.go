@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -143,6 +145,50 @@ func TestBatcherStopDrainsAndRejects(t *testing.T) {
 		t.Fatalf("post-stop submit: %v", res.Err)
 	}
 	b.Stop() // idempotent
+}
+
+// TestBatcherSubmitCancelledWhileQueueFull: a query whose context is done
+// while the queue is full returns its context's error at once instead of
+// waiting for room, and the queued queries are still answered.
+func TestBatcherSubmitCancelledWhileQueueFull(t *testing.T) {
+	release := make(chan struct{})
+	b := NewBatcher(1, 0, nil, func(qs []PredictQuery) []PredictResult {
+		<-release
+		return make([]PredictResult, len(qs))
+	})
+	var wg sync.WaitGroup
+	defer func() {
+		close(release)
+		wg.Wait()
+		b.Stop()
+	}()
+	// One query holds the dispatcher in exec; the rest fill the queue.
+	for range 1 + cap(b.reqs) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res := b.Submit(PredictQuery{Side: "tail", K: 1}); res.Err != nil {
+				t.Errorf("queued query: %v", res.Err)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(b.reqs) < cap(b.reqs); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d of %d after 10 s", len(b.reqs), cap(b.reqs))
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got := make(chan PredictResult, 1)
+	go func() { got <- b.Submit(PredictQuery{Side: "tail", K: 1, Ctx: ctx}) }()
+	select {
+	case res := <-got:
+		if !errors.Is(res.Err, context.Canceled) {
+			t.Fatalf("cancelled submit on a full queue: err %v, want context.Canceled", res.Err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled submit still blocked on a full queue after 10 s")
+	}
 }
 
 // TestBatcherSubmitAllocs pins what one Submit costs the heap, the

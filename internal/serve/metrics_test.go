@@ -37,6 +37,7 @@ func TestMetricsExposition(t *testing.T) {
 
 const wantServeExposition = `kgeserve_requests_total{endpoint="neighbors"} 0
 kgeserve_errors_total{endpoint="neighbors"} 0
+kgeserve_cancelled_total{endpoint="neighbors"} 0
 kgeserve_qps{endpoint="neighbors"} <wall-clock>
 kgeserve_neighbors_latency_seconds_bucket{le="0.0001"} 0
 kgeserve_neighbors_latency_seconds_bucket{le="0.00025"} 0
@@ -59,6 +60,7 @@ kgeserve_neighbors_latency_seconds_sum 0
 kgeserve_neighbors_latency_seconds_count 0
 kgeserve_requests_total{endpoint="predict"} 2
 kgeserve_errors_total{endpoint="predict"} 0
+kgeserve_cancelled_total{endpoint="predict"} 0
 kgeserve_qps{endpoint="predict"} <wall-clock>
 kgeserve_predict_latency_seconds_bucket{le="0.0001"} 0
 kgeserve_predict_latency_seconds_bucket{le="0.00025"} 0
@@ -81,6 +83,7 @@ kgeserve_predict_latency_seconds_sum 20.7
 kgeserve_predict_latency_seconds_count 2
 kgeserve_requests_total{endpoint="reload"} 0
 kgeserve_errors_total{endpoint="reload"} 0
+kgeserve_cancelled_total{endpoint="reload"} 0
 kgeserve_qps{endpoint="reload"} <wall-clock>
 kgeserve_reload_latency_seconds_bucket{le="0.0001"} 0
 kgeserve_reload_latency_seconds_bucket{le="0.00025"} 0
@@ -103,6 +106,7 @@ kgeserve_reload_latency_seconds_sum 0
 kgeserve_reload_latency_seconds_count 0
 kgeserve_requests_total{endpoint="score"} 3
 kgeserve_errors_total{endpoint="score"} 1
+kgeserve_cancelled_total{endpoint="score"} 0
 kgeserve_qps{endpoint="score"} <wall-clock>
 kgeserve_score_latency_seconds_bucket{le="0.0001"} 0
 kgeserve_score_latency_seconds_bucket{le="0.00025"} 1

@@ -46,9 +46,10 @@ type state struct {
 
 // endpointMetrics instruments one API endpoint.
 type endpointMetrics struct {
-	requests metrics.Counter
-	errors   metrics.Counter
-	latency  *metrics.Histogram
+	requests  metrics.Counter
+	errors    metrics.Counter
+	cancelled metrics.Counter // requests whose client went away: answered 499, not errors
+	latency   *metrics.Histogram
 }
 
 // Server is the HTTP inference server. All public methods are safe for
@@ -193,12 +194,15 @@ func (s *Server) instrument(name string, fn func(r *http.Request) (any, error)) 
 		v, err := fn(r)
 		em.latency.Observe(time.Since(start).Seconds())
 		if err != nil {
-			em.errors.Inc()
-			status := http.StatusInternalServerError
+			status, counter := http.StatusInternalServerError, &em.errors
 			var ae *apiError
-			if errAs(err, &ae) {
+			switch {
+			case errors.As(err, &ae):
 				status = ae.status
+			case errors.Is(err, context.Canceled):
+				status, counter = statusClientClosedRequest, &em.cancelled
 			}
+			counter.Inc()
 			http.Error(w, err.Error(), status)
 			return
 		}
@@ -211,21 +215,9 @@ func (s *Server) instrument(name string, fn func(r *http.Request) (any, error)) 
 	}
 }
 
-// errAs is errors.As narrowed to *apiError (keeps the import list tight).
-func errAs(err error, target **apiError) bool {
-	for err != nil {
-		if ae, ok := err.(*apiError); ok {
-			*target = ae
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
+// statusClientClosedRequest answers a request whose context was cancelled —
+// its client went away — with nginx's 499 rather than a server error.
+const statusClientClosedRequest = 499
 
 // maxBodyBytes caps every request body (instrument wraps it in
 // http.MaxBytesReader); decodeJSON answers a larger one with 413.
@@ -661,6 +653,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		reqs := em.requests.Value()
 		fmt.Fprintf(w, "kgeserve_requests_total{endpoint=%q} %d\n", name, reqs)
 		fmt.Fprintf(w, "kgeserve_errors_total{endpoint=%q} %d\n", name, em.errors.Value())
+		fmt.Fprintf(w, "kgeserve_cancelled_total{endpoint=%q} %d\n", name, em.cancelled.Value())
 		if uptime > 0 {
 			fmt.Fprintf(w, "kgeserve_qps{endpoint=%q} %.4f\n", name, float64(reqs)/uptime)
 		}

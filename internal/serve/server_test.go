@@ -686,7 +686,8 @@ func TestPredictBatchEqualsBruteForce(t *testing.T) {
 // TestPredictBatchCancelledQuery: a query whose context is done when its
 // batch runs scores no tile and is answered with the context's error, while
 // its batch-mates still equal the brute-force ranking; over HTTP such a
-// request is answered with an error and leaves nothing in the cache.
+// request is answered 499, counted as cancelled rather than as an error, and
+// leaves nothing in the cache.
 func TestPredictBatchCancelledQuery(t *testing.T) {
 	s, err := New(Config{
 		CheckpointPath: writeClusteredCheckpoint(t, t.TempDir(), "transe", 64, 3000, 4, 12),
@@ -723,10 +724,21 @@ func TestPredictBatchCancelledQuery(t *testing.T) {
 	req := httptest.NewRequest("POST", "/v1/predict", strings.NewReader(`{"head": 3, "relation": 0, "k": 10}`)).WithContext(cancelled)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
-	if rec.Code == http.StatusOK {
-		t.Fatalf("cancelled request answered 200: %s", rec.Body)
+	if rec.Code != statusClientClosedRequest {
+		t.Fatalf("cancelled request answered %d, want 499: %s", rec.Code, rec.Body)
 	}
 	if n := s.state.Load().cache.Stats().Entries; n != 0 {
 		t.Fatalf("cancelled request left %d cache entries", n)
+	}
+	// A client that went away is no server error: it counts as cancelled.
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		`kgeserve_errors_total{endpoint="predict"} 0`,
+		`kgeserve_cancelled_total{endpoint="predict"} 1`,
+	} {
+		if !strings.Contains(rec.Body.String(), want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }

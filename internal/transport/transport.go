@@ -165,8 +165,6 @@ func (fs *FailureState) Abort() <-chan struct{} { return fs.abort }
 
 // Fail marks rank dead and trips the abort signal on first use. Reports
 // whether the rank was newly dead.
-//
-//kgelint:coldpath runs once per rank death, never per batch
 func (fs *FailureState) Fail(rank int) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -188,8 +186,6 @@ func (fs *FailureState) Fail(rank int) bool {
 }
 
 // Failed returns a copy of the dead-rank set (nil when healthy).
-//
-//kgelint:coldpath failure bookkeeping, allocation is irrelevant once ranks die
 func (fs *FailureState) Failed() []int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -200,8 +196,6 @@ func (fs *FailureState) Failed() []int {
 }
 
 // Err returns the RankFailedError for the current dead set, or nil.
-//
-//kgelint:coldpath failure bookkeeping, allocation is irrelevant once ranks die
 func (fs *FailureState) Err() error {
 	ranks := fs.Failed()
 	if ranks == nil {

@@ -149,8 +149,6 @@ const (
 // then runs over them in registers. A uniform in [0, 1) and a p in (0, 1)
 // are both non-negative, so u < p is the unsigned comparison of their bits,
 // against a threshold of 0 for a NaN.
-//
-//kgelint:hotpath
 func (r *RNG) BernoulliMask(p []float64) uint64 {
 	if len(p) > 64 {
 		panic("xrand: BernoulliMask over more than 64 probabilities")
