@@ -94,14 +94,21 @@ func TestPrefilterSelectMatchesBruteForce(t *testing.T) {
 }
 
 // TestSearchSteadyStateAllocs pins a warmed Search to the allocations of
-// its response (accK.Results' slice and sort): the distance, histogram
-// and candidate scratch must be reused, not reallocated per query.
+// its response (accK.Results' slice and sort): the distance, histogram,
+// candidate and gather-slab scratch must be reused, not reallocated per
+// query. The budget spans 16 rescoreChunks, so stage 2 runs its gathered
+// block rescore chunk after chunk under a rising floor.
 func TestSearchSteadyStateAllocs(t *testing.T) {
+	const c = 1024
 	m, p, ix := buildRandom(t, "transe", 64, 5000, 4, 7)
 	sc := NewScratch()
 	search := func() {
-		if _, _, _, err := ix.Search(m, "tail", p.Entity.Row(3), p.Relation.Row(2), p.Entity.Row, 10, 1024, nil, sc); err != nil {
+		_, _, rescored, err := ix.Search(m, "tail", p.Entity.Row(3), p.Relation.Row(2), p.Entity.Row, 10, c, nil, sc)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if rescored != c {
+			t.Fatalf("rescored %d of %d candidates", rescored, c)
 		}
 	}
 	search()

@@ -17,7 +17,19 @@ type Scratch struct {
 	hist  []int   // entity count per distance, [0, 64·words]
 	cand  []int32 // stage-1 candidate ids, ascending
 	accK  *eval.TopKAccumulator
+
+	// Stage 2 gathers up to rescoreChunk unskipped candidates at a time:
+	// their rows into slab, their ids into ids, their scores into scores.
+	slab   []float32
+	ids    [rescoreChunk]int32
+	scores [rescoreChunk]float32
 }
+
+// rescoreChunk is how many candidate rows stage 2 gathers per ScoreBlock
+// call: 64 rows of a dim-64 TransE table are a 16 KiB slab, L1-resident
+// while it is scored, and every chunk after the first is scored under the
+// floor the chunks before it raised.
+const rescoreChunk = 64
 
 // NewScratch returns an empty scratch; Search grows it on demand.
 func NewScratch() *Scratch { return &Scratch{} }
@@ -43,6 +55,10 @@ func (sc *Scratch) ensure(width, words, rows, c, k int) {
 		sc.cand = make([]int32, c)
 	}
 	sc.cand = sc.cand[:c]
+	if cap(sc.slab) < rescoreChunk*width {
+		sc.slab = make([]float32, rescoreChunk*width)
+	}
+	sc.slab = sc.slab[:rescoreChunk*width]
 	if sc.accK == nil {
 		sc.accK = eval.NewTopK(k)
 	} else {
@@ -52,28 +68,38 @@ func (sc *Scratch) ensure(width, words, rows, c, k int) {
 
 // Search runs the two-stage approximate completion query: a packed
 // XOR/popcount prefilter over every entity selects the c
-// smallest-Hamming candidates (stage 1), whose exact model scores are
-// then recomputed to rank the final top k (stage 2).
+// smallest-Hamming candidates (stage 1), whose exact model scores then
+// rank the final top k (stage 2). Stage 2 gathers the candidates' rows,
+// rescoreChunk at a time, into a Scratch-owned slab and scores each slab
+// with the model's BlockScorer under the accumulator's current top-k
+// floor, so TransE stops rows that can no longer enter.
 //
 // side is "head" or "tail" — the slot being completed. fixRow is the
 // fixed entity's embedding row, relRow the relation's. entityRow(e) must
-// return entity e's row. skip, when non-nil, drops candidates during
-// rescoring (filtered ranking); skipped candidates still consume stage-1
-// budget, so callers wanting k results through a dense filter should
-// raise c. c is clamped to [k, Rows()].
+// return entity e's row. m must be a model.BlockScorer, as every model
+// model.New constructs is. skip, when non-nil, drops candidates while
+// they are gathered (filtered ranking); skipped candidates still consume
+// stage-1 budget, so callers wanting k results through a dense filter
+// should raise c. c is clamped to [k, Rows()].
 //
 // Invariants: the result is ranked by exact ScoreRows values with
 // eval.TopKAccumulator tie-breaking (ties toward the lower entity id), so
 // an approx ranking can only ever differ from the exact sweep in *which*
 // candidates were considered — never in how considered candidates are
-// ordered. Stage 1 breaks Hamming ties toward the lower entity id too,
-// making the candidate set, and therefore the whole response,
-// deterministic for a given index. candidates and rescored report the
-// stage-1 slice size and how many of them were exactly scored.
+// ordered. A row ScoreBlock leaves inexact scored below a floor that only
+// rises, so Offer rejects it exactly as it would the exact score. Stage 1
+// breaks Hamming ties toward the lower entity id too, making the
+// candidate set, and therefore the whole response, deterministic for a
+// given index. candidates and rescored report the stage-1 slice size and
+// how many of them were not skipped and so went through ScoreBlock.
 func (ix *Index) Search(m model.Model, side string, fixRow, relRow []float32, entityRow func(e int) []float32,
 	k, c int, skip func(e int32) bool, sc *Scratch) (res []eval.ScoredEntity, candidates, rescored int, err error) {
 	if m.Name() != ix.name {
 		return nil, 0, 0, fmt.Errorf("binpack: index built for model %s, searched with %s", ix.name, m.Name())
+	}
+	bs, ok := m.(model.BlockScorer)
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("binpack: model %s has no block scorer", m.Name())
 	}
 	if side != "head" && side != "tail" {
 		return nil, 0, 0, fmt.Errorf("binpack: side must be head or tail, got %q", side)
@@ -105,20 +131,27 @@ func (ix *Index) Search(m model.Model, side string, fixRow, relRow []float32, en
 	ix.prefilterInto(sc.code, sc.dists, sc.hist, sc.cand)
 	candidates = c
 
-	// Stage 2: exact rescore of the candidate slice.
-	for _, e := range sc.cand {
-		if skip != nil && skip(e) {
-			continue
+	// Stage 2: gathered block rescore of the candidate slice.
+	bside := model.Tail
+	if side == "head" {
+		bside = model.Head
+	}
+	w, n := ix.width, 0
+	for i, e := range sc.cand {
+		if skip == nil || !skip(e) {
+			copy(sc.slab[n*w:(n+1)*w], entityRow(int(e)))
+			sc.ids[n] = e
+			n++
 		}
-		row := entityRow(int(e))
-		var score float32
-		if side == "tail" {
-			score = m.ScoreRows(fixRow, relRow, row)
-		} else {
-			score = m.ScoreRows(row, relRow, fixRow)
+		if n == rescoreChunk || (n > 0 && i == len(sc.cand)-1) {
+			out := sc.scores[:n]
+			bs.ScoreBlock(bside, fixRow, relRow, sc.slab[:n*w], out, sc.accK.Floor())
+			for j, s := range out {
+				sc.accK.Offer(sc.ids[j], s)
+			}
+			rescored += n
+			n = 0
 		}
-		sc.accK.Offer(e, score)
-		rescored++
 	}
 	return sc.accK.Results(), candidates, rescored, nil
 }

@@ -44,12 +44,12 @@ func TestTrainStepAllocs(t *testing.T) {
 		// The all-reduce step allocates nothing; the all-gather one makes
 		// the wire payloads the ring shares (two frames, the result
 		// slices); dyncomp's fp32 warm-up rides pooled frames; the
-		// partitioned one makes AllToAllRows' result slices on each pull
-		// and push.
+		// partitioned one hands AllToAllRows result slices it owns, so it
+		// allocates nothing either.
 		{"allreduce", func(*Config) {}, 0.6},
 		{"allgather-1bit", func(c *Config) { c.Comm, c.Quant = CommAllGather, grad.OneBitMax }, 8.5},
 		{"dyncomp", func(c *Config) { c.Comm = CommDynamicCompress }, 0.75},
-		{"partitioned", func(c *Config) { c.Partitioned = true }, 6.5},
+		{"partitioned", func(c *Config) { c.Partitioned = true }, 0.5},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			run := func(batch, epochs int) (mallocs uint64, rankBatches, triples int) {

@@ -128,11 +128,14 @@ type shardTables struct {
 	gen   int32
 	local int // unique owned rows touched this staging (remote ones: cache.Len())
 
-	// Outgoing all-to-all blocks, one per destination rank. A sent block
-	// belongs to its receiver (mpi.AllToAllRows), so after every exchange the
-	// blocks this rank received — read by it alone — become its storage.
+	// Outgoing and incoming all-to-all blocks, one per peer rank. A sent
+	// block belongs to its receiver (mpi.AllToAllRows), so after every
+	// exchange the blocks this rank received — read by it alone — become
+	// its outgoing storage.
 	outIdx  [][]int32
 	outVals [][]float32
+	inIdx   [][]int32
+	inVals  [][]float32
 	nwant   []int // rows wanted from each owner this pull, then its reply cursor
 
 	moveBuf []int32 // owned/remote split scratch in closeBatch
@@ -155,6 +158,8 @@ func newShardTables(t *trainRun, c *mpi.Comm, selRng *xrand.RNG) *shardTables {
 		stamp:   make([]int32, t.plan.Rows()),
 		outIdx:  make([][]int32, c.Size()),
 		outVals: make([][]float32, c.Size()),
+		inIdx:   make([][]int32, c.Size()),
+		inVals:  make([][]float32, c.Size()),
 		nwant:   make([]int, c.Size()),
 	}
 }
@@ -214,24 +219,24 @@ func (x *shardTables) pull() error {
 		x.outIdx[d] = append(x.outIdx[d], uid)
 		x.nwant[d]++
 	}
-	reqs, _, _, err := x.comm.AllToAllRows(x.outIdx, nil, tagPull)
-	if err != nil {
+	if _, err := x.comm.AllToAllRows(x.outIdx, nil, x.inIdx, nil, tagPull); err != nil {
 		return err
 	}
-	for src, ids := range reqs {
+	for src, ids := range x.inIdx {
 		if src == me {
 			continue
 		}
-		if x.outVals[src], err = x.store.reply(x.outVals[src], src, ids); err != nil {
+		vals, err := x.store.reply(x.outVals[src], src, ids)
+		if err != nil {
 			return err
 		}
+		x.outVals[src] = vals
 	}
-	copy(x.outIdx, reqs)
-	_, replies, _, err := x.comm.AllToAllRows(nil, x.outVals, tagPull)
-	if err != nil {
+	copy(x.outIdx, x.inIdx)
+	if _, err := x.comm.AllToAllRows(nil, x.outVals, nil, x.inVals, tagPull); err != nil {
 		return err
 	}
-	for d, vals := range replies {
+	for d, vals := range x.inVals {
 		if d != me && len(vals) != x.nwant[d]*w {
 			return peerBlockError(d, len(vals), x.nwant[d]*w)
 		}
@@ -242,10 +247,10 @@ func (x *shardTables) pull() error {
 	x.cache.ForEach(func(uid int32, row []float32) {
 		d := plan.Owner(uid)
 		k := x.nwant[d]
-		copy(row, replies[d][k*w:(k+1)*w])
+		copy(row, x.inVals[d][k*w:(k+1)*w])
 		x.nwant[d]++
 	})
-	copy(x.outVals, replies)
+	copy(x.outVals, x.inVals)
 	return nil
 }
 
@@ -265,12 +270,11 @@ func (x *shardTables) push() error {
 		x.outIdx[d] = append(x.outIdx[d], uid)
 		x.outVals[d] = append(x.outVals[d], row...)
 	})
-	fromIdx, fromVals, _, err := x.comm.AllToAllRows(x.outIdx, x.outVals, tagPush)
-	if err != nil {
+	if _, err := x.comm.AllToAllRows(x.outIdx, x.outVals, x.inIdx, x.inVals, tagPush); err != nil {
 		return err
 	}
 	x.agg.Clear()
-	for src, ids := range fromIdx {
+	for src, ids := range x.inIdx {
 		if src == me {
 			// Own batch's contribution to own rows; rows owned elsewhere
 			// left uidG for the wire, so nothing is double counted.
@@ -279,7 +283,7 @@ func (x *shardTables) push() error {
 			})
 			continue
 		}
-		vals := fromVals[src]
+		vals := x.inVals[src]
 		if len(vals) != len(ids)*w {
 			return peerBlockError(src, len(vals), len(ids)*w)
 		}
@@ -290,8 +294,8 @@ func (x *shardTables) push() error {
 			tensor.Add(vals[k*w:(k+1)*w], x.agg.Row(uid))
 		}
 	}
-	copy(x.outIdx, fromIdx)
-	copy(x.outVals, fromVals)
+	copy(x.outIdx, x.inIdx)
+	copy(x.outVals, x.inVals)
 	scaleRows(x.agg, x.comm.Size())
 	return nil
 }

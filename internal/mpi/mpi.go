@@ -575,10 +575,14 @@ func (c *Comm) AllGatherBytes(payload []byte, tag string) ([][]byte, float64, er
 
 // AllToAllRows delivers one block of sparse rows from every rank to every
 // other rank: idx[d] and vals[d] are what this rank sends to rank d, and
-// fromIdx[s], fromVals[s] what rank s sent to this one. Either half of a
-// block may be empty (an id-only or a values-only block), and a nil idx or
-// vals sends that half empty to everyone. The own slot is neither sent nor
-// returned. Schedule: pairwise exchange — in round k = 1…P−1 a rank sends to
+// the call sets fromIdx[s], fromVals[s] to what rank s sent to this one.
+// Either half of a block may be empty (an id-only or a values-only block),
+// and a nil idx or vals sends that half empty to everyone. The result
+// slices are the caller's, of length P, so the call allocates nothing for
+// them; a nil fromIdx or fromVals drops that half. They must be slices of
+// their own, not idx or vals: a block may arrive from rank s before this
+// rank has sent idx[s]. The own slot is neither sent nor written.
+// Schedule: pairwise exchange — in round k = 1…P−1 a rank sends to
 // (rank+k) mod P and receives from (rank−k) mod P, so every block travels
 // once, straight to the one rank that reads it. P = 1 returns at once with
 // zero cost.
@@ -589,20 +593,14 @@ func (c *Comm) AllGatherBytes(payload []byte, tag string) ([][]byte, float64, er
 //
 // Ownership: each block has exactly one reader. Sending hands idx[d] and
 // vals[d] to rank d, so the caller must not touch them after the call; the
-// returned blocks belong to the caller outright — no other rank retains
+// received blocks belong to the caller outright — no other rank retains
 // them — so it may overwrite or recycle them.
-func (c *Comm) AllToAllRows(idx [][]int32, vals [][]float32, tag string) (fromIdx [][]int32, fromVals [][]float32, cost float64, err error) {
+func (c *Comm) AllToAllRows(idx [][]int32, vals [][]float32, fromIdx [][]int32, fromVals [][]float32, tag string) (cost float64, err error) {
 	if err := c.enter(); err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
-	p := c.w.p
-	fromIdx = make([][]int32, p)
-	fromVals = make([][]float32, p)
-	if p == 1 {
-		if err := c.finish(0, 0, 0, tag); err != nil {
-			return nil, nil, 0, err
-		}
-		return fromIdx, fromVals, 0, nil
+	if c.w.p == 1 {
+		return 0, c.finish(0, 0, 0, tag)
 	}
 	sent, err := c.rounds(func(dst int) (int, error) {
 		var b block
@@ -614,16 +612,18 @@ func (c *Comm) AllToAllRows(idx [][]int32, vals [][]float32, tag string) (fromId
 		}
 		return int(b.bytes()), c.send(dst, message{I32: b.i32, F32: b.f32})
 	}, func(src int, m message) error {
-		fromIdx[src], fromVals[src] = m.I32, m.F32
+		if fromIdx != nil {
+			fromIdx[src] = m.I32
+		}
+		if fromVals != nil {
+			fromVals[src] = m.F32
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
-	if cost, err = c.chargeRounds(1, sent, tag); err != nil {
-		return nil, nil, 0, err
-	}
-	return fromIdx, fromVals, cost, nil
+	return c.chargeRounds(1, sent, tag)
 }
 
 // rounds runs one exchange over the pairwise schedule: in round

@@ -266,9 +266,8 @@ func TestAllToAllRows(t *testing.T) {
 		gotVals := make([][][]float32, p)
 		w.Run(func(c *Comm) {
 			idx, vals := a2aSend(c.Rank(), p)
-			var err error
-			gotIdx[c.Rank()], gotVals[c.Rank()], _, err = c.AllToAllRows(idx, vals, "test")
-			if err != nil {
+			gotIdx[c.Rank()], gotVals[c.Rank()] = make([][]int32, p), make([][]float32, p)
+			if _, err := c.AllToAllRows(idx, vals, gotIdx[c.Rank()], gotVals[c.Rank()], "test"); err != nil {
 				t.Errorf("p=%d rank %d: %v", p, c.Rank(), err)
 			}
 		})
@@ -279,7 +278,7 @@ func TestAllToAllRows(t *testing.T) {
 			for s := 0; s < p; s++ {
 				wantIdx, wantVals := a2aBlock(s, r)
 				if s == r {
-					wantIdx, wantVals = nil, nil // the own slot is not returned
+					wantIdx, wantVals = nil, nil // the own slot is not written
 				}
 				if !slices.Equal(gotIdx[r][s], wantIdx) || !slices.Equal(gotVals[r][s], wantVals) {
 					t.Fatalf("p=%d rank %d from %d: got %v %v, want %v %v",
@@ -306,7 +305,7 @@ func TestAllToAllRowsChargesAgreedTotal(t *testing.T) {
 				}
 			}
 			var err error
-			_, _, costs[c.Rank()], err = c.AllToAllRows(idx, vals, "a2a")
+			costs[c.Rank()], err = c.AllToAllRows(idx, vals, nil, nil, "a2a")
 			if err != nil {
 				t.Errorf("p=%d rank %d: %v", p, c.Rank(), err)
 			}
@@ -509,7 +508,7 @@ func TestRandomCollectiveSequences(t *testing.T) {
 							c.AllGatherBytes([]byte{byte(c.Rank())}, "s")
 						case 5:
 							idx, vals := a2aSend(c.Rank(), p)
-							c.AllToAllRows(idx, vals, "s")
+							c.AllToAllRows(idx, vals, nil, nil, "s")
 						}
 					}
 				})

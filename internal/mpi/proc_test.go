@@ -90,7 +90,8 @@ func TestProcessWorldMatchesChannelWorld(t *testing.T) {
 			buf[0] += float32(allIdx[r][0]) + allVals[r][0]
 		}
 		sendIdx, sendVals := a2aSend(c.Rank(), p)
-		if o.fromIdx, o.fromVals, o.a2aCost, err = c.AllToAllRows(sendIdx, sendVals, "a2a"); err != nil {
+		o.fromIdx, o.fromVals = make([][]int32, p), make([][]float32, p)
+		if o.a2aCost, err = c.AllToAllRows(sendIdx, sendVals, o.fromIdx, o.fromVals, "a2a"); err != nil {
 			return o, err
 		}
 		if o.scalar, err = c.AllReduceScalar(float64(c.Rank()+1), OpMax); err != nil {

@@ -86,8 +86,9 @@ func TestPredictApproxFullBudget(t *testing.T) {
 }
 
 // TestPredictApproxFullBudgetAcrossReload holds the full-budget approx
-// answer (binpack's per-row ScoreRows rescore) to the exact sweep (TransE's
-// block kernel, AVX2 where the build has it) at the serving width: 2 500
+// answer (binpack's gathered rescore, in 64-row chunks under its own
+// floor) to the exact sweep (TransE's block kernel, AVX2 where the build
+// has it, in tiles under the sweep's floor) at the serving width: 2 500
 // entities in shards of 1 100 rows, so every shard is swept as a 1024-row
 // tile plus a short one and the kernel's 16-row blocks leave Go-loop tails
 // of 12 rows. Every rank on both sides must carry the same entity and the

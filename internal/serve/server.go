@@ -407,11 +407,13 @@ func (s *Server) skipKnown(q PredictQuery) func(e int32) bool {
 
 // predictApprox answers one mode=approx predict: a packed XOR/popcount
 // prefilter over every entity selects the candidates smallest-Hamming ids,
-// then exact ScoreRows rescoring ranks the final top k. The whole query
-// runs against a single state snapshot — the packed index lives inside the
-// Store, so a concurrent reload can never pair old codes with new rows.
-// Approx queries bypass the micro-batcher on purpose: batching amortizes
-// O(N) sweeps, while this path's point is per-query sub-linearity.
+// then binpack.Search's gathered block rescore of their rows, under the
+// query's top-k floor, ranks the final top k by exact scores. The whole
+// query runs against a single state snapshot — the packed index lives
+// inside the Store, so a concurrent reload can never pair old codes with
+// new rows. Approx queries bypass the micro-batcher on purpose: batching
+// amortizes O(N) sweeps, while this path's point is per-query
+// sub-linearity.
 func (s *Server) predictApprox(q PredictQuery, candidates int) (any, error) {
 	gen := s.state.Load()
 	st := gen.store
