@@ -112,15 +112,19 @@ partition:
 # shrink-and-continue), and the kgeverify -tcp gate proving the TCP fabric
 # is trajectory-identical to simnet at zero tolerance. The re-exec tests
 # are testing.Short()-aware, so `make race` (-short) skips them and this
-# tier is where they run. The last two lines repeat the shutdown tests whose
-# failure mode is a rare hang (a barrier token dropped behind a clean bye),
-# without -race so the twenty repetitions fit the timeout.
+# tier is where they run; that includes the SIGKILL test whose victim is
+# rank 0, the first generation's leader. The last three lines repeat, without
+# -race so twenty repetitions fit the timeout, the shrink tests (a re-mesh
+# led by the lowest survivor, rank 0's death included) and the shutdown
+# tests whose failure mode is a rare hang (a barrier token dropped behind a
+# clean bye).
 ## transport: transport conformance + multi-process suite under -race
 transport:
 	$(GO) test -race -count=20 ./internal/transport/conformance/
 	$(GO) test -race -count=1 ./internal/transport/chantransport/ ./internal/transport/tcptransport/
 	$(GO) test -race -count=1 -run 'TestProcess' ./internal/mpi/ ./internal/core/
 	$(GO) run ./cmd/kgeverify -tcp -no-goldens -no-props
+	$(GO) test -count=20 -timeout 120s -run 'TestShrink' ./internal/transport/tcptransport/
 	$(GO) test -count=20 -timeout 120s -run 'TestCloseAfterBarrierReleasesEveryRank' ./internal/transport/tcptransport/
 	$(GO) test -count=20 -timeout 120s -run 'TestVerifyTCPTrajectoryIdentical' ./internal/testkit/
 

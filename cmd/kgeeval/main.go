@@ -45,7 +45,7 @@ type jsonDetailed struct {
 func main() {
 	var (
 		dataDir  = flag.String("data", "", "OpenKE-layout dataset directory")
-		preset   = flag.String("dataset", "", "synthetic preset instead of -data: fb15k-mini, fb250k-mini")
+		preset   = flag.String("dataset", "", "synthetic preset instead of -data: fb15k-mini, fb250k-mini, fb15k-full, fb250k-full")
 		ckpt     = flag.String("model", "", "checkpoint file written by kgetrain -save (required)")
 		sample   = flag.Int("sample", 0, "subsample the test split for ranking (0 = all)")
 		seed     = flag.Uint64("seed", 1, "random seed (dataset generation and corruption)")
@@ -66,17 +66,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var d *kg.Dataset
-	switch {
-	case *dataDir != "":
-		d, err = kg.LoadDir(*dataDir)
-	case *preset == "fb15k-mini":
-		d = kg.Generate(kg.FB15KMini(*seed))
-	case *preset == "fb250k-mini":
-		d = kg.Generate(kg.FB250KMini(*seed))
-	default:
-		err = fmt.Errorf("kgeeval: pass -data <dir> or -dataset <preset>")
-	}
+	d, err := kg.Load(*preset, *dataDir, "", *seed)
 	if err != nil {
 		fail(err)
 	}

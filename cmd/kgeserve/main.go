@@ -51,7 +51,7 @@ func main() {
 		ckpt      = flag.String("model", "", "KGE2 checkpoint written by kgetrain -save (required)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		dataDir   = flag.String("data", "", "OpenKE-layout dataset directory for filtered ranking")
-		preset    = flag.String("dataset", "", "synthetic preset instead of -data: fb15k-mini, fb250k-mini")
+		preset    = flag.String("dataset", "", "synthetic preset instead of -data: fb15k-mini, fb250k-mini, fb15k-full, fb250k-full")
 		seed      = flag.Uint64("seed", 1, "random seed for -dataset generation")
 		shardRows = flag.Int("shard-rows", 0, "entity rows per store shard (0 = default)")
 		cacheSize = flag.Int("cache", 4096, "result cache entries (0 disables caching)")
@@ -76,21 +76,11 @@ func main() {
 	// A dataset is optional; with one, /v1/predict can rank filtered (known
 	// facts skipped) and ids must line up with the checkpoint.
 	var filter *kg.FilterIndex
-	var d *kg.Dataset
-	switch {
-	case *dataDir != "":
-		d, err = kg.LoadDir(*dataDir)
-	case *preset == "fb15k-mini":
-		d = kg.Generate(kg.FB15KMini(*seed))
-	case *preset == "fb250k-mini":
-		d = kg.Generate(kg.FB250KMini(*seed))
-	case *preset != "":
-		err = fmt.Errorf("unknown preset %q", *preset)
-	}
-	if err != nil {
-		log.Fatalf("kgeserve: loading dataset: %v", err)
-	}
-	if d != nil {
+	if *dataDir != "" || *preset != "" {
+		d, err := kg.Load(*preset, *dataDir, "", *seed)
+		if err != nil {
+			log.Fatalf("kgeserve: loading dataset: %v", err)
+		}
 		if d.NumEntities != info.Entities || d.NumRelations != info.Relations {
 			log.Fatalf("kgeserve: checkpoint shape (%d entities, %d relations) does not match dataset (%d, %d)",
 				info.Entities, info.Relations, d.NumEntities, d.NumRelations)

@@ -82,7 +82,7 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 
-		peers       = flag.String("peers", "", "multi-process mode: comma-separated rank addresses (rank 0 first, the coordinator); one kgetrain per rank")
+		peers       = flag.String("peers", "", "multi-process mode: comma-separated rank addresses (rank 0 first: it leads the first rendezvous, the lowest surviving rank each later one); one kgetrain per rank")
 		rank        = flag.Int("rank", -1, "this process's rank into -peers")
 		listen      = flag.String("listen", "", "bind address override for this rank (default: its -peers entry)")
 		metricsAddr = flag.String("metrics-addr", "", "serve transport health metrics in Prometheus format at this address (/metrics)")
@@ -197,7 +197,7 @@ func main() {
 		}()
 	}
 
-	d, err := loadDataset(*dataset, *dataDir, *namedDir, *seed)
+	d, err := kg.Load(*dataset, *dataDir, *namedDir, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -445,27 +445,6 @@ func writePartitionMetrics(w io.Writer, p *partition.Plan) {
 	gauge("relation_balance", "Largest relation shard relative to a perfectly even split.", q.RelationBalance)
 	gauge("triple_balance", "Largest per-rank triple load relative to a perfectly even split.", q.TripleBalance)
 	gauge("max_entity_shard", "Entity rows held by the fullest rank.", float64(q.MaxEntityShard))
-}
-
-func loadDataset(preset, dir, namedDir string, seed uint64) (*kg.Dataset, error) {
-	if namedDir != "" {
-		d, _, err := kg.LoadNamedDir(namedDir)
-		return d, err
-	}
-	if dir != "" {
-		return kg.LoadDir(dir)
-	}
-	switch preset {
-	case "fb15k-mini":
-		return kg.Generate(kg.FB15KMini(seed)), nil
-	case "fb250k-mini":
-		return kg.Generate(kg.FB250KMini(seed)), nil
-	case "fb15k-full":
-		return kg.Generate(kg.FB15KFull(seed)), nil
-	case "fb250k-full":
-		return kg.Generate(kg.FB250KFull(seed)), nil
-	}
-	return nil, fmt.Errorf("unknown dataset preset %q", preset)
 }
 
 // virtualTime renders a virtual duration in seconds in the largest unit that

@@ -72,7 +72,7 @@ func procScenarioConfig(scenario, ckpt string) core.Config {
 	switch scenario {
 	case "traj":
 		cfg.MaxEpochs = 6
-	case "kill", "kill-dyncomp":
+	case "kill", "kill-dyncomp", "kill-rank0":
 		if scenario == "kill-dyncomp" {
 			// The ladder's first step lands before the first checkpoint, so
 			// the crash rolls back past a recorded step.
@@ -107,7 +107,7 @@ func procWorkerMain() {
 	// The victim rank crashes hard the moment the coordinator's first
 	// checkpoint hits disk: SIGKILL, so no byes and no connection teardown
 	// reach the survivors — only EOFs and heartbeat silence.
-	if strings.HasPrefix(scenario, "kill") && rank == world-1 {
+	if strings.HasPrefix(scenario, "kill") && rank == victimRank(scenario, world) {
 		go func() {
 			for {
 				if _, err := os.Stat(ckpt); err == nil {
@@ -302,18 +302,30 @@ func TestProcessTrajectoryMatchesInProcess(t *testing.T) {
 	}
 }
 
+// victimRank is the rank a kill scenario SIGKILLs: the highest, or rank 0 —
+// the coordinator, which leads the first generation and writes the
+// checkpoint — in kill-rank0.
+func victimRank(scenario string, world int) int {
+	if scenario == "kill-rank0" {
+		return 0
+	}
+	return world - 1
+}
+
 // TestProcessSIGKILLRecovery trains 3 processes with checkpointing; the
-// highest rank SIGKILLs itself as soon as the first checkpoint lands on
+// victim rank SIGKILLs itself as soon as the first checkpoint lands on
 // disk. The survivors must observe the crash as a rank failure, agree that
 // the victim is the only rank that died, shrink to a 2-process world,
 // warm-start from the checkpoint, finish cleanly, and land within a quality
 // band of the fault-free run. Under the adaptive ladder the recovered step
-// record must be the new attempt's alone.
+// record must be the new attempt's alone. The victim is the highest rank,
+// or in kill-rank0 rank 0, after which the lowest survivor leads the
+// re-mesh.
 func TestProcessSIGKILLRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process crash test skipped in -short mode")
 	}
-	for _, scenario := range []string{"kill", "kill-dyncomp"} {
+	for _, scenario := range []string{"kill", "kill-dyncomp", "kill-rank0"} {
 		t.Run(scenario, func(t *testing.T) { sigkillRecovery(t, scenario) })
 	}
 }
@@ -332,19 +344,25 @@ func sigkillRecovery(t *testing.T, scenario string) {
 	cmds, outs := launchWorkers(t, p, scenario, ckpt, reserveAddr(t), dir)
 
 	// The victim must die by signal, not exit cleanly.
-	verr := waitWorker(t, p-1, cmds[p-1], 120*time.Second)
+	victim := victimRank(scenario, p)
+	verr := waitWorker(t, victim, cmds[victim], 120*time.Second)
 	var xerr *exec.ExitError
 	if verr == nil || !errors.As(verr, &xerr) {
-		t.Fatalf("victim rank %d exited with %v, want a SIGKILL death", p-1, verr)
+		t.Fatalf("victim rank %d exited with %v, want a SIGKILL death", victim, verr)
 	}
-	for i := 0; i < p-1; i++ {
+	var survivors []procOutcome
+	for i := 0; i < p; i++ {
+		if i == victim {
+			continue
+		}
 		if err := waitWorker(t, i, cmds[i], 180*time.Second); err != nil {
 			t.Fatalf("survivor rank %d exited with %v", i, err)
 		}
+		survivors = append(survivors, readOutcome(t, outs[i]))
 	}
 
-	o0, o1 := readOutcome(t, outs[0]), readOutcome(t, outs[1])
-	for _, o := range []procOutcome{o0, o1} {
+	o0, o1 := survivors[0], survivors[1]
+	for _, o := range survivors {
 		// One crash is one dead rank on every survivor: a second conviction
 		// would be the survivors disagreeing on who died.
 		if o.Recoveries != 1 || o.RankFailures != 1 {

@@ -223,3 +223,11 @@ func FB250KFull(seed uint64) GenConfig {
 		Seed:      seed,
 	}
 }
+
+// presets names the synthetic datasets a command line can ask for.
+var presets = map[string]func(seed uint64) GenConfig{
+	"fb15k-mini":  FB15KMini,
+	"fb250k-mini": FB250KMini,
+	"fb15k-full":  FB15KFull,
+	"fb250k-full": FB250KFull,
+}

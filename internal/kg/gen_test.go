@@ -2,6 +2,7 @@ package kg
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -218,4 +219,41 @@ func TestScaled(t *testing.T) {
 		}
 	}()
 	base.Scaled(0)
+}
+
+// TestLoad: every preset name resolves to its generator, the two mini
+// presets load end to end, a directory wins over the preset, and an unknown
+// name is an error listing the presets. The full presets are checked by
+// configuration only: fb250k-full is 16 M triples.
+func TestLoad(t *testing.T) {
+	t.Parallel()
+	const seed = 3
+	for name, want := range map[string]GenConfig{
+		"fb15k-mini":  FB15KMini(seed),
+		"fb250k-mini": FB250KMini(seed),
+		"fb15k-full":  FB15KFull(seed),
+		"fb250k-full": FB250KFull(seed),
+	} {
+		if got := presets[name](seed); got != want || got.Name != name {
+			t.Errorf("preset %s resolves to %+v, want %+v", name, got, want)
+		}
+	}
+	for _, name := range []string{"fb15k-mini", "fb250k-mini"} {
+		d, err := Load(name, "", "", seed)
+		if err != nil || d.Name != name || d.NumEntities != presets[name](seed).Entities {
+			t.Fatalf("Load(%s): %v, %v", name, d, err)
+		}
+	}
+	dir := t.TempDir()
+	small := Generate(GenConfig{Name: "small", Entities: 50, Relations: 5, Triples: 400, Seed: seed})
+	if err := SaveDir(small, dir); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Load("no-such-preset", dir, "", seed)
+	if err != nil || d.NumEntities != 50 || len(d.Train) != len(small.Train) {
+		t.Fatalf("Load(dir): %+v, %v", d, err)
+	}
+	if _, err := Load("fb15k", "", "", seed); err == nil || !strings.Contains(err.Error(), "fb250k-full") {
+		t.Fatalf("Load(fb15k): %v, want an unknown-preset error listing the presets", err)
+	}
 }

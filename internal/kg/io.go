@@ -3,8 +3,10 @@ package kg
 import (
 	"bufio"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -81,6 +83,25 @@ func LoadDir(dir string) (*Dataset, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// Load returns the dataset a command line names: the Freebase-text layout
+// in namedDir if set (see LoadNamedDir), else the OpenKE layout in dir if
+// set, else the synthetic preset generated from seed.
+func Load(preset, dir, namedDir string, seed uint64) (*Dataset, error) {
+	switch {
+	case namedDir != "":
+		d, _, err := LoadNamedDir(namedDir)
+		return d, err
+	case dir != "":
+		return LoadDir(dir)
+	}
+	cfg, ok := presets[preset]
+	if !ok {
+		return nil, fmt.Errorf("kg: unknown dataset preset %q (want one of %s, or a dataset directory)",
+			preset, strings.Join(slices.Sorted(maps.Keys(presets)), ", "))
+	}
+	return Generate(cfg(seed)), nil
 }
 
 func loadSplit(path string) ([]Triple, error) {

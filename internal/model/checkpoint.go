@@ -108,27 +108,35 @@ func SaveCheckpoint(path string, m Model, p *Params) error {
 // are rejected with an error wrapping ErrCorruptCheckpoint — a damaged
 // checkpoint is never silently loaded.
 func LoadCheckpoint(path string) (Model, *Params, error) {
+	m, p, _, err := LoadCheckpointWithInfo(path)
+	return m, p, err
+}
+
+// LoadCheckpointWithInfo is LoadCheckpoint that also returns the header and
+// CRC it verified, as ReadCheckpointInfo would report them, from the same
+// single pass over the file.
+func LoadCheckpointWithInfo(path string) (Model, *Params, CheckpointInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("model: opening checkpoint: %w", err)
+		return nil, nil, CheckpointInfo{}, fmt.Errorf("model: opening checkpoint: %w", err)
 	}
 	defer f.Close() //kgelint:ignore droppederr read-only close
 	cr, err := readHeader(f, path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, CheckpointInfo{}, err
 	}
 	m := New(cr.info.Model, cr.info.Dim)
 	p := NewParams(m, cr.info.Entities, cr.info.Relations)
 	if err := readF32(cr.r, p.Entity.Data); err != nil {
-		return nil, nil, cr.truncated("entity matrix", err)
+		return nil, nil, CheckpointInfo{}, cr.truncated("entity matrix", err)
 	}
 	if err := readF32(cr.r, p.Relation.Data); err != nil {
-		return nil, nil, cr.truncated("relation matrix", err)
+		return nil, nil, CheckpointInfo{}, cr.truncated("relation matrix", err)
 	}
-	if _, err := cr.verify(); err != nil {
-		return nil, nil, err
+	if cr.info.CRC, err = cr.verify(); err != nil {
+		return nil, nil, CheckpointInfo{}, err
 	}
-	return m, p, nil
+	return m, p, cr.info, nil
 }
 
 func writeF32(w io.Writer, data []float32) error {

@@ -44,6 +44,26 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointWithInfoMatchesHeaderPass: the info the one-pass load
+// returns is what the header pass reports, CRC included.
+func TestLoadCheckpointWithInfoMatchesHeaderPass(t *testing.T) {
+	m := New("transe", 4)
+	p := NewParams(m, 9, 3)
+	p.Init(m, xrand.New(5))
+	path := filepath.Join(t.TempDir(), "ck.kge")
+	if err := SaveCheckpoint(path, m, p); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadCheckpointInfo(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, got, err := LoadCheckpointWithInfo(path)
+	if err != nil || got != want || got.CRC == 0 {
+		t.Fatalf("LoadCheckpointWithInfo: %+v (%v), header pass: %+v", got, err, want)
+	}
+}
+
 func TestLoadCheckpointErrors(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, err := LoadCheckpoint(filepath.Join(dir, "missing")); err == nil {

@@ -65,14 +65,10 @@ const DefaultShardRows = 16384
 
 // OpenStore loads the KGE2 checkpoint at path into a new Store. shardRows
 // sets the entity partition grain (<= 0 selects DefaultShardRows). The
-// checkpoint is CRC-validated by the load; a corrupt file never becomes a
-// live store.
+// checkpoint is CRC-validated by the load, in the one pass that reads it;
+// a corrupt file never becomes a live store.
 func OpenStore(path string, shardRows int) (*Store, error) {
-	info, err := model.ReadCheckpointInfo(path)
-	if err != nil {
-		return nil, err
-	}
-	m, p, err := model.LoadCheckpoint(path)
+	m, p, info, err := model.LoadCheckpointWithInfo(path)
 	if err != nil {
 		return nil, err
 	}

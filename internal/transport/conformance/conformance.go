@@ -39,6 +39,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("AbortUnblocksRendezvous", func(t *testing.T) { testAbortUnblocksRendezvous(t, factory) })
 	t.Run("WatchdogExpiry", func(t *testing.T) { testWatchdogExpiry(t, factory) })
 	t.Run("FailureVerdict", func(t *testing.T) { testFailureVerdict(t, factory) })
+	t.Run("ShrinkAfterRankZeroDies", func(t *testing.T) { testShrinkAfterRankZeroDies(t, factory) })
 }
 
 // watchdog fails the test with a goroutine dump if fn does not return in
@@ -332,5 +333,63 @@ func testFailureVerdict(t *testing.T, factory Factory) {
 				t.Fatalf("rank %d: Failed() = %v, want [2]", r, got)
 			}
 		}
+	})
+}
+
+// testShrinkAfterRankZeroDies: losing rank 0 shrinks like losing any other
+// rank. The survivors are renumbered densely into a world that moves
+// messages and passes barriers. A backend that re-meshes (transport.Shrinker,
+// the TCP fabric, whose first generation rank 0 leads) shrinks its own
+// endpoints; any other is rebuilt over the survivors, as mpi.World.Shrink
+// rebuilds a channel world.
+func testShrinkAfterRankZeroDies(t *testing.T, factory Factory) {
+	const p = 3
+	eps := factory(t, p)
+	defer closeAll(t, eps)
+	watchdog(t, "shrink after rank 0 dies", func() {
+		succ := make([]transport.Endpoint, p-1)
+		if _, ok := eps[1].(transport.Shrinker); ok {
+			errs := make([]error, p-1)
+			var wg sync.WaitGroup
+			for i, ep := range eps[1:] {
+				wg.Add(1)
+				go func(i int, ep transport.Endpoint) {
+					defer wg.Done()
+					ep.FailRank(0)
+					succ[i], errs[i] = ep.(transport.Shrinker).Shrink([]int{0})
+				}(i, ep)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: shrink: %v", i+1, err)
+				}
+			}
+		} else {
+			succ = factory(t, p-1)
+		}
+		defer closeAll(t, succ)
+		for r, ep := range succ {
+			if ep.Rank() != r || ep.Size() != p-1 {
+				t.Fatalf("survivor %d: rank %d of %d, want %d of %d", r, ep.Rank(), ep.Size(), r, p-1)
+			}
+		}
+		if err := succ[1].Send(0, transport.Message{Seq: 1, F64: 0.25}); err != nil {
+			t.Fatalf("send after shrink: %v", err)
+		}
+		if m, err := succ[0].Recv(1, 10*time.Second); err != nil || m.Seq != 1 || m.F64 != 0.25 { //kgelint:ignore floateq wire round-trip must be bit-exact
+			t.Fatalf("recv after shrink: %+v, %v", m, err)
+		}
+		var wg sync.WaitGroup
+		for _, ep := range succ {
+			wg.Add(1)
+			go func(ep transport.Endpoint) {
+				defer wg.Done()
+				if err := ep.Rendezvous(nil); err != nil {
+					t.Errorf("rank %d: rendezvous after shrink: %v", ep.Rank(), err)
+				}
+			}(ep)
+		}
+		wg.Wait()
 	})
 }

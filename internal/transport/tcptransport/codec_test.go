@@ -149,7 +149,7 @@ func TestFrameBytesUnchanged(t *testing.T) {
 	data := appendMessage(nil, transport.Message{Seq: 9, F32: []float32{1, -2, float32(math.NaN())}, I32: []int32{-7}, Raw: []byte("r")})
 	payloads := [][]byte{nil, {}, []byte("x"), binary.LittleEndian.AppendUint64(nil, 0x0123456789abcdef), data, bytes.Repeat([]byte{0xA5}, 1<<16+3)}
 	scratch := make([]byte, 0, 7) // too small at first: sealing must regrow it
-	for typ := byte(ftRegister); typ <= ftRegroup; typ++ {
+	for typ := byte(ftJoin); typ <= ftRegroup; typ++ {
 		for i, p := range payloads {
 			want := oldFrame(typ, p)
 			var w writeCounter

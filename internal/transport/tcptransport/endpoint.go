@@ -3,10 +3,11 @@
 // carrying length-prefixed CRC-checked frames, and liveness is tracked with
 // application-level heartbeats. It is robustness-first by construction:
 //
-//   - Rendezvous handshake: every process dials the coordinator (original
-//     rank 0), which validates world size, rank identity, build tag and
-//     protocol version before sealing the membership roster — a
-//     misconfigured or mismatched process is rejected, never meshed.
+//   - Rendezvous handshake: every process joins the lowest live rank (the
+//     generation's leader) and then each lower-ranked peer, and every JOIN
+//     is checked for world size, rank identity, build tag and protocol
+//     version before the membership roster is sealed — a misconfigured or
+//     mismatched process is rejected, never meshed.
 //   - Dial retry with capped exponential backoff and jitter, under a hard
 //     connect/handshake deadline, so a slow-starting peer is tolerated and
 //     a missing one is a bounded error instead of an unbounded hang.
@@ -87,8 +88,9 @@ type Options struct {
 	Rank int
 	// WorldSize is the number of processes in the job.
 	WorldSize int
-	// CoordinatorAddr is the host:port where original rank 0 listens; every
-	// process (including rank 0 itself) must agree on it.
+	// CoordinatorAddr is the host:port where original rank 0 listens: the
+	// first generation's leader, which every other process joins first.
+	// Later generations reach their leader at its roster address.
 	CoordinatorAddr string
 	// ListenAddr is this process's listen address. Defaults to
 	// CoordinatorAddr for rank 0 and "127.0.0.1:0" otherwise; the actual
@@ -194,13 +196,16 @@ type Endpoint struct {
 	wg      sync.WaitGroup
 
 	// deadMask accumulates the original ranks dead across every generation
-	// so far; it is reported in registrations so the coordinator can detect
+	// so far; it is reported in every JOIN so the acceptor can detect
 	// diverged membership views.
 	deadMask uint64
+	// addrs holds every member's listen address by original rank, as the
+	// latest roster sealed it: where the next generation's leader is dialled.
+	addrs map[int]string
 
 	pendMu     sync.Mutex
-	pending    []pendingConn // next-generation handshakes that arrived early
-	handedOver bool          // Shrink took pending: late arrivals are hung up on
+	pending    []join // next-generation JOINs that arrived early
+	handedOver bool   // Shrink took pending: late arrivals are hung up on
 }
 
 // barToken is one dissemination-barrier arrival notice.
@@ -227,9 +232,9 @@ type peerConn struct {
 	corrupt   atomic.Bool // Inject(FaultCorrupt): damage the next data frame
 }
 
-// Dial joins the job: it binds the listener, runs the rendezvous handshake
-// against the coordinator (validating world size, rank identity, build tag
-// and protocol version), meshes with every peer, and returns once the full
+// Dial joins the job: it binds the listener, runs the join exchange with the
+// coordinator and then every lower-ranked peer (validating world size, rank
+// identity, build tag and protocol version), and returns once the full
 // world has completed an initial barrier. The entire sequence is bounded by
 // Options.ConnectDeadline; a peer that never shows up makes Dial fail with
 // an error naming it rather than hang.
@@ -258,6 +263,7 @@ func Dial(opt Options) (*Endpoint, error) {
 		live[i] = i
 	}
 	e := newEndpoint(opt, host, met, 0, opt.Rank, live)
+	e.addrs = map[int]string{0: opt.CoordinatorAddr}
 	if err := e.establish(deadline, nil); err != nil {
 		host.close()
 		return nil, err
@@ -484,8 +490,8 @@ func (e *Endpoint) teardown(closeHost bool) {
 		pend := e.pending
 		e.pending = nil
 		e.pendMu.Unlock()
-		for _, p := range pend {
-			_ = p.rc.c.Close()
+		for _, j := range pend {
+			_ = j.rc.c.Close()
 		}
 	}
 }

@@ -34,7 +34,7 @@ import (
 // ProtocolVersion is carried in every frame header and validated during the
 // rendezvous handshake: processes speaking different wire revisions refuse
 // to mesh instead of misinterpreting each other's bytes.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 const (
 	frameMagic = 0x444B // "KD"
@@ -47,17 +47,15 @@ const (
 
 // Frame types.
 const (
-	ftRegister = 1  // dialer -> coordinator: join a generation
-	ftRoster   = 2  // coordinator -> member: sealed membership of a generation
-	ftHello    = 3  // mesh dial: higher original rank -> lower
-	ftAck      = 4  // mesh accept confirmation
-	ftReject   = 5  // handshake refusal; payload is the reason
-	ftData     = 6  // collective point-to-point message
-	ftBarrier  = 7  // dissemination-barrier token
-	ftPing     = 8  // heartbeat request; payload echoes back in the pong
-	ftPong     = 9  // heartbeat reply
-	ftBye      = 10 // clean shutdown notice (departure, not failure)
-	ftRegroup  = 11 // failure notice: original-rank dead set
+	ftJoin    = 1 // dialler -> lower original rank: join a generation
+	ftRoster  = 2 // acceptor -> dialler: sealed membership of a generation
+	ftReject  = 3 // handshake refusal; payload is the reason
+	ftData    = 4 // collective point-to-point message
+	ftBarrier = 5 // dissemination-barrier token
+	ftPing    = 6 // heartbeat request; payload echoes back in the pong
+	ftPong    = 7 // heartbeat reply
+	ftBye     = 8 // clean shutdown notice (departure, not failure)
+	ftRegroup = 9 // failure notice: original-rank dead set
 )
 
 // errCRC marks a frame rejected by checksum — surfaced separately so the

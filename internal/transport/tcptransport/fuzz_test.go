@@ -49,16 +49,17 @@ func sameMessage(a, b transport.Message) bool {
 		slices.Equal(a.I32, b.I32) && slices.Equal(a.Raw, b.Raw)
 }
 
-// FuzzDecodeHandshake throws arbitrary bytes at the three handshake decoders
-// a listener runs on frames from whoever dials it. None may panic, a roster
-// never lists more than maxWorldSize members, and whatever a decoder accepts
-// re-encodes to the same fields.
+// FuzzDecodeHandshake throws arbitrary bytes at the two handshake decoders
+// a listener and a dialler run on bytes from a peer: the JOIN every inbound
+// connection opens with and the roster that answers it. Neither may panic, a
+// roster never lists more than maxWorldSize members, and whatever a decoder
+// accepts re-encodes to the same fields.
 func FuzzDecodeHandshake(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
-		if r, err := decodeRegister(p); err == nil {
-			again, err := decodeRegister(encodeRegister(r.gen, r.orig, r.worldSize, r.build, r.addr, r.deadMask))
-			if err != nil || again != r {
-				t.Fatalf("registration round trip: %+v -> %+v (%v)", r, again, err)
+		if j, err := decodeJoin(p); err == nil {
+			again, err := decodeJoin(encodeJoin(j))
+			if err != nil || again != j {
+				t.Fatalf("join round trip: %+v -> %+v (%v)", j, again, err)
 			}
 		}
 		gen, live, addrs, err := decodeRoster(p)
@@ -69,12 +70,6 @@ func FuzzDecodeHandshake(f *testing.F) {
 			g2, live2, addrs2, err := decodeRoster(encodeRoster(gen, live, addrs))
 			if err != nil || g2 != gen || !slices.Equal(live2, live) || !maps.Equal(addrs2, addrs) {
 				t.Fatalf("roster round trip: %d %v %v -> %d %v %v (%v)", gen, live, addrs, g2, live2, addrs2, err)
-			}
-		}
-		if gen, orig, build, err := decodeHello(p); err == nil {
-			g2, o2, b2, err := decodeHello(encodeHello(gen, orig, build))
-			if err != nil || g2 != gen || o2 != orig || b2 != build {
-				t.Fatalf("hello round trip: %d %d %q -> %d %d %q (%v)", gen, orig, build, g2, o2, b2, err)
 			}
 		}
 	})

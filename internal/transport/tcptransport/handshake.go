@@ -4,40 +4,46 @@ package tcptransport
 //
 // Membership is generational. Generation 0 is the full world; every
 // World.Shrink advances the generation over the survivors. Each generation
-// is sealed by the coordinator (original rank 0, whose death is the one
-// unrecoverable failure):
+// is led by its lowest live original rank: original rank 0 at generation 0,
+// reached at Options.CoordinatorAddr, and after a shrink the lowest
+// survivor, reached at the address the previous roster carried. Losing the
+// leader is therefore no different from losing any other rank. Every link
+// is made by one join exchange:
 //
-//  1. Every other member dials the coordinator (retrying with backoff under
-//     the connect deadline) and sends ftRegister carrying its generation,
-//     original rank, world size, build tag, listen address and the set of
-//     original ranks it believes dead. The frame header carries the
-//     protocol version; any mismatch in version, build, world size or
-//     membership view is answered with ftReject — a misconfigured process
-//     cannot join.
-//  2. The coordinator waits for exactly the expected survivors. A missing
-//     registrant past the deadline is an error naming it (initial start
-//     and re-mesh alike: membership is never silently shrunk during a
-//     handshake — shrinking is the mpi layer's explicit decision).
-//  3. The coordinator seals the roster (member original ranks + listen
-//     addresses) and sends it back on each registration connection, which
-//     is kept as the coordinator<->member mesh link.
-//  4. Members mesh pairwise: for original ranks 0 < i < j, j dials i and
-//     they exchange ftHello/ftAck (same validation). Higher ranks accept.
-//  5. Everyone runs one dissemination barrier, so Dial/Shrink return only
+//  1. Each member dials every lower-ranked member in ascending order, the
+//     leader first (retrying with backoff under the connect deadline), and
+//     sends ftJoin carrying its generation, original rank, world size,
+//     build tag, listen address and the set of original ranks it believes
+//     dead. The frame header carries the protocol version.
+//  2. Each member waits for the JOINs of every higher-ranked member and
+//     validates each one (checkJoin). A mismatch in build, world size,
+//     generation or membership is answered with ftReject naming it — a
+//     misconfigured process cannot join — and a member still missing at the
+//     deadline is an error naming it: membership is never silently shrunk
+//     during a handshake (shrinking is the mpi layer's explicit decision).
+//  3. Once all have joined, it answers each with ftRoster, the sealed
+//     membership (original ranks + listen addresses). The leader's roster
+//     tells the members where to dial each other; every roster is checked
+//     against the dialler's own view. Each joined connection stays as that
+//     pair's mesh link.
+//  4. Everyone runs one dissemination barrier, so Dial/Shrink return only
 //     once the entire generation is live.
 //
 // Failure recovery rides the same path: FailRank broadcasts ftRegroup, the
-// mpi layer shrinks, and the survivors re-register for generation g+1. A
-// survivor that reaches the coordinator before the coordinator itself has
-// shrunk is parked (the listener stashes the handshake as "pending") and
-// adopted when the coordinator's own establish for g+1 begins.
+// mpi layer shrinks, and the survivors join generation g+1. A JOIN for g+1
+// that reaches a member still at g is parked (the listener stashes it as
+// pending) and adopted when that member's own establish for g+1 begins; its
+// dead set is applied at once, so the member aborts without waiting for its
+// own detectors.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,16 +132,8 @@ func (h *listenHost) close() {
 	}
 }
 
-// pendingConn is an inbound handshake for the next generation, parked until
-// this process shrinks too.
-type pendingConn struct {
-	rc      rawConn
-	typ     byte
-	payload []byte
-}
-
-// registration is a decoded ftRegister.
-type registration struct {
+// join is a decoded ftJoin, with the connection it arrived on.
+type join struct {
 	gen       uint32
 	orig      int
 	worldSize int
@@ -145,31 +143,24 @@ type registration struct {
 	rc        rawConn
 }
 
-// helloConn is a decoded, acked ftHello.
-type helloConn struct {
-	orig int
-	rc   rawConn
+func encodeJoin(j join) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, j.gen)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(j.orig))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(j.worldSize))
+	buf = binary.LittleEndian.AppendUint64(buf, j.deadMask)
+	buf = appendStr(buf, j.build)
+	return appendStr(buf, j.addr)
 }
 
-func encodeRegister(gen uint32, orig, worldSize int, build, addr string, deadMask uint64) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, gen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(orig))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(worldSize))
-	buf = binary.LittleEndian.AppendUint64(buf, deadMask)
-	buf = appendStr(buf, build)
-	buf = appendStr(buf, addr)
-	return buf
-}
-
-func decodeRegister(p []byte) (registration, error) {
+func decodeJoin(p []byte) (join, error) {
 	c := cursor{p: p}
-	r := registration{gen: c.u32()}
-	r.orig = int(c.u32())
-	r.worldSize = int(c.u32())
-	r.deadMask = c.u64()
-	r.build = c.str()
-	r.addr = c.str()
-	return r, c.err
+	j := join{gen: c.u32()}
+	j.orig = int(c.u32())
+	j.worldSize = int(c.u32())
+	j.deadMask = c.u64()
+	j.build = c.str()
+	j.addr = c.str()
+	return j, c.err
 }
 
 func encodeRoster(gen uint32, live []int, addrs map[int]string) []byte {
@@ -198,20 +189,6 @@ func decodeRoster(p []byte) (gen uint32, live []int, addrs map[int]string, err e
 	return gen, live, addrs, c.err
 }
 
-func encodeHello(gen uint32, orig int, build string) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, gen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(orig))
-	return appendStr(buf, build)
-}
-
-func decodeHello(p []byte) (gen uint32, orig int, build string, err error) {
-	c := cursor{p: p}
-	gen = c.u32()
-	orig = int(c.u32())
-	build = c.str()
-	return gen, orig, build, c.err
-}
-
 // reject answers a handshake with a reason and closes the connection.
 func (e *Endpoint) reject(rc rawConn, reason string) {
 	_ = rc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
@@ -230,148 +207,129 @@ func (e *Endpoint) liveMask() uint64 {
 	return m
 }
 
-// routeInbound reads one handshake frame off a fresh inbound connection
-// (bounded by the connect deadline) and routes it.
-func (e *Endpoint) routeInbound(c net.Conn, regCh chan registration, helloCh chan helloConn) {
+// errDiverged marks a JOIN whose dead set names a live member: the two
+// processes disagree on who is alive, and no wait can reconcile them.
+var errDiverged = errors.New("inconsistent membership: views diverged")
+
+// checkJoin is the one validator of an inbound JOIN: it must carry this
+// job's build tag and world size, this generation or the next, and a sender
+// that is a live member other than this one. A JOIN for this generation must
+// also hold no live member dead; one for the next generation is exempt, as
+// its dead set names the members this generation is losing.
+func (e *Endpoint) checkJoin(j join) error {
+	switch {
+	case j.build != e.opt.BuildTag:
+		return fmt.Errorf("build tag %q, this job runs %q", j.build, e.opt.BuildTag)
+	case j.worldSize != e.opt.WorldSize:
+		return fmt.Errorf("world size %d, this job has %d", j.worldSize, e.opt.WorldSize)
+	case j.gen != e.gen && j.gen != e.gen+1:
+		return fmt.Errorf("not accepting joins for generation %d (at %d)", j.gen, e.gen)
+	case j.orig == e.orig || !slices.Contains(e.live, j.orig):
+		return fmt.Errorf("rank %d is not an expected member of generation %d", j.orig, j.gen)
+	case j.gen == e.gen && j.deadMask&e.liveMask() != 0:
+		return fmt.Errorf("%w: dead set %#x names live members of %#x", errDiverged, j.deadMask, e.liveMask())
+	}
+	return nil
+}
+
+// routeInbound reads the JOIN a fresh inbound connection opens with
+// (bounded by the connect deadline) and admits it.
+func (e *Endpoint) routeInbound(c net.Conn, joins chan<- join) {
 	rc := newRawConn(c)
 	_ = c.SetReadDeadline(time.Now().Add(e.opt.ConnectDeadline))
 	typ, payload, wire, err := readFrame(rc.br)
 	if err != nil {
-		_ = c.Close()
+		// A dialer speaking another protocol version reads the cause here.
+		e.reject(rc, fmt.Sprintf("unreadable join: %v", err))
 		return
 	}
 	e.met.AddRecv(wire)
 	_ = c.SetReadDeadline(time.Time{})
-	e.routeFrame(rc, typ, payload, regCh, helloCh)
+	j, err := decodeJoin(payload)
+	if err == nil && typ != ftJoin {
+		err = fmt.Errorf("frame type %d", typ)
+	}
+	if err != nil {
+		e.reject(rc, fmt.Sprintf("malformed join: %v", err))
+		return
+	}
+	j.rc = rc
+	e.admit(j, joins)
 }
 
-// routeFrame validates and dispatches one handshake frame. regCh/helloCh
-// are non-nil while this endpoint is in its establish phase; frames for the
-// next generation are parked as pending for the successor endpoint.
-func (e *Endpoint) routeFrame(rc rawConn, typ byte, payload []byte, regCh chan registration, helloCh chan helloConn) {
-	switch typ {
-	case ftRegister:
-		reg, err := decodeRegister(payload)
-		if err != nil {
-			e.reject(rc, fmt.Sprintf("malformed registration: %v", err))
-			return
-		}
-		reg.rc = rc
-		if reg.build != e.opt.BuildTag {
-			e.reject(rc, fmt.Sprintf("build tag %q, this job runs %q", reg.build, e.opt.BuildTag))
-			return
-		}
-		if reg.worldSize != e.opt.WorldSize {
-			e.reject(rc, fmt.Sprintf("world size %d, this job has %d", reg.worldSize, e.opt.WorldSize))
-			return
-		}
-		switch {
-		case reg.gen == e.gen && regCh != nil && e.orig == 0:
-			select {
-			case regCh <- reg:
-			default:
-				e.reject(rc, "registration queue overflow")
-			}
-		case reg.gen == e.gen+1 && e.orig == 0:
-			// A survivor shrank before we did: park it for our successor
-			// and adopt its failure report now, so our own abort (if it has
-			// not tripped yet) happens immediately.
-			e.park(pendingConn{rc: rc, typ: typ, payload: payload})
-			e.applyDeadMask(reg.deadMask, fmt.Sprintf("reported by orig %d registering for generation %d", reg.orig, reg.gen))
+// admit hands a JOIN for this generation to the establish waiting for it
+// (joins is nil once that has finished) and parks a valid one for the next
+// generation, applying its dead set at once: the sender has shrunk over a
+// failure this endpoint may not have noticed yet.
+func (e *Endpoint) admit(j join, joins chan<- join) {
+	if j.gen == e.gen && joins != nil {
+		select {
+		case joins <- j:
 		default:
-			e.reject(rc, fmt.Sprintf("not accepting registrations for generation %d (at %d)", reg.gen, e.gen))
+			e.reject(j.rc, "join queue overflow")
 		}
-	case ftHello:
-		gen, orig, build, err := decodeHello(payload)
-		if err != nil {
-			e.reject(rc, fmt.Sprintf("malformed hello: %v", err))
-			return
-		}
-		if build != e.opt.BuildTag {
-			e.reject(rc, fmt.Sprintf("build tag %q, this job runs %q", build, e.opt.BuildTag))
-			return
-		}
-		switch {
-		case gen == e.gen && helloCh != nil:
-			_ = rc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			n, err := writeFrame(rc.c, ftAck, binary.LittleEndian.AppendUint32(nil, gen), false)
-			if err != nil {
-				_ = rc.c.Close()
-				return
-			}
-			e.met.AddSent(n)
-			select {
-			case helloCh <- helloConn{orig: orig, rc: rc}:
-			default:
-				_ = rc.c.Close()
-			}
-		case gen == e.gen+1:
-			e.park(pendingConn{rc: rc, typ: typ, payload: payload})
-		default:
-			e.reject(rc, fmt.Sprintf("not accepting hellos for generation %d (at %d)", gen, e.gen))
-		}
+		return
+	}
+	switch err := e.checkJoin(j); {
+	case err != nil:
+		e.reject(j.rc, err.Error())
+	case j.gen == e.gen+1:
+		e.park(j)
+		e.applyDeadMask(j.deadMask, fmt.Sprintf("reported by orig %d joining generation %d", j.orig, j.gen))
 	default:
-		_ = rc.c.Close()
+		e.reject(j.rc, fmt.Sprintf("generation %d is already sealed", j.gen))
 	}
 }
 
-// park holds a next-generation handshake for the successor endpoint. Once
-// the pending list has been handed over (takePending), nobody would ever
-// read a late arrival — a routeInbound that was mid-read when Shrink took
-// the list — so it is hung up on instead: the dialer redials whole attempts
-// and reaches the successor's sink.
-func (e *Endpoint) park(p pendingConn) {
+// park holds a next-generation JOIN for the successor endpoint. Once the
+// pending list has been handed over (takePending), nobody would ever read a
+// late arrival — a routeInbound that was mid-read when Shrink took the list
+// — so it is hung up on instead: the dialer redials whole attempts and
+// reaches the successor's sink.
+func (e *Endpoint) park(j join) {
 	e.pendMu.Lock()
 	defer e.pendMu.Unlock()
 	if e.handedOver {
-		_ = p.rc.c.Close()
+		_ = j.rc.c.Close()
 		return
 	}
-	e.pending = append(e.pending, p)
+	e.pending = append(e.pending, j)
 }
 
-func (e *Endpoint) takePending() []*pendingConn {
+func (e *Endpoint) takePending() []join {
 	e.pendMu.Lock()
 	defer e.pendMu.Unlock()
-	out := make([]*pendingConn, 0, len(e.pending))
-	for i := range e.pending {
-		p := e.pending[i]
-		out = append(out, &p)
-	}
+	out := e.pending
 	e.pending = nil
 	e.handedOver = true
 	return out
 }
 
-// establish runs the rendezvous + mesh for this endpoint's generation:
-// registration (or registration collection, on the coordinator), pairwise
-// mesh dials, connection adoption and the initial barrier. The whole
-// sequence is bounded by deadline. inherited carries handshakes that
-// arrived at the previous generation's listener early.
-func (e *Endpoint) establish(deadline time.Time, inherited []*pendingConn) error {
-	regCh := make(chan registration, maxWorldSize)
-	helloCh := make(chan helloConn, maxWorldSize)
-	e.host.setSink(func(c net.Conn) { e.routeInbound(c, regCh, helloCh) })
-	for _, p := range inherited {
-		go e.routeFrame(p.rc, p.typ, p.payload, regCh, helloCh)
+// establish runs the join exchanges of this endpoint's generation — dial
+// every lower-ranked member, await every higher-ranked one — then adopts
+// the connections and runs the initial barrier, all bounded by deadline.
+// inherited carries JOINs that reached the previous generation's endpoint
+// early.
+func (e *Endpoint) establish(deadline time.Time, inherited []join) error {
+	joins := make(chan join, maxWorldSize) // a slot per member: admit never blocks
+	e.host.setSink(func(c net.Conn) { e.routeInbound(c, joins) })
+	for _, j := range inherited {
+		go e.admit(j, joins)
 	}
-
+	e.addrs[e.orig] = e.Addr()
 	conns := make(map[int]rawConn) // by original rank
-	addrs := map[int]string{e.orig: e.Addr()}
-	if e.orig == 0 {
-		if err := e.collectRegistrations(deadline, regCh, conns, addrs); err != nil {
+	for _, orig := range e.live[:e.rank] {
+		rc, err := e.dialJoin(orig, deadline)
+		if err != nil {
 			return err
 		}
-	} else {
-		if err := e.register(deadline, conns, addrs); err != nil {
-			return err
-		}
-		if err := e.mesh(deadline, helloCh, conns, addrs); err != nil {
-			return err
-		}
+		conns[orig] = rc
+	}
+	if err := e.awaitJoins(deadline, joins, conns); err != nil {
+		return err
 	}
 	e.adopt(conns)
-	e.host.setSink(func(c net.Conn) { e.routeInbound(c, nil, nil) })
+	e.host.setSink(func(c net.Conn) { e.routeInbound(c, nil) })
 	if err := e.Rendezvous(nil); err != nil {
 		return fmt.Errorf("tcptransport: generation %d ready barrier: %w", e.gen, err)
 	}
@@ -379,169 +337,19 @@ func (e *Endpoint) establish(deadline time.Time, inherited []*pendingConn) error
 	return nil
 }
 
-// collectRegistrations is the coordinator half of the handshake: wait for
-// exactly the expected survivors, validate their failure reports against
-// the membership this generation was built over, seal and send the roster.
-func (e *Endpoint) collectRegistrations(deadline time.Time, regCh chan registration, conns map[int]rawConn, addrs map[int]string) error {
-	want := make(map[int]bool)
-	for _, orig := range e.live {
-		if orig != e.orig {
-			want[orig] = true
-		}
-	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	for len(want) > 0 {
-		select {
-		case reg := <-regCh:
-			if reg.deadMask&e.liveMask() != 0 {
-				e.reject(reg.rc, "inconsistent membership: your dead set names a live member")
-				return fmt.Errorf("tcptransport: orig %d reports dead mask %#x overlapping live members %#x — views diverged, cannot re-mesh",
-					reg.orig, reg.deadMask, e.liveMask())
-			}
-			if !want[reg.orig] {
-				e.reject(reg.rc, fmt.Sprintf("rank %d is not an expected member of generation %d", reg.orig, e.gen))
-				continue
-			}
-			delete(want, reg.orig)
-			conns[reg.orig] = reg.rc
-			addrs[reg.orig] = reg.addr
-		case <-timer.C:
-			missing := make([]int, 0, len(want))
-			for orig := range want {
-				missing = append(missing, orig)
-			}
-			return fmt.Errorf("tcptransport: generation %d: rank(s) %v did not register within %v",
-				e.gen, missing, e.opt.ConnectDeadline)
-		}
-	}
-	roster := encodeRoster(e.gen, e.live, addrs)
-	for orig, rc := range conns {
-		_ = rc.c.SetWriteDeadline(time.Now().Add(minDuration(10*time.Second, time.Until(deadline))))
-		n, err := writeFrame(rc.c, ftRoster, roster, false)
-		if err != nil {
-			return fmt.Errorf("tcptransport: sending roster to orig %d: %w", orig, err)
-		}
-		e.met.AddSent(n)
-	}
-	return nil
-}
-
-// register is the member half: dial the coordinator (retrying whole
-// attempts — a connection dropped during the handshake window is redialed,
-// a rejection is fatal) and hold the connection as the coordinator link.
-func (e *Endpoint) register(deadline time.Time, conns map[int]rawConn, addrs map[int]string) error {
-	payload := encodeRegister(e.gen, e.orig, e.opt.WorldSize, e.opt.BuildTag, e.Addr(), e.deadMask)
-	var lastErr error
-	for attempt := 0; time.Now().Before(deadline); attempt++ {
-		if attempt > 0 {
-			e.met.IncReconnect()
-			time.Sleep(minDuration(100*time.Millisecond, time.Until(deadline)))
-		}
-		c, err := dialRetry(&e.opt, e.met, e.opt.CoordinatorAddr, deadline)
-		if err != nil {
-			return err
-		}
-		rc := newRawConn(c)
-		_ = c.SetWriteDeadline(time.Now().Add(minDuration(10*time.Second, time.Until(deadline))))
-		if n, err := writeFrame(c, ftRegister, payload, false); err != nil {
-			lastErr = err
-			_ = c.Close()
-			continue
-		} else {
-			e.met.AddSent(n)
-		}
-		_ = c.SetReadDeadline(deadline)
-		typ, body, wire, err := readFrame(rc.br)
-		if err != nil {
-			// The coordinator may be mid-shrink (listener sink swapped) —
-			// redial unless the overall deadline has passed.
-			lastErr = err
-			_ = c.Close()
-			continue
-		}
-		e.met.AddRecv(wire)
-		_ = c.SetReadDeadline(time.Time{})
-		switch typ {
-		case ftReject:
-			_ = c.Close()
-			return fmt.Errorf("tcptransport: coordinator rejected rank %d (orig) for generation %d: %s", e.orig, e.gen, body)
-		case ftRoster:
-			gen, live, rosterAddrs, derr := decodeRoster(body)
-			if derr != nil || gen != e.gen {
-				_ = c.Close()
-				return fmt.Errorf("tcptransport: bad roster for generation %d: %v", e.gen, derr)
-			}
-			if !equalInts(live, e.live) {
-				_ = c.Close()
-				return fmt.Errorf("tcptransport: membership mismatch: coordinator sealed %v, this rank expected %v — views diverged", live, e.live)
-			}
-			for orig, addr := range rosterAddrs {
-				addrs[orig] = addr
-			}
-			conns[0] = rc
-			return nil
-		default:
-			lastErr = fmt.Errorf("unexpected frame type %d awaiting roster", typ)
-			_ = c.Close()
-			continue
-		}
-	}
-	return fmt.Errorf("tcptransport: registering with coordinator %s for generation %d: deadline exceeded: %w",
-		e.opt.CoordinatorAddr, e.gen, lastErr)
-}
-
-// mesh completes the pairwise links: dial every lower-ranked member (except
-// the coordinator, already connected) with hello/ack, and accept hellos
-// from every higher-ranked member.
-func (e *Endpoint) mesh(deadline time.Time, helloCh chan helloConn, conns map[int]rawConn, addrs map[int]string) error {
-	var expectHigher int
-	for _, orig := range e.live {
-		switch {
-		case orig > e.orig:
-			expectHigher++
-		case orig != 0 && orig < e.orig:
-			rc, err := e.dialPeer(orig, addrs[orig], deadline)
-			if err != nil {
-				return err
-			}
-			conns[orig] = rc
-		}
-	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	for have := 0; have < expectHigher; {
-		select {
-		case h := <-helloCh:
-			if _, dup := conns[h.orig]; dup || h.orig <= e.orig {
-				_ = h.rc.c.Close()
-				continue
-			}
-			conns[h.orig] = h.rc
-			have++
-		case <-timer.C:
-			var missing []int
-			for _, orig := range e.live {
-				if orig > e.orig {
-					if _, ok := conns[orig]; !ok {
-						missing = append(missing, orig)
-					}
-				}
-			}
-			return fmt.Errorf("tcptransport: generation %d mesh: no hello from rank(s) %v within %v",
-				e.gen, missing, e.opt.ConnectDeadline)
-		}
-	}
-	return nil
-}
-
-// dialPeer connects to one lower-ranked member, retrying whole hello/ack
-// attempts under the deadline.
-func (e *Endpoint) dialPeer(orig int, addr string, deadline time.Time) (rawConn, error) {
+// dialJoin is the dialling half of a join exchange with orig: dial it, send
+// this rank's JOIN and read the one reply. A connection dropped before the
+// reply is redialled until the deadline (the peer may be between
+// generations, its listener detached); a rejection is final. The roster
+// that answers must match this rank's view; its addresses are merged into
+// e.addrs, which is how the leader's roster tells a member where to dial.
+func (e *Endpoint) dialJoin(orig int, deadline time.Time) (rawConn, error) {
+	addr := e.addrs[orig]
 	if addr == "" {
 		return rawConn{}, fmt.Errorf("tcptransport: no address for orig rank %d in roster", orig)
 	}
-	hello := encodeHello(e.gen, e.orig, e.opt.BuildTag)
+	payload := encodeJoin(join{gen: e.gen, orig: e.orig, worldSize: e.opt.WorldSize,
+		build: e.opt.BuildTag, addr: e.Addr(), deadMask: e.deadMask})
 	var lastErr error
 	for attempt := 0; time.Now().Before(deadline); attempt++ {
 		if attempt > 0 {
@@ -554,34 +362,91 @@ func (e *Endpoint) dialPeer(orig int, addr string, deadline time.Time) (rawConn,
 		}
 		rc := newRawConn(c)
 		_ = c.SetWriteDeadline(time.Now().Add(minDuration(10*time.Second, time.Until(deadline))))
-		if n, werr := writeFrame(c, ftHello, hello, false); werr != nil {
-			lastErr = werr
-			_ = c.Close()
-			continue
-		} else {
+		n, err := writeFrame(c, ftJoin, payload, false)
+		var typ byte
+		var body []byte
+		if err == nil {
 			e.met.AddSent(n)
+			_ = c.SetReadDeadline(deadline)
+			typ, body, n, err = readFrame(rc.br)
 		}
-		_ = c.SetReadDeadline(deadline)
-		typ, body, wire, rerr := readFrame(rc.br)
-		if rerr != nil {
-			lastErr = rerr
+		if err != nil {
+			lastErr = err
 			_ = c.Close()
 			continue
 		}
-		e.met.AddRecv(wire)
+		e.met.AddRecv(n)
 		_ = c.SetReadDeadline(time.Time{})
 		switch typ {
-		case ftAck:
-			return rc, nil
 		case ftReject:
 			_ = c.Close()
-			return rawConn{}, fmt.Errorf("tcptransport: orig %d rejected mesh hello: %s", orig, body)
+			return rawConn{}, fmt.Errorf("tcptransport: orig %d rejected orig %d joining generation %d: %s", orig, e.orig, e.gen, body)
+		case ftRoster:
+			gen, live, addrs, err := decodeRoster(body)
+			if err != nil || gen != e.gen {
+				_ = c.Close()
+				return rawConn{}, fmt.Errorf("tcptransport: bad roster from orig %d for generation %d (got %d): %v", orig, e.gen, gen, err)
+			}
+			if !slices.Equal(live, e.live) {
+				_ = c.Close()
+				return rawConn{}, fmt.Errorf("tcptransport: membership mismatch: orig %d sealed %v, this rank expected %v — views diverged", orig, live, e.live)
+			}
+			maps.Copy(e.addrs, addrs)
+			return rc, nil
 		default:
-			lastErr = fmt.Errorf("unexpected frame type %d awaiting ack", typ)
+			lastErr = fmt.Errorf("unexpected frame type %d awaiting roster", typ)
 			_ = c.Close()
 		}
 	}
-	return rawConn{}, fmt.Errorf("tcptransport: meshing with orig %d at %s: deadline exceeded: %w", orig, addr, lastErr)
+	return rawConn{}, fmt.Errorf("tcptransport: joining orig %d at %s for generation %d: deadline exceeded: %w", orig, addr, e.gen, lastErr)
+}
+
+// awaitJoins is the accepting half: wait until the deadline for a valid JOIN
+// from every live member above this rank, then answer each with the sealed
+// roster. An invalid JOIN is refused by name and the wait goes on, unless
+// the sender's view of who is dead has diverged from this one's, which no
+// wait can mend.
+func (e *Endpoint) awaitJoins(deadline time.Time, joins <-chan join, conns map[int]rawConn) error {
+	want := make(map[int]bool)
+	for _, orig := range e.live[e.rank+1:] {
+		want[orig] = true
+	}
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for len(want) > 0 {
+		select {
+		case j := <-joins:
+			err := e.checkJoin(j)
+			if err == nil && !want[j.orig] {
+				err = fmt.Errorf("rank %d does not join rank %d in generation %d", j.orig, e.orig, e.gen)
+			}
+			if err != nil {
+				e.reject(j.rc, err.Error())
+				if errors.Is(err, errDiverged) {
+					return fmt.Errorf("tcptransport: generation %d: orig %d joined with %w", e.gen, j.orig, err)
+				}
+				continue
+			}
+			delete(want, j.orig)
+			conns[j.orig] = j.rc
+			e.addrs[j.orig] = j.addr
+		case <-timer.C:
+			missing := slices.Sorted(maps.Keys(want))
+			return fmt.Errorf("tcptransport: generation %d: rank(s) %v did not join orig %d within %v",
+				e.gen, missing, e.orig, e.opt.ConnectDeadline)
+		}
+	}
+	roster := encodeRoster(e.gen, e.live, e.addrs)
+	for _, orig := range e.live[e.rank+1:] {
+		c := conns[orig].c
+		_ = c.SetWriteDeadline(time.Now().Add(minDuration(10*time.Second, time.Until(deadline))))
+		n, err := writeFrame(c, ftRoster, roster, false)
+		if err != nil {
+			return fmt.Errorf("tcptransport: sending roster to orig %d: %w", orig, err)
+		}
+		e.met.AddSent(n)
+	}
+	return nil
 }
 
 // adopt turns the handshake connections into live peer links with their
@@ -614,11 +479,10 @@ func (e *Endpoint) adopt(conns map[int]rawConn) {
 }
 
 // Shrink implements transport.Shrinker: it consumes this endpoint and
-// re-meshes the survivors as generation+1, renumbered densely. dead lists
-// dense ranks of this generation; ranks this endpoint already knows dead
-// are unioned in. The coordinator's death is unrecoverable (there is no
-// leader election — kgetrain restarts the job from the last checkpoint
-// instead), as is being named dead oneself (the peers have moved on).
+// re-meshes the survivors as generation+1, renumbered densely and led by
+// the lowest surviving original rank. dead lists dense ranks of this
+// generation; ranks this endpoint already knows dead are unioned in. Being
+// named dead oneself is unrecoverable (the peers have moved on).
 // Additional failures discovered during the re-mesh window surface as
 // errors, not silent membership changes, so the mpi layer's view of the
 // world and the transport's can never diverge.
@@ -649,9 +513,6 @@ func (e *Endpoint) Shrink(dead []int) (transport.Endpoint, error) {
 	newLive := make([]int, 0, e.size-len(deadSet))
 	for dense, orig := range e.live {
 		if deadSet[dense] {
-			if orig == 0 {
-				return nil, fmt.Errorf("tcptransport: the coordinator (original rank 0) died; re-mesh is impossible — restart the job from the last checkpoint")
-			}
 			deadOrigMask |= 1 << uint(orig)
 			continue
 		}
@@ -677,25 +538,14 @@ func (e *Endpoint) Shrink(dead []int) (transport.Endpoint, error) {
 
 	succ := newEndpoint(e.opt, e.host, e.met, e.gen+1, e.orig, newLive)
 	succ.deadMask = e.deadMask | deadOrigMask
+	succ.addrs = e.addrs
 	deadline := time.Now().Add(e.opt.ConnectDeadline)
 	if err := succ.establish(deadline, pend); err != nil {
 		e.host.close()
-		for _, p := range pend {
-			_ = p.rc.c.Close()
+		for _, j := range pend {
+			_ = j.rc.c.Close()
 		}
 		return nil, err
 	}
 	return succ, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,9 @@ package tcptransport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"runtime"
 	"strings"
@@ -195,7 +197,7 @@ func dialWorld(t *testing.T, p int, mutate func(rank int, o *Options)) []*Endpoi
 // --- handshake validation ---
 
 // TestHandshakeRejects drives each misconfiguration through a real
-// coordinator and asserts the dialer is refused with a reason naming the
+// leader and asserts the dialer is refused with a reason naming the
 // mismatch — never meshed, never hung.
 func TestHandshakeRejects(t *testing.T) {
 	cases := []struct {
@@ -239,7 +241,7 @@ func TestHandshakeRejects(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejectsImpostorRank: a registration claiming a rank outside
+// TestHandshakeRejectsImpostorRank: a JOIN claiming a rank outside
 // the expected membership (a stale worker from a previous job, a double
 // launch) is refused by name, and the impostor reads the reason.
 func TestHandshakeRejectsImpostorRank(t *testing.T) {
@@ -260,9 +262,9 @@ func TestHandshakeRejectsImpostorRank(t *testing.T) {
 			t.Fatalf("impostor dial: %v", err)
 		}
 		defer c.Close()
-		reg := encodeRegister(0, 7, 2, "dev", "127.0.0.1:1", 0)
-		if _, err := writeFrame(c, ftRegister, reg, false); err != nil {
-			t.Fatalf("impostor register: %v", err)
+		reg := encodeJoin(join{gen: 0, orig: 7, worldSize: 2, build: "dev", addr: "127.0.0.1:1"})
+		if _, err := writeFrame(c, ftJoin, reg, false); err != nil {
+			t.Fatalf("impostor join: %v", err)
 		}
 		_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
 		typ, payload, _, err := readFrame(c)
@@ -272,8 +274,76 @@ func TestHandshakeRejectsImpostorRank(t *testing.T) {
 		if !strings.Contains(string(payload), "not an expected member") {
 			t.Fatalf("reject reason %q", payload)
 		}
-		if err := <-coordErr; err == nil || !strings.Contains(err.Error(), "did not register") {
-			t.Fatalf("coordinator: got %v, want missing-registrant error", err)
+		if err := <-coordErr; err == nil || !strings.Contains(err.Error(), "did not join") {
+			t.Fatalf("coordinator: got %v, want missing-member error", err)
+		}
+	})
+}
+
+// TestHandshakeRejectsDivergedViews: a JOIN whose dead set names a live
+// member is refused by name, and the acceptor fails at once rather than
+// waiting out its deadline, since no wait can reconcile the two views.
+func TestHandshakeRejectsDivergedViews(t *testing.T) {
+	watchdog(t, "diverged views", 30*time.Second, func() {
+		lns := listeners(t, 2)
+		coordErr := make(chan error, 1)
+		go func() {
+			o := testOptions(0, 2, lns)
+			ep, err := Dial(o)
+			if ep != nil {
+				_ = ep.Close()
+			}
+			coordErr <- err
+		}()
+		c, err := net.Dial("tcp", lns[0].Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		j := encodeJoin(join{orig: 1, worldSize: 2, build: "dev", addr: lns[1].Addr().String(), deadMask: 1})
+		if _, err := writeFrame(c, ftJoin, j, false); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, payload, _, err := readFrame(c)
+		if err != nil || typ != ftReject || !strings.Contains(string(payload), "views diverged") {
+			t.Fatalf("answer: typ %d %q err %v, want a refusal naming the diverged views", typ, payload, err)
+		}
+		start := time.Now()
+		if err := <-coordErr; err == nil || !strings.Contains(err.Error(), "views diverged") {
+			t.Fatalf("coordinator: got %v, want a diverged-views error", err)
+		}
+		if waited := time.Since(start); waited > 10*time.Second {
+			t.Fatalf("coordinator failed after %v, not at once", waited)
+		}
+	})
+}
+
+// TestHandshakeRejectsProtocolVersion: a JOIN framed in another protocol
+// version is answered with a refusal the dialler can read, naming the
+// version, instead of a bare hang-up it would retry until its deadline.
+func TestHandshakeRejectsProtocolVersion(t *testing.T) {
+	eps := dialWorld(t, 2, nil)
+	watchdog(t, "protocol version", 30*time.Second, func() {
+		c, err := net.Dial("tcp", eps[0].Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		var frame bytes.Buffer
+		if _, err := writeFrame(&frame, ftJoin, encodeJoin(join{orig: 1, worldSize: 2, build: "dev"}), false); err != nil {
+			t.Fatal(err)
+		}
+		raw := frame.Bytes()
+		raw[2] = ProtocolVersion - 1
+		binary.LittleEndian.PutUint32(raw[len(raw)-trailerLen:], crc32.ChecksumIEEE(raw[:len(raw)-trailerLen]))
+		if _, err := c.Write(raw); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, payload, _, err := readFrame(c)
+		if err != nil || typ != ftReject || !strings.Contains(string(payload), "protocol version") {
+			t.Fatalf("answer: typ %d %q err %v, want a refusal naming the protocol version", typ, payload, err)
 		}
 	})
 }
@@ -290,7 +360,7 @@ func TestRendezvousTimeouts(t *testing.T) {
 		want string
 	}{
 		{
-			// The coordinator address answers nothing: rank 1's register can
+			// The coordinator address answers nothing: rank 1's join can
 			// never complete.
 			name: "missing coordinator",
 			run: func(t *testing.T, lns []net.Listener) error {
@@ -306,7 +376,7 @@ func TestRendezvousTimeouts(t *testing.T) {
 			want: "deadline exceeded",
 		},
 		{
-			// The coordinator waits for a rank that never registers.
+			// The coordinator waits for a rank that never joins.
 			name: "missing registrant",
 			run: func(t *testing.T, lns []net.Listener) error {
 				o := testOptions(0, 2, lns)
@@ -317,15 +387,15 @@ func TestRendezvousTimeouts(t *testing.T) {
 				}
 				return err
 			},
-			want: "did not register",
+			want: "rank(s) [1] did not join",
 		},
 		{
-			// A rank registers (so the roster seals) but never sends its mesh
-			// hello: the peer awaiting it must time out, not block.
-			name: "missing hello",
+			// A rank joins the coordinator (so the roster seals) but never
+			// joins rank 1: the peer awaiting it must time out, not block.
+			name: "missing mesh peer",
 			run: func(t *testing.T, lns []net.Listener) error {
 				errCh := make(chan error, 1)
-				go func() { // rank 1: the victim awaiting rank 2's hello
+				go func() { // rank 1: the victim awaiting rank 2's join
 					o := testOptions(1, 3, lns)
 					o.ConnectDeadline = deadline
 					ep, err := Dial(o)
@@ -345,16 +415,16 @@ func TestRendezvousTimeouts(t *testing.T) {
 						t.Error("coordinator completed with a rank that never meshed")
 					}
 				}()
-				// Fake rank 2: registers correctly, reads the roster, then
-				// goes silent instead of meshing.
+				// Fake rank 2: joins the coordinator correctly, reads the
+				// roster, then goes silent instead of joining rank 1.
 				c, err := net.Dial("tcp", lns[0].Addr().String())
 				if err != nil {
 					t.Fatalf("fake rank 2 dial: %v", err)
 				}
 				defer c.Close()
-				reg := encodeRegister(0, 2, 3, "dev", lns[2].Addr().String(), 0)
-				if _, err := writeFrame(c, ftRegister, reg, false); err != nil {
-					t.Fatalf("fake rank 2 register: %v", err)
+				reg := encodeJoin(join{gen: 0, orig: 2, worldSize: 3, build: "dev", addr: lns[2].Addr().String()})
+				if _, err := writeFrame(c, ftJoin, reg, false); err != nil {
+					t.Fatalf("fake rank 2 join: %v", err)
 				}
 				_ = c.SetReadDeadline(time.Now().Add(deadline))
 				if typ, _, _, err := readFrame(c); err != nil || typ != ftRoster {
@@ -362,7 +432,7 @@ func TestRendezvousTimeouts(t *testing.T) {
 				}
 				return <-errCh
 			},
-			want: "no hello from rank(s) [2]",
+			want: "rank(s) [2] did not join orig 1",
 		},
 	}
 	for _, tc := range cases {
@@ -498,16 +568,51 @@ func TestShrinkRemesh(t *testing.T) {
 	})
 }
 
-// TestShrinkCoordinatorDeath: losing original rank 0 is the documented
-// unrecoverable case — Shrink must say so instead of hanging in a doomed
-// re-mesh.
+// TestShrinkCoordinatorDeath: losing original rank 0, the first
+// generation's leader, shrinks like losing any other rank — generation 1 is
+// led by original rank 1, dialled at its roster address, and carries
+// traffic and barriers.
 func TestShrinkCoordinatorDeath(t *testing.T) {
-	eps := dialWorld(t, 2, nil)
-	watchdog(t, "coordinator death", 20*time.Second, func() {
-		eps[1].FailRank(0)
-		_, err := eps[1].Shrink([]int{0})
-		if err == nil || !strings.Contains(err.Error(), "coordinator") {
-			t.Fatalf("got %v, want coordinator-death error", err)
+	eps := dialWorld(t, 3, nil)
+	watchdog(t, "coordinator death", 60*time.Second, func() {
+		var wg sync.WaitGroup
+		succ := make([]transport.Endpoint, 2)
+		errs := make([]error, 2)
+		for i, ep := range eps[1:] {
+			wg.Add(1)
+			go func(i int, ep *Endpoint) {
+				defer wg.Done()
+				ep.FailRank(0)
+				succ[i], errs[i] = ep.Shrink([]int{0})
+			}(i, ep)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("shrink orig %d: %v", i+1, err)
+			}
+		}
+		defer succ[0].Close()
+		defer succ[1].Close()
+		for i, s := range succ {
+			s := s.(*Endpoint)
+			if s.Size() != 2 || s.Generation() != 1 || s.Rank() != i || s.live[0] != 1 {
+				t.Fatalf("successor of orig %d: size %d gen %d rank %d live %v", i+1, s.Size(), s.Generation(), s.Rank(), s.live)
+			}
+		}
+		if err := succ[1].Send(0, transport.Message{Seq: 3, F64: -1.5}); err != nil {
+			t.Fatalf("send on successor: %v", err)
+		}
+		if m, err := succ[0].Recv(1, 10*time.Second); err != nil || m.F64 != -1.5 {
+			t.Fatalf("recv on successor: %v %v", m, err)
+		}
+		barErr := make(chan error, 1)
+		go func() { barErr <- succ[1].Rendezvous(nil) }()
+		if err := succ[0].Rendezvous(nil); err != nil {
+			t.Fatalf("rendezvous on successor: %v", err)
+		}
+		if err := <-barErr; err != nil {
+			t.Fatalf("peer rendezvous on successor: %v", err)
 		}
 	})
 }
@@ -521,13 +626,13 @@ func TestParkAfterHandOverHangsUp(t *testing.T) {
 	e := newEndpoint(Options{}, nil, transport.NewMetrics(), 0, 0, []int{0, 1})
 	a1, a2 := net.Pipe()
 	defer a2.Close()
-	e.park(pendingConn{rc: newRawConn(a1)})
+	e.park(join{rc: newRawConn(a1)})
 	if got := e.takePending(); len(got) != 1 {
 		t.Fatalf("takePending returned %d handshakes, want the 1 parked before hand-over", len(got))
 	}
 	b1, b2 := net.Pipe()
 	defer b2.Close()
-	e.park(pendingConn{rc: newRawConn(b1)})
+	e.park(join{rc: newRawConn(b1)})
 	_ = b2.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := b2.Read(make([]byte, 1)); err == nil || isTimeout(err) {
 		t.Fatalf("late handshake read returned %v, want the hang-up's EOF", err)
