@@ -113,11 +113,15 @@ partition:
 # is trajectory-identical to simnet at zero tolerance. The re-exec tests
 # are testing.Short()-aware, so `make race` (-short) skips them and this
 # tier is where they run; that includes the SIGKILL test whose victim is
-# rank 0, the first generation's leader. The last three lines repeat, without
+# rank 0, the first generation's leader. The last four lines repeat, without
 # -race so twenty repetitions fit the timeout, the shrink tests (a re-mesh
-# led by the lowest survivor, rank 0's death included) and the shutdown
+# led by the lowest survivor, rank 0's death included), the shutdown
 # tests whose failure mode is a rare hang (a barrier token dropped behind a
-# clean bye).
+# clean bye), the trajectory identity test, and the process-world tests of a
+# death between two collectives and of each collective's frame count, whose
+# failure mode is a rare ordering race (a survivor one collective ahead, a
+# frame still in a write loop), and the trainer's death inside the Barrier
+# before a checkpoint (survivors split across the snapshot).
 ## transport: transport conformance + multi-process suite under -race
 transport:
 	$(GO) test -race -count=20 ./internal/transport/conformance/
@@ -126,6 +130,8 @@ transport:
 	$(GO) run ./cmd/kgeverify -tcp -no-goldens -no-props
 	$(GO) test -count=20 -timeout 120s -run 'TestShrink' ./internal/transport/tcptransport/
 	$(GO) test -count=20 -timeout 120s -run 'TestCloseAfterBarrierReleasesEveryRank' ./internal/transport/tcptransport/
+	$(GO) test -count=20 -timeout 120s -run 'TestProcessDeathBetweenCollectives|TestProcessCollectiveFrameCount' ./internal/mpi/
+	$(GO) test -count=20 -timeout 120s -run 'TestProcessDeathInsideCheckpointBarrier' ./internal/core/
 	$(GO) test -count=20 -timeout 120s -run 'TestVerifyTCPTrajectoryIdentical' ./internal/testkit/
 
 # Serving suite under the race detector: the kgeserve subsystem mixes

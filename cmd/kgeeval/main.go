@@ -60,9 +60,9 @@ func main() {
 	if *ckpt == "" {
 		fail(fmt.Errorf("kgeeval: -model is required"))
 	}
-	// Header-only pass: validates the CRC and yields the shape, so a
-	// model/dataset mismatch fails before the weight matrices are read.
-	info, err := model.ReadCheckpointInfo(*ckpt)
+	// One pass over the checkpoint validates its CRC, loads the weights and
+	// yields the shape the dataset must match.
+	m, p, info, err := model.LoadCheckpointWithInfo(*ckpt)
 	if err != nil {
 		fail(err)
 	}
@@ -70,12 +70,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if info.Entities != d.NumEntities || info.Relations != d.NumRelations {
-		fail(fmt.Errorf("kgeeval: checkpoint shape (%d entities, %d relations) does not match dataset (%d, %d)",
-			info.Entities, info.Relations, d.NumEntities, d.NumRelations))
-	}
-	m, p, err := model.LoadCheckpoint(*ckpt)
-	if err != nil {
+	if err := checkShape(info.Entities, info.Relations, d); err != nil {
 		fail(err)
 	}
 	filter := kg.NewFilterIndex(d)
@@ -130,4 +125,14 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkShape refuses a dataset whose entity and relation counts differ from
+// the checkpoint's.
+func checkShape(entities, relations int, d *kg.Dataset) error {
+	if entities != d.NumEntities || relations != d.NumRelations {
+		return fmt.Errorf("kgeeval: checkpoint shape (%d entities, %d relations) does not match dataset (%d, %d)",
+			entities, relations, d.NumEntities, d.NumRelations)
+	}
+	return nil
 }

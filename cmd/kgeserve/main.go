@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"kgedist/internal/kg"
-	"kgedist/internal/model"
 	"kgedist/internal/serve"
 )
 
@@ -65,28 +64,18 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Fail fast on a bad or mismatched checkpoint: the header (plus full
-	// CRC sweep) costs one file pass, no allocation.
-	info, err := model.ReadCheckpointInfo(*ckpt)
-	if err != nil {
-		log.Fatalf("kgeserve: %v", err)
-	}
-	log.Printf("checkpoint %s: %s", *ckpt, info)
-
 	// A dataset is optional; with one, /v1/predict can rank filtered (known
 	// facts skipped) and ids must line up with the checkpoint.
-	var filter *kg.FilterIndex
+	var (
+		d      *kg.Dataset
+		filter *kg.FilterIndex
+	)
 	if *dataDir != "" || *preset != "" {
-		d, err := kg.Load(*preset, *dataDir, "", *seed)
-		if err != nil {
+		var err error
+		if d, err = kg.Load(*preset, *dataDir, "", *seed); err != nil {
 			log.Fatalf("kgeserve: loading dataset: %v", err)
 		}
-		if d.NumEntities != info.Entities || d.NumRelations != info.Relations {
-			log.Fatalf("kgeserve: checkpoint shape (%d entities, %d relations) does not match dataset (%d, %d)",
-				info.Entities, info.Relations, d.NumEntities, d.NumRelations)
-		}
 		filter = kg.NewFilterIndex(d)
-		log.Printf("filtered ranking enabled over %d known triples", filter.Len())
 	}
 
 	srv, err := serve.New(serve.Config{
@@ -99,7 +88,19 @@ func main() {
 	if err != nil {
 		log.Fatalf("kgeserve: %v", err)
 	}
+	// The store's load is the one pass over the checkpoint that checks its
+	// CRC and yields its shape, so the dataset is matched against it here.
 	st := srv.Store()
+	info := st.Info()
+	log.Printf("checkpoint %s: %s dim=%d entities=%d relations=%d crc=%s",
+		*ckpt, info.Model, info.Dim, info.Entities, info.Relation, info.CRC)
+	if d != nil {
+		if err := checkShape(info.Entities, info.Relation, d); err != nil {
+			srv.Close()
+			log.Fatal(err)
+		}
+		log.Printf("filtered ranking enabled over %d known triples", filter.Len())
+	}
 	log.Printf("store ready: %d entities x %d floats in %d shards, %d relations",
 		st.NumEntities(), st.Model().Width(), st.NumShards(), st.NumRelations())
 
@@ -154,4 +155,14 @@ func main() {
 		log.Fatalf("kgeserve: %v", err)
 	}
 	log.Printf("bye")
+}
+
+// checkShape refuses a dataset whose entity and relation counts differ from
+// the checkpoint's.
+func checkShape(entities, relations int, d *kg.Dataset) error {
+	if entities != d.NumEntities || relations != d.NumRelations {
+		return fmt.Errorf("kgeserve: checkpoint shape (%d entities, %d relations) does not match dataset (%d, %d)",
+			entities, relations, d.NumEntities, d.NumRelations)
+	}
+	return nil
 }

@@ -27,11 +27,14 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kgedist/internal/core"
 	"kgedist/internal/testkit"
+	"kgedist/internal/transport"
 	"kgedist/internal/transport/tcptransport"
 )
 
@@ -395,5 +398,207 @@ func sigkillRecovery(t *testing.T, scenario string) {
 	}
 	if o0.MRR < ref.MRR/2 {
 		t.Fatalf("recovered MRR %v below half the fault-free %v — recovery produced a broken model", o0.MRR, ref.MRR)
+	}
+}
+
+// trainOverTCP runs cfg as a p-rank process-world job inside this test
+// binary: one TCP endpoint per rank over localhost, each handed through
+// wrap (when not nil) to core.TrainProcess on its own goroutine.
+func trainOverTCP(t *testing.T, p int, cfg core.Config, wrap func(rank int, ep *tcptransport.Endpoint) transport.Endpoint) ([]*core.Result, []error) {
+	t.Helper()
+	lns := make([]net.Listener, p)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		lns[i] = ln
+	}
+	results := make([]*core.Result, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for i := 0; i < p; i++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			ep, err := tcptransport.Dial(tcptransport.Options{
+				Rank:            rank,
+				WorldSize:       p,
+				CoordinatorAddr: lns[0].Addr().String(),
+				Listener:        lns[rank],
+				ConnectDeadline: 30 * time.Second,
+			})
+			if err != nil {
+				errs[rank] = fmt.Errorf("dial rank %d: %w", rank, err)
+				return
+			}
+			var tep transport.Endpoint = ep
+			if wrap != nil {
+				tep = wrap(rank, ep)
+			}
+			results[rank], errs[rank] = core.TrainProcess(cfg, testkit.GoldenDataset(), tep)
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(120 * time.Second):
+		t.Fatal("process-world job still running after 120s")
+	}
+	return results, errs
+}
+
+// splitEndpoint is one rank's endpoint in TestProcessDeathInsideCheckpointBarrier.
+// Rank 0's records the collective sequence number of its first send after
+// the checkpoint file appears (the verdict that follows the checkpoint).
+// Rank 2's reports when it receives the target collective's broadcast.
+// Rank 1's, the victim, holds its target broadcast to rank 3 until ranks 0
+// and 2 have left that collective and rank 0 has committed the snapshot,
+// then severs all its links and fails from then on, as a process killed
+// there would.
+type splitEndpoint struct {
+	*tcptransport.Endpoint
+	ckpt     string
+	target   uint64        // seq of the collective the victim dies in
+	verdict  *atomic.Int64 // rank 0: first seq sent after the checkpoint file exists
+	released chan struct{} // closed by rank 2 once it received target from rank 0
+	once     *sync.Once
+	killed   atomic.Bool
+}
+
+var errKilled = errors.New("rank killed")
+
+func (e *splitEndpoint) Send(dst int, m transport.Message) error {
+	if e.killed.Load() {
+		return errKilled
+	}
+	switch e.Rank() {
+	case 0:
+		if e.verdict != nil && e.verdict.Load() < 0 {
+			if _, err := os.Stat(e.ckpt); err == nil {
+				e.verdict.Store(int64(m.Seq))
+			}
+		}
+	case 1:
+		if e.released != nil && dst == 3 && m.Seq == e.target {
+			<-e.released
+			for {
+				if _, err := os.Stat(e.ckpt); err == nil {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			e.killed.Store(true)
+			for _, peer := range []int{0, 2, 3} {
+				e.Inject(tcptransport.FaultSever, peer)
+			}
+			return errKilled
+		}
+	}
+	return e.Endpoint.Send(dst, m)
+}
+
+func (e *splitEndpoint) Recv(src int, timeout time.Duration) (transport.Message, error) {
+	if e.killed.Load() {
+		return transport.Message{}, errKilled
+	}
+	m, err := e.Endpoint.Recv(src, timeout)
+	if err == nil && e.released != nil && e.Rank() == 2 && src == 0 && m.Seq == e.target {
+		e.once.Do(func() { close(e.released) })
+	}
+	return m, err
+}
+
+// A killed rank reports no verdict of its own, so its job ends with
+// errKilled instead of shrinking to a world of one.
+func (e *splitEndpoint) Err() error {
+	if e.killed.Load() {
+		return nil
+	}
+	return e.Endpoint.Err()
+}
+
+// TestProcessDeathInsideCheckpointBarrier: at P = 4 the Barrier that closes
+// an epoch is a binomial reduce and broadcast (0→1, 0→2, then 1→3). Rank 1
+// dies after rank 0's broadcast reached it but before it forwards it to
+// rank 3, so ranks 0 and 2 leave the Barrier and commit the epoch-2
+// snapshot while rank 3 fails inside it and keeps the initial one. The
+// survivors must still replay from one snapshot: every survivor finishes
+// with the same epochs, validation curve and bit-equal parameters.
+func TestProcessDeathInsideCheckpointBarrier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process crash test skipped in -short mode")
+	}
+	const p = 4
+	dir := t.TempDir()
+	config := func(ckpt string) core.Config {
+		cfg := testkit.GoldenBaseConfig()
+		cfg.MaxEpochs = 6
+		cfg.StopPatience = 6
+		cfg.CheckpointEvery = 2
+		cfg.CheckpointPath = ckpt
+		cfg.Recover = true
+		return cfg
+	}
+
+	// A fault-free run finds the checkpoint's verdict collective; the
+	// collective before it is the epoch-end Barrier (a replicated job's
+	// merge sends nothing).
+	calib := filepath.Join(dir, "calibration.bin")
+	var verdict atomic.Int64
+	verdict.Store(-1)
+	_, errs := trainOverTCP(t, p, config(calib), func(rank int, ep *tcptransport.Endpoint) transport.Endpoint {
+		return &splitEndpoint{Endpoint: ep, ckpt: calib, verdict: &verdict}
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("fault-free run, rank %d: %v", r, err)
+		}
+	}
+	if verdict.Load() < 1 {
+		t.Fatalf("rank 0 sent nothing after the checkpoint landed (seq %d)", verdict.Load())
+	}
+	target := uint64(verdict.Load() - 1)
+
+	ckpt := filepath.Join(dir, "checkpoint.bin")
+	released := make(chan struct{})
+	var once sync.Once
+	results, errs := trainOverTCP(t, p, config(ckpt), func(rank int, ep *tcptransport.Endpoint) transport.Endpoint {
+		return &splitEndpoint{Endpoint: ep, ckpt: ckpt, target: target, released: released, once: &once}
+	})
+	if !errors.Is(errs[1], errKilled) {
+		t.Fatalf("victim rank 1 ended with %v, want %v", errs[1], errKilled)
+	}
+	ref := results[0]
+	for _, r := range []int{0, 2, 3} {
+		if errs[r] != nil {
+			t.Fatalf("survivor rank %d: %v", r, errs[r])
+		}
+		res := results[r]
+		if res.Recovery.Recoveries != 1 || res.Recovery.RankFailures != 1 || res.Recovery.FinalNodes != p-1 {
+			t.Fatalf("survivor rank %d recovery %+v, want one recovery from one dead rank to %d nodes", r, res.Recovery, p-1)
+		}
+		if res.Epochs != ref.Epochs || len(res.PerEpoch) != len(ref.PerEpoch) {
+			t.Fatalf("survivor rank %d ran %d epochs (%d records), rank 0 %d (%d records)",
+				r, res.Epochs, len(res.PerEpoch), ref.Epochs, len(ref.PerEpoch))
+		}
+		// Train loss is each process's own shard's; the rest is global.
+		for i, e := range res.PerEpoch {
+			if w := ref.PerEpoch[i]; e.Epoch != w.Epoch || e.ValAccuracy != w.ValAccuracy {
+				t.Fatalf("survivor rank %d record %d: epoch %d valacc %v, rank 0 epoch %d valacc %v",
+					r, i, e.Epoch, e.ValAccuracy, w.Epoch, w.ValAccuracy)
+			}
+		}
+		for _, pair := range [][2][]float32{
+			{res.FinalParams.Entity.Data, ref.FinalParams.Entity.Data},
+			{res.FinalParams.Relation.Data, ref.FinalParams.Relation.Data},
+		} {
+			for k := range pair[0] {
+				if math.Float32bits(pair[0][k]) != math.Float32bits(pair[1][k]) {
+					t.Fatalf("survivor rank %d final params differ from rank 0's at element %d", r, k)
+				}
+			}
+		}
 	}
 }

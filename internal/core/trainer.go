@@ -124,9 +124,26 @@ func buildPartition(cfg *Config, d *kg.Dataset, nodes int) (partition, error) {
 // snapshot is the recovery point: the merged model as of some completed
 // epoch. Epoch 0 holds the shared initialization, so shrink-and-continue
 // works even before the first periodic checkpoint.
+//
+// In a process world (keepPrev) it also keeps the snapshot the last
+// checkpoint replaced: survivors of a death can leave the collective before
+// a checkpoint at different points, so some commit it and some do not, and
+// agreeSnapshot rolls the ones ahead back to the common one.
 type snapshot struct {
 	epoch  int
 	params *model.Params
+
+	keepPrev   bool
+	prevEpoch  int
+	prevParams *model.Params
+}
+
+// commit makes params the snapshot of epoch.
+func (s *snapshot) commit(epoch int, params *model.Params) {
+	if s.keepPrev {
+		s.prevEpoch, s.prevParams = s.epoch, s.params
+	}
+	s.epoch, s.params = epoch, params
 }
 
 // train is the one training driver behind Train and TrainProcess: validate,
@@ -184,38 +201,42 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 	proto.Init(m, xrand.New(cfg.Seed).Split(0))
 
 	res = &Result{Strategy: cfg.StrategyLabel(), Nodes: world.Size()}
-	snap := &snapshot{epoch: 0, params: proto}
+	snap := &snapshot{epoch: 0, params: proto, keepPrev: world.Process()}
 	var rec RecoveryStats
 
+	// rerr is the failure the loop recovers from next: an attempt's, or the
+	// post-shrink snapshot agreement's.
+	var rerr error
 	for attempt := 0; ; {
-		pt, perr := buildPartition(&cfg, d, world.Size())
-		if perr != nil {
-			return nil, nil, perr
-		}
-		run = &trainRun{
-			partition:  pt,
-			cfg:        &cfg,
-			d:          d,
-			m:          m,
-			width:      width,
-			cluster:    cluster,
-			perRank:    make([]*model.Params, world.Size()),
-			res:        res,
-			snap:       snap,
-			rec:        &rec,
-			startEpoch: snap.epoch,
-			statsRank:  world.LocalRanks()[0],
-		}
-		if !cfg.Partitioned {
-			// Partitioned ranks never hold replicas — that is the memory
-			// claim; they build shard stores from the snapshot instead.
-			for _, r := range world.LocalRanks() {
-				run.perRank[r] = snap.params.Clone()
-			}
-		}
-		rerr := world.RunErr(run.worker)
 		if rerr == nil {
-			break
+			pt, perr := buildPartition(&cfg, d, world.Size())
+			if perr != nil {
+				return nil, nil, perr
+			}
+			run = &trainRun{
+				partition:  pt,
+				cfg:        &cfg,
+				d:          d,
+				m:          m,
+				width:      width,
+				cluster:    cluster,
+				perRank:    make([]*model.Params, world.Size()),
+				res:        res,
+				snap:       snap,
+				rec:        &rec,
+				startEpoch: snap.epoch,
+				statsRank:  world.LocalRanks()[0],
+			}
+			if !cfg.Partitioned {
+				// Partitioned ranks never hold replicas — that is the memory
+				// claim; they build shard stores from the snapshot instead.
+				for _, r := range world.LocalRanks() {
+					run.perRank[r] = snap.params.Clone()
+				}
+			}
+			if rerr = world.RunErr(run.worker); rerr == nil {
+				break
+			}
 		}
 		var rf *mpi.RankFailedError
 		if !errors.As(rerr, &rf) || !cfg.Recover {
@@ -228,7 +249,7 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 		degrade := attempt > maxRecoveries || survivors == 1
 		if world.Process() {
 			for _, r := range rf.Ranks {
-				if r == run.statsRank {
+				if r == world.LocalRanks()[0] {
 					return nil, nil, fmt.Errorf("core: this process (rank %d) was declared dead by its peers; it cannot rejoin the job: %w", r, rerr)
 				}
 			}
@@ -240,17 +261,6 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 		}
 		rec.Recoveries++
 		rec.RankFailures += len(rf.Ranks)
-		rec.EpochsLost += res.Epochs - snap.epoch
-		for len(res.PerEpoch) > 0 && res.PerEpoch[len(res.PerEpoch)-1].Epoch > snap.epoch {
-			res.PerEpoch = res.PerEpoch[:len(res.PerEpoch)-1]
-		}
-		res.Epochs = snap.epoch
-		// The adaptive controller and its residuals are rank-local state lost
-		// with the dead world; the new attempt re-ascends the ladder from
-		// fp32 (DESIGN.md §13) and the dynamic strategy from all-reduce, so
-		// their records start over too.
-		res.CompressionSteps = nil
-		res.SwitchedAtEpoch = 0
 
 		dead := rf.Ranks
 		if degrade {
@@ -279,12 +289,31 @@ func train(cfg Config, d *kg.Dataset, world *mpi.World) (res *Result, run *train
 		// (failure detection and re-coordination) plus every survivor
 		// reloading the snapshot from stable storage. Every process of a
 		// process world executes this identically against its private
-		// cluster, so clocks stay in lockstep through the failure.
+		// cluster; the agreement's collective then lifts every survivor to
+		// the clock of the one that got furthest before the failure.
 		bytes := int64(4 * (len(snap.params.Entity.Data) + len(snap.params.Relation.Data)))
 		reload, _, _ := cluster.PointToPointCost(bytes)
 		cost := recoveryBackoff*math.Pow(2, float64(attempt-1)) + reload*float64(world.Size())
 		cluster.Collective(cost, bytes*int64(world.Size()), int64(world.Size()), tagRecovery)
 		rec.RecoverySeconds += cost
+		rerr = nil
+		if world.Process() {
+			if rerr = agreeSnapshot(world, snap, &rec); rerr != nil {
+				continue
+			}
+		}
+
+		rec.EpochsLost += res.Epochs - snap.epoch
+		for len(res.PerEpoch) > 0 && res.PerEpoch[len(res.PerEpoch)-1].Epoch > snap.epoch {
+			res.PerEpoch = res.PerEpoch[:len(res.PerEpoch)-1]
+		}
+		res.Epochs = snap.epoch
+		// The adaptive controller and its residuals are rank-local state lost
+		// with the dead world; the new attempt re-ascends the ladder from
+		// fp32 (DESIGN.md §13) and the dynamic strategy from all-reduce, so
+		// their records start over too.
+		res.CompressionSteps = nil
+		res.SwitchedAtEpoch = 0
 	}
 
 	rec.FaultsInjected = cluster.FaultsInjected()
@@ -755,8 +784,7 @@ func (t *trainRun) checkpoint(c *mpi.Comm, tables rankTables, epoch int) error {
 		return err
 	}
 	if c.Rank() == t.statsRank {
-		t.snap.epoch = epoch
-		t.snap.params = merged
+		t.snap.commit(epoch, merged)
 		t.rec.Checkpoints++
 		bytes := int64(4 * (len(merged.Entity.Data) + len(merged.Relation.Data)))
 		cost, _, _ := t.cluster.PointToPointCost(bytes)
@@ -780,6 +808,34 @@ func (t *trainRun) checkpoint(c *mpi.Comm, tables rankTables, epoch int) error {
 		return fmt.Errorf("core: checkpoint at epoch %d: %w", epoch, werr)
 	}
 	return fmt.Errorf("core: checkpoint at epoch %d failed on rank 0", epoch)
+}
+
+// agreeSnapshot makes a process world's survivors replay from one snapshot.
+// A death inside the collective before a checkpoint can release some
+// survivors, which commit the new snapshot, and fail the others, which keep
+// the old one; a survivor completes a collective only once every rank has
+// entered it, so the survivors are at most one checkpoint apart. They
+// min-reduce their snapshot epochs, and a survivor ahead rolls back to the
+// snapshot its last checkpoint replaced, forgetting that checkpoint. The
+// agreement is an ordinary collective of the shrunk world: a death during it
+// is one more failure to recover from.
+func agreeSnapshot(world *mpi.World, snap *snapshot, rec *RecoveryStats) error {
+	return world.RunErr(func(c *mpi.Comm) error {
+		agreed, err := c.AllReduceScalar(float64(snap.epoch), mpi.OpMin)
+		if err != nil {
+			return err
+		}
+		switch e := int(agreed); {
+		case e == snap.epoch:
+		case e == snap.prevEpoch && snap.prevParams != nil:
+			snap.epoch, snap.params = snap.prevEpoch, snap.prevParams
+			snap.prevParams = nil
+			rec.Checkpoints--
+		default:
+			return fmt.Errorf("core: survivors hold snapshots of epochs %d and %d, more than one checkpoint apart", e, snap.epoch)
+		}
+		return nil
+	})
 }
 
 // dropZeroRows removes rows with negligible norm, returning the flops spent

@@ -192,9 +192,8 @@ func TestLoadCheckpointRejectsDeletedModel(t *testing.T) {
 }
 
 // TestCheckpointReadersRejectImpossibleShape covers headers whose name is
-// known but whose geometry New cannot have written: ReadCheckpointInfo,
-// which kgeserve and kgeeval use to fail fast, must refuse them as the
-// loader does.
+// known but whose geometry New cannot have written: ReadCheckpointInfo
+// must refuse them as the loader does.
 func TestCheckpointReadersRejectImpossibleShape(t *testing.T) {
 	bothReadersReject(t, rawCheckpointBytes("transe", 4, 8, 3, 2), "width 8 does not match transe dim 4")
 	bothReadersReject(t, rawCheckpointBytes("complex", 0, 0, 3, 2), "impossible geometry")

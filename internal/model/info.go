@@ -13,8 +13,9 @@ import (
 
 // CheckpointInfo is the KGE2 header: everything a consumer can know about a
 // checkpoint without materializing its weight matrices. ReadCheckpointInfo
-// fills it in O(1) memory, so startup paths (kgeserve, kgeeval) can reject a
-// model/dataset mismatch before committing to a multi-gigabyte load.
+// fills it in O(1) memory for a caller that does not load the weights;
+// LoadCheckpointWithInfo returns it from the load's own pass, which is how
+// kgeserve (through serve.OpenStore) and kgeeval check a dataset's shape.
 type CheckpointInfo struct {
 	// Model is the model name stored in the header ("complex", ...).
 	Model string `json:"model"`

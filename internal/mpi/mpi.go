@@ -16,9 +16,12 @@
 // selection strategy (paper §4.1) uses to compare all-reduce against
 // all-gather probes.
 //
-// All collectives are globally synchronizing: they end with a rendezvous so
-// per-rank virtual clocks are identical on return, matching the
-// bulk-synchronous training loop of the paper.
+// All collectives are globally synchronizing in virtual time: per-rank
+// virtual clocks are identical on return, matching the bulk-synchronous
+// training loop of the paper. A channel world ends each collective with a
+// rendezvous that charges its one shared cluster; a process world agrees on
+// the clock inside the collective's own messages (Message.Clock) and needs
+// no exchange beyond its data.
 //
 // Collectives are fallible: a dead rank (scheduled crash fault, receive
 // deadline expiry, rank panic, or — over TCP — a real connection loss)
@@ -102,8 +105,9 @@ func NewWorld(cluster *simnet.Cluster) *World {
 // NewProcessWorld builds a world hosting the single rank ep.Rank() of a
 // multi-process job. The cluster is this process's private copy of the
 // timing model: every process charges the same deterministic collective
-// costs to its own clocks, so virtual time stays identical across processes
-// without any extra communication.
+// costs to its own clocks, starting from the cluster-wide clock maximum
+// that the collective's own messages carry, so virtual time stays identical
+// across processes without any extra communication.
 func NewProcessWorld(cluster *simnet.Cluster, ep transport.Endpoint) (*World, error) {
 	p := cluster.P()
 	if ep.Size() != p {
@@ -241,10 +245,17 @@ type Comm struct {
 	rank int
 	ep   transport.Endpoint
 
-	// The closing collective's charge, which finish stores for the
-	// rendezvous hook: charge is c.chargeCollective, bound once in
+	// clock is, in a process world, this rank's running maximum of the
+	// cluster clock within the current collective: enter starts it at the
+	// rank's own clock, send stamps it on every message and recv folds in
+	// the sender's, so the collective's own exchange agrees on the
+	// cluster-wide maximum. It stays zero in a channel world.
+	clock float64
+
+	// The closing collective's charge, which finish stores for a channel
+	// world's rendezvous hook: charge is c.chargeCollective, bound once in
 	// World.Comm so no collective builds a closure.
-	lift, cost  float64
+	cost        float64
 	moved, msgs int64
 	tag         string
 	charge      func()
@@ -260,11 +271,15 @@ func (c *Comm) Size() int { return c.w.p }
 func (c *Comm) Cluster() *simnet.Cluster { return c.w.cluster }
 
 // enter opens a collective: the deterministic point where this rank's
-// scheduled crash fault (if due by its virtual clock) fires, and where an
-// already-failed world is refused.
+// scheduled crash fault (if due by its virtual clock) fires, where an
+// already-failed world is refused, and where a process world's running clock
+// maximum starts from this rank's own clock.
 func (c *Comm) enter() error {
 	if c.w.cluster.CrashDue(c.rank) {
 		c.w.failRank(c.rank)
+	}
+	if c.w.proc {
+		c.clock = c.w.cluster.Time(c.rank)
 	}
 	return c.w.err()
 }
@@ -272,12 +287,16 @@ func (c *Comm) enter() error {
 // send transfers ownership of m's payload to the transport. A message marked
 // Pooled is recycled by whichever side reads it last (DESIGN §10): the single
 // receiver on the channel backend, the TCP write loop after sealing the
-// frame. The sender must not touch or Put its sections after.
+// frame. The sender must not touch or Put its sections after. Every message
+// carries this rank's running clock maximum.
 func (c *Comm) send(dst int, m message) error {
 	m.Seq = c.w.seq[c.rank]
+	m.Clock = c.clock
 	return c.ep.Send(dst, m)
 }
 
+// recv returns the next message from src and folds the clock it carries into
+// this rank's running maximum.
 func (c *Comm) recv(src int) (message, error) {
 	m, err := c.ep.Recv(src, c.w.recvTimeout)
 	if err != nil {
@@ -296,108 +315,55 @@ func (c *Comm) recv(src int) (message, error) {
 		panic(fmt.Sprintf("mpi: rank %d received message from %d with seq %d during collective %d",
 			c.rank, src, m.Seq, c.w.seq[c.rank]))
 	}
+	if m.Clock > c.clock {
+		c.clock = m.Clock
+	}
 	return m, nil
 }
 
-// finish closes a collective: rendezvous, charge cost once per process, bump
-// this rank's sequence counter. The rendezvous hook runs after every rank
-// has arrived and before any local rank is released, so the cluster clocks
-// advance exactly once per collective per process (in a channel world that
-// is once per world; in a process world each process charges its private
-// cluster copy identically).
+// finish closes a collective: charge its cost once per process and bump this
+// rank's sequence counter. A channel world charges its one shared cluster in
+// the rendezvous hook, after every rank has arrived and before any local rank
+// is released. A process world has no rendezvous: the collective's own
+// messages carried the clock, so this rank already holds the cluster-wide
+// maximum it started from, lifts its private cluster copy to it and charges
+// the collective as every other process does. A peer that dies after its
+// last message to this rank is then noticed at the next collective, not here.
 func (c *Comm) finish(cost float64, moved, msgs int64, tag string) error {
-	c.lift = 0
 	if c.w.proc {
-		// A process world only accumulates this rank's compute on its
-		// private cluster copy, so the collective's starting point — the
-		// cluster-wide clock maximum — must be agreed over the wire.
-		// Without this the makespan (and everything derived from it, like
-		// per-epoch virtual seconds) silently drops every remote rank's
-		// compute time. The channel world needs nothing: all ranks charge
-		// one shared cluster.
-		g, err := c.maxClock()
-		if err != nil {
+		c.w.cluster.LiftClock(c.rank, c.clock)
+		c.w.cluster.Collective(cost, moved, msgs, tag)
+	} else {
+		c.cost, c.moved, c.msgs, c.tag = cost, moved, msgs, tag
+		if err := c.ep.Rendezvous(c.charge); err != nil {
 			if ferr := c.w.err(); ferr != nil {
 				return ferr
 			}
 			return err
 		}
-		c.lift = g
-	}
-	c.cost, c.moved, c.msgs, c.tag = cost, moved, msgs, tag
-	if err := c.ep.Rendezvous(c.charge); err != nil {
-		if ferr := c.w.err(); ferr != nil {
-			return ferr
-		}
-		return err
 	}
 	c.w.seq[c.rank]++
 	return nil
 }
 
-// chargeCollective is finish's rendezvous hook: it lifts this process's
-// clocks to the agreed start and charges the collective once.
+// chargeCollective is a channel world's rendezvous hook: it charges the
+// collective once to the shared cluster.
 func (c *Comm) chargeCollective() {
-	if c.w.proc {
-		c.w.cluster.LiftClock(c.rank, c.lift)
-	}
 	c.w.cluster.Collective(c.cost, c.moved, c.msgs, c.tag)
 }
 
-// maxClock agrees on the cluster-wide virtual-clock maximum across the
-// processes of a process world: a binomial max-reduce of each process's own
-// rank clock to rank 0, then a binomial broadcast back. It runs inside a
-// collective (after enter, before finish's rendezvous), reusing the
-// collective's sequence number; the exchange itself is bookkeeping and
-// charges no virtual time.
-func (c *Comm) maxClock() (float64, error) {
-	result := c.w.cluster.Time(c.rank)
-	p := c.w.p
-	if p == 1 {
-		return result, nil
-	}
-	vr := c.rank
-	for k := 1; k < p; k <<= 1 {
-		if vr&k != 0 {
-			if err := c.send(vr^k, message{F64: result}); err != nil {
-				return 0, err
-			}
-			break
-		} else if vr|k < p {
-			m, err := c.recv(vr | k)
-			if err != nil {
-				return 0, err
-			}
-			if m.F64 > result {
-				result = m.F64
-			}
-		}
-	}
-	received := c.rank == 0
-	for k := 1; k < 2*p; k <<= 1 {
-		if c.rank < k && c.rank+k < p {
-			if !received {
-				panic("mpi: clock broadcast order violated")
-			}
-			if err := c.send(c.rank+k, message{F64: result}); err != nil {
-				return 0, err
-			}
-		} else if c.rank >= k && c.rank < 2*k {
-			m, err := c.recv(c.rank - k)
-			if err != nil {
-				return 0, err
-			}
-			result = m.F64
-			received = true
-		}
-	}
-	return result, nil
-}
-
-// Barrier synchronizes all ranks (dissemination-cost charge).
+// Barrier synchronizes all ranks (dissemination-cost charge). A channel
+// world's rendezvous is the barrier; a process world runs AllReduceScalar's
+// binomial reduce and broadcast with no value, which is one too: the root
+// hears from every rank before it releases any, and the clock rides along.
 func (c *Comm) Barrier() error {
 	if err := c.enter(); err != nil {
 		return err
+	}
+	if c.w.proc {
+		if _, err := c.reduceBroadcast(0, OpMax); err != nil {
+			return err
+		}
 	}
 	cost, moved, msgs := c.w.cluster.BarrierCost()
 	return c.finish(cost, moved, msgs, "barrier")
@@ -414,6 +380,11 @@ func (c *Comm) Barrier() error {
 // the transport or the single receiving rank releases it (the receiver also
 // releases what it decoded on TCP), so the per-round exchange is
 // allocation-free after warm-up on either fabric.
+//
+// In a process world the ranks' clocks ride the reduce-scatter hops: after
+// P−1 of them every rank has heard, directly or through its left
+// neighbours, from every rank. A zero-length buffer sends no data, so it
+// agrees on the clock as Barrier does.
 func (c *Comm) AllReduceSum(buf []float32, tag string) (float64, error) {
 	if err := c.enter(); err != nil {
 		return 0, err
@@ -463,6 +434,10 @@ func (c *Comm) AllReduceSum(buf []float32, tag string) (float64, error) {
 			copy(chunk(recvIdx), m.F32)
 			pool.PutF32(m.F32)
 		}
+	} else if c.w.proc {
+		if _, err := c.reduceBroadcast(0, OpMax); err != nil {
+			return 0, err
+		}
 	}
 	if err := c.finish(cost, moved, msgs, tag); err != nil {
 		return 0, err
@@ -482,7 +457,8 @@ func (b block) bytes() int64 {
 }
 
 // ringAllGather rotates each rank's block around the ring so every rank ends
-// with all P blocks, indexed by source rank.
+// with all P blocks, indexed by source rank. The P−1 hops that bring every
+// block to every rank bring every rank's clock along.
 func (c *Comm) ringAllGather(own block) ([]block, error) {
 	p := c.w.p
 	out := make([]block, p)
@@ -588,7 +564,7 @@ func (c *Comm) AllGatherBytes(payload []byte, tag string) ([][]byte, float64, er
 // zero cost.
 //
 // Block sizes are data-dependent, so the ranks agree on the total bytes sent
-// with a scalar sum before the rendezvous (chargeRounds) and charge
+// with a scalar sum before closing (chargeRounds) and charge
 // (P−1)·α + (total/P)·β.
 //
 // Ownership: each block has exactly one reader. Sending hands idx[d] and
@@ -631,8 +607,10 @@ func (c *Comm) AllToAllRows(idx [][]int32, vals [][]float32, fromIdx [][]int32, 
 // one message and returns its size in bytes, then hands what
 // src = (rank−k) mod P sent to in(src, m); an error from either ends the
 // exchange. Every ordered pair carries exactly one message, so a collective
-// may run several exchanges back to back under one sequence number. Returns
-// the bytes this rank sent; charging is left to chargeRounds.
+// may run several exchanges back to back under one sequence number. The
+// messages carry the clock like any other, but chargeRounds' nested scalar
+// is what agrees on it. Returns the bytes this rank sent; charging is left
+// to chargeRounds.
 func (c *Comm) rounds(out func(dst int) (int, error), in func(src int, m message) error) (int64, error) {
 	p := c.w.p
 	var sent int64
@@ -656,9 +634,14 @@ func (c *Comm) rounds(out func(dst int) (int, error), in func(src int, m message
 
 // chargeRounds closes a collective made of n pairwise exchanges (rounds)
 // in which this rank sent sent bytes. Message sizes are data-dependent, so
-// the ranks agree on the total bytes sent with one scalar sum before the
-// rendezvous and charge n(P−1)·α + (total/P)·β for nP(P−1) messages. The
-// callers close P = 1 themselves, at zero cost. Returns the virtual cost.
+// the ranks agree on the total bytes sent with one scalar sum, itself a
+// charged collective, before finish closes the outer one, and charge
+// n(P−1)·α + (total/P)·β for nP(P−1) messages. In a process world that
+// scalar also carries the clock: its enter restarts the running maximum
+// the rounds gathered at the rank's own clock, unmoved since the exchange
+// began, and its reduce and broadcast agree on the same maximum, which the
+// outer finish lifts to. The callers close P = 1 themselves, at zero cost.
+// Returns the virtual cost.
 func (c *Comm) chargeRounds(n int, sent int64, tag string) (float64, error) {
 	p := c.w.p
 	total, err := c.AllReduceScalar(float64(sent), OpSum)
@@ -692,61 +675,68 @@ func (c *Comm) AllReduceScalar(v float64, op ReduceOp) (float64, error) {
 	if err := c.enter(); err != nil {
 		return 0, err
 	}
-	p := c.w.p
-	result := v
-	if p > 1 {
-		// Binomial reduce to rank 0.
-		vr := c.rank
-		for k := 1; k < p; k <<= 1 {
-			if vr&k != 0 {
-				if err := c.send(vr^k, message{F64: result}); err != nil {
-					return 0, err
-				}
-				break
-			} else if vr|k < p {
-				m, err := c.recv(vr | k)
-				if err != nil {
-					return 0, err
-				}
-				switch op {
-				case OpSum:
-					result += m.F64
-				case OpMax:
-					if m.F64 > result {
-						result = m.F64
-					}
-				case OpMin:
-					if m.F64 < result {
-						result = m.F64
-					}
-				default:
-					panic("mpi: unknown reduce op")
-				}
-			}
-		}
-		// Binomial broadcast from rank 0.
-		received := c.rank == 0
-		for k := 1; k < 2*p; k <<= 1 {
-			if c.rank < k && c.rank+k < p {
-				if !received {
-					panic("mpi: scalar broadcast order violated")
-				}
-				if err := c.send(c.rank+k, message{F64: result}); err != nil {
-					return 0, err
-				}
-			} else if c.rank >= k && c.rank < 2*k {
-				m, err := c.recv(c.rank - k)
-				if err != nil {
-					return 0, err
-				}
-				result = m.F64
-				received = true
-			}
-		}
+	result, err := c.reduceBroadcast(v, op)
+	if err != nil {
+		return 0, err
 	}
 	cost, moved, msgs := c.w.cluster.BroadcastCost(8)
 	if err := c.finish(2*cost, 2*moved, 2*msgs, "scalar"); err != nil {
 		return 0, err
+	}
+	return result, nil
+}
+
+// reduceBroadcast combines v across ranks with op by a binomial reduce to
+// rank 0 and a binomial broadcast back, and returns the result. In a process
+// world the clock rides both trees next to the value.
+func (c *Comm) reduceBroadcast(v float64, op ReduceOp) (float64, error) {
+	p := c.w.p
+	result := v
+	vr := c.rank
+	for k := 1; k < p; k <<= 1 {
+		if vr&k != 0 {
+			if err := c.send(vr^k, message{F64: result}); err != nil {
+				return 0, err
+			}
+			break
+		} else if vr|k < p {
+			m, err := c.recv(vr | k)
+			if err != nil {
+				return 0, err
+			}
+			switch op {
+			case OpSum:
+				result += m.F64
+			case OpMax:
+				if m.F64 > result {
+					result = m.F64
+				}
+			case OpMin:
+				if m.F64 < result {
+					result = m.F64
+				}
+			default:
+				panic("mpi: unknown reduce op")
+			}
+		}
+	}
+	received := c.rank == 0
+	for k := 1; k < 2*p; k <<= 1 {
+		if c.rank < k && c.rank+k < p {
+			if !received {
+				panic("mpi: scalar broadcast order violated")
+			}
+			if err := c.send(c.rank+k, message{F64: result}); err != nil {
+				return 0, err
+			}
+		} else if c.rank >= k && c.rank < 2*k {
+			m, err := c.recv(c.rank - k)
+			if err != nil {
+				return 0, err
+			}
+			result = m.F64
+			received = true
+		}
 	}
 	return result, nil
 }

@@ -129,6 +129,8 @@ func testFraming(t *testing.T, factory Factory) {
 		{Seq: 6, Raw: bigRaw},
 		{Seq: 7, F32: []float32{1}, F64: 2.5},
 		{Seq: 8},
+		{Seq: 9, F64: 1, Clock: 0.03125},
+		{Seq: 10, Raw: []byte{1}, Clock: 12.75},
 	}
 	watchdog(t, "framing", func() {
 		go func() {
@@ -144,8 +146,8 @@ func testFraming(t *testing.T, factory Factory) {
 			if err != nil {
 				t.Fatalf("recv %d: %v", i, err)
 			}
-			if got.Seq != want.Seq || got.F64 != want.F64 { //kgelint:ignore floateq wire round-trip must be bit-exact
-				t.Fatalf("msg %d: seq/f64 mismatch: got %d/%v want %d/%v", i, got.Seq, got.F64, want.Seq, want.F64)
+			if got.Seq != want.Seq || got.F64 != want.F64 || got.Clock != want.Clock { //kgelint:ignore floateq wire round-trip must be bit-exact
+				t.Fatalf("msg %d: seq/f64/clock mismatch: got %d/%v/%v want %d/%v/%v", i, got.Seq, got.F64, got.Clock, want.Seq, want.F64, want.Clock)
 			}
 			if len(got.F32) != len(want.F32) || len(got.I32) != len(want.I32) || len(got.Raw) != len(want.Raw) {
 				t.Fatalf("msg %d: length mismatch: got %d/%d/%d want %d/%d/%d", i,

@@ -49,11 +49,12 @@ func codecSections(n int) ([]float32, []int32, []byte) {
 // TestDataFrameCodecMatchesReference holds the host's data-frame codec (the
 // byte-view copies on a little-endian host) to the per-element loops: the
 // same bytes out, and bit-identical messages back, nil-ness of every
-// section included. An empty Raw section decodes to nil on both paths.
+// section and the clock included. An empty Raw section decodes to nil on
+// both paths.
 func TestDataFrameCodecMatchesReference(t *testing.T) {
 	for _, n := range []int{-1, 0, 1, 7, 8, 9, 384000} {
 		f32, i32, raw := codecSections(n)
-		for mask := 0; mask < 8; mask++ {
+		for mask := 0; mask < 16; mask++ {
 			m := transport.Message{Seq: uint64(n+2)<<8 | uint64(mask), F64: math.Copysign(0, -1)}
 			if mask&1 != 0 {
 				m.F32 = f32
@@ -64,6 +65,9 @@ func TestDataFrameCodecMatchesReference(t *testing.T) {
 			if mask&4 != 0 {
 				m.Raw = raw
 				m.F64 = math.Float64frombits(0x7ff8000000000abc)
+			}
+			if mask&8 != 0 {
+				m.Clock = 1234.5e-6 * float64(n+2)
 			}
 			ref := encodeMessage(nil, m, false)
 			got := appendMessage(nil, m)

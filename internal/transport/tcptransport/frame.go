@@ -34,7 +34,7 @@ import (
 // ProtocolVersion is carried in every frame header and validated during the
 // rendezvous handshake: processes speaking different wire revisions refuse
 // to mesh instead of misinterpreting each other's bytes.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 const (
 	frameMagic = 0x444B // "KD"
@@ -171,6 +171,7 @@ const (
 	flagI32
 	flagRaw
 	flagF64
+	flagClock
 )
 
 // hostLittleEndian reports whether this host stores a float32 or int32 in
@@ -181,7 +182,9 @@ var hostLittleEndian = binary.NativeEndian.Uint32([]byte{1, 2, 3, 4}) == binary.
 
 // appendMessage serializes m onto buf (reused writer scratch) and returns
 // the extended slice. Layout: flags(1) seq(8), then each present payload as
-// count(4) + little-endian elements (F64 is a bare 8-byte value).
+// count(4) + little-endian elements (F64 and Clock are bare 8-byte values).
+// A message whose Clock is zero encodes exactly as it did before Clock
+// existed.
 func appendMessage(buf []byte, m transport.Message) []byte {
 	return encodeMessage(buf, m, hostLittleEndian)
 }
@@ -215,6 +218,9 @@ func encodeMessage(buf []byte, m transport.Message, bulk bool) []byte {
 	if math.Float64bits(m.F64) != 0 { // -0 must travel: channels deliver it
 		flags |= flagF64
 	}
+	if math.Float64bits(m.Clock) != 0 {
+		flags |= flagClock
+	}
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 	if m.F32 != nil {
@@ -244,6 +250,9 @@ func encodeMessage(buf []byte, m transport.Message, bulk bool) []byte {
 	if flags&flagF64 != 0 {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.F64))
 	}
+	if flags&flagClock != 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Clock))
+	}
 	return buf
 }
 
@@ -264,10 +273,11 @@ func parseMessage(p []byte, bulk bool) (transport.Message, error) {
 	flags := c.u8()
 	seq := c.u64()
 	var (
-		f32 []float32
-		i32 []int32
-		raw []byte
-		f64 float64
+		f32   []float32
+		i32   []int32
+		raw   []byte
+		f64   float64
+		clock float64
 	)
 	if flags&flagF32 != 0 {
 		if n, ok := c.count(4); ok {
@@ -304,12 +314,15 @@ func parseMessage(p []byte, bulk bool) (transport.Message, error) {
 	if flags&flagF64 != 0 {
 		f64 = math.Float64frombits(c.u64())
 	}
+	if flags&flagClock != 0 {
+		clock = math.Float64frombits(c.u64())
+	}
 	if c.err != nil {
 		pool.PutF32(f32)
 		pool.PutBytes(raw)
 		return transport.Message{}, c.err
 	}
-	return transport.Message{Seq: seq, F32: f32, I32: i32, Raw: raw, F64: f64}, nil
+	return transport.Message{Seq: seq, F32: f32, I32: i32, Raw: raw, F64: f64, Clock: clock}, nil
 }
 
 // wordBytes views a float32 or int32 slice's memory as bytes, nil for nil.

@@ -43,7 +43,7 @@ func FuzzDecodeMessage(f *testing.F) {
 // sameMessage compares two messages bit for bit, telling nil from empty.
 func sameMessage(a, b transport.Message) bool {
 	return a.Seq == b.Seq &&
-		math.Float64bits(a.F64) == math.Float64bits(b.F64) &&
+		math.Float64bits(a.F64) == math.Float64bits(b.F64) && math.Float64bits(a.Clock) == math.Float64bits(b.Clock) &&
 		(a.F32 == nil) == (b.F32 == nil) && (a.I32 == nil) == (b.I32 == nil) && (a.Raw == nil) == (b.Raw == nil) &&
 		slices.EqualFunc(a.F32, b.F32, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) &&
 		slices.Equal(a.I32, b.I32) && slices.Equal(a.Raw, b.Raw)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -96,14 +97,15 @@ func TestMessageCodec(t *testing.T) {
 		{Seq: 8, I32: []int32{-1, 0, 1 << 30}},
 		{Seq: 9, Raw: []byte{0, 1, 2}},
 		{Seq: 10, F64: -0.125},
-		{Seq: 11, F32: []float32{3}, I32: []int32{4}, Raw: []byte{5}, F64: 6},
+		{Seq: 11, F32: []float32{3}, I32: []int32{4}, Raw: []byte{5}, F64: 6, Clock: 7.25},
+		{Seq: 12, Clock: math.Copysign(0, -1)},
 	}
 	for i, m := range msgs {
 		got, err := decodeMessage(appendMessage(nil, m))
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
-		if got.Seq != m.Seq || got.F64 != m.F64 ||
+		if got.Seq != m.Seq || got.F64 != m.F64 || math.Float64bits(got.Clock) != math.Float64bits(m.Clock) ||
 			len(got.F32) != len(m.F32) || len(got.I32) != len(m.I32) || len(got.Raw) != len(m.Raw) {
 			t.Fatalf("msg %d: round-trip mismatch: %+v vs %+v", i, got, m)
 		}

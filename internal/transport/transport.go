@@ -30,7 +30,10 @@ import (
 // Message is the unit carried by point-to-point links. Exactly one payload
 // field is populated per message; Seq guards against collective skew bugs
 // (a rank receiving a frame from a different collective than the one it is
-// executing).
+// executing). Clock is the sender's running maximum of the virtual cluster
+// clock: a process world's collectives agree on the cluster clock by folding
+// it in on every receive, so no collective needs a clock exchange of its
+// own. Channel worlds leave it zero.
 //
 // Ownership: a sent Message and its slices belong to the transport until the
 // peer consumes them. Callers must not mutate payloads after Send. The
@@ -51,6 +54,7 @@ type Message struct {
 	I32    []int32
 	Raw    []byte
 	F64    float64
+	Clock  float64
 	Pooled bool
 }
 
@@ -100,9 +104,12 @@ type Endpoint interface {
 	// silent peer dead). timeout <= 0 blocks until a message or abort.
 	Recv(src int, timeout time.Duration) (Message, error)
 	// Rendezvous blocks until every live rank has called it, then releases
-	// all of them. onLast (may be nil) runs exactly once per rendezvous,
-	// on one rank, after all have arrived and before any is released —
-	// the hook mpi uses to charge a collective's cost once per world.
+	// all of them. onLast (may be nil) runs after all have arrived and
+	// before any is released: exactly once per rendezvous on one rank of a
+	// channel world, where mpi uses it to charge each collective once to the
+	// world's one shared cluster; once per process on TCP, where it is the
+	// ready barrier that Dial and Shrink end with. Process-world
+	// collectives do not call it: their own messages carry the clock.
 	Rendezvous(onLast func()) error
 	// FailRank declares a rank dead, tripping the world-global abort.
 	// Idempotent; safe from any goroutine.
