@@ -40,16 +40,23 @@ func TestTrainStepAllocs(t *testing.T) {
 		name        string
 		set         func(*Config)
 		maxPerBatch float64
+		lossy       bool // the ladder must leave fp32 inside every run
 	}{
 		// The all-reduce step allocates nothing; the all-gather one makes
 		// the wire payloads the ring shares (two frames, the result
-		// slices); dyncomp's fp32 warm-up rides pooled frames; the
-		// partitioned one hands AllToAllRows result slices it owns, so it
-		// allocates nothing either.
-		{"allreduce", func(*Config) {}, 0.6},
-		{"allgather-1bit", func(c *Config) { c.Comm, c.Quant = CommAllGather, grad.OneBitMax }, 8.5},
-		{"dyncomp", func(c *Config) { c.Comm = CommDynamicCompress }, 0.75},
-		{"partitioned", func(c *Config) { c.Partitioned = true }, 0.5},
+		// slices); dyncomp's fp32 warm-up rides pooled frames, and so do its
+		// lossy rungs, whose error feedback writes each residual in the
+		// encode pass; the partitioned one hands AllToAllRows result slices
+		// it owns, so it allocates nothing either.
+		{"allreduce", func(*Config) {}, 0.6, false},
+		{"allgather-1bit", func(c *Config) { c.Comm, c.Quant = CommAllGather, grad.OneBitMax }, 8.5, false},
+		{"dyncomp", func(c *Config) { c.Comm = CommDynamicCompress }, 0.75, false},
+		{"dyncomp-lossy", func(c *Config) {
+			c.Comm = CommDynamicCompress
+			c.CompressWarmup, c.CompressHold = 1, 1
+			c.BaseLR = 0.003
+		}, 0.75, true},
+		{"partitioned", func(c *Config) { c.Partitioned = true }, 0.5, false},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			run := func(batch, epochs int) (mallocs uint64, rankBatches, triples int) {
@@ -73,11 +80,18 @@ func TestTrainStepAllocs(t *testing.T) {
 				if res.Epochs != epochs {
 					t.Fatalf("batch %d trained %d epochs, want %d", batch, res.Epochs, epochs)
 				}
+				if mode.lossy && len(res.CompressionSteps) == 0 {
+					t.Fatalf("batch %d, %d epochs: the ladder never left fp32", batch, epochs)
+				}
 				for _, s := range tr.shards {
 					triples += epochs * tr.batchesPerEpoch * min(batch, len(s))
 				}
 				return after.Mallocs - before.Mallocs, nodes * epochs * tr.batchesPerEpoch, triples
 			}
+			// The first run of a mode in the process fills the buffer pools
+			// its exchange draws from; a throwaway one keeps that out of the
+			// pins, whichever subtests ran before.
+			run(small, epochs/2)
 			ms, bs, ts := run(small, epochs)
 			ml, bl, _ := run(large, epochs)
 			mh, _, th := run(small, epochs/2)

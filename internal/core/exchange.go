@@ -158,10 +158,9 @@ func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, rows 
 	} else {
 		if res != nil {
 			res.AddInto(g)
-		}
-		grad.QuantizeInto(&x.enc, g, x.cfg.Quant, x.qRng)
-		if res != nil {
-			res.Update(g, &x.enc)
+			res.QuantizeInto(&x.enc, g, x.cfg.Quant, x.qRng)
+		} else {
+			grad.QuantizeInto(&x.enc, g, x.cfg.Quant, x.qRng)
 		}
 		payloads, c, err := x.comm.AllGatherBytes(x.enc.Marshal(), tag)
 		if err != nil {
@@ -179,11 +178,13 @@ func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, rows 
 // compressed runs one matrix through the adaptive pipeline at the ladder's
 // current rung (DESIGN.md §13): error-feedback residual in, RS selection
 // (top rung only, dropped rows banked whole), quantization to the rung's
-// scheme, the compressed all-reduce — owner merge, then the echo-free
-// return of the reduced chunks, still encoded — and a local decode of the
-// chunks into agg in source-rank order. At fp32 the same pipeline runs with
-// NoQuant frames and no residual: the reduction is exact, only the framing
-// differs from the dense baseline.
+// scheme with the new residual written in the same pass, the compressed
+// all-reduce — owner merge, then the echo-free return of the reduced
+// chunks, still encoded — and a local decode of the chunks into agg in
+// source-rank order that applies the 1/P average as it goes (the chunks
+// cover disjoint id ranges). At fp32 the same pipeline runs with NoQuant
+// frames and no residual: the reduction is exact, only the framing differs
+// from the dense baseline.
 func (x *exchanger) compressed(g, agg *grad.SparseGrad, res *grad.Residual, mg *grad.Merger, rows int, tag string) (*grad.SparseGrad, float64, error) {
 	lvl := x.ctrl.Level()
 	if lvl.Lossy() {
@@ -193,10 +194,9 @@ func (x *exchanger) compressed(g, agg *grad.SparseGrad, res *grad.Residual, mg *
 			x.selBefore += st.Before
 			x.selDropped += st.Dropped
 		}
-	}
-	grad.QuantizeInto(&x.enc, g, lvl.Scheme(), x.qRng)
-	if lvl.Lossy() {
-		res.Update(g, &x.enc)
+		res.QuantizeInto(&x.enc, g, lvl.Scheme(), x.qRng)
+	} else {
+		grad.QuantizeInto(&x.enc, g, lvl.Scheme(), x.qRng)
 	}
 	chunks, cost, err := x.comm.AllReduceEncoded(&x.enc, rows, mg, x.mRng, tag)
 	if err != nil {
@@ -204,9 +204,8 @@ func (x *exchanger) compressed(g, agg *grad.SparseGrad, res *grad.Residual, mg *
 	}
 	agg.Clear()
 	for _, f := range chunks {
-		grad.Dequantize(f, agg)
+		grad.DequantizeMean(f, agg, x.comm.Size())
 	}
-	scaleRows(agg, x.comm.Size())
 	return agg, cost, nil
 }
 

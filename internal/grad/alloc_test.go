@@ -96,8 +96,8 @@ func TestSelectCycleAllocFree(t *testing.T) {
 }
 
 // The full error-feedback step of the compression ladder: consume the bank,
-// bank the rows selection drops whole (SetRow via SelectEF), encode, bank the
-// quantization error.
+// bank the rows selection drops whole (SetRow via SelectEF), encode and bank
+// the quantization error in one pass.
 func TestResidualCycleAllocFree(t *testing.T) {
 	g := NewSparseGrad(32)
 	rng := xrand.New(5)
@@ -107,8 +107,7 @@ func TestResidualCycleAllocFree(t *testing.T) {
 		fillGrad(g, 64, rng)
 		r.AddInto(g)
 		SelectEF(g, SelectBernoulli, rng, r)
-		QuantizeInto(e, g, OneBitMax, rng)
-		r.Update(g, e)
+		r.QuantizeInto(e, g, OneBitMax, rng)
 	}
 	step()
 	step() // second warm-up exercises the residual free list path

@@ -154,3 +154,24 @@ func BenchmarkMergeInto(b *testing.B) {
 		})
 	}
 }
+
+// The per-row scale of OneBitAvg and TwoBitTernary, one row at a time and
+// four rows side by side.
+func BenchmarkAbsMean(b *testing.B) {
+	g := benchGrad(xrand.New(1))
+	rows := make([][]float32, 0, benchRows)
+	g.ForEach(func(_ int32, row []float32) { rows = append(rows, row) })
+	means := make([]float32, len(rows))
+	b.Run("one", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, row := range rows {
+				means[k] = absMean(row)
+			}
+		}
+	})
+	b.Run("four", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rowMeans(OneBitAvg, rows, means)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package grad
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -188,7 +189,7 @@ func checkEncode(t *testing.T, what string, s Scheme, row []float32) {
 	}
 	rngW, rngG := xrand.New(99), xrand.New(99)
 	scW := refEncodeRow(s, row, want, rngW)
-	scG := encodeRow(s, row, got, rngG)
+	scG := encodeRow(s, row, absMean(row), got, rngG)
 	// NaN scales compare as a class: which payload a NaN sum carries is the
 	// compiler's choice (race codegen differs), and NaN payload bits are not
 	// part of the codec's contract.
@@ -437,5 +438,122 @@ func FuzzOneBitRows(f *testing.F) {
 		buf := make([]byte, payloadBytesPerRow(s, w))
 		refEncodeRow(s, row, buf, xrand.New(99))
 		checkDecode(t, what, s, math.Float32frombits(scale), buf, dst)
+	})
+}
+
+// QuantizeInto takes its means four rows at a time (absMean4) and, in a
+// tail, one at a time; every row it encodes must still be the reference's,
+// in id order from one rng, for every scheme and row widths 1–70.
+func TestQuantizeIntoMatchesRowReference(t *testing.T) {
+	t.Parallel()
+	for _, s := range allSchemes {
+		for w := 1; w <= 70; w++ {
+			rng := xrand.New(uint64(w)*23 + uint64(s))
+			g := NewSparseGrad(w)
+			rows := kernelRows(w, rng)
+			for k, row := range rows {
+				copy(g.Row(int32(2*k)), row)
+			}
+			rngG, rngW := xrand.New(5), xrand.New(5)
+			e := new(Encoded)
+			QuantizeInto(e, g, s, rngG)
+			per := payloadBytesPerRow(s, w)
+			for k, row := range rows {
+				want := make([]byte, per)
+				sc := refEncodeRow(s, row, want, rngW)
+				what := fmt.Sprintf("%v w=%d row %d", s, w, k)
+				bw, bg := math.Float32bits(sc), math.Float32bits(e.Scales[k])
+				if bw != bg && !(isNaNBits(bw) && isNaNBits(bg)) {
+					t.Fatalf("%s: scale %08x, reference %08x", what, bg, bw)
+				}
+				if !bytes.Equal(e.Bits[k*per:(k+1)*per], want) {
+					t.Fatalf("%s: payload differs from the reference", what)
+				}
+			}
+			if *rngG != *rngW {
+				t.Fatalf("%v w=%d: rng state diverged from the reference", s, w)
+			}
+		}
+	}
+}
+
+// fillCyclic fills dst with vals repeated, or zeros when vals is empty.
+func fillCyclic(dst, vals []float32) {
+	for i := range dst {
+		if len(vals) > 0 {
+			dst[i] = vals[i%len(vals)]
+		}
+	}
+}
+
+// sameFloat reports whether a and b have the same bits, or are both NaN.
+func sameFloat(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || isNaNBits(math.Float32bits(a)) && isNaNBits(math.Float32bits(b))
+}
+
+// FuzzFloatCodec holds the fp32 block codec to its per-element loops: the
+// decoded floats, repeated to fill two rows of one of fuzzWidths, are
+// encoded by putFloats and by putFloatsGo, and the payload is added into
+// the second row by addFloats and by addFloatsGo. The payload starts offset
+// bytes into its buffer, so an odd offset takes the alignment guard's
+// fallback. The bytes must be equal and the sums bit-identical, except that
+// a NaN meeting a NaN is compared as a class: which payload survives is the
+// compiler's choice of operand order in the Go loop.
+func FuzzFloatCodec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, width, offset uint8) {
+		w := fuzzWidths[int(width)%len(fuzzWidths)]
+		rows := make([]float32, 2*w)
+		fillCyclic(rows, wireFloats(data))
+		row, dst := rows[:w], rows[w:]
+		off := int(offset % 8)
+		got, want := make([]byte, off+4*w)[off:], make([]byte, 4*w)
+		for i := range got {
+			got[i] = 0xA5 // every byte must be overwritten
+		}
+		putFloats(got, row)
+		putFloatsGo(want, row)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("w=%d offset %d: encoded %x, per-element %x", w, off, got, want)
+		}
+		sumGot := append([]float32(nil), dst...)
+		sumWant := append([]float32(nil), dst...)
+		addFloats(got, sumGot)
+		addFloatsGo(want, sumWant)
+		for i := range sumGot {
+			nanPair := isNaNBits(math.Float32bits(dst[i])) && isNaNBits(math.Float32bits(row[i]))
+			if math.Float32bits(sumGot[i]) != math.Float32bits(sumWant[i]) && !(nanPair && sameFloat(sumGot[i], sumWant[i])) {
+				t.Fatalf("w=%d offset %d: sum[%d] %#08x, per-element %#08x", w, off, i,
+					math.Float32bits(sumGot[i]), math.Float32bits(sumWant[i]))
+			}
+		}
+	})
+}
+
+// FuzzAbsMean4 holds the four-row mean to absMean: the decoded floats,
+// repeated, fill four rows of width 0–70, and each of absMean4's means must
+// have absMean's bits. A row holding two NaNs or more compares its NaN mean
+// as a class, like the encoder's scale: which payload the sum keeps is the
+// compiler's choice of operand order. With one NaN the mean is that NaN,
+// its sign included.
+func FuzzAbsMean4(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+		w := int(width) % 71
+		vals := make([]float32, 4*w)
+		fillCyclic(vals, wireFloats(data))
+		a, b, c, d := vals[:w], vals[w:2*w], vals[2*w:3*w], vals[3*w:]
+		ma, mb, mc, md := absMean4(a, b, c, d)
+		for k, m := range []float32{ma, mb, mc, md} {
+			row := vals[k*w : (k+1)*w]
+			want := absMean(row)
+			nans := 0
+			for _, v := range row {
+				if isNaNBits(math.Float32bits(v)) {
+					nans++
+				}
+			}
+			if math.Float32bits(m) != math.Float32bits(want) && !(nans > 1 && sameFloat(m, want)) {
+				t.Fatalf("w=%d row %d: mean %#08x, absMean %#08x", w, k, math.Float32bits(m), math.Float32bits(want))
+			}
+		}
 	})
 }

@@ -3,6 +3,7 @@ package grad
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"kgedist/internal/xrand"
 )
@@ -61,7 +62,8 @@ type Merger struct {
 
 	out  Encoded   // merged frame, reused across Merge calls
 	only []int32   // per output row: fold position of its only source, or −1
-	sum  []float32 // overlap decode-reduce scratch, one row wide
+	sum  []float32 // overlap decode-reduce scratch, meanRows rows wide
+	pend []int     // output positions of the summed rows awaiting re-encode
 	pos  []int     // per-frame row cursor of Merge
 }
 
@@ -99,9 +101,13 @@ func (m *Merger) Merge(frames []*Encoded, rng *xrand.RNG) *Encoded {
 		}
 	}
 	per := payloadBytesPerRow(s, w)
-	if cap(m.sum) < w {
-		m.sum = make([]float32, w)
+	if cap(m.sum) < meanRows*w {
+		m.sum = make([]float32, meanRows*w)
 	}
+	if cap(m.pend) < meanRows {
+		m.pend = make([]int, 0, meanRows)
+	}
+	m.pend = m.pend[:0]
 	if cap(m.pos) < len(frames) {
 		m.pos = make([]int, len(frames))
 	}
@@ -133,6 +139,7 @@ func (m *Merger) Merge(frames []*Encoded, rng *xrand.RNG) *Encoded {
 			}
 		}
 		if n == 0 {
+			m.encodePending(rng)
 			return out
 		}
 		if n == 1 {
@@ -141,7 +148,8 @@ func (m *Merger) Merge(frames []*Encoded, rng *xrand.RNG) *Encoded {
 			pos[first]++
 			continue
 		}
-		sum := m.sum[:w]
+		j := len(m.pend)
+		sum := m.sum[j*w : (j+1)*w]
 		clear(sum)
 		for k := first; k < len(frames); k++ {
 			f, i := frames[k], pos[k]
@@ -150,15 +158,36 @@ func (m *Merger) Merge(frames []*Encoded, rng *xrand.RNG) *Encoded {
 				pos[k]++
 			}
 		}
+		// The row's scale and payload are placeholders until encodePending
+		// overwrites them, every payload byte included.
+		m.pend = append(m.pend, len(out.Indices))
 		out.Indices = append(out.Indices, id)
+		out.Scales = append(out.Scales, 0)
+		out.Bits = slices.Grow(out.Bits, per)[:len(out.Bits)+per]
 		m.only = append(m.only, -1)
-		// Extend Bits by one row; encodeRow overwrites every byte.
-		for k := 0; k < per; k++ {
-			out.Bits = append(out.Bits, 0)
+		if len(m.pend) == meanRows {
+			m.encodePending(rng)
 		}
-		buf := out.Bits[len(out.Bits)-per:]
-		out.Scales = append(out.Scales, encodeRow(s, sum, buf, rng))
 	}
+}
+
+// encodePending re-encodes the summed rows Merge holds into their output
+// positions, in output order, so the rng is consumed as by an encode right
+// after each sum: only the re-encodes draw, and no pass-through row does.
+func (m *Merger) encodePending(rng *xrand.RNG) {
+	out := &m.out
+	s, w := out.Scheme, out.Width
+	per := payloadBytesPerRow(s, w)
+	var rows [meanRows][]float32
+	var means [meanRows]float32
+	for j := range m.pend {
+		rows[j] = m.sum[j*w : (j+1)*w]
+	}
+	rowMeans(s, rows[:len(m.pend)], means[:])
+	for j, r := range m.pend {
+		out.Scales[r] = encodeRow(s, rows[j], means[j], out.Bits[r*per:(r+1)*per], rng)
+	}
+	m.pend = m.pend[:0]
 }
 
 // appendRow copies row r of src onto the end of out verbatim — the

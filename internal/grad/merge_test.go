@@ -329,7 +329,7 @@ func FuzzMergeFrames(f *testing.F) {
 			}
 			buf := make([]byte, per)
 			want.Indices = append(want.Indices, id)
-			want.Scales = append(want.Scales, encodeRow(s, sum, buf, orng))
+			want.Scales = append(want.Scales, encodeRow(s, sum, absMean(sum), buf, orng))
 			want.Bits = append(want.Bits, buf...)
 			only = append(only, -1)
 		}

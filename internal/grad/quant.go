@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"kgedist/internal/tensor"
 	"kgedist/internal/xrand"
@@ -108,6 +109,106 @@ func absMean(row []float32) float32 {
 	return float32(sum / float64(len(row)))
 }
 
+// absMean4 returns absMean of four rows of one length. Each row is still
+// summed in its own order, so every mean has absMean's bits; the four sums
+// are independent chains, so their float64 adds overlap instead of each
+// waiting on the last.
+func absMean4(a, b, c, d []float32) (ma, mb, mc, md float32) {
+	n := len(a)
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	b, c, d = b[:n], c[:n], d[:n]
+	var sa, sb, sc, sd float64
+	for i, v := range a {
+		sa += absTerm(v)
+		sb += absTerm(b[i])
+		sc += absTerm(c[i])
+		sd += absTerm(d[i])
+	}
+	fn := float64(n)
+	return float32(sa / fn), float32(sb / fn), float32(sc / fn), float32(sd / fn)
+}
+
+// absTerm is absMean's summand for v in fewer operations: the sign is
+// cleared unless v is NaN, a branch that never mispredicts on gradients.
+// It differs from absBits only for −0, which it turns into +0, and a sum
+// from +0 takes ±0 alike: it is never −0, and s + (±0) = s for every other
+// s, NaN included.
+func absTerm(v float32) float64 {
+	a := math.Float32bits(v) &^ signBit
+	if a > infBits {
+		return float64(v)
+	}
+	return float64(math.Float32frombits(a))
+}
+
+// meanRows is how many rows the encoders gather before taking their means,
+// so that the means run as one absMean4.
+const meanRows = 4
+
+// rowMeans sets means[k] to absMean(rows[k]) when scheme s's scale is the
+// mean (OneBitAvg, TwoBitTernary), four rows at a time (the rows share one
+// length), and leaves means alone otherwise.
+func rowMeans(s Scheme, rows [][]float32, means []float32) {
+	if s != OneBitAvg && s != TwoBitTernary {
+		return
+	}
+	k := 0
+	for ; k+4 <= len(rows); k += 4 {
+		means[k], means[k+1], means[k+2], means[k+3] = absMean4(rows[k], rows[k+1], rows[k+2], rows[k+3])
+	}
+	for ; k < len(rows); k++ {
+		means[k] = absMean(rows[k])
+	}
+}
+
+// hostLittleEndian reports whether this host stores a float32 in memory
+// exactly as the frame does (little-endian). Only then is a NoQuant row's
+// payload a byte copy of the row, and an aligned payload a float32 view;
+// any other host takes the per-element loops. Both paths produce the same
+// bytes and values.
+var hostLittleEndian = binary.NativeEndian.Uint32([]byte{1, 2, 3, 4}) == binary.LittleEndian.Uint32([]byte{1, 2, 3, 4})
+
+// putFloats writes row into buf (4*len(row) bytes) as little-endian float32
+// bits: one copy of the row's memory on a little-endian host.
+func putFloats(buf []byte, row []float32) {
+	if hostLittleEndian && len(row) > 0 {
+		copy(buf, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(row))), 4*len(row)))
+		return
+	}
+	putFloatsGo(buf, row)
+}
+
+// putFloatsGo is putFloats' portable loop and its oracle.
+func putFloatsGo(buf []byte, row []float32) {
+	buf = buf[:4*len(row)]
+	for i, v := range row {
+		binary.LittleEndian.PutUint32(buf[4*i:4*i+4], math.Float32bits(v))
+	}
+}
+
+// addFloats adds the little-endian float32s of buf (4*len(row) bytes) into
+// row. On a little-endian host a buf at a 4-byte boundary is viewed as
+// float32s and added by tensor.Add; every payload the package owns is, as
+// its rows sit at multiples of 4 bytes in an allocation, but the guard keeps
+// any other buf correct.
+func addFloats(buf []byte, row []float32) {
+	if hostLittleEndian && len(row) > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%4 == 0 {
+		tensor.Add(unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(buf))), len(row)), row)
+		return
+	}
+	addFloatsGo(buf, row)
+}
+
+// addFloatsGo is addFloats' portable loop and its oracle.
+func addFloatsGo(buf []byte, row []float32) {
+	buf = buf[:4*len(row)]
+	for i := range row {
+		row[i] += math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i : 4*i+4]))
+	}
+}
+
 // Encoded is a quantized sparse gradient ready for the wire: row indices,
 // one scale per row, and the packed sign/ternary payload.
 //
@@ -193,6 +294,15 @@ func Quantize(g *SparseGrad, s Scheme, rng *xrand.RNG) *Encoded {
 // rng is consumed exactly as by Quantize, so for a fixed seed the two
 // produce bit-identical encodings.
 func QuantizeInto(e *Encoded, g *SparseGrad, s Scheme, rng *xrand.RNG) {
+	quantize(e, g, s, rng, nil)
+}
+
+// quantize is QuantizeInto, and with res non-nil also writes each row's
+// quantization error to res while the row is still hot
+// (Residual.QuantizeInto). The rows go four at a time: their means first
+// (rowMeans), then each row's encode in id order, so the rng is consumed
+// exactly as by one encodeRow per row.
+func quantize(e *Encoded, g *SparseGrad, s Scheme, rng *xrand.RNG, res *SparseGrad) {
 	idx := g.Indices()
 	w := g.Width()
 	n := len(idx)
@@ -210,47 +320,103 @@ func QuantizeInto(e *Encoded, g *SparseGrad, s Scheme, rng *xrand.RNG) {
 	}
 	e.Bits = e.Bits[:n*per]
 
-	for r, id := range e.Indices {
-		row, _ := g.Get(id)
-		buf := e.Bits[r*per : (r+1)*per]
-		e.Scales = append(e.Scales, encodeRow(s, row, buf, rng))
+	var rows [meanRows][]float32
+	var means [meanRows]float32
+	for r0 := 0; r0 < n; r0 += meanRows {
+		ids := e.Indices[r0:min(r0+meanRows, n)]
+		for k, id := range ids {
+			rows[k], _ = g.Get(id)
+		}
+		rowMeans(s, rows[:len(ids)], means[:])
+		for k, id := range ids {
+			r := r0 + k
+			buf := e.Bits[r*per : (r+1)*per]
+			sc := encodeRow(s, rows[k], means[k], buf, rng)
+			e.Scales = append(e.Scales, sc)
+			if res != nil {
+				errorRow(s, sc, buf, rows[k], res.Row(id))
+			}
+		}
 	}
+}
+
+// errorRow sets dst to the quantization error of row under the code (s, sc,
+// buf) that encodes it: v − d per value, d being what decodeRowAccum adds
+// into a +0 row. Under the lossy schemes d is +0 + a for the addend a it
+// would add, so the error is row plus −d, and x − d is the IEEE-754
+// operation x + (−d) — except for a NaN d, which a subtraction hands through
+// with its sign intact (see decodeRowAccum). dst is therefore a copy of row
+// that the codec's own decode kernel adds the negated decodes into.
+func errorRow(s Scheme, sc float32, buf []byte, row, dst []float32) {
+	if s == NoQuant {
+		clear(dst)
+		decodeRowAccum(s, sc, buf, dst)
+		for i, v := range row {
+			dst[i] = v - dst[i]
+		}
+		return
+	}
+	copy(dst, row)
+	pos, neg := negDecoded(sc), negDecoded(flipSign(sc))
+	if s == TwoBitTernary {
+		// Codes 0 and 3 decode to +0 + (−0) = +0, whose negation is the
+		// −0 AddTernary adds for them.
+		tensor.AddTernary(buf, pos, neg, dst)
+		return
+	}
+	tensor.AddSigned(buf, pos, neg, dst)
+}
+
+// flipSign returns −a, or a itself when a is NaN: the addend decodeRowAccum
+// uses to subtract a.
+func flipSign(a float32) float32 {
+	if _, _, nan := classify(math.Float32bits(a)); nan != 0 {
+		return a
+	}
+	return -a
+}
+
+// negDecoded returns the addend that subtracts the decoded value +0 + a:
+// +0 + a is a except that it is +0 for a = −0, and the subtraction is
+// adding its negation (flipSign).
+func negDecoded(a float32) float32 {
+	if a == 0 {
+		a = 0 // +0 + (−0) = +0
+	}
+	return flipSign(a)
 }
 
 // encodeRow packs one row under scheme s into buf (which must be exactly
 // payloadBytesPerRow long; every byte is overwritten) and returns the per-row
-// scale. The rng is consumed only by TwoBitTernary, in value order —
+// scale. mean must be absMean(row) under OneBitAvg and TwoBitTernary and is
+// ignored otherwise. The rng is consumed only by TwoBitTernary, in value order —
 // QuantizeInto and the compressed-hop merge (Merger) share this helper so a
 // re-encoded row is bit-compatible with a first-encoded one.
-func encodeRow(s Scheme, row []float32, buf []byte, rng *xrand.RNG) float32 {
+func encodeRow(s Scheme, row []float32, mean float32, buf []byte, rng *xrand.RNG) float32 {
 	switch s {
 	case NoQuant:
-		buf = buf[:4*len(row)]
-		for i, v := range row {
-			binary.LittleEndian.PutUint32(buf[4*i:4*i+4], math.Float32bits(v))
-		}
+		putFloats(buf, row)
 		return 0
 	case TwoBitTernary:
-		mean := absMean(row)
 		if !(mean > 0) { // all zero, or a NaN in the row: no value is kept and no coin drawn
 			clear(buf)
 			return mean
 		}
 		// Value k keeps its code with probability |v_k|/mean, drawn in
 		// chunks of 64 by BernoulliMask. Its p is the division of |v_k| with
-		// the sign cleared, which differs from absBits only for −0 and NaN,
-		// where either sign is drawn (or not) the same and never hits. A hit
-		// is therefore a nonzero, non-NaN value, whose code is 1 << sign:
-		// 0 = zero, 1 = +scale, 2 = −scale, value k at bits 2k..2k+1.
+		// the sign cleared (tensor.AbsRatios), which differs from absBits
+		// only for −0 and NaN, where either sign is drawn (or not) the same
+		// and never hits. A hit is therefore a nonzero, non-NaN value, whose
+		// code is 1 << sign: 0 = zero, 1 = +scale, 2 = −scale, value k at
+		// bits 2k..2k+1.
 		var p [64]float64
+		var signs [8]byte
 		for len(row) > 0 {
 			c := min(len(row), 64)
-			var neg uint64
-			for k, v := range row[:c] {
-				b := math.Float32bits(v)
-				p[k] = float64(math.Float32frombits(b&^signBit)) / float64(mean)
-				neg |= uint64(b>>31) << k
-			}
+			// Sign bytes past the chunk keep an earlier chunk's bits; no hit
+			// reaches them.
+			tensor.AbsRatios(row[:c], mean, p[:c], signs[:(c+7)/8])
+			neg := binary.LittleEndian.Uint64(signs[:])
 			hits := rng.BernoulliMask(p[:c])
 			plus, minus := hits&^neg, hits&neg
 			var codes [16]byte
@@ -265,7 +431,7 @@ func encodeRow(s Scheme, row []float32, buf []byte, rng *xrand.RNG) float32 {
 		if s == OneBitMax {
 			return m
 		}
-		return absMean(row)
+		return mean
 	}
 }
 
@@ -283,6 +449,31 @@ func Dequantize(e *Encoded, dst *SparseGrad) {
 	}
 }
 
+// DequantizeMean decodes every row of e into a new row of dst and divides it
+// by p: the averaged decode of a compressed all-reduce, whose reduced chunks
+// cover disjoint id ranges, so no row of e may already be in dst. Each row
+// lands as (+0 + decode(code)) · (1/p), with no multiply at p = 1 — the bits
+// Dequantize into rows dst lacks followed by tensor.Scale(1/p) of each row
+// leave, in one pass while the row is hot.
+func DequantizeMean(e *Encoded, dst *SparseGrad, p int) {
+	if dst.Width() != e.Width {
+		panic("grad: DequantizeMean width mismatch")
+	}
+	n := dst.Len()
+	per := payloadBytesPerRow(e.Scheme, e.Width)
+	inv := 1 / float32(p)
+	for r, id := range e.Indices {
+		row := dst.Row(id)
+		decodeRowAccum(e.Scheme, e.Scales[r], e.Bits[r*per:(r+1)*per], row)
+		if p > 1 {
+			tensor.Scale(inv, row)
+		}
+	}
+	if dst.Len() != n+len(e.Indices) {
+		panic("grad: DequantizeMean into rows dst already holds")
+	}
+}
+
 // decodeRowAccum adds one encoded row — scheme s, scale sc, packed payload
 // buf — into row. Shared by Dequantize and the compressed-hop merge's
 // overlap path.
@@ -292,45 +483,16 @@ func Dequantize(e *Encoded, dst *SparseGrad) {
 // operation. The one exception is a NaN scale, which an addition or
 // subtraction hands through with its sign intact, so it is never negated.
 func decodeRowAccum(s Scheme, sc float32, buf []byte, row []float32) {
-	minus := -sc
-	_, _, scNaN := classify(math.Float32bits(sc))
-	if scNaN != 0 {
-		minus = sc
-	}
+	minus := flipSign(sc)
 	switch s {
 	case NoQuant:
-		buf = buf[:4*len(row)]
-		for i := range row {
-			row[i] += math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i : 4*i+4]))
-		}
+		addFloats(buf, row)
 	case TwoBitTernary:
 		// Codes 0 and 3 add −0, the one addend that leaves every sum
 		// unchanged: x + (+0) would turn a −0 already in the row into +0.
-		add := [4]float32{math.Float32frombits(signBit), sc, minus, math.Float32frombits(signBit)}
-		if scNaN != 0 {
-			// Where the row holds a NaN too, keep its payload, as the 1-bit
-			// decode does: the compiler may put either operand of a Go
-			// addition first, so such a value is doubled instead, which is
-			// the row's NaN quieted whatever the order.
-			for k, v := range row {
-				a := add[buf[k/4]>>uint(2*(k%4))&3]
-				if _, _, nan := classify(math.Float32bits(v)); nan != 0 {
-					a = v
-				}
-				row[k] = v + a
-			}
-			return
-		}
-		for ; len(row) >= 4; buf, row = buf[1:], row[4:] {
-			b, v := buf[0], row[:4:4]
-			v[0] += add[b&3]
-			v[1] += add[b>>2&3]
-			v[2] += add[b>>4&3]
-			v[3] += add[b>>6]
-		}
-		for k := range row {
-			row[k] += add[buf[0]>>uint(2*k)&3]
-		}
+		// Under a NaN scale a NaN in the row keeps its payload, as in the
+		// 1-bit decode.
+		tensor.AddTernary(buf, sc, minus, row)
 	default:
 		tensor.AddSigned(buf, sc, minus, row)
 	}

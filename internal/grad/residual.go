@@ -1,6 +1,9 @@
 package grad
 
-import "kgedist/internal/tensor"
+import (
+	"kgedist/internal/tensor"
+	"kgedist/internal/xrand"
+)
 
 // Residual implements error-feedback accumulation for compressed gradients
 // (Karimireddy et al. 2019; discussed in the paper's related work, §2): the
@@ -10,18 +13,17 @@ import "kgedist/internal/tensor"
 // This is an optional extension: the paper's main pipeline communicates the
 // quantized gradient without feedback. The ablation benches compare both.
 //
-// A Residual banks its rows in a SparseGrad store and recycles it and the
-// decode scratch internally, so the per-step AddInto/Update cycle is
-// allocation-free once the row working set is warm. Not safe for concurrent
-// use; each worker owns its own.
+// A Residual banks its rows in a SparseGrad store it recycles internally, so
+// the per-step AddInto/QuantizeInto cycle is allocation-free once the row
+// working set is warm. Not safe for concurrent use; each worker owns its
+// own.
 type Residual struct {
-	rows    *SparseGrad // banked error, one row per id still owed
-	decoded *SparseGrad // Update's dequantize scratch, reused across steps
+	rows *SparseGrad // banked error, one row per id still owed
 }
 
 // NewResidual returns an empty residual store for rows of the given width.
 func NewResidual(width int) *Residual {
-	return &Residual{rows: NewSparseGrad(width), decoded: NewSparseGrad(width)}
+	return &Residual{rows: NewSparseGrad(width)}
 }
 
 // Len returns the number of rows currently holding residual error.
@@ -43,26 +45,17 @@ func (r *Residual) AddInto(g *SparseGrad) {
 	})
 }
 
-// Update records the quantization error for the rows of g: for each row
-// present in g, the stored residual becomes g_row - decoded_row, where
-// decoded is the dequantized representation the other ranks will apply.
-// g and e are only read.
-func (r *Residual) Update(g *SparseGrad, e *Encoded) {
+// QuantizeInto encodes g under scheme s into e exactly as the package-level
+// QuantizeInto does, consuming rng the same way, and records each encoded
+// row's quantization error as its residual: the stored row for id becomes
+// g_row − decoded_row, decoded_row being what Dequantize of e adds into an
+// empty row — the representation the other ranks apply. The error is
+// written while the row is still hot from its encode. g is only read.
+func (r *Residual) QuantizeInto(e *Encoded, g *SparseGrad, s Scheme, rng *xrand.RNG) {
 	if g.Width() != r.rows.width {
 		panic("grad: residual width mismatch")
 	}
-	r.decoded.Clear()
-	Dequantize(e, r.decoded)
-	g.ForEach(func(id int32, row []float32) {
-		dec, ok := r.decoded.Get(id)
-		if !ok {
-			return
-		}
-		res := r.rows.Row(id)
-		for i := range res {
-			res[i] = row[i] - dec[i]
-		}
-	})
+	quantize(e, g, s, rng, r.rows)
 }
 
 // SetRow stores a copy of row as the residual for id, replacing any prior

@@ -2,10 +2,12 @@ package tensor
 
 import "math"
 
-// Kernels of the 1-bit gradient codec (grad.encodeRow, grad.decodeRowAccum).
-// A row's payload is one bit per value: bit k%8 of byte k/8 belongs to
+// Kernels of the gradient codec (grad.encodeRow, grad.decodeRowAccum). A
+// 1-bit row's payload is one bit per value: bit k%8 of byte k/8 belongs to
 // value k, so byte j covers the 8-lane block j and the AVX2 kernels move a
-// whole byte per block.
+// whole byte per block. A ternary row's payload is two bits per value: bits
+// 2(k%4) and 2(k%4)+1 of byte k/4, so the two bytes 2j and 2j+1 cover the
+// 8-lane block j.
 
 // SignMaskAbsMax sets bit k of bits iff x[k] >= 0 (true for −0, false for
 // NaN) and returns the largest |x[k]| that is not NaN, +0 when there is
@@ -94,6 +96,91 @@ func addSignedNaNGo(bits []byte, pos, neg float32, x []float32) {
 	add := [2]float32{neg, pos}
 	for k, v := range x {
 		a := add[bits[k/8]>>uint(k%8)&1]
+		if math.IsNaN(float64(v)) {
+			a = v
+		}
+		x[k] = v + a
+	}
+}
+
+// AbsRatios sets p[k] = float64(|x[k]|) / float64(d), |x[k]| being x[k] with
+// its sign bit cleared, and bit k%8 of sign[k/8] to x[k]'s sign bit — the
+// keep probabilities and the signs of the ternary encode. Each p[k] is one
+// true float64 division. sign must hold (len(x)+7)/8 bytes and p len(x)
+// values; every byte of sign is overwritten.
+func AbsRatios(x []float32, d float32, p []float64, sign []byte) {
+	if len(p) != len(x) || len(sign) != (len(x)+7)/8 {
+		panic("tensor: AbsRatios length mismatch")
+	}
+	n := 0
+	if useAVX2 && len(x) >= lanes {
+		n = len(x) &^ (lanes - 1)
+		absRatiosAVX2(x[:n], d, p[:n], sign[:n/lanes])
+	}
+	absRatiosGo(x[n:], d, p[n:], sign[n/lanes:])
+}
+
+// absRatiosGo is the portable loop: the sign is read off the bit pattern,
+// never compared.
+func absRatiosGo(x []float32, d float32, p []float64, sign []byte) {
+	const signBit = 1 << 31
+	dd := float64(d)
+	for j := range sign {
+		var packed uint32
+		for k, v := range x[8*j : min(8*j+8, len(x))] {
+			b := math.Float32bits(v)
+			p[8*j+k] = float64(math.Float32frombits(b&^signBit)) / dd
+			packed |= b >> 31 << uint(k)
+		}
+		sign[j] = byte(packed)
+	}
+}
+
+// AddTernary adds to x[k] the addend its 2-bit code selects: pos for code 1,
+// neg for code 2, and −0 for codes 0 and 3, the one addend that leaves every
+// sum unchanged (x + (+0) would turn a −0 in x into +0). Code k is bits
+// 2(k%4)..2(k%4)+1 of codes[k/4]. x[k] is the first operand of every
+// addition, so where it is NaN the sum keeps its payload. codes must hold
+// (len(x)+3)/4 bytes.
+func AddTernary(codes []byte, pos, neg float32, x []float32) {
+	if len(codes) != (len(x)+3)/4 {
+		panic("tensor: AddTernary length mismatch")
+	}
+	n := 0
+	if useAVX2 && len(x) >= lanes {
+		n = len(x) &^ (lanes - 1)
+		addTernaryAVX2(codes[:n/4], pos, neg, x[:n])
+	}
+	addTernaryGo(codes[n/4:], pos, neg, x[n:])
+}
+
+// addTernaryGo is the portable loop, four values per payload byte; the
+// addend is picked by indexing, not by a branch on the code.
+func addTernaryGo(codes []byte, pos, neg float32, x []float32) {
+	negZero := math.Float32frombits(1 << 31)
+	add := [4]float32{negZero, pos, neg, negZero}
+	if math.IsNaN(float64(pos)) || math.IsNaN(float64(neg)) {
+		addTernaryNaNGo(codes, &add, x)
+		return
+	}
+	for ; len(x) >= 4; codes, x = codes[1:], x[4:] {
+		b, v := codes[0], x[:4:4]
+		v[0] += add[b&3]
+		v[1] += add[b>>2&3]
+		v[2] += add[b>>4&3]
+		v[3] += add[b>>6]
+	}
+	for k := range x {
+		x[k] += add[codes[0]>>uint(2*k)&3]
+	}
+}
+
+// addTernaryNaNGo is addTernaryGo for a NaN addend, with the rule of
+// addSignedNaNGo: where x[k] is NaN too, it is doubled instead, which is
+// x[k] quieted whatever operand order the compiler picks.
+func addTernaryNaNGo(codes []byte, add *[4]float32, x []float32) {
+	for k, v := range x {
+		a := add[codes[k/4]>>uint(2*(k%4))&3]
 		if math.IsNaN(float64(v)) {
 			a = v
 		}

@@ -7,9 +7,10 @@ import (
 )
 
 // The codec kernels are held to their Go loops with every bit compared, NaN
-// payloads included: the maximum never is a NaN, and AddSigned keeps the
-// row's NaN on both paths (grad's TestOneBitDecodeKeepsRowNaN pins that
-// rule itself).
+// payloads included: the maximum never is a NaN, and AddSigned and
+// AddTernary keep the row's NaN on both paths (grad's
+// TestOneBitDecodeKeepsRowNaN and TestTernaryDecodeKeepsRowNaN pin that rule
+// themselves).
 
 func assertExactBits(t *testing.T, what string, got, want []float32) {
 	t.Helper()
@@ -75,6 +76,72 @@ func TestCodecKernelsMatchGoLoops(t *testing.T) {
 		rate := []float64{0, 0.05, 0.5}[trial%3]
 		sc := randVec(rng, 1, rate)[0]
 		checkCodec(t, randVec(rng, n, rate), randVec(rng, n, rate), sc, -sc)
+	}
+}
+
+// checkTernary adds the codes under pos and neg into y through the
+// dispatching kernel and its Go loop.
+func checkTernary(t *testing.T, codes []byte, pos, neg float32, y []float32) {
+	t.Helper()
+	codes = codes[:(len(y)+3)/4]
+	sum, want := clone(y), clone(y)
+	AddTernary(codes, pos, neg, sum)
+	addTernaryGo(codes, pos, neg, want)
+	assertExactBits(t, "AddTernary", sum, want)
+}
+
+// checkAbsRatios runs AbsRatios over x through the dispatching kernel, its
+// Go loop and the encode's definition (a float comparison for the sign),
+// and requires the same ratio bits and sign bytes.
+func checkAbsRatios(t *testing.T, x []float32, d float32) {
+	t.Helper()
+	nb := (len(x) + 7) / 8
+	got, want := make([]float64, len(x)), make([]float64, len(x))
+	sGot, sWant := make([]byte, nb), make([]byte, nb)
+	for i := range sGot {
+		sGot[i], sWant[i] = 0xA5, 0x5A // every byte must be overwritten
+	}
+	AbsRatios(x, d, got, sGot)
+	absRatiosGo(x, d, want, sWant)
+	for k, v := range x {
+		ref := float64(math.Float32frombits(math.Float32bits(v)&^(1<<31))) / float64(d)
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) || math.Float64bits(want[k]) != math.Float64bits(ref) {
+			t.Fatalf("AbsRatios[%d] of %#08x / %#08x: kernel %#016x, Go loop %#016x, definition %#016x", k,
+				math.Float32bits(v), math.Float32bits(d), math.Float64bits(got[k]), math.Float64bits(want[k]), math.Float64bits(ref))
+		}
+		if bit := sGot[k/8] >> uint(k%8) & 1; bit != byte(math.Float32bits(v)>>31) {
+			t.Fatalf("AbsRatios sign %d of %#08x: %d", k, math.Float32bits(v), bit)
+		}
+	}
+	if string(sGot) != string(sWant) {
+		t.Fatalf("AbsRatios signs: kernel %x, Go loop %x", sGot, sWant)
+	}
+}
+
+func TestAbsRatiosMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(81)
+		rate := []float64{0, 0.05, 0.5}[trial%3]
+		checkAbsRatios(t, randVec(rng, n, rate), randVec(rng, 1, rate)[0])
+	}
+}
+
+// Every code, code 3 included, at every lane and in the tail, under scales
+// that are NaN, infinite, zero of either sign or subnormal as often as plain.
+func TestTernaryKernelMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(81)
+		rate := []float64{0, 0.05, 0.5}[trial%3]
+		sc := randVec(rng, 2, rate)
+		codes := make([]byte, (n+3)/4)
+		rng.Read(codes)
+		neg := -sc[0]
+		if trial%4 == 3 {
+			neg = sc[1] // an independent second addend
+		}
+		checkTernary(t, codes, sc[0], neg, randVec(rng, n, rate))
 	}
 }
 
@@ -144,4 +211,23 @@ func BenchmarkAddSigned(b *testing.B) {
 	benchKernel(b,
 		func() { addSignedGo(bits, 1e-3, -1e-3, x) },
 		func() { AddSigned(bits, 1e-3, -1e-3, x) })
+}
+
+func BenchmarkAddTernary(b *testing.B) {
+	const w = 64
+	rng := rand.New(rand.NewSource(20))
+	x, codes := randVec(rng, w, 0), make([]byte, w/4)
+	rng.Read(codes)
+	benchKernel(b,
+		func() { addTernaryGo(codes, 1e-3, -1e-3, x) },
+		func() { AddTernary(codes, 1e-3, -1e-3, x) })
+}
+
+func BenchmarkAbsRatios(b *testing.B) {
+	const w = 64
+	rng := rand.New(rand.NewSource(22))
+	x, p, sign := randVec(rng, w, 0), make([]float64, w), make([]byte, w/8)
+	benchKernel(b,
+		func() { absRatiosGo(x, 0.37, p, sign) },
+		func() { AbsRatios(x, 0.37, p, sign) })
 }

@@ -19,8 +19,10 @@ import (
 // 68 (and the unchecked 8), a floor on a group's best partial score, NaN
 // rows and rows whose exact score turns NaN or -Inf past transESplit, and
 // FuzzComplExTriples' corpus at every dimension of complExDims with each
-// aliasing mode, and FuzzNrm2Rows' corpus at every width of nrm2Widths with
-// and without aliasing.
+// aliasing mode, FuzzNrm2Rows' corpus at every width of nrm2Widths with
+// and without aliasing, FuzzAddTernary's corpus every code under NaN,
+// infinite, zero and plain scales, and FuzzAbsRatios' corpus the specials
+// as values and as divisors.
 
 // fuzzFloats decodes data as little-endian float32 bits; a trailing partial
 // word is ignored.
@@ -182,5 +184,31 @@ func FuzzNrm2Rows(f *testing.F) {
 			}
 		}
 		checkNrm2Rows(t, nrm2Table(d, buf, n, alias%2 == 1))
+	})
+}
+
+// FuzzAddTernary holds the ternary decode kernel to its Go loop. The decoded
+// floats are the row, the code bytes are repeated to cover it, and the two
+// addends are raw float32 bits, so NaN, infinite and zero scales occur.
+func FuzzAddTernary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data, codes []byte, pos, neg uint32) {
+		x := fuzzFloats(data)
+		c := make([]byte, (len(x)+3)/4)
+		for i := range c {
+			if len(codes) > 0 {
+				c[i] = codes[i%len(codes)]
+			}
+		}
+		checkTernary(t, c, math.Float32frombits(pos), math.Float32frombits(neg), x)
+	})
+}
+
+// FuzzAbsRatios holds the ternary encode's ratios and signs to their Go
+// loop and definition: the first decoded float is the divisor, the rest the
+// values.
+func FuzzAbsRatios(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, p, _ := splitFloats(fuzzFloats(data), 1)
+		checkAbsRatios(t, p[0], d)
 	})
 }

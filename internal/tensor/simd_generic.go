@@ -30,3 +30,9 @@ func complExTriplesAVX2(d int, h, r, t [][]float32, out []float32) {
 func nrm2RowsAVX2(d int, rows [][]float32, out []float32)      { panic("tensor: no AVX2 kernels") }
 func signMaskAbsMaxAVX2(x []float32, bits []byte) float32      { panic("tensor: no AVX2 kernels") }
 func addSignedAVX2(bits []byte, pos, neg float32, x []float32) { panic("tensor: no AVX2 kernels") }
+func addTernaryAVX2(codes []byte, pos, neg float32, x []float32) {
+	panic("tensor: no AVX2 kernels")
+}
+func absRatiosAVX2(x []float32, d float32, p []float64, sign []byte) {
+	panic("tensor: no AVX2 kernels")
+}

@@ -635,6 +635,9 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 		"Nrm2Rows ragged": func() { Nrm2Rows([][]float32{a, a, a, b}, make([]float32, 4)) },
 		"SignMaskAbsMax":  func() { SignMaskAbsMax(b, make([]byte, 1)) },
 		"AddSigned":       func() { AddSigned(make([]byte, 2), 1, -1, b[:7]) },
+		"AddTernary":      func() { AddTernary(make([]byte, 2), 1, -1, b) },
+		"AbsRatios":       func() { AbsRatios(b, 1, make([]float64, 8), make([]byte, 2)) },
+		"AbsRatios sign":  func() { AbsRatios(a, 1, make([]float64, 8), make([]byte, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -654,7 +657,7 @@ func TestKernelsAllocFree(t *testing.T) {
 	gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
 	slab, out := make([]float32, 35*w), make([]float32, 35)
 	var triples [19][]float32
-	bits := make([]byte, w/8)
+	bits, codes, ratios := make([]byte, w/8), make([]byte, w/4), make([]float64, w)
 	for j := range triples {
 		triples[j] = slab[j*w : (j+1)*w]
 	}
@@ -676,6 +679,8 @@ func TestKernelsAllocFree(t *testing.T) {
 		"Nrm2Rows":       func() { Nrm2Rows(triples[:], out[:len(triples)]) },
 		"SignMaskAbsMax": func() { SignMaskAbsMax(x, bits) },
 		"AddSigned":      func() { AddSigned(bits, 0.5, -0.5, y) },
+		"AddTernary":     func() { AddTernary(codes, 0.5, -0.5, y) },
+		"AbsRatios":      func() { AbsRatios(x, 0.5, ratios, bits) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per call", name, allocs)
@@ -762,6 +767,7 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		"VADDPS":       "ADDSS per lane",
 		"VSUBPS":       "SUBSS per lane",
 		"VDIVPS":       "DIVSS per lane",
+		"VDIVPD":       "DIVSD per lane",
 		"VSQRTPS":      "SQRTSS per lane, which is float32(math.Sqrt(float64(x)))",
 		"VSQRTPD":      "SQRTSD per lane, which is math.Sqrt",
 		"VCVTPS2PD":    "CVTSS2SD per lane: float32 to float64 is exact",
@@ -777,12 +783,13 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 		"VXORPD":       "sign flip of Go's unary minus, or a zeroed accumulator",
 		"VCMPPS":       "a >= b per lane (predicate 0x1D, GE_OQ, checked below): Go's v >= 0, or the TransE floor check's below >= x, false for NaN; computes no value",
 		"VMOVMSKPS":    "packs the comparison results of the lanes into one integer, computes no value",
-		"VANDPS":       "clears the sign bit, the bit pattern of |x| for every non-NaN x, or ANDs comparison masks",
+		"VANDPS":       "clears the sign bit (of a float32, or of a float64 in the ternary ratios), or ANDs comparison masks",
 		"VMAXPS":       "Go's if a > m { m = a } per lane, with a the first source: equality and NaN keep m",
 		"VMOVSS":       "store of one float32 result",
 		"VPBROADCASTB": "load of one payload byte into every byte lane",
-		"VPAND":        "selects one payload bit per lane, computes no value",
-		"VPCMPEQD":     "turns the selected bit into a lane mask, computes no value",
+		"VPBROADCASTW": "load of two payload bytes (eight ternary codes) into every word lane",
+		"VPAND":        "selects a lane's payload bit or two code bits, computes no value",
+		"VPCMPEQD":     "turns the selected bits into a lane mask, computes no value",
 		"VBLENDVPS":    "picks one of two addends per lane by the mask, computes no value",
 		"MOVB":         "store of one payload byte",
 		"VMOVUPS":      "load or store",
@@ -819,10 +826,10 @@ func TestAssemblyUsesOnlyExactArithmetic(t *testing.T) {
 			seen[op] = true
 		}
 	}
-	for _, op := range []string{"VMULPS", "VADDPS", "VSUBPS", "VDIVPS", "VSQRTPS", "VCVTPS2PD", "VMULPD",
+	for _, op := range []string{"VMULPS", "VADDPS", "VSUBPS", "VDIVPS", "VDIVPD", "VSQRTPS", "VCVTPS2PD", "VMULPD",
 		"VADDPD", "VPERM2F128", "VCVTPD2PSY", "VZEROUPPER", "VUNPCKLPS", "VUNPCKHPS", "VSHUFPS", "VSQRTPD",
-		"VCMPPS", "VMOVMSKPS", "VANDPS", "VMAXPS", "VMOVSS", "VPBROADCASTB", "VPAND", "VPCMPEQD", "VBLENDVPS",
-		"MOVB"} {
+		"VCMPPS", "VMOVMSKPS", "VANDPS", "VMAXPS", "VMOVSS", "VPBROADCASTB", "VPBROADCASTW", "VPAND", "VPCMPEQD",
+		"VBLENDVPS", "MOVB"} {
 		if !seen[op] {
 			t.Errorf("no assembly file uses %s any more; is the scan reading the right files?", op)
 		}
